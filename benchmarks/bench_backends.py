@@ -234,182 +234,6 @@ def assert_streaming_slab_reuse(points: np.ndarray, target: int,
           f"(one sort per block), streaming == persisted bitwise")
 
 
-def bench_good_center_jl(n: int, rng_seed: int, workers=None,
-                         attempts: int = 64) -> list:
-    """The JL-path partition search: inline parent hashing vs view-batched.
-
-    GoodCenter's non-identity path repeatedly hashes the JL-projected points
-    into randomly shifted box partitions (Algorithm 2, steps 3-6).  The
-    *inline* flavour is the no-backend reference: the parent materialises the
-    ``(n, k)`` projected image once and hashes it once per attempt.  The
-    *view-batched* flavour runs the same attempts through a sharded
-    backend's :class:`~repro.neighbors.base.ProjectedView` in batches: the
-    projection matrix ships to the workers once, shards hash their own slice
-    in parallel, and the parent only merges per-label counts — it never
-    holds the image, which is what the parent-side peak-memory column
-    records (tracemalloc sees the parent process only; that asymmetry is the
-    point).  Both flavours are timed steady-state (image / pool warm-up
-    excluded) and the per-attempt counts are asserted identical — the bench
-    doubles as a parity check.
-    """
-    from repro.core.config import GoodCenterConfig
-    from repro.geometry.boxes import box_labels
-    from repro.geometry.jl import JohnsonLindenstrauss, project_rows
-
-    dimension = 32
-    beta = 0.1
-    config = GoodCenterConfig(jl_constant=1.0)
-    k = config.projection_dimension(n, beta, ambient_dimension=dimension)
-    assert k < dimension, "jl_constant must force the non-identity path"
-    data = planted_cluster(n=n, d=dimension, cluster_size=max(200, n // 20),
-                           cluster_radius=0.05, rng=rng_seed)
-    points = data.points
-    radius = 0.05
-    width = config.box_width(radius, k, identity_projection=False)
-    matrix = JohnsonLindenstrauss(input_dimension=dimension,
-                                  output_dimension=k, rng=0).matrix
-    shifts = np.random.default_rng(1).uniform(0.0, width, size=(attempts, k))
-    rows = []
-
-    # Inline (no-backend) reference: project once, hash per attempt.
-    tracemalloc.start()
-    projected = project_rows(points, matrix)          # warm: kept across attempts
-    start = time.perf_counter()
-    inline_counts = np.array([
-        np.unique(box_labels(projected, shift, width), axis=0,
-                  return_counts=True)[1].max()
-        for shift in shifts
-    ])
-    inline_seconds = time.perf_counter() - start
-    _, inline_peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    del projected
-    rows.append({
-        "n": n, "k": k, "mode": "inline", "attempts": attempts,
-        "attempts_per_s": attempts / inline_seconds,
-        "parent_peak_mb": inline_peak / 1e6,
-        "speedup": 1.0,
-    })
-
-    backend = make_backend("sharded", points, workers)
-    try:
-        view = backend.view(matrix)
-        batch = view.batch_size
-        view.heaviest_cell_counts(width, shifts[:1])  # warm: pool + images
-        tracemalloc.start()
-        start = time.perf_counter()
-        batched_counts = np.concatenate([
-            view.heaviest_cell_counts(width, shifts[i:i + batch])
-            for i in range(0, attempts, batch)
-        ])
-        batched_seconds = time.perf_counter() - start
-        _, batched_peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-    finally:
-        backend.close()
-    assert np.array_equal(batched_counts, inline_counts), (
-        f"view-batched search disagrees with inline hashing at n={n}"
-    )
-    rows.append({
-        "n": n, "k": k, "mode": "view-batched", "attempts": attempts,
-        "attempts_per_s": attempts / batched_seconds,
-        "parent_peak_mb": batched_peak / 1e6,
-        "speedup": inline_seconds / batched_seconds,
-    })
-    return rows
-
-
-def bench_good_center_rotated(n: int, rng_seed: int, workers=None) -> list:
-    """The full rotated-stage release (steps 8-11): in-parent vs shard-side,
-    fused query plans vs the per-query fan-outs.
-
-    Times the complete ``good_center`` call on the JL + rotated-axis path —
-    the stage PR 4 moved behind the backend and PR 5 bundled into fused
-    query plans.  The *in-parent* flavour is the no-backend reference: it
-    materialises the selected set, rotates it, and hands the coordinates to
-    NoisyAVG.  The *shard-side* flavours run the same call through a sharded
-    backend: the selected set travels as a label predicate, the rotated
-    frame is a shard-side view, and the parent only merges per-axis
-    histograms and ``(count, exact sum)`` partials — the parent-process
-    tracemalloc peak column is the point (in pool mode the parent never
-    holds the selected or rotated coordinates).  The *fused* flavour bundles
-    each stage into one :class:`~repro.neighbors.QueryPlan` (the
-    ``round_trips`` column counts the backend's collective fan-outs — one
-    per stage); *unfused* flips the ``_FUSED_QUERY_PLANS`` seam back to the
-    PR 4 per-query fan-outs.  All releases are asserted bitwise identical,
-    so the bench doubles as an end-to-end parity check of both seams.
-    """
-    import sys
-
-    from repro.core.config import GoodCenterConfig
-    from repro.core.good_center import good_center
-
-    # The repro.core package rebinds the name ``good_center`` to the
-    # function, so the module (whose _FUSED_QUERY_PLANS seam the unfused
-    # flavour flips) must come from sys.modules.
-    good_center_module = sys.modules["repro.core.good_center"]
-
-    dimension = 16
-    target = n // 2
-    config = GoodCenterConfig(jl_constant=0.3)
-    data = planted_cluster(n=n, d=dimension, cluster_size=int(0.6 * n),
-                           cluster_radius=0.05,
-                           center=[0.5] * dimension, rng=rng_seed)
-    points = data.points
-    center_params = PrivacyParams(8.0, 1e-5)
-    rows = []
-
-    tracemalloc.start()
-    start = time.perf_counter()
-    reference = good_center(points, radius=0.05, target=target,
-                            params=center_params, config=config, rng=5)
-    inline_seconds = time.perf_counter() - start
-    _, inline_peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    assert reference.found and reference.projected_dimension < dimension, (
-        "the bench case must take the JL + rotated-axis path and succeed"
-    )
-    rows.append({
-        "n": n, "d": dimension, "k": reference.projected_dimension,
-        "mode": "in-parent", "release_s": inline_seconds,
-        "parent_peak_mb": inline_peak / 1e6, "round_trips": float("nan"),
-        "speedup": 1.0,
-    })
-
-    for fused in (True, False):
-        good_center_module._FUSED_QUERY_PLANS = fused
-        backend = make_backend("sharded", points, workers)
-        try:
-            backend.radius_counts(0.01)        # warm: pool + shared memory
-            warm_fanouts = backend.pool_stats()["fanouts"]
-            tracemalloc.start()
-            start = time.perf_counter()
-            result = good_center(points, radius=0.05, target=target,
-                                 params=center_params, config=config, rng=5,
-                                 backend=backend)
-            shard_seconds = time.perf_counter() - start
-            _, shard_peak = tracemalloc.get_traced_memory()
-            tracemalloc.stop()
-            round_trips = backend.pool_stats()["fanouts"] - warm_fanouts
-        finally:
-            backend.close()
-            good_center_module._FUSED_QUERY_PLANS = True
-        assert result.found and np.array_equal(result.center,
-                                               reference.center), (
-            f"shard-side rotated stage (fused={fused}) disagrees with the "
-            f"in-parent release at n={n}"
-        )
-        rows.append({
-            "n": n, "d": dimension, "k": result.projected_dimension,
-            "mode": "shard-side/fused" if fused else "shard-side/unfused",
-            "release_s": shard_seconds,
-            "parent_peak_mb": shard_peak / 1e6,
-            "round_trips": round_trips,
-            "speedup": inline_seconds / shard_seconds,
-        })
-    return rows
-
-
 def parent_peak_rss_mib() -> float:
     """This process's lifetime peak resident set, in MiB (NaN off-POSIX)."""
     try:
@@ -850,18 +674,6 @@ def main() -> None:
                         help="profile t = 0.9 n (outlier screening): "
                              "persisted vs streaming L(r, S), with peak "
                              "memory")
-    parser.add_argument("--good-center-jl", action="store_true",
-                        help="profile GoodCenter's JL-path partition search: "
-                             "inline parent hashing vs the view-batched "
-                             "sharded path (d=32, parity asserted)")
-    parser.add_argument("--good-center-rotated", action="store_true",
-                        help="profile the full rotated-stage release (steps "
-                             "8-11): in-parent vs shard-side masked "
-                             "aggregation, with the parent-process peak-"
-                             "memory column (d=16, release parity asserted)")
-    parser.add_argument("--attempts", type=int, default=64,
-                        help="partition-search attempts timed per mode in "
-                             "--good-center-jl")
     parser.add_argument("--json", nargs="?", const="BENCH_backends.json",
                         default=None, metavar="PATH",
                         help="write the persisted benchmark trajectory to "
@@ -898,48 +710,6 @@ def main() -> None:
 
     if args.json:
         run_json(args)
-        return
-
-    if args.good_center_rotated:
-        all_rows = []
-        for n in args.sizes:
-            print(f"profiling rotated-stage release at n={n}, d=16 ...",
-                  flush=True)
-            all_rows.extend(bench_good_center_rotated(n, args.rng,
-                                                      args.workers))
-        print()
-        print(format_table(all_rows, columns=[
-            "n", "d", "k", "mode", "release_s", "parent_peak_mb",
-            "round_trips", "speedup",
-        ]))
-        print("\n(releases asserted bitwise identical between all modes; "
-              "round_trips counts the backend's collective fan-outs over "
-              "the whole call — the fused row bundles each GoodCenter stage "
-              "into one QueryPlan, the unfused row replays the PR 4 "
-              "per-query fan-outs; parent_peak_mb is parent-process "
-              "tracemalloc — in pool mode the shard-side rows never hold "
-              "the selected set, its rotation, or any membership array; "
-              "with --workers 0 the serial fallback computes shard partials "
-              "in-parent one shard at a time)")
-        return
-
-    if args.good_center_jl:
-        all_rows = []
-        for n in args.sizes:
-            print(f"profiling JL partition search at n={n}, d=32 ...",
-                  flush=True)
-            all_rows.extend(bench_good_center_jl(n, args.rng, args.workers,
-                                                 args.attempts))
-        print()
-        print(format_table(all_rows, columns=[
-            "n", "k", "mode", "attempts", "attempts_per_s",
-            "parent_peak_mb", "speedup",
-        ]))
-        print("\n(counts asserted identical between modes; parent_peak_mb is "
-              "parent-process tracemalloc — in pool mode the view-batched "
-              "row never holds the (n, k) projected image, the inline row "
-              "must; with --workers 0 the serial fallback caches shard "
-              "images in-parent like a worker would)")
         return
 
     if args.large_target:

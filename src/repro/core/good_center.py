@@ -32,6 +32,18 @@ and ``C`` is taken to be the circumscribed ball of ``B`` (this only ever
 *reduces* the privacy spend — the per-axis budget goes unused — and matches
 the paper's own explanation of why the rotation is needed, namely to avoid a
 ``sqrt(d)`` blow-up that cannot occur when ``k = d``).
+
+Every data-heavy stage is a :class:`~repro.neighbors.QueryPlan` on a
+neighbor backend, one plan per dependency frontier: the partition-search
+batch, the step-7 box histogram, the step-9 axis histograms, and the
+steps-10-11 NoisyAVG statistics.  A noise draw sits between consecutive
+frontiers and the later plan's arguments depend on it, so per-stage plans
+are the fusion limit at exact parity.  Strategies whose ``submit`` overlaps
+work (``supports_speculation``) additionally *speculate* across each noise
+gate: the noisy choice usually equals the argmax of the pre-noise counts
+(:func:`_predict_slot`), so the next stage's plan for that prediction is
+submitted before the noise is drawn and either consumed (a hit — its
+arguments are identical to the real plan's) or discarded unread.
 """
 
 from __future__ import annotations
@@ -46,86 +58,20 @@ from repro.accounting.ledger import PrivacyLedger
 from repro.accounting.params import PrivacyParams
 from repro.core.config import GoodCenterConfig
 from repro.core.types import GoodCenterResult
-from repro.geometry.balls import ball_membership
-from repro.geometry.boxes import (
-    AxisIntervalPartition,
-    ShiftedBoxPartition,
-    interval_labels,
-)
+from repro.geometry.boxes import AxisIntervalPartition, ShiftedBoxPartition
 from repro.geometry.jl import JohnsonLindenstrauss
-from repro.geometry.rotation import project_onto_basis, random_orthonormal_basis
+from repro.geometry.rotation import random_orthonormal_basis
 from repro.mechanisms.above_threshold import AboveThreshold
 from repro.mechanisms.histogram import stable_histogram_choice_from_counts
-from repro.mechanisms.noisy_average import noisy_average, noisy_average_from_stats
-from repro.neighbors import (
-    BackendLike,
-    QueryPlan,
-    first_occurrence_cells,
-    resolve_backend,
+# ``noisy_average`` stays importable from this module: perfbench/tracing.py
+# counts noise draws by wrapping the NoisyAVG entry points bound here.
+from repro.mechanisms.noisy_average import (  # noqa: F401
+    noisy_average,
+    noisy_average_from_stats,
 )
+from repro.neighbors import BackendLike, QueryPlan, backend_scope
 from repro.utils.rng import RngLike, spawn_generators
 from repro.utils.validation import check_integer, check_points, check_positive, check_probability
-
-
-#: Whether the in-parent partition search hands its winning attempt's label
-#: array to step 7 (it always computes one per attempt anyway).  The rehash
-#: this avoids is pure recomputation, so flipping the flag must not move a
-#: single byte of any release — tests/test_release_parity.py monkeypatches it
-#: off and asserts exactly that, guarding the reuse against ever feeding
-#: step 7 labels that belong to a different partition of the batch.
-_REUSE_SEARCH_LABELS = True
-
-#: Whether the backend path runs steps 8-11 shard-side: the selected set D
-#: travels as a label predicate (BoxSelection), the per-axis interval
-#: histograms and NoisyAVG's (count, exact sum) statistics arrive merged
-#: from the backend, and the parent never materialises the selected or
-#: rotated coordinates.  The merged statistics are *canonical* — exact
-#: fixed-point sums, first-occurrence-ordered histograms — so flipping the
-#: flag must not move a byte of any release; tests/test_release_parity.py
-#: disables it (forcing the historical in-parent rotated stage) and asserts
-#: exactly that, on both projection paths and including the NoisyAVG abstain
-#: branch.
-_SHARD_SIDE_ROTATED_STAGE = True
-
-#: Whether the backend path bundles its queries into
-#: :class:`~repro.neighbors.QueryPlan`\ s.  Each dependency frontier of the
-#: algorithm becomes one plan — the partition-search batch, the step-7 box
-#: histogram, the step-9 per-axis histograms, and the steps-10-11 NoisyAVG
-#: statistics — pinning the "one worker round trip per shard per stage"
-#: contract the instrumentation tests assert.  Each stage already cost one
-#: fan-out on the PR 4 per-query path (every plan here carries a single
-#: query), so the plan routing buys not fewer fan-outs but the plan
-#: execution guarantees: per-call selection-membership memoisation in the
-#: workers, round-trip accounting via ``pool_stats``, and the wire form
-#: multi-machine shards will speak.  A noise draw sits between consecutive
-#: stages and the later stage's query *arguments* depend on it, so no
-#: bitwise-faithful execution can fuse across a stage boundary — per-stage
-#: plans are the fusion limit at exact parity.  Plans change transport only
-#: — the serial evaluator runs the identical primitives, and the sharded
-#: merges are the same shard-order folds — so flipping the flag must not
-#: move a byte of any release; tests/test_release_parity.py disables it
-#: (forcing the PR 4 per-query fan-outs) and asserts exactly that.
-_FUSED_QUERY_PLANS = True
-
-#: Whether the backend path *speculates* across noise gates: a noise draw
-#: sits between consecutive stages and the later stage's query arguments
-#: depend on it, so plans cannot fuse across a stage boundary — but the
-#: noisy choice usually equals the argmax of the pre-noise counts, and that
-#: argmax is known *before* the noise is drawn.  With the flag on,
-#: GoodCenter submits the next stage's plan for the predicted choice
-#: (:func:`_predict_slot`) via ``backend.submit()`` the moment the current
-#: stage's counts arrive, draws the noise while the workers chew, and then
-#: either consumes the in-flight result (prediction hit — the stage's round
-#: trip overlapped the noise draw) or discards it and executes the real
-#: plan exactly as before (mispredict).  A consumed speculative plan
-#: carries *identical arguments* to the plan it replaces, and a discarded
-#: one is never read, so flipping the flag must not move a byte of any
-#: release — tests/test_query_plans.py forces full mispredict streaks and
-#: asserts exactly that.  Hit/miss counters are recorded per stage on the
-#: backend (surfaced through ``pool_stats()``).  Only strategies with
-#: ``supports_speculation`` opt in (serial backends evaluate ``submit``
-#: eagerly, so a mispredicted speculation there would be pure wasted work).
-_SPECULATIVE_PLANS = True
 
 
 def _predict_slot(counts) -> int:
@@ -135,6 +81,13 @@ def _predict_slot(counts) -> int:
     mispredict regression tests can monkeypatch it into a pathological
     predictor."""
     return int(np.argmax(np.asarray(counts)))
+
+
+def _plan(op: str, *args) -> QueryPlan:
+    """A one-query plan (its result is slot 0)."""
+    plan = QueryPlan()
+    getattr(plan, op)(*args)
+    return plan
 
 
 def _failure(attempts: int, k: int) -> GoodCenterResult:
@@ -172,30 +125,24 @@ def good_center(points, radius: float, target: int, params: PrivacyParams,
     ledger:
         Optional privacy ledger.
     backend:
-        Optional neighbor-backend selection.  When given, *every* data-heavy
-        stage rides the resolved backend: the partition search and step-7
-        box histogram through a
-        :class:`~repro.neighbors.base.ProjectedView` (on both the identity
-        and JL projection paths), and steps 8-11 through the view's masked
-        aggregate queries — the selected set travels as a
-        :class:`~repro.neighbors.base.BoxSelection` label predicate, the
+        Neighbor-backend selection (name, class, or instance); ``None``
+        uses an in-process ``"chunked"`` backend.  Every data-heavy stage
+        is a :class:`~repro.neighbors.QueryPlan` on it: the partition
+        search and step-7 box histogram over a
+        :class:`~repro.neighbors.base.ProjectedView` of the projection, and
+        steps 8-11 as masked aggregates over a
+        :class:`~repro.neighbors.base.BoxSelection` label predicate — the
         rotated frame is just another ``backend.view(basis)``, and NoisyAVG
-        consumes the merged ``(count, exact sum)`` statistics.  Each
-        dependency frontier is bundled into one
-        :class:`~repro.neighbors.QueryPlan` — the search batch, the box
-        histogram, the step-9 axis histograms, the steps-10-11 statistics —
-        so each stage costs exactly one worker round trip per shard, with
-        the selection's per-shard membership derived once per call (workers
-        memoise it under the selection's token).  The sharded backend
-        evaluates all of it shard-side over its shared-memory block, so the
-        parent's peak allocation in steps 8-11 is ``O(shard + d)`` — it
-        never holds the projected image, the membership mask, or the
-        rotated selected coordinates.  Pure performance — the projection is
-        row-decomposable, the grid hashes and sphere mask are shared
-        definitions, histogram cells arrive in first-occurrence order, and
-        the aggregate sums are exact fixed-point (partition-independent), so
-        the query sequence and every noise draw, and hence the release
-        distribution, are unchanged.
+        consumes the merged ``(count, exact sum)`` statistics.  The sharded
+        backend runs each plan in one worker round trip per shard over its
+        shared-memory block, so the parent never holds the projected image,
+        a membership mask, or the rotated selected coordinates.  Pure
+        performance: the projection is row-decomposable, the grid hashes
+        and sphere mask are shared definitions, histogram cells arrive in
+        first-occurrence order, and the aggregate sums are exact
+        fixed-point, so every backend releases the same bytes.  A backend
+        built here (from ``None``, a name or a class) is closed before
+        returning; a caller's instance stays open.
 
     Returns
     -------
@@ -221,12 +168,12 @@ def good_center(points, radius: float, target: int, params: PrivacyParams,
     avg_epsilon = params.epsilon * avg_fraction
     quarter_delta = params.delta / 4.0
     # The partition *shift* draws get their own stream (shift_rng), separate
-    # from AboveThreshold's noise stream (partition_rng): the backend-batched
-    # search below draws a few shifts ahead of their AboveThreshold queries,
-    # and with a shared stream that lookahead would reorder the noise draws —
-    # i.e. the backend choice would change the release.  With split streams
-    # the query sequence, and hence the output distribution, is identical
-    # whether or not the batched path runs.
+    # from AboveThreshold's noise stream (partition_rng): the batched search
+    # below draws a few shifts ahead of their AboveThreshold queries, and
+    # with a shared stream that lookahead would reorder the noise draws —
+    # i.e. the batch size would change the release.  With split streams the
+    # query sequence, and hence the output distribution, is identical at
+    # every batch size.
     (jl_rng, partition_rng, box_rng, basis_rng, axis_rng, avg_rng,
      shift_rng) = spawn_generators(rng, 7)
 
@@ -242,434 +189,269 @@ def good_center(points, radius: float, target: int, params: PrivacyParams,
         projection = JohnsonLindenstrauss(input_dimension=dimension,
                                           output_dimension=k, rng=jl_rng)
 
-    # With a backend, the projected points live behind a ProjectedView —
-    # applied shard-side for the sharded strategy, so the parent never
-    # materialises the (n, k) image.  Without one, the parent projects once
-    # (through the same row-decomposable definition, so both paths hash
-    # bit-identical coordinates).
-    resolved = resolve_backend(points, backend) if backend is not None else None
-    view = None
-    projected = None
-    if resolved is not None:
+    with backend_scope(points,
+                       "chunked" if backend is None else backend) as resolved:
+        # The projected points live behind a ProjectedView (applied
+        # shard-side by the sharded strategy, so the parent never
+        # materialises the (n, k) image).
         view = resolved.view(None if projection is None else projection.matrix)
-    elif projection is None:
-        projected = points
-    else:
-        projected = projection.project(points)
+        speculate = resolved.supports_speculation
 
-    # ------------------------------------------------------------------ #
-    # Steps 2-6: find a heavy randomly-shifted box partition.
-    # ------------------------------------------------------------------ #
-    threshold = target - (config.threshold_slack_constant / params.epsilon) * math.log(
-        2.0 * n / beta
-    )
-    max_attempts = config.max_attempts(n, beta)
-    above = AboveThreshold(threshold, PrivacyParams(at_epsilon, 0.0),
-                           max_queries=max_attempts, rng=partition_rng)
-    if ledger is not None:
-        ledger.record("above_threshold", PrivacyParams(at_epsilon, 0.0),
-                      note="GoodCenter partition search")
-    width = config.box_width(radius, k, identity_projection)
+        # -------------------------------------------------------------- #
+        # Steps 2-6: find a heavy randomly-shifted box partition.
+        # -------------------------------------------------------------- #
+        threshold = target - (config.threshold_slack_constant
+                              / params.epsilon) * math.log(2.0 * n / beta)
+        max_attempts = config.max_attempts(n, beta)
+        above = AboveThreshold(threshold, PrivacyParams(at_epsilon, 0.0),
+                               max_queries=max_attempts, rng=partition_rng)
+        if ledger is not None:
+            ledger.record("above_threshold", PrivacyParams(at_epsilon, 0.0),
+                          note="GoodCenter partition search")
+        width = config.box_width(radius, k, identity_projection)
 
-    # Backend-batched partition search (identity *and* JL paths): the view
-    # answers batches of heaviest-cell queries, amortising the sharded
-    # backend's per-shard fan-out.  In-parent search uses batch size 1 (there
-    # is no fan-out to amortise, and attempts past the accepted one would be
-    # wasted hashes) and keeps each attempt's label array so the winning
-    # partition need not be rehashed in step 7.
-    batch_size = 1
-    if view is not None:
-        batch_size = (config.partition_batch_size
-                      if config.partition_batch_size is not None
-                      else view.batch_size)
-        batch_size = max(1, int(batch_size))
-
-    # Speculation rides the shard-side fused-plan path only: predictions are
-    # submitted as plans over BoxSelection predicates, and only strategies
-    # whose submit() genuinely overlaps work opt in.
-    speculate = (view is not None and _SHARD_SIDE_ROTATED_STAGE
-                 and _FUSED_QUERY_PLANS and _SPECULATIVE_PLANS
-                 and getattr(resolved, "supports_speculation", False))
-
-    chosen_partition: Optional[ShiftedBoxPartition] = None
-    chosen_labels: Optional[np.ndarray] = None
-    spec_histogram = None
-    attempts = 0
-    while attempts < max_attempts and chosen_partition is None:
-        batch = [
-            ShiftedBoxPartition(dimension=k, width=width, rng=shift_rng)
-            for _ in range(min(batch_size, max_attempts - attempts))
-        ]
-        search_spec = None
-        if view is not None:
-            batch_shifts = np.stack([p.shifts for p in batch])
-            if _FUSED_QUERY_PLANS:
-                # One plan per batch: the whole attempt batch is a single
-                # round trip per shard on the sharded backend.
-                plan = QueryPlan()
-                slot = plan.heaviest_cell_counts(view, width, batch_shifts)
-                counts = resolved.execute(plan)[slot]
-            else:
-                counts = view.heaviest_cell_counts(width, batch_shifts)
-            labels_batch = [None] * len(batch)
+        # One plan per attempt batch: the view picks the batch (1
+        # in-process, where attempts past the accepted one would be wasted
+        # hashes; larger on the sharded view, amortising its fan-out).
+        chosen_partition: Optional[ShiftedBoxPartition] = None
+        histogram = None
+        attempts = 0
+        while attempts < max_attempts and chosen_partition is None:
+            batch = [
+                ShiftedBoxPartition(dimension=k, width=width, rng=shift_rng)
+                for _ in range(min(view.batch_size, max_attempts - attempts))
+            ]
+            counts = resolved.execute(_plan(
+                "heaviest_cell_counts", view, width,
+                np.stack([partition.shifts for partition in batch]),
+            ))[0]
+            search_spec = None
             if speculate:
                 # Predict the accepted attempt: the first whose pre-noise
                 # count clears the pre-noise threshold (AboveThreshold's
                 # most likely acceptance).  Ship its step-7 box histogram
                 # while the noisy queries run.
-                passing = np.flatnonzero(
-                    np.asarray([int(c) for c in counts], dtype=np.int64)
-                    >= threshold
-                )
+                passing = np.flatnonzero(np.asarray(counts) >= threshold)
                 if passing.shape[0]:
                     predicted = int(passing[0])
-                    spec_plan = QueryPlan()
-                    spec_slot = spec_plan.cell_histogram(
-                        view, width, batch[predicted].shifts,
-                        return_inverse=False,
-                    )
-                    search_spec = (predicted, spec_slot,
-                                   resolved.submit(spec_plan))
-        else:
-            labels_batch = [p.label_array(projected) for p in batch]
-            counts = [
-                int(np.unique(la, axis=0, return_counts=True)[1].max())
-                for la in labels_batch
-            ]
-        accepted_slot = None
-        for batch_slot, (partition, partition_labels, count) in enumerate(
-                zip(batch, labels_batch, counts)):
-            attempts += 1
-            answer = above.query(int(count))
-            if answer.above:
-                chosen_partition = partition
-                chosen_labels = partition_labels
-                accepted_slot = batch_slot
-                break
-        if search_spec is not None:
-            predicted, spec_slot, spec_future = search_spec
-            search_hit = accepted_slot == predicted
-            resolved.record_speculation("search->box", search_hit)
-            if search_hit:
-                spec_histogram = spec_future.result()[spec_slot]
-    if chosen_partition is None:
-        return _failure(attempts, k)
+                    search_spec = (predicted, resolved.submit(_plan(
+                        "cell_histogram", view, width, batch[predicted].shifts,
+                    )))
+            accepted_slot = None
+            for batch_slot, (partition, count) in enumerate(zip(batch,
+                                                                counts)):
+                attempts += 1
+                if above.query(int(count)).above:
+                    chosen_partition = partition
+                    accepted_slot = batch_slot
+                    break
+            if search_spec is not None:
+                search_hit = accepted_slot == search_spec[0]
+                resolved.record_speculation("search->box", search_hit)
+                if search_hit:
+                    histogram = search_spec[1].result()[0]
+        if chosen_partition is None:
+            return _failure(attempts, k)
 
-    # ------------------------------------------------------------------ #
-    # Step 7: pick the heavy box with the choosing mechanism.  The occupied
-    # cells reach the mechanism in first-occurrence (dataset-row) order on
-    # every path, so the per-cell noise draws are bit-identical whether the
-    # histogram was counted in-parent or merged across shards.
-    # ------------------------------------------------------------------ #
-    # With a backend and the shard-side seam on, the selected set D is
-    # carried through steps 8-11 as a *label predicate* (BoxSelection) — the
-    # parent never materialises a membership mask, a row list, or the
-    # selected coordinates; it only merges the backends' (d,)-shaped
-    # aggregate partials.
-    shard_side = view is not None and _SHARD_SIDE_ROTATED_STAGE
-    cell_positions = None
-    if view is not None:
-        want_inverse = not shard_side
-        if spec_histogram is not None:
-            # search->box hit: the box histogram is already in hand, computed
-            # from the identical (width, shifts, return_inverse=False)
-            # arguments — speculation only ran on the shard-side path, where
-            # the inverse is never requested.
-            histogram = spec_histogram
-        elif _FUSED_QUERY_PLANS:
-            plan = QueryPlan()
-            slot = plan.cell_histogram(view, width, chosen_partition.shifts,
-                                       return_inverse=want_inverse)
-            histogram = resolved.execute(plan)[slot]
-        else:
-            histogram = view.cell_histogram(width, chosen_partition.shifts,
-                                            return_inverse=want_inverse)
-        if shard_side:
-            cell_keys, cell_counts = histogram
-        else:
-            cell_keys, cell_counts, cell_positions = histogram
-    else:
-        if chosen_labels is None or not _REUSE_SEARCH_LABELS:
-            chosen_labels = chosen_partition.label_array(projected)
-        cell_keys, cell_counts = first_occurrence_cells(chosen_labels)
-    cells = [(tuple(int(index) for index in key), int(count))
-             for key, count in zip(cell_keys, cell_counts)]
+        # -------------------------------------------------------------- #
+        # Step 7: pick the heavy box with the choosing mechanism.  The
+        # occupied cells reach the mechanism in first-occurrence
+        # (dataset-row) order on every backend, so the per-cell noise draws
+        # are bit-identical however the histogram was counted.  A
+        # search->box hit already holds this histogram (identical
+        # arguments).
+        # -------------------------------------------------------------- #
+        if histogram is None:
+            histogram = resolved.execute(_plan(
+                "cell_histogram", view, width, chosen_partition.shifts,
+            ))[0]
+        cell_keys, cell_counts = histogram
+        cells = [(tuple(int(index) for index in key), int(count))
+                 for key, count in zip(cell_keys, cell_counts)]
 
-    # Box-stage speculation: the stability histogram's choice is usually the
-    # heaviest occupied cell, and the next stage's plan for that cell can be
-    # built entirely from pre-noise data — including, on the JL path, the
-    # random basis (its own independent stream, drawn once, so drawing it
-    # before the box noise instead of after cannot change any draw).
-    box_spec = None
-    spec_basis = None
-    spec_interval_length = None
-    spec_frame_view = None
-    if speculate and cells:
-        predicted_key = cells[_predict_slot(cell_counts)][0]
-        predicted_index = np.asarray(predicted_key, dtype=np.int64)
-        spec_selection = view.box_selection(width, chosen_partition.shifts,
-                                            predicted_index)
-        spec_plan = QueryPlan()
-        if identity_projection:
-            # Steps 8-10 are skipped on this path, so the predicted next
-            # frontier is the steps-10-11 statistics over the predicted box's
-            # circumscribed ball.
-            predicted_box = chosen_partition.box_for_label(predicted_key)
-            spec_slot = spec_plan.masked_clipped_sum(
-                view, spec_selection, predicted_box.center,
-                predicted_box.diameter / 2.0,
-            )
-        else:
-            spec_basis = random_orthonormal_basis(dimension, rng=basis_rng)
-            spec_interval_length = config.rotated_interval_length(
-                radius, k, dimension, n, beta, identity_projection
-            )
-            spec_frame_view = resolved.view(spec_basis)
-            spec_slot = spec_plan.masked_axis_histograms(
-                spec_frame_view, spec_selection, spec_interval_length
-            )
-        box_spec = (predicted_key, spec_selection, spec_slot,
-                    resolved.submit(spec_plan))
-
-    box_choice = stable_histogram_choice_from_counts(
-        cells, PrivacyParams(box_epsilon, quarter_delta), rng=box_rng
-    )
-    if ledger is not None:
-        ledger.record("stable_histogram", PrivacyParams(box_epsilon, quarter_delta),
-                      note="GoodCenter box choice")
-    box_hit = False
-    if box_spec is not None:
-        box_hit = box_choice.found and tuple(box_choice.key) == box_spec[0]
-        resolved.record_speculation(
-            "box->avg" if identity_projection else "box->axes", box_hit
+        # Box-stage speculation: the stability histogram's choice is usually
+        # the heaviest occupied cell, and the next stage's plan for that
+        # cell can be built entirely from pre-noise data — including, on the
+        # JL path, the random basis (its own independent stream, drawn once,
+        # so drawing it before the box noise instead of after cannot change
+        # any draw).
+        box_spec = None
+        basis = None
+        frame_view = view
+        interval_length = config.rotated_interval_length(
+            radius, k, dimension, n, beta, identity_projection
         )
-    if not box_choice.found:
-        return _failure(attempts, k)
-    chosen_index = np.asarray(box_choice.key, dtype=np.int64)
-    selection = None
-    selected = None
-    spec_stats = None
-    if shard_side:
-        # On a box-stage hit the speculative selection *is* the chosen one
-        # (same width/shifts/index arguments); reusing it keeps the workers'
-        # token-keyed membership memo warm.
-        selection = (box_spec[1] if box_hit else
-                     view.box_selection(width, chosen_partition.shifts,
-                                        chosen_index))
+        if speculate and cells:
+            predicted_key = cells[_predict_slot(cell_counts)][0]
+            spec_selection = view.box_selection(
+                width, chosen_partition.shifts,
+                np.asarray(predicted_key, dtype=np.int64),
+            )
+            if identity_projection:
+                # Steps 8-10 are skipped on this path, so the predicted next
+                # frontier is the steps-10-11 statistics over the predicted
+                # box's circumscribed ball.
+                predicted_box = chosen_partition.box_for_label(predicted_key)
+                spec_plan = _plan("masked_clipped_sum", view, spec_selection,
+                                  predicted_box.center,
+                                  predicted_box.diameter / 2.0)
+            else:
+                basis = random_orthonormal_basis(dimension, rng=basis_rng)
+                frame_view = resolved.view(basis)
+                spec_plan = _plan("masked_axis_histograms", frame_view,
+                                  spec_selection, interval_length)
+            box_spec = (predicted_key, spec_selection,
+                        resolved.submit(spec_plan))
+
+        box_choice = stable_histogram_choice_from_counts(
+            cells, PrivacyParams(box_epsilon, quarter_delta), rng=box_rng
+        )
+        if ledger is not None:
+            ledger.record("stable_histogram",
+                          PrivacyParams(box_epsilon, quarter_delta),
+                          note="GoodCenter box choice")
+        box_hit = False
+        if box_spec is not None:
+            box_hit = box_choice.found and tuple(box_choice.key) == box_spec[0]
+            resolved.record_speculation(
+                "box->avg" if identity_projection else "box->axes", box_hit
+            )
         # The histogram already carries the exact occupancy of the chosen
         # box — no membership pass needed for the emptiness guard.
-        selected_count = int(box_choice.true_count)
-        if box_hit and identity_projection:
-            spec_stats = (box_spec[3], box_spec[2])
-    else:
-        if cell_positions is not None:
-            # The histogram's per-point positions already encode membership,
-            # so the view path needs no second hash pass (or sharded
-            # fan-out).
-            chosen_position = next(
-                slot for slot, (key, _) in enumerate(cells)
-                if key == box_choice.key
-            )
-            in_box = cell_positions == chosen_position
-        else:
-            in_box = np.all(chosen_labels == chosen_index[None, :], axis=1)
-        selected = points[in_box]
-        selected_count = int(selected.shape[0])
-    if selected_count == 0:
-        return _failure(attempts, k)
-    chosen_box = chosen_partition.box_for_label(box_choice.key)
-    selected_diameter = config.selected_set_diameter(radius, k, identity_projection)
-
-    if identity_projection:
-        # The box B is itself a subset of R^d with a known circumscribed ball;
-        # steps 8-10 would only produce a looser deterministic bound, so the
-        # bounding sphere is taken directly from B (see module docstring).
-        sphere_center = chosen_box.center
-        sphere_radius = chosen_box.diameter / 2.0
-        frame_points = selected
-        frame_view = view
-        rotate_back = None
-    else:
-        # ---------------------------------------------------------------- #
-        # Steps 8-9: random rotation, per-axis heavy intervals.  The rotated
-        # frame is just another linear image of the dataset, so with a
-        # backend it rides ``backend.view(basis)``: the per-axis interval
-        # histograms arrive merged in first-occurrence order (bit-identical
-        # noise draws) and the parent holds O(occupied intervals), never the
-        # rotated selected coordinates.
-        # ---------------------------------------------------------------- #
-        # The basis stream is independent of every other stream and drawn
-        # from exactly once, so the speculative early draw above (when it
-        # happened) produced the very matrix this line would have — reuse it
-        # rather than advancing the stream a second time.
-        if spec_basis is not None:
-            basis = spec_basis
-            interval_length = spec_interval_length
-        else:
-            basis = random_orthonormal_basis(dimension, rng=basis_rng)
-            interval_length = config.rotated_interval_length(
-                radius, k, dimension, n, beta, identity_projection
-            )
-        axis_epsilon = per_step_epsilon_for_advanced(
-            axes_epsilon, dimension, delta_prime=params.delta / 8.0
-        )
-        axis_delta = params.delta / (8.0 * dimension)
-        axis_params = PrivacyParams(axis_epsilon, axis_delta)
-        axis_rngs = spawn_generators(axis_rng, dimension)
-
-        if shard_side:
-            # Steps 8-9 are one plan: every axis histogram of the rotated
-            # frame (and the selection's membership derivation) rides a
-            # single round trip per shard.  On a box-stage miss the
-            # speculative frame view is still reused — views are keyed by
-            # token in the workers' image cache, so the re-projection done
-            # for the discarded plan is not repeated for the real one.
-            frame_view = (spec_frame_view if spec_frame_view is not None
-                          else resolved.view(basis))
-            if box_hit:
-                axis_histograms = box_spec[3].result()[box_spec[2]]
-            elif _FUSED_QUERY_PLANS:
-                plan = QueryPlan()
-                slot = plan.masked_axis_histograms(frame_view, selection,
-                                                   interval_length)
-                axis_histograms = resolved.execute(plan)[slot]
-            else:
-                axis_histograms = frame_view.masked_axis_histograms(
-                    selection, interval_length
-                )
-        else:
-            rotated = project_onto_basis(selected, basis)
-            axis_label_matrix = interval_labels(rotated, interval_length)
-
-        # Axes-stage speculation: predict every axis's heavy interval at
-        # once (the per-axis argmaxes), derive the bounding sphere those
-        # predictions imply, and ship the steps-10-11 statistics plan while
-        # the d per-axis noise gates run.  A hit requires *every* axis
-        # choice to land on its prediction — the sphere depends on all of
-        # them.
-        axes_spec = None
-        if speculate and shard_side:
-            pred_lower = np.empty(dimension)
-            pred_upper = np.empty(dimension)
-            predicted_axis_keys = []
-            pred_partition = AxisIntervalPartition(width=interval_length)
-            for axis in range(dimension):
-                axis_keys, axis_counts = axis_histograms[axis]
-                pred_key = int(axis_keys[_predict_slot(axis_counts)])
-                predicted_axis_keys.append(pred_key)
-                low, high = pred_partition.extended_interval(pred_key)
-                pred_lower[axis] = low
-                pred_upper[axis] = high
-            pred_center = (pred_lower + pred_upper) / 2.0
-            pred_radius = config.bounding_sphere_radius(interval_length,
-                                                        dimension)
-            spec_plan = QueryPlan()
-            spec_slot = spec_plan.masked_clipped_sum(frame_view, selection,
-                                                     pred_center, pred_radius)
-            axes_spec = (predicted_axis_keys, spec_slot,
-                         resolved.submit(spec_plan))
-
-        axes_hit = axes_spec is not None
-        lower_bounds = np.empty(dimension)
-        upper_bounds = np.empty(dimension)
-        for axis in range(dimension):
-            partition = AxisIntervalPartition(width=interval_length)
-            if shard_side:
-                axis_keys, axis_counts = axis_histograms[axis]
-            else:
-                axis_keys, axis_counts = first_occurrence_cells(
-                    axis_label_matrix[:, axis]
-                )
-            choice = stable_histogram_choice_from_counts(
-                list(zip(axis_keys.tolist(), axis_counts.tolist())),
-                axis_params, rng=axis_rngs[axis],
-            )
-            if not choice.found:
-                if axes_spec is not None:
-                    resolved.record_speculation("axes->avg", False)
-                return _failure(attempts, k)
-            if axes_spec is not None and int(choice.key) != axes_spec[0][axis]:
-                axes_hit = False
-            low, high = partition.extended_interval(int(choice.key))
-            lower_bounds[axis] = low
-            upper_bounds[axis] = high
-        if axes_spec is not None:
-            resolved.record_speculation("axes->avg", axes_hit)
-            if axes_hit:
-                spec_stats = (axes_spec[2], axes_spec[1])
-        if ledger is not None:
-            ledger.record("stable_histogram_axes",
-                          PrivacyParams(axes_epsilon, quarter_delta),
-                          note="GoodCenter per-axis interval choices "
-                               "(advanced composition)")
-
-        # -------------------------------------------------------------- #
-        # Step 10: bounding sphere C in the rotated frame.
-        # -------------------------------------------------------------- #
-        sphere_center = (lower_bounds + upper_bounds) / 2.0
-        sphere_radius = config.bounding_sphere_radius(interval_length, dimension)
-        if not shard_side:
-            frame_points = rotated
-        rotate_back = basis
-
-    # ------------------------------------------------------------------ #
-    # Steps 10-11: captured count + NoisyAVG of D' in the working frame,
-    # then map back if needed.  The shard-side path hands NoisyAVG the
-    # merged (count, exact sum) statistics; the in-parent path hands it the
-    # raw frame points.  Both funnel into the same release core over the
-    # same ball_membership mask and the same exact column sums, so the
-    # releases (abstain branch included) are bit-for-bit identical.
-    # ------------------------------------------------------------------ #
-    avg_params = PrivacyParams(avg_epsilon, quarter_delta)
-    if shard_side:
-        # Steps 10-11 are one plan: NoisyAVG's (count, exact sum) statistics
-        # arrive in a single round trip per shard.  The sphere's centre
-        # depends on the step-9 noise, so this frontier cannot fuse with the
-        # axis-histogram plan without changing the release.
-        if spec_stats is not None:
-            # A box-stage (identity path) or axes-stage (JL path) hit: the
-            # in-flight statistics were computed from the same
-            # (selection, centre, radius) this plan would carry — the
-            # predicted sphere is a deterministic function of the predicted
-            # choices, which all landed.
-            stats = spec_stats[0].result()[spec_stats[1]]
-        elif _FUSED_QUERY_PLANS:
-            plan = QueryPlan()
-            slot = plan.masked_clipped_sum(frame_view, selection,
-                                           sphere_center, sphere_radius)
-            stats = resolved.execute(plan)[slot]
-        else:
-            stats = frame_view.masked_clipped_sum(selection, sphere_center,
-                                                  sphere_radius)
-        captured = int(stats.count)
-        average = noisy_average_from_stats(
-            stats.count, stats.vector_sum, diameter=2.0 * sphere_radius,
-            params=avg_params, center=sphere_center, rng=avg_rng,
-        )
-    else:
-        captured = int(np.count_nonzero(
-            ball_membership(frame_points, sphere_center, sphere_radius)
+        if not box_choice.found or int(box_choice.true_count) == 0:
+            return _failure(attempts, k)
+        # The selected set D travels as a label predicate: no membership
+        # mask, row list or selected coordinates ever exist in the parent.
+        # On a box-stage hit the speculative selection *is* the chosen one
+        # (same width/shifts/index); reusing it keeps the workers'
+        # token-keyed membership memo warm.
+        selection = (box_spec[1] if box_hit else view.box_selection(
+            width, chosen_partition.shifts,
+            np.asarray(box_choice.key, dtype=np.int64),
         ))
-        average = noisy_average(
-            frame_points,
-            diameter=2.0 * sphere_radius,
-            params=avg_params,
-            predicate=lambda pts: ball_membership(pts, sphere_center,
-                                                  sphere_radius),
-            center=sphere_center,
-            rng=avg_rng,
-        )
+        spec_stats = box_spec[2] if box_hit and identity_projection else None
+        chosen_box = chosen_partition.box_for_label(box_choice.key)
+        selected_diameter = config.selected_set_diameter(radius, k,
+                                                         identity_projection)
+
+        if identity_projection:
+            # The box B is itself a subset of R^d with a known circumscribed
+            # ball; steps 8-10 would only produce a looser deterministic
+            # bound, so the bounding sphere is taken directly from B (see
+            # module docstring).
+            sphere_center = chosen_box.center
+            sphere_radius = chosen_box.diameter / 2.0
+        else:
+            # ---------------------------------------------------------- #
+            # Steps 8-9: random rotation, per-axis heavy intervals.  The
+            # rotated frame is another view; its axis histograms arrive in
+            # first-occurrence order (bit-identical noise draws) as one
+            # plan.  The basis stream is independent of every other stream
+            # and drawn from exactly once, so a speculative early draw
+            # produced the very matrix this stage would have; its frame
+            # view is reused too (workers cache images by view token).
+            # ---------------------------------------------------------- #
+            if basis is None:
+                basis = random_orthonormal_basis(dimension, rng=basis_rng)
+                frame_view = resolved.view(basis)
+            axis_epsilon = per_step_epsilon_for_advanced(
+                axes_epsilon, dimension, delta_prime=params.delta / 8.0
+            )
+            axis_params = PrivacyParams(axis_epsilon,
+                                        params.delta / (8.0 * dimension))
+            axis_rngs = spawn_generators(axis_rng, dimension)
+            partition = AxisIntervalPartition(width=interval_length)
+            sphere_radius = config.bounding_sphere_radius(interval_length,
+                                                          dimension)
+            if box_hit:
+                axis_histograms = box_spec[2].result()[0]
+            else:
+                axis_histograms = resolved.execute(_plan(
+                    "masked_axis_histograms", frame_view, selection,
+                    interval_length,
+                ))[0]
+
+            # Axes-stage speculation: predict every axis's heavy interval at
+            # once (the per-axis argmaxes), derive the bounding sphere those
+            # predictions imply, and ship the steps-10-11 statistics plan
+            # while the d per-axis noise gates run.  A hit requires *every*
+            # axis choice to land on its prediction — the sphere depends on
+            # all of them.
+            axes_spec = None
+            if speculate:
+                predicted_keys = [
+                    int(axis_keys[_predict_slot(axis_counts)])
+                    for axis_keys, axis_counts in axis_histograms
+                ]
+                bounds = np.asarray([partition.extended_interval(key)
+                                     for key in predicted_keys])
+                axes_spec = (predicted_keys, resolved.submit(_plan(
+                    "masked_clipped_sum", frame_view, selection,
+                    (bounds[:, 0] + bounds[:, 1]) / 2.0, sphere_radius,
+                )))
+
+            lower_bounds = np.empty(dimension)
+            upper_bounds = np.empty(dimension)
+            axes_hit = axes_spec is not None
+            for axis, (axis_keys, axis_counts) in enumerate(axis_histograms):
+                choice = stable_histogram_choice_from_counts(
+                    list(zip(axis_keys.tolist(), axis_counts.tolist())),
+                    axis_params, rng=axis_rngs[axis],
+                )
+                if not choice.found:
+                    if axes_spec is not None:
+                        resolved.record_speculation("axes->avg", False)
+                    return _failure(attempts, k)
+                if axes_spec is not None and int(choice.key) != axes_spec[0][axis]:
+                    axes_hit = False
+                lower_bounds[axis], upper_bounds[axis] = (
+                    partition.extended_interval(int(choice.key))
+                )
+            if axes_spec is not None:
+                resolved.record_speculation("axes->avg", axes_hit)
+                if axes_hit:
+                    spec_stats = axes_spec[1]
+            if ledger is not None:
+                ledger.record("stable_histogram_axes",
+                              PrivacyParams(axes_epsilon, quarter_delta),
+                              note="GoodCenter per-axis interval choices "
+                                   "(advanced composition)")
+
+            # Step 10: bounding sphere C in the rotated frame.
+            sphere_center = (lower_bounds + upper_bounds) / 2.0
+
+        # -------------------------------------------------------------- #
+        # Steps 10-11: captured count + NoisyAVG of D' in the working frame
+        # from the merged (count, exact sum) statistics, then map back if
+        # needed.  The sphere's centre depends on the step-9 noise, so this
+        # frontier cannot fuse with the axis-histogram plan.  A box-stage
+        # (identity path) or axes-stage (JL path) hit already holds the
+        # statistics: the predicted sphere is a deterministic function of
+        # the predicted choices, which all landed.
+        # -------------------------------------------------------------- #
+        if spec_stats is not None:
+            stats = spec_stats.result()[0]
+        else:
+            stats = resolved.execute(_plan(
+                "masked_clipped_sum", frame_view, selection, sphere_center,
+                sphere_radius,
+            ))[0]
+
+    avg_params = PrivacyParams(avg_epsilon, quarter_delta)
+    average = noisy_average_from_stats(
+        stats.count, stats.vector_sum, diameter=2.0 * sphere_radius,
+        params=avg_params, center=sphere_center, rng=avg_rng,
+    )
     if ledger is not None:
-        ledger.record("noisy_average", PrivacyParams(avg_epsilon, quarter_delta),
+        ledger.record("noisy_average", avg_params,
                       note="GoodCenter final average")
     if not average.found:
         return _failure(attempts, k)
-    if rotate_back is None:
-        center = np.asarray(average.value, dtype=float)
-    else:
-        # Basis rows are the rotated axes, so rotated coordinates map back to
-        # the standard frame through the matrix itself.
-        center = np.asarray(average.value, dtype=float) @ rotate_back
+    center = np.asarray(average.value, dtype=float)
+    if basis is not None:
+        # Basis rows are the rotated axes, so rotated coordinates map back
+        # to the standard frame through the matrix itself.
+        center = center @ basis
 
     noise_bound = average.sigma * (math.sqrt(dimension) + math.sqrt(2.0 * math.log(2.0 / beta)))
     radius_bound = selected_diameter + noise_bound
@@ -678,7 +460,7 @@ def good_center(points, radius: float, target: int, params: PrivacyParams,
         radius_bound=float(radius_bound),
         attempts=attempts,
         projected_dimension=k,
-        captured_count=captured,
+        captured_count=int(stats.count),
     )
 
 

@@ -34,6 +34,7 @@ from repro.neighbors import (
     BackendLike,
     NeighborBackend,
     QueryPlan,
+    backend_scope,
     resolve_backend,
 )
 from repro.quasiconcave.binary_search import noisy_binary_search
@@ -211,8 +212,19 @@ def good_radius(points, target: int, params: PrivacyParams, beta: float = 0.1,
     if backend is None:
         backend = config.neighbor_backend
         backend_options = config.neighbor_backend_options() or None
-    score = RadiusScore(points, target, backend=backend,
-                        backend_options=backend_options)
+    # A backend built here is closed before returning, even when the search
+    # raises; a caller's instance stays open.
+    with backend_scope(points, backend, backend_options) as resolved:
+        return _search_radius(RadiusScore(points, target, backend=resolved),
+                              params, beta, domain, config, rng, ledger)
+
+
+def _search_radius(score: RadiusScore, params: PrivacyParams, beta: float,
+                   domain: GridDomain, config: OneClusterConfig,
+                   rng: RngLike,
+                   ledger: Optional[PrivacyLedger]) -> GoodRadiusResult:
+    """Steps 2-4 of :func:`good_radius` over an already-built score."""
+    target = score.target
     laplace_rng, search_rng = spawn_generators(rng, 2)
 
     half = params.part(0.5)

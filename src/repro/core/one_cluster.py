@@ -22,7 +22,7 @@ from repro.core.types import GoodCenterResult, GoodRadiusResult, OneClusterResul
 from repro.geometry.balls import Ball
 from repro.geometry.grid import GridDomain
 from repro.mechanisms.histogram import stable_histogram_choice
-from repro.neighbors import BackendLike, NeighborBackend, resolve_backend
+from repro.neighbors import BackendLike, backend_scope
 from repro.utils.rng import RngLike, spawn_generators
 from repro.utils.validation import check_integer, check_points, check_probability
 
@@ -120,23 +120,18 @@ def one_cluster(points, target: int, params: PrivacyParams, beta: float = 0.1,
 
     # Resolve the backend once so both phases share one instance (cached
     # truncated statistics, and a single worker pool for "sharded").  A
-    # backend built *here* (from None / a name / a class) is also owned
-    # here: it is closed before returning, so a sharded backend's worker
-    # pool and shared-memory segment are released deterministically instead
-    # of riding on garbage collection — callers that loop (k_cluster builds
-    # one backend per iteration) would otherwise accumulate live pools and
-    # leak segments to interpreter shutdown.  A caller-supplied *instance*
-    # stays the caller's to close.
-    owns_backend = not isinstance(backend, NeighborBackend)
+    # backend built *here* (from None / a name / a class) is closed before
+    # returning, so a sharded backend's worker pool and shared-memory
+    # segment are released deterministically instead of riding on garbage
+    # collection — callers that loop (k_cluster builds one backend per
+    # iteration) would otherwise accumulate live pools and leak segments to
+    # interpreter shutdown.  A caller-supplied *instance* stays the
+    # caller's to close.
+    options = None
     if backend is None:
-        shared_backend = resolve_backend(
-            points, config.neighbor_backend,
-            options=config.neighbor_backend_options() or None,
-        )
-    else:
-        shared_backend = resolve_backend(points, backend)
-
-    try:
+        backend = config.neighbor_backend
+        options = config.neighbor_backend_options() or None
+    with backend_scope(points, backend, options) as shared_backend:
         radius_result: GoodRadiusResult = good_radius(
             points, target, radius_params, beta=half_beta, domain=domain,
             config=config, rng=radius_rng, ledger=ledger,
@@ -155,11 +150,6 @@ def one_cluster(points, target: int, params: PrivacyParams, beta: float = 0.1,
                 beta=half_beta, config=config.center, rng=center_rng,
                 ledger=ledger, backend=shared_backend,
             )
-    finally:
-        if owns_backend:
-            close = getattr(shared_backend, "close", None)
-            if close is not None:
-                close()
 
     if center_result.found:
         ball = Ball(center=center_result.center, radius=center_result.radius_bound)

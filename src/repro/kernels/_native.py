@@ -27,14 +27,9 @@ import math
 import numpy as np
 from numba import njit
 
-#: Mirrors :data:`repro.kernels._reference.SCALE_BITS`.
-_SCALE_BITS = 1074
-
-#: ``float(2**53)`` — exact mantissa scaling.
-_MANTISSA_SCALE = 9007199254740992.0
-
-#: Flush threshold for the fixed-point accumulator: ``512 * 2**53 < 2**63``.
-_SEGMENT = 512
+# The fixed-point constants shared with the reference kernel; _SEGMENT is
+# also the accumulator's flush threshold (``512 * 2**53 < 2**63``).
+from repro.kernels._reference import _MANTISSA_SCALE, _SEGMENT, SCALE_BITS
 
 #: frexp exponents span ``[-1073, 1024]`` for finite nonzero float64, so
 #: shifts ``e + (1074 - 53)`` span ``[-52, 2045]``; the accumulator table is
@@ -109,7 +104,7 @@ def _column_partials(matrix):  # pragma: no cover - requires numba
         for row in range(q):
             mantissa, exponent = math.frexp(matrix[row, column])
             limb = np.int64(mantissa * _MANTISSA_SCALE)
-            shift = exponent + (_SCALE_BITS - 53)
+            shift = exponent + (SCALE_BITS - 53)
             slot = shift + _SHIFT_FLOOR
             acc[slot] += limb
             count[slot] += 1

@@ -27,9 +27,9 @@ except ImportError:  # pragma: no cover - scipy-less environments
 #: accumulation order, so native mode requires it.
 HAVE_SCIPY_CDIST = _cdist is not None
 
-#: Every finite float64 is an integer multiple of ``2**-SCALE_BITS``
-#: (mirrors :data:`repro.utils.exactsum.SCALE_BITS`; kept local because
-#: exactsum imports this package).
+#: Every finite float64 is an integer multiple of ``2**-SCALE_BITS``.  The
+#: fixed-point constants are defined here, in the lowest layer;
+#: :mod:`repro.utils.exactsum` and the native kernels import them.
 SCALE_BITS = 1074
 
 #: ``2**53`` — scaling a frexp mantissa (``0.5 <= |m| < 1``) by this yields

@@ -53,7 +53,8 @@ applications.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Union
+import contextlib
+from typing import Callable, Dict, Iterator, Optional, Union
 
 import numpy as np
 
@@ -219,6 +220,28 @@ def resolve_backend(points, backend: BackendLike = None,
     )
 
 
+@contextlib.contextmanager
+def backend_scope(points, backend: BackendLike = None,
+                  options: Optional[dict] = None) -> Iterator[NeighborBackend]:
+    """:func:`resolve_backend` for the length of a ``with`` block.
+
+    A backend built here (from ``None``, a name or a class) belongs to the
+    block and is closed when it exits, normally or by an exception, so a
+    sharded backend's worker pool and shared-memory segment never outlive
+    the solver call that started them (a live exception's traceback would
+    otherwise keep them reachable).  A caller's instance stays the
+    caller's to close.
+    """
+    resolved = resolve_backend(points, backend, options)
+    try:
+        yield resolved
+    finally:
+        if resolved is not backend:
+            close = getattr(resolved, "close", None)
+            if close is not None:
+                close()
+
+
 __all__ = [
     "BACKENDS",
     "BackendLike",
@@ -243,5 +266,6 @@ __all__ = [
     "TreeBackend",
     "ShardedBackend",
     "auto_backend",
+    "backend_scope",
     "resolve_backend",
 ]

@@ -253,11 +253,6 @@ class BoxSelection:
     label: np.ndarray
     token: Optional[int] = None
 
-    def membership(self) -> np.ndarray:
-        """The ``(n,)`` boolean membership mask (materialised; the sharded
-        masked queries never call this in the parent)."""
-        return self.view.label_mask(self.width, self.shifts, self.label)
-
 
 @dataclass(frozen=True)
 class ClippedSum:
@@ -282,26 +277,26 @@ class ProjectedView:
 
     GoodCenter never asks distance questions about the *projected* points —
     only grid-hash questions ("how heavy is the heaviest box of this shifted
-    partition?", "what is the box histogram?", "which points fall in this
-    box?", "what are the per-axis interval labels?") and, since the steps
-    8-11 migration, *masked aggregate* questions over a selected subset
-    ("what are the per-axis interval histograms of the selected points?",
-    "how many selected points fall in this sphere, and what is the exact sum
-    of their offsets from its centre?").  A view answers all of them over an
-    arbitrary linear image (a JL projection, a random rotation, or the
-    identity) of the points a backend indexes, without the caller ever
-    materialising the image itself.
+    partition?", "what is the box histogram?") and *masked aggregate*
+    questions over a selected subset ("what are the per-axis interval
+    histograms of the selected points?", "how many selected points fall in
+    this sphere, and what is the exact sum of their offsets from its
+    centre?").  A view answers all of them over an arbitrary linear image (a
+    JL projection, a random rotation, or the identity) of the points a
+    backend indexes, without the caller ever materialising the image itself.
 
     This base implementation serves the in-process strategies (dense /
-    chunked / tree): the image is computed once with the row-decomposable
+    chunked / tree) and is the serial reference every other strategy must
+    match: the image is computed once with the row-decomposable
     :func:`repro.geometry.jl.project_rows` and cached on the view, so a
     partition search probing many shifted partitions pays the projection cost
     once.  :class:`~repro.neighbors.sharded.ShardedBackend` overrides
-    :meth:`NeighborBackend.view` with a fan-out implementation that ships the
-    small ``(k, d)`` matrix to the workers once and applies it shard-side
-    over the shared-memory block — the parent never holds the ``(n, k)``
-    image.  Because ``project_rows`` is bitwise row-decomposable and the grid
-    hashes (:func:`repro.geometry.boxes.box_labels`,
+    :meth:`NeighborBackend.view` with a view whose every query is a one-query
+    :class:`QueryPlan`: the small ``(k, d)`` matrix travels to the workers
+    and is applied shard-side over the shared-memory block — the parent
+    never holds the ``(n, k)`` image.  Because ``project_rows`` is bitwise
+    row-decomposable and the grid hashes
+    (:func:`repro.geometry.boxes.box_labels`,
     :func:`repro.geometry.boxes.interval_labels`) are shared single
     definitions, every strategy's view returns identical integers — the
     exact-parity contract extends to projected queries.
@@ -460,16 +455,16 @@ class ProjectedView:
             counts[attempt] = int(cell_counts.max())
         return counts
 
-    def label_array(self, width: float, shifts) -> np.ndarray:
+    def _label_array(self, width: float, shifts) -> np.ndarray:
         """The ``(n, k)`` integer box-index vectors of every imaged point
-        under one shifted partition (the view analogue of
-        :meth:`~repro.geometry.boxes.ShiftedBoxPartition.label_array`)."""
+        under one shifted partition.  Private: it materialises the image in
+        this process, which a sharded view must never do."""
         from repro.geometry.boxes import box_labels
 
         shifts = self._check_shifts(shifts, batched=False)
         return box_labels(self.image(), shifts, float(width))
 
-    def cell_histogram(self, width: float, shifts, return_inverse: bool = False):
+    def cell_histogram(self, width: float, shifts):
         """Occupied boxes of one shifted partition, with their counts.
 
         Returns ``(labels, counts)`` where ``labels`` is ``(m, k)`` (one row
@@ -477,65 +472,8 @@ class ProjectedView:
         first occurrence in dataset-row order — the cell order the
         stability-based histogram mechanism needs for bit-identical noise
         draws (see :func:`first_occurrence_cells`).
-
-        With ``return_inverse=True`` a third ``(n,)`` array maps every imaged
-        point to its box's position in ``labels``, so a caller choosing a box
-        from the histogram gets the membership mask as ``inverse == position``
-        without a second hash pass (or, for the sharded view, a second
-        fan-out).
         """
-        labels = self.label_array(width, shifts)
-        if not return_inverse:
-            return first_occurrence_cells(labels)
-        unique, first, inverse, counts = np.unique(
-            labels, axis=0, return_index=True, return_inverse=True,
-            return_counts=True,
-        )
-        order = np.argsort(first, kind="stable")
-        position = np.empty(order.shape[0], dtype=np.int64)
-        position[order] = np.arange(order.shape[0], dtype=np.int64)
-        return unique[order], counts[order], position[np.reshape(inverse, -1)]
-
-    def label_mask(self, width: float, shifts, label) -> np.ndarray:
-        """Boolean mask of the imaged points falling in the box ``label``
-        of the shifted partition ``(width, shifts)``."""
-        label = np.asarray(label, dtype=np.int64).reshape(-1)
-        labels = self.label_array(width, shifts)
-        if label.shape[0] != labels.shape[1]:
-            raise ValueError(
-                f"label has {label.shape[0]} axes, expected {labels.shape[1]}"
-            )
-        return np.all(labels == label[None, :], axis=1)
-
-    def axis_interval_labels(self, width: float, offset: float = 0.0,
-                             rows=None) -> np.ndarray:
-        """Per-axis interval labels of (a row subset of) the image.
-
-        Labels *all* ``k`` axes of the image in one call —
-        ``result[:, j] = floor((Y[:, j] - offset) / width)`` — which is how
-        GoodCenter's rotated-axis stage (Algorithm 2, step 9) gets its ``d``
-        per-axis histograms in a single backend round-trip instead of one
-        serial pass per axis.
-
-        Parameters
-        ----------
-        width:
-            The interval length ``p``.
-        offset:
-            The partition origin (0 in the paper).
-        rows:
-            Optional sorted-or-not index array restricting the labelling to a
-            subset of the points (GoodCenter labels only the points mapped
-            into the chosen box).  Row order of the result follows ``rows``.
-
-        Returns
-        -------
-        numpy.ndarray
-            ``(q, k)`` ``int64`` interval labels.
-        """
-        from repro.geometry.boxes import interval_labels
-
-        return interval_labels(self.image(rows), float(width), float(offset))
+        return first_occurrence_cells(self._label_array(width, shifts))
 
     # ------------------------------------------------------------------ #
     # Masked aggregation (GoodCenter steps 8-11)
@@ -546,7 +484,7 @@ class ProjectedView:
         Parameters
         ----------
         width, shifts:
-            The shifted partition (as in :meth:`label_mask`).
+            The shifted partition (as in :meth:`cell_histogram`).
         label:
             The ``(k,)`` integer box label selecting the points.
         """
@@ -577,7 +515,10 @@ class ProjectedView:
                     "view; selections only transfer between views of the "
                     "same backend"
                 )
-            return np.flatnonzero(selection.membership())
+            labels = selection.view._label_array(selection.width,
+                                                 selection.shifts)
+            return np.flatnonzero(np.all(labels == selection.label[None, :],
+                                         axis=1))
         array = np.asarray(selection)
         if array.dtype == np.bool_:
             if array.shape != (self.num_points,):
@@ -587,10 +528,6 @@ class ProjectedView:
                 )
             return np.flatnonzero(array)
         return np.sort(self._check_rows(array), kind="stable")
-
-    def masked_count(self, selection) -> int:
-        """How many points the selection covers (duplicates counted)."""
-        return int(self._selection_rows(selection).shape[0])
 
     def masked_sum(self, selection) -> np.ndarray:
         """The ``(k,)`` exact (correctly-rounded) sum of the selected image
@@ -604,41 +541,6 @@ class ProjectedView:
         rows = self._selection_rows(selection)
         return exact_column_sums(self.image(rows))
 
-    def masked_minmax(self, selection) -> np.ndarray:
-        """Per-axis extremes of the selected image points.
-
-        Returns a ``(2, k)`` array — row 0 the minima, row 1 the maxima.
-        An empty selection returns the merge identities ``+inf`` / ``-inf``.
-        Min/max are exact and associative, so the sharded merge is trivially
-        bitwise.
-        """
-        rows = self._selection_rows(selection)
-        k = self.image_dimension
-        if rows.shape[0] == 0:
-            return np.vstack([np.full(k, np.inf), np.full(k, -np.inf)])
-        image = self.image(rows)
-        return np.vstack([image.min(axis=0), image.max(axis=0)])
-
-    def masked_clipped_partial(self, selection, center,
-                               clip_radius: float) -> Tuple[int, List[int]]:
-        """The mergeable (fixed-point) form of :meth:`masked_clipped_sum`:
-        ``(count, per-column exact integer sums)``.  Partials from disjoint
-        row ranges merge by integer addition; the sharded view uses this as
-        its wire format."""
-        from repro.geometry.balls import ball_membership
-
-        center = np.asarray(center, dtype=float).reshape(-1)
-        if center.shape[0] != self.image_dimension:
-            raise ValueError(
-                f"center has dimension {center.shape[0]}, expected "
-                f"{self.image_dimension}"
-            )
-        rows = self._selection_rows(selection)
-        image = self.image(rows)
-        inside = ball_membership(image, center, float(clip_radius))
-        deltas = image[inside] - center[None, :]
-        return int(np.count_nonzero(inside)), fixed_point_column_sums(deltas)
-
     def masked_clipped_sum(self, selection, center,
                            clip_radius: float) -> ClippedSum:
         """NoisyAVG's sufficient statistics, computed over the image.
@@ -647,15 +549,26 @@ class ProjectedView:
         ``center`` (the bounding sphere ``C`` of Algorithm 2, step 10 — the
         shared :func:`repro.geometry.balls.ball_membership` definition) and
         returns their count with the exact sum of ``y - center`` — everything
-        step 11's noisy average needs, in ``O(k)`` parent memory.  The one
-        conversion of the fixed-point partial happens here, on the total.
+        step 11's noisy average needs, in ``O(k)`` parent memory.  The sum is
+        accumulated in exact fixed point and converted once, on the total,
+        so sharded partials merge to bitwise the same vector.
         """
-        count, totals = self.masked_clipped_partial(selection, center,
-                                                    clip_radius)
+        from repro.geometry.balls import ball_membership
+
+        center = np.asarray(center, dtype=float).reshape(-1)
+        if center.shape[0] != self.image_dimension:
+            raise ValueError(
+                f"center has dimension {center.shape[0]}, expected "
+                f"{self.image_dimension}"
+            )
+        image = self.image(self._selection_rows(selection))
+        inside = ball_membership(image, center, float(clip_radius))
+        totals = fixed_point_column_sums(image[inside] - center[None, :])
         vector_sum = np.asarray(
             [fixed_point_to_float(total) for total in totals], dtype=float
         )
-        return ClippedSum(count=count, vector_sum=vector_sum)
+        return ClippedSum(count=int(np.count_nonzero(inside)),
+                          vector_sum=vector_sum)
 
     def masked_axis_histograms(self, selection, width: float,
                                offset: float = 0.0) -> list:
@@ -687,14 +600,13 @@ class ProjectedView:
 #: Plan operations evaluated over a selection (their per-shard partials are
 #: computed from the memoised membership rows).
 MASKED_PLAN_OPS = frozenset({
-    "masked_count", "masked_sum", "masked_minmax", "masked_clipped_sum",
-    "masked_axis_histograms",
+    "masked_sum", "masked_clipped_sum", "masked_axis_histograms",
 })
 
 #: Plan operations evaluated against a :class:`ProjectedView` (the masked
 #: ones plus the grid-hash queries).
 VIEW_PLAN_OPS = MASKED_PLAN_OPS | frozenset({
-    "heaviest_cell_counts", "cell_histogram", "axis_interval_labels",
+    "heaviest_cell_counts", "cell_histogram",
 })
 
 #: Whole-dataset plan operations answered by the backend itself.
@@ -825,24 +737,14 @@ class QueryPlan:
         return self._append("heaviest_cell_counts", view, None,
                             (float(width), shifts))
 
-    def cell_histogram(self, view: "ProjectedView", width: float, shifts,
-                       return_inverse: bool = False) -> int:
-        """Append a :meth:`ProjectedView.cell_histogram` query; returns its
-        result slot."""
+    def cell_histogram(self, view: "ProjectedView", width: float,
+                       shifts) -> int:
+        """Append a :meth:`ProjectedView.cell_histogram` query (GoodCenter's
+        step-7 box histogram); returns its result slot."""
         view = self._require_view(view)
         shifts = view._check_shifts(shifts, batched=False)
         return self._append("cell_histogram", view, None,
-                            (float(width), shifts, bool(return_inverse)))
-
-    def axis_interval_labels(self, view: "ProjectedView", width: float,
-                             offset: float = 0.0, rows=None) -> int:
-        """Append a :meth:`ProjectedView.axis_interval_labels` query; returns
-        its result slot."""
-        view = self._require_view(view)
-        if rows is not None:
-            rows = view._check_rows(rows)
-        return self._append("axis_interval_labels", view, None,
-                            (float(width), float(offset), rows))
+                            (float(width), shifts))
 
     # ------------------------------------------------------------------ #
     # Masked aggregation
@@ -853,20 +755,10 @@ class QueryPlan:
             raise ValueError(f"{op} requires a selection")
         return self._append(op, view, selection, args)
 
-    def masked_count(self, view: "ProjectedView", selection) -> int:
-        """Append a :meth:`ProjectedView.masked_count` query; returns its
-        result slot."""
-        return self._masked("masked_count", view, selection)
-
     def masked_sum(self, view: "ProjectedView", selection) -> int:
         """Append a :meth:`ProjectedView.masked_sum` query; returns its
         result slot."""
         return self._masked("masked_sum", view, selection)
-
-    def masked_minmax(self, view: "ProjectedView", selection) -> int:
-        """Append a :meth:`ProjectedView.masked_minmax` query; returns its
-        result slot."""
-        return self._masked("masked_minmax", view, selection)
 
     def masked_clipped_sum(self, view: "ProjectedView", selection, center,
                            clip_radius: float) -> int:
@@ -1037,9 +929,9 @@ class NeighborBackend(abc.ABC):
         -------
         ProjectedView
             A handle answering grid-hash queries (heaviest-cell counts, box
-            histograms, membership masks, per-axis interval labels) over the
-            image.  Strategies with worker processes override this to apply
-            the projection shard-side; results are bit-identical either way.
+            histograms) and masked aggregates over the image.  Strategies
+            with worker processes override this to apply the projection
+            shard-side; results are bit-identical either way.
         """
         return ProjectedView(self, matrix=matrix, offset=offset)
 

@@ -23,15 +23,20 @@ process), so a query ships only its small payload (a radius, a handful of
 shifts, a centre block) — never the dataset.  Tasks are routed with
 shard→worker *affinity* (shard ``s`` always lands on worker slot ``s mod
 W``), so each shard's lazily built index, cached view images, and memoised
-selection membership live in exactly one worker.  Multi-query bundles
-(:class:`~repro.neighbors.base.QueryPlan`) ship as a *single* task per shard
-— one round trip per shard for a whole plan — and can be submitted
-asynchronously (``submit``), with the merge always folding shards in shard
-order so overlapping plans cannot perturb a single bit.  On a single-CPU
-machine, when ``num_workers=0``, or when the pool cannot start (sandboxes
-without ``/dev/shm``), the same shard/merge code runs serially in-process —
-results are bit-identical either way, the pool is purely a wall-clock
-lever.
+selection membership live in exactly one worker.
+
+Workers run three task methods (:data:`SHARD_TASK_METHODS`).  Every view
+query and every count query is a :class:`~repro.neighbors.base.QueryPlan`
+— a direct call is a one-query plan — shipped as a *single*
+``execute_plan`` task per shard (one round trip per shard for a whole
+plan), optionally submitted asynchronously (``submit``), with the merge
+always folding shards in shard order so overlapping plans cannot perturb a
+single bit.  The truncated statistic (``truncated``) and the streaming
+profile histograms (``histograms``) are wave-bounded fold fan-outs.  On a
+single-CPU machine, when ``num_workers=0``, or when the pool cannot start
+(sandboxes without ``/dev/shm``), the same shard/merge code runs serially
+in-process — results are bit-identical either way, the pool is purely a
+wall-clock lever.
 
 Everything merged here is integer counts or exact squared distances, so the
 sharded backend keeps the library-wide guarantee: identical counts and
@@ -61,6 +66,7 @@ from repro.neighbors._distance import (
     truncated_squared_cross,
 )
 from repro.neighbors.base import (
+    MASKED_PLAN_OPS,
     BoxSelection,
     ClippedSum,
     NeighborBackend,
@@ -92,25 +98,7 @@ _TASK_DELAY: Optional[Tuple[str, int, float]] = None
 #: Every shard sub-query a task may name: the remote node server dispatches
 #: coordinator-supplied method names, so it validates them against this
 #: allowlist (a registry, not ``getattr`` over an open class surface).
-SHARD_TASK_METHODS = frozenset({
-    "counts",
-    "counts_many",
-    "depth_counts",
-    "truncated",
-    "histograms",
-    "execute_plan",
-    "view_heaviest_cells",
-    "view_count_labels",
-    "view_cell_histogram",
-    "view_label_array",
-    "view_label_mask",
-    "view_axis_labels",
-    "view_masked_count",
-    "view_masked_sum",
-    "view_masked_minmax",
-    "view_masked_clipped",
-    "view_masked_axis_hists",
-})
+SHARD_TASK_METHODS = frozenset({"execute_plan", "truncated", "histograms"})
 
 
 def _available_cpus() -> int:
@@ -207,32 +195,6 @@ class _ShardSet:
                 and int(delay[1]) == int(shard)):
             time.sleep(float(delay[2]))
         return getattr(self, method)(shard, *args)
-
-    def _centers(self, centers: Optional[np.ndarray]) -> np.ndarray:
-        """``None`` is the wire encoding for "the full dataset" (which workers
-        already hold in shared memory, so it is never pickled)."""
-        return self.points if centers is None else centers
-
-    def counts(self, shard: int, centers: Optional[np.ndarray],
-               radius: float) -> np.ndarray:
-        """This shard's contribution to ``B_r(c, S)`` for every centre."""
-        return self.backend(shard).query_radius_counts(
-            self._centers(centers), radius
-        )
-
-    def counts_many(self, shard: int, centers: Optional[np.ndarray],
-                    radii: np.ndarray) -> np.ndarray:
-        """This shard's contribution to the batched ``(m, q)`` count grid."""
-        return self.backend(shard).count_within_many(
-            self._centers(centers), radii
-        )
-
-    def depth_counts(self, shard: int, thresholds: np.ndarray) -> np.ndarray:
-        """This shard's ``(m, 2)`` one-sided rank-count partial (the shared
-        :func:`~repro.neighbors.base.depth_count_pairs` over the shard's
-        first coordinate; integer partials sum to the global counts)."""
-        low, high = self.bounds[shard]
-        return depth_count_pairs(self.points[low:high, 0], thresholds)
 
     def truncated(self, shard: int, k: int) -> np.ndarray:
         """Every dataset point's ``min(k, shard size)`` smallest squared
@@ -343,132 +305,8 @@ class _ShardSet:
             "pid": os.getpid(),
         }
 
-    def view_heaviest_cells(self, shard: int, token: Optional[int],
-                            matrix: Optional[np.ndarray],
-                            offset: Optional[np.ndarray], width: float,
-                            shifts: np.ndarray,
-                            top_k: Optional[int] = None,
-                            ) -> List[Tuple[np.ndarray, np.ndarray, int]]:
-        """Per-attempt partial box histograms of this shard's imaged points.
-
-        For each row of ``shifts`` (one shifted partition attempt) the
-        shard's image is hashed through the same
-        :func:`repro.geometry.boxes.box_labels` grid hash as
-        ``ShiftedBoxPartition`` — the shared definition is what makes the
-        labels bit-identical to a single-process pass — and the shard's
-        ``top_k`` heaviest labels are returned with their counts plus a
-        *cap*: the ``top_k``-th largest count, an upper bound on every cell
-        the truncation dropped.  ``top_k=None`` (or a shard with at most
-        ``top_k`` occupied cells) returns everything with cap 0 — the merge
-        is then exact without a recount.
-        """
-        from repro.geometry.boxes import box_labels
-
-        image = self.view_image(shard, token, matrix, offset)
-        results = []
-        for shift in np.atleast_2d(np.asarray(shifts, dtype=float)):
-            labels = box_labels(image, shift, width)
-            unique, counts = np.unique(labels, axis=0, return_counts=True)
-            cap = 0
-            if top_k is not None and counts.shape[0] > top_k:
-                keep = np.argpartition(counts,
-                                       counts.shape[0] - top_k)[-top_k:]
-                cap = int(counts[keep].min())
-                unique, counts = unique[keep], counts[keep]
-            results.append((unique, counts, cap))
-        return results
-
-    def view_count_labels(self, shard: int, token: Optional[int],
-                          matrix: Optional[np.ndarray],
-                          offset: Optional[np.ndarray], width: float,
-                          shifts: np.ndarray,
-                          labels_per_attempt: Sequence[np.ndarray],
-                          ) -> List[np.ndarray]:
-        """Exact occupancy of specific boxes, one array per attempt.
-
-        The recount half of the bounded heaviest-cell merge: for attempt
-        ``j`` (partition ``(width, shifts[j])``) returns this shard's exact
-        count of every queried label in ``labels_per_attempt[j]`` (0 for
-        boxes the shard does not occupy).
-        """
-        from repro.geometry.boxes import box_labels
-
-        image = self.view_image(shard, token, matrix, offset)
-        results = []
-        for shift, queries in zip(np.atleast_2d(np.asarray(shifts, float)),
-                                  labels_per_attempt):
-            labels = box_labels(image, shift, width)
-            unique, counts = np.unique(labels, axis=0, return_counts=True)
-            combined = np.concatenate([unique, queries], axis=0)
-            _, inverse = np.unique(combined, axis=0, return_inverse=True)
-            inverse = np.reshape(inverse, -1)
-            table = np.zeros(int(inverse.max()) + 1, dtype=np.int64)
-            table[inverse[:unique.shape[0]]] = counts
-            results.append(table[inverse[unique.shape[0]:]])
-        return results
-
-    def view_cell_histogram(self, shard: int, token: Optional[int],
-                            matrix: Optional[np.ndarray],
-                            offset: Optional[np.ndarray], width: float,
-                            shifts: np.ndarray, want_inverse: bool,
-                            ) -> Tuple[np.ndarray, ...]:
-        """One partition's occupied boxes over this shard: ``(labels, counts,
-        first local row[, per-point local group ids])``.  The
-        first-occurrence rows let the parent restore global first-occurrence
-        cell order, which the stability histogram's noise draws depend on;
-        the optional group ids let it assemble the per-point box index
-        without a second hash pass."""
-        from repro.geometry.boxes import box_labels
-
-        image = self.view_image(shard, token, matrix, offset)
-        labels = box_labels(image, np.asarray(shifts, dtype=float), width)
-        if not want_inverse:
-            unique, first, counts = np.unique(
-                labels, axis=0, return_index=True, return_counts=True
-            )
-            return unique, counts, first
-        unique, first, inverse, counts = np.unique(
-            labels, axis=0, return_index=True, return_inverse=True,
-            return_counts=True,
-        )
-        return unique, counts, first, np.reshape(inverse, -1)
-
-    def view_label_array(self, shard: int, token: Optional[int],
-                         matrix: Optional[np.ndarray],
-                         offset: Optional[np.ndarray], width: float,
-                         shifts: np.ndarray) -> np.ndarray:
-        """The shard's imaged points' box-index vectors under one partition."""
-        from repro.geometry.boxes import box_labels
-
-        image = self.view_image(shard, token, matrix, offset)
-        return box_labels(image, np.asarray(shifts, dtype=float), width)
-
-    def view_label_mask(self, shard: int, token: Optional[int],
-                        matrix: Optional[np.ndarray],
-                        offset: Optional[np.ndarray], width: float,
-                        shifts: np.ndarray, label: np.ndarray) -> np.ndarray:
-        """Boolean membership of the shard's imaged points in box ``label``."""
-        labels = self.view_label_array(shard, token, matrix, offset, width,
-                                       shifts)
-        return np.all(labels == np.asarray(label, dtype=np.int64)[None, :],
-                      axis=1)
-
-    def view_axis_labels(self, shard: int, token: Optional[int],
-                         matrix: Optional[np.ndarray],
-                         offset: Optional[np.ndarray], width: float,
-                         axis_offset: float,
-                         rows: Optional[np.ndarray]) -> np.ndarray:
-        """Per-axis interval labels of (a shard-local row subset of) the
-        shard's image — all axes in one pass.  Full-shard calls go through
-        the token-keyed image cache like every other view query; row subsets
-        project just their rows (never cached)."""
-        from repro.geometry.boxes import interval_labels
-
-        image = self.view_image(shard, token, matrix, offset, rows=rows)
-        return interval_labels(image, width, axis_offset)
-
     # ------------------------------------------------------------------ #
-    # Masked aggregation sub-queries (GoodCenter steps 8-11)
+    # Plan execution (one task per shard for a whole QueryPlan)
     # ------------------------------------------------------------------ #
     def _selection_rows_local(self, shard: int, spec: tuple) -> np.ndarray:
         """Shard-local ascending rows of a masked-query selection.
@@ -479,9 +317,9 @@ class _ShardSet:
         label)`` ships the *label predicate* — the shard re-derives its own
         membership from its (token-cached) image of the selecting view, so
         the mask never exists as an array in the parent.  The derived rows
-        are memoised per shard under ``sel_token``: consecutive masked
-        queries over the same selection (GoodCenter issues several per call)
-        hash the image once, not once per query.
+        are memoised per shard under ``sel_token``: consecutive plans over
+        the same selection (GoodCenter issues several per call) hash the
+        image once, not once per plan.
         """
         if spec[0] == "rows":
             return np.asarray(spec[1], dtype=np.int64)
@@ -490,91 +328,27 @@ class _ShardSet:
             cached = self._selection_rows.get(shard)
             if cached is not None and cached[0] == sel_token:
                 return cached[1]
-        mask = self.view_label_mask(shard, token, matrix, offset, width,
-                                    shifts, label)
-        rows = np.flatnonzero(mask)
+        rows = self._box_rows(shard, token, matrix, offset, width, shifts,
+                              label)
         if sel_token is not None:
             self._selection_rows[shard] = (sel_token, rows)
         return rows
 
-    def view_masked_count(self, shard: int, spec: tuple) -> int:
-        """This shard's selected-row count."""
-        return int(self._selection_rows_local(shard, spec).shape[0])
+    def _box_rows(self, shard: int, token: Optional[int],
+                  matrix: Optional[np.ndarray], offset: Optional[np.ndarray],
+                  width: float, shifts: np.ndarray,
+                  label: np.ndarray) -> np.ndarray:
+        """Shard-local rows whose image falls in box ``label`` (one hash
+        pass over the shard's cached image)."""
+        from repro.geometry.boxes import box_labels
 
-    def view_masked_sum(self, shard: int, token: Optional[int],
-                        matrix: Optional[np.ndarray],
-                        offset: Optional[np.ndarray],
-                        spec: tuple) -> Tuple[int, tuple]:
-        """``(count, fixed-point (limb, shift, column) partial arrays)`` of
-        this shard's selected image rows — the mergeable partial behind
-        :meth:`ProjectedView.masked_sum`.  The wire form is fixed-width
-        int64 arrays (producible by the native kernel, cheap to pickle);
-        integer addition across shards is exact and associative, so the
-        merged total is independent of the shard topology."""
-        rows = self._selection_rows_local(shard, spec)
-        image = self.view_image(shard, token, matrix, offset, rows=rows)
-        return int(rows.shape[0]), fixed_point_column_partials(image)
+        image = self.view_image(shard, token, matrix, offset)
+        labels = box_labels(image, np.asarray(shifts, dtype=float), width)
+        return np.flatnonzero(
+            np.all(labels == np.asarray(label, dtype=np.int64)[None, :],
+                   axis=1)
+        )
 
-    def view_masked_minmax(self, shard: int, token: Optional[int],
-                           matrix: Optional[np.ndarray],
-                           offset: Optional[np.ndarray],
-                           spec: tuple) -> Optional[np.ndarray]:
-        """Per-axis ``(2, k)`` extremes of this shard's selected image rows
-        (``None`` when the shard selects nothing — the merge identity)."""
-        rows = self._selection_rows_local(shard, spec)
-        if rows.shape[0] == 0:
-            return None
-        image = self.view_image(shard, token, matrix, offset, rows=rows)
-        return np.vstack([image.min(axis=0), image.max(axis=0)])
-
-    def view_masked_clipped(self, shard: int, token: Optional[int],
-                            matrix: Optional[np.ndarray],
-                            offset: Optional[np.ndarray], spec: tuple,
-                            center: np.ndarray,
-                            clip_radius: float) -> Tuple[int, tuple]:
-        """NoisyAVG partial: count and fixed-point ``(limb, shift, column)``
-        partial arrays of ``y - center`` over this shard's selected rows
-        inside the clip ball (the shared
-        :func:`repro.geometry.balls.ball_membership` mask, so the shard-side
-        selection is bitwise the parent's)."""
-        from repro.geometry.balls import ball_membership
-
-        rows = self._selection_rows_local(shard, spec)
-        image = self.view_image(shard, token, matrix, offset, rows=rows)
-        inside = ball_membership(image, center, clip_radius)
-        deltas = image[inside] - np.asarray(center, dtype=float)[None, :]
-        return (int(np.count_nonzero(inside)),
-                fixed_point_column_partials(deltas))
-
-    def view_masked_axis_hists(self, shard: int, token: Optional[int],
-                               matrix: Optional[np.ndarray],
-                               offset: Optional[np.ndarray], spec: tuple,
-                               width: float, axis_offset: float,
-                               ) -> Tuple[int, list]:
-        """Per-axis interval histograms of this shard's selected image rows.
-
-        Returns ``(local selected count, [(labels, counts, first local
-        position) per axis])``; the first-occurrence positions are indices
-        into the shard's own selected-row sequence, which the parent offsets
-        by the preceding shards' selected counts to restore the global
-        first-occurrence cell order the histogram noise draws depend on.
-        """
-        from repro.geometry.boxes import interval_labels
-
-        rows = self._selection_rows_local(shard, spec)
-        image = self.view_image(shard, token, matrix, offset, rows=rows)
-        labels = interval_labels(image, width, axis_offset)
-        per_axis = []
-        for axis in range(labels.shape[1]):
-            unique, first, counts = np.unique(labels[:, axis],
-                                              return_index=True,
-                                              return_counts=True)
-            per_axis.append((unique, counts, first))
-        return int(rows.shape[0]), per_axis
-
-    # ------------------------------------------------------------------ #
-    # Fused plan execution (one task per shard for a whole QueryPlan)
-    # ------------------------------------------------------------------ #
     def execute_plan(self, shard: int, views: Sequence[tuple],
                      selections: Sequence[tuple],
                      queries: Sequence[tuple]) -> list:
@@ -584,69 +358,115 @@ class _ShardSet:
         wire triples, ``selections`` its selection table in the per-shard
         spec form of :meth:`_selection_rows_local`, and ``queries`` the
         ordered ``(op, view_slot, selection_slot, args)`` bundle.  Each
-        query's partial is exactly what the corresponding standalone shard
-        sub-query would return — the parent merges them with the same code —
-        but the whole bundle costs *one* task dispatch, each selection's
-        membership is derived at most once (``rows_cache``), and each view's
-        image is projected at most once (the token-keyed image cache).
+        query yields this shard's mergeable partial (see :meth:`_partial`);
+        the whole bundle costs *one* task dispatch, each selection's
+        membership is derived at most once, and each view's image is
+        projected at most once (the token-keyed image cache).
         """
         rows_cache: dict = {}
         results = []
         for op, view_slot, sel_slot, args in queries:
-            token = matrix = offset = None
-            if view_slot is not None:
-                token, matrix, offset = views[view_slot]
-            spec = None
+            rows = None
             if sel_slot is not None:
                 rows = rows_cache.get(sel_slot)
                 if rows is None:
                     rows = self._selection_rows_local(shard,
                                                       selections[sel_slot])
                     rows_cache[sel_slot] = rows
-                spec = ("rows", rows)
-            if op == "masked_count":
-                results.append(int(spec[1].shape[0]))
-            elif op == "masked_sum":
-                results.append(self.view_masked_sum(shard, token, matrix,
-                                                    offset, spec))
-            elif op == "masked_minmax":
-                results.append(self.view_masked_minmax(shard, token, matrix,
-                                                       offset, spec))
-            elif op == "masked_clipped_sum":
-                center, clip_radius = args
-                results.append(self.view_masked_clipped(
-                    shard, token, matrix, offset, spec, center, clip_radius
-                ))
-            elif op == "masked_axis_histograms":
-                width, axis_offset = args
-                results.append(self.view_masked_axis_hists(
-                    shard, token, matrix, offset, spec, width, axis_offset
-                ))
-            elif op == "heaviest_cell_counts":
-                width, shifts, top_k = args
-                results.append(self.view_heaviest_cells(
-                    shard, token, matrix, offset, width, shifts, top_k
-                ))
-            elif op == "cell_histogram":
-                width, shifts, want_inverse = args
-                results.append(self.view_cell_histogram(
-                    shard, token, matrix, offset, width, shifts, want_inverse
-                ))
-            elif op == "axis_interval_labels":
-                width, axis_offset, local_rows = args
-                results.append(self.view_axis_labels(
-                    shard, token, matrix, offset, width, axis_offset,
-                    local_rows
-                ))
-            elif op == "count_within_many":
-                centers, radii = args
-                results.append(self.counts_many(shard, centers, radii))
-            elif op == "depth_counts":
-                (thresholds,) = args
-                results.append(self.depth_counts(shard, thresholds))
-            else:
-                raise ValueError(f"unknown plan operation {op!r}")
+            view = views[view_slot] if view_slot is not None else None
+            results.append(self._partial(shard, op, view, rows, args))
         return results
+
+    def _partial(self, shard: int, op: str, view: Optional[tuple],
+                 rows: Optional[np.ndarray], args: tuple):
+        """One plan query's partial over this shard.
+
+        Grid hashes go through :func:`repro.geometry.boxes.box_labels` and
+        :func:`repro.geometry.boxes.interval_labels`, the clip ball through
+        :func:`repro.geometry.balls.ball_membership` — the shared
+        definitions that make every partial bitwise the in-process view's
+        slice.  ``count_labels`` is internal: the exact-recount round of
+        the bounded heaviest-cell merge, never a plan method.
+        """
+        from repro.geometry.balls import ball_membership
+        from repro.geometry.boxes import box_labels, interval_labels
+
+        if op == "count_within_many":
+            centers, radii = args
+            # ``None`` is the wire encoding for "the full dataset" (which
+            # workers already hold in shared memory, so it is never pickled).
+            return self.backend(shard).count_within_many(
+                self.points if centers is None else centers, radii
+            )
+        if op == "depth_counts":
+            low, high = self.bounds[shard]
+            return depth_count_pairs(self.points[low:high, 0], *args)
+        image = self.view_image(shard, *view, rows=rows)
+        if op == "heaviest_cell_counts":
+            # Per attempt: the shard's top_k heaviest labels with their
+            # counts, plus a cap (the top_k-th largest count, an upper bound
+            # on every cell the truncation dropped; 0 when nothing was).
+            width, shifts, top_k = args
+            results = []
+            for shift in shifts:
+                unique, counts = np.unique(box_labels(image, shift, width),
+                                           axis=0, return_counts=True)
+                cap = 0
+                if top_k is not None and counts.shape[0] > top_k:
+                    keep = np.argpartition(counts,
+                                           counts.shape[0] - top_k)[-top_k:]
+                    cap = int(counts[keep].min())
+                    unique, counts = unique[keep], counts[keep]
+                results.append((unique, counts, cap))
+            return results
+        if op == "count_labels":
+            # Per attempt: the shard's exact count of every queried label
+            # (0 for boxes it does not occupy).
+            width, shifts, labels_per_attempt = args
+            results = []
+            for shift, queries in zip(shifts, labels_per_attempt):
+                unique, counts = np.unique(box_labels(image, shift, width),
+                                           axis=0, return_counts=True)
+                combined = np.concatenate([unique, queries], axis=0)
+                _, inverse = np.unique(combined, axis=0, return_inverse=True)
+                inverse = np.reshape(inverse, -1)
+                table = np.zeros(int(inverse.max()) + 1, dtype=np.int64)
+                table[inverse[:unique.shape[0]]] = counts
+                results.append(table[inverse[unique.shape[0]:]])
+            return results
+        if op == "cell_histogram":
+            # (labels, counts, first local row): the first rows let the
+            # parent restore global first-occurrence cell order.
+            width, shifts = args
+            unique, first, counts = np.unique(
+                box_labels(image, shifts, width), axis=0, return_index=True,
+                return_counts=True,
+            )
+            return unique, counts, first
+        if op == "masked_sum":
+            return int(rows.shape[0]), fixed_point_column_partials(image)
+        if op == "masked_clipped_sum":
+            center, clip_radius = args
+            center = np.asarray(center, dtype=float)
+            inside = ball_membership(image, center, clip_radius)
+            deltas = image[inside] - center[None, :]
+            return (int(np.count_nonzero(inside)),
+                    fixed_point_column_partials(deltas))
+        if op == "masked_axis_histograms":
+            # (local selected count, per-axis (labels, counts, first local
+            # position)); the parent offsets the positions by the preceding
+            # shards' selected counts to restore global first-occurrence
+            # order.
+            width, axis_offset = args
+            labels = interval_labels(image, width, axis_offset)
+            per_axis = []
+            for axis in range(labels.shape[1]):
+                unique, first, counts = np.unique(labels[:, axis],
+                                                  return_index=True,
+                                                  return_counts=True)
+                per_axis.append((unique, counts, first))
+            return int(rows.shape[0]), per_axis
+        raise ValueError(f"unknown plan operation {op!r}")
 
 
 # --------------------------------------------------------------------------- #
@@ -796,35 +616,13 @@ class _StealingBatch:
 # --------------------------------------------------------------------------- #
 # Deterministic shard-order merges
 #
-# Shared by the per-query fan-outs of ``_ShardedView`` and the fused plan
-# execution path: both collect per-shard partials in shard order and fold
-# them through these functions, so a query's result is bitwise the same
-# whether it travelled alone or inside a plan — and independent of worker
-# scheduling, because the fold order is the shard order, never the
-# completion order.
+# Plan results collect per-shard partials in shard order and fold them
+# through these functions, so a result is independent of worker scheduling:
+# the fold order is the shard order, never the completion order.
 # --------------------------------------------------------------------------- #
 
-def _split_rows_by_shard(rows: np.ndarray,
-                         bounds: Sequence[Tuple[int, int]]):
-    """Slice a global row-index array into shard-local pieces.
-
-    Returns ``(order, slices)``: ``slices[s]`` holds shard ``s``'s
-    (ascending, shard-local) rows, and ``order`` is the stable argsort that
-    maps the shard-major concatenation of the per-shard results back to the
-    caller's row order.
-    """
-    order = np.argsort(rows, kind="stable")
-    sorted_rows = rows[order]
-    slices = []
-    for low, high in bounds:
-        lo = np.searchsorted(sorted_rows, low, side="left")
-        hi = np.searchsorted(sorted_rows, high, side="left")
-        slices.append(sorted_rows[lo:hi] - low)
-    return order, slices
-
-
-def _merge_masked_sum(parts: Sequence[tuple],
-                      image_dimension: int) -> np.ndarray:
+def _merge_column_sums(parts: Sequence[tuple],
+                       image_dimension: int) -> np.ndarray:
     """Fold ``(count, (limb, shift, column) arrays)`` partials into the
     exact float column sums (see
     :func:`repro.utils.exactsum.merge_column_partials`)."""
@@ -832,19 +630,6 @@ def _merge_masked_sum(parts: Sequence[tuple],
                                    [part[1] for part in parts])
     return np.asarray([fixed_point_to_float(total) for total in totals],
                       dtype=float)
-
-
-def _merge_minmax(parts: Sequence[Optional[np.ndarray]],
-                  image_dimension: int) -> np.ndarray:
-    """Fold per-shard ``(2, k)`` extremes (``None`` = empty shard)."""
-    merged = np.vstack([np.full(image_dimension, np.inf),
-                        np.full(image_dimension, -np.inf)])
-    for part in parts:
-        if part is None:
-            continue
-        merged[0] = np.minimum(merged[0], part[0])
-        merged[1] = np.maximum(merged[1], part[1])
-    return merged
 
 
 def _merge_axis_histograms(parts: Sequence[tuple],
@@ -885,10 +670,9 @@ def _merge_axis_histograms(parts: Sequence[tuple],
 
 def _merge_cell_histogram(parts: Sequence[tuple],
                           bounds: Sequence[Tuple[int, int]],
-                          num_points: int, return_inverse: bool):
+                          num_points: int):
     """Merge per-shard box histograms into global first-occurrence order
-    (optionally with the per-point box positions, see
-    :meth:`~repro.neighbors.base.ProjectedView.cell_histogram`)."""
+    (see :meth:`~repro.neighbors.base.ProjectedView.cell_histogram`)."""
     all_labels = np.concatenate([part[0] for part in parts], axis=0)
     all_counts = np.concatenate([part[1] for part in parts])
     all_firsts = np.concatenate([
@@ -901,20 +685,7 @@ def _merge_cell_histogram(parts: Sequence[tuple],
     first = np.full(unique.shape[0], num_points, dtype=np.int64)
     np.minimum.at(first, group, all_firsts)
     order = np.argsort(first, kind="stable")
-    if not return_inverse:
-        return unique[order], counts[order]
-    # Per-point positions: each shard's local group ids index into its
-    # slice of the concatenated uniques, whose global groups are in
-    # `group`; remap those through the first-occurrence ordering.
-    position = np.empty(order.shape[0], dtype=np.int64)
-    position[order] = np.arange(order.shape[0], dtype=np.int64)
-    point_positions = []
-    offset = 0
-    for part in parts:
-        shard_groups = group[offset:offset + part[0].shape[0]]
-        point_positions.append(position[shard_groups[part[3]]])
-        offset += part[0].shape[0]
-    return unique[order], counts[order], np.concatenate(point_positions)
+    return unique[order], counts[order]
 
 
 class _CompiledPlan:
@@ -1035,7 +806,7 @@ class ShardedBackend(NeighborBackend):
 
     #: How many cells each shard returns per heaviest-cell attempt before
     #: the bounded merge falls back to an exact recount of the candidate
-    #: union (see :meth:`_ShardedView.heaviest_cell_counts`).  Bounds the
+    #: union (see :meth:`_heaviest_cell_merge`).  Bounds the
     #: parent's merge scratch at ``O(shards * top_k)`` instead of the total
     #: number of occupied boxes.  ``None`` disables the truncation (full
     #: per-shard histograms, the pre-bounded behaviour).
@@ -1073,9 +844,10 @@ class ShardedBackend(NeighborBackend):
         #: Monotonic fan-out instrumentation, exposed via :meth:`pool_stats`:
         #: ``fanouts`` counts collective operations (each is one round trip
         #: per shard), ``shard_tasks`` the per-shard tasks they dispatched,
-        #: ``plans`` the query plans executed or submitted, ``stolen_tasks``
-        #: the tasks the work-stealing scheduler moved off their affinity
-        #: slot.  The lock guards the steal counter, which is bumped from
+        #: ``plans`` the query plans executed or submitted (direct view and
+        #: count queries included: each is a one-query plan),
+        #: ``stolen_tasks`` the tasks the work-stealing scheduler moved off
+        #: their affinity slot.  The lock guards the steal counter, which is bumped from
         #: executor callback threads while overlapping batches are in flight.
         self._stats = {"fanouts": 0, "shard_tasks": 0, "plans": 0,
                        "stolen_tasks": 0}
@@ -1105,7 +877,10 @@ class ShardedBackend(NeighborBackend):
         Returns a dict with the monotonic counters ``fanouts`` (collective
         operations — each is one round trip per shard), ``shard_tasks``
         (per-shard tasks those operations dispatched) and ``plans`` (query
-        plans executed/submitted), plus the topology and a ``workers`` list:
+        plans executed/submitted — every direct view or count query counts,
+        since it runs as a one-query plan; the truncated-statistic and
+        streaming-histogram fan-outs do not), plus the topology and a
+        ``workers`` list:
         one :meth:`_ShardSet.cache_stats` entry per live worker slot (pool
         mode) or the parent shard set's entry (serial fallback).  With
         routing affinity each shard index appears in exactly one worker's
@@ -1305,24 +1080,9 @@ class ShardedBackend(NeighborBackend):
     # ------------------------------------------------------------------ #
     # Fan-out / merge
     # ------------------------------------------------------------------ #
-    def _map_shards(self, method: str, args: tuple) -> list:
-        """Run ``method(shard, *args)`` for every shard; pool if available."""
-        return self._map_shards_per(method, [args] * self.num_shards)
-
-    def _map_shards_per(self, method: str,
-                        per_shard_args: Sequence[tuple]) -> list:
-        """Like :meth:`_map_shards`, but with per-shard argument tuples (used
-        when each shard receives only its own slice of a payload, e.g. the
-        row subset of a view's axis-label query).  Delegates to the batch
-        entry point :meth:`run_shard_tasks`, so every fan-out goes through
-        the same validation and work-stealing scheduler."""
-        return self.run_shard_tasks([
-            (method, shard, per_shard_args[shard])
-            for shard in range(self.num_shards)
-        ])
-
     def _iter_shards(self, method: str, args: tuple, wave: int = None):
-        """Like :meth:`_map_shards`, but yield results one shard at a time.
+        """Run ``method(shard, *args)`` for every shard, yielding results one
+        shard at a time, in shard order.
 
         Submission is bounded to waves of ``wave`` outstanding tasks
         (default: the worker count), so per-shard results whose merge is a
@@ -1370,7 +1130,8 @@ class ShardedBackend(NeighborBackend):
     # NeighborBackend protocol
     # ------------------------------------------------------------------ #
     def query_radius_counts(self, centers, radius: float) -> np.ndarray:
-        """``B_r(c, S)`` per centre: the sum of per-shard counts.
+        """``B_r(c, S)`` per centre: the sum of per-shard counts (a
+        one-radius :meth:`count_within_many`).
 
         Parameters
         ----------
@@ -1384,16 +1145,11 @@ class ShardedBackend(NeighborBackend):
         numpy.ndarray
             ``(q,)`` ``int64`` counts.
         """
-        centers = check_points(centers, dimension=self.dimension,
-                               name="centers")
-        if radius < 0:
-            return np.zeros(centers.shape[0], dtype=np.int64)
-        payload = None if centers is self._points else centers
-        parts = self._map_shards("counts", (payload, float(radius)))
-        return np.sum(parts, axis=0, dtype=np.int64)
+        return self.count_within_many(centers, [float(radius)])[0]
 
     def count_within_many(self, centers, radii) -> np.ndarray:
-        """The batched count grid, one fused request per shard.
+        """The batched count grid as a one-query plan: one request per
+        shard.
 
         See :meth:`NeighborBackend.count_within_many`; here all ``m`` radii
         travel to each shard in a single message and each shard computes its
@@ -1405,9 +1161,9 @@ class ShardedBackend(NeighborBackend):
         radii = np.atleast_1d(np.asarray(radii, dtype=float))
         if radii.size == 0:
             return np.empty((0, centers.shape[0]), dtype=np.int64)
-        payload = None if centers is self._points else centers
-        parts = self._map_shards("counts_many", (payload, radii))
-        return np.sum(parts, axis=0, dtype=np.int64)
+        plan = QueryPlan()
+        plan.count_within_many(centers, radii)
+        return self.execute(plan)[0]
 
     def _compute_truncated_squared(self, k: int) -> np.ndarray:
         """Merge-walk of the per-shard truncated statistics.
@@ -1470,35 +1226,8 @@ class ShardedBackend(NeighborBackend):
         """
         return _ShardedView(self, matrix=matrix, offset=offset)
 
-    def heaviest_cell_counts(self, width: float, shifts) -> np.ndarray:
-        """Heaviest-box occupancy for a batch of shifted partitions.
-
-        For each row of ``shifts`` — the per-axis offsets of one randomly
-        shifted partition of side ``width`` (GoodCenter Algorithm 2, steps
-        3–5) — returns ``max_B |{x in S : x in box B}|``.  Grid hashing is a
-        radius-count in disguise: each shard buckets its own points
-        (bit-identically to a single-process pass) and the parent sums the
-        per-label counts across shards before taking the max.  Equivalent to
-        ``self.view().heaviest_cell_counts(width, shifts)`` (the identity
-        view); kept as a method because the identity case predates views.
-
-        Parameters
-        ----------
-        width:
-            The box side length.
-        shifts:
-            ``(a, d)`` per-attempt shift vectors (a single ``(d,)`` vector is
-            promoted to one attempt).
-
-        Returns
-        -------
-        numpy.ndarray
-            ``(a,)`` ``int64`` heaviest-cell counts, one per attempt.
-        """
-        return self.view().heaviest_cell_counts(width, shifts)
-
     # ------------------------------------------------------------------ #
-    # Fused query plans (one task per shard per plan)
+    # Query plans (one task per shard per plan)
     # ------------------------------------------------------------------ #
     def _check_global_rows(self, rows) -> np.ndarray:
         """Validate a global row-index array (mirrors the view-side check —
@@ -1574,58 +1303,26 @@ class ShardedBackend(NeighborBackend):
         bundle: List[tuple] = []
         merges: List[tuple] = []
         for query in plan.queries:
-            op = query.op
+            op, view_slot, args = query.op, query.view_slot, query.args
             if op == "capped_average_scores":
-                merges.append((op, None, query.args))
+                merges.append((op, None, args))
                 continue
+            extra = None
             if op == "count_within_many":
-                centers, radii = query.args
+                centers, radii = args
                 centers = check_points(centers, dimension=self.dimension,
                                        name="centers")
-                payload = None if centers is self._points else centers
-                merges.append((op, len(bundle), None))
-                bundle.append((op, None, None, (payload, radii)))
-                continue
-            if op == "depth_counts":
-                merges.append((op, len(bundle), None))
-                bundle.append((op, None, None, query.args))
-                continue
-            view_slot = query.view_slot
-            if op == "heaviest_cell_counts":
-                width, shifts = query.args
-                top_k = getattr(self, "HEAVIEST_CELL_TOP_K", None)
-                top_k = int(top_k) if top_k else None
-                merges.append((op, len(bundle),
-                               (views_wire[view_slot], width, shifts, top_k)))
-                bundle.append((op, view_slot, None, (width, shifts, top_k)))
-                continue
-            if op == "axis_interval_labels":
-                width, axis_offset, rows = query.args
-                if rows is None:
-                    merges.append((op, len(bundle), None))
-                    bundle.append((op, view_slot, None,
-                                   (width, axis_offset, None)))
-                else:
-                    order, slices = _split_rows_by_shard(
-                        self._check_global_rows(rows), self._bounds
-                    )
-                    merges.append((op, len(bundle), order))
-                    bundle.append((op, view_slot, None,
-                                   [(width, axis_offset, piece)
-                                    for piece in slices]))
-                continue
-            if op == "cell_histogram":
-                width, shifts, want_inverse = query.args
-                merges.append((op, len(bundle), want_inverse))
-                bundle.append((op, view_slot, None, query.args))
-                continue
-            # Masked aggregates: the merge needs the image dimension of the
-            # queried view.
-            matrix = views[view_slot].matrix
-            image_dimension = (int(matrix.shape[0]) if matrix is not None
-                               else self.dimension)
-            merges.append((op, len(bundle), image_dimension))
-            bundle.append((op, view_slot, query.selection_slot, query.args))
+                args = (None if centers is self._points else centers, radii)
+            elif op == "heaviest_cell_counts":
+                top_k = (int(self.HEAVIEST_CELL_TOP_K)
+                         if self.HEAVIEST_CELL_TOP_K else None)
+                args = (*args, top_k)
+                extra = (views_wire[view_slot], *args)
+            elif op in MASKED_PLAN_OPS:
+                # The merge needs the image dimension of the queried view.
+                extra = views[view_slot].image_dimension
+            merges.append((op, len(bundle), extra))
+            bundle.append((op, view_slot, query.selection_slot, args))
         return _CompiledPlan(views_wire, selection_specs, bundle, merges)
 
     def _merge_plan(self, compiled: _CompiledPlan,
@@ -1641,46 +1338,23 @@ class ShardedBackend(NeighborBackend):
                 ))
                 continue
             parts = [shard[bundle_index] for shard in shard_parts]
-            if op == "count_within_many":
+            if op in ("count_within_many", "depth_counts"):
                 results.append(np.sum(parts, axis=0, dtype=np.int64))
-            elif op == "depth_counts":
-                results.append(np.sum(parts, axis=0, dtype=np.int64))
-            elif op == "masked_count":
-                results.append(int(sum(parts)))
             elif op == "masked_sum":
-                results.append(_merge_masked_sum(parts, extra))
-            elif op == "masked_minmax":
-                results.append(_merge_minmax(parts, extra))
+                results.append(_merge_column_sums(parts, extra))
             elif op == "masked_clipped_sum":
-                count = int(sum(part[0] for part in parts))
-                totals = merge_column_partials(extra,
-                                               [part[1] for part in parts])
                 results.append(ClippedSum(
-                    count=count,
-                    vector_sum=np.asarray(
-                        [fixed_point_to_float(total) for total in totals],
-                        dtype=float,
-                    ),
+                    count=int(sum(part[0] for part in parts)),
+                    vector_sum=_merge_column_sums(parts, extra),
                 ))
             elif op == "masked_axis_histograms":
                 results.append(_merge_axis_histograms(parts, extra))
             elif op == "heaviest_cell_counts":
-                view_wire, width, shifts, top_k = extra
-                results.append(self._heaviest_cell_merge(
-                    view_wire, width, shifts, top_k, first_parts=parts
-                ))
+                # extra = (view wire triple, width, shifts, top_k)
+                results.append(self._heaviest_cell_merge(*extra, parts))
             elif op == "cell_histogram":
-                results.append(_merge_cell_histogram(
-                    parts, self._bounds, self.num_points, extra
-                ))
-            elif op == "axis_interval_labels":
-                stacked = np.concatenate(parts, axis=0)
-                if extra is None:
-                    results.append(stacked)
-                else:
-                    restored = np.empty_like(stacked)
-                    restored[extra] = stacked
-                    results.append(restored)
+                results.append(_merge_cell_histogram(parts, self._bounds,
+                                                     self.num_points))
             else:  # pragma: no cover - _compile_plan covers every op
                 raise ValueError(f"unknown plan operation {op!r}")
         return results
@@ -1693,8 +1367,7 @@ class ShardedBackend(NeighborBackend):
         merges the partials in shard order — bitwise what the serial loop
         produces.  (The one exception is a plan carrying a
         ``heaviest_cell_counts`` query whose bounded top-``k`` merge fails
-        to certify: the exact recount adds fan-outs, exactly as it does for
-        the standalone query.)
+        to certify: its recount and escalation rounds add fan-outs.)
         """
         return self.submit(plan).result()
 
@@ -1742,11 +1415,22 @@ class ShardedBackend(NeighborBackend):
             return PlanFuture(self._merge_plan(compiled, shard_parts))
         return _ShardedPlanFuture(self, compiled, futures)
 
-    def _heaviest_cell_merge(self, view_args: tuple, width: float,
+    def _view_round(self, view_wire: tuple, op: str, args: tuple) -> list:
+        """One single-query ``execute_plan`` fan-out over ``view_wire``,
+        returning the per-shard partials in shard order.  The bounded
+        heaviest-cell merge's recount and escalation rounds ride it; they
+        are rounds of the plan being merged, so they count as fan-outs, not
+        as plans."""
+        payload = ([view_wire], [], [(op, 0, None, args)])
+        parts = self.run_shard_tasks([("execute_plan", shard, payload)
+                                      for shard in range(self.num_shards)])
+        return [part[0] for part in parts]
+
+    def _heaviest_cell_merge(self, view_wire: tuple, width: float,
                              shifts: np.ndarray, top_k: Optional[int],
-                             first_parts: Optional[list] = None) -> np.ndarray:
-        """The bounded heaviest-cell merge (shared by the standalone view
-        query and the fused plan path).
+                             parts: list) -> np.ndarray:
+        """The bounded heaviest-cell merge of a plan's
+        ``heaviest_cell_counts`` partials.
 
         Each shard returns only its ``top_k`` heaviest cells plus a cap (its
         ``top_k``-th largest count, bounding every truncated cell), so the
@@ -1759,20 +1443,12 @@ class ShardedBackend(NeighborBackend):
         the returned maxima (and hence AboveThreshold's query stream) are
         bitwise the full merge's.  Uncertified attempts retry with ``top_k``
         escalated 4x (reaching the untruncated merge in the worst case), so
-        termination is unconditional.  ``first_parts`` seeds round 1 with
-        partials that already arrived inside a fused plan task.
+        termination is unconditional.  ``parts`` are round 1's partials,
+        which arrived inside the plan's own task.
         """
         maxima = np.zeros(shifts.shape[0], dtype=np.int64)
         unresolved = np.arange(shifts.shape[0])
-        while unresolved.size:
-            if first_parts is not None:
-                parts = first_parts
-                first_parts = None
-            else:
-                parts = self._map_shards(
-                    "view_heaviest_cells",
-                    (*view_args, float(width), shifts[unresolved], top_k),
-                )
+        while True:
             recount_slots = []
             candidates = []
             bounds = []
@@ -1797,10 +1473,9 @@ class ShardedBackend(NeighborBackend):
             still = []
             if recount_slots:
                 slots = np.asarray(recount_slots)
-                exact_parts = self._map_shards(
-                    "view_count_labels",
-                    (*view_args, float(width),
-                     shifts[unresolved[slots]], candidates),
+                exact_parts = self._view_round(
+                    view_wire, "count_labels",
+                    (float(width), shifts[unresolved[slots]], candidates),
                 )
                 for position, slot in enumerate(recount_slots):
                     exact = np.sum([part[position] for part in exact_parts],
@@ -1811,17 +1486,22 @@ class ShardedBackend(NeighborBackend):
                         maxima[attempt] = best
                     else:
                         still.append(attempt)
+            if not still:
+                return maxima
             unresolved = np.asarray(still, dtype=np.int64)
-            if unresolved.size:
-                top_k = (None if top_k is None or 4 * top_k >= self.num_points
-                         else 4 * top_k)
-        return maxima
+            top_k = (None if top_k is None or 4 * top_k >= self.num_points
+                     else 4 * top_k)
+            parts = self._view_round(
+                view_wire, "heaviest_cell_counts",
+                (float(width), shifts[unresolved], top_k),
+            )
 
 
 class _ShardedView(ProjectedView):
-    """Fan-out implementation of :class:`ProjectedView` for the sharded
-    backend: grid hashes run shard-side (over worker processes when the pool
-    is up), partial histograms merge exactly in the parent."""
+    """The sharded backend's :class:`ProjectedView`: every query is a
+    one-query :class:`~repro.neighbors.base.QueryPlan`, so grid hashes and
+    masked aggregates run shard-side (over worker processes when the pool
+    is up) and their partials merge exactly in the parent."""
 
     def __init__(self, backend: ShardedBackend, matrix=None,
                  offset=None) -> None:
@@ -1836,129 +1516,31 @@ class _ShardedView(ProjectedView):
     def batch_size(self) -> int:
         """Partition-search attempts batched per request (amortises the
         per-shard fan-out)."""
-        return int(getattr(self._backend, "HEAVIEST_CELL_BATCH", 8))
+        return int(self._backend.HEAVIEST_CELL_BATCH)
 
-    def _view_args(self) -> tuple:
-        return (self._token, self._matrix, self._offset)
+    def _one_query(self, op: str, *args):
+        plan = QueryPlan()
+        getattr(plan, op)(self, *args)
+        return self._backend.execute(plan)[0]
 
     def heaviest_cell_counts(self, width: float, shifts) -> np.ndarray:
-        """Heaviest-box occupancy per attempt, via the *bounded* merge (see
-        :meth:`ShardedBackend._heaviest_cell_merge` — the shared
-        top-``k``-with-exact-recount loop, whose returned maxima are bitwise
-        the full merge's)."""
-        shifts = self._check_shifts(shifts, batched=True)
-        top_k = getattr(self._backend, "HEAVIEST_CELL_TOP_K", None)
-        top_k = int(top_k) if top_k else None
-        return self._backend._heaviest_cell_merge(
-            self._view_args(), float(width), shifts, top_k
-        )
+        return self._one_query("heaviest_cell_counts", width, shifts)
 
-    def label_array(self, width: float, shifts) -> np.ndarray:
-        shifts = self._check_shifts(shifts, batched=False)
-        parts = self._backend._map_shards(
-            "view_label_array", (*self._view_args(), float(width), shifts)
-        )
-        return np.concatenate(parts, axis=0)
-
-    def cell_histogram(self, width: float, shifts,
-                       return_inverse: bool = False):
-        shifts = self._check_shifts(shifts, batched=False)
-        parts = self._backend._map_shards(
-            "view_cell_histogram",
-            (*self._view_args(), float(width), shifts, bool(return_inverse)),
-        )
-        return _merge_cell_histogram(parts, self._backend.shard_bounds,
-                                     self.num_points, bool(return_inverse))
-
-    def label_mask(self, width: float, shifts, label) -> np.ndarray:
-        label = np.asarray(label, dtype=np.int64).reshape(-1)
-        if label.shape[0] != self.image_dimension:
-            raise ValueError(
-                f"label has {label.shape[0]} axes, expected "
-                f"{self.image_dimension}"
-            )
-        shifts = self._check_shifts(shifts, batched=False)
-        parts = self._backend._map_shards(
-            "view_label_mask",
-            (*self._view_args(), float(width), shifts, label),
-        )
-        return np.concatenate(parts)
-
-    def axis_interval_labels(self, width: float, offset: float = 0.0,
-                             rows=None) -> np.ndarray:
-        if rows is None:
-            parts = self._backend._map_shards(
-                "view_axis_labels",
-                (*self._view_args(), float(width), float(offset), None),
-            )
-            return np.concatenate(parts, axis=0)
-        rows = self._check_rows(rows)
-        # Ship each shard only its own (shard-local) slice of the subset;
-        # results come back shard-major, i.e. in ascending-row order, so a
-        # stable argsort restores the caller's row order afterwards.
-        order, slices = _split_rows_by_shard(rows,
-                                             self._backend.shard_bounds)
-        per_shard = [(*self._view_args(), float(width), float(offset), piece)
-                     for piece in slices]
-        parts = self._backend._map_shards_per("view_axis_labels", per_shard)
-        stacked = np.concatenate(parts, axis=0)
-        result = np.empty_like(stacked)
-        result[order] = stacked
-        return result
-
-    # ------------------------------------------------------------------ #
-    # Masked aggregation (fan-out partials, exact merges)
-    # ------------------------------------------------------------------ #
-    def _selection_specs(self, selection) -> List[tuple]:
-        """Per-shard wire specs of a masked-query selection (see
-        :meth:`ShardedBackend._selection_specs` — shared with the fused plan
-        compiler, so a selection travels identically alone or in a plan)."""
-        return self._backend._selection_specs(selection)
-
-    def _masked_parts(self, method: str, selection, *args) -> list:
-        specs = self._selection_specs(selection)
-        return self._backend._map_shards_per(
-            method,
-            [(*self._view_args(), spec, *args) for spec in specs],
-        )
-
-    def masked_count(self, selection) -> int:
-        specs = self._selection_specs(selection)
-        parts = self._backend._map_shards_per(
-            "view_masked_count", [(spec,) for spec in specs]
-        )
-        return int(sum(parts))
+    def cell_histogram(self, width: float, shifts):
+        return self._one_query("cell_histogram", width, shifts)
 
     def masked_sum(self, selection) -> np.ndarray:
-        parts = self._masked_parts("view_masked_sum", selection)
-        return _merge_masked_sum(parts, self.image_dimension)
+        return self._one_query("masked_sum", selection)
 
-    def masked_minmax(self, selection) -> np.ndarray:
-        parts = self._masked_parts("view_masked_minmax", selection)
-        return _merge_minmax(parts, self.image_dimension)
-
-    def masked_clipped_partial(self, selection, center,
-                               clip_radius: float) -> Tuple[int, List[int]]:
-        center = np.asarray(center, dtype=float).reshape(-1)
-        if center.shape[0] != self.image_dimension:
-            raise ValueError(
-                f"center has dimension {center.shape[0]}, expected "
-                f"{self.image_dimension}"
-            )
-        parts = self._masked_parts("view_masked_clipped", selection, center,
-                                   float(clip_radius))
-        count = int(sum(part[0] for part in parts))
-        return count, merge_column_partials(self.image_dimension,
-                                            [part[1] for part in parts])
+    def masked_clipped_sum(self, selection, center,
+                           clip_radius: float) -> ClippedSum:
+        return self._one_query("masked_clipped_sum", selection, center,
+                               clip_radius)
 
     def masked_axis_histograms(self, selection, width: float,
                                offset: float = 0.0) -> list:
-        """Per-axis histograms with the global first-occurrence cell order
-        restored from the shards' local first positions (see
-        :func:`_merge_axis_histograms`, shared with the fused plan path)."""
-        parts = self._masked_parts("view_masked_axis_hists", selection,
-                                   float(width), float(offset))
-        return _merge_axis_histograms(parts, self.image_dimension)
+        return self._one_query("masked_axis_histograms", selection, width,
+                               offset)
 
 
 __all__ = ["ShardedBackend"]

@@ -32,17 +32,10 @@ from typing import Iterable, List, Tuple
 import numpy as np
 
 from repro import kernels
-
-#: Every finite float64 is an integer multiple of ``2**-SCALE_BITS``.
-SCALE_BITS = 1074
-
-#: ``2**53`` — scaling a frexp mantissa (``0.5 <= |m| < 1``) by this yields
-#: an exact integer with at most 53 bits.
-_MANTISSA_SCALE = float(1 << 53)
-
-#: Longest ``np.add.reduceat`` segment: ``512 * 2**53 < 2**63`` guarantees
-#: the int64 segment sums cannot overflow.
-_SEGMENT = 512
+# The fixed-point constants: the scale (every finite float64 is an integer
+# multiple of ``2**-SCALE_BITS``), the exact mantissa scaling, and the
+# longest ``np.add.reduceat`` segment whose int64 sums cannot overflow.
+from repro.kernels._reference import _MANTISSA_SCALE, _SEGMENT, SCALE_BITS
 
 
 def fixed_point_sum(values) -> int:

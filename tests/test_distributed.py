@@ -27,6 +27,7 @@ local pool's shard→worker affinity groups, and the tree-backed per-shard
 truncated statistic (property-tested against the brute-force kernel).
 """
 
+import dataclasses
 import os
 import struct
 import subprocess
@@ -61,11 +62,6 @@ from repro.neighbors.rpc import (
 )
 from repro.neighbors.serve import NodeServer
 from repro.neighbors.tree import TreeBackend
-
-# `repro.core.__init__` re-exports the good_center *function* as an
-# attribute of the package, shadowing the submodule on attribute lookup —
-# go through sys.modules for the module object (the speculation seam).
-good_center_module = sys.modules["repro.core.good_center"]
 
 NODE_COUNTS = (1, 2, 3)
 
@@ -111,6 +107,10 @@ def results_equal(a, b) -> bool:
                 and a.tobytes() == b.tobytes())
     if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
         return len(a) == len(b) and all(map(results_equal, a, b))
+    if dataclasses.is_dataclass(a) and type(a) is type(b):
+        return all(results_equal(getattr(a, field.name),
+                                 getattr(b, field.name))
+                   for field in dataclasses.fields(a))
     return bool(a == b)
 
 
@@ -217,7 +217,8 @@ class TestWireEncoding:
                                        np.zeros(points.shape[1]))
         plan = QueryPlan()
         plan.count_within_many(points[:4], [0.5, 1.0])
-        plan.masked_count(view, selection)
+        plan.masked_clipped_sum(view, selection, np.zeros(points.shape[1]),
+                                1.0)
         plan.masked_sum(view, selection)
         plan.masked_axis_histograms(view, selection, 0.5)
         compiled = backend._compile_plan(plan)
@@ -292,9 +293,9 @@ class TestLoopbackParity:
             plan = QueryPlan()
             plan.count_within_many(points[:5], [0.3, 0.8])
             plan.heaviest_cell_counts(view, 0.25, np.zeros((3, 2)))
-            plan.masked_count(view, selection)
+            plan.cell_histogram(view, 0.25, np.zeros(2))
             plan.masked_sum(view, selection)
-            plan.masked_minmax(view, selection)
+            plan.masked_clipped_sum(view, selection, np.zeros(2), 0.5)
             plan.masked_axis_histograms(view, selection, 0.25)
             return plan
 
@@ -368,8 +369,7 @@ class TestLoopbackParity:
         noise = rng.uniform(0, 1, size=(300, dimension))
         return np.vstack([cluster, noise])
 
-    def test_speculation_does_not_change_release(self, medium_cluster_data,
-                                                 monkeypatch):
+    def test_speculation_does_not_change_release(self, medium_cluster_data):
         """DistributedBackend pipelines speculative plans onto the node
         sockets; hit or miss, the release must not move a byte."""
         points = medium_cluster_data.points
@@ -379,8 +379,8 @@ class TestLoopbackParity:
             speculated = good_center(points, radius=0.05, target=400,
                                      params=params, rng=3, backend=backend)
             stats = backend.pool_stats()["speculation"]
-        monkeypatch.setattr(good_center_module, "_SPECULATIVE_PLANS", False)
         with distributed_backend(points, 2, num_shards=4) as backend:
+            backend.supports_speculation = False
             plain = good_center(points, radius=0.05, target=400,
                                 params=params, rng=3, backend=backend)
         speculated_plans = sum(entry.get("hits", 0) + entry.get("misses", 0)
@@ -462,7 +462,7 @@ class TestFaultInjection:
         # In-thread server + serial node = the node's shard tasks run in
         # this process, so the _TASK_DELAY seam stalls shard 0 for real.
         monkeypatch.setattr(sharded_module, "_TASK_DELAY",
-                            ("counts", 0, 2.0))
+                            ("execute_plan", 0, 2.0))
         with distributed_backend(points, 1, num_shards=2, timeout=0.4,
                                  retries=0) as backend:
             start = time.monotonic()
@@ -952,7 +952,8 @@ class TestFailover:
 
                 monkeypatch.setattr(DistributedBackend, "_dispatch_tasks",
                                     fake_dispatch)
-                drained = list(backend._iter_shards("counts", (0.5,)))
+                drained = list(backend._iter_shards("histograms",
+                                                    (np.zeros((1, 2)), 3)))
                 assert len(drained) == 12
                 assert batches == [6, 6]  # 2 nodes × 3 workers per wave
             finally:
@@ -1035,7 +1036,7 @@ class TestWorkStealing:
         # steal from slot 0's queue.  The seam is consulted inside the
         # forked workers, so it is set before the pool is created.
         monkeypatch.setattr(sharded_module, "_TASK_DELAY",
-                            ("counts", 0, 0.75))
+                            ("execute_plan", 0, 0.75))
         pool = ShardedBackend(points, num_shards=8, num_workers=2)
         try:
             got = [pool.radius_counts(r) for r in radii]
@@ -1051,7 +1052,7 @@ class TestWorkStealing:
     def test_stealing_disabled_keeps_affinity(self, monkeypatch):
         monkeypatch.setattr(ShardedBackend, "WORK_STEALING", False)
         monkeypatch.setattr(sharded_module, "_TASK_DELAY",
-                            ("counts", 0, 0.25))
+                            ("execute_plan", 0, 0.25))
         points = np.random.default_rng(9).uniform(size=(200, 2))
         pool = ShardedBackend(points, num_shards=6, num_workers=2)
         try:

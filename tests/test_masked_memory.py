@@ -6,7 +6,7 @@ numbers rather than code inspection:
 * at ``n >= 20k`` the *parent* process never materialises an ``O(n * d)``
   (or ``O(|selected| * d)``) rotated copy while GoodCenter runs steps 8-11
   over a pooled sharded backend — tracemalloc sees only the parent, which is
-  exactly the asymmetry the shard-side stage buys;
+  exactly the asymmetry the shard-side plans buy;
 * the heaviest-cell partition search's parent scratch is bounded by
   ``shards * top_k`` candidate cells per attempt, with the exact-recount
   certification keeping the returned maxima bitwise equal to the full merge
@@ -16,7 +16,6 @@ Marked ``slow`` (n = 20k work + a real worker pool): these run in the
 dedicated ``-m slow`` CI job, not the tier-1 loop.
 """
 
-import sys
 import tracemalloc
 
 import numpy as np
@@ -27,8 +26,6 @@ from repro.core.config import GoodCenterConfig
 from repro.core.good_center import good_center
 from repro.datasets.synthetic import planted_cluster
 from repro.neighbors import DenseBackend, ShardedBackend
-
-good_center_module = sys.modules["repro.core.good_center"]
 
 
 @pytest.mark.slow
@@ -59,33 +56,20 @@ class TestRotatedStageMemoryGuard:
             tracemalloc.stop()
         return result, peak
 
-    def test_parent_never_holds_rotated_copy(self, big_cluster, monkeypatch):
+    def test_parent_never_holds_rotated_copy(self, big_cluster):
         points = big_cluster
+        # Holding the selected set's rotation alone would cost this much;
+        # an in-parent stage also holds the label matrix and membership
+        # arrays, several such multiples.
         rotated_copy_bytes = self.TARGET * self.D * 8
 
         with ShardedBackend(points, num_shards=4, num_workers=2) as backend:
-            result, shard_side_peak = self._run(points, backend)
+            result, parent_peak = self._run(points, backend)
         assert result.found
         assert result.projected_dimension < self.D     # rotated stage ran
         assert result.captured_count >= self.TARGET
-
-        # The historical in-parent stage (seam off) holds the selected set,
-        # its rotation, the label matrix and the membership arrays — several
-        # rotated-copy multiples.
-        monkeypatch.setattr(good_center_module, "_SHARD_SIDE_ROTATED_STAGE",
-                            False)
-        with ShardedBackend(points, num_shards=4, num_workers=2) as backend:
-            historical, historical_peak = self._run(points, backend)
-        monkeypatch.setattr(good_center_module, "_SHARD_SIDE_ROTATED_STAGE",
-                            True)
-        # Identical release either way (the parity contract), wildly
-        # different parent footprints.
-        assert np.array_equal(historical.center, result.center)
-        assert historical_peak > 2 * rotated_copy_bytes
-        assert shard_side_peak < rotated_copy_bytes / 2
-        assert shard_side_peak * 8 < historical_peak, (
-            f"shard-side stage peaked at {shard_side_peak / 1e6:.2f} MB vs "
-            f"{historical_peak / 1e6:.2f} MB in-parent"
+        assert parent_peak < rotated_copy_bytes / 2, (
+            f"parent peaked at {parent_peak / 1e6:.2f} MB"
         )
 
 
@@ -116,8 +100,9 @@ class TestHeaviestCellMergeGuard:
         shifts = np.zeros((1, 1))
         for top_k in (1, 2, 4):
             for shard in range(2):
-                results = backend._shards.view_heaviest_cells(
-                    shard, None, None, None, 1.0, shifts, top_k
+                [results] = backend._shards.execute_plan(
+                    shard, [(None, None, None)], [],
+                    [("heaviest_cell_counts", 0, None, (1.0, shifts, top_k))],
                 )
                 labels, counts, cap = results[0]
                 assert labels.shape[0] <= top_k
@@ -134,21 +119,25 @@ class TestHeaviestCellMergeGuard:
         assert reference[0] == 10      # the split cell, heaviest only merged
         backend = ShardedBackend(points, num_shards=2, num_workers=0)
         calls = []
-        original = backend._map_shards
+        original = backend.run_shard_tasks
 
-        def spy(method, args):
-            calls.append(method)
-            return original(method, args)
+        def spy(tasks):
+            # Every later round is an ``execute_plan`` task carrying one
+            # internal query; record which.
+            assert {method for method, _, _ in tasks} == {"execute_plan"}
+            calls.append(tasks[0][2][2][0][0])
+            return original(tasks)
 
-        backend._map_shards = spy
+        backend.run_shard_tasks = spy
         backend.HEAVIEST_CELL_TOP_K = 2
         got = backend.view().heaviest_cell_counts(1.0, np.zeros((1, 1)))
         assert np.array_equal(got, reference)
-        # Round 1 (top-2 lists + recount) cannot certify — the filler-cell
-        # best (6) is below the cap bound (12) — so the merge must have
-        # escalated into at least a second heaviest-cells round.
-        assert calls.count("view_count_labels") >= 1
-        assert calls.count("view_heaviest_cells") >= 2
+        # Round 1 (top-2 lists, inside the plan's own task, + recount)
+        # cannot certify — the filler-cell best (6) is below the cap bound
+        # (12) — so the merge must have escalated into at least a second
+        # heaviest-cells round.
+        assert calls.count("count_labels") >= 1
+        assert calls.count("heaviest_cell_counts") >= 1
 
     @pytest.mark.parametrize("top_k", [None, 1, 2, 3, 64])
     def test_bounded_merge_bitwise_equal_on_random_data(self, top_k):

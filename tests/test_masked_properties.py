@@ -2,9 +2,8 @@
 
 The PR-4 extension of the ``test_parity_properties.py`` harness: the same
 seeded dataset generators (duplicates, colinear, degenerate, integer grids)
-sweep the *masked* view queries — ``masked_count`` / ``masked_sum`` /
-``masked_minmax`` / ``masked_clipped_sum`` / ``masked_axis_histograms`` —
-over a zoo of selections (empty, full, singleton, duplicate row multisets,
+sweep the *masked* view queries — ``masked_sum`` /
+``masked_clipped_sum`` / ``masked_axis_histograms`` — over a zoo of selections (empty, full, singleton, duplicate row multisets,
 boolean masks, box-label predicates) and boundary clip radii (exact
 point-to-centre distances, so the sphere mask hits representable values dead
 on), asserting the library-wide contract *bitwise* on every draw: dense,
@@ -125,12 +124,6 @@ class TestMaskedAggregateParity:
             selected = image[rows]
             ref_count = int(rows.shape[0])
             ref_sum = exact_reference_sums(selected)
-            if ref_count:
-                ref_minmax = np.vstack([selected.min(axis=0),
-                                        selected.max(axis=0)])
-            else:
-                ref_minmax = np.vstack([np.full(k, np.inf),
-                                        np.full(k, -np.inf)])
             # Clip at an *exact* point-to-centre distance so the sphere
             # boundary is hit dead on (<= must include it).
             center = (selected[0].copy() if ref_count
@@ -156,17 +149,15 @@ class TestMaskedAggregateParity:
                 view = backend.view(matrix)
                 selection = factory(view)
                 context = (backend_name, scenario, name)
-                assert view.masked_count(selection) == ref_count, context
                 assert np.array_equal(view.masked_sum(selection),
                                       ref_sum), context
-                assert np.array_equal(view.masked_minmax(selection),
-                                      ref_minmax), context
                 clipped = view.masked_clipped_sum(selection, center, clip)
                 assert clipped.count == ref_clip_count, context
                 assert np.array_equal(clipped.vector_sum,
                                       ref_clip_sum), context
                 hists = view.masked_axis_histograms(selection, hist_width)
                 assert len(hists) == k, context
+                assert int(hists[0][1].sum()) == ref_count, context
                 for axis in range(k):
                     assert np.array_equal(hists[axis][0],
                                           ref_hists[axis][0]), context
@@ -200,7 +191,8 @@ class TestMaskedAggregateParity:
                 width, shifts, chosen
             )
             rotated_view = backend.view(basis)
-            assert rotated_view.masked_count(selection) == rows.shape[0], name
+            hists = rotated_view.masked_axis_histograms(selection, 1.0)
+            assert int(hists[0][1].sum()) == rows.shape[0], name
             assert np.array_equal(rotated_view.masked_sum(selection),
                                   ref_sum), name
 
@@ -212,7 +204,7 @@ class TestMaskedValidation:
                                        num_workers=0)):
             view = backend.view()
             with pytest.raises(ValueError):
-                view.masked_count(np.zeros(4, dtype=bool))
+                view.masked_sum(np.zeros(4, dtype=bool))
 
     def test_rows_out_of_range_rejected(self):
         for backend in (DenseBackend(np.zeros((6, 2))),
@@ -232,7 +224,7 @@ class TestMaskedValidation:
         for backend in (DenseBackend(points),
                         ShardedBackend(points, num_shards=2, num_workers=0)):
             with pytest.raises(ValueError):
-                backend.view().masked_count(selection)
+                backend.view().masked_sum(selection)
 
     def test_clip_center_dimension_rejected(self):
         backend = DenseBackend(np.zeros((6, 3)))
@@ -252,11 +244,7 @@ class TestMaskedValidation:
                                        num_shards=3, num_workers=0)):
             view = backend.view()
             empty = np.zeros(6, dtype=bool)
-            assert view.masked_count(empty) == 0
             assert np.array_equal(view.masked_sum(empty), np.zeros(2))
-            minmax = view.masked_minmax(empty)
-            assert np.all(minmax[0] == np.inf)
-            assert np.all(minmax[1] == -np.inf)
             clipped = view.masked_clipped_sum(empty, np.zeros(2), 1.0)
             assert clipped.count == 0
             assert np.array_equal(clipped.vector_sum, np.zeros(2))

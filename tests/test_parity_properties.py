@@ -30,7 +30,9 @@ from repro.neighbors import (
     DenseBackend,
     ShardedBackend,
     TreeBackend,
+    first_occurrence_cells,
 )
+from repro.utils.exactsum import exact_column_sums
 
 SETTINGS = settings(
     max_examples=40,
@@ -188,8 +190,8 @@ class TestViewParity:
         width = float(rng.uniform(0.05, 2.0))
         shifts = rng.uniform(0.0, width, size=(3, k))
 
-        # In-parent reference: the same single-definition hashes GoodCenter's
-        # no-backend path uses.
+        # In-parent reference: the same single-definition hashes every
+        # backend's view uses.
         reference_labels = box_labels(image, shifts[0], width)
         reference_counts = np.array([
             np.unique(box_labels(image, shift, width), axis=0,
@@ -205,6 +207,9 @@ class TestViewParity:
         reference_mask = np.all(reference_labels == chosen[None, :], axis=1)
         rows = np.flatnonzero(reference_mask)
         reference_axis = interval_labels(image[rows], width)
+        reference_axis_hists = [first_occurrence_cells(reference_axis[:, axis])
+                                for axis in range(k)]
+        reference_sum = exact_column_sums(image[rows])
 
         for name, backend in make_backends(points, shards).items():
             view = backend.view(matrix)
@@ -212,49 +217,46 @@ class TestViewParity:
             assert np.array_equal(
                 view.heaviest_cell_counts(width, shifts), reference_counts
             ), (name, scenario)
-            assert np.array_equal(
-                view.label_array(width, shifts[0]), reference_labels
-            ), (name, scenario)
             hist_labels, hist_counts = view.cell_histogram(width, shifts[0])
             assert np.array_equal(hist_labels, reference_hist[0]), (name,
                                                                     scenario)
             assert np.array_equal(hist_counts, reference_hist[1]), (name,
                                                                     scenario)
-            assert np.array_equal(
-                view.label_mask(width, shifts[0], chosen), reference_mask
-            ), (name, scenario)
-            # return_inverse: positions reconstruct every point's label and
-            # encode the membership mask without a second hash pass.
-            inv_labels, inv_counts, positions = view.cell_histogram(
-                width, shifts[0], return_inverse=True
-            )
-            assert np.array_equal(inv_labels, reference_hist[0]), (name,
-                                                                   scenario)
-            assert np.array_equal(inv_counts, reference_hist[1]), (name,
-                                                                   scenario)
-            assert np.array_equal(inv_labels[positions], reference_labels), (
-                name, scenario)
-            chosen_position = int(np.flatnonzero(
-                np.all(reference_hist[0] == chosen[None, :], axis=1)
-            )[0])
-            assert np.array_equal(positions == chosen_position,
-                                  reference_mask), (name, scenario)
-            assert np.array_equal(
-                view.axis_interval_labels(width, rows=rows), reference_axis
-            ), (name, scenario)
+            # The chosen box as a label predicate selects exactly the
+            # reference mask's rows.
+            selection = view.box_selection(width, shifts[0], chosen)
+            assert np.array_equal(view.masked_sum(selection),
+                                  reference_sum), (name, scenario)
+            for (got_labels, got_counts), (ref_labels, ref_counts) in zip(
+                    view.masked_axis_histograms(selection, width),
+                    reference_axis_hists):
+                assert np.array_equal(got_labels, ref_labels), (name,
+                                                                scenario)
+                assert np.array_equal(got_counts, ref_counts), (name,
+                                                                scenario)
 
     @SETTINGS
     @given(case=datasets)
-    def test_axis_labels_preserve_caller_row_order(self, case):
+    def test_axis_histograms_ignore_caller_row_order(self, case):
+        """Row selections are row sets: an unsorted row array histograms
+        in ascending dataset-row order on every backend."""
         scenario, n, d, seed, shards = case
         points = build_points(scenario, n, d, seed)
         rng = np.random.default_rng(seed + 5)
         basis = rng.normal(size=(d, d))
         rows = rng.permutation(n)[: max(1, n // 2)]   # deliberately unsorted
-        reference = interval_labels(project_rows(points[rows], basis), 0.4)
+        labels = interval_labels(project_rows(points[np.sort(rows)], basis),
+                                 0.4)
+        reference = [first_occurrence_cells(labels[:, axis])
+                     for axis in range(d)]
         for name, backend in make_backends(points, shards).items():
-            got = backend.view(basis).axis_interval_labels(0.4, rows=rows)
-            assert np.array_equal(got, reference), (name, scenario)
+            got = backend.view(basis).masked_axis_histograms(rows, 0.4)
+            for (got_labels, got_counts), (ref_labels, ref_counts) in zip(
+                    got, reference):
+                assert np.array_equal(got_labels, ref_labels), (name,
+                                                                scenario)
+                assert np.array_equal(got_counts, ref_counts), (name,
+                                                                scenario)
 
 
 @pytest.mark.slow
@@ -289,7 +291,6 @@ class TestPlanSubmitDeterminism:
             selection = search.box_selection(width, shifts, chosen)
             plan = QueryPlan()
             slots = (
-                plan.masked_count(frame, selection),
                 plan.masked_sum(frame, selection),
                 plan.masked_axis_histograms(frame, selection, 0.5),
                 plan.masked_clipped_sum(frame, selection, np.zeros(d), 1.0),
@@ -315,17 +316,16 @@ class TestPlanSubmitDeterminism:
                 for slot in slots:
                     got, sync, expected = (resolved[slot], synchronous[slot],
                                            reference[slot])
-                    if slot == slots[0]:          # masked_count
-                        assert got == sync == expected
-                    elif slot == slots[2]:        # per-axis histograms
+                    if slot == slots[1]:          # per-axis histograms
                         for (gl, gc), (el, ec) in zip(got, expected):
                             assert np.array_equal(gl, el)
                             assert np.array_equal(gc, ec)
-                    elif slot == slots[3]:        # clipped statistics
+                    elif slot == slots[2]:        # clipped statistics
                         assert got.count == expected.count
                         assert np.array_equal(got.vector_sum,
                                               expected.vector_sum)
-                    elif slot == slots[4]:        # cell histogram
+                        assert sync.count == expected.count
+                    elif slot == slots[3]:        # cell histogram
                         for g, e in zip(got, expected):
                             assert np.array_equal(g, e)
                     else:
@@ -344,9 +344,9 @@ class TestViewValidation:
                         ShardedBackend(points, num_shards=2, num_workers=0)):
             view = backend.view(np.eye(2))
             with pytest.raises(ValueError):
-                view.axis_interval_labels(1.0, rows=[0, 6])
+                view.masked_axis_histograms([0, 6], 1.0)
             with pytest.raises(ValueError):
-                view.axis_interval_labels(1.0, rows=[-1])
+                view.masked_axis_histograms([-1], 1.0)
 
     def test_shift_dimension_rejected(self):
         backend = DenseBackend(np.zeros((4, 3)))
@@ -364,6 +364,8 @@ class TestViewValidation:
         for backend in (DenseBackend(points),
                         ShardedBackend(points, num_shards=3, num_workers=0)):
             view = backend.view(offset=offset)
-            assert np.array_equal(
-                view.label_array(0.9, partition.shifts), reference
-            )
+            cell_labels, cell_counts = view.cell_histogram(0.9,
+                                                           partition.shifts)
+            expected_labels, expected_counts = first_occurrence_cells(reference)
+            assert np.array_equal(cell_labels, expected_labels)
+            assert np.array_equal(cell_counts, expected_counts)

@@ -13,9 +13,9 @@ Three contracts are pinned here:
   NoisyAVG statistics) each cost exactly one fan-out.
 * **Async determinism.**  ``submit`` overlaps plans without moving a bit:
   futures resolve to the same values as synchronous ``execute`` no matter
-  how many are in flight or in which order they are resolved, and the
-  releases of plan-driven algorithms are bitwise those of the per-query
-  fan-out path (the ``_FUSED_QUERY_PLANS`` seam).
+  how many are in flight or in which order they are resolved, and
+  ``good_center``'s speculative plans (hit or miss) leave its releases
+  bitwise those of the unspeculated run.
 """
 
 import sys
@@ -80,16 +80,12 @@ def build_plan(backend, fx):
     batch = np.stack([fx["shifts"], fx["shifts"] + 0.13])
     plan = QueryPlan()
     slots = {
-        "count": plan.masked_count(frame, selection),
         "sum": plan.masked_sum(frame, selection),
-        "minmax": plan.masked_minmax(frame, selection),
         "clipped": plan.masked_clipped_sum(frame, selection, fx["center"],
                                            1.5),
         "hists": plan.masked_axis_histograms(frame, selection, 0.4),
         "heaviest": plan.heaviest_cell_counts(search, fx["width"], batch),
-        "cell": plan.cell_histogram(search, fx["width"], fx["shifts"],
-                                    return_inverse=True),
-        "axis": plan.axis_interval_labels(frame, 0.4, rows=fx["rows"]),
+        "cell": plan.cell_histogram(search, fx["width"], fx["shifts"]),
         "grid": plan.count_within_many(fx["points"][:5], [0.4, 1.1]),
         "scores": plan.capped_average_scores([0.3, 0.8], 40),
     }
@@ -104,15 +100,11 @@ def reference_results(fx):
     rows = fx["rows"]
     batch = np.stack([fx["shifts"], fx["shifts"] + 0.13])
     return {
-        "count": frame.masked_count(rows),
         "sum": frame.masked_sum(rows),
-        "minmax": frame.masked_minmax(rows),
         "clipped": frame.masked_clipped_sum(rows, fx["center"], 1.5),
         "hists": frame.masked_axis_histograms(rows, 0.4),
         "heaviest": search.heaviest_cell_counts(fx["width"], batch),
-        "cell": search.cell_histogram(fx["width"], fx["shifts"],
-                                      return_inverse=True),
-        "axis": frame.axis_interval_labels(0.4, rows=rows),
+        "cell": search.cell_histogram(fx["width"], fx["shifts"]),
         "grid": backend.count_within_many(fx["points"][:5], [0.4, 1.1]),
         "scores": backend.capped_average_scores([0.3, 0.8], 40),
     }
@@ -129,8 +121,6 @@ def assert_matches(key, got, expected):
     elif key == "cell":
         for g, e in zip(got, expected):
             assert np.array_equal(g, e), key
-    elif key == "count":
-        assert got == expected, key
     else:
         assert np.array_equal(got, expected), key
 
@@ -227,15 +217,13 @@ class TestPlanValidation:
         view = backend.view(plan_fixture["matrix"])
         plan = QueryPlan()
         with pytest.raises(TypeError):
-            plan.masked_count("not-a-view", [0, 1])
+            plan.masked_sum("not-a-view", [0, 1])
         with pytest.raises(ValueError, match="selection"):
             plan.masked_sum(view, None)
         with pytest.raises(ValueError, match="center"):
             plan.masked_clipped_sum(view, [0, 1], np.zeros(7), 1.0)
         with pytest.raises(ValueError, match="shifts"):
             plan.heaviest_cell_counts(view, 1.0, np.zeros((2, 5)))
-        with pytest.raises(ValueError, match="rows"):
-            plan.axis_interval_labels(view, 1.0, rows=[-1])
         assert len(plan) == 0
 
     def test_selection_slots_deduplicate_by_identity(self, plan_fixture):
@@ -245,9 +233,9 @@ class TestPlanValidation:
                                        plan_fixture["shifts"],
                                        plan_fixture["chosen"])
         plan = QueryPlan()
-        plan.masked_count(view, selection)
+        plan.masked_axis_histograms(view, selection, 0.4)
         plan.masked_sum(view, selection)
-        plan.masked_minmax(view, plan_fixture["rows"])
+        plan.masked_sum(view, plan_fixture["rows"])
         assert len(plan.selections) == 2
         assert len(plan.views) == 1
 
@@ -278,7 +266,7 @@ class TestFanOutInstrumentation:
         selection = search.box_selection(fx["width"], fx["shifts"],
                                          fx["chosen"])
         plan = QueryPlan()
-        plan.masked_count(frame, selection)
+        plan.masked_sum(frame, selection)
         plan.masked_axis_histograms(frame, selection, 0.4)
         plan.masked_clipped_sum(frame, selection, fx["center"], 1.5)
         plan.count_within_many(fx["points"][:3], [0.5])
@@ -317,19 +305,19 @@ class TestGoodCenterRoundTrips:
 
     def run_counted(self, points, monkeypatch, **kwargs):
         derivations = []
-        original = sharded_module._ShardSet.view_label_mask
+        original = sharded_module._ShardSet._box_rows
 
         def spy(self, shard, *args):
             derivations.append(shard)
             return original(self, shard, *args)
 
-        monkeypatch.setattr(sharded_module._ShardSet, "view_label_mask", spy)
+        monkeypatch.setattr(sharded_module._ShardSet, "_box_rows", spy)
+        backend = ShardedBackend(points, num_shards=3, num_workers=0)
+        backend.HEAVIEST_CELL_TOP_K = None
         # Speculation off: these tests pin the *unspeculated* per-stage plan
         # counts (speculation's own accounting — plans = these + misses — is
         # TestSpeculativePlans' job, and a hit/miss depends on noise).
-        monkeypatch.setattr(good_center_module, "_SPECULATIVE_PLANS", False)
-        backend = ShardedBackend(points, num_shards=3, num_workers=0)
-        backend.HEAVIEST_CELL_TOP_K = None
+        backend.supports_speculation = False
         result = good_center(points, params=self.PARAMS, backend=backend,
                              **kwargs)
         return result, backend.pool_stats(), derivations
@@ -388,8 +376,9 @@ class TestGoodCenterRoundTrips:
 
 
 class TestSpeculativePlans:
-    """_SPECULATIVE_PLANS: in-flight predicted plans must never move a byte
-    of any release — hit or miss — and the accounting must close: the
+    """Speculation (``supports_speculation`` backends): in-flight predicted
+    plans must never move a byte of any release — hit or miss — and the
+    accounting must close: the
     speculated run issues exactly the unspeculated run's plans plus one per
     recorded miss (a hit *replaces* the stage's real plan, a discarded miss
     rides alongside it)."""
@@ -407,9 +396,10 @@ class TestSpeculativePlans:
         noise = rng.uniform(0, 1, size=(300, dimension))
         return np.vstack([cluster, noise])
 
-    def run(self, points, **kwargs):
+    def run(self, points, speculate=True, **kwargs):
         backend = ShardedBackend(points, num_shards=3, num_workers=0)
         backend.HEAVIEST_CELL_TOP_K = None
+        backend.supports_speculation = speculate
         result = good_center(points, params=self.PARAMS, backend=backend,
                              **kwargs)
         return result, backend.pool_stats()
@@ -431,11 +421,11 @@ class TestSpeculativePlans:
             assert ours.captured_count == theirs.captured_count
 
     def test_jl_speculation_release_neutral_accounting_closes(
-            self, jl_points, monkeypatch):
+            self, jl_points):
         kwargs = dict(radius=0.1, target=700, config=self.JL_CONFIG, rng=1)
         spec_result, spec_stats = self.run(jl_points, **kwargs)
-        monkeypatch.setattr(good_center_module, "_SPECULATIVE_PLANS", False)
-        base_result, base_stats = self.run(jl_points, **kwargs)
+        base_result, base_stats = self.run(jl_points, speculate=False,
+                                           **kwargs)
         self.assert_same_release(spec_result, base_result)
         spec, hits, misses = self.totals(spec_stats)
         assert base_stats["speculation"] == {}
@@ -444,13 +434,11 @@ class TestSpeculativePlans:
         assert hits + misses >= 3
         assert spec_stats["plans"] == base_stats["plans"] + misses
 
-    def test_identity_speculation_release_neutral(self, medium_cluster_data,
-                                                  monkeypatch):
+    def test_identity_speculation_release_neutral(self, medium_cluster_data):
         points = medium_cluster_data.points
         kwargs = dict(radius=0.05, target=400, rng=0)
         spec_result, spec_stats = self.run(points, **kwargs)
-        monkeypatch.setattr(good_center_module, "_SPECULATIVE_PLANS", False)
-        base_result, base_stats = self.run(points, **kwargs)
+        base_result, base_stats = self.run(points, speculate=False, **kwargs)
         self.assert_same_release(spec_result, base_result)
         spec, hits, misses = self.totals(spec_stats)
         assert set(spec) <= {"search->box", "box->avg"}
@@ -464,9 +452,8 @@ class TestSpeculativePlans:
         release bitwise untouched and each miss must cost exactly one extra
         plan."""
         kwargs = dict(radius=0.1, target=700, config=self.JL_CONFIG, rng=1)
-        monkeypatch.setattr(good_center_module, "_SPECULATIVE_PLANS", False)
-        base_result, base_stats = self.run(jl_points, **kwargs)
-        monkeypatch.setattr(good_center_module, "_SPECULATIVE_PLANS", True)
+        base_result, base_stats = self.run(jl_points, speculate=False,
+                                           **kwargs)
         monkeypatch.setattr(
             good_center_module, "_predict_slot",
             lambda counts: int(np.argmin(np.asarray(counts))),
@@ -522,37 +509,3 @@ class TestKClusterAsyncCoverage:
         future = submit_coverage_counts(backend, result.balls)
         assert coverage_counts_result(future) == result.ball_coverages
 
-
-class TestFusedPlanSeam:
-    """_FUSED_QUERY_PLANS off forces the PR 4 per-query fan-outs; releases
-    must not move a byte (the transport-only contract)."""
-
-    def test_unfused_issues_more_fanouts_same_release(self, monkeypatch):
-        rng = np.random.default_rng(3)
-        dimension = 8
-        center = np.full(dimension, 0.5)
-        points = np.vstack([
-            center + rng.normal(0, 0.015, size=(900, dimension)),
-            rng.uniform(0, 1, size=(300, dimension)),
-        ])
-        config = GoodCenterConfig(jl_constant=0.3)
-        params = PrivacyParams(16.0, 1e-4)
-
-        def run():
-            backend = ShardedBackend(points, num_shards=3, num_workers=0)
-            backend.HEAVIEST_CELL_TOP_K = None
-            result = good_center(points, radius=0.1, target=700,
-                                 params=params, config=config, rng=1,
-                                 backend=backend)
-            return result, backend.pool_stats()
-
-        fused_result, fused_stats = run()
-        monkeypatch.setattr(good_center_module, "_FUSED_QUERY_PLANS", False)
-        unfused_result, unfused_stats = run()
-        monkeypatch.setattr(good_center_module, "_FUSED_QUERY_PLANS", True)
-        assert fused_result.found and unfused_result.found
-        assert np.array_equal(fused_result.center, unfused_result.center)
-        assert fused_result.radius_bound == unfused_result.radius_bound
-        assert fused_result.attempts == unfused_result.attempts
-        assert unfused_stats["plans"] == 0
-        assert unfused_stats["fanouts"] >= fused_stats["fanouts"]

@@ -2,15 +2,15 @@
 
 The repo's central invariant: the neighbor-backend choice is *pure
 performance* — at a fixed seed, every private release is bit-identical
-whether the distance/grid-hash queries run in the parent, through an
-in-process backend, or merged across shards.  These tests pin that contract
-for the end-to-end algorithms (``good_center`` on both projection paths,
-``good_radius``, ``one_cluster``) by comparing each named backend against
-the in-parent reference at fixed seeds; the low-level query parity behind it
-is covered property-style in ``test_parity_properties.py``.
+whether the distance/grid-hash queries run through an in-process backend or
+merged across shards.  These tests pin that contract for the end-to-end
+algorithms (``good_center`` on both projection paths, ``good_radius``,
+``one_cluster``) by comparing each named backend against the ``"dense"``
+reference — the base serial view and plan evaluator — at fixed seeds; the
+low-level query parity behind it is covered property-style in
+``test_parity_properties.py``, and ``test_release_golden.py`` pins the
+reference's own bytes.
 """
-
-import sys
 
 import numpy as np
 import pytest
@@ -20,11 +20,7 @@ from repro.core.config import GoodCenterConfig, OneClusterConfig
 from repro.core.good_center import good_center
 from repro.core.good_radius import good_radius
 from repro.core.one_cluster import one_cluster
-
-# The repro.core package rebinds the name ``good_center`` to the function, so
-# the module object (whose _REUSE_SEARCH_LABELS seam the reuse test flips)
-# must be fetched from sys.modules.
-good_center_module = sys.modules["repro.core.good_center"]
+from repro.neighbors import ShardedBackend
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +59,7 @@ class TestGoodCenterReleaseParity:
         points = medium_cluster_data.points
         for seed in (0, 7):
             reference = good_center(points, radius=0.05, target=400,
-                                    params=LOOSE, rng=seed)
+                                    params=LOOSE, rng=seed, backend="dense")
             assert reference.projected_dimension == points.shape[1]
             result = good_center(points, radius=0.05, target=400,
                                  params=LOOSE, rng=seed,
@@ -75,158 +71,59 @@ class TestGoodCenterReleaseParity:
         for seed in (1, 4):
             reference = good_center(points, radius=0.1, target=700,
                                     params=GENEROUS, config=JL_CONFIG,
-                                    rng=seed)
+                                    rng=seed, backend="dense")
             assert reference.projected_dimension < points.shape[1]
             result = good_center(points, radius=0.1, target=700,
                                  params=GENEROUS, config=JL_CONFIG, rng=seed,
                                  backend=neighbor_backend(points))
             assert_same_center_release(reference, result)
 
-    def test_partition_batch_size_is_invisible(self, jl_cluster_points):
+    def test_view_batch_size_is_invisible(self, jl_cluster_points):
         """Releases are independent of the view batch size (the shift and
         AboveThreshold-noise streams are split precisely so batched lookahead
         cannot reorder any draw)."""
         points = jl_cluster_points
         reference = good_center(points, radius=0.1, target=700,
-                                params=GENEROUS, config=JL_CONFIG, rng=2)
+                                params=GENEROUS, config=JL_CONFIG, rng=2,
+                                backend="dense")
         for batch in (1, 3, 16):
-            config = GoodCenterConfig(jl_constant=0.3,
-                                      partition_batch_size=batch)
+            backend = ShardedBackend(points, num_shards=3, num_workers=0)
+            backend.HEAVIEST_CELL_BATCH = batch
+            assert backend.view().batch_size == batch
             result = good_center(points, radius=0.1, target=700,
-                                 params=GENEROUS, config=config, rng=2,
-                                 backend="chunked")
+                                 params=GENEROUS, config=JL_CONFIG, rng=2,
+                                 backend=backend)
             assert_same_center_release(reference, result)
 
 
-class TestStep7LabelReuse:
-    def test_release_byte_identical_with_and_without_reuse(
-            self, medium_cluster_data, jl_cluster_points, monkeypatch):
-        """The step-7 fix: the in-parent search hands its winning attempt's
-        label array to the box choice instead of rehashing the projected
-        points.  Disabling the reuse (forcing the historical recompute) must
-        not move a byte of the release — on either projection path."""
-        cases = [
-            (medium_cluster_data.points, 0.05, 400, LOOSE, None),
-            (jl_cluster_points, 0.1, 700, GENEROUS, JL_CONFIG),
-        ]
-        for points, radius, target, params, config in cases:
-            with_reuse = good_center(points, radius=radius, target=target,
-                                     params=params, config=config, rng=7)
-            monkeypatch.setattr(good_center_module, "_REUSE_SEARCH_LABELS",
-                                False)
-            without_reuse = good_center(points, radius=radius, target=target,
-                                        params=params, config=config, rng=7)
-            monkeypatch.setattr(good_center_module, "_REUSE_SEARCH_LABELS",
-                                True)
-            assert_same_center_release(with_reuse, without_reuse)
-
-    def test_search_does_not_rehash_for_step_7(self, medium_cluster_data,
-                                               monkeypatch):
-        """label_array runs once per search attempt and never again: step 7
-        consumes the winning attempt's array."""
-        from repro.geometry.boxes import ShiftedBoxPartition
-
-        calls = []
-        original = ShiftedBoxPartition.label_array
-
-        def spy(self, points):
-            calls.append(self)
-            return original(self, points)
-
-        monkeypatch.setattr(ShiftedBoxPartition, "label_array", spy)
-        result = good_center(medium_cluster_data.points, radius=0.05,
-                             target=400, params=LOOSE, rng=7)
-        assert result.found
-        assert len(calls) == result.attempts
-
-
 class TestRotatedStageMigration:
-    """The steps 8-11 migration seam: with a backend, the rotated stage runs
-    shard-side (label-predicate selection, merged per-axis histograms,
-    NoisyAVG from merged exact-sum statistics).  Disabling the seam forces
-    the historical in-parent rotated stage; because the merged statistics
-    are canonical (exact fixed-point sums, first-occurrence histogram
-    order), flipping the flag must not move a byte of any release — on
-    either projection path, on every backend."""
-
-    def test_release_byte_identical_with_and_without_shard_side(
-            self, medium_cluster_data, jl_cluster_points, neighbor_backend,
-            monkeypatch):
-        cases = [
-            (medium_cluster_data.points, 0.05, 400, LOOSE, None),
-            (jl_cluster_points, 0.1, 700, GENEROUS, JL_CONFIG),
-        ]
-        for points, radius, target, params, config in cases:
-            backend = neighbor_backend(points)
-            shard_side = good_center(points, radius=radius, target=target,
-                                     params=params, config=config, rng=7,
-                                     backend=backend)
-            monkeypatch.setattr(good_center_module,
-                                "_SHARD_SIDE_ROTATED_STAGE", False)
-            in_parent = good_center(points, radius=radius, target=target,
-                                    params=params, config=config, rng=7,
-                                    backend=backend)
-            monkeypatch.setattr(good_center_module,
-                                "_SHARD_SIDE_ROTATED_STAGE", True)
-            assert_same_center_release(in_parent, shard_side)
+    """Steps 8-11 run as masked aggregates over a label-predicate selection
+    (merged per-axis histograms, NoisyAVG from merged exact-sum
+    statistics).  The merged statistics are canonical (exact fixed-point
+    sums, first-occurrence histogram order), so every backend releases the
+    dense reference's bytes — including on the NoisyAVG abstain branch."""
 
     def test_noisy_avg_abstain_branch_parity(self, jl_cluster_points,
-                                             neighbor_backend, monkeypatch):
+                                             neighbor_backend):
         """Starving NoisyAVG's budget slice makes its pessimistic count go
         non-positive, so GoodCenter reaches step 11 and abstains.  The
         abstain decision depends on the merged selected count and the
-        Laplace draw — both must match the in-parent path bit for bit, on
-        both seam settings."""
+        Laplace draw — both must match the reference bit for bit."""
         starved = GoodCenterConfig(jl_constant=0.3,
                                    budget_split=(0.4, 0.4, 0.15, 0.001))
         points = jl_cluster_points
         reference = good_center(points, radius=0.1, target=700,
-                                params=GENEROUS, config=starved, rng=4)
+                                params=GENEROUS, config=starved, rng=4,
+                                backend="dense")
         assert not reference.found
         # Sanity: only the starved NoisyAVG slice makes this seed fail.
         control = good_center(points, radius=0.1, target=700, params=GENEROUS,
-                              config=JL_CONFIG, rng=4)
+                              config=JL_CONFIG, rng=4, backend="dense")
         assert control.found
-        for shard_side in (True, False):
-            monkeypatch.setattr(good_center_module,
-                                "_SHARD_SIDE_ROTATED_STAGE", shard_side)
-            result = good_center(points, radius=0.1, target=700,
-                                 params=GENEROUS, config=starved, rng=4,
-                                 backend=neighbor_backend(points))
-            assert_same_center_release(reference, result)
-        monkeypatch.setattr(good_center_module, "_SHARD_SIDE_ROTATED_STAGE",
-                            True)
-
-
-class TestFusedPlanSeam:
-    """The PR 5 migration seam: with a backend, every GoodCenter stage rides
-    a fused :class:`~repro.neighbors.QueryPlan` (one round trip per shard
-    per stage).  Disabling the seam forces the PR 4 per-query fan-outs;
-    because plans change transport only — the serial evaluator runs the
-    identical primitives and the sharded merges are the same shard-order
-    folds — flipping the flag must not move a byte of any release, on
-    either projection path, on every backend."""
-
-    def test_release_byte_identical_with_and_without_plans(
-            self, medium_cluster_data, jl_cluster_points, neighbor_backend,
-            monkeypatch):
-        cases = [
-            (medium_cluster_data.points, 0.05, 400, LOOSE, None),
-            (jl_cluster_points, 0.1, 700, GENEROUS, JL_CONFIG),
-        ]
-        for points, radius, target, params, config in cases:
-            backend = neighbor_backend(points)
-            fused = good_center(points, radius=radius, target=target,
-                                params=params, config=config, rng=7,
-                                backend=backend)
-            monkeypatch.setattr(good_center_module, "_FUSED_QUERY_PLANS",
-                                False)
-            unfused = good_center(points, radius=radius, target=target,
-                                  params=params, config=config, rng=7,
-                                  backend=backend)
-            monkeypatch.setattr(good_center_module, "_FUSED_QUERY_PLANS",
-                                True)
-            assert_same_center_release(fused, unfused)
+        result = good_center(points, radius=0.1, target=700,
+                             params=GENEROUS, config=starved, rng=4,
+                             backend=neighbor_backend(points))
+        assert_same_center_release(reference, result)
 
 
 class TestGoodRadiusReleaseParity:

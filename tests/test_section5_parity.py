@@ -283,10 +283,25 @@ class TestPipelinedTable1:
             pooled = run_table1(n=400, repetitions=2, rng=3, runs=runs)
         assert _rows_equal(_strip_seconds(base), _strip_seconds(pooled))
 
-    def test_one_backend_per_dataset_and_fanout_accounting(self):
+    def test_one_backend_per_dataset_and_fanout_accounting(self,
+                                                          monkeypatch):
         """The pipelined sweep resolves one backend per dataset (points +
         snapped grid per repetition — no silent per-trial rebuilds) and
-        issues exactly one fan-out per submitted plan."""
+        issues at most one fan-out of its own per submitted plan."""
+        # The fan-outs a plan's own bundle does not account for: the
+        # truncated-statistic / streaming-histogram folds and the bounded
+        # heaviest-cell merge's extra rounds.
+        internal = []
+
+        def counted(method):
+            def wrapper(self, *args, **kwargs):
+                internal.append(method.__name__)
+                return method(self, *args, **kwargs)
+            return wrapper
+
+        for name in ("_iter_shards", "run_shard_tasks"):
+            monkeypatch.setattr(ShardedBackend, name,
+                                counted(getattr(ShardedBackend, name)))
         repetitions = 2
         with PipelinedRuns("sharded",
                            options={"num_shards": 3, "num_workers": 0}) as runs:
@@ -295,8 +310,11 @@ class TestPipelinedTable1:
         assert len(rows) == 4 * repetitions
         assert runs.num_backends == 0  # closed helpers forget their engines
         assert stats["backends"] == 2 * repetitions
-        # Plan submissions are a subset of the fan-outs (solvers also fan out
-        # their non-plan queries), and every fan-out hits every shard once.
+        # Every query rides a plan (a direct count query is a one-query
+        # plan); each plan costs at most one fan-out of its own (a
+        # coordinator-only score plan costs none), and every fan-out hits
+        # every shard once.
         assert stats["plans"] >= 4 * repetitions  # >= one coverage plan/row
-        assert stats["fanouts"] >= stats["plans"]
+        plan_fanouts = stats["fanouts"] - len(internal)
+        assert 0 < plan_fanouts <= stats["plans"]
         assert stats["shard_tasks"] == stats["fanouts"] * 3
