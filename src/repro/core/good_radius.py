@@ -116,8 +116,8 @@ class RadiusScore:
         -------
         numpy.ndarray
             ``(m,)`` float scores in the order supplied, evaluated in one
-            batched backend call (one merge-walk / streaming pass for the
-            whole grid).
+            batched backend call (one binary search of the cached order
+            statistic, or one streaming pass, for the whole grid).
         """
         return self.submit(radii).result()[0]
 
@@ -127,7 +127,7 @@ class RadiusScore:
         Returns a :class:`~repro.neighbors.PlanFuture` whose ``result()``
         holds ``[scores]``, bitwise identical to :meth:`evaluate`.  Note
         that ``capped_average_scores`` is a *coordinator* plan operation —
-        its merge-walk / streaming evaluation runs before ``submit``
+        its order-statistic / streaming evaluation runs before ``submit``
         returns, on every backend — so this is the uniform plan-carriage
         form of the batch (instrumentation, future-based hand-over), not a
         way to overlap two profile evaluations.
@@ -261,10 +261,9 @@ def _search_radius(score: RadiusScore, params: PrivacyParams, beta: float,
     def batch_quality(indices: np.ndarray) -> np.ndarray:
         radii = candidate_radii[indices]
         # One fused backend call for L(r) and L(r/2), riding a single-query
-        # plan (RadiusScore.evaluate): each radius is scored independently
-        # inside the profile walk, so batching never changes a value — it
-        # halves the merge-walk passes (and, for the sharded backend, the
-        # per-shard round trips).
+        # plan (RadiusScore.evaluate): each radius is scored independently,
+        # so batching never changes a value — it halves the profile calls
+        # (and, on the streaming path, the blocked distance passes).
         values = score.evaluate(np.concatenate([radii, radii / 2.0]))
         values_at_r = values[:radii.shape[0]]
         values_at_half = values[radii.shape[0]:]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.neighbors import BackendLike, resolve_backend
+from repro.neighbors import BackendLike, backend_scope
 from repro.utils.validation import check_points, check_positive
 
 
@@ -139,7 +139,8 @@ def counts_around_points(points: np.ndarray, radius: float,
         return np.zeros(points.shape[0], dtype=np.int64)
     if distances is not None:
         return np.count_nonzero(distances <= radius, axis=1).astype(np.int64)
-    return resolve_backend(points, backend).radius_counts(radius)
+    with backend_scope(points, backend) as resolved:
+        return resolved.radius_counts(radius)
 
 
 def capped_counts_around_points(points: np.ndarray, radius: float, cap: int,
@@ -189,7 +190,8 @@ def capped_average_score(points: np.ndarray, radius: float, target: int,
         else:
             top = np.partition(capped, n - target)[n - target:]
         return float(top.mean())
-    return resolve_backend(points, backend).capped_average_score(radius, target)
+    with backend_scope(points, backend) as resolved:
+        return resolved.capped_average_score(radius, target)
 
 
 def capped_average_score_profile(points: np.ndarray, radii: np.ndarray,
@@ -200,7 +202,8 @@ def capped_average_score_profile(points: np.ndarray, radii: np.ndarray,
     dense)."""
     points = check_points(points)
     radii = np.asarray(radii, dtype=float)
-    return resolve_backend(points, backend).capped_average_scores(radii, target)
+    with backend_scope(points, backend) as resolved:
+        return resolved.capped_average_scores(radii, target)
 
 
 __all__ = [

@@ -24,7 +24,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.geometry.balls import Ball
-from repro.neighbors import BackendLike, resolve_backend
+from repro.neighbors import BackendLike, backend_scope
 from repro.utils.validation import check_points
 
 
@@ -59,7 +59,8 @@ def smallest_ball_two_approx(points: np.ndarray, target: int,
     if distances is not None:
         radii_needed = np.partition(distances, target - 1, axis=1)[:, target - 1]
     else:
-        radii_needed = resolve_backend(points, backend).kth_distances(target)
+        with backend_scope(points, backend) as resolved:
+            radii_needed = resolved.kth_distances(target)
     best_index = int(np.argmin(radii_needed))
     return Ball(center=points[best_index].copy(), radius=float(radii_needed[best_index]))
 

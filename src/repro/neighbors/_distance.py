@@ -157,8 +157,8 @@ def truncated_squared_cross(queries: np.ndarray, data: np.ndarray, k: int,
 
     The cross-set generalisation of :func:`truncated_squared_bruteforce`
     (which is the ``queries is data`` case): the sharded backend uses it to
-    compute every dataset point's nearest neighbours *within one shard*, whose
-    per-shard results are then merged into the global statistic.
+    compute one shard's rows of the global statistic against the full
+    dataset.
 
     Parameters
     ----------

@@ -24,14 +24,17 @@ scipy's KD-tree convention so every backend returns identical integer counts;
 see :mod:`repro.neighbors._distance`.
 
 The derived profile evaluation never materialises an ``(n, m)`` count matrix.
-Small targets merge-walk the globally sorted truncated squared distances
-against the sorted radii, maintaining a histogram of capped counts —
-``O(n k log(nk) + m (n + k))`` time, ``O(n k)`` memory for ``m`` radii.
-Large targets (by default ``t > n/2`` at ``n >= 8192``) switch to a
-radii-chunked *streaming* walk that recomputes blocked distance passes per
-radius chunk and persists nothing — ``O(n * block + chunk * t)`` memory at
-every target, which keeps outlier screening (``t ~ 0.9 n``) off the
-``O(n^2)``-memory cliff.  Both paths are bit-identical.
+Small targets read the score off an order statistic of the persisted
+truncated distances: the integer sum of the ``t`` largest capped counts at
+radius ``r`` is the number of entries ``<= r*r`` among the ``t`` smallest of
+each column of the row-sorted ``(n, t)`` statistic.  Those ``t**2`` values
+are selected and sorted once per target (``O(n t + t^2 log t)``), after
+which a batch of ``m`` radii is one binary search — ``O(m log t)``.  Large
+targets (by default ``t > n/2`` at ``n >= 8192``) switch to a radii-chunked
+*streaming* walk that recomputes blocked distance passes per radius chunk
+and persists nothing — ``O(n * block + chunk * t)`` memory at every target,
+which keeps outlier screening (``t ~ 0.9 n``) off the ``O(n^2)``-memory
+cliff.  Both paths are bit-identical.
 """
 
 from __future__ import annotations
@@ -70,6 +73,22 @@ STREAMING_MIN_POINTS = 8192
 _squared_radii = squared_radius_keys
 
 
+def _check_radii(radii) -> np.ndarray:
+    """Score-profile radii as a 1-d float array.
+
+    Rejects any other shape and NaN radii (a NaN key would silently score
+    every point as captured); infinite radii stay legal.
+    """
+    radii = np.atleast_1d(np.asarray(radii, dtype=float))
+    if radii.ndim != 1:
+        raise ValueError(
+            f"radii must be a scalar or a 1-d array, got shape {radii.shape}"
+        )
+    if np.isnan(radii).any():
+        raise ValueError("radii must not be NaN")
+    return radii
+
+
 class BackendUnavailableError(RuntimeError):
     """A backend's remote execution substrate became unreachable.
 
@@ -93,10 +112,10 @@ def _score_from_histogram(histogram: np.ndarray, target: int,
                           descending_values: np.ndarray) -> float:
     """Top-``target`` mean from one capped-count histogram.
 
-    The single counting-sort walk both evaluation paths share (so the
-    persisted and streaming profiles stay bit-identical by construction):
-    take as many of the largest capped values as the histogram holds, until
-    ``target`` values are taken.
+    The streaming path's counting-sort walk: take as many of the largest
+    capped values as the histogram holds, until ``target`` values are taken.
+    The integer it divides by ``target`` is the persisted path's
+    order-statistic count, so the two profiles are bit-identical.
 
     Parameters
     ----------
@@ -128,41 +147,6 @@ def _scores_from_histograms(histograms: np.ndarray, cap: int,
         scores[slot] = _score_from_histogram(histograms[slot], target,
                                              descending_values)
     return scores
-
-
-def _capped_profile(sorted_values: np.ndarray, rows: np.ndarray, n: int,
-                    k: int, radii: np.ndarray, target: int) -> np.ndarray:
-    """``L(r, S)`` at every radius, from globally sorted truncated distances.
-
-    The truncated matrix holds each point's ``k = min(target, n)`` smallest
-    squared distances (including the self-distance 0), so the number of a
-    row's entries ``<= r*r`` *is* the capped count ``min(B_r(x), target)``.
-    Radii are processed in sorted order; the global sort of all ``n * k``
-    truncated values (``sorted_values``, with ``rows`` recording which point
-    each entry belongs to) lets the per-point counts be updated incrementally
-    with one ``bincount`` per radius segment, and the top-``target`` mean is
-    read off a histogram of the capped counts (counting sort) instead of
-    partitioning an ``(n, m)`` matrix.
-    """
-    keys = _squared_radii(radii)
-    order = np.argsort(keys, kind="stable")
-    positions = np.searchsorted(sorted_values, keys[order], side="right")
-
-    counts = np.zeros(n, dtype=np.int64)
-    scores = np.empty(radii.shape[0], dtype=float)
-    descending_values = np.arange(k, -1, -1, dtype=np.int64)
-    consumed = 0
-    for slot, position in enumerate(positions):
-        if position > consumed:
-            counts += np.bincount(rows[consumed:position], minlength=n)
-            consumed = position
-        histogram = np.bincount(counts, minlength=k + 1)
-        scores[slot] = _score_from_histogram(histogram, target,
-                                             descending_values)
-
-    result = np.empty_like(scores)
-    result[order] = scores
-    return result
 
 
 def depth_count_pairs(values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
@@ -612,9 +596,9 @@ VIEW_PLAN_OPS = MASKED_PLAN_OPS | frozenset({
 #: Whole-dataset plan operations answered by the backend itself.
 #: ``count_within_many`` and ``depth_counts`` decompose into per-shard
 #: partials and join the single fused round trip; ``capped_average_scores``
-#: is a *coordinator* operation (its merge-walk / streaming evaluation runs
-#: its own internal fan-outs) carried in a plan so score batches ride the
-#: same submission and instrumentation path.
+#: is a *coordinator* operation (its order-statistic / streaming evaluation
+#: runs its own internal fan-outs) carried in a plan so score batches ride
+#: the same submission and instrumentation path.
 BACKEND_PLAN_OPS = frozenset({
     "count_within_many", "capped_average_scores", "depth_counts",
 })
@@ -798,9 +782,10 @@ class QueryPlan:
                               streaming: Optional[bool] = None) -> int:
         """Append a :meth:`NeighborBackend.capped_average_scores` batch (the
         GoodRadius score profile); returns its result slot.  A *coordinator*
-        operation: its merge-walk / streaming evaluation runs the backend's
-        own internal fan-outs rather than joining the per-shard bundle."""
-        radii = np.atleast_1d(np.asarray(radii, dtype=float))
+        operation: its order-statistic / streaming evaluation runs the
+        backend's own internal fan-outs rather than joining the per-shard
+        bundle."""
+        radii = _check_radii(radii)
         target = check_integer(target, "target", minimum=1)
         return self._append("capped_average_scores", None, None,
                             (radii, target, streaming))
@@ -864,7 +849,7 @@ class NeighborBackend(abc.ABC):
     def __init__(self, points) -> None:
         self._points = check_points(points)
         self._truncated_cache: Optional[Tuple[int, np.ndarray]] = None
-        self._flat_cache: Optional[Tuple[int, np.ndarray, np.ndarray]] = None
+        self._profile_cache: Optional[Tuple[int, np.ndarray]] = None
         #: Per-stage speculative-execution accounting, recorded by callers
         #: (GoodCenter's noise-gate predictor) via :meth:`record_speculation`.
         self._speculation: Dict[str, Dict[str, int]] = {}
@@ -1110,7 +1095,7 @@ class NeighborBackend(abc.ABC):
         k = min(k, self.num_points)
         if self._truncated_cache is None or self._truncated_cache[0] < k:
             self._truncated_cache = (k, self._compute_truncated_squared(k))
-            self._flat_cache = None
+            self._profile_cache = None
         return self._truncated_cache[1][:, :k]
 
     def kth_distances(self, k: int) -> np.ndarray:
@@ -1160,10 +1145,19 @@ class NeighborBackend(abc.ABC):
 
         Two exact evaluation strategies are available:
 
-        * **Persisted** (the default for small targets): cache each point's
-          ``min(target, n)`` smallest squared distances and merge-walk the
-          globally sorted statistic against the sorted radii.  ``O(n * t)``
-          memory — a large win when ``target << n``.
+        * **Persisted** (the default for small targets): cache the row-sorted
+          ``(n, t)`` statistic ``T`` of each point's ``t = target`` smallest
+          squared distances.  Row ``i`` has ``min(B_r(x_i), t)`` entries
+          ``<= r*r``, so ``#{i : capped count >= v}`` is the number of
+          entries ``<= r*r`` in column ``v - 1``, and the sum of the ``t``
+          largest capped counts, ``sum_v min(#{i : count >= v}, t)``, is the
+          number of entries ``<= r*r`` among the ``t`` smallest of each
+          column (the entries ``<= r*r`` are a prefix of a sorted column, so
+          ties need no special case).  Those ``t**2`` values are selected
+          and sorted once per target — ``O(n t)`` selection plus
+          ``O(t^2 log t)`` sort, cached — and every radius batch is then one
+          binary search, ``O(m log t)``.  ``O(n * t)`` memory — a large win
+          when ``target << n``.
         * **Streaming** (the default for large targets): never persist the
           statistic; process the radii in chunks and recompute blocked
           distance passes per chunk, histogramming capped counts on the fly.
@@ -1171,13 +1165,15 @@ class NeighborBackend(abc.ABC):
           what keeps outlier screening (``t ~ 0.9 n``) off the ``O(n^2)``
           memory cliff.
 
-        Both paths produce bit-identical scores (they count the same integer
-        quantities in the same squared space).
+        Both paths produce bit-identical scores: each divides the same
+        integer top-``target`` sum by ``target``.
 
         Parameters
         ----------
         radii:
-            Scalar or ``(m,)`` array of radii; negative radii give score 0.
+            Scalar or ``(m,)`` array of radii; negative radii give score 0,
+            infinite radii score ``target``.  Other shapes and NaN radii
+            raise ``ValueError``.
         target:
             The target cluster size ``t`` (also the count cap);
             ``1 <= target <= n``.
@@ -1192,7 +1188,7 @@ class NeighborBackend(abc.ABC):
         numpy.ndarray
             ``(m,)`` float scores, in the order of the supplied radii.
         """
-        radii = np.atleast_1d(np.asarray(radii, dtype=float))
+        radii = _check_radii(radii)
         n = self.num_points
         target = check_integer(target, "target", minimum=1)
         if target > n:
@@ -1203,8 +1199,23 @@ class NeighborBackend(abc.ABC):
                          and target > STREAMING_TARGET_FRACTION * n)
         if streaming:
             return self._streaming_profile(radii, target)
-        sorted_values, rows, k = self._sorted_flat(min(target, n))
-        return _capped_profile(sorted_values, rows, n, k, radii, target)
+        values = self._profile_values(target)
+        return np.searchsorted(values, _squared_radii(radii),
+                               side="right") / target
+
+    def _profile_values(self, target: int) -> np.ndarray:
+        """The sorted ``target**2`` smallest-per-column entries of the
+        truncated statistic (see :meth:`capped_average_scores`), cached for
+        the latest target."""
+        cached = self._profile_cache
+        if cached is None or cached[0] != target:
+            truncated = self.truncated_squared(target)
+            if truncated.shape[0] > target:
+                truncated = np.partition(truncated, target - 1,
+                                         axis=0)[:target]
+            cached = (target, np.sort(truncated, axis=None))
+            self._profile_cache = cached
+        return cached[1]
 
     def capped_average_score(self, radius: float, target: int) -> float:
         """``L(radius, S)`` for a single radius (see
@@ -1253,19 +1264,6 @@ class NeighborBackend(abc.ABC):
         block = row_block_size(self.num_points, self.dimension)
         return capped_count_histograms(self._points, self._points, keys, cap,
                                        block)
-
-    def _sorted_flat(self, k: int):
-        """Globally sorted truncated squared distances + row ids, cached."""
-        truncated = self.truncated_squared(k)
-        k = truncated.shape[1]
-        if self._flat_cache is None or self._flat_cache[0] != k:
-            flat = truncated.ravel()
-            flat_order = np.argsort(flat, kind="stable")
-            rows = flat_order // k
-            if flat.size < 2 ** 31:
-                rows = rows.astype(np.int32)
-            self._flat_cache = (k, flat[flat_order], rows)
-        return self._flat_cache[1], self._flat_cache[2], k
 
 
 __all__ = [

@@ -21,7 +21,7 @@ across 1/2/3-node topologies).
 
 Dataset placement: ``init`` ships the full ``(n, d)`` array to every node
 once, at construction.  That is deliberate — the truncated statistic and
-the streaming histograms query *all* points against one shard's slice, so
+the streaming histograms measure one shard's rows against *all* points, so
 the node needs the full dataset anyway; what is sharded is the expensive
 state (per-shard indexes, cached view images, memoised selections) and
 the work.  Nodes only ever receive tasks for the shards assigned to them,
@@ -477,18 +477,19 @@ class DistributedBackend(ShardedBackend):
         self._stats["shard_tasks"] += len(tasks)
         return self._dispatch_tasks(tasks)
 
-    def _iter_shards(self, method: str, args: tuple, wave: int = None):
+    def _iter_shards(self, method: str, args: tuple):
         """Yield per-shard results in shard order, one wave of shards in
         flight at a time (the wave bounds how many undrained results sit in
         coordinator memory, exactly like the local pool's version).  The
-        default wave is ``num_nodes × max(1, node_workers)`` — one task per
+        wave is ``num_nodes × max(1, node_workers)`` — one task per
         node-local worker slot per wave, so a node's whole pool is busy
-        during a streaming walk, not just one worker."""
+        during a truncated build or a streaming walk, not just one
+        worker."""
         self._stats["fanouts"] += 1
         self._stats["shard_tasks"] += self.num_shards
-        if wave is None:
-            wave = len(self._clients) * self._node_workers
-        wave = max(len(self._clients), min(int(wave), self.num_shards))
+        wave = max(len(self._clients),
+                   min(len(self._clients) * self._node_workers,
+                       self.num_shards))
         for start in range(0, self.num_shards, wave):
             shards = range(start, min(start + wave, self.num_shards))
             batch = self._dispatch_tasks(

@@ -20,8 +20,9 @@ runs the *identical* shard/merge code the single-machine pool runs);
 to that backend's :meth:`~repro.neighbors.sharded.ShardedBackend.run_shard_tasks`
 — method names validated against the
 :data:`~repro.neighbors.sharded.SHARD_TASK_METHODS` allowlist (a compiled
-query plan, ``execute_plan``, or one of the two GoodRadius profile folds,
-``truncated`` and ``histograms``), batch run through the node's worker pool
+query plan, ``execute_plan``, or one of the two GoodRadius profile
+fan-outs, ``truncated`` and ``histograms``), batch run through the node's
+worker pool
 with work stealing — and returns the results in task order.  Messages use the tagged binary encoding of
 :mod:`repro.neighbors.rpc` (never pickle: a node must not grant arbitrary
 code execution to whatever reaches its port).

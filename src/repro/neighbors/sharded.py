@@ -1,20 +1,18 @@
 """Sharded backend: the dataset split across worker processes.
 
 Radius-count queries are embarrassingly parallel in the *data*: for any centre
-``c``, ``B_r(c, S) = sum over shards of B_r(c, S_shard)``, and each point's
-``k`` smallest distances to ``S`` are the ``k`` smallest of the union of its
-per-shard ``k`` smallest.  :class:`ShardedBackend` exploits this by splitting
-the point set into contiguous shards, answering each shard's sub-query with an
-ordinary single-process backend (dense / chunked / tree, chosen per shard by
+``c``, ``B_r(c, S) = sum over shards of B_r(c, S_shard)``.
+:class:`ShardedBackend` exploits this by splitting the point set into
+contiguous shards, answering each shard's sub-query with an ordinary
+single-process backend (dense / chunked / tree, chosen per shard by
 ``auto_backend`` unless pinned), and merging:
 
 * **counts** — summed across shards (exact, integer addition);
-* **truncated squared distances** — per-shard row-sorted statistics are
-  merged (concatenate, select the global ``k`` smallest, sort), which is
-  exact because every global ``k``-nearest value is a ``k``-nearest value of
-  its own shard;
-* **streaming histograms** — the large-target ``L(r, S)`` walk shards the
-  *query rows* instead, and the per-range capped-count histograms add up.
+* **truncated squared distances** — each shard owns its *rows*: it computes
+  its own points' ``k`` smallest squared distances against the full
+  dataset, and the parent copies the row blocks into place (no merge);
+* **streaming histograms** — the large-target ``L(r, S)`` walk also shards
+  the query rows, and the per-range capped-count histograms add up.
 
 Worker topology: the parent copies the ``(n, d)`` dataset into one
 ``multiprocessing.shared_memory`` block at pool start-up; workers attach in
@@ -31,8 +29,9 @@ query and every count query is a :class:`~repro.neighbors.base.QueryPlan`
 ``execute_plan`` task per shard (one round trip per shard for a whole
 plan), optionally submitted asynchronously (``submit``), with the merge
 always folding shards in shard order so overlapping plans cannot perturb a
-single bit.  The truncated statistic (``truncated``) and the streaming
-profile histograms (``histograms``) are wave-bounded fold fan-outs.  On a
+single bit.  The truncated statistic (``truncated``, one row block per
+shard) and the streaming profile histograms (``histograms``, summed) are
+fan-outs over the shards' query rows.  On a
 single-CPU machine, when ``num_workers=0``, or when the pool cannot start
 (sandboxes without ``/dev/shm``), the same shard/merge code runs serially
 in-process — results are bit-identical either way, the pool is purely a
@@ -60,7 +59,6 @@ from typing import ClassVar, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.neighbors._distance import (
-    DEFAULT_MEMORY_BUDGET,
     capped_count_histograms,
     row_block_size,
     truncated_squared_cross,
@@ -149,6 +147,30 @@ class _ShardSet:
         #: call — and of one query plan — all reference a single selection,
         #: so each worker derives its shard's membership exactly once.
         self._selection_rows = {}
+        #: The full-dataset scipy KD-tree the ``truncated`` task selects
+        #: neighbours with (built on first use, when :meth:`_inner_name`
+        #: picks the tree at the full dataset's size).
+        self._full_tree = None
+
+    def _inner_name(self, num_points: int) -> str:
+        """The single-process strategy for ``num_points`` of these points:
+        the pinned ``inner_backend``, else :func:`auto_backend`'s choice,
+        never recursing into sharding (or back out over the wire)."""
+        from repro.neighbors import (
+            HAVE_SCIPY_TREE,
+            TREE_MAX_DIMENSION,
+            auto_backend,
+        )
+
+        dimension = self.points.shape[1]
+        name = self.inner_backend
+        if name == "auto":
+            name = auto_backend(num_points, dimension)
+        if name in (ShardedBackend.name, "distributed"):
+            # Fall through to the remaining single-process heuristics.
+            name = ("tree" if dimension <= TREE_MAX_DIMENSION
+                    and HAVE_SCIPY_TREE else "chunked")
+        return name
 
     def backend(self, shard: int) -> NeighborBackend:
         """The inner backend indexing shard ``shard`` (built on first use).
@@ -161,26 +183,12 @@ class _ShardSet:
         plan/point-query load.
         """
         if shard not in self._backends:
-            from repro.neighbors import (
-                BACKENDS,
-                HAVE_SCIPY_TREE,
-                TREE_MAX_DIMENSION,
-                auto_backend,
-            )
+            from repro.neighbors import BACKENDS
 
             low, high = self.bounds[shard]
-            shard_points = self.points[low:high]
-            name = self.inner_backend
-            if name == "auto":
-                name = auto_backend(high - low, shard_points.shape[1])
-            if name in (ShardedBackend.name, "distributed"):
-                # Never recurse into sharding (or back out over the wire);
-                # fall through to the remaining single-process heuristics
-                # for a shard this large.
-                d = shard_points.shape[1]
-                name = ("tree" if d <= TREE_MAX_DIMENSION and HAVE_SCIPY_TREE
-                        else "chunked")
-            self._backends[shard] = BACKENDS[name](shard_points)
+            self._backends[shard] = BACKENDS[self._inner_name(high - low)](
+                self.points[low:high]
+            )
         return self._backends[shard]
 
     def run(self, method: str, shard: int, args: tuple):
@@ -197,49 +205,31 @@ class _ShardSet:
         return getattr(self, method)(shard, *args)
 
     def truncated(self, shard: int, k: int) -> np.ndarray:
-        """Every dataset point's ``min(k, shard size)`` smallest squared
-        distances to this shard's points, row-sorted.
+        """This shard's rows' ``min(k, n)`` smallest squared distances to
+        the full dataset, row-sorted: the shard's row block of the
+        ``(n, k)`` truncated statistic.
 
-        When the shard's inner backend is (or would be) a scipy KD-tree,
-        the cross-query runs through it —
+        When the strategy :meth:`_inner_name` picks at the full dataset's
+        size is the scipy KD-tree, a tree over the full dataset (cached in
+        this process) selects the neighbour indices and
         :meth:`~repro.neighbors.tree.TreeBackend.truncated_squared_cross`
-        selects neighbour indices in ``O(n k log shard)`` and recomputes the
-        squared values through the shared gather kernel, so the statistic is
-        bitwise the blocked brute force's (the property the truncated-parity
-        suite pins) at a fraction of the distance evaluations.
+        recomputes the values through the shared gather kernel, so the
+        block is bitwise the blocked brute force's.
         """
-        low, high = self.bounds[shard]
-        shard_points = self.points[low:high]
-        if self._truncated_via_tree(shard):
-            from repro.neighbors.tree import TreeBackend
-
-            backend = self.backend(shard)
-            if isinstance(backend, TreeBackend) and backend.uses_scipy:
-                return backend.truncated_squared_cross(
-                    self.points, min(int(k), high - low)
-                )
-        block = row_block_size(high - low, self.points.shape[1])
-        return truncated_squared_cross(self.points, shard_points, k, block)
-
-    def _truncated_via_tree(self, shard: int) -> bool:
-        """Whether this shard's truncated statistic should go through a
-        scipy tree: yes when the shard's inner backend is already a scipy
-        tree, or when the (unbuilt) inner choice would be ``"tree"`` — the
-        one case building the index just for this query pays, because the
-        built backend is the same one later point queries reuse."""
-        from repro.neighbors import HAVE_SCIPY_TREE, auto_backend
+        from repro.neighbors import HAVE_SCIPY_TREE
         from repro.neighbors.tree import TreeBackend
 
-        if not HAVE_SCIPY_TREE:
-            return False
-        backend = self._backends.get(shard)
-        if backend is not None:
-            return isinstance(backend, TreeBackend) and backend.uses_scipy
         low, high = self.bounds[shard]
-        name = self.inner_backend
-        if name == "auto":
-            name = auto_backend(high - low, self.points.shape[1])
-        return name == "tree"
+        num_points, dimension = self.points.shape
+        if HAVE_SCIPY_TREE and self._inner_name(num_points) == "tree":
+            if self._full_tree is None:
+                self._full_tree = TreeBackend(self.points)
+            return self._full_tree.truncated_squared_cross(
+                self.points[low:high], k
+            )
+        block = row_block_size(num_points, dimension)
+        return truncated_squared_cross(self.points[low:high], self.points, k,
+                                       block)
 
     def histograms(self, shard: int, keys: np.ndarray,
                    cap: int) -> np.ndarray:
@@ -1080,15 +1070,13 @@ class ShardedBackend(NeighborBackend):
     # ------------------------------------------------------------------ #
     # Fan-out / merge
     # ------------------------------------------------------------------ #
-    def _iter_shards(self, method: str, args: tuple, wave: int = None):
+    def _iter_shards(self, method: str, args: tuple):
         """Run ``method(shard, *args)`` for every shard, yielding results one
         shard at a time, in shard order.
 
-        Submission is bounded to waves of ``wave`` outstanding tasks
-        (default: the worker count), so per-shard results whose merge is a
-        fold (the truncated statistic) never all sit in parent memory at
-        once — callers pick the wave from the per-result size, trading pool
-        utilisation for a hard buffer bound.
+        Submission is bounded to waves of one outstanding task per worker,
+        so the parent consumes (copies or sums) each wave's results before
+        the next wave's arrive.
         """
         self._stats["fanouts"] += 1
         self._stats["shard_tasks"] += self.num_shards
@@ -1097,9 +1085,7 @@ class ShardedBackend(NeighborBackend):
             for shard in range(self.num_shards):
                 yield self._shards.run(method, shard, args)
             return
-        if wave is None:
-            wave = self._requested_workers
-        wave = max(1, min(wave, self.num_shards))
+        wave = max(1, min(self._requested_workers, self.num_shards))
         delivered = 0
         try:
             for start in range(0, self.num_shards, wave):
@@ -1166,34 +1152,20 @@ class ShardedBackend(NeighborBackend):
         return self.execute(plan)[0]
 
     def _compute_truncated_squared(self, k: int) -> np.ndarray:
-        """Merge-walk of the per-shard truncated statistics.
+        """The truncated statistic, one row block per shard.
 
-        Each shard returns every point's ``min(k, shard size)`` smallest
-        squared distances to the shard; the union of those per-shard values is
-        a superset of the global ``k`` smallest, so keeping the ``k`` smallest
-        while folding the shards in one at a time is exact.  The incremental
-        fold bounds the scratch at ``(n, 2k)`` — concatenating all shards
-        first would transiently cost up to ``(n, shards * k)``, which at the
-        sizes where sharding is auto-selected is the dense matrix again —
-        and the submission wave is sized so the undrained ``(n, k)`` results
-        buffered in completed futures stay within a few memory budgets,
-        trading pool utilisation for a hard bound when ``n * k`` is large.
+        Each shard computes its own rows' ``k`` smallest squared distances
+        against the full (shared-memory) dataset; the blocks are copied into
+        their row ranges of one preallocated ``(n, k)`` array as the shards
+        arrive, in shard order.  Every row comes whole from one shard, so
+        the array is bitwise the single-process statistic.
         """
         k = min(k, self.num_points)
-        result_bytes = max(1, 8 * self.num_points * k)
-        wave = int(max(1, (4 * DEFAULT_MEMORY_BUDGET) // result_bytes))
-        merged = None
-        for part in self._iter_shards("truncated", (k,), wave=wave):
-            if merged is None:
-                merged = part
-                continue
-            combined = np.concatenate([merged, part], axis=1)
-            if combined.shape[1] > k:
-                combined = np.partition(combined, k - 1, axis=1)[:, :k]
-            merged = combined
-        merged = np.ascontiguousarray(merged[:, :k])
-        merged.sort(axis=1)
-        return merged
+        truncated = np.empty((self.num_points, k), dtype=float)
+        for block, (low, high) in zip(self._iter_shards("truncated", (k,)),
+                                      self._bounds):
+            truncated[low:high] = block
+        return truncated
 
     def _capped_count_histograms(self, keys: np.ndarray,
                                  cap: int) -> np.ndarray:

@@ -96,14 +96,15 @@ class TreeBackend(NeighborBackend):
         backend's points, row-sorted — the tree-accelerated twin of
         :func:`repro.neighbors._distance.truncated_squared_cross`.
 
-        The sharded backend's per-shard truncated statistic is exactly this
-        shape (queries = the full dataset, data = one shard), so a shard
-        whose inner backend is a scipy tree answers it in ``O(m k log n)``
-        instead of the ``O(m n)`` blocked brute force.  Bitwise parity with
-        the brute-force kernel holds by the same recipe as the self-query
-        case: the tree only *selects* the neighbour indices, and the squared
-        values are recomputed from those indices through the shared gather
-        kernel, whose rounding matches the blocked kernel to the last ulp.
+        The sharded backend's row block of the truncated statistic is
+        exactly this shape (queries = one shard's rows, data = the full
+        dataset), so with a scipy tree over all points a shard answers it in
+        ``O(m k log n)`` instead of the ``O(m n)`` blocked brute force.
+        Bitwise parity with the brute-force kernel holds by the same recipe
+        as the self-query case: the tree only *selects* the neighbour
+        indices, and the squared values are recomputed from those indices
+        through the shared gather kernel, whose rounding matches the blocked
+        kernel to the last ulp.
         """
         queries = np.ascontiguousarray(np.asarray(queries, dtype=float))
         k = min(int(k), self.num_points)

@@ -1,26 +1,39 @@
-"""Backend ownership: a solver closes the backend it builds, never the caller's.
+"""Backend ownership: a call closes the backend it builds, never the caller's.
 
-``good_center``, ``good_radius`` and ``one_cluster`` all accept ``backend=``
+The solvers (``good_center``, ``good_radius``, ``one_cluster``) and the
+geometry and baseline helpers that query a backend all accept ``backend=``
 as ``None``, a registry name, a class, or an instance.  A backend built
 inside the call (from ``None``, a name or a class) is the call's to close —
-on success *and* when the release raises, since a live exception's
-traceback would otherwise keep a sharded backend's worker pool and
-shared-memory segment reachable.  An instance belongs to the caller and
-stays open either way.
+on success *and* when the call raises, since a live exception's traceback
+would otherwise keep a sharded backend's worker pool and shared-memory
+segment reachable.  An instance belongs to the caller and stays open either
+way.
 """
 
 import pytest
 
 from repro.accounting.params import PrivacyParams
+from repro.baselines.exponential_ball import exponential_mechanism_cluster
 from repro.core.good_center import good_center
 from repro.core.good_radius import good_radius
 from repro.core.one_cluster import one_cluster
 from repro.datasets.synthetic import planted_cluster
+from repro.geometry.balls import (
+    capped_average_score,
+    capped_average_score_profile,
+    counts_around_points,
+)
+from repro.geometry.grid import GridDomain
+from repro.geometry.minimal_ball import (
+    optimal_radius_lower_bound,
+    smallest_ball_two_approx,
+)
 from repro.neighbors import ChunkedBackend
 
 PARAMS = PrivacyParams(8.0, 1e-5)
+DOMAIN = GridDomain.unit_cube(dimension=2, side=17)
 
-SOLVERS = {
+CALLS = {
     "good_center": lambda points, backend: good_center(
         points, radius=0.05, target=250, params=PARAMS, rng=0,
         backend=backend),
@@ -28,6 +41,22 @@ SOLVERS = {
         points, 250, PARAMS, rng=0, backend=backend),
     "one_cluster": lambda points, backend: one_cluster(
         points, target=250, params=PARAMS, rng=0, backend=backend),
+    "counts_around_points": lambda points, backend: counts_around_points(
+        points, 0.05, backend=backend),
+    "capped_average_score": lambda points, backend: capped_average_score(
+        points, 0.05, 250, backend=backend),
+    "capped_average_score_profile":
+        lambda points, backend: capped_average_score_profile(
+            points, [0.02, 0.05], 250, backend=backend),
+    "smallest_ball_two_approx":
+        lambda points, backend: smallest_ball_two_approx(
+            points, 250, backend=backend),
+    "optimal_radius_lower_bound":
+        lambda points, backend: optimal_radius_lower_bound(
+            points, 250, backend=backend),
+    "exponential_mechanism_cluster":
+        lambda points, backend: exponential_mechanism_cluster(
+            points, 250, PARAMS, DOMAIN, rng=0, backend=backend),
 }
 
 
@@ -39,7 +68,8 @@ def points():
 
 def recording_classes():
     """A ChunkedBackend subclass that logs ``close()`` calls, and a
-    subclass of it whose every query raises."""
+    subclass of it whose every query raises: plans, and each direct query
+    one of the helpers issues."""
     closed = []
 
     class Recording(ChunkedBackend):
@@ -47,15 +77,18 @@ def recording_classes():
             closed.append(self)
 
     class Failing(Recording):
-        def execute(self, plan):
+        def _fail(self, *args, **kwargs):
             raise RuntimeError("injected query failure")
+
+        execute = query_radius_counts = count_within_many = _fail
+        capped_average_scores = _compute_truncated_squared = _fail
 
     return Recording, Failing, closed
 
 
-@pytest.mark.parametrize("solver", sorted(SOLVERS))
-def test_built_backend_closed_on_success_and_error(points, solver):
-    run = SOLVERS[solver]
+@pytest.mark.parametrize("call", sorted(CALLS))
+def test_built_backend_closed_on_success_and_error(points, call):
+    run = CALLS[call]
     Recording, Failing, closed = recording_classes()
     run(points, Recording)
     assert len(closed) == 1
@@ -65,9 +98,9 @@ def test_built_backend_closed_on_success_and_error(points, solver):
     assert isinstance(closed[1], Failing)
 
 
-@pytest.mark.parametrize("solver", sorted(SOLVERS))
-def test_caller_instance_stays_open(points, solver):
-    run = SOLVERS[solver]
+@pytest.mark.parametrize("call", sorted(CALLS))
+def test_caller_instance_stays_open(points, call):
+    run = CALLS[call]
     Recording, Failing, closed = recording_classes()
     run(points, Recording(points))
     with pytest.raises(RuntimeError, match="injected"):

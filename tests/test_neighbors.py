@@ -26,6 +26,8 @@ from repro.neighbors import (
     ChunkedBackend,
     DenseBackend,
     NeighborBackend,
+    QueryPlan,
+    ShardedBackend,
     TreeBackend,
     auto_backend,
     resolve_backend,
@@ -191,6 +193,31 @@ class TestScoreParity:
             backend.capped_average_scores([0.1], points.shape[0] + 1)
         with pytest.raises(ValueError):
             backend.capped_average_scores([0.1], 0)
+
+    def test_radii_validation(self):
+        """Radii that are neither a scalar nor 1-d, and NaN radii, raise
+        ValueError on both evaluation paths of every backend, in a plan and
+        through the geometry helper; infinite radii stay legal."""
+        points = DATASETS["random-2d"]
+        n = points.shape[0]
+        bad = [np.full((1, 2), 0.1), np.array([0.1, np.nan])]
+        backends = all_backends(points) + [
+            ShardedBackend(points, num_shards=3, num_workers=0)
+        ]
+        for backend in backends:
+            for radii in bad:
+                for streaming in (False, True):
+                    with pytest.raises(ValueError, match="radii"):
+                        backend.capped_average_scores(radii, 10,
+                                                      streaming=streaming)
+                with pytest.raises(ValueError, match="radii"):
+                    QueryPlan().capped_average_scores(radii, 10)
+            scores = backend.capped_average_scores([np.inf, -np.inf], 10)
+            assert scores.tolist() == [10.0, 0.0], backend_id(backend)
+        for radii in bad:
+            with pytest.raises(ValueError, match="radii"):
+                capped_average_score_profile(points, radii, n // 2,
+                                             backend="chunked")
 
 
 class TestKthDistances:

@@ -13,8 +13,8 @@ Hypothesis runs derandomised (the suite is deterministic in CI); the point
 generators draw a numpy seed and build arrays outside hypothesis for speed.
 The hypothesis sweep classes are marked ``slow`` — they belong in the
 dedicated parity/property CI job, and their budget (``max_examples``) can
-grow there without dragging the tier-1 loop; the plain API-validation tests
-at the bottom stay in tier-1.
+grow there without dragging the tier-1 loop; the small profile-oracle sweep
+and the plain API-validation tests at the bottom stay in tier-1.
 """
 
 import numpy as np
@@ -32,6 +32,7 @@ from repro.neighbors import (
     TreeBackend,
     first_occurrence_cells,
 )
+from repro.neighbors._distance import squared_distance_block
 from repro.utils.exactsum import exact_column_sums
 
 SETTINGS = settings(
@@ -168,6 +169,54 @@ class TestStatisticParity:
                     backend.kth_distances(k),
                     backends["dense"].kth_distances(k),
                 ), (name, scenario, k)
+
+
+def oracle_scores(points: np.ndarray, radii: np.ndarray,
+                  target: int) -> np.ndarray:
+    """``L(r, S)`` from first principles: capped counts
+    ``min(B_r(x_i), t)`` read off the dense squared-distance matrix, the
+    ``t`` largest summed as integers, divided by ``t``."""
+    squared = squared_distance_block(points, points)
+    scores = []
+    for radius in radii:
+        counts = (np.count_nonzero(squared <= radius * radius, axis=1)
+                  if radius >= 0 else np.zeros(points.shape[0], dtype=int))
+        capped = np.minimum(counts, target)
+        top = sorted(capped.tolist(), reverse=True)[:target]
+        scores.append(sum(top) / target)
+    return np.asarray(scores, dtype=float)
+
+
+class TestProfileOracle:
+    """Every backend shares one profile formula, so cross-backend parity
+    cannot catch an error in its arithmetic: check it against the oracle.
+    Radii hit pairwise distances exactly and one ulp above."""
+
+    @settings(SETTINGS, max_examples=25)
+    @given(case=st.tuples(
+        st.sampled_from(SCENARIOS),
+        st.integers(min_value=1, max_value=48),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=0, max_value=2 ** 16),
+        st.integers(min_value=1, max_value=5),     # shard count
+    ))
+    def test_scores_bitwise_equal_oracle(self, case):
+        scenario, n, d, seed, shards = case
+        points = build_points(scenario, n, d, seed)
+        exact = boundary_radii(points, seed + 7)
+        radii = np.concatenate([exact, np.nextafter(exact, np.inf),
+                                [-2.0, np.inf]])
+        backends = make_backends(points, shards)
+        for target in sorted({1, max(1, n // 2), n}):
+            expected = oracle_scores(points, radii, target)
+            for name, backend in backends.items():
+                got = backend.capped_average_scores(radii, target)
+                assert got.tobytes() == expected.tobytes(), (name, scenario,
+                                                             target)
+            streamed = backends["chunked"].capped_average_scores(
+                radii, target, streaming=True)
+            assert streamed.tobytes() == expected.tobytes(), (scenario,
+                                                              target)
 
 
 @pytest.mark.slow
