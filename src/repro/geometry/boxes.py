@@ -55,6 +55,76 @@ def box_labels(points: np.ndarray, shifts: np.ndarray,
     return _kernels.fused_box_labels(points, shifts, width)
 
 
+#: Packed row keys must stay below this bound to fit a signed int64.
+_KEY_LIMIT = 2 ** 63
+
+
+def _dense_rank(values: np.ndarray) -> Tuple[np.ndarray, int]:
+    """``values`` replaced by their rank among the distinct values, with
+    the number of distinct values (an order-preserving compaction)."""
+    distinct, rank = np.unique(values, return_inverse=True)
+    return rank.astype(np.int64, copy=False), int(distinct.shape[0])
+
+
+def unique_rows(labels: np.ndarray, return_index: bool = False,
+                return_inverse: bool = False, return_counts: bool = False):
+    """``np.unique(labels, axis=0, ...)`` for integer label rows, fast.
+
+    ``np.unique`` with ``axis=0`` views every row as a structured record and
+    sorts with a generic field-by-field comparison.  This helper packs each
+    row into one ``int64`` mixed-radix key instead — column ``j`` contributes
+    the digit ``labels[:, j] - min_j`` in base ``max_j - min_j + 1`` — and
+    runs a 1-d unique on the keys.  The packing is strictly monotone in the
+    signed lexicographic row order that ``np.unique(axis=0)`` sorts by, so
+    equal rows get equal keys and the sorted keys list the unique rows in
+    exactly that function's order.  When the digits would overflow 63 bits,
+    the key so far (and, if still needed, the column) is first replaced by
+    its dense rank, which preserves order and keeps the radix below the row
+    count.  The grid hashes' label matrices need far fewer bits, so that
+    branch only serves adversarial inputs.
+
+    Parameters
+    ----------
+    labels:
+        ``(m, k)`` integer label rows.
+    return_index, return_inverse, return_counts:
+        As for :func:`numpy.unique`; the index is each unique row's first
+        occurrence and the inverse is 1-d.
+
+    Returns
+    -------
+    numpy.ndarray or tuple
+        Exactly what ``np.unique(labels, axis=0, ...)`` returns: the
+        ``(u, k)`` sorted unique rows, followed by the requested arrays.
+    """
+    labels = np.asarray(labels)
+    if labels.ndim != 2 or not np.issubdtype(labels.dtype, np.signedinteger):
+        raise ValueError(
+            f"labels must be a 2-d signed-integer array, got shape "
+            f"{labels.shape} and dtype {labels.dtype}"
+        )
+    keys = np.zeros(labels.shape[0], dtype=np.int64)
+    span = 1
+    # Zero rows have no column extremes; their empty key set is final.
+    for column in labels.T if labels.shape[0] else ():
+        column = column.astype(np.int64, copy=False)
+        low, high = int(column.min()), int(column.max())
+        size = high - low + 1
+        if span * size >= _KEY_LIMIT:
+            keys, span = _dense_rank(keys)
+            if span * size >= _KEY_LIMIT:
+                column, size = _dense_rank(column)
+                low = 0
+        keys = keys * size + (column - low)
+        span *= size
+    unique = np.unique(keys, return_index=True,
+                       return_inverse=return_inverse,
+                       return_counts=return_counts)
+    index = unique[1]
+    extras = ([index] if return_index else []) + list(unique[2:])
+    return (labels[index], *extras) if extras else labels[index]
+
+
 def interval_labels(values: np.ndarray, width: float,
                     offset: float = 0.0) -> np.ndarray:
     """Integer interval indices ``floor((v - offset) / width)``, elementwise.
@@ -233,4 +303,4 @@ class AxisIntervalPartition:
 
 
 __all__ = ["Box", "ShiftedBoxPartition", "AxisIntervalPartition", "box_labels",
-           "interval_labels"]
+           "interval_labels", "unique_rows"]

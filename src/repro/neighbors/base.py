@@ -57,7 +57,7 @@ from repro.utils.exactsum import (
     fixed_point_column_sums,
     fixed_point_to_float,
 )
-from repro.utils.validation import check_integer, check_points
+from repro.utils.validation import check_integer, check_points, check_positive
 
 #: Auto-select the streaming (non-persisted) ``L(r, S)`` walk when the target
 #: exceeds this fraction of ``n`` …
@@ -87,6 +87,25 @@ def _check_radii(radii) -> np.ndarray:
     if np.isnan(radii).any():
         raise ValueError("radii must not be NaN")
     return radii
+
+
+def _check_finite(value, name: str) -> float:
+    """``value`` as a float, rejecting NaN and infinities."""
+    value = float(value)
+    if not np.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
+def _check_width(width) -> float:
+    """A grid-hash cell side length as a float: finite and positive.
+
+    A zero or NaN width makes every quotient of the hash non-finite (cast
+    to one fake label) and an infinite one makes every quotient 0, so
+    either way every point lands in one cell and a heaviest-cell query
+    reports all ``n`` points.
+    """
+    return check_positive(_check_finite(width, "width"), "width")
 
 
 class BackendUnavailableError(RuntimeError):
@@ -193,13 +212,15 @@ def first_occurrence_cells(labels: np.ndarray):
     this order for the release to be bit-identical to the label-sequence
     path.
     """
+    from repro.geometry.boxes import unique_rows
+
     labels = np.asarray(labels)
     if labels.ndim == 1:
         unique, first, counts = np.unique(labels, return_index=True,
                                           return_counts=True)
     else:
-        unique, first, counts = np.unique(labels, axis=0, return_index=True,
-                                          return_counts=True)
+        unique, first, counts = unique_rows(labels, return_index=True,
+                                            return_counts=True)
     order = np.argsort(first, kind="stable")
     return unique[order], counts[order]
 
@@ -405,6 +426,8 @@ class ProjectedView:
                 f"shifts have dimension {width_axis}, expected "
                 f"{self.image_dimension}"
             )
+        if not np.isfinite(shifts).all():
+            raise ValueError("shifts must be finite")
         return shifts
 
     def heaviest_cell_counts(self, width: float, shifts) -> np.ndarray:
@@ -428,14 +451,15 @@ class ProjectedView:
         numpy.ndarray
             ``(a,)`` ``int64`` heaviest-cell counts.
         """
-        from repro.geometry.boxes import box_labels
+        from repro.geometry.boxes import box_labels, unique_rows
 
+        width = _check_width(width)
         shifts = self._check_shifts(shifts, batched=True)
         image = self.image()
         counts = np.empty(shifts.shape[0], dtype=np.int64)
         for attempt in range(shifts.shape[0]):
-            labels = box_labels(image, shifts[attempt], float(width))
-            _, cell_counts = np.unique(labels, axis=0, return_counts=True)
+            labels = box_labels(image, shifts[attempt], width)
+            _, cell_counts = unique_rows(labels, return_counts=True)
             counts[attempt] = int(cell_counts.max())
         return counts
 
@@ -446,7 +470,7 @@ class ProjectedView:
         from repro.geometry.boxes import box_labels
 
         shifts = self._check_shifts(shifts, batched=False)
-        return box_labels(self.image(), shifts, float(width))
+        return box_labels(self.image(), shifts, _check_width(width))
 
     def cell_histogram(self, width: float, shifts):
         """Occupied boxes of one shifted partition, with their counts.
@@ -472,6 +496,7 @@ class ProjectedView:
         label:
             The ``(k,)`` integer box label selecting the points.
         """
+        width = _check_width(width)
         shifts = self._check_shifts(shifts, batched=False)
         label = np.asarray(label, dtype=np.int64).reshape(-1)
         if label.shape[0] != self.image_dimension:
@@ -479,7 +504,7 @@ class ProjectedView:
                 f"label has {label.shape[0]} axes, expected "
                 f"{self.image_dimension}"
             )
-        return BoxSelection(view=self, width=float(width), shifts=shifts,
+        return BoxSelection(view=self, width=width, shifts=shifts,
                             label=label, token=next(_SELECTION_TOKENS))
 
     def _selection_rows(self, selection) -> np.ndarray:
@@ -571,8 +596,10 @@ class ProjectedView:
         """
         from repro.geometry.boxes import interval_labels
 
+        width = _check_width(width)
+        offset = _check_finite(offset, "offset")
         rows = self._selection_rows(selection)
-        labels = interval_labels(self.image(rows), float(width), float(offset))
+        labels = interval_labels(self.image(rows), width, offset)
         return [first_occurrence_cells(labels[:, axis])
                 for axis in range(self.image_dimension)]
 
@@ -719,7 +746,7 @@ class QueryPlan:
         view = self._require_view(view)
         shifts = view._check_shifts(shifts, batched=True)
         return self._append("heaviest_cell_counts", view, None,
-                            (float(width), shifts))
+                            (_check_width(width), shifts))
 
     def cell_histogram(self, view: "ProjectedView", width: float,
                        shifts) -> int:
@@ -728,7 +755,7 @@ class QueryPlan:
         view = self._require_view(view)
         shifts = view._check_shifts(shifts, batched=False)
         return self._append("cell_histogram", view, None,
-                            (float(width), shifts))
+                            (_check_width(width), shifts))
 
     # ------------------------------------------------------------------ #
     # Masked aggregation
@@ -764,7 +791,8 @@ class QueryPlan:
         (GoodCenter's step-9 per-axis interval histograms); returns its
         result slot."""
         return self._masked("masked_axis_histograms", view, selection,
-                            (float(width), float(offset)))
+                            (_check_width(width),
+                             _check_finite(offset, "offset")))
 
     # ------------------------------------------------------------------ #
     # Whole-dataset queries

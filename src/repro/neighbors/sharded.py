@@ -379,7 +379,9 @@ class _ShardSet:
         the bounded heaviest-cell merge, never a plan method.
         """
         from repro.geometry.balls import ball_membership
-        from repro.geometry.boxes import box_labels, interval_labels
+        from repro.geometry.boxes import (
+            box_labels, interval_labels, unique_rows,
+        )
 
         if op == "count_within_many":
             centers, radii = args
@@ -399,8 +401,8 @@ class _ShardSet:
             width, shifts, top_k = args
             results = []
             for shift in shifts:
-                unique, counts = np.unique(box_labels(image, shift, width),
-                                           axis=0, return_counts=True)
+                unique, counts = unique_rows(box_labels(image, shift, width),
+                                             return_counts=True)
                 cap = 0
                 if top_k is not None and counts.shape[0] > top_k:
                     keep = np.argpartition(counts,
@@ -415,21 +417,20 @@ class _ShardSet:
             width, shifts, labels_per_attempt = args
             results = []
             for shift, queries in zip(shifts, labels_per_attempt):
-                unique, counts = np.unique(box_labels(image, shift, width),
-                                           axis=0, return_counts=True)
-                combined = np.concatenate([unique, queries], axis=0)
-                _, inverse = np.unique(combined, axis=0, return_inverse=True)
-                inverse = np.reshape(inverse, -1)
-                table = np.zeros(int(inverse.max()) + 1, dtype=np.int64)
-                table[inverse[:unique.shape[0]]] = counts
-                results.append(table[inverse[unique.shape[0]:]])
+                combined = np.concatenate(
+                    [queries, box_labels(image, shift, width)], axis=0
+                )
+                unique, inverse = unique_rows(combined, return_inverse=True)
+                table = np.bincount(inverse[queries.shape[0]:],
+                                    minlength=unique.shape[0])
+                results.append(table[inverse[:queries.shape[0]]])
             return results
         if op == "cell_histogram":
             # (labels, counts, first local row): the first rows let the
             # parent restore global first-occurrence cell order.
             width, shifts = args
-            unique, first, counts = np.unique(
-                box_labels(image, shifts, width), axis=0, return_index=True,
+            unique, first, counts = unique_rows(
+                box_labels(image, shifts, width), return_index=True,
                 return_counts=True,
             )
             return unique, counts, first
@@ -663,19 +664,56 @@ def _merge_cell_histogram(parts: Sequence[tuple],
                           num_points: int):
     """Merge per-shard box histograms into global first-occurrence order
     (see :meth:`~repro.neighbors.base.ProjectedView.cell_histogram`)."""
+    from repro.geometry.boxes import unique_rows
+
     all_labels = np.concatenate([part[0] for part in parts], axis=0)
     all_counts = np.concatenate([part[1] for part in parts])
     all_firsts = np.concatenate([
         part[2] + low for part, (low, _) in zip(parts, bounds)
     ])
-    unique, group = np.unique(all_labels, axis=0, return_inverse=True)
-    group = np.reshape(group, -1)      # global group of each shard-unique
+    # The global group of each shard-unique cell.
+    unique, group = unique_rows(all_labels, return_inverse=True)
     counts = np.bincount(group, weights=all_counts,
                          minlength=unique.shape[0]).astype(np.int64)
     first = np.full(unique.shape[0], num_points, dtype=np.int64)
     np.minimum.at(first, group, all_firsts)
     order = np.argsort(first, kind="stable")
     return unique[order], counts[order]
+
+
+def _bounded_maximum(lists: Sequence[tuple]):
+    """Merge one attempt's per-shard ``(cells, counts, cap)`` top-k lists.
+
+    Returns ``(candidates, bound, maximum)``: the ``(u, k)`` union of the
+    listed cells, the cap sum ``bound`` (no cell that no shard listed can
+    hold more points), and the global heaviest-cell count when the lists
+    alone prove it, else ``None``.  A listed cell holds at least the sum
+    of its listed counts (``lower``) and at most that plus the caps of the
+    shards that did not list it (``upper``) — a shard with cap 0 listed
+    every cell it has, so it adds nothing.  A cell every truncating shard
+    listed has ``upper == lower``, an exact count; when the largest exact
+    count reaches both every ``upper`` and ``bound``, no cell can beat it.
+    """
+    from repro.geometry.boxes import unique_rows
+
+    caps = np.asarray([int(cap) for _, _, cap in lists], dtype=np.int64)
+    bound = int(caps.sum())
+    candidates, group = unique_rows(
+        np.concatenate([cells for cells, _, _ in lists], axis=0),
+        return_inverse=True,
+    )
+    counts = np.concatenate([listed for _, listed, _ in lists])
+    # The cap of the shard that listed each row (a shard lists a cell once).
+    row_caps = np.repeat(caps, [cells.shape[0] for cells, _, _ in lists])
+    lower = np.bincount(group, weights=counts,
+                        minlength=candidates.shape[0]).astype(np.int64)
+    listed_caps = np.bincount(group, weights=row_caps,
+                              minlength=candidates.shape[0]).astype(np.int64)
+    upper = lower + (bound - listed_caps)
+    exact = lower[upper == lower]
+    if exact.size and int(exact.max()) >= max(int(upper.max()), bound):
+        return candidates, bound, int(exact.max())
+    return candidates, bound, None
 
 
 class _CompiledPlan:
@@ -794,9 +832,10 @@ class ShardedBackend(NeighborBackend):
     #: Partition-search attempts batched per heaviest-cell request.
     HEAVIEST_CELL_BATCH: ClassVar[int] = 8
 
-    #: How many cells each shard returns per heaviest-cell attempt before
-    #: the bounded merge falls back to an exact recount of the candidate
-    #: union (see :meth:`_heaviest_cell_merge`).  Bounds the
+    #: How many cells each shard returns per heaviest-cell attempt; the
+    #: bounded merge settles the maximum from these lists or falls back to
+    #: an exact recount of the candidate union (see
+    #: :meth:`_heaviest_cell_merge`).  Bounds the
     #: parent's merge scratch at ``O(shards * top_k)`` instead of the total
     #: number of occupied boxes.  ``None`` disables the truncation (full
     #: per-shard histograms, the pre-bounded behaviour).
@@ -1338,8 +1377,8 @@ class ShardedBackend(NeighborBackend):
         membership and every view's image at most once, and the parent
         merges the partials in shard order — bitwise what the serial loop
         produces.  (The one exception is a plan carrying a
-        ``heaviest_cell_counts`` query whose bounded top-``k`` merge fails
-        to certify: its recount and escalation rounds add fan-outs.)
+        ``heaviest_cell_counts`` query whose bounded top-``k`` merge round
+        1 cannot certify: its recount and escalation rounds add fan-outs.)
         """
         return self.submit(plan).result()
 
@@ -1405,18 +1444,24 @@ class ShardedBackend(NeighborBackend):
         ``heaviest_cell_counts`` partials.
 
         Each shard returns only its ``top_k`` heaviest cells plus a cap (its
-        ``top_k``-th largest count, bounding every truncated cell), so the
-        parent's scratch is ``O(shards * top_k)`` per attempt instead of the
-        total occupied-box count.  The merge is then made exact again by
-        *recounting*: the union of the shards' candidate cells is shipped
-        back and every shard reports its exact occupancy of each candidate,
-        giving exact global counts for all candidates.  A candidate max
-        ``>= sum of caps`` certifies that no truncated cell can beat it —
-        the returned maxima (and hence AboveThreshold's query stream) are
-        bitwise the full merge's.  Uncertified attempts retry with ``top_k``
-        escalated 4x (reaching the untruncated merge in the worst case), so
-        termination is unconditional.  ``parts`` are round 1's partials,
-        which arrived inside the plan's own task.
+        ``top_k``-th largest count, bounding every truncated cell; 0 when it
+        listed every cell), so the parent's scratch is ``O(shards * top_k)``
+        per attempt instead of the total occupied-box count.  Round 1's
+        lists usually settle an attempt on their own: the *round-1
+        certificate* (:func:`_bounded_maximum`) proves the global maximum
+        from the listed counts and the caps, with no further fan-out, and
+        always succeeds when no shard truncated.  An attempt it cannot
+        settle is made exact by *recounting*: the union of the shards'
+        candidate cells is shipped back and every shard reports its exact
+        occupancy of each candidate; a candidate max ``>= sum of caps``
+        certifies that no truncated cell can beat it.  Either way the
+        returned maxima (and hence AboveThreshold's query stream) are
+        bitwise the full merge's; only the number of fan-outs differs.
+        Attempts the recount cannot certify retry with ``top_k`` escalated
+        4x (reaching the untruncated merge in the worst case) and go
+        through the same two rules, so termination is unconditional.
+        ``parts`` are round 1's partials, which arrived inside the plan's
+        own task.
         """
         maxima = np.zeros(shifts.shape[0], dtype=np.int64)
         unresolved = np.arange(shifts.shape[0])
@@ -1425,22 +1470,14 @@ class ShardedBackend(NeighborBackend):
             candidates = []
             bounds = []
             for slot, attempt in enumerate(unresolved):
-                caps = [int(part[slot][2]) for part in parts]
-                bound = sum(caps)
-                labels = np.concatenate([part[slot][0] for part in parts],
-                                        axis=0)
-                if bound == 0:
-                    # No shard truncated: the per-shard counts are complete
-                    # and the summed merge is already exact.
-                    counts = np.concatenate([part[slot][1] for part in parts])
-                    _, inverse = np.unique(labels, axis=0,
-                                           return_inverse=True)
-                    merged = np.bincount(np.reshape(inverse, -1),
-                                         weights=counts)
-                    maxima[attempt] = int(merged.max())
+                unique, bound, best = _bounded_maximum(
+                    [part[slot] for part in parts]
+                )
+                if best is not None:
+                    maxima[attempt] = best
                     continue
                 recount_slots.append(slot)
-                candidates.append(np.unique(labels, axis=0))
+                candidates.append(unique)
                 bounds.append(bound)
             still = []
             if recount_slots:

@@ -139,6 +139,39 @@ class TestHeaviestCellMergeGuard:
         assert calls.count("count_labels") >= 1
         assert calls.count("heaviest_cell_counts") >= 1
 
+    def test_round_one_certificate_skips_recount(self):
+        """A dominant cell every shard lists has an exact round-1 count
+        above every other cell's upper bound and above the cap sum, so the
+        merge settles without a recount fan-out even though both shards
+        truncated."""
+        def shard(fillers):
+            # 20 points in cell [0, 1), six filler cells of 2 points each.
+            return np.concatenate([np.full(20, 0.5),
+                                   np.repeat(fillers + 0.5, 2)])
+
+        points = np.concatenate([shard(np.arange(1, 7)),
+                                 shard(np.arange(11, 17))]).reshape(-1, 1)
+        shifts = np.array([[0.0], [0.1], [0.3]])
+        reference = DenseBackend(points).view().heaviest_cell_counts(
+            1.0, shifts
+        )
+        assert reference.tolist() == [40, 40, 40]
+        backend = ShardedBackend(points, num_shards=2, num_workers=0)
+        backend.HEAVIEST_CELL_TOP_K = 2      # both shards truncate (cap 2)
+        calls = []
+        original = backend.run_shard_tasks
+
+        def spy(tasks):
+            calls.append(tasks[0][2][2][0][0])
+            return original(tasks)
+
+        backend.run_shard_tasks = spy
+        before = backend.pool_stats()["fanouts"]
+        got = backend.view().heaviest_cell_counts(1.0, shifts)
+        assert np.array_equal(got, reference)
+        assert calls == []      # no count_labels (or any later) round
+        assert backend.pool_stats()["fanouts"] - before == 1
+
     @pytest.mark.parametrize("top_k", [None, 1, 2, 3, 64])
     def test_bounded_merge_bitwise_equal_on_random_data(self, top_k):
         rng = np.random.default_rng(11)

@@ -1,10 +1,19 @@
 """Tests for JL projection, random rotations, and box partitions."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from repro.geometry.boxes import AxisIntervalPartition, Box, ShiftedBoxPartition
+import repro.geometry.boxes as boxes_module
+from repro.geometry.boxes import (
+    AxisIntervalPartition,
+    Box,
+    ShiftedBoxPartition,
+    unique_rows,
+)
 from repro.geometry.jl import (
     JohnsonLindenstrauss,
     jl_distortion_failure_probability,
@@ -149,6 +158,83 @@ class TestShiftedBoxPartition:
     def test_invalid_width(self):
         with pytest.raises(ValueError):
             ShiftedBoxPartition(dimension=2, width=0.0)
+
+
+INT64 = np.iinfo(np.int64)
+
+
+def assert_unique_rows_matches_numpy(labels):
+    """unique_rows returns np.unique(axis=0)'s values, dtypes and shapes
+    under every flag combination."""
+    for flags in itertools.product([False, True], repeat=3):
+        expected = np.unique(labels, axis=0, return_index=flags[0],
+                             return_inverse=flags[1], return_counts=flags[2])
+        got = unique_rows(labels, *flags)
+        if not isinstance(expected, tuple):
+            expected, got = (expected,), (got,)
+        assert len(got) == len(expected), flags
+        for got_part, expected_part in zip(got, expected):
+            assert got_part.dtype == expected_part.dtype, flags
+            assert got_part.shape == expected_part.shape, flags
+            assert np.array_equal(got_part, expected_part), flags
+
+
+class TestUniqueRows:
+    """The packed-key row unique is exactly np.unique(axis=0)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(
+        np.int64,
+        st.tuples(st.integers(0, 40), st.integers(1, 6)),
+        elements=st.one_of(
+            st.integers(-3, 3),
+            st.sampled_from([INT64.min, INT64.min + 1, INT64.max - 1,
+                             INT64.max]),
+            st.integers(INT64.min, INT64.max),
+        ),
+    ))
+    def test_matches_numpy_unique(self, labels):
+        assert_unique_rows_matches_numpy(labels)
+
+    def test_edge_shapes(self):
+        assert_unique_rows_matches_numpy(np.zeros((0, 3), dtype=np.int64))
+        assert_unique_rows_matches_numpy(
+            np.array([[4], [-2], [4], [0], [-2]], dtype=np.int64)
+        )
+        duplicates = np.tile(np.array([[1, -1, 7], [0, 0, 0]]), (5, 1))
+        assert_unique_rows_matches_numpy(duplicates)
+
+    def test_rerank_branches(self, monkeypatch):
+        """Columns too wide for the packed key take both re-rank steps —
+        the key so far, then the column itself — and still match."""
+        ranked = []
+        original = boxes_module._dense_rank
+
+        def spy(values):
+            ranked.append(values.shape)
+            return original(values)
+
+        monkeypatch.setattr(boxes_module, "_dense_rank", spy)
+        rng = np.random.default_rng(5)
+        # Two 2**41-wide columns overflow 63 bits: only the key re-ranks.
+        wide = rng.integers(-2 ** 40, 2 ** 40, size=(50, 2))
+        wide[10:20] = wide[:10]
+        assert_unique_rows_matches_numpy(wide)
+        assert len(ranked) == 8          # one key re-rank per flag set
+        # A column spanning all of int64 cannot fit even after the key
+        # re-ranks: the column re-ranks too.
+        ranked.clear()
+        full = np.array([[INT64.min, 0], [INT64.max, 1], [INT64.min, 1],
+                         [INT64.max, 1], [0, INT64.min], [0, INT64.max]],
+                        dtype=np.int64)
+        assert_unique_rows_matches_numpy(full)
+        assert len(ranked) == 8 * 4      # key and column, per column
+
+    def test_rejects_non_integer_rows(self):
+        with pytest.raises(ValueError, match="signed-integer"):
+            unique_rows(np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="2-d"):
+            unique_rows(np.zeros(3, dtype=np.int64))
 
 
 class TestAxisIntervalPartition:

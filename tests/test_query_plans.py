@@ -41,6 +41,7 @@ from repro.neighbors import (
     PlanFuture,
     QueryPlan,
     ShardedBackend,
+    resolve_backend,
 )
 
 good_center_module = sys.modules["repro.core.good_center"]
@@ -225,6 +226,48 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="shifts"):
             plan.heaviest_cell_counts(view, 1.0, np.zeros((2, 5)))
         assert len(plan) == 0
+
+    def test_degenerate_grid_rejected(self, neighbor_backend):
+        """A zero, negative, NaN or infinite width, or a non-finite shift
+        or axis offset, would hash every point to one fake cell; every
+        grid-hash query and its plan append raises instead."""
+        points = np.random.default_rng(0).uniform(size=(200, 3))
+        view = resolve_backend(points, neighbor_backend(points)).view()
+        shifts = np.zeros(3)
+        label = np.zeros(3, dtype=np.int64)
+        rows = np.arange(10)
+
+        def grid_queries(width, shifts):
+            return [
+                lambda: view.heaviest_cell_counts(width, shifts[None, :]),
+                lambda: view.cell_histogram(width, shifts),
+                lambda: view.box_selection(width, shifts, label),
+                lambda: QueryPlan().heaviest_cell_counts(view, width,
+                                                         shifts[None, :]),
+                lambda: QueryPlan().cell_histogram(view, width, shifts),
+            ]
+
+        def axis_queries(width, offset):
+            return [
+                lambda: view.masked_axis_histograms(rows, width, offset),
+                lambda: QueryPlan().masked_axis_histograms(view, rows, width,
+                                                           offset),
+            ]
+
+        for width in (0.0, -0.5, np.nan, np.inf):
+            for query in grid_queries(width, shifts) + axis_queries(width,
+                                                                    0.0):
+                with pytest.raises(ValueError, match="width"):
+                    query()
+        for query in grid_queries(1.0, np.array([0.0, np.nan, 0.0])):
+            with pytest.raises(ValueError, match="shifts"):
+                query()
+        for offset in (np.nan, np.inf):
+            for query in axis_queries(1.0, offset):
+                with pytest.raises(ValueError, match="offset"):
+                    query()
+        # The checks reject only degenerate grids.
+        assert view.heaviest_cell_counts(0.5, shifts[None, :])[0] >= 1
 
     def test_selection_slots_deduplicate_by_identity(self, plan_fixture):
         backend = make_backend("dense", plan_fixture["points"])
