@@ -1,12 +1,12 @@
 """Exact, partition-independent summation of float64 values.
 
 The library's central invariant — the neighbor-backend choice never moves a
-byte of any release — extends in this PR to *floating-point aggregates*:
-GoodCenter's NoisyAVG stage now consumes masked sums that shards computed
-independently.  Plain float addition cannot keep that promise: it is not
-associative, so a sum split across 2 shards and the same sum split across 7
-shards round differently in the last ulp.  This module solves it by summing
-in **exact fixed-point integers**:
+byte of any release — extends to *floating-point aggregates*: GoodCenter's
+NoisyAVG stage and the sample-and-aggregate block means consume masked sums
+that shards computed independently.  Plain float addition cannot keep that
+promise: it is not associative, so a sum split across 2 shards and the same
+sum split across 7 shards round differently in the last ulp.  This module
+solves it by summing in **exact fixed-point integers**:
 
 * every finite ``float64`` is an integer multiple of ``2**-1074`` (the
   smallest subnormal), so ``x * 2**1074`` is an exact Python integer of at
@@ -18,11 +18,17 @@ in **exact fixed-point integers**:
   division, correctly rounded in CPython) yields the correctly-rounded sum —
   a *canonical* value every code path reproduces bit-for-bit.
 
-The kernel is vectorised: ``np.frexp`` splits all values at once, mantissas
-sharing an exponent are grouped and summed with ``np.add.reduceat`` in
-segments short enough that the ``int64`` partials cannot overflow
-(``512 * 2**53 < 2**63``), and only the per-segment fold runs in Python — a
-few thousand big-int operations for a million inputs.
+:func:`fixed_point_sum` is the one-dimensional definition: ``np.frexp``
+splits all values at once, mantissas sharing an exponent are summed with
+``np.add.reduceat`` in segments short enough that the ``int64`` partials
+cannot overflow (``512 * 2**53 < 2**63``), and the per-segment fold runs in
+Python.  The masked sums take the vectorised two-stage route instead, with
+no sort and no per-element or per-entry Python loop: the column kernel
+(:func:`repro.kernels.fixed_point_column_partials`) reads sign, exponent and
+fraction from the float64 bits and buckets the integers per (512-row chunk,
+shift, column) with ``np.add.at``, emitting fixed-width ``(limb, shift,
+column)`` triples; :func:`merge_column_partials` sums those as base-``2**32``
+digits in an int64 table and builds one big integer per column.
 """
 
 from __future__ import annotations
@@ -33,9 +39,27 @@ import numpy as np
 
 from repro import kernels
 # The fixed-point constants: the scale (every finite float64 is an integer
-# multiple of ``2**-SCALE_BITS``), the exact mantissa scaling, and the
-# longest ``np.add.reduceat`` segment whose int64 sums cannot overflow.
-from repro.kernels._reference import _MANTISSA_SCALE, _SEGMENT, SCALE_BITS
+# multiple of ``2**-SCALE_BITS``), the exact mantissa scaling, the longest
+# ``np.add.reduceat`` segment whose int64 sums cannot overflow, and the
+# range of shifts a partial may carry.
+from repro.kernels._reference import (
+    _MANTISSA_SCALE,
+    _MAX_SHIFT,
+    _MIN_SHIFT,
+    _SEGMENT,
+    SCALE_BITS,
+)
+
+#: The merge adds this to every shift so digit positions are non-negative.
+_SHIFT_BIAS = 64
+
+#: One base-``2**32`` digit.
+_DIGIT_MASK = (1 << 32) - 1
+
+#: Each merge-table slot receives at most one digit below ``2**33`` per
+#: entry, so fewer than ``2**29`` entries keep every slot (and the carries
+#: into it) below ``2**63``.
+_MAX_ENTRIES = 1 << 29
 
 
 def fixed_point_sum(values) -> int:
@@ -115,18 +139,103 @@ def merge_column_partials(num_columns: int, partials: Iterable) -> List[int]:
     Integer addition is exact and associative, so the totals are independent
     of how the rows were partitioned across partials, of each partial's
     internal decomposition (reference and native kernels emit different but
-    equivalent ones), and of the fold order.  Negative shifts only arise
-    from subnormal limbs, whose mantissa integers are divisible by the
-    deficit — the right-shift is exact (same argument as
-    :func:`fixed_point_sum`).
+    equivalent ones), and of the fold order.
+
+    The fold is vectorised.  Every shift is biased by ``+64`` (native
+    subnormal limbs carry shifts down to ``-52``), and each limb is split at
+    bit position ``shift`` into three base-``2**32`` digits, each far below
+    ``2**63``.  One ``np.add.at`` per digit sums them into a
+    ``(digit, column)`` int64 table, one vectorised carry pass normalises
+    it, and each column's total is read back with one ``int.from_bytes`` —
+    Python work is O(columns), not O(entries).  A negative shift must come
+    with a limb divisible by ``2**-shift`` (a subnormal's mantissa integer is
+    divisible by its deficit), so every entry is an exact integer.
+
+    The partials may come over the wire from remote nodes, so they are
+    checked: ``ValueError`` unless each partial is three 1-d integer arrays
+    of equal length with ``0 <= column < num_columns`` and
+    ``-52 <= shift <= 2045``.
     """
-    totals = [0] * int(num_columns)
-    for limbs, shifts, columns in partials:
-        for limb, shift, column in zip(np.asarray(limbs).tolist(),
-                                       np.asarray(shifts).tolist(),
-                                       np.asarray(columns).tolist()):
-            totals[column] += limb << shift if shift >= 0 else limb >> -shift
+    num_columns = int(num_columns)
+    limbs, shifts, columns = _checked_partials(num_columns, partials)
+    if limbs.size == 0:
+        return [0] * num_columns
+    biased = shifts + _SHIFT_BIAS
+    words = biased >> 5
+    offsets = biased & 31
+    low = (limbs & _DIGIT_MASK) << offsets
+    high = (limbs >> 32) << offsets
+    first = int(words.min())
+    width = int(words.max()) - first + 3
+    slots = (words - first) * num_columns + columns
+    table = np.zeros(width * num_columns, dtype=np.int64)
+    np.add.at(table, slots, low & _DIGIT_MASK)
+    slots += num_columns
+    np.add.at(table, slots, (low >> 32) + (high & _DIGIT_MASK))
+    slots += num_columns
+    np.add.at(table, slots, high >> 32)
+    table = table.reshape(width, num_columns)
+    for digit in range(width - 1):
+        table[digit + 1] += table[digit] >> 32
+        table[digit] &= _DIGIT_MASK
+    # Digits below the top one are now in [0, 2**32); the top one is signed.
+    low_bytes = np.ascontiguousarray(table[:-1].T, dtype="<u4").tobytes()
+    size = 4 * (width - 1)
+    top_shift = 32 * (width - 1)
+    scale = 32 * first - _SHIFT_BIAS
+    totals = []
+    for column, top in enumerate(table[-1].tolist()):
+        total = (int.from_bytes(low_bytes[column * size:(column + 1) * size],
+                                "little") + (top << top_shift))
+        totals.append(total << scale if scale >= 0 else total >> -scale)
     return totals
+
+
+def _checked_partials(num_columns: int, partials: Iterable):
+    """Concatenate and validate ``(limbs, shifts, columns)`` partials (see
+    :func:`merge_column_partials`)."""
+    if num_columns < 0:
+        raise ValueError(f"num_columns must be >= 0, got {num_columns}")
+    collected = ([], [], [])
+    for partial in partials:
+        arrays = [np.asarray(part) for part in partial]
+        if len(arrays) != 3 or any(
+            array.ndim != 1 or array.dtype.kind not in "iu"
+            or not np.can_cast(array.dtype, np.int64) for array in arrays
+        ):
+            raise ValueError("a column partial is three 1-d integer arrays "
+                             "(limbs, shifts, columns) that fit int64")
+        if not arrays[0].shape == arrays[1].shape == arrays[2].shape:
+            raise ValueError("column partial arrays have unequal lengths")
+        for pieces, array in zip(collected, arrays):
+            pieces.append(array)
+    limbs, shifts, columns = (
+        np.concatenate(pieces).astype(np.int64, copy=False) if pieces
+        else np.empty(0, dtype=np.int64)
+        for pieces in collected
+    )
+    if limbs.size == 0:
+        return limbs, shifts, columns
+    if columns.min() < 0 or columns.max() >= num_columns:
+        raise ValueError(
+            f"column partial indexes a column outside [0, {num_columns})"
+        )
+    if shifts.min() < _MIN_SHIFT or shifts.max() > _MAX_SHIFT:
+        raise ValueError(
+            f"column partial shift outside [{_MIN_SHIFT}, {_MAX_SHIFT}]"
+        )
+    negative = shifts < 0
+    if np.any(limbs[negative] & ((1 << -shifts[negative]) - 1)):
+        raise ValueError(
+            "column partial limb with a negative shift is not divisible by "
+            "2**-shift"
+        )
+    if limbs.size >= _MAX_ENTRIES:
+        raise ValueError(
+            f"cannot merge {limbs.size} partial entries at once (limit "
+            f"{_MAX_ENTRIES})"
+        )
+    return limbs, shifts, columns
 
 
 def fixed_point_column_sums(matrix) -> List[int]:
@@ -143,22 +252,6 @@ def fixed_point_column_sums(matrix) -> List[int]:
     return merge_column_partials(
         matrix.shape[1], [fixed_point_column_partials(matrix)]
     )
-
-
-def merge_fixed_point(partials: Iterable) -> List[int]:
-    """Fold per-shard column partials (iterables of ints) by exact integer
-    addition.  Associative and order-independent by construction; the sharded
-    backend still folds in deterministic shard order so the merge is easy to
-    audit."""
-    totals: List[int] = []
-    for partial in partials:
-        if not totals:
-            totals = [int(value) for value in partial]
-            continue
-        if len(partial) != len(totals):
-            raise ValueError("column partials have mismatched widths")
-        totals = [total + int(value) for total, value in zip(totals, partial)]
-    return totals
 
 
 def fixed_point_to_float(total: int) -> float:
@@ -196,5 +289,4 @@ __all__ = [
     "fixed_point_sum",
     "fixed_point_to_float",
     "merge_column_partials",
-    "merge_fixed_point",
 ]

@@ -13,7 +13,11 @@ Three contracts are pinned here:
   *any* decomposition into integer ``(limb, shift, column)`` triples, but the
   merged integer total per column must equal the canonical
   ``fixed_point_sum`` of that column — for any split of the rows, in any
-  merge order.
+  merge order.  The earlier lexsort / ``np.add.reduceat`` kernel and its
+  per-entry big-int fold are kept below as test-local oracles; the merge
+  must also accept their frexp-style partials, whose subnormal shifts are
+  negative like the native kernel's.  Malformed partials (they can arrive
+  from remote nodes) must raise, never mis-merge.
 * **Import-time selection.**  ``REPRO_KERNELS=python`` forces the reference
   set, ``=native`` falls back (with a warning) when numba or scipy is
   missing, an invalid value raises, and the default is silent
@@ -25,9 +29,11 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro
 import repro.kernels as kernels
@@ -90,28 +96,123 @@ def assert_bitwise(got, expected, label):
     assert got.tobytes() == expected.tobytes(), label
 
 
+def oracle_column_partials(matrix):
+    """The column kernel before bit-level bucketing: frexp mantissas
+    lexsorted by (column, shift) and summed in ``np.add.reduceat`` segments
+    of at most ``_SEGMENT`` entries.  Subnormals get negative shifts (down
+    to -52), as in the native kernel's decomposition."""
+    matrix = np.asarray(matrix, dtype=float)
+    q, k = matrix.shape
+    empty = np.empty(0, dtype=np.int64)
+    if q == 0 or k == 0:
+        return empty, empty, empty
+    mantissas, exponents = np.frexp(matrix)
+    integers = (mantissas * _reference._MANTISSA_SCALE).astype(np.int64)
+    shifts = exponents.astype(np.int64) + (_reference.SCALE_BITS - 53)
+    flat_integers = np.ascontiguousarray(integers.T).reshape(-1)
+    flat_shifts = np.ascontiguousarray(shifts.T).reshape(-1)
+    flat_columns = np.repeat(np.arange(k, dtype=np.int64), q)
+    order = np.lexsort((flat_shifts, flat_columns))
+    flat_integers = flat_integers[order]
+    flat_shifts = flat_shifts[order]
+    flat_columns = flat_columns[order]
+    change = (np.diff(flat_shifts) != 0) | (np.diff(flat_columns) != 0)
+    group_starts = np.concatenate(
+        [[0], np.flatnonzero(change) + 1, [flat_shifts.shape[0]]]
+    )
+    starts = []
+    for index in range(group_starts.shape[0] - 1):
+        starts.extend(range(int(group_starts[index]),
+                            int(group_starts[index + 1]), _reference._SEGMENT))
+    starts = np.asarray(starts, dtype=np.int64)
+    limbs = np.add.reduceat(flat_integers, starts).astype(np.int64)
+    return limbs, flat_shifts[starts], flat_columns[starts]
+
+
+def oracle_fold(num_columns, partials):
+    """The merge before the digit table: one big-int fold per entry."""
+    totals = [0] * num_columns
+    for limbs, shifts, columns in partials:
+        for limb, shift, column in zip(np.asarray(limbs).tolist(),
+                                       np.asarray(shifts).tolist(),
+                                       np.asarray(columns).tolist()):
+            totals[column] += limb << shift if shift >= 0 else limb >> -shift
+    return totals
+
+
+DBL_MAX = np.finfo(float).max
+MAX_BELOW_TWO = np.nextafter(2.0, 0.0)          # mantissa 2**53 - 1
+
+
+def all_exponents_row():
+    """One row, one column per shift: every biased exponent 1..2046, random
+    fractions and signs."""
+    rng = np.random.default_rng(17)
+    bits = ((np.arange(1, 2047, dtype=np.int64) << 52)
+            | rng.integers(0, 1 << 52, size=2046))
+    signs = np.where(rng.random(2046) < 0.5, -1.0, 1.0)
+    return (bits.view(np.float64) * signs)[None, :]
+
+
+def exponent_spread():
+    """1500 x 600 with magnitudes over +-300 decades: nearly every (column,
+    exponent) group holds one value."""
+    rng = np.random.default_rng(19)
+    return rng.normal(size=(1500, 600)) * 10.0 ** rng.integers(
+        -300, 300, size=(1500, 600))
+
+
+def exactness_cases():
+    """(name, builder) pairs of the matrices the reference partials must
+    sum exactly."""
+    rng = np.random.default_rng(5)
+    tiny = 5e-324
+    return [
+        ("generic", lambda: rng.normal(size=(37, 4))),
+        ("duplicates",
+         lambda: np.repeat(rng.normal(size=(1, 3)), 20, axis=0)),
+        ("denormal", lambda: np.array([[tiny, -tiny], [1e-310, 0.0],
+                                       [-0.0, 3e-320]])),
+        ("mixed-scale", lambda: rng.normal(size=(600, 2)) *
+         10.0 ** rng.integers(-200, 200, size=(600, 2))),
+        ("cancellation", lambda: np.array([[1e16, 1.0], [-1e16, -1.0],
+                                           [1.0, 1e-8]])),
+        ("single-row", lambda: rng.normal(size=(1, 6))),
+        ("empty", lambda: np.empty((0, 3))),
+        # 1537 = 3 * 512 + 1 rows of the largest mantissa in one (column,
+        # shift) group: an unchunked int64 bucket sum would overflow.
+        ("max-mantissa", lambda: np.tile(
+            [MAX_BELOW_TWO, -MAX_BELOW_TWO, DBL_MAX, -DBL_MAX], (1537, 1))),
+        ("all-exponents", all_exponents_row),
+        ("exponent-spread", exponent_spread),
+    ]
+
+
+@st.composite
+def mixed_matrices(draw):
+    """Mixed magnitudes, subnormals, signed zeros and heavy duplication."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    q = draw(st.integers(0, 80))
+    k = draw(st.integers(1, 5))
+    matrix = rng.normal(size=(q, k)) * 10.0 ** rng.integers(
+        -300, 300, size=(q, k))
+    specials = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -3e-320,
+                         2.2e-308, 1.0, -1.0, MAX_BELOW_TWO, DBL_MAX,
+                         -DBL_MAX])
+    special = rng.random((q, k)) < draw(st.floats(0.0, 1.0))
+    matrix[special] = rng.choice(specials, size=int(special.sum()))
+    if q and draw(st.booleans()):
+        matrix = matrix[rng.integers(0, min(q, 3), size=q)]
+    return matrix
+
+
 class TestReferenceExactness:
     """The reference partials against the canonical big-int column sums."""
 
-    def matrices(self):
-        rng = np.random.default_rng(5)
-        tiny = 5e-324
-        return [
-            ("generic", rng.normal(size=(37, 4))),
-            ("duplicates", np.repeat(rng.normal(size=(1, 3)), 20, axis=0)),
-            ("denormal", np.array([[tiny, -tiny], [1e-310, 0.0],
-                                   [-0.0, 3e-320]])),
-            ("mixed-scale", rng.normal(size=(600, 2)) *
-             10.0 ** rng.integers(-200, 200, size=(600, 2))),
-            ("cancellation", np.array([[1e16, 1.0], [-1e16, -1.0],
-                                       [1.0, 1e-8]])),
-            ("single-row", rng.normal(size=(1, 6))),
-            ("empty", np.empty((0, 3))),
-        ]
-
-    @pytest.mark.parametrize("case", range(7))
+    @pytest.mark.parametrize("case", range(len(exactness_cases())))
     def test_partials_merge_to_canonical_sums(self, case):
-        name, matrix = self.matrices()[case]
+        name, build = exactness_cases()[case]
+        matrix = build()
         limbs, shifts, columns = fixed_point_column_partials(matrix)
         assert limbs.dtype == shifts.dtype == columns.dtype == np.int64
         totals = merge_column_partials(matrix.shape[1],
@@ -145,6 +246,84 @@ class TestReferenceExactness:
             fixed_point_column_partials(np.array([[1.0, np.inf]]))
         with pytest.raises(ValueError, match="finite"):
             fixed_point_column_partials(np.array([[np.nan, 0.0]]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrix=mixed_matrices(), data=st.data())
+    def test_kernel_and_merge_match_the_oracles(self, matrix, data):
+        q, k = matrix.shape
+        cuts = sorted(data.draw(st.lists(st.integers(0, q), max_size=4)))
+        bounds = [0, *cuts, q]
+        blocks = [matrix[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+        expected = [fixed_point_sum(matrix[:, j]) for j in range(k)]
+        new = [_reference.fixed_point_column_partials(block)
+               for block in blocks]
+        old = [oracle_column_partials(block) for block in blocks]
+        assert merge_column_partials(k, new[::-1]) == expected
+        assert oracle_fold(k, old) == expected
+        assert oracle_fold(k, new) == expected
+        # The frexp-style partials (negative subnormal shifts) through the
+        # new merge: the decomposition the native kernel emits.
+        assert merge_column_partials(k, old[::-1]) == expected
+
+    def test_merge_takes_negative_subnormal_shifts(self):
+        tiny = 5e-324
+        matrix = np.array([[tiny, -3 * tiny, 1e-310],
+                           [2.2e-308, tiny, -1e-320],
+                           [-tiny, 7 * tiny, 1.0]])
+        partials = oracle_column_partials(matrix)
+        assert partials[1].min() == -52
+        assert merge_column_partials(3, [partials]) == [
+            fixed_point_sum(matrix[:, j]) for j in range(3)]
+
+    @pytest.mark.parametrize("build", [all_exponents_row, exponent_spread])
+    def test_scratch_memory_is_bounded(self, build):
+        """Column slabs keep the bucket table near the input's size, even
+        when every column spans all exponents."""
+        matrix = build()
+        tracemalloc.start()
+        try:
+            _reference.fixed_point_column_partials(matrix)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * matrix.nbytes + (1 << 20)
+
+
+class TestMergeValidation:
+    """Partials cross the wire from remote nodes: malformed ones raise."""
+
+    @pytest.mark.parametrize("partial", [
+        ([5], [0], [-1]),                  # used to land in the last column
+        ([5, 7], [0], [0, 1]),             # used to be cut short by zip
+        ([5], [0], [2]),                   # column >= num_columns
+        ([5], [-53], [0]),                 # below the subnormal floor
+        ([5], [2046], [0]),                # above the largest exponent
+        ([3], [-1], [0]),                  # inexact subnormal limb
+        ([5.0], [0], [0]),                 # float limbs
+        ([[5]], [[0]], [[0]]),             # not 1-d
+        (np.array([5], dtype=np.uint64), [0], [0]),
+        ([5], [0]),                        # not a triple
+    ])
+    def test_malformed_partials_raise(self, partial):
+        with pytest.raises(ValueError):
+            merge_column_partials(2, [partial])
+
+    def test_entry_limit_guards_the_digit_table(self, monkeypatch):
+        from repro.utils import exactsum
+
+        monkeypatch.setattr(exactsum, "_MAX_ENTRIES", 2)
+        assert merge_column_partials(1, [([1], [0], [0])]) == [1]
+        with pytest.raises(ValueError, match="entries"):
+            merge_column_partials(1, [([1, 2], [0, 0], [0, 0])])
+
+    def test_well_formed_edges(self):
+        assert merge_column_partials(2, []) == [0, 0]
+        assert merge_column_partials(2, [([4], [-2], [1])]) == [0, 1]
+        limb = (1 << 63) - 1
+        assert merge_column_partials(1, [
+            (np.array([limb, -limb - 1]), np.array([2045, 0]),
+             np.array([0, 0])),
+        ]) == [(limb << 2045) - (1 << 63)]
 
 
 @needs_native

@@ -10,10 +10,11 @@ from hypothesis import given, strategies as st
 from repro.utils.exactsum import (
     SCALE_BITS,
     exact_column_sums,
+    fixed_point_column_partials,
     fixed_point_column_sums,
     fixed_point_sum,
     fixed_point_to_float,
-    merge_fixed_point,
+    merge_column_partials,
 )
 from repro.utils.iterated_log import log_star, log_star_factor, tower
 from repro.utils.rng import as_generator, permuted, random_unit_vector, spawn_generators
@@ -72,12 +73,13 @@ class TestExactSum:
         rng = np.random.default_rng(2)
         matrix = rng.normal(size=(60, 3))
         totals = fixed_point_column_sums(matrix)
-        merged = merge_fixed_point([
-            fixed_point_column_sums(matrix[:17]),
-            fixed_point_column_sums(matrix[17:44]),
-            fixed_point_column_sums(matrix[44:]),
-        ])
-        assert merged == totals
+        parts = [
+            fixed_point_column_partials(matrix[:17]),
+            fixed_point_column_partials(matrix[17:44]),
+            fixed_point_column_partials(matrix[44:]),
+        ]
+        assert merge_column_partials(3, parts) == totals
+        assert merge_column_partials(3, parts[::-1]) == totals
         floats = exact_column_sums(matrix)
         assert np.array_equal(
             floats,
@@ -86,7 +88,7 @@ class TestExactSum:
         with pytest.raises(ValueError):
             fixed_point_column_sums(np.zeros(4))
         with pytest.raises(ValueError):
-            merge_fixed_point([[1, 2], [3]])
+            merge_column_partials(3, [([1, 2], [0, 0], [0])])
 
 
 class TestLogStar:
