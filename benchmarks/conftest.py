@@ -2,9 +2,8 @@
 
 Each benchmark runs the corresponding experiment module once per measurement
 round (the experiments are end-to-end private-algorithm runs, so a single
-round is already seconds of work) and prints the resulting table so the
-numbers recorded in EXPERIMENTS.md can be regenerated directly from the
-benchmark output.
+round is already seconds of work) and prints the resulting table, so every
+table can be regenerated directly from the benchmark output.
 
 Backend-aware benchmarks additionally honour two command-line options::
 

@@ -30,7 +30,6 @@ from repro.geometry.grid import GridDomain
 from repro.mechanisms.exponential import report_noisy_max
 from repro.neighbors import HAVE_SCIPY_TREE, BackendLike, backend_scope
 from repro.quasiconcave.binary_search import noisy_binary_search
-from repro.quasiconcave.quality import CallableQuality
 from repro.utils.rng import RngLike, spawn_generators
 from repro.utils.validation import check_integer, check_points
 
@@ -95,23 +94,16 @@ def exponential_mechanism_cluster(points, target: int, params: PrivacyParams,
         backend = "tree" if HAVE_SCIPY_TREE else "chunked"
     with backend_scope(points, backend) as neighbor_backend:
         # Binary search for the smallest radius capturing ~t points at some
-        # centre.  The max-count score has sensitivity 1 in the database.
-        # The batched count_within_many call fuses a whole probe batch into
-        # one backend request (one distance pass per slab instead of one per
-        # radius; one fan-out per shard when the backend is sharded).
-        def batch_scores(indices: np.ndarray) -> np.ndarray:
-            radii = candidate_radii[np.asarray(indices, dtype=np.int64)]
-            counts = neighbor_backend.count_within_many(centers, radii)
-            return counts.max(axis=1).astype(float)
+        # centre.  The max-count score has sensitivity 1 in the database;
+        # each probed radius is one batched query over all centres.
+        def max_count(index: int) -> float:
+            radius = float(candidate_radii[index])
+            return float(neighbor_backend.query_radius_counts(centers,
+                                                              radius).max())
 
-        monotone = CallableQuality(
-            function=lambda index: batch_scores(np.array([index]))[0],
-            size=candidate_radii.shape[0],
-            batch_function=batch_scores,
-        )
-        search = noisy_binary_search(monotone, threshold=float(target),
-                                     params=half, sensitivity=1.0,
-                                     rng=radius_rng)
+        search = noisy_binary_search(max_count, candidate_radii.shape[0],
+                                     threshold=float(target), params=half,
+                                     sensitivity=1.0, rng=radius_rng)
         radius = float(candidate_radii[search.index])
 
         # Exponential mechanism over candidate centres at that radius.

@@ -30,7 +30,6 @@ from repro.geometry.balls import Ball
 from repro.geometry.grid import GridDomain
 from repro.mechanisms.gaussian import gaussian_mechanism
 from repro.quasiconcave.binary_search import noisy_binary_search
-from repro.quasiconcave.quality import CallableQuality
 from repro.utils.rng import RngLike, spawn_generators
 from repro.utils.validation import check_integer, check_points
 
@@ -98,16 +97,11 @@ def private_aggregation_cluster(points, target: int, params: PrivacyParams,
     candidate_radii = domain.candidate_radii()
     distances = np.linalg.norm(points - center[None, :], axis=1)
 
-    def batch_counts(indices: np.ndarray) -> np.ndarray:
-        radii = candidate_radii[np.asarray(indices, dtype=np.int64)]
-        return np.array([float(np.count_nonzero(distances <= radius)) for radius in radii])
+    def count_within(index: int) -> float:
+        return float(np.count_nonzero(distances <= candidate_radii[index]))
 
-    monotone = CallableQuality(
-        function=lambda index: batch_counts(np.array([index]))[0],
-        size=candidate_radii.shape[0],
-        batch_function=batch_counts,
-    )
-    search = noisy_binary_search(monotone, threshold=float(target), params=half,
+    search = noisy_binary_search(count_within, candidate_radii.shape[0],
+                                 threshold=float(target), params=half,
                                  sensitivity=1.0, rng=radius_rng)
     radius = float(candidate_radii[search.index])
 

@@ -7,9 +7,10 @@ reaches ``t``.  The released interval has radius exactly ``r_opt`` (``w = 1``)
 and contains at least ``t - O(Delta)`` points, where ``Delta`` is the query
 release error.
 
-Documented substitution (DESIGN.md): the state-of-the-art release of
-Bun–Nissim–Stemmer–Vadhan achieves ``Delta ~ 2^{O(log* |X|)} / epsilon``; we
-implement the standard *hierarchical (dyadic-tree) mechanism*, whose error is
+Documented substitution (see "Departures from the paper" in
+ARCHITECTURE.md): the state-of-the-art release of Bun–Nissim–Stemmer–Vadhan
+achieves ``Delta ~ 2^{O(log* |X|)} / epsilon``; we implement the standard
+*hierarchical (dyadic-tree) mechanism*, whose error is
 ``Delta ~ O(log^{1.5} |X| / epsilon)`` — the same pipeline (noisy interval
 counts, then smallest-interval search) with a polylog rather than log* error,
 which preserves the qualitative comparison in Table 1.

@@ -8,10 +8,11 @@ conservative radii at laptop scale, so the default configuration
 (:meth:`GoodCenterConfig.practical`) keeps the identical algorithmic structure
 while choosing the multipliers adaptively (e.g. the box width is sized so that
 one randomly-shifted partition captures the projected cluster with a fixed
-target probability, instead of the fixed factor 300).  DESIGN.md documents
-this substitution; the experiments report results under the practical
-configuration and verify that the *shape* of the guarantees
-(``w = O(sqrt(log n))``, ``Delta = O(log n / epsilon)``) holds.
+target probability, instead of the fixed factor 300).  "Departures from the
+paper" in ARCHITECTURE.md documents this substitution; the experiments
+report results under the practical configuration and verify that the
+*shape* of the guarantees (``w = O(sqrt(log n))``,
+``Delta = O(log n / epsilon)``) holds.
 """
 
 from __future__ import annotations

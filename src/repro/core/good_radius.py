@@ -38,7 +38,6 @@ from repro.neighbors import (
     resolve_backend,
 )
 from repro.quasiconcave.binary_search import noisy_binary_search
-from repro.quasiconcave.quality import CallableQuality
 from repro.quasiconcave.rec_concave import practical_promise, rec_concave
 from repro.utils.rng import RngLike, spawn_generators
 from repro.utils.validation import check_integer, check_points, check_probability
@@ -258,42 +257,25 @@ def _search_radius(score: RadiusScore, params: PrivacyParams, beta: float,
     # ------------------------------------------------------------------ #
     # Steps 3-4: quasi-concave search over candidate radii.
     # ------------------------------------------------------------------ #
-    def batch_quality(indices: np.ndarray) -> np.ndarray:
-        radii = candidate_radii[indices]
-        # One fused backend call for L(r) and L(r/2), riding a single-query
-        # plan (RadiusScore.evaluate): each radius is scored independently,
-        # so batching never changes a value — it halves the profile calls
-        # (and, on the streaming path, the blocked distance passes).
-        values = score.evaluate(np.concatenate([radii, radii / 2.0]))
-        values_at_r = values[:radii.shape[0]]
-        values_at_half = values[radii.shape[0]:]
-        return 0.5 * np.minimum(
-            target - values_at_half,
-            values_at_r - target + 4.0 * gamma,
-        )
-
-    quality = CallableQuality(
-        function=lambda index: float(batch_quality(np.array([index]))[0]),
-        size=solution_count,
-        batch_function=batch_quality,
-    )
-
     if config.radius_method == "binary_search":
         # Monotone search for the smallest radius with L(r) >= t - 2 Gamma.
-        monotone = CallableQuality(
-            function=lambda index: score.evaluate_single(float(candidate_radii[index])),
-            size=solution_count,
-            batch_function=lambda indices: score.evaluate(candidate_radii[indices]),
-        )
-        search = noisy_binary_search(
-            monotone, threshold=target - 2.0 * gamma, params=half,
+        index = noisy_binary_search(
+            lambda index: score.evaluate_single(float(candidate_radii[index])),
+            solution_count, threshold=target - 2.0 * gamma, params=half,
             sensitivity=2.0, rng=search_rng,
-        )
-        index = search.index
+        ).index
     else:
-        result = rec_concave(quality, promise=gamma, alpha=0.5, params=half,
-                             rng=search_rng)
-        index = result.index
+        # RecConcave reads every radius's quality, so L(r) and L(r/2) over
+        # the whole grid ride one fused profile batch: each radius is scored
+        # independently, so batching never changes a value.
+        values = score.evaluate(np.concatenate([candidate_radii,
+                                                candidate_radii / 2.0]))
+        quality = 0.5 * np.minimum(
+            target - values[solution_count:],
+            values[:solution_count] - target + 4.0 * gamma,
+        )
+        index = rec_concave(quality, promise=gamma, alpha=0.5, params=half,
+                            rng=search_rng).index
     if ledger is not None:
         ledger.record(config.radius_method, half, note="GoodRadius radius search")
 

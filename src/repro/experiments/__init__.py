@@ -1,8 +1,8 @@
-"""Experiment harness: one module per table/figure analogue (see DESIGN.md).
+"""Experiment harness: one module per analogue of a paper table or figure.
 
 Every experiment exposes a ``run_*`` function returning a list of plain-dict
 rows plus a ``format_table`` helper, so the pytest-benchmark targets under
-``benchmarks/`` and the EXPERIMENTS.md generation share one code path.
+``benchmarks/`` and direct calls share one code path.
 """
 
 from repro.experiments.harness import (

@@ -5,7 +5,7 @@ the *additive loss in cluster size* ``Delta`` and the *radius approximation
 factor* ``w`` — against a non-private reference solution, plus runtime and
 whether the private run succeeded at all.  :func:`evaluate_result` centralises
 that bookkeeping, and :func:`format_table` renders rows as the fixed-width
-text tables EXPERIMENTS.md quotes.
+text tables the benchmark targets print.
 
 For streaming evaluation workloads the harness also speaks the backend
 layer's query-plan dialect: :func:`submit_coverage_counts` bundles the

@@ -26,9 +26,12 @@ import numpy as np
 from repro.accounting.params import PrivacyParams
 from repro.core.one_cluster import one_cluster
 from repro.core.types import OneClusterResult
-from repro.lowerbound.interior_point import interior_depths
-from repro.neighbors import BackendLike, NeighborBackend, resolve_backend
-from repro.quasiconcave.quality import ArrayQuality, PlanQuality
+from repro.neighbors import (
+    BackendLike,
+    NeighborBackend,
+    QueryPlan,
+    backend_scope,
+)
 from repro.quasiconcave.rec_concave import rec_concave
 from repro.utils.iterated_log import log_star
 from repro.utils.rng import RngLike, spawn_generators
@@ -90,16 +93,17 @@ def int_point(database, cluster_size: int, params: PrivacyParams,
         same signature works, which is how experiments demonstrate the
         reduction against different solvers.
     backend:
-        Optional neighbor backend for the final depth selection (step 4).  A
-        :class:`~repro.neighbors.NeighborBackend` *instance* — built over
-        ``database.reshape(-1, 1)`` — routes the depth-score evaluations
-        through one asynchronous ``depth_counts`` query plan
-        (:class:`~repro.quasiconcave.PlanQuality`); because the per-shard
-        counts are integers summed exactly, the released value is bitwise
-        identical to the parent-side path.  A backend *name or class* is
-        instead forwarded to the cluster solver (which resolves its own
-        backend over the middle entries), preserving the historical
-        ``solver_kwargs`` behaviour.
+        Neighbor backend for the final depth selection (step 4), which always
+        scores every endpoint with one ``depth_counts`` query plan.  A
+        :class:`~repro.neighbors.NeighborBackend` *instance* must be built
+        over ``database.reshape(-1, 1)``; ``None`` (the default) uses an
+        in-process ``"chunked"`` backend built over that column and closed
+        on return.  A backend *name or class* is instead forwarded to the
+        cluster solver (which resolves its own backend over the middle
+        entries), and the depth plan runs on the default backend.  The
+        per-shard counts are integers summed exactly, so the released value
+        does not depend on the choice.  Every choice rejects a database
+        holding NaN or infinite values.
     rng:
         Seed or generator.
     solver_kwargs:
@@ -114,65 +118,60 @@ def int_point(database, cluster_size: int, params: PrivacyParams,
         raise ValueError("approximation_factor must be positive")
     if cluster_solver is None:
         cluster_solver = one_cluster
-    depth_backend = None
-    if backend is not None:
-        if isinstance(backend, NeighborBackend):
-            # Validate the instance against this database (as a column) and
-            # use it for the step-4 depth plan; the cluster solver runs on a
-            # different sub-database, so the instance is not forwarded.
-            depth_backend = resolve_backend(values.reshape(-1, 1), backend)
+    if backend is not None and not isinstance(backend, NeighborBackend):
+        # A name or class selects the cluster solver's backend, which
+        # indexes the middle entries; an instance over this database is
+        # kept for the step-4 depth plan instead.
+        solver_kwargs.setdefault("backend", backend)
+        backend = None
+    # The depth backend indexes the whole database as a column, so building
+    # (or validating) it rejects non-finite values before either step runs.
+    with backend_scope(values.reshape(-1, 1),
+                       "chunked" if backend is None else backend) as depth_backend:
+        cluster_rng, select_rng = spawn_generators(rng, 2)
+        half = params.part(0.5)
+
+        # Step 1: the middle n entries of the sorted database.
+        ordered = np.sort(values)
+        start = (m - cluster_size) // 2
+        middle = ordered[start:start + cluster_size]
+
+        # Step 2: run the 1-cluster solver on the middle entries with t = n.
+        cluster = cluster_solver(middle.reshape(-1, 1), cluster_size, half,
+                                 beta=beta, rng=cluster_rng, **solver_kwargs)
+        if not cluster.found:
+            # Fall back to the interval defined by the GoodRadius radius
+            # around the data's noisy middle; the reduction's guarantee is
+            # vacuous in this (probability <= beta) branch, but we still
+            # return a value.
+            center_value = float(np.median(middle))
+            radius = max(cluster.radius_result.radius, 0.0)
         else:
-            solver_kwargs.setdefault("backend", backend)
-    cluster_rng, select_rng = spawn_generators(rng, 2)
-    half = params.part(0.5)
+            center_value = float(cluster.ball.center[0])
+            # The measured radius of the released ball at the target count
+            # is the practical analogue of the guaranteed 2r interval.
+            radius = max(cluster.effective_radius(middle.reshape(-1, 1)), 0.0)
 
-    # Step 1: the middle n entries of the sorted database.
-    ordered = np.sort(values)
-    start = (m - cluster_size) // 2
-    middle = ordered[start:start + cluster_size]
+        if radius == 0.0:
+            return IntPointResult(value=center_value, is_zero_radius=True,
+                                  cluster_result=cluster, candidate_count=1)
 
-    # Step 2: run the 1-cluster solver on the middle entries with t = n.
-    cluster = cluster_solver(middle.reshape(-1, 1), cluster_size, half,
-                             beta=beta, rng=cluster_rng, **solver_kwargs)
-    if not cluster.found:
-        # Fall back to the interval defined by the GoodRadius radius around
-        # the data's noisy middle; the reduction's guarantee is vacuous in
-        # this (probability <= beta) branch, but we still return a value.
-        center_value = float(np.median(middle))
-        radius = max(cluster.radius_result.radius, 0.0)
-    else:
-        center_value = float(cluster.ball.center[0])
-        # The measured radius of the released ball at the target count is the
-        # practical analogue of the guaranteed 2r interval.
-        radius = max(cluster.effective_radius(middle.reshape(-1, 1)), 0.0)
+        # Step 3: endpoints of the sub-intervals of length r / w inside I.
+        num_intervals = max(1, int(math.ceil(2.0 * approximation_factor)))
+        endpoints = np.linspace(center_value - radius, center_value + radius,
+                                num_intervals + 1)
 
-    if radius == 0.0:
-        return IntPointResult(value=center_value, is_zero_radius=True,
-                              cluster_result=cluster, candidate_count=1)
-
-    # Step 3: endpoints of the sub-intervals of length r / w inside I.
-    num_intervals = max(1, int(math.ceil(2.0 * approximation_factor)))
-    endpoints = np.linspace(center_value - radius, center_value + radius,
-                            num_intervals + 1)
-
-    # Step 4: choose among the endpoints with the depth quality
-    # q(S, a) = min(#{x <= a}, #{x >= a}), which is sensitivity-1 and
-    # quasi-concave along the ordered endpoints.  Both paths compute the same
-    # integer counts, so the released value does not depend on the transport.
-    if depth_backend is not None:
-        def compile_depths(plan, indices):
-            return plan.depth_counts(endpoints[indices])
-
-        def resolve_depths(results, token, indices):
-            counts = results[token]
-            return np.minimum(counts[:, 0], counts[:, 1]).astype(float)
-
-        quality = PlanQuality(depth_backend, endpoints.size,
-                              compile_depths, resolve_depths)
-    else:
-        quality = ArrayQuality(interior_depths(values, endpoints))
+        # Step 4: choose among the endpoints with the depth quality
+        # q(S, a) = min(#{x <= a}, #{x >= a}), which is sensitivity-1 and
+        # quasi-concave along the ordered endpoints.  One depth_counts plan
+        # scores every endpoint; its integer counts are exact on every
+        # backend and shard topology.
+        plan = QueryPlan()
+        slot = plan.depth_counts(endpoints)
+        counts = depth_backend.execute(plan)[slot]
+    depths = np.minimum(counts[:, 0], counts[:, 1]).astype(float)
     promise = max(1.0, (m - cluster_size) / 2.0)
-    selection = rec_concave(quality, promise=promise, alpha=0.5, params=half,
+    selection = rec_concave(depths, promise=promise, alpha=0.5, params=half,
                             rng=select_rng)
     return IntPointResult(value=float(endpoints[selection.index]),
                           is_zero_radius=False, cluster_result=cluster,

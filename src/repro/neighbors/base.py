@@ -1138,31 +1138,6 @@ class NeighborBackend(abc.ABC):
             )
         return np.sqrt(self.truncated_squared(k)[:, k - 1])
 
-    def capped_radius_counts(self, radius: float, cap: int) -> np.ndarray:
-        """``Bbar_r(x_i, S) = min(B_r(x_i, S), cap)`` for every dataset point
-        (the capped counts of paper Section 3.1; capping is what drops the
-        score's sensitivity from ``Omega(t)`` to 2, Lemma 4.5).
-
-        Parameters
-        ----------
-        radius:
-            The ball radius; negative radii give all-zero counts.
-        cap:
-            The cap (the paper always uses the target ``t``); ``cap=0`` gives
-            all zeros.
-
-        Returns
-        -------
-        numpy.ndarray
-            ``(n,)`` ``int64`` capped counts.
-        """
-        cap = check_integer(cap, "cap", minimum=0)
-        if cap == 0 or radius < 0:
-            return np.zeros(self.num_points, dtype=np.int64)
-        truncated = self.truncated_squared(min(cap, self.num_points))
-        counts = np.count_nonzero(truncated <= radius * radius, axis=1)
-        return np.minimum(counts.astype(np.int64), cap)
-
     def capped_average_scores(self, radii, target: int,
                               streaming: Optional[bool] = None) -> np.ndarray:
         """The GoodRadius score ``L(r, S)`` at every radius in ``radii``.

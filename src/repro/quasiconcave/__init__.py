@@ -5,30 +5,19 @@ Beimel–Nissim–Stemmer (2013), which solves *quasi-concave promise problems*
 (Definition 4.2) with an additive loss of only ``2^{O(log* |F|)}`` in the
 quality promise.  This package provides:
 
-* :class:`~repro.quasiconcave.quality.QualityFunction` — the interface a
-  sensitivity-1, quasi-concave quality function must implement.
 * :func:`~repro.quasiconcave.rec_concave.rec_concave` — a structurally
-  faithful reimplementation of the recursive solver (see the module docstring
+  faithful reimplementation of the recursive solver over the dense score
+  vector of a sensitivity-1, quasi-concave quality (see the module docstring
   for the documented substitution on the log* constant).
 * :func:`~repro.quasiconcave.binary_search.noisy_binary_search` — the simpler
-  private binary search over a monotone score, which the paper mentions as the
-  ``log |X|``-loss alternative.
+  private binary search over a monotone per-index score, which the paper
+  mentions as the ``log |X|``-loss alternative.
 """
 
-from repro.quasiconcave.quality import (
-    QualityFunction,
-    ArrayQuality,
-    CallableQuality,
-    PlanQuality,
-)
 from repro.quasiconcave.rec_concave import rec_concave, RecConcaveResult, rec_concave_promise
 from repro.quasiconcave.binary_search import noisy_binary_search, BinarySearchResult
 
 __all__ = [
-    "QualityFunction",
-    "ArrayQuality",
-    "CallableQuality",
-    "PlanQuality",
     "rec_concave",
     "RecConcaveResult",
     "rec_concave_promise",

@@ -13,11 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import Callable
 
 from repro.accounting.params import PrivacyParams
-from repro.quasiconcave.quality import QualityFunction
 from repro.utils.rng import RngLike, as_generator
 
 
@@ -30,8 +28,9 @@ class BinarySearchResult:
     comparisons: int
 
 
-def noisy_binary_search(score: QualityFunction, threshold: float,
-                        params: PrivacyParams, sensitivity: float = 1.0,
+def noisy_binary_search(score: Callable[[int], float], size: int,
+                        threshold: float, params: PrivacyParams,
+                        sensitivity: float = 1.0,
                         rng: RngLike = None) -> BinarySearchResult:
     """Find (privately) the smallest index whose score reaches ``threshold``.
 
@@ -47,7 +46,11 @@ def noisy_binary_search(score: QualityFunction, threshold: float,
     Parameters
     ----------
     score:
-        Monotone non-decreasing sensitivity-``sensitivity`` score.
+        Monotone non-decreasing sensitivity-``sensitivity`` score, called
+        with one candidate index at a time (each probed index is read once,
+        so only ``O(log |F|)`` scores are ever computed).
+    size:
+        The number of candidates ``|F|``; indices run over ``0 .. size-1``.
     threshold:
         The target level.
     params:
@@ -59,11 +62,12 @@ def noisy_binary_search(score: QualityFunction, threshold: float,
     """
     if sensitivity <= 0:
         raise ValueError(f"sensitivity must be positive, got {sensitivity}")
+    if size < 1:
+        raise ValueError(f"size must be at least 1, got {size}")
     generator = as_generator(rng)
-    size = score.size
     if size == 1:
-        value = score.value(0)
-        return BinarySearchResult(index=0, noisy_value=float(value), comparisons=0)
+        return BinarySearchResult(index=0, noisy_value=float(score(0)),
+                                  comparisons=0)
 
     levels = max(1, int(math.ceil(math.log2(size))))
     per_level_epsilon = params.epsilon / levels
@@ -74,7 +78,7 @@ def noisy_binary_search(score: QualityFunction, threshold: float,
     last_noisy = float("nan")
     while low < high:
         mid = (low + high) // 2
-        noisy = score.value(mid) + generator.laplace(0.0, scale)
+        noisy = float(score(mid)) + generator.laplace(0.0, scale)
         last_noisy = noisy
         comparisons += 1
         if noisy >= threshold:

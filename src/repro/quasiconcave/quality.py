@@ -1,238 +1,17 @@
-"""Quality-function interface for quasi-concave promise problems.
+"""Quality functions of quasi-concave promise problems.
 
 A quasi-concave promise problem (paper Definition 4.2) consists of a totally
 ordered finite solution set ``F`` (here always represented as indices
 ``0 .. size-1``), a sensitivity-1 quality function ``Q(S, f)``, an
-approximation parameter ``alpha`` and a quality promise ``p``.  The solver
-only interacts with the database through ``Q``, so the interface below is all
-it needs: evaluate the quality of one index, or of a batch of indices (the
-batch form lets numpy-backed qualities such as GoodRadius's ``L``-based score
-amortise their per-call cost).
+approximation parameter ``alpha`` and a quality promise ``p``.  The solvers
+only interact with the database through ``Q``: RecConcave reads it as the
+dense ``(|F|,)`` score vector, the noisy binary search as a per-index
+callable.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Sequence, Tuple
-
 import numpy as np
-
-
-class QualityFunction:
-    """Abstract sensitivity-1 quality function over indices ``0 .. size-1``."""
-
-    @property
-    def size(self) -> int:
-        """The number of candidate solutions ``|F|``."""
-        raise NotImplementedError
-
-    def value(self, index: int) -> float:
-        """Quality of a single candidate."""
-        raise NotImplementedError
-
-    def values(self, indices: Sequence[int]) -> np.ndarray:
-        """Qualities of a batch of candidates (default: loop over
-        :meth:`value`; override for vectorised evaluation)."""
-        return np.array([self.value(int(index)) for index in indices], dtype=float)
-
-    def prefetch(self, indices: Sequence[int]) -> None:
-        """Hint that the given indices will be evaluated soon.
-
-        Purely a performance hook: implementations may start computing the
-        qualities asynchronously (``PlanQuality`` submits one backend
-        :class:`~repro.neighbors.QueryPlan` and overlaps the round trip with
-        the caller's other work), but the values eventually returned by
-        :meth:`value` / :meth:`values` are exactly what eager evaluation
-        would produce.  The default does nothing.
-        """
-
-
-class ArrayQuality(QualityFunction):
-    """Quality function backed by a precomputed array of scores."""
-
-    def __init__(self, scores) -> None:
-        scores = np.asarray(scores, dtype=float).reshape(-1)
-        if scores.size == 0:
-            raise ValueError("scores must be non-empty")
-        self._scores = scores
-
-    @property
-    def size(self) -> int:
-        return int(self._scores.size)
-
-    def value(self, index: int) -> float:
-        return float(self._scores[index])
-
-    def values(self, indices: Sequence[int]) -> np.ndarray:
-        return self._scores[np.asarray(indices, dtype=np.int64)]
-
-
-class CallableQuality(QualityFunction):
-    """Quality function backed by a callable, with memoisation.
-
-    Parameters
-    ----------
-    function:
-        Callable mapping an index to a quality value.
-    size:
-        The number of candidates.
-    batch_function:
-        Optional callable mapping an integer array of indices to an array of
-        qualities; used when available to avoid Python-level loops.
-    """
-
-    def __init__(self, function: Callable[[int], float], size: int,
-                 batch_function: Callable[[np.ndarray], np.ndarray] = None) -> None:
-        if size < 1:
-            raise ValueError(f"size must be at least 1, got {size}")
-        self._function = function
-        self._batch_function = batch_function
-        self._size = int(size)
-        self._cache: Dict[int, float] = {}
-
-    @property
-    def size(self) -> int:
-        return self._size
-
-    @property
-    def evaluations(self) -> int:
-        """How many distinct indices have been evaluated (for efficiency tests)."""
-        return len(self._cache)
-
-    def value(self, index: int) -> float:
-        index = int(index)
-        if not (0 <= index < self._size):
-            raise IndexError(f"index {index} out of range [0, {self._size})")
-        if index not in self._cache:
-            self._cache[index] = float(self._function(index))
-        return self._cache[index]
-
-    def values(self, indices: Sequence[int]) -> np.ndarray:
-        indices = np.asarray(indices, dtype=np.int64)
-        missing = [int(i) for i in np.unique(indices) if int(i) not in self._cache]
-        if missing:
-            if self._batch_function is not None:
-                computed = np.asarray(self._batch_function(np.asarray(missing)), dtype=float)
-                for key, val in zip(missing, computed):
-                    self._cache[int(key)] = float(val)
-            else:
-                for key in missing:
-                    self._cache[key] = float(self._function(key))
-        return np.array([self._cache[int(i)] for i in indices], dtype=float)
-
-    def prefetch(self, indices: Sequence[int]) -> None:
-        """Warm the memoisation cache (synchronously) for a batch of
-        indices; later :meth:`value` / :meth:`values` calls on them are
-        cache hits."""
-        self.values(np.asarray(indices, dtype=np.int64))
-
-
-class PlanQuality(QualityFunction):
-    """Quality function evaluated through backend :class:`QueryPlan`\\ s.
-
-    The bridge between the quasi-concave solvers and the
-    :class:`~repro.neighbors.NeighborBackend` layer: a batch of candidate
-    indices compiles into one query plan, and :meth:`prefetch` *submits*
-    that plan asynchronously — on a sharded/distributed backend the whole
-    batch is one round trip per shard, in flight while the caller keeps
-    working — with :meth:`values` resolving the future on first use.
-    Resolution order is submission order and every plan merge is
-    shard-order deterministic, so the returned qualities are bitwise what
-    eager per-index evaluation would produce; the solver's noise draws
-    never depend on how the evaluations were transported.
-
-    Parameters
-    ----------
-    backend:
-        The :class:`~repro.neighbors.NeighborBackend` the plans run on.
-    size:
-        The number of candidate solutions ``|F|``.
-    compile_batch:
-        ``compile_batch(plan, indices)``: appends the queries answering the
-        given ascending unique index batch to ``plan`` and returns a token
-        (typically the result slot) handed back to ``resolve_batch``.
-    resolve_batch:
-        ``resolve_batch(results, token, indices)``: maps the executed
-        plan's result list to the ``(len(indices),)`` float qualities of
-        the batch, in batch order.
-    """
-
-    def __init__(self, backend, size: int,
-                 compile_batch: Callable[..., Any],
-                 resolve_batch: Callable[..., np.ndarray]) -> None:
-        if size < 1:
-            raise ValueError(f"size must be at least 1, got {size}")
-        self._backend = backend
-        self._size = int(size)
-        self._compile_batch = compile_batch
-        self._resolve_batch = resolve_batch
-        self._cache: Dict[int, float] = {}
-        self._pending: List[Tuple[Any, Any, np.ndarray]] = []
-        self._in_flight: set = set()
-
-    @property
-    def size(self) -> int:
-        return self._size
-
-    @property
-    def backend(self):
-        """The backend the quality's plans run on."""
-        return self._backend
-
-    @property
-    def evaluations(self) -> int:
-        """How many distinct indices have been evaluated (resolved plans
-        only; for efficiency tests)."""
-        return len(self._cache)
-
-    def _check_indices(self, indices) -> np.ndarray:
-        indices = np.asarray(indices, dtype=np.int64).reshape(-1)
-        if indices.size and (int(indices.min()) < 0
-                             or int(indices.max()) >= self._size):
-            raise IndexError(f"indices must lie in [0, {self._size})")
-        return indices
-
-    def prefetch(self, indices: Sequence[int]) -> None:
-        indices = self._check_indices(indices)
-        missing = np.unique(indices)
-        missing = missing[[int(i) not in self._cache
-                           and int(i) not in self._in_flight
-                           for i in missing]]
-        if missing.size == 0:
-            return
-        from repro.neighbors import QueryPlan
-
-        plan = QueryPlan()
-        token = self._compile_batch(plan, missing)
-        future = self._backend.submit(plan)
-        self._pending.append((future, token, missing))
-        self._in_flight.update(int(i) for i in missing)
-
-    def _drain(self) -> None:
-        """Resolve every in-flight plan, in submission order."""
-        pending, self._pending = self._pending, []
-        for future, token, batch in pending:
-            scores = np.asarray(
-                self._resolve_batch(future.result(), token, batch),
-                dtype=float,
-            ).reshape(-1)
-            if scores.shape[0] != batch.shape[0]:
-                raise ValueError(
-                    f"resolve_batch returned {scores.shape[0]} qualities "
-                    f"for a batch of {batch.shape[0]} indices"
-                )
-            for key, val in zip(batch, scores):
-                self._cache[int(key)] = float(val)
-                self._in_flight.discard(int(key))
-
-    def value(self, index: int) -> float:
-        return float(self.values([index])[0])
-
-    def values(self, indices: Sequence[int]) -> np.ndarray:
-        indices = self._check_indices(indices)
-        if any(int(i) not in self._cache for i in np.unique(indices)):
-            self.prefetch(indices)
-            self._drain()
-        return np.array([self._cache[int(i)] for i in indices], dtype=float)
 
 
 def is_quasi_concave(scores, tolerance: float = 1e-9) -> bool:
@@ -255,10 +34,4 @@ def is_quasi_concave(scores, tolerance: float = 1e-9) -> bool:
     return bool(np.all(scores >= lower_envelope - tolerance))
 
 
-__all__ = [
-    "QualityFunction",
-    "ArrayQuality",
-    "CallableQuality",
-    "PlanQuality",
-    "is_quasi_concave",
-]
+__all__ = ["is_quasi_concave"]

@@ -22,10 +22,11 @@ This module reimplements the solver with the same *structure* as BNS13:
    the two staggered partitions of ``F`` into intervals of the chosen length
    (interval quality = endpoint minimum), and return its midpoint.
 
-Documented substitution (see DESIGN.md): BNS13 replaces steps 2–3 with a
-recursive call and the stability-based *choosing mechanism* to obtain the
-``2^{O(log* |F|)}`` promise; we use one level of reduction plus exponential-
-mechanism selections, which yields a promise requirement of
+Documented substitution (see "Departures from the paper" in
+ARCHITECTURE.md): BNS13 replaces steps 2–3 with a recursive call and the
+stability-based *choosing mechanism* to obtain the ``2^{O(log* |F|)}``
+promise; we use one level of reduction plus exponential-mechanism
+selections, which yields a promise requirement of
 ``O((1/(alpha epsilon)) * log(|F| / beta))`` — the same dependence the paper
 cites for plain private binary search.  The interface, privacy accounting and
 quasi-concavity machinery are identical, and the paper-faithful promise value
@@ -36,13 +37,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from repro.accounting.params import PrivacyParams
 from repro.mechanisms.exponential import report_noisy_max
-from repro.quasiconcave.quality import QualityFunction
 from repro.utils.iterated_log import log_star
 from repro.utils.rng import RngLike, spawn_generators
 
@@ -54,7 +53,6 @@ class RecConcaveResult:
     index: int
     quality: float
     chosen_length: int
-    num_evaluations: int
 
 
 def rec_concave_promise(solution_count: int, alpha: float, beta: float,
@@ -99,27 +97,16 @@ def practical_promise(solution_count: int, alpha: float, beta: float,
     )
 
 
-def _interval_minima(quality: QualityFunction, starts: np.ndarray,
-                     length: int) -> np.ndarray:
-    """Minimum quality of each interval ``[start, start + length)``.
-
-    For a quasi-concave quality the interval minimum is attained at an
-    endpoint, so only the two endpoint qualities are evaluated.
-    """
-    ends = starts + length - 1
-    left = quality.values(starts)
-    right = quality.values(ends)
-    return np.minimum(left, right)
-
-
-def rec_concave(quality: QualityFunction, promise: float, alpha: float,
-                params: PrivacyParams, rng: RngLike = None) -> RecConcaveResult:
+def rec_concave(scores, promise: float, alpha: float, params: PrivacyParams,
+                rng: RngLike = None) -> RecConcaveResult:
     """Privately choose an index with quality close to the promise.
 
     Parameters
     ----------
-    quality:
-        Sensitivity-1, quasi-concave quality function over ``0 .. size-1``.
+    scores:
+        ``(|F|,)`` float64 qualities of the candidates ``0 .. |F|-1``: a
+        sensitivity-1, quasi-concave quality read in full, since the
+        length-1 pass below needs every candidate's score anyway.
     promise:
         The quality promise ``p``: the caller asserts
         ``max_f Q(f) >= promise``.
@@ -141,30 +128,30 @@ def rec_concave(quality: QualityFunction, promise: float, alpha: float,
         raise ValueError(f"promise must be positive, got {promise}")
     if not (0 < alpha < 1):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    size = quality.size
+    scores = np.asarray(scores, dtype=float)
+    if scores.ndim != 1 or scores.size == 0:
+        raise ValueError("scores must be a non-empty 1-d array")
+    size = scores.size
     length_rng, interval_rng = spawn_generators(rng, 2)
     half_epsilon = PrivacyParams(params.epsilon / 2.0, params.delta)
 
     if size == 1:
-        value = quality.value(0)
-        return RecConcaveResult(index=0, quality=value, chosen_length=1,
-                                num_evaluations=1)
-
-    # The length-1 pass below evaluates every index, so announcing the full
-    # range up-front changes nothing about *what* is evaluated — it only lets
-    # plan-backed qualities ship the whole batch in one backend round trip.
-    quality.prefetch(np.arange(size, dtype=np.int64))
+        return RecConcaveResult(index=0, quality=float(scores[0]),
+                                chosen_length=1)
 
     # ------------------------------------------------------------------ #
-    # Step 1-2: derived quality over dyadic lengths, choose a length.
+    # Step 1-2: derived quality over dyadic lengths, choose a length.  For
+    # a quasi-concave Q the minimum over [s, s + L) is the smaller endpoint
+    # quality, so the best interval of length L scores
+    # max_s min(Q(s), Q(s + L - 1)).
     # ------------------------------------------------------------------ #
     max_level = int(math.ceil(math.log2(size)))
     lengths = [min(2 ** j, size) for j in range(max_level + 1)]
-    length_scores = []
-    for length in lengths:
-        starts = np.arange(0, size - length + 1, dtype=np.int64)
-        minima = _interval_minima(quality, starts, length)
-        length_scores.append(float(minima.max()))
+    length_scores = [
+        float(np.minimum(scores[:size - length + 1],
+                         scores[length - 1:]).max())
+        for length in lengths
+    ]
     # Q2 over lengths is the score of the best interval of that length; the
     # promise transfers: the optimum f alone is an interval of length 1, so
     # Q2(length=1) >= promise, and Q2 is non-increasing in the length for a
@@ -182,21 +169,15 @@ def rec_concave(quality: QualityFunction, promise: float, alpha: float,
                        dtype=np.int64)
     if starts.size == 0 or starts[-1] != size - chosen_length:
         starts = np.append(starts, size - chosen_length)
-    interval_scores = _interval_minima(quality, starts, chosen_length)
+    interval_scores = np.minimum(scores[starts],
+                                 scores[starts + chosen_length - 1])
     chosen_interval = report_noisy_max(
         interval_scores, half_epsilon, sensitivity=1.0, rng=interval_rng
     )
     start = int(starts[chosen_interval])
-    index = start + chosen_length // 2
-    index = min(index, size - 1)
-    value = quality.value(index)
-    evaluations = getattr(quality, "evaluations", None)
-    return RecConcaveResult(
-        index=index,
-        quality=float(value),
-        chosen_length=int(chosen_length),
-        num_evaluations=int(evaluations) if evaluations is not None else -1,
-    )
+    index = min(start + chosen_length // 2, size - 1)
+    return RecConcaveResult(index=index, quality=float(scores[index]),
+                            chosen_length=int(chosen_length))
 
 
 __all__ = [

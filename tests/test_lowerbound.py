@@ -71,6 +71,14 @@ class TestIntPointReduction:
         with pytest.raises(ValueError):
             int_point(np.zeros(10), cluster_size=10, params=PrivacyParams(1.0, 1e-6))
 
+    @pytest.mark.parametrize("backend", [None, "dense"])
+    def test_rejects_non_finite_database(self, backend):
+        values = np.concatenate([np.random.default_rng(7).normal(size=400),
+                                 [np.nan, np.inf, np.inf]])
+        with pytest.raises(ValueError, match="finite"):
+            int_point(values, cluster_size=200,
+                      params=PrivacyParams(2.0, 1e-6), backend=backend, rng=7)
+
     def test_custom_solver_is_used(self):
         calls = []
 

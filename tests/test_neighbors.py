@@ -124,17 +124,6 @@ class TestCountParity:
         counts = backend.query_radius_counts(backend.points[::-1], 0.3)
         assert np.array_equal(counts, backend.radius_counts(0.3)[::-1])
 
-    def test_capped_counts(self):
-        points = DATASETS["duplicates"]
-        for backend in all_backends(points):
-            capped = backend.capped_radius_counts(0.0, cap=3)
-            assert capped.max() == 3
-            assert np.array_equal(
-                capped, np.minimum(backend.radius_counts(0.0), 3)
-            )
-            assert np.all(backend.capped_radius_counts(-1.0, cap=3) == 0)
-            assert np.all(backend.capped_radius_counts(1.0, cap=0) == 0)
-
 
 class TestScoreParity:
     @pytest.mark.parametrize("name", sorted(DATASETS))

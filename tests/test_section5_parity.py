@@ -22,7 +22,6 @@ from repro.lowerbound import int_point, interior_depths
 from repro.neighbors import QueryPlan, resolve_backend
 from repro.neighbors.base import depth_count_pairs
 from repro.neighbors.sharded import ShardedBackend
-from repro.quasiconcave import ArrayQuality, PlanQuality, rec_concave
 from repro.sample_aggregate import (
     BlockMean,
     component_assignment,
@@ -176,6 +175,17 @@ class TestLowerBoundParity:
             if close is not None:
                 close()
 
+    def test_int_point_depth_selection_is_one_plan(self, line_values):
+        """Step 4 scores every endpoint with one plan on the caller's
+        instance; the cluster solver builds its own backend."""
+        backend = ShardedBackend(line_values.reshape(-1, 1), num_shards=3,
+                                 num_workers=0)
+        before = backend.pool_stats()["plans"]
+        result = int_point(line_values, 200, PrivacyParams(2.0, 1e-6),
+                           backend=backend, rng=7)
+        assert not result.is_zero_radius
+        assert backend.pool_stats()["plans"] - before == 1
+
     @pytest.mark.slow
     def test_int_point_release_bitwise_on_worker_pool(self, line_values):
         params = PrivacyParams(2.0, 1e-6)
@@ -188,62 +198,6 @@ class TestLowerBoundParity:
         finally:
             backend.close()
         assert result.value == base.value
-
-
-class TestQuasiconcavePlanQuality:
-    def make_quality(self, backend, endpoints):
-        def compile_depths(plan, indices):
-            return plan.depth_counts(endpoints[indices])
-
-        def resolve_depths(results, token, indices):
-            counts = results[token]
-            return np.minimum(counts[:, 0], counts[:, 1]).astype(float)
-
-        return PlanQuality(backend, endpoints.size, compile_depths,
-                           resolve_depths)
-
-    def test_values_match_array_quality(self, line_values):
-        endpoints = np.linspace(line_values.min(), line_values.max(), 17)
-        reference = ArrayQuality(interior_depths(line_values, endpoints))
-        backend = ShardedBackend(line_values.reshape(-1, 1), num_shards=3,
-                                 num_workers=0)
-        quality = self.make_quality(backend, endpoints)
-        indices = np.arange(endpoints.size)
-        assert np.array_equal(quality.values(indices),
-                              reference.values(indices))
-        assert quality.value(3) == reference.value(3)
-
-    def test_prefetch_is_one_async_plan(self, line_values):
-        endpoints = np.linspace(line_values.min(), line_values.max(), 17)
-        backend = ShardedBackend(line_values.reshape(-1, 1), num_shards=3,
-                                 num_workers=0)
-        quality = self.make_quality(backend, endpoints)
-        before = backend.pool_stats()
-        quality.prefetch(np.arange(endpoints.size))
-        submitted = backend.pool_stats()
-        assert submitted["plans"] - before["plans"] == 1
-        # Already-announced indices never resubmit.
-        quality.prefetch(np.arange(endpoints.size))
-        assert backend.pool_stats()["plans"] - before["plans"] == 1
-        quality.values(np.arange(endpoints.size))
-        assert backend.pool_stats()["plans"] - before["plans"] == 1
-        assert quality.evaluations == endpoints.size
-
-    def test_rec_concave_release_matches_array_path(self, line_values):
-        endpoints = np.linspace(line_values.min(), line_values.max(), 33)
-        scores = interior_depths(line_values, endpoints)
-        params = PrivacyParams(2.0, 1e-6)
-        promise = float(scores.max())
-        base = rec_concave(ArrayQuality(scores), promise=promise, alpha=0.5,
-                           params=params, rng=11)
-        backend = ShardedBackend(line_values.reshape(-1, 1), num_shards=3,
-                                 num_workers=0)
-        planned = rec_concave(self.make_quality(backend, endpoints),
-                              promise=promise, alpha=0.5, params=params,
-                              rng=11)
-        assert planned.index == base.index
-        assert planned.quality == base.quality
-        assert planned.chosen_length == base.chosen_length
 
 
 def _strip_seconds(rows):
