@@ -260,7 +260,7 @@ def _search_radius(score: RadiusScore, params: PrivacyParams, beta: float,
     if config.radius_method == "binary_search":
         # Monotone search for the smallest radius with L(r) >= t - 2 Gamma.
         index = noisy_binary_search(
-            lambda index: score.evaluate_single(float(candidate_radii[index])),
+            lambda i: score.evaluate_single(float(candidate_radii[i])),
             solution_count, threshold=target - 2.0 * gamma, params=half,
             sensitivity=2.0, rng=search_rng,
         ).index
