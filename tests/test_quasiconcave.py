@@ -82,6 +82,15 @@ class TestQualityInterface:
         assert is_quasi_concave([5])
         assert not is_quasi_concave([3, 1, 3])
 
+    def test_array_quality_rejects_empty(self):
+        # The quality is the score vector itself; an empty or non-1-d
+        # vector has no index to release.
+        with pytest.raises(ValueError):
+            rec_concave([], promise=1.0, alpha=0.5, params=PrivacyParams(1.0))
+        with pytest.raises(ValueError):
+            rec_concave(np.ones((2, 2)), promise=1.0, alpha=0.5,
+                        params=PrivacyParams(1.0))
+
     @given(st.lists(st.floats(min_value=-100, max_value=100), min_size=1, max_size=30),
            st.integers(min_value=0, max_value=29))
     def test_sorted_then_reversed_is_quasi_concave(self, values, split):
