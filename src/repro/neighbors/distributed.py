@@ -6,11 +6,12 @@
 :class:`~repro.neighbors.sharded.ShardedBackend` and keeps *everything*
 above the transport — the plan compiler, the selection/view wire specs,
 the deterministic shard-order merge folds, the bounded heaviest-cell
-merge — swapping only the dispatch layer: instead of submitting
-``(method, shard, args)`` tasks to local worker processes, it groups them
-by owning node (``shard % num_nodes`` while every node lives; see below
-for failover) and ships each node's batch as one ``shard_tasks`` RPC over
-a pipelined socket (the :mod:`repro.neighbors.rpc` framing).  Each node
+merge, the plan future and the shard waves — overriding only the
+transport seam ``_dispatch`` (and the wave size): instead of handing
+``(shard, payload)`` tasks to local worker processes, it groups them by
+owning node (``shard % num_nodes`` while every node lives; see below for
+failover) and ships each node's batch as one ``shard_tasks`` RPC over a
+pipelined socket (the :mod:`repro.neighbors.rpc` framing).  Each node
 hosts a node-local ``ShardedBackend`` over the *same* dataset with the
 *same* global shard bounds, so a task for shard ``s`` computes bitwise
 the same partial no matter which machine answers it — and because
@@ -60,65 +61,50 @@ import time
 from typing import Callable, ClassVar, List, Optional, Sequence, Tuple
 
 from repro import kernels as _kernels
-from repro.neighbors.base import (
-    BackendUnavailableError,
-    PlanFuture,
-    QueryPlan,
-)
+from repro.neighbors.base import BackendUnavailableError
 from repro.neighbors.rpc import NodeClient, PendingReply, parse_node_address
-from repro.neighbors.sharded import ShardedBackend, _CompiledPlan
+from repro.neighbors.sharded import ShardedBackend
 
 __all__ = ["DistributedBackend"]
 
 
-class _DistributedPlanFuture(PlanFuture):
-    """An in-flight plan: one pipelined ``shard_tasks`` RPC per node.
+class _NodeBatches:
+    """The node transport's handle for one batch of ``(shard, payload)``
+    tasks (see :meth:`DistributedBackend._dispatch`): one pipelined
+    ``shard_tasks`` RPC per owning node, already written to every socket.
 
-    ``submit`` already wrote every node's batch to its socket, so the plan
-    is genuinely in flight node-side; :meth:`result` drains the replies
-    through the backend's recovery path — a node dying mid-plan is
-    re-dialed or its shards adopted and only its batch replayed, exactly
-    like a synchronous collective — then reassembles the per-shard
-    partials **in shard order** and folds them through the shared merge
-    code.  An unrecoverable failure surfaces as
-    :class:`BackendUnavailableError` before any merging happens — there is
-    no partial result to leak.
+    :meth:`result` drains the replies through the backend's recovery path —
+    a node dying mid-batch is re-dialed or its shards adopted and only its
+    share replayed — and returns the results in task order.  An
+    unrecoverable failure raises :class:`BackendUnavailableError` before
+    any caller merges, so there is no partial result to leak.
     """
 
-    def __init__(self, backend: "DistributedBackend", compiled: _CompiledPlan,
-                 tasks: list, node_batches: list,
-                 guard: Callable[[BaseException], None]) -> None:
+    def __init__(self, backend: "DistributedBackend",
+                 tasks: Sequence[tuple]) -> None:
         self._backend = backend
-        self._compiled = compiled
-        #: ``("execute_plan", shard, args)`` for every shard, in shard
-        #: order — task index == shard index, which is what lets
-        #: ``_drain_batches``'s task-order results double as shard parts.
-        self._tasks = tasks
+        self._tasks = list(tasks)
+        self._guard = backend._failure_guard()
         #: ``[(node, [task_index, ...], PendingReply), ...]``
-        self._node_batches = node_batches
-        self._guard = guard
-        self._resolved: Optional[list] = None
+        self._batches = backend._send_batches(self._tasks,
+                                              range(len(self._tasks)),
+                                              self._guard)
+        self._results: Optional[list] = None
 
     def done(self) -> bool:
-        """Whether every node's reply has arrived (merging still happens on
-        the first :meth:`result` call)."""
-        return (self._resolved is not None
-                or all(pending.done()
-                       for _, _, pending in self._node_batches))
+        """Whether every node's reply has arrived."""
+        return (self._results is not None
+                or all(pending.done() for _, _, pending in self._batches))
 
     def result(self) -> list:
-        """Block for the node replies (recovering failed nodes), merge in
-        shard order, and return the per-query results (memoised across
-        calls)."""
-        if self._resolved is None:
-            shard_parts = self._backend._drain_batches(
-                self._tasks, self._node_batches, self._guard
+        """Block for the node replies (recovering failed nodes); the
+        results in task order."""
+        if self._results is None:
+            self._results = self._backend._drain_batches(
+                self._tasks, self._batches, self._guard
             )
-            self._resolved = self._backend._merge_plan(self._compiled,
-                                                       shard_parts)
-            self._node_batches = []
-            self._tasks = []
-        return self._resolved
+            self._batches = []
+        return self._results
 
 
 class DistributedBackend(ShardedBackend):
@@ -387,14 +373,14 @@ class DistributedBackend(ShardedBackend):
         return guard
 
     # ------------------------------------------------------------------ #
-    # Transport (replaces the local pool dispatch wholesale)
+    # Transport (the ``_dispatch`` seam)
     # ------------------------------------------------------------------ #
     def _group_indices(self, tasks: Sequence[tuple],
                        indices: Sequence[int]) -> List[Tuple[int, list]]:
         """Group task indices by *current* owning node, nodes ascending."""
         grouped: dict = {}
         for index in indices:
-            shard = tasks[index][1]
+            shard = tasks[index][0]
             grouped.setdefault(self._node_for(shard), []).append(index)
         return sorted(grouped.items())
 
@@ -459,63 +445,20 @@ class DistributedBackend(ShardedBackend):
                 batches = []
         return results
 
-    def _dispatch_tasks(self, tasks: Sequence[tuple]) -> list:
-        """One ``shard_tasks`` RPC per involved node; results in task
-        order.  Requests are written to every node before any reply is
-        read, so the nodes compute concurrently; failures route through
-        the recovery path."""
-        guard = self._failure_guard()
-        batches = self._send_batches(tasks, range(len(tasks)), guard)
-        return self._drain_batches(tasks, batches, guard)
+    def _dispatch(self, tasks: Sequence[tuple]) -> _NodeBatches:
+        """One ``shard_tasks`` RPC per owning node; see
+        :meth:`ShardedBackend._dispatch`.  Requests are written to every
+        node before any reply is read, so the nodes compute concurrently;
+        failures route through the recovery path."""
+        return _NodeBatches(self, tasks)
 
-    def run_shard_tasks(self, tasks: Sequence[tuple]) -> list:
-        """Run a batch of ``(method, shard, args)`` sub-queries on the
-        owning nodes (the remote twin of
-        :meth:`ShardedBackend.run_shard_tasks`)."""
-        tasks = self._normalize_tasks(tasks)
-        self._stats["fanouts"] += 1
-        self._stats["shard_tasks"] += len(tasks)
-        return self._dispatch_tasks(tasks)
-
-    def _iter_shards(self, method: str, args: tuple):
-        """Yield per-shard results in shard order, one wave of shards in
-        flight at a time (the wave bounds how many undrained results sit in
-        coordinator memory, exactly like the local pool's version).  The
-        wave is ``num_nodes × max(1, node_workers)`` — one task per
-        node-local worker slot per wave, so a node's whole pool is busy
-        during a truncated build or a streaming walk, not just one
-        worker."""
-        self._stats["fanouts"] += 1
-        self._stats["shard_tasks"] += self.num_shards
-        wave = max(len(self._clients),
+    def _wave_size(self) -> int:
+        """``num_nodes × max(1, node_workers)`` shards per wave — one task
+        per node-local worker slot, so a node's whole pool is busy during a
+        truncated build or a streaming walk, not just one worker."""
+        return max(len(self._clients),
                    min(len(self._clients) * self._node_workers,
                        self.num_shards))
-        for start in range(0, self.num_shards, wave):
-            shards = range(start, min(start + wave, self.num_shards))
-            batch = self._dispatch_tasks(
-                [(method, shard, args) for shard in shards]
-            )
-            for result in batch:
-                yield result
-
-    def submit(self, plan: QueryPlan) -> PlanFuture:
-        """Dispatch a plan without waiting: the compiled bundle is written
-        to every node's socket immediately (the PR 5 wire form *is* the RPC
-        payload), and the returned future merges the per-shard partials in
-        shard order on first :meth:`~PlanFuture.result` — recovering dead
-        nodes on the way, so an in-flight plan survives a mid-plan death."""
-        compiled = self._compile_plan(plan)
-        self._stats["plans"] += 1
-        if not compiled.bundle:
-            # Coordinator-only plan: nothing to fan out.
-            return PlanFuture(self._merge_plan(compiled, []))
-        self._stats["fanouts"] += 1
-        self._stats["shard_tasks"] += self.num_shards
-        tasks = [("execute_plan", shard, compiled.shard_args(shard))
-                 for shard in range(self.num_shards)]
-        guard = self._failure_guard()
-        batches = self._send_batches(tasks, range(len(tasks)), guard)
-        return _DistributedPlanFuture(self, compiled, tasks, batches, guard)
 
     # ------------------------------------------------------------------ #
     # Diagnostics / lifecycle

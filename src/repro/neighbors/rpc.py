@@ -309,8 +309,21 @@ def send_message(sock: socket.socket, message: Any) -> None:
 
 def recv_message(sock: socket.socket, timeout: Optional[float] = None,
                  deadline: Optional[float] = None) -> Any:
-    """Read + decode one message."""
-    return decode(read_frame(sock, timeout=timeout, deadline=deadline))
+    """Read + decode one message.
+
+    A frame that arrives whole but does not decode is a transport failure
+    like any other (:class:`BackendUnavailableError`): the two ends no
+    longer agree on the stream, so the connection must be dropped — a
+    reply read off the socket but never handed to its request would pair
+    every later reply with the request before it.
+    """
+    frame = read_frame(sock, timeout=timeout, deadline=deadline)
+    try:
+        return decode(frame)
+    except (ValueError, TypeError) as error:
+        raise BackendUnavailableError(
+            f"undecodable {len(frame)}-byte frame: {error}"
+        ) from error
 
 
 # --------------------------------------------------------------------------- #

@@ -16,16 +16,16 @@ Each accepted connection is served serially by its own thread and owns its
 own state: an ``init`` request ships the dataset and topology and builds a
 node-local :class:`~repro.neighbors.sharded.ShardedBackend` (so the node
 runs the *identical* shard/merge code the single-machine pool runs);
-``shard_tasks`` forwards a batch of ``(method, shard, args)`` sub-queries
-to that backend's :meth:`~repro.neighbors.sharded.ShardedBackend.run_shard_tasks`
-— method names validated against the
-:data:`~repro.neighbors.sharded.SHARD_TASK_METHODS` allowlist (a compiled
-query plan, ``execute_plan``, or one of the two GoodRadius profile
-fan-outs, ``truncated`` and ``histograms``), batch run through the node's
-worker pool
-with work stealing — and returns the results in task order.  Messages use the tagged binary encoding of
+``shard_tasks`` forwards a batch of ``(shard, payload)`` tasks — each
+payload a compiled plan bundle ``(views, selections, queries)`` — to that
+backend's :meth:`~repro.neighbors.sharded.ShardedBackend.run_shard_tasks`,
+which rejects a malformed task (a shard out of range, a payload of the
+wrong shape, an unknown plan op) with an error reply, runs the batch
+through the node's worker pool with work stealing, and returns the results
+in task order.  Messages use the tagged binary encoding of
 :mod:`repro.neighbors.rpc` (never pickle: a node must not grant arbitrary
-code execution to whatever reaches its port).
+code execution to whatever reaches its port); a frame that does not
+decode closes the connection.
 
 Requests are ``(op, *args)`` tuples; replies are ``{"status": "ok",
 "value": ...}`` or ``{"status": "error", "error": ..., "traceback": ...}``
@@ -184,7 +184,9 @@ class NodeServer:
                 try:
                     request = recv_message(conn)
                 except BackendUnavailableError:
-                    break  # peer closed (or stop() shut the socket down)
+                    # Peer closed, stop() shut the socket down, or a frame
+                    # did not decode: the stream is unusable either way.
+                    break
                 op = request[0] if isinstance(request, tuple) and request \
                     else None
                 # Fault-injection ops manipulate the socket itself, so they

@@ -23,19 +23,22 @@ shard→worker *affinity* (shard ``s`` always lands on worker slot ``s mod
 W``), so each shard's lazily built index, cached view images, and memoised
 selection membership live in exactly one worker.
 
-Workers run three task methods (:data:`SHARD_TASK_METHODS`).  Every view
-query and every count query is a :class:`~repro.neighbors.base.QueryPlan`
-— a direct call is a one-query plan — shipped as a *single*
-``execute_plan`` task per shard (one round trip per shard for a whole
-plan), optionally submitted asynchronously (``submit``), with the merge
-always folding shards in shard order so overlapping plans cannot perturb a
-single bit.  The truncated statistic (``truncated``, one row block per
-shard) and the streaming profile histograms (``histograms``, summed) are
-fan-outs over the shards' query rows.  On a
-single-CPU machine, when ``num_workers=0``, or when the pool cannot start
-(sandboxes without ``/dev/shm``), the same shard/merge code runs serially
-in-process — results are bit-identical either way, the pool is purely a
-wall-clock lever.
+Workers run one kind of task: a ``(shard, payload)`` pair whose payload is
+a compiled plan bundle, evaluated by :meth:`_ShardSet.execute_plan`.  Every
+view query and every count query is a
+:class:`~repro.neighbors.base.QueryPlan` — a direct call is a one-query
+plan — shipped as a *single* task per shard (one round trip per shard for
+a whole plan), optionally submitted asynchronously (``submit``), with the
+merge always folding shards in shard order so overlapping plans cannot
+perturb a single bit.  The truncated statistic (one row block per shard),
+the streaming profile histograms (summed) and the heaviest-cell merge's
+recount rounds are internal plan ops of the same bundle form.  Every batch
+leaves through one transport seam, :meth:`ShardedBackend._dispatch`; the
+distributed backend overrides only that seam.  On a single-CPU machine,
+when ``num_workers=0``, or when the pool cannot start (sandboxes without
+``/dev/shm``) or dies, the same shard/merge code runs serially in-process
+— results are bit-identical either way, the pool is purely a wall-clock
+lever.
 
 Everything merged here is integer counts or exact squared distances, so the
 sharded backend keeps the library-wide guarantee: identical counts and
@@ -65,6 +68,7 @@ from repro.neighbors._distance import (
 )
 from repro.neighbors.base import (
     MASKED_PLAN_OPS,
+    VIEW_PLAN_OPS,
     BoxSelection,
     ClippedSum,
     NeighborBackend,
@@ -86,17 +90,12 @@ from repro.utils.validation import check_integer, check_points
 #: at most once per worker process no matter how many queries it answers.
 _VIEW_TOKENS = itertools.count(1)
 
-#: Test seam: ``(method, shard, seconds)`` sleeps that long before running the
-#: matching shard sub-query.  Consulted by :meth:`_ShardSet.run` in whichever
+#: Test seam: ``(shard, seconds)`` sleeps that long before running any task
+#: for that shard.  Consulted by :meth:`_ShardSet.execute_plan` in whichever
 #: process executes the task (fork-inherited by pool workers started after it
 #: is set), so tests can make exactly one shard artificially slow and pin the
 #: work-stealing scheduler's behaviour without touching query code.
-_TASK_DELAY: Optional[Tuple[str, int, float]] = None
-
-#: Every shard sub-query a task may name: the remote node server dispatches
-#: coordinator-supplied method names, so it validates them against this
-#: allowlist (a registry, not ``getattr`` over an open class surface).
-SHARD_TASK_METHODS = frozenset({"execute_plan", "truncated", "histograms"})
+_TASK_DELAY: Optional[Tuple[int, float]] = None
 
 
 def _available_cpus() -> int:
@@ -147,7 +146,7 @@ class _ShardSet:
         #: call — and of one query plan — all reference a single selection,
         #: so each worker derives its shard's membership exactly once.
         self._selection_rows = {}
-        #: The full-dataset scipy KD-tree the ``truncated`` task selects
+        #: The full-dataset scipy KD-tree the ``truncated`` op selects
         #: neighbours with (built on first use, when :meth:`_inner_name`
         #: picks the tree at the full dataset's size).
         self._full_tree = None
@@ -190,55 +189,6 @@ class _ShardSet:
                 self.points[low:high]
             )
         return self._backends[shard]
-
-    def run(self, method: str, shard: int, args: tuple):
-        """Dispatch one shard sub-query (the single entry point shared by
-        the serial path, the pool workers, and the remote node servers —
-        which is where the :data:`SHARD_TASK_METHODS` allowlist and the
-        :data:`_TASK_DELAY` test seam apply uniformly)."""
-        if method not in SHARD_TASK_METHODS:
-            raise ValueError(f"unknown shard task method {method!r}")
-        delay = _TASK_DELAY
-        if (delay is not None and delay[0] == method
-                and int(delay[1]) == int(shard)):
-            time.sleep(float(delay[2]))
-        return getattr(self, method)(shard, *args)
-
-    def truncated(self, shard: int, k: int) -> np.ndarray:
-        """This shard's rows' ``min(k, n)`` smallest squared distances to
-        the full dataset, row-sorted: the shard's row block of the
-        ``(n, k)`` truncated statistic.
-
-        When the strategy :meth:`_inner_name` picks at the full dataset's
-        size is the scipy KD-tree, a tree over the full dataset (cached in
-        this process) selects the neighbour indices and
-        :meth:`~repro.neighbors.tree.TreeBackend.truncated_squared_cross`
-        recomputes the values through the shared gather kernel, so the
-        block is bitwise the blocked brute force's.
-        """
-        from repro.neighbors import HAVE_SCIPY_TREE
-        from repro.neighbors.tree import TreeBackend
-
-        low, high = self.bounds[shard]
-        num_points, dimension = self.points.shape
-        if HAVE_SCIPY_TREE and self._inner_name(num_points) == "tree":
-            if self._full_tree is None:
-                self._full_tree = TreeBackend(self.points)
-            return self._full_tree.truncated_squared_cross(
-                self.points[low:high], k
-            )
-        block = row_block_size(num_points, dimension)
-        return truncated_squared_cross(self.points[low:high], self.points, k,
-                                       block)
-
-    def histograms(self, shard: int, keys: np.ndarray,
-                   cap: int) -> np.ndarray:
-        """Capped-count histograms over this shard's *query rows*, counted
-        against the full dataset (the streaming ``L(r, S)`` partial)."""
-        low, high = self.bounds[shard]
-        block = row_block_size(self.points.shape[0], self.points.shape[1])
-        return capped_count_histograms(self.points[low:high], self.points,
-                                       keys, cap, block)
 
     # ------------------------------------------------------------------ #
     # Projected-view sub-queries (GoodCenter's grid hashing)
@@ -344,15 +294,21 @@ class _ShardSet:
                      queries: Sequence[tuple]) -> list:
         """Evaluate every query of a compiled plan over this shard.
 
-        ``views`` is the plan's view table as ``(token, matrix, offset)``
-        wire triples, ``selections`` its selection table in the per-shard
-        spec form of :meth:`_selection_rows_local`, and ``queries`` the
-        ordered ``(op, view_slot, selection_slot, args)`` bundle.  Each
-        query yields this shard's mergeable partial (see :meth:`_partial`);
-        the whole bundle costs *one* task dispatch, each selection's
-        membership is derived at most once, and each view's image is
-        projected at most once (the token-keyed image cache).
+        This is the one shard task: the serial path, the pool workers and
+        the remote node servers all run it, so the :data:`_TASK_DELAY` test
+        seam applies uniformly.  ``views`` is the plan's view table as
+        ``(token, matrix, offset)`` wire triples, ``selections`` its
+        selection table in the per-shard spec form of
+        :meth:`_selection_rows_local`, and ``queries`` the ordered ``(op,
+        view_slot, selection_slot, args)`` bundle.  Each query yields this
+        shard's mergeable partial (see :meth:`_partial`); the whole bundle
+        costs *one* task dispatch, each selection's membership is derived
+        at most once, and each view's image is projected at most once (the
+        token-keyed image cache).
         """
+        delay = _TASK_DELAY
+        if delay is not None and int(delay[0]) == int(shard):
+            time.sleep(float(delay[1]))
         rows_cache: dict = {}
         results = []
         for op, view_slot, sel_slot, args in queries:
@@ -375,14 +331,17 @@ class _ShardSet:
         :func:`repro.geometry.boxes.interval_labels`, the clip ball through
         :func:`repro.geometry.balls.ball_membership` — the shared
         definitions that make every partial bitwise the in-process view's
-        slice.  ``count_labels`` is internal: the exact-recount round of
-        the bounded heaviest-cell merge, never a plan method.
+        slice.  Three ops are internal, never plan methods: ``count_labels``
+        (the exact-recount round of the bounded heaviest-cell merge),
+        ``truncated`` (this shard's row block of the truncated statistic)
+        and ``histograms`` (this shard's streaming ``L(r, S)`` partial).
         """
         from repro.geometry.balls import ball_membership
         from repro.geometry.boxes import (
             box_labels, interval_labels, unique_rows,
         )
 
+        low, high = self.bounds[shard]
         if op == "count_within_many":
             centers, radii = args
             # ``None`` is the wire encoding for "the full dataset" (which
@@ -391,8 +350,37 @@ class _ShardSet:
                 self.points if centers is None else centers, radii
             )
         if op == "depth_counts":
-            low, high = self.bounds[shard]
             return depth_count_pairs(self.points[low:high, 0], *args)
+        if op == "truncated":
+            # The shard's rows' ``min(k, n)`` smallest squared distances to
+            # the full dataset, row-sorted.  When :meth:`_inner_name` picks
+            # the scipy KD-tree at the full dataset's size, a full-dataset
+            # tree (cached in this process) selects the neighbours and the
+            # shared gather kernel recomputes the values, so the block is
+            # bitwise the blocked brute force's.
+            from repro.neighbors import HAVE_SCIPY_TREE
+            from repro.neighbors.tree import TreeBackend
+
+            (k,) = args
+            if (HAVE_SCIPY_TREE
+                    and self._inner_name(self.points.shape[0]) == "tree"):
+                if self._full_tree is None:
+                    self._full_tree = TreeBackend(self.points)
+                return self._full_tree.truncated_squared_cross(
+                    self.points[low:high], k
+                )
+            return truncated_squared_cross(self.points[low:high],
+                                           self.points, k,
+                                           row_block_size(*self.points.shape))
+        if op == "histograms":
+            # Capped-count histograms over the shard's *query rows*, counted
+            # against the full dataset.
+            keys, cap = args
+            return capped_count_histograms(self.points[low:high], self.points,
+                                           keys, cap,
+                                           row_block_size(*self.points.shape))
+        if op not in VIEW_PLAN_OPS and op != "count_labels":
+            raise ValueError(f"unknown plan operation {op!r}")
         image = self.view_image(shard, *view, rows=rows)
         if op == "heaviest_cell_counts":
             # Per attempt: the shard's top_k heaviest labels with their
@@ -443,21 +431,19 @@ class _ShardSet:
             deltas = image[inside] - center[None, :]
             return (int(np.count_nonzero(inside)),
                     fixed_point_column_partials(deltas))
-        if op == "masked_axis_histograms":
-            # (local selected count, per-axis (labels, counts, first local
-            # position)); the parent offsets the positions by the preceding
-            # shards' selected counts to restore global first-occurrence
-            # order.
-            width, axis_offset = args
-            labels = interval_labels(image, width, axis_offset)
-            per_axis = []
-            for axis in range(labels.shape[1]):
-                unique, first, counts = np.unique(labels[:, axis],
-                                                  return_index=True,
-                                                  return_counts=True)
-                per_axis.append((unique, counts, first))
-            return int(rows.shape[0]), per_axis
-        raise ValueError(f"unknown plan operation {op!r}")
+        # masked_axis_histograms: (local selected count, per-axis (labels,
+        # counts, first local position)); the parent offsets the positions
+        # by the preceding shards' selected counts to restore global
+        # first-occurrence order.
+        width, axis_offset = args
+        labels = interval_labels(image, width, axis_offset)
+        per_axis = []
+        for axis in range(labels.shape[1]):
+            unique, first, counts = np.unique(labels[:, axis],
+                                              return_index=True,
+                                              return_counts=True)
+            per_axis.append((unique, counts, first))
+        return int(rows.shape[0]), per_axis
 
 
 # --------------------------------------------------------------------------- #
@@ -496,9 +482,9 @@ def _init_worker(shm_name: str, shape: Tuple[int, int], dtype_str: str,
     _WORKER_SHARDS = _ShardSet(points, bounds, inner_backend)
 
 
-def _run_shard_task(method: str, shard: int, args: tuple):
-    """Dispatch one shard sub-query inside a worker process."""
-    return _WORKER_SHARDS.run(method, shard, args)
+def _run_shard_task(shard: int, payload: tuple) -> list:
+    """Run one ``(shard, payload)`` task inside a worker process."""
+    return _WORKER_SHARDS.execute_plan(shard, *payload)
 
 
 def _worker_cache_stats() -> dict:
@@ -506,42 +492,83 @@ def _worker_cache_stats() -> dict:
     return _WORKER_SHARDS.cache_stats()
 
 
-class _StealingBatch:
-    """Parent-side work-stealing scheduler for one batch of shard tasks.
+class _PoolBatch:
+    """The local transport's handle for one batch of ``(shard, payload)``
+    tasks (see :meth:`ShardedBackend._dispatch`).
 
-    With the default topology (shards == worker slots) every slot receives
-    exactly one task and this degenerates to the plain affinity dispatch.
-    When shards outnumber workers, eager per-slot submission would make the
+    Without a pool (``num_workers`` below 2, or a pool that could not start
+    or has died) the batch runs serially in-process at dispatch.  Otherwise
+    the tasks go through a parent-side work-stealing scheduler.  With the
+    default topology (shards == worker slots) every slot receives exactly
+    one task and this degenerates to the plain affinity dispatch.  When
+    shards outnumber workers, eager per-slot submission would make the
     batch's wall clock the *slowest slot's queue*, not the slowest task: one
     slow shard serialises every other shard that hashes to its slot.  So
-    tasks are queued parent-side (per affinity slot, in task order) and
-    submitted one at a time; a slot that drains its own queue *steals* from
-    the tail of the longest remaining queue (deterministic victim: longest
-    queue, smallest slot on ties).  Stealing moves only the *computation* —
-    a stolen task's shard index travels with it, the worker builds the
-    shard's index on demand, and results resolve into per-task proxy
-    futures, so callers still consume them in task order and every merge
-    stays bitwise identical to the serial path.  The steal count is
-    surfaced via ``pool_stats()["stolen_tasks"]``.
+    tasks are queued parent-side (per affinity slot ``shard mod W``, in task
+    order) and submitted one at a time; a slot that drains its own queue
+    *steals* from the tail of the longest remaining queue (deterministic
+    victim: longest queue, smallest slot on ties).  Stealing moves only the
+    *computation* — a stolen task's shard index travels with it, the worker
+    builds the shard's index on demand, and results resolve into per-task
+    proxy futures, so :meth:`result` still returns them in task order and
+    every merge stays bitwise identical to the serial path.  The steal
+    count is surfaced via ``pool_stats()["stolen_tasks"]``.
+
+    A pool that dies under the batch is shut down for good and the whole
+    batch is recomputed on the serial path — the one broken-pool fallback
+    of every local dispatch.
     """
 
     __slots__ = ("_backend", "_executors", "_tasks", "_lock", "_queues",
-                 "proxies")
+                 "_proxies", "_results")
 
     def __init__(self, backend: "ShardedBackend",
-                 executors: List[ProcessPoolExecutor],
-                 tasks: Sequence[tuple]) -> None:
+                 tasks: Sequence[Tuple[int, tuple]]) -> None:
         self._backend = backend
-        self._executors = executors
         self._tasks = list(tasks)
+        self._results: Optional[list] = None
+        self._executors = backend._ensure_executors()
+        if self._executors is None:
+            self._results = self._run_serially()
+            return
         self._lock = threading.Lock()
-        self.proxies: List[Future] = [Future() for _ in self._tasks]
-        slots = len(executors)
+        self._proxies: List[Future] = [Future() for _ in self._tasks]
+        slots = len(self._executors)
         self._queues = [deque() for _ in range(slots)]
-        for index, (_, shard, _) in enumerate(self._tasks):
+        for index, (shard, _) in enumerate(self._tasks):
             self._queues[shard % slots].append(index)
         for slot in range(slots):
             self._start_next(slot)
+
+    def _run_serially(self) -> list:
+        shards = self._backend._shards
+        return [shards.execute_plan(shard, *payload)
+                for shard, payload in self._tasks]
+
+    def done(self) -> bool:
+        """Whether every task has finished."""
+        return (self._results is not None
+                or all(proxy.done() for proxy in self._proxies))
+
+    def result(self) -> list:
+        """Block for every task; the results in task order."""
+        if self._results is None:
+            try:
+                self._results = [proxy.result() for proxy in self._proxies]
+            except (BrokenProcessPool, OSError) as error:
+                backend = self._backend
+                if not backend._pool_failed:
+                    backend._pool_failed = True
+                    backend.close()
+                    warnings.warn(
+                        f"ShardedBackend worker pool died ({error}); "
+                        "finishing on the serial in-process path (results "
+                        "are identical, only slower)",
+                        RuntimeWarning,
+                        stacklevel=2,
+                    )
+                self._results = self._run_serially()
+        return self._results
 
     def _pick(self, slot: int):
         """The next task index for ``slot`` (own queue first, else steal).
@@ -579,11 +606,11 @@ class _StealingBatch:
                 index, stolen = self._pick(slot)
             if index is None:
                 return
-            method, shard, args = self._tasks[index]
-            proxy = self.proxies[index]
+            shard, payload = self._tasks[index]
+            proxy = self._proxies[index]
             try:
                 future = self._executors[slot].submit(
-                    _run_shard_task, method, shard, args
+                    _run_shard_task, shard, payload
                 )
             except BaseException as error:  # pool shut down mid-batch
                 proxy.set_exception(error)
@@ -736,7 +763,8 @@ class _CompiledPlan:
         self.merges = merges
 
     def shard_args(self, shard: int) -> tuple:
-        """The ``execute_plan`` payload for one shard."""
+        """The ``(views, selections, queries)`` task payload for one
+        shard."""
         selections = [specs[shard] for specs in self.selection_specs]
         queries = [
             (op, view_slot, sel_slot,
@@ -747,54 +775,36 @@ class _CompiledPlan:
 
 
 class _ShardedPlanFuture(PlanFuture):
-    """An in-flight plan: one dispatched task per shard.
+    """An in-flight plan: one dispatched task per shard, on either
+    transport.
 
-    :meth:`result` collects the per-shard futures **in shard order** and
-    folds them through the deterministic merges, so the values — and the
-    releases derived from them — are independent of worker scheduling and of
-    how many plans are overlapped.  A broken pool degrades to the serial
-    path (recomputing the whole plan in-process), matching the point-query
-    fallback semantics.
+    ``handle`` is what :meth:`ShardedBackend._dispatch` returned.
+    :meth:`result` takes its per-shard partials **in shard order** and folds
+    them through the deterministic merges, so the values — and the releases
+    derived from them — are independent of worker scheduling, of how many
+    plans are overlapped, and of any recovery the transport ran on the way
+    (a dead local pool, a dead node).
     """
 
     def __init__(self, backend: "ShardedBackend", compiled: _CompiledPlan,
-                 futures: list) -> None:
+                 handle) -> None:
         self._backend = backend
         self._compiled = compiled
-        self._futures = futures
+        self._handle = handle
         self._resolved: Optional[list] = None
 
     def done(self) -> bool:
         """Whether every shard task has finished (merging still happens on
         the first :meth:`result` call)."""
-        return (self._resolved is not None
-                or all(future.done() for future in self._futures))
+        return self._resolved is not None or self._handle.done()
 
     def result(self) -> list:
         """Block for the per-shard tasks, merge in shard order, and return
         the per-query results (memoised across calls)."""
         if self._resolved is None:
-            try:
-                shard_parts = [future.result() for future in self._futures]
-            except (BrokenProcessPool, OSError) as error:  # pragma: no cover
-                backend = self._backend
-                backend._pool_failed = True
-                backend.close()
-                warnings.warn(
-                    f"ShardedBackend worker pool died ({error}); recomputing "
-                    "the submitted plan on the serial in-process path",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                shard_parts = [
-                    backend._shards.execute_plan(
-                        shard, *self._compiled.shard_args(shard)
-                    )
-                    for shard in range(backend.num_shards)
-                ]
             self._resolved = self._backend._merge_plan(self._compiled,
-                                                       shard_parts)
-            self._futures = []
+                                                       self._handle.result())
+            self._handle = None
         return self._resolved
 
 
@@ -842,7 +852,7 @@ class ShardedBackend(NeighborBackend):
     HEAVIEST_CELL_TOP_K: ClassVar[Optional[int]] = 64
 
     #: Whether a worker slot that drains its own affinity queue may steal
-    #: queued tasks from other slots (see :class:`_StealingBatch`).  A pure
+    #: queued tasks from other slots (see :class:`_PoolBatch`).  A pure
     #: wall-clock lever: results are merged in task order either way, so
     #: released values are bitwise identical with stealing on or off.
     WORK_STEALING: ClassVar[bool] = True
@@ -945,7 +955,7 @@ class ShardedBackend(NeighborBackend):
         Returns a list of ``W`` single-process executors (``None`` =
         serial).  One executor per worker slot is what implements the
         shard→worker routing *affinity*: tasks for shard ``s`` always go to
-        slot ``s mod W`` (see :meth:`_submit_shard_task`), so each shard's
+        slot ``s mod W`` (see :class:`_PoolBatch`), so each shard's
         lazy index/image caches live in exactly one worker process —
         the single shared pool they replace let any idle worker grab any
         shard, duplicating per-shard indexes across workers under mixed
@@ -1000,77 +1010,50 @@ class ShardedBackend(NeighborBackend):
         self._executors = executors
         return executors
 
-    def _submit_shard_task(self, executors: List[ProcessPoolExecutor],
-                           method: str, shard: int, args: tuple):
-        """Submit one shard sub-query to the shard's affinity slot."""
-        return executors[shard % len(executors)].submit(
-            _run_shard_task, method, shard, args
-        )
-
     def _note_stolen(self) -> None:
         """Count one stolen task (called from executor callback threads)."""
         with self._stats_lock:
             self._stats["stolen_tasks"] += 1
 
-    def _schedule_shard_tasks(self, executors: List[ProcessPoolExecutor],
-                              tasks: Sequence[tuple]) -> List[Future]:
-        """Dispatch a batch of ``(method, shard, args)`` tasks through the
-        work-stealing scheduler; returns one proxy future per task, in task
-        order."""
-        return _StealingBatch(self, executors, tasks).proxies
+    def _dispatch(self, tasks: Sequence[Tuple[int, tuple]]):
+        """Send a batch of ``(shard, payload)`` tasks; return its handle.
 
-    def _normalize_tasks(self, tasks: Sequence[tuple]) -> list:
-        """Validate + normalise a batch of ``(method, shard, args)`` tasks.
-
-        The dispatch seam shared by every transport: the local pool, the
-        node server (which forwards a coordinator's batch verbatim), and
-        the distributed coordinator all funnel their batches through this
-        one method-allowlist / shard-range check, so a malformed task is
-        rejected identically no matter which layer dispatches it.
+        The one transport seam: plans, the bounded heaviest-cell merge's
+        rounds, the shard waves and the node server's batches all leave
+        through here, and the distributed backend overrides only this (and
+        :meth:`_wave_size`).  The handle's ``done()`` / ``result()`` give
+        the results in task order, so merges downstream are independent of
+        which slot or node ran what.  Callers count the fan-out; the
+        transport counts only its own recovery.
         """
-        tasks = [(str(method), int(shard), tuple(args))
-                 for method, shard, args in tasks]
-        for method, shard, _ in tasks:
-            if method not in SHARD_TASK_METHODS:
-                raise ValueError(f"unknown shard task method {method!r}")
+        return _PoolBatch(self, tasks)
+
+    def _wave_size(self) -> int:
+        """Shards per wave of :meth:`_shard_waves`: one per worker slot."""
+        return max(1, min(self._requested_workers, self.num_shards))
+
+    def run_shard_tasks(self, tasks: Sequence) -> list:
+        """Run a coordinator's batch of ``(shard, payload)`` tasks as one
+        fan-out — the node server's entry, so every task's shape is checked
+        here before anything reaches a shard.  Returns the results in task
+        order."""
+        checked = []
+        for task in tasks:
+            if not isinstance(task, (tuple, list)) or len(task) != 2:
+                raise ValueError("a shard task must be a (shard, payload) "
+                                 "pair")
+            shard, payload = int(task[0]), task[1]
             if not 0 <= shard < self.num_shards:
                 raise ValueError(
                     f"shard {shard} out of range [0, {self.num_shards})"
                 )
-        return tasks
-
-    def run_shard_tasks(self, tasks: Sequence[tuple]) -> list:
-        """Run a batch of ``(method, shard, args)`` shard sub-queries.
-
-        The batch entry point shared by the local fan-outs and the remote
-        node server (which forwards a coordinator's task batch here
-        verbatim): validates every method against
-        :data:`SHARD_TASK_METHODS`, runs the batch on the worker pool
-        through the work-stealing scheduler (serially in-process without
-        one), and returns results in task order — so merges downstream are
-        independent of which slot ran what.
-        """
-        tasks = self._normalize_tasks(tasks)
+            if not isinstance(payload, (tuple, list)) or len(payload) != 3:
+                raise ValueError("a shard task payload must be a (views, "
+                                 "selections, queries) triple")
+            checked.append((shard, payload))
         self._stats["fanouts"] += 1
-        self._stats["shard_tasks"] += len(tasks)
-        executors = self._ensure_executors()
-        if executors is None:
-            return [self._shards.run(method, shard, args)
-                    for method, shard, args in tasks]
-        proxies = self._schedule_shard_tasks(executors, tasks)
-        try:
-            return [proxy.result() for proxy in proxies]
-        except (BrokenProcessPool, OSError) as error:  # pragma: no cover
-            self._pool_failed = True
-            self.close()
-            warnings.warn(
-                f"ShardedBackend worker pool died ({error}); retrying on the "
-                "serial in-process path",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return [self._shards.run(method, shard, args)
-                    for method, shard, args in tasks]
+        self._stats["shard_tasks"] += len(checked)
+        return self._dispatch(checked).result()
 
     def close(self) -> None:
         """Shut down the worker slots and release the shared-memory block.
@@ -1109,47 +1092,23 @@ class ShardedBackend(NeighborBackend):
     # ------------------------------------------------------------------ #
     # Fan-out / merge
     # ------------------------------------------------------------------ #
-    def _iter_shards(self, method: str, args: tuple):
-        """Run ``method(shard, *args)`` for every shard, yielding results one
-        shard at a time, in shard order.
+    def _shard_waves(self, op: str, args: tuple):
+        """Run the internal plan op ``op`` on every shard as one fan-out,
+        yielding the per-shard results in shard order.
 
-        Submission is bounded to waves of one outstanding task per worker,
-        so the parent consumes (copies or sums) each wave's results before
-        the next wave's arrive.
+        Shards are dispatched in waves of :meth:`_wave_size` tasks, so the
+        parent consumes (copies or sums) each wave's results before the
+        next wave's arrive.
         """
         self._stats["fanouts"] += 1
         self._stats["shard_tasks"] += self.num_shards
-        executors = self._ensure_executors()
-        if executors is None:
-            for shard in range(self.num_shards):
-                yield self._shards.run(method, shard, args)
-            return
-        wave = max(1, min(self._requested_workers, self.num_shards))
-        delivered = 0
-        try:
-            for start in range(0, self.num_shards, wave):
-                futures = [
-                    self._submit_shard_task(executors, method, shard, args)
-                    for shard in range(start, min(start + wave,
-                                                  self.num_shards))
-                ]
-                for future in futures:
-                    result = future.result()
-                    delivered += 1
-                    yield result
-        except (BrokenProcessPool, OSError) as error:  # pragma: no cover
-            self._pool_failed = True
-            self.close()
-            warnings.warn(
-                f"ShardedBackend worker pool died ({error}); finishing the "
-                "query on the serial in-process path",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            # Results are yielded in shard order, so resume after the last
-            # delivered shard (re-yielding one would corrupt fold merges).
-            for shard in range(delivered, self.num_shards):
-                yield self._shards.run(method, shard, args)
+        payload = ([], [], [(op, None, None, args)])
+        wave = self._wave_size()
+        for start in range(0, self.num_shards, wave):
+            shards = range(start, min(start + wave, self.num_shards))
+            for part in self._dispatch([(shard, payload)
+                                        for shard in shards]).result():
+                yield part[0]
 
     # ------------------------------------------------------------------ #
     # NeighborBackend protocol
@@ -1201,7 +1160,7 @@ class ShardedBackend(NeighborBackend):
         """
         k = min(k, self.num_points)
         truncated = np.empty((self.num_points, k), dtype=float)
-        for block, (low, high) in zip(self._iter_shards("truncated", (k,)),
+        for block, (low, high) in zip(self._shard_waves("truncated", (k,)),
                                       self._bounds):
             truncated[low:high] = block
         return truncated
@@ -1215,7 +1174,7 @@ class ShardedBackend(NeighborBackend):
         preserving the bounded-memory point of the streaming walk.
         """
         total = np.zeros((np.asarray(keys).shape[0], cap + 1), dtype=np.int64)
-        for part in self._iter_shards("histograms",
+        for part in self._shard_waves("histograms",
                                       (np.asarray(keys, float), cap)):
             total += part
         return total
@@ -1373,10 +1332,10 @@ class ShardedBackend(NeighborBackend):
     def execute(self, plan: QueryPlan) -> list:
         """Run a :class:`~repro.neighbors.base.QueryPlan` in **one round
         trip per shard**: the whole bundle travels to each shard as a
-        single ``execute_plan`` task, each shard derives every selection's
-        membership and every view's image at most once, and the parent
-        merges the partials in shard order — bitwise what the serial loop
-        produces.  (The one exception is a plan carrying a
+        single ``(shard, payload)`` task, each shard derives every
+        selection's membership and every view's image at most once, and the
+        parent merges the partials in shard order — bitwise what the serial
+        loop produces.  (The one exception is a plan carrying a
         ``heaviest_cell_counts`` query whose bounded top-``k`` merge round
         1 cannot certify: its recount and escalation rounds add fan-outs.)
         """
@@ -1387,9 +1346,9 @@ class ShardedBackend(NeighborBackend):
 
         The returned future's :meth:`~repro.neighbors.base.PlanFuture.result`
         merges in shard order, so overlapped plans resolve to bitwise the
-        same values as sequential :meth:`execute` calls.  On the serial
-        fallback the plan is evaluated eagerly (same shard/merge code, no
-        transport) and a completed future is returned.
+        same values as sequential :meth:`execute` calls.  Without a pool the
+        tasks ran at dispatch, and the plan is merged here too, so a caller
+        submitting many plans holds one plan's shard partials at a time.
         """
         compiled = self._compile_plan(plan)
         self._stats["plans"] += 1
@@ -1398,44 +1357,25 @@ class ShardedBackend(NeighborBackend):
             return PlanFuture(self._merge_plan(compiled, []))
         self._stats["fanouts"] += 1
         self._stats["shard_tasks"] += self.num_shards
-        executors = self._ensure_executors()
-        if executors is None:
-            shard_parts = [
-                self._shards.execute_plan(shard, *compiled.shard_args(shard))
-                for shard in range(self.num_shards)
-            ]
-            return PlanFuture(self._merge_plan(compiled, shard_parts))
-        try:
-            futures = self._schedule_shard_tasks(executors, [
-                ("execute_plan", shard, compiled.shard_args(shard))
-                for shard in range(self.num_shards)
-            ])
-        except (BrokenProcessPool, OSError) as error:  # pragma: no cover
-            self._pool_failed = True
-            self.close()
-            warnings.warn(
-                f"ShardedBackend worker pool died ({error}); running the "
-                "plan on the serial in-process path",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            shard_parts = [
-                self._shards.execute_plan(shard, *compiled.shard_args(shard))
-                for shard in range(self.num_shards)
-            ]
-            return PlanFuture(self._merge_plan(compiled, shard_parts))
-        return _ShardedPlanFuture(self, compiled, futures)
+        future = _ShardedPlanFuture(self, compiled, self._dispatch([
+            (shard, compiled.shard_args(shard))
+            for shard in range(self.num_shards)
+        ]))
+        if not self.parallel:
+            future.result()
+        return future
 
     def _view_round(self, view_wire: tuple, op: str, args: tuple) -> list:
-        """One single-query ``execute_plan`` fan-out over ``view_wire``,
-        returning the per-shard partials in shard order.  The bounded
-        heaviest-cell merge's recount and escalation rounds ride it; they
-        are rounds of the plan being merged, so they count as fan-outs, not
-        as plans."""
+        """One single-query fan-out over ``view_wire``, returning the
+        per-shard partials in shard order.  The bounded heaviest-cell
+        merge's recount and escalation rounds ride it; they are rounds of
+        the plan being merged, so they count as fan-outs, not as plans."""
+        self._stats["fanouts"] += 1
+        self._stats["shard_tasks"] += self.num_shards
         payload = ([view_wire], [], [(op, 0, None, args)])
-        parts = self.run_shard_tasks([("execute_plan", shard, payload)
-                                      for shard in range(self.num_shards)])
-        return [part[0] for part in parts]
+        parts = self._dispatch([(shard, payload)
+                                for shard in range(self.num_shards)])
+        return [part[0] for part in parts.result()]
 
     def _heaviest_cell_merge(self, view_wire: tuple, width: float,
                              shifts: np.ndarray, top_k: Optional[int],

@@ -29,9 +29,11 @@ truncated statistic (property-tested against the brute-force kernel).
 
 import dataclasses
 import os
+import socket
 import struct
 import subprocess
 import sys
+import threading
 import time
 from contextlib import contextmanager
 
@@ -47,6 +49,7 @@ from repro.core.good_radius import good_radius
 from repro.neighbors import (
     BackendUnavailableError,
     DenseBackend,
+    PlanFuture,
     QueryPlan,
     ShardedBackend,
     resolve_backend,
@@ -59,6 +62,8 @@ from repro.neighbors.rpc import (
     decode,
     encode,
     parse_node_address,
+    read_frame,
+    write_frame,
 )
 from repro.neighbors.serve import NodeServer
 from repro.neighbors.tree import TreeBackend
@@ -96,6 +101,39 @@ def distributed_backend(points, num_nodes, **kwargs):
             yield backend
         finally:
             backend.close()
+
+
+def spawn_node():
+    """One real ``python -m repro.neighbors.serve`` process on loopback;
+    returns ``(process, "host:port")`` once it prints its LISTENING line."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, ["src", env.get("PYTHONPATH")])
+    )
+    repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.neighbors.serve", "--port", "0"],
+        stdout=subprocess.PIPE, text=True, env=env, cwd=repo_root,
+    )
+    banner = proc.stdout.readline().split()
+    assert banner[0] == "LISTENING"
+    return proc, f"{banner[1]}:{banner[2]}"
+
+
+@contextmanager
+def node_processes(count):
+    """``count`` real node processes; yields ``(processes, addresses)``
+    and kills them all on exit."""
+    spawned = []
+    try:
+        for _ in range(count):
+            spawned.append(spawn_node())
+        yield [proc for proc, _ in spawned], [addr for _, addr in spawned]
+    finally:
+        for proc, _ in spawned:
+            proc.kill()
+            proc.wait(timeout=10)
+            proc.stdout.close()
 
 
 def results_equal(a, b) -> bool:
@@ -437,6 +475,21 @@ class TestLoopbackParity:
             finally:
                 backend.close()
 
+    @pytest.mark.slow
+    def test_two_serve_processes_match_dense(self):
+        """Two real ``serve`` node processes on loopback, reached through
+        ``resolve_backend`` and the CLI entry point the README documents."""
+        points = np.random.default_rng(0).uniform(size=(500, 2))
+        with node_processes(2) as (_, nodes):
+            backend = resolve_backend(points, "distributed",
+                                      options={"nodes": nodes,
+                                               "num_shards": 4})
+            try:
+                assert np.array_equal(backend.radius_counts(0.3),
+                                      DenseBackend(points).radius_counts(0.3))
+            finally:
+                backend.close()
+
     def test_pool_stats_aggregates_nodes(self):
         points = DATASETS["random-2d"]
         with distributed_backend(points, 2, num_shards=4) as backend:
@@ -461,8 +514,7 @@ class TestFaultInjection:
         points = DATASETS["random-2d"]
         # In-thread server + serial node = the node's shard tasks run in
         # this process, so the _TASK_DELAY seam stalls shard 0 for real.
-        monkeypatch.setattr(sharded_module, "_TASK_DELAY",
-                            ("execute_plan", 0, 2.0))
+        monkeypatch.setattr(sharded_module, "_TASK_DELAY", (0, 2.0))
         with distributed_backend(points, 1, num_shards=2, timeout=0.4,
                                  retries=0) as backend:
             start = time.monotonic()
@@ -578,6 +630,110 @@ class TestFaultInjection:
                 DenseBackend(points).radius_counts(0.4),
             )
 
+    def test_undecodable_reply_poisons_connection(self):
+        """A reply frame that arrives whole but does not decode is a
+        transport failure: the connection is marked dead, so the next
+        reply is never handed to the wrong request (and never waited on)."""
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def serve():
+            conn, _ = listener.accept()
+            with conn:
+                read_frame(conn)
+                read_frame(conn)
+                write_frame(conn, b"\xff" * 9)
+                write_frame(conn, encode({"status": "ok", "value": None}))
+                try:
+                    conn.recv(1)  # hold the socket open until the client goes
+                except OSError:
+                    pass
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        client = NodeClient(*listener.getsockname()[:2])
+        try:
+            first = client.send(("ping",))
+            second = client.send(("ping",))
+            with pytest.raises(BackendUnavailableError, match="undecodable"):
+                first.wait(timeout=2.0)
+            assert not client.alive
+            start = time.monotonic()
+            with pytest.raises(BackendUnavailableError):
+                second.wait(timeout=2.0)
+            assert time.monotonic() - start < 0.5
+        finally:
+            client.close()
+            thread.join(timeout=5.0)
+            listener.close()
+
+    def test_node_closes_connection_on_undecodable_frame(self, monkeypatch):
+        """The node side of the same fault: the connection thread closes
+        the connection cleanly (no escaping exception) and the node keeps
+        serving new connections."""
+        outcomes = []
+        original = NodeServer._serve_connection
+
+        def recording(self, conn):
+            try:
+                original(self, conn)
+            except BaseException as error:
+                outcomes.append(error)
+                raise
+            outcomes.append(None)
+
+        monkeypatch.setattr(NodeServer, "_serve_connection", recording)
+        with node_cluster(1) as addresses:
+            address = parse_node_address(addresses[0])
+            with socket.create_connection(address, timeout=5.0) as raw:
+                write_frame(raw, b"\xff" * 9)
+                assert raw.recv(1) == b""  # closed without a reply
+            deadline = time.monotonic() + 5.0
+            while not outcomes and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert outcomes == [None]
+            client = NodeClient(*address)
+            try:
+                assert client.ping()
+            finally:
+                client.close()
+
+    def test_node_rejects_malformed_shard_tasks(self):
+        """A node checks every task of a ``shard_tasks`` batch: each
+        malformed batch gets an error reply naming its problem, and the
+        same connection then answers a valid batch."""
+        points = DATASETS["random-2d"]
+        centers = points[:3]
+        payload = ([], [], [("count_within_many", None, None,
+                             (centers, np.array([0.5])))])
+        malformed = [
+            ([(2, payload)], "shard 2 out of range"),
+            ([(-1, payload)], "shard -1 out of range"),
+            ([(0, ([], []))], "(views, selections, queries) triple"),
+            ([(0, ([], [], [("bogus", None, None, ())]))],
+             "unknown plan operation 'bogus'"),
+            ([("execute_plan", 0, payload)], "(shard, payload) pair"),
+        ]
+        with node_cluster(1) as addresses:
+            client = NodeClient(*parse_node_address(addresses[0]),
+                                timeout=10.0)
+            try:
+                init = client.call(("init", points, 2, 0, "auto"))
+                assert init["status"] == "ok"
+                for tasks, problem in malformed:
+                    reply = client.call(("shard_tasks", tasks))
+                    assert reply["status"] == "error", problem
+                    assert problem in reply["error"], reply["error"]
+                reply = client.call(("shard_tasks",
+                                     [(0, payload), (1, payload)]))
+                assert reply["status"] == "ok"
+                total = np.sum([part[0] for part in reply["value"]], axis=0)
+                assert np.array_equal(
+                    total,
+                    DenseBackend(points).count_within_many(centers, [0.5]),
+                )
+            finally:
+                client.close()
+
     @pytest.mark.slow
     def test_killed_node_process_mid_plan(self):
         """The acceptance scenario: a real node *process* SIGKILLed while
@@ -587,21 +743,6 @@ class TestFaultInjection:
         reference's; the same backend keeps answering afterwards.  With
         ``retries=0`` the same kill raises cleanly instead."""
         points = DATASETS["random-2d"]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, ["src", env.get("PYTHONPATH")])
-        )
-        repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-        def spawn_victim():
-            proc = subprocess.Popen(
-                [sys.executable, "-m", "repro.neighbors.serve",
-                 "--port", "0"],
-                stdout=subprocess.PIPE, text=True, env=env, cwd=repo_root,
-            )
-            banner = proc.stdout.readline().split()
-            assert banner[0] == "LISTENING"
-            return proc, f"{banner[1]}:{banner[2]}"
 
         def build_plan():
             plan = QueryPlan()
@@ -612,7 +753,7 @@ class TestFaultInjection:
         reference = dense.execute(build_plan())
 
         # Failover on: the kill is absorbed, the results do not move.
-        proc, victim = spawn_victim()
+        proc, victim = spawn_node()
         try:
             with node_cluster(1) as survivors:
                 backend = DistributedBackend(points,
@@ -647,7 +788,7 @@ class TestFaultInjection:
 
         # Failover off: the same kill surfaces as a clean error within
         # seconds — no hang, no partial merge (the PR 7 contract).
-        proc, victim = spawn_victim()
+        proc, victim = spawn_node()
         try:
             with node_cluster(1) as survivors:
                 backend = DistributedBackend(points,
@@ -929,6 +1070,56 @@ class TestFailover:
             assert np.array_equal(released.center, reference.center)
             assert released.radius_bound == reference.radius_bound
 
+    @pytest.mark.slow
+    def test_serve_process_sigkilled_mid_good_center(self, monkeypatch):
+        """Three real ``serve`` processes, one SIGKILLed in the middle of a
+        good_center run (deterministically, at the 4th collective): the
+        survivors adopt its shards, the run completes, and the release is
+        byte-identical to the healthy single-process control — failover is
+        dispatch-only."""
+        rng = np.random.default_rng(0)
+        d = 4
+        points = np.vstack([
+            np.full(d, 0.5) + rng.normal(0, 0.02, size=(600, d)),
+            rng.uniform(size=(200, d)),
+        ])
+        params = PrivacyParams(8.0, 1e-5)
+        healthy = good_center(points, radius=0.05, target=500,
+                              params=params, rng=3)
+        with node_processes(3) as (procs, nodes):
+            backend = DistributedBackend(points, nodes=nodes, num_shards=6,
+                                         retry_backoff=0.05)
+            calls = [0]
+            original = DistributedBackend._dispatch
+
+            def killing_dispatch(self, tasks):
+                calls[0] += 1
+                if calls[0] == 4:
+                    procs[1].kill()
+                    procs[1].wait(timeout=10)
+                return original(self, tasks)
+
+            monkeypatch.setattr(DistributedBackend, "_dispatch",
+                                killing_dispatch)
+            try:
+                released = good_center(points, radius=0.05, target=500,
+                                       params=params, rng=3, backend=backend)
+                stats = backend.pool_stats()
+                assert calls[0] >= 4, "kill never landed"
+                assert stats["adopted_shards"] == 2, stats
+                assert stats["live_nodes"] == 2, stats
+                assert released.found == healthy.found
+                assert released.attempts == healthy.attempts
+                if healthy.found:
+                    assert (released.center.tobytes()
+                            == healthy.center.tobytes())
+                    assert released.radius_bound == healthy.radius_bound
+                # The degraded backend keeps answering after the loss.
+                assert np.array_equal(backend.radius_counts(0.3),
+                                      DenseBackend(points).radius_counts(0.3))
+            finally:
+                backend.close()
+
     def test_iter_shards_wave_fills_node_workers(self, monkeypatch):
         """The streaming wave defaults to num_nodes × node_workers — one
         task per node-local worker slot per wave — so a node's whole pool
@@ -948,11 +1139,11 @@ class TestFailover:
 
                 def fake_dispatch(self, tasks):
                     batches.append(len(tasks))
-                    return [None] * len(tasks)
+                    return PlanFuture([[None]] * len(tasks))
 
-                monkeypatch.setattr(DistributedBackend, "_dispatch_tasks",
+                monkeypatch.setattr(DistributedBackend, "_dispatch",
                                     fake_dispatch)
-                drained = list(backend._iter_shards("histograms",
+                drained = list(backend._shard_waves("histograms",
                                                     (np.zeros((1, 2)), 3)))
                 assert len(drained) == 12
                 assert batches == [6, 6]  # 2 nodes × 3 workers per wave
@@ -1035,8 +1226,7 @@ class TestWorkStealing:
         # Shard 0 (slot 0) stalls; slot 1 finishes its own shards and must
         # steal from slot 0's queue.  The seam is consulted inside the
         # forked workers, so it is set before the pool is created.
-        monkeypatch.setattr(sharded_module, "_TASK_DELAY",
-                            ("execute_plan", 0, 0.75))
+        monkeypatch.setattr(sharded_module, "_TASK_DELAY", (0, 0.75))
         pool = ShardedBackend(points, num_shards=8, num_workers=2)
         try:
             got = [pool.radius_counts(r) for r in radii]
@@ -1051,8 +1241,7 @@ class TestWorkStealing:
     @pytest.mark.slow
     def test_stealing_disabled_keeps_affinity(self, monkeypatch):
         monkeypatch.setattr(ShardedBackend, "WORK_STEALING", False)
-        monkeypatch.setattr(sharded_module, "_TASK_DELAY",
-                            ("execute_plan", 0, 0.25))
+        monkeypatch.setattr(sharded_module, "_TASK_DELAY", (0, 0.25))
         points = np.random.default_rng(9).uniform(size=(200, 2))
         pool = ShardedBackend(points, num_shards=6, num_workers=2)
         try:

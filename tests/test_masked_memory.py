@@ -119,16 +119,17 @@ class TestHeaviestCellMergeGuard:
         assert reference[0] == 10      # the split cell, heaviest only merged
         backend = ShardedBackend(points, num_shards=2, num_workers=0)
         calls = []
-        original = backend.run_shard_tasks
+        original = backend._dispatch
 
         def spy(tasks):
-            # Every later round is an ``execute_plan`` task carrying one
-            # internal query; record which.
-            assert {method for method, _, _ in tasks} == {"execute_plan"}
-            calls.append(tasks[0][2][2][0][0])
+            # Every batch — the plan's own, then each later round — is
+            # (shard, plan bundle) tasks carrying one query; record which.
+            assert all(len(task) == 2 and len(task[1]) == 3
+                       for task in tasks)
+            calls.append(tasks[0][1][2][0][0])
             return original(tasks)
 
-        backend.run_shard_tasks = spy
+        backend._dispatch = spy
         backend.HEAVIEST_CELL_TOP_K = 2
         got = backend.view().heaviest_cell_counts(1.0, np.zeros((1, 1)))
         assert np.array_equal(got, reference)
@@ -136,8 +137,10 @@ class TestHeaviestCellMergeGuard:
         # cannot certify — the filler-cell best (6) is below the cap bound
         # (12) — so the merge must have escalated into at least a second
         # heaviest-cells round.
-        assert calls.count("count_labels") >= 1
-        assert calls.count("heaviest_cell_counts") >= 1
+        assert calls[0] == "heaviest_cell_counts"  # the plan's own task
+        rounds = calls[1:]
+        assert rounds.count("count_labels") >= 1
+        assert rounds.count("heaviest_cell_counts") >= 1
 
     def test_round_one_certificate_skips_recount(self):
         """A dominant cell every shard lists has an exact round-1 count
@@ -159,17 +162,18 @@ class TestHeaviestCellMergeGuard:
         backend = ShardedBackend(points, num_shards=2, num_workers=0)
         backend.HEAVIEST_CELL_TOP_K = 2      # both shards truncate (cap 2)
         calls = []
-        original = backend.run_shard_tasks
+        original = backend._dispatch
 
         def spy(tasks):
-            calls.append(tasks[0][2][2][0][0])
+            calls.append(tasks[0][1][2][0][0])
             return original(tasks)
 
-        backend.run_shard_tasks = spy
+        backend._dispatch = spy
         before = backend.pool_stats()["fanouts"]
         got = backend.view().heaviest_cell_counts(1.0, shifts)
         assert np.array_equal(got, reference)
-        assert calls == []      # no count_labels (or any later) round
+        # Only the plan's own task: no count_labels (or any later) round.
+        assert calls == ["heaviest_cell_counts"]
         assert backend.pool_stats()["fanouts"] - before == 1
 
     @pytest.mark.parametrize("top_k", [None, 1, 2, 3, 64])

@@ -253,7 +253,7 @@ class TestPipelinedTable1:
                 return method(self, *args, **kwargs)
             return wrapper
 
-        for name in ("_iter_shards", "run_shard_tasks"):
+        for name in ("_shard_waves", "_view_round"):
             monkeypatch.setattr(ShardedBackend, name,
                                 counted(getattr(ShardedBackend, name)))
         repetitions = 2

@@ -8,7 +8,10 @@ persisted-statistic path exactly while never allocating the ``O(n * t)``
 truncated statistic.
 """
 
+import os
+import signal
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -183,6 +186,39 @@ class TestProcessPool:
             )
         # close() is idempotent and the context manager already closed it.
         backend.close()
+
+    @pytest.mark.parametrize("query", ["plan", "truncated", "streaming"])
+    def test_dead_worker_falls_back_to_serial(self, query):
+        """A worker SIGKILLed after warm-up: the batch under way finishes on
+        the serial path, bitwise the chunked answer, with one warning naming
+        the dead pool, and the backend stays serial from then on."""
+        points = np.random.default_rng(4).uniform(size=(300, 2))
+        radii = np.linspace(0.0, 0.6, 9)
+        run = {
+            "plan": lambda b: b.count_within_many(points[:20], radii),
+            "truncated": lambda b: b.capped_average_scores(radii, 60,
+                                                           streaming=False),
+            "streaming": lambda b: b.capped_average_scores(radii, 60,
+                                                           streaming=True),
+        }[query]
+        expected = run(neighbors.ChunkedBackend(points))
+        with ShardedBackend(points, num_shards=2, num_workers=2) as backend:
+            backend.radius_counts(0.2)  # warm-up: starts both workers
+            stats = backend.pool_stats()
+            assert stats["parallel"], "pool fell back to serial; seam untested"
+            # Slot 0: its task is queued first, so the live slot can never
+            # steal it and every case really lands a task on the dead worker.
+            os.kill(stats["workers"][0]["pid"], signal.SIGKILL)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = run(backend)
+            assert got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes()
+            died = [w for w in caught if issubclass(w.category,
+                                                    RuntimeWarning)]
+            assert len(died) == 1
+            assert "worker pool died" in str(died[0].message)
+            assert not backend.parallel
 
     def test_heaviest_cells_pool(self):
         points = DATASETS["integer-grid"]
