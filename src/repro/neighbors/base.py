@@ -24,17 +24,21 @@ scipy's KD-tree convention so every backend returns identical integer counts;
 see :mod:`repro.neighbors._distance`.
 
 The derived profile evaluation never materialises an ``(n, m)`` count matrix.
-Small targets read the score off an order statistic of the persisted
-truncated distances: the integer sum of the ``t`` largest capped counts at
-radius ``r`` is the number of entries ``<= r*r`` among the ``t`` smallest of
-each column of the row-sorted ``(n, t)`` statistic.  Those ``t**2`` values
-are selected and sorted once per target (``O(n t + t^2 log t)``), after
-which a batch of ``m`` radii is one binary search — ``O(m log t)``.  Large
-targets (by default ``t > n/2`` at ``n >= 8192``) switch to a radii-chunked
-*streaming* walk that recomputes blocked distance passes per radius chunk
-and persists nothing — ``O(n * block + chunk * t)`` memory at every target,
-which keeps outlier screening (``t ~ 0.9 n``) off the ``O(n^2)``-memory
-cliff.  Both paths are bit-identical.
+Small targets read the score off an order statistic of the truncated
+distances: the integer sum of the ``t`` largest capped counts at radius
+``r`` is the number of entries ``<= r*r`` among the ``t`` smallest of each
+column of the row-sorted ``(n, t)`` statistic.  Every backend answers that
+integer through one hook, :meth:`NeighborBackend._top_sums`.  The
+in-process backends select and sort those ``t**2`` values once per target
+(``O(n t + t^2 log t)``), after which a batch of ``m`` radii is one binary
+search — ``O(m log t)``.  The sharded backend keeps the statistic in its
+shards and answers the same integer through a column-threshold identity
+(see :mod:`repro.neighbors.sharded`), so nothing of size ``O(n t)`` leaves
+a shard.  Large targets (by default ``t > n/2`` at ``n >= 8192``) switch to
+a radii-chunked *streaming* walk that recomputes blocked distance passes
+per radius chunk and persists nothing — ``O(n * block + chunk * t)``
+memory at every target, which keeps outlier screening (``t ~ 0.9 n``) off
+the ``O(n^2)``-memory cliff.  Every path is bit-identical.
 """
 
 from __future__ import annotations
@@ -1136,7 +1140,13 @@ class NeighborBackend(abc.ABC):
             raise ValueError(
                 f"k ({k}) cannot exceed the number of points ({self.num_points})"
             )
-        return np.sqrt(self.truncated_squared(k)[:, k - 1])
+        return np.sqrt(self._kth_squared(k))
+
+    def _kth_squared(self, k: int) -> np.ndarray:
+        """Column ``k - 1`` of the truncated statistic (``(n,)``): each
+        point's ``k``-th smallest squared distance.  The sharded backend
+        reads it from its shards' resident row blocks instead."""
+        return self.truncated_squared(k)[:, k - 1]
 
     def capped_average_scores(self, radii, target: int,
                               streaming: Optional[bool] = None) -> np.ndarray:
@@ -1148,19 +1158,22 @@ class NeighborBackend(abc.ABC):
 
         Two exact evaluation strategies are available:
 
-        * **Persisted** (the default for small targets): cache the row-sorted
-          ``(n, t)`` statistic ``T`` of each point's ``t = target`` smallest
-          squared distances.  Row ``i`` has ``min(B_r(x_i), t)`` entries
-          ``<= r*r``, so ``#{i : capped count >= v}`` is the number of
-          entries ``<= r*r`` in column ``v - 1``, and the sum of the ``t``
-          largest capped counts, ``sum_v min(#{i : count >= v}, t)``, is the
-          number of entries ``<= r*r`` among the ``t`` smallest of each
-          column (the entries ``<= r*r`` are a prefix of a sorted column, so
-          ties need no special case).  Those ``t**2`` values are selected
-          and sorted once per target — ``O(n t)`` selection plus
-          ``O(t^2 log t)`` sort, cached — and every radius batch is then one
-          binary search, ``O(m log t)``.  ``O(n * t)`` memory — a large win
-          when ``target << n``.
+        * **Persisted** (the default for small targets): the integer sum of
+          the ``t = target`` largest capped counts comes from
+          :meth:`_top_sums`, over the row-sorted ``(n, t)`` statistic ``T``
+          of each point's ``t`` smallest squared distances.  Row ``i`` has
+          ``min(B_r(x_i), t)`` entries ``<= r*r``, so ``#{i : capped count
+          >= v}`` is the number of entries ``<= r*r`` in column ``v - 1``,
+          and the sum of the ``t`` largest capped counts, ``sum_v min(#{i :
+          count >= v}, t)``, is the number of entries ``<= r*r`` among the
+          ``t`` smallest of each column (the entries ``<= r*r`` are a
+          prefix of a sorted column, so ties need no special case).  The
+          in-process backends select and sort those ``t**2`` values once
+          per target — ``O(n t)`` selection plus ``O(t^2 log t)`` sort,
+          cached — and every radius batch is then one binary search,
+          ``O(m log t)``, in ``O(n * t)`` memory.  The sharded backend
+          keeps ``T`` in its shards and the parent only ``O(t)`` state (see
+          :meth:`repro.neighbors.sharded.ShardedBackend._top_sums`).
         * **Streaming** (the default for large targets): never persist the
           statistic; process the radii in chunks and recompute blocked
           distance passes per chunk, histogramming capped counts on the fly.
@@ -1169,7 +1182,8 @@ class NeighborBackend(abc.ABC):
           memory cliff.
 
         Both paths produce bit-identical scores: each divides the same
-        integer top-``target`` sum by ``target``.
+        integer top-``target`` sum by ``target``.  An empty radius batch
+        returns an empty array without touching either path.
 
         Parameters
         ----------
@@ -1196,15 +1210,23 @@ class NeighborBackend(abc.ABC):
         target = check_integer(target, "target", minimum=1)
         if target > n:
             raise ValueError(f"target must lie in [1, n={n}], got {target}")
+        if radii.size == 0:
+            return np.empty(0, dtype=float)
         if streaming is None:
             streaming = (self.streaming_auto
                          and n >= STREAMING_MIN_POINTS
                          and target > STREAMING_TARGET_FRACTION * n)
         if streaming:
             return self._streaming_profile(radii, target)
-        values = self._profile_values(target)
-        return np.searchsorted(values, _squared_radii(radii),
-                               side="right") / target
+        return self._top_sums(_squared_radii(radii), target) / target
+
+    def _top_sums(self, keys: np.ndarray, target: int) -> np.ndarray:
+        """The integer sum of the ``target`` largest capped counts at every
+        squared-radius key (``(m,)`` ``int64``): the number of entries
+        ``<= key`` among each column's ``target`` smallest in the truncated
+        statistic, read off :meth:`_profile_values` by one binary search."""
+        return np.searchsorted(self._profile_values(target), keys,
+                               side="right")
 
     def _profile_values(self, target: int) -> np.ndarray:
         """The sorted ``target**2`` smallest-per-column entries of the

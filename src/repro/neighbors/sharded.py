@@ -8,9 +8,11 @@ single-process backend (dense / chunked / tree, chosen per shard by
 ``auto_backend`` unless pinned), and merging:
 
 * **counts** — summed across shards (exact, integer addition);
-* **truncated squared distances** — each shard owns its *rows*: it computes
-  its own points' ``k`` smallest squared distances against the full
-  dataset, and the parent copies the row blocks into place (no merge);
+* **the GoodRadius profile** — each shard computes and keeps its own
+  *rows* of the truncated statistic (its points' ``t`` smallest squared
+  distances against the full dataset); the parent holds only each
+  column's threshold and sums per-shard integer counts (the
+  column-threshold identity of :meth:`ShardedBackend._top_sums`);
 * **streaming histograms** — the large-target ``L(r, S)`` walk also shards
   the query rows, and the per-range capped-count histograms add up.
 
@@ -30,9 +32,12 @@ view query and every count query is a
 plan — shipped as a *single* task per shard (one round trip per shard for
 a whole plan), optionally submitted asynchronously (``submit``), with the
 merge always folding shards in shard order so overlapping plans cannot
-perturb a single bit.  The truncated statistic (one row block per shard),
-the streaming profile histograms (summed) and the heaviest-cell merge's
-recount rounds are internal plan ops of the same bundle form.  Every batch
+perturb a single bit.  The profile's selection and count rounds over the
+resident row blocks, the ``kth_distances`` column read, the streaming
+profile histograms (summed) and the heaviest-cell merge's recount rounds
+are internal plan ops of the same bundle form; each carries what its shard
+needs to rebuild its state, so a restarted pool, a stolen task or an
+adopting node answers it bitwise alike.  Every batch
 leaves through one transport seam, :meth:`ShardedBackend._dispatch`; the
 distributed backend overrides only that seam.  On a single-CPU machine,
 when ``num_workers=0``, or when the pool cannot start (sandboxes without
@@ -49,6 +54,7 @@ count.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import threading
 import time
@@ -146,10 +152,18 @@ class _ShardSet:
         #: call — and of one query plan — all reference a single selection,
         #: so each worker derives its shard's membership exactly once.
         self._selection_rows = {}
-        #: The full-dataset scipy KD-tree the ``truncated`` op selects
-        #: neighbours with (built on first use, when :meth:`_inner_name`
+        #: The full-dataset scipy KD-tree the truncated row blocks are
+        #: selected with (built on first use, when :meth:`_inner_name`
         #: picks the tree at the full dataset's size).
         self._full_tree = None
+        #: Per-shard resident row block of the truncated statistic: ``shard
+        #: -> (rows, k)`` array, the widest any task asked for (a narrower
+        #: request reads its leading columns).
+        self._blocks = {}
+        #: Per-shard state of the GoodRadius profile: ``shard -> (target,
+        #: thresholds, sorted entries)``, the block's entries below their
+        #: column's threshold (see :meth:`below_threshold`).
+        self._profiles = {}
 
     def _inner_name(self, num_points: int) -> str:
         """The single-process strategy for ``num_points`` of these points:
@@ -225,11 +239,14 @@ class _ShardSet:
                 cached.pop(next(iter(cached)))
         return cached[token]
 
-    def clear_view_images(self) -> None:
-        """Drop every cached per-shard view image and memoised selection
-        membership (see :meth:`ShardedBackend.close`)."""
+    def clear_caches(self) -> None:
+        """Drop every cached per-shard view image, memoised selection
+        membership, resident row block and profile state (see
+        :meth:`ShardedBackend.close`)."""
         self._view_images.clear()
         self._selection_rows.clear()
+        self._blocks.clear()
+        self._profiles.clear()
 
     def cache_stats(self) -> dict:
         """Cache/index occupancy of this shard set (one worker's view of the
@@ -242,8 +259,64 @@ class _ShardSet:
                 for shard, images in sorted(self._view_images.items())
             },
             "cached_selections": sorted(self._selection_rows),
+            "resident_blocks": {
+                shard: int(block.shape[1])
+                for shard, block in sorted(self._blocks.items())
+            },
             "pid": os.getpid(),
         }
+
+    # ------------------------------------------------------------------ #
+    # The resident truncated statistic (GoodRadius's profile)
+    # ------------------------------------------------------------------ #
+    def block(self, shard: int, k: int) -> np.ndarray:
+        """The shard's rows' ``min(k, n)`` smallest squared distances to
+        the full dataset, row-sorted: ``(rows, k)``, built on first use and
+        kept.
+
+        When :meth:`_inner_name` picks the scipy KD-tree at the full
+        dataset's size, a full-dataset tree (cached in this process)
+        selects the neighbours and the shared gather kernel recomputes the
+        values, so the block is bitwise the blocked brute force's — and
+        the leading ``k`` columns of a wider block are bitwise the
+        ``k``-column block.
+        """
+        from repro.neighbors import HAVE_SCIPY_TREE
+        from repro.neighbors.tree import TreeBackend
+
+        k = min(k, self.points.shape[0])
+        cached = self._blocks.get(shard)
+        if cached is None or cached.shape[1] < k:
+            low, high = self.bounds[shard]
+            if (HAVE_SCIPY_TREE
+                    and self._inner_name(self.points.shape[0]) == "tree"):
+                if self._full_tree is None:
+                    self._full_tree = TreeBackend(self.points)
+                cached = self._full_tree.truncated_squared_cross(
+                    self.points[low:high], k
+                )
+            else:
+                cached = truncated_squared_cross(
+                    self.points[low:high], self.points, k,
+                    row_block_size(*self.points.shape)
+                )
+            self._blocks[shard] = cached
+        return cached[:, :k]
+
+    def below_threshold(self, shard: int, target: int,
+                        thresholds: np.ndarray) -> np.ndarray:
+        """The shard's block entries below their column's threshold,
+        sorted — the per-shard half of the column-threshold identity —
+        rebuilt whenever the target or the thresholds differ from the
+        ones it was built for."""
+        cached = self._profiles.get(shard)
+        if (cached is None or cached[0] != target
+                or not np.array_equal(cached[1], thresholds)):
+            block = self.block(shard, target)
+            cached = (target, thresholds,
+                      np.sort(block[block < thresholds[None, :]]))
+            self._profiles[shard] = cached
+        return cached[2]
 
     # ------------------------------------------------------------------ #
     # Plan execution (one task per shard for a whole QueryPlan)
@@ -331,10 +404,16 @@ class _ShardSet:
         :func:`repro.geometry.boxes.interval_labels`, the clip ball through
         :func:`repro.geometry.balls.ball_membership` — the shared
         definitions that make every partial bitwise the in-process view's
-        slice.  Three ops are internal, never plan methods: ``count_labels``
-        (the exact-recount round of the bounded heaviest-cell merge),
-        ``truncated`` (this shard's row block of the truncated statistic)
-        and ``histograms`` (this shard's streaming ``L(r, S)`` partial).
+        slice.  The other ops are internal, never plan methods:
+        ``count_labels`` (the exact-recount round of the bounded
+        heaviest-cell merge), ``histograms`` (this shard's streaming
+        ``L(r, S)`` partial), and the reads of the shard's resident row
+        block of the truncated statistic — ``truncated`` (the block),
+        ``kth`` (one column of it) and the three GoodRadius profile rounds
+        ``profile_samples``, ``profile_bracket`` and ``profile_counts``.
+        Each carries everything its shard needs to rebuild the block and
+        the profile state, so a fresh or stealing worker, or an adopting
+        node, answers it bitwise like the shard's home worker.
         """
         from repro.geometry.balls import ball_membership
         from repro.geometry.boxes import (
@@ -352,26 +431,36 @@ class _ShardSet:
         if op == "depth_counts":
             return depth_count_pairs(self.points[low:high, 0], *args)
         if op == "truncated":
-            # The shard's rows' ``min(k, n)`` smallest squared distances to
-            # the full dataset, row-sorted.  When :meth:`_inner_name` picks
-            # the scipy KD-tree at the full dataset's size, a full-dataset
-            # tree (cached in this process) selects the neighbours and the
-            # shared gather kernel recomputes the values, so the block is
-            # bitwise the blocked brute force's.
-            from repro.neighbors import HAVE_SCIPY_TREE
-            from repro.neighbors.tree import TreeBackend
-
+            # The shard's row block, for the public ``truncated_squared``.
             (k,) = args
-            if (HAVE_SCIPY_TREE
-                    and self._inner_name(self.points.shape[0]) == "tree"):
-                if self._full_tree is None:
-                    self._full_tree = TreeBackend(self.points)
-                return self._full_tree.truncated_squared_cross(
-                    self.points[low:high], k
-                )
-            return truncated_squared_cross(self.points[low:high],
-                                           self.points, k,
-                                           row_block_size(*self.points.shape))
+            return self.block(shard, k)
+        if op == "kth":
+            (k,) = args
+            return self.block(shard, k)[:, k - 1]
+        if op == "profile_samples":
+            # Selection round 1: every ceil(sqrt(t))-th order statistic of
+            # each column's t smallest, plus the last (see _sample_ranks).
+            (target,) = args
+            block = self.block(shard, target)
+            ranks = _sample_ranks(block.shape[0], target)
+            return np.sort(block, axis=0)[ranks - 1]
+        if op == "profile_bracket":
+            # Selection round 2: per column, the count at or below the
+            # bracket and the entries strictly inside it, grouped by
+            # column.  Every entry outside the shard's t smallest of a
+            # column lies at or above the upper bound, so the whole block
+            # gives the same answer as those t smallest.
+            target, lower, upper = args
+            block = self.block(shard, target)
+            inside = (block > lower[None, :]) & (block < upper[None, :])
+            return (np.count_nonzero(block <= lower[None, :], axis=0),
+                    np.count_nonzero(inside, axis=0),
+                    block.T[inside.T])
+        if op == "profile_counts":
+            # #{(i, j) : T[i, j] < tau_j and T[i, j] <= key} per key.
+            target, thresholds, keys = args
+            below = self.below_threshold(shard, target, thresholds)
+            return np.searchsorted(below, keys, side="right").astype(np.int64)
         if op == "histograms":
             # Capped-count histograms over the shard's *query rows*, counted
             # against the full dataset.
@@ -537,8 +626,15 @@ class _PoolBatch:
         self._queues = [deque() for _ in range(slots)]
         for index, (shard, _) in enumerate(self._tasks):
             self._queues[shard % slots].append(index)
-        for slot in range(slots):
-            self._start_next(slot)
+        # Every slot's first task is taken before any is submitted, so a
+        # fast first task cannot steal another slot's first task (and build
+        # that shard's resident state in the wrong worker) before the slot
+        # it belongs to has started.
+        firsts = [queue.popleft() if queue else None
+                  for queue in self._queues]
+        for slot, index in enumerate(firsts):
+            if index is None or not self._submit(slot, index, False):
+                self._start_next(slot)
 
     def _run_serially(self) -> list:
         shards = self._backend._shards
@@ -604,23 +700,27 @@ class _PoolBatch:
         while True:
             with self._lock:
                 index, stolen = self._pick(slot)
-            if index is None:
+            if index is None or self._submit(slot, index, stolen):
                 return
-            shard, payload = self._tasks[index]
-            proxy = self._proxies[index]
-            try:
-                future = self._executors[slot].submit(
-                    _run_shard_task, shard, payload
-                )
-            except BaseException as error:  # pool shut down mid-batch
-                proxy.set_exception(error)
-                continue
-            if stolen:
-                self._backend._note_stolen()
-            future.add_done_callback(
-                lambda f, s=slot, p=proxy: self._finish(s, p, f)
+
+    def _submit(self, slot: int, index: int, stolen: bool) -> bool:
+        """Submit task ``index`` to ``slot``; ``False`` when the pool
+        refused it (its proxy then holds the error)."""
+        shard, payload = self._tasks[index]
+        proxy = self._proxies[index]
+        try:
+            future = self._executors[slot].submit(
+                _run_shard_task, shard, payload
             )
-            return
+        except BaseException as error:  # pool shut down mid-batch
+            proxy.set_exception(error)
+            return False
+        if stolen:
+            self._backend._note_stolen()
+        future.add_done_callback(
+            lambda f, s=slot, p=proxy: self._finish(s, p, f)
+        )
+        return True
 
     def _finish(self, slot: int, proxy: Future, future) -> None:
         error = future.exception()
@@ -741,6 +841,107 @@ def _bounded_maximum(lists: Sequence[tuple]):
     if exact.size and int(exact.max()) >= max(int(upper.max()), bound):
         return candidates, bound, int(exact.max())
     return candidates, bound, None
+
+
+#: Columns per step of the parent's selection merges, which bounds their
+#: scratch at a few ``(sampled rows, chunk)`` arrays whatever ``t`` is.
+_SELECTION_CHUNK = 256
+
+
+def _sample_ranks(rows: int, target: int) -> np.ndarray:
+    """The 1-based ranks a shard of ``rows`` rows samples from each
+    column's ``m = min(rows, target)`` smallest entries in selection round
+    1: every ``ceil(sqrt(target))``-th, plus the ``m``-th."""
+    m = min(rows, target)
+    step = math.isqrt(target - 1) + 1
+    return np.unique(np.append(np.arange(step, m + 1, step), m))
+
+
+def _brackets(samples: Sequence[np.ndarray], rows: Sequence[int],
+              target: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-column bounds ``lower < tau_j <= upper`` from round 1's samples.
+
+    ``tau_j`` is the ``target``-th smallest entry of column ``j``.  A
+    shard's samples bound how many of its entries lie at or below a value
+    ``v``: at least the rank of its last sample ``<= v`` (0 if none), at
+    most one less than the rank of its first sample ``> v`` (its ``m`` if
+    none).  ``upper`` is the smallest sample value whose lower bounds sum
+    to at least ``target``; ``lower`` the largest sample value whose upper
+    bounds sum to less (``-inf`` if none).  Summed over the samples sorted
+    by value, each bound is a running sum of rank steps; the value where a
+    running sum first crosses ``target`` does not depend on how ties are
+    ordered.  Entries a shard holds beyond its ``m`` smallest lie at or
+    above its last sample, so they never move either bound.
+    """
+    steps_low, steps_high, base = [], [], 0
+    for count in rows:
+        ranks = _sample_ranks(count, target)
+        steps = np.diff(np.concatenate([[0], ranks,
+                                        [min(count, target) + 1]]))
+        steps_low.append(steps[:-1])     # rank minus the previous rank
+        steps_high.append(steps[1:])     # next rank minus rank
+        base += int(ranks[0]) - 1
+    steps_low = np.concatenate(steps_low)
+    steps_high = np.concatenate(steps_high)
+    lower = np.empty(target)
+    upper = np.empty(target)
+    for start in range(0, target, _SELECTION_CHUNK):
+        columns = slice(start, start + _SELECTION_CHUNK)
+        values = np.concatenate([part[:, columns] for part in samples])
+        order = np.argsort(values, axis=0)
+        values = np.take_along_axis(values, order, axis=0)
+        index = np.arange(values.shape[1])
+        crossed = np.cumsum(steps_low[order], axis=0) >= target
+        upper[columns] = values[crossed.argmax(axis=0), index]
+        crossed = base + np.cumsum(steps_high[order], axis=0) >= target
+        first = np.count_nonzero(
+            values < values[crossed.argmax(axis=0), index][None, :], axis=0
+        )
+        lower[columns] = np.where(
+            first > 0, values[np.maximum(first - 1, 0), index], -np.inf
+        )
+    return lower, upper
+
+
+def _thresholds(parts: Sequence[tuple], target: int,
+                upper: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``tau`` and the prefix sums of ``t - s_j`` from round 2's replies.
+
+    Each reply is one shard's ``(count at or below lower, count strictly
+    inside, inside entries grouped by column)``.  Per column, ``tau_j`` is
+    the ``(t - below_j)``-th smallest of the inside entries merged with
+    ``upper_j`` (appended as a sentinel: it is larger than every inside
+    entry, and ``tau_j <= upper_j``), and ``s_j`` — the column's entries
+    below ``tau_j`` — is ``below_j`` plus the inside entries below it.
+    """
+    below = np.sum([part[0] for part in parts], axis=0, dtype=np.int64)
+    offsets = [np.concatenate([[0], np.cumsum(part[1])]) for part in parts]
+    thresholds = np.empty(target)
+    under = np.empty(target, dtype=np.int64)
+    for start in range(0, target, _SELECTION_CHUNK):
+        stop = min(start + _SELECTION_CHUNK, target)
+        width = stop - start
+        # int16 column offsets (a chunk is narrower than 2**15) make the
+        # stable grouping sort a radix sort.
+        local = np.arange(width, dtype=np.int16)
+        values = [upper[start:stop]]
+        columns = [local]
+        for part, offset in zip(parts, offsets):
+            values.append(part[2][offset[start]:offset[stop]])
+            columns.append(np.repeat(local, part[1][start:stop]))
+        values = np.concatenate(values)
+        columns = np.concatenate(columns)
+        order = np.argsort(values)
+        order = order[np.argsort(columns[order], kind="stable")]
+        values, columns = values[order], columns[order]
+        sizes = np.bincount(columns, minlength=width)
+        rank = np.minimum(target - below[start:stop], sizes)
+        chosen = values[np.cumsum(sizes) - sizes + rank - 1]
+        thresholds[start:stop] = chosen
+        under[start:stop] = below[start:stop] + np.bincount(
+            columns[values < chosen[columns]], minlength=width
+        )
+    return thresholds, np.concatenate([[0], np.cumsum(target - under)])
 
 
 class _CompiledPlan:
@@ -891,6 +1092,10 @@ class ShardedBackend(NeighborBackend):
         self._stats = {"fanouts": 0, "shard_tasks": 0, "plans": 0,
                        "stolen_tasks": 0}
         self._stats_lock = threading.Lock()
+        #: The parent's half of the GoodRadius profile for the latest
+        #: target: ``(target, thresholds tau, prefix sums of t - s_j)``,
+        #: ``O(t)`` (see :meth:`_top_sums`).
+        self._threshold_cache: Optional[tuple] = None
 
     # ------------------------------------------------------------------ #
     # Topology
@@ -917,13 +1122,16 @@ class ShardedBackend(NeighborBackend):
         operations — each is one round trip per shard), ``shard_tasks``
         (per-shard tasks those operations dispatched) and ``plans`` (query
         plans executed/submitted — every direct view or count query counts,
-        since it runs as a one-query plan; the truncated-statistic and
+        since it runs as a one-query plan; the profile's fan-outs — two
+        selection rounds per new target, then one count round per radius
+        batch — and the ``kth_distances``, truncated-gather and
         streaming-histogram fan-outs do not), plus the topology and a
-        ``workers`` list:
-        one :meth:`_ShardSet.cache_stats` entry per live worker slot (pool
-        mode) or the parent shard set's entry (serial fallback).  With
-        routing affinity each shard index appears in exactly one worker's
-        ``built_shards`` — the property the affinity tests pin.
+        ``workers`` list: one :meth:`_ShardSet.cache_stats` entry per live
+        worker slot (pool mode) or the parent shard set's entry (serial
+        fallback), whose ``resident_blocks`` maps each shard to the width
+        of the truncated row block it keeps.  With routing affinity each
+        shard index appears in exactly one worker's ``built_shards`` — the
+        property the affinity tests pin.
 
         Purely diagnostic: reading it never starts the pool, but in pool
         mode it does dispatch one stats task per live worker slot.
@@ -1060,9 +1268,11 @@ class ShardedBackend(NeighborBackend):
 
         Safe to call repeatedly; also invoked on garbage collection.  After
         closing, the next query transparently restarts the pool.  Also drops
-        the serial fallback's cached view images and memoised selections (in
-        pool mode those caches live in the worker processes and die with
-        them).
+        the serial fallback's cached view images, memoised selections and
+        resident row blocks (in pool mode those caches live in the worker
+        processes and die with them).  The parent's ``O(t)`` profile state
+        stays: every count task carries the thresholds, so the fresh
+        workers rebuild their share from it.
         """
         executors, self._executors = self._executors, None
         if executors is not None:
@@ -1075,7 +1285,7 @@ class ShardedBackend(NeighborBackend):
                 shm.unlink()
             except (FileNotFoundError, OSError):  # pragma: no cover
                 pass
-        self._shards.clear_view_images()
+        self._shards.clear_caches()
 
     def __enter__(self) -> "ShardedBackend":
         return self
@@ -1150,13 +1360,15 @@ class ShardedBackend(NeighborBackend):
         return self.execute(plan)[0]
 
     def _compute_truncated_squared(self, k: int) -> np.ndarray:
-        """The truncated statistic, one row block per shard.
+        """The truncated statistic gathered from the shards' row blocks.
 
-        Each shard computes its own rows' ``k`` smallest squared distances
+        Each shard keeps its own rows' ``k`` smallest squared distances
         against the full (shared-memory) dataset; the blocks are copied into
         their row ranges of one preallocated ``(n, k)`` array as the shards
         arrive, in shard order.  Every row comes whole from one shard, so
-        the array is bitwise the single-process statistic.
+        the array is bitwise the single-process statistic.  Only the public
+        :meth:`truncated_squared` gathers it: no solver path moves the
+        ``(n, k)`` statistic out of the shards.
         """
         k = min(k, self.num_points)
         truncated = np.empty((self.num_points, k), dtype=float)
@@ -1164,6 +1376,65 @@ class ShardedBackend(NeighborBackend):
                                       self._bounds):
             truncated[low:high] = block
         return truncated
+
+    def _kth_squared(self, k: int) -> np.ndarray:
+        """Column ``k - 1`` of the shards' resident row blocks, ``n``
+        values, concatenated in shard order."""
+        return np.concatenate(list(self._shard_waves("kth", (k,))))
+
+    def _top_sums(self, keys: np.ndarray, target: int) -> np.ndarray:
+        """The integer top-``t`` sums at ``keys`` by the column-threshold
+        identity, with the statistic ``T`` left in the shards.
+
+        Let ``tau_j`` be the ``t``-th smallest entry of column ``j`` of
+        ``T`` and ``s_j`` the number of its entries below ``tau_j``; ``tau``
+        is non-decreasing in ``j`` because every row of ``T`` is sorted.  A
+        column with ``tau_j <= x`` contributes ``t`` to the sum at key
+        ``x``, and a column with ``tau_j > x`` its entries ``<= x``, all of
+        which are below ``tau_j``.  So the sum is
+
+            sum_{j : tau_j <= x} (t - s_j)
+                + #{(i, j) : T[i, j] < tau_j and T[i, j] <= x}.
+
+        The parent keeps ``tau`` and the prefix sums of ``t - s_j``
+        (:meth:`_threshold_profile`) and reads the first term with one
+        binary search; the second is a sum over rows, so each shard
+        answers it with one binary search over its sorted below-threshold
+        entries — one fan-out of ``m`` integers per shard per batch.
+        """
+        thresholds, prefix = self._threshold_profile(target)
+        total = prefix[np.searchsorted(thresholds, keys, side="right")]
+        for part in self._shard_waves("profile_counts",
+                                      (target, thresholds, keys)):
+            total += part
+        return total
+
+    def _threshold_profile(self, target: int) -> Tuple[np.ndarray,
+                                                       np.ndarray]:
+        """``(tau, prefix sums of t - s_j)`` for ``target``, cached for the
+        latest target.
+
+        An exact two-round selection over the shards' resident blocks:
+        round 1 samples every ``ceil(sqrt(t))``-th order statistic of each
+        shard's per-column ``t`` smallest (:func:`_brackets` turns them
+        into bounds around each ``tau_j``), round 2 returns each shard's
+        count below the bracket and its entries inside it
+        (:func:`_thresholds`).  ``O(shards * t^1.5)`` values cross the
+        transport, instead of the ``(n, t)`` statistic.
+        """
+        cached = self._threshold_cache
+        if cached is None or cached[0] != target:
+            lower, upper = _brackets(
+                list(self._shard_waves("profile_samples", (target,))),
+                [high - low for low, high in self._bounds], target,
+            )
+            cached = (target, *_thresholds(
+                list(self._shard_waves("profile_bracket",
+                                       (target, lower, upper))),
+                target, upper,
+            ))
+            self._threshold_cache = cached
+        return cached[1], cached[2]
 
     def _capped_count_histograms(self, keys: np.ndarray,
                                  cap: int) -> np.ndarray:

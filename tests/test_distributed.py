@@ -1120,6 +1120,47 @@ class TestFailover:
             finally:
                 backend.close()
 
+    @pytest.mark.slow
+    def test_serve_process_sigkilled_between_profile_rounds(self,
+                                                             monkeypatch):
+        """Three real ``serve`` processes, one SIGKILLed after the two
+        selection rounds of a GoodRadius profile and before its count
+        round: the adopting node holds none of the dead node's shard
+        state, rebuilds it from the count task, and the scores are
+        bitwise the healthy ones."""
+        points = np.random.default_rng(2).uniform(size=(300, 3))
+        radii = np.linspace(-0.1, 1.2, 40)
+        target = 150
+        healthy = DenseBackend(points).capped_average_scores(radii, target)
+        with node_processes(3) as (procs, nodes):
+            # Three shards, one per node: every fan-out is one dispatch.
+            backend = DistributedBackend(points, nodes=nodes, num_shards=3,
+                                         retry_backoff=0.05)
+            calls = []
+            original = DistributedBackend._dispatch
+
+            def killing_dispatch(self, tasks):
+                calls.append(tasks[0][1][2][0][0])
+                if len(calls) == 3:
+                    procs[1].kill()
+                    procs[1].wait(timeout=10)
+                return original(self, tasks)
+
+            monkeypatch.setattr(DistributedBackend, "_dispatch",
+                                killing_dispatch)
+            try:
+                scores = backend.capped_average_scores(radii, target)
+                again = backend.capped_average_scores(radii[::-1], target)
+                stats = backend.pool_stats()
+            finally:
+                backend.close()
+        assert calls[:3] == ["profile_samples", "profile_bracket",
+                             "profile_counts"]
+        assert stats["adopted_shards"] == 1, stats
+        assert stats["live_nodes"] == 2, stats
+        assert scores.tobytes() == healthy.tobytes()
+        assert again.tobytes() == healthy[::-1].tobytes()
+
     def test_iter_shards_wave_fills_node_workers(self, monkeypatch):
         """The streaming wave defaults to num_nodes × node_workers — one
         task per node-local worker slot per wave — so a node's whole pool

@@ -10,7 +10,10 @@ numbers rather than code inspection:
 * the heaviest-cell partition search's parent scratch is bounded by
   ``shards * top_k`` candidate cells per attempt, with the exact-recount
   certification keeping the returned maxima bitwise equal to the full merge
-  even when the global argmax is in *no* shard's top-k.
+  even when the global argmax is in *no* shard's top-k;
+* GoodRadius over a pooled sharded backend never brings the ``(n, t)``
+  truncated statistic into the parent: the shards keep it, and the
+  parent's profile state is ``O(t)``.
 
 Marked ``slow`` (n = 20k work + a real worker pool): these run in the
 dedicated ``-m slow`` CI job, not the tier-1 loop.
@@ -24,6 +27,7 @@ import pytest
 from repro.accounting.params import PrivacyParams
 from repro.core.config import GoodCenterConfig
 from repro.core.good_center import good_center
+from repro.core.good_radius import good_radius
 from repro.datasets.synthetic import planted_cluster
 from repro.neighbors import DenseBackend, ShardedBackend
 
@@ -69,6 +73,37 @@ class TestRotatedStageMemoryGuard:
         assert result.projected_dimension < self.D     # rotated stage ran
         assert result.captured_count >= self.TARGET
         assert parent_peak < rotated_copy_bytes / 2, (
+            f"parent peaked at {parent_peak / 1e6:.2f} MB"
+        )
+
+
+@pytest.mark.slow
+class TestProfileMemoryGuard:
+    """Parent peak allocation during a full good_radius call on a 2-worker
+    pool: the parent commit gathered the ``(n, t)`` statistic there."""
+
+    N = 6000
+    D = 16
+
+    def test_parent_never_holds_the_statistic(self):
+        points = planted_cluster(n=self.N, d=self.D,
+                                 cluster_size=int(0.6 * self.N),
+                                 cluster_radius=0.05, rng=4).points
+        target = self.N // 2
+        with ShardedBackend(points, num_shards=2, num_workers=2) as backend:
+            backend.radius_counts(0.01)      # warm the pool outside the window
+            tracemalloc.start()
+            try:
+                result = good_radius(points, target, PrivacyParams(1.0, 1e-6),
+                                     rng=5, backend=backend)
+                _, parent_peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            chunked = good_radius(points, target, PrivacyParams(1.0, 1e-6),
+                                  rng=5, backend="chunked")
+        assert result == chunked
+        statistic_bytes = 8 * self.N * target
+        assert parent_peak < statistic_bytes / 10, (
             f"parent peaked at {parent_peak / 1e6:.2f} MB"
         )
 

@@ -219,6 +219,57 @@ class TestProfileOracle:
                                                               target)
 
 
+def oracle_top_sums(squared: np.ndarray, keys: np.ndarray,
+                    target: int) -> np.ndarray:
+    """The integer top-``target`` sum of capped counts at each squared
+    key, from the dense squared-distance matrix."""
+    sums = []
+    for key in keys:
+        capped = np.minimum(np.count_nonzero(squared <= key, axis=1), target)
+        sums.append(sum(sorted(capped.tolist(), reverse=True)[:target]))
+    return np.asarray(sums, dtype=np.int64)
+
+
+class TestThresholdSelection:
+    """The sharded profile's exact two-round selection of the column
+    thresholds, against the dense oracle: tie-heavy integer lattices and
+    duplicated rows, 1-8 shards (shards with fewer rows than ``t`` and
+    single-row shards included), keys on every pairwise squared distance
+    and one ulp above it."""
+
+    @settings(SETTINGS, max_examples=30)
+    @given(case=st.tuples(
+        st.sampled_from(("integer", "duplicates")),
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=0, max_value=2 ** 16),
+        st.integers(min_value=1, max_value=8),     # shard count
+    ))
+    def test_selection_matches_dense_oracle(self, case):
+        scenario, n, d, seed, shards = case
+        points = build_points(scenario, n, d, seed)
+        squared = squared_distance_block(points, points)
+        distances = np.unique(squared)
+        keys = np.concatenate([[-1.0, 0.0], distances,
+                               np.nextafter(distances, np.inf), [np.inf]])
+        radii = np.concatenate([[-1.0, 0.0], np.sqrt(distances),
+                                np.nextafter(np.sqrt(distances), np.inf),
+                                [np.inf]])
+        dense = DenseBackend(points)
+        backend = ShardedBackend(points, num_shards=shards, num_workers=0)
+        for target in sorted({1, max(1, n // 2), n}):
+            sums = backend._top_sums(keys, target)
+            assert sums.tobytes() == oracle_top_sums(squared, keys,
+                                                     target).tobytes()
+            scores = backend.capped_average_scores(radii, target)
+            assert scores.tobytes() == oracle_scores(points, radii,
+                                                     target).tobytes()
+            thresholds, _ = backend._threshold_profile(target)
+            column = np.partition(dense.truncated_squared(target),
+                                  target - 1, axis=0)[target - 1]
+            assert thresholds.tobytes() == column.tobytes()
+
+
 @pytest.mark.slow
 class TestViewParity:
     @SETTINGS

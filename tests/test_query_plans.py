@@ -294,11 +294,12 @@ class TestFanOutInstrumentation:
         backend.execute(plan)
         after = backend.pool_stats()
         # The bundle is one fan-out; the coordinator op in the plan
-        # (capped_average_scores) runs its own internal fan-out (the
-        # truncated-statistic build), so the delta is exactly two.
+        # (capped_average_scores) runs its own internal fan-outs (the two
+        # selection rounds of the threshold profile and one count round),
+        # so the delta is exactly four.
         assert after["plans"] - before["plans"] == 1
-        assert after["fanouts"] - before["fanouts"] == 2
-        assert after["shard_tasks"] - before["shard_tasks"] == 2 * 4
+        assert after["fanouts"] - before["fanouts"] == 4
+        assert after["shard_tasks"] - before["shard_tasks"] == 4 * 4
 
     def test_bundle_only_plan_is_exactly_one_fanout(self, plan_fixture):
         fx = plan_fixture

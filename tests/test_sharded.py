@@ -485,6 +485,128 @@ class TestStreamingProfile:
         )
 
 
+def reply_values(reply) -> int:
+    """How many array values one shard reply holds."""
+    if isinstance(reply, np.ndarray):
+        return int(reply.size)
+    if isinstance(reply, (list, tuple)):
+        return sum(reply_values(item) for item in reply)
+    return 0
+
+
+class TestResidentProfile:
+    """The sharded GoodRadius profile keeps the truncated statistic in the
+    shards: an empty batch touches nothing, the replies stay
+    ``O(t^1.5)``, and shard state is rebuilt from each task, never
+    assumed."""
+
+    @pytest.mark.parametrize("name", sorted(BACKENDS))
+    @pytest.mark.parametrize("streaming", [None, True])
+    def test_empty_batch_builds_nothing(self, name, streaming):
+        points = DATASETS["random-2d"]
+        backend = (BACKENDS[name](points, num_shards=2, num_workers=0)
+                   if name == "sharded" else BACKENDS[name](points))
+        fanouts = (backend.pool_stats()["fanouts"] if name == "sharded"
+                   else None)
+        scores = backend.capped_average_scores(np.empty(0), 70,
+                                               streaming=streaming)
+        assert scores.shape == (0,) and scores.dtype == float
+        with pytest.raises(ValueError, match="target"):
+            backend.capped_average_scores([], 0)
+        assert backend._truncated_cache is None
+        assert backend._profile_cache is None
+        if name == "sharded":
+            stats = backend.pool_stats()
+            assert stats["fanouts"] == fanouts
+            assert backend._threshold_cache is None
+            assert stats["workers"][0]["resident_blocks"] == {}
+
+    def test_profile_replies_stay_below_t_to_the_1_5(self, monkeypatch):
+        """No profile reply carries the ``(n/W, t)`` row block: at n=3000,
+        t=1500 the parent commit's replies held 2.25M values per shard,
+        ``38.7 t^1.5``."""
+        from repro.datasets.synthetic import planted_cluster
+
+        points = planted_cluster(n=3000, d=16, cluster_size=1800,
+                                 cluster_radius=0.05, rng=2).points
+        target = 1500
+        radii = np.linspace(0.0, 1.0, 64)
+        sizes = []
+        original = ShardedBackend._dispatch
+
+        def spying(self, tasks):
+            handle = original(self, tasks)
+            sizes.extend(reply_values(reply) for reply in handle.result())
+            return handle
+
+        monkeypatch.setattr(ShardedBackend, "_dispatch", spying)
+        backend = ShardedBackend(points, num_shards=2, num_workers=0)
+        scores = backend.capped_average_scores(radii, target)
+        # Two selection rounds and one count round, one reply per shard.
+        assert len(sizes) == 3 * 2
+        assert max(sizes) <= 3 * target ** 1.5, sizes
+        monkeypatch.undo()
+        expected = neighbors.ChunkedBackend(points).capped_average_scores(
+            radii, target)
+        assert scores.tobytes() == expected.tobytes()
+
+    def test_close_then_profile_rebuilds(self):
+        """(a) Profile, close the pool, profile again: the restarted
+        workers hold no state, and every task rebuilds what it needs."""
+        points = DATASETS["random-2d"]
+        radii = radii_for(points)
+        chunked = neighbors.ChunkedBackend(points)
+        expected = chunked.capped_average_scores(radii, 40)
+        with ShardedBackend(points, num_shards=2, num_workers=2) as backend:
+            first = backend.capped_average_scores(radii, 40)
+            backend.close()
+            again = backend.capped_average_scores(radii, 40)
+            backend.close()
+            kth = backend.kth_distances(40)
+        assert first.tobytes() == expected.tobytes()
+        assert again.tobytes() == expected.tobytes()
+        assert kth.tobytes() == chunked.kth_distances(40).tobytes()
+
+    def test_target_changes_match_fresh_backends(self):
+        """(b) Targets A -> B -> A on one backend, with a wider ``kth``
+        read between, give bitwise what fresh backends give."""
+        points = DATASETS["duplicates"]
+        radii = radii_for(points)
+        backend = ShardedBackend(points, num_shards=3, num_workers=0)
+        for target, k in ((20, 45), (45, 12), (20, 5)):
+            got = backend.capped_average_scores(radii, target)
+            fresh = ShardedBackend(points, num_shards=3, num_workers=0)
+            assert got.tobytes() == fresh.capped_average_scores(
+                radii, target).tobytes()
+            assert got.tobytes() == DenseBackend(
+                points).capped_average_scores(radii, target).tobytes()
+            assert backend.kth_distances(k).tobytes() == DenseBackend(
+                points).kth_distances(k).tobytes()
+
+    @pytest.mark.slow
+    def test_four_shards_on_two_workers(self):
+        """(c) Four shards on two workers: each worker keeps the blocks of
+        the two shards routed to it, and target changes and ``kth`` reads
+        over that state are bitwise the serial answers."""
+        points = np.random.default_rng(6).uniform(size=(240, 3))
+        radii = radii_for(points)
+        serial = ShardedBackend(points, num_shards=4, num_workers=0)
+        expected = {target: serial.capped_average_scores(radii, target)
+                    for target in (60, 150)}
+        with ShardedBackend(points, num_shards=4, num_workers=2) as pool:
+            for target in (60, 150, 60):
+                got = pool.capped_average_scores(radii, target)
+                assert got.tobytes() == expected[target].tobytes(), target
+            assert (pool.kth_distances(200).tobytes()
+                    == serial.kth_distances(200).tobytes())
+            stats = pool.pool_stats()
+        assert stats["parallel"], "pool fell back to serial; seam untested"
+        assert [sorted(worker["resident_blocks"])
+                for worker in stats["workers"]] == [[0, 2], [1, 3]]
+        assert {columns for worker in stats["workers"]
+                for columns in worker["resident_blocks"].values()} == {200}
+
+
 class TestSelectionAndConfig:
     def test_auto_backend_sharded_regime(self, monkeypatch):
         assert auto_backend(100, 2) == "dense"
