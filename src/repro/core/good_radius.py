@@ -33,7 +33,6 @@ from repro.mechanisms.laplace import laplace_noise
 from repro.neighbors import (
     BackendLike,
     NeighborBackend,
-    QueryPlan,
     backend_scope,
     resolve_backend,
 )
@@ -64,14 +63,10 @@ class RadiusScore:
     backend:
         Neighbor-backend selection (name, class, instance, or ``None`` for
         automatic); see :func:`repro.neighbors.resolve_backend`.
-    backend_options:
-        Constructor options applied when the backend is built here (e.g.
-        ``{"num_workers": 4}`` for ``backend="sharded"``).
     """
 
     def __init__(self, points: np.ndarray, target: int,
-                 backend: BackendLike = None,
-                 backend_options: Optional[dict] = None) -> None:
+                 backend: BackendLike = None) -> None:
         points = check_points(points)
         self._n = points.shape[0]
         self._target = check_integer(target, "target", minimum=1)
@@ -79,8 +74,7 @@ class RadiusScore:
             raise ValueError(
                 f"target ({target}) cannot exceed the number of points ({self._n})"
             )
-        self._backend = resolve_backend(points, backend,
-                                        options=backend_options)
+        self._backend = resolve_backend(points, backend)
 
     @property
     def num_points(self) -> int:
@@ -98,13 +92,9 @@ class RadiusScore:
         return self._backend
 
     def evaluate(self, radii) -> np.ndarray:
-        """``L(r, S)`` for every radius in ``radii`` (Algorithm 1, step 1).
-
-        The whole grid rides one single-query
-        :class:`~repro.neighbors.QueryPlan` — bitwise the direct
-        ``capped_average_scores`` call (the plan layer changes transport
-        only), but the batch now shares the backends' plan submission and
-        fan-out instrumentation path.
+        """``L(r, S)`` for every radius in ``radii`` (Algorithm 1, step 1),
+        through the backend's one profile entry point,
+        :meth:`~repro.neighbors.NeighborBackend.capped_average_scores`.
 
         Parameters
         ----------
@@ -118,23 +108,7 @@ class RadiusScore:
             batched backend call (one binary search of the cached order
             statistic, or one streaming pass, for the whole grid).
         """
-        return self.submit(radii).result()[0]
-
-    def submit(self, radii):
-        """Submit a score-profile batch as a plan.
-
-        Returns a :class:`~repro.neighbors.PlanFuture` whose ``result()``
-        holds ``[scores]``, bitwise identical to :meth:`evaluate`.  Note
-        that ``capped_average_scores`` is a *coordinator* plan operation —
-        its order-statistic / streaming evaluation runs before ``submit``
-        returns, on every backend — so this is the uniform plan-carriage
-        form of the batch (instrumentation, future-based hand-over), not a
-        way to overlap two profile evaluations.
-        """
-        radii = np.atleast_1d(np.asarray(radii, dtype=float))
-        plan = QueryPlan()
-        plan.capped_average_scores(radii, self._target)
-        return self._backend.submit(plan)
+        return self._backend.capped_average_scores(radii, self._target)
 
     def evaluate_single(self, radius: float) -> float:
         """``L(radius, S)`` for one radius (see :meth:`evaluate`)."""
@@ -207,13 +181,13 @@ def good_radius(points, target: int, params: PrivacyParams, beta: float = 0.1,
         raise ValueError("good_radius requires delta > 0 (RecConcave and Gamma need it)")
 
     domain = _resolve_domain(points, domain, config.grid_side)
-    backend_options = None
+    options = None
     if backend is None:
         backend = config.neighbor_backend
-        backend_options = config.neighbor_backend_options() or None
+        options = config.neighbor_backend_options() or None
     # A backend built here is closed before returning, even when the search
     # raises; a caller's instance stays open.
-    with backend_scope(points, backend, backend_options) as resolved:
+    with backend_scope(points, backend, options) as resolved:
         return _search_radius(RadiusScore(points, target, backend=resolved),
                               params, beta, domain, config, rng, ledger)
 

@@ -624,15 +624,9 @@ VIEW_PLAN_OPS = MASKED_PLAN_OPS | frozenset({
     "heaviest_cell_counts", "cell_histogram",
 })
 
-#: Whole-dataset plan operations answered by the backend itself.
-#: ``count_within_many`` and ``depth_counts`` decompose into per-shard
-#: partials and join the single fused round trip; ``capped_average_scores``
-#: is a *coordinator* operation (its order-statistic / streaming evaluation
-#: runs its own internal fan-outs) carried in a plan so score batches ride
-#: the same submission and instrumentation path.
-BACKEND_PLAN_OPS = frozenset({
-    "count_within_many", "capped_average_scores", "depth_counts",
-})
+#: Whole-dataset plan operations answered by the backend itself; both
+#: decompose into per-shard partials and join the single fused round trip.
+BACKEND_PLAN_OPS = frozenset({"count_within_many", "depth_counts"})
 
 
 @dataclass(frozen=True)
@@ -810,18 +804,6 @@ class QueryPlan:
         radii = np.atleast_1d(np.asarray(radii, dtype=float))
         return self._append("count_within_many", None, None, (centers, radii))
 
-    def capped_average_scores(self, radii, target: int,
-                              streaming: Optional[bool] = None) -> int:
-        """Append a :meth:`NeighborBackend.capped_average_scores` batch (the
-        GoodRadius score profile); returns its result slot.  A *coordinator*
-        operation: its order-statistic / streaming evaluation runs the
-        backend's own internal fan-outs rather than joining the per-shard
-        bundle."""
-        radii = _check_radii(radii)
-        target = check_integer(target, "target", minimum=1)
-        return self._append("capped_average_scores", None, None,
-                            (radii, target, streaming))
-
     def depth_counts(self, thresholds) -> int:
         """Append a :meth:`NeighborBackend.depth_counts` query (the interior
         point reduction's one-sided rank counts); returns its result slot.
@@ -971,10 +953,6 @@ class NeighborBackend(abc.ABC):
         if query.op == "depth_counts":
             (thresholds,) = query.args
             return self.depth_counts(thresholds)
-        if query.op == "capped_average_scores":
-            radii, target, streaming = query.args
-            return self.capped_average_scores(radii, target,
-                                              streaming=streaming)
         if query.op not in VIEW_PLAN_OPS:
             raise ValueError(f"unknown plan operation {query.op!r}")
         view = plan.views[query.view_slot]
@@ -1148,17 +1126,17 @@ class NeighborBackend(abc.ABC):
         reads it from its shards' resident row blocks instead."""
         return self.truncated_squared(k)[:, k - 1]
 
-    def capped_average_scores(self, radii, target: int,
-                              streaming: Optional[bool] = None) -> np.ndarray:
+    def capped_average_scores(self, radii, target: int) -> np.ndarray:
         """The GoodRadius score ``L(r, S)`` at every radius in ``radii``.
 
         ``L(r, S)`` is the mean of the ``target`` largest capped counts
         ``min(B_r(x_i, S), target)`` (paper Algorithm 1, step 1; the
         sensitivity-2 score of Lemma 4.5).
 
-        Two exact evaluation strategies are available:
+        This is the one entry point to the profile.  It picks one of two
+        exact evaluation strategies per call:
 
-        * **Persisted** (the default for small targets): the integer sum of
+        * **Persisted** (small targets): the integer sum of
           the ``t = target`` largest capped counts comes from
           :meth:`_top_sums`, over the row-sorted ``(n, t)`` statistic ``T``
           of each point's ``t`` smallest squared distances.  Row ``i`` has
@@ -1174,9 +1152,11 @@ class NeighborBackend(abc.ABC):
           ``O(m log t)``, in ``O(n * t)`` memory.  The sharded backend
           keeps ``T`` in its shards and the parent only ``O(t)`` state (see
           :meth:`repro.neighbors.sharded.ShardedBackend._top_sums`).
-        * **Streaming** (the default for large targets): never persist the
-          statistic; process the radii in chunks and recompute blocked
-          distance passes per chunk, histogramming capped counts on the fly.
+        * **Streaming** (``target > STREAMING_TARGET_FRACTION * n`` at
+          ``n >= STREAMING_MIN_POINTS``, unless the strategy opts out
+          through :attr:`streaming_auto`): never persist the statistic;
+          process the radii in chunks and recompute blocked distance passes
+          per chunk, histogramming capped counts on the fly.
           ``O(n * block + chunk * target)`` memory at *every* target, which is
           what keeps outlier screening (``t ~ 0.9 n``) off the ``O(n^2)``
           memory cliff.
@@ -1194,11 +1174,6 @@ class NeighborBackend(abc.ABC):
         target:
             The target cluster size ``t`` (also the count cap);
             ``1 <= target <= n``.
-        streaming:
-            ``None`` (default) picks automatically — streaming when
-            ``target > STREAMING_TARGET_FRACTION * n`` and
-            ``n >= STREAMING_MIN_POINTS`` (and the strategy has not opted
-            out); ``True``/``False`` force a path.
 
         Returns
         -------
@@ -1212,11 +1187,8 @@ class NeighborBackend(abc.ABC):
             raise ValueError(f"target must lie in [1, n={n}], got {target}")
         if radii.size == 0:
             return np.empty(0, dtype=float)
-        if streaming is None:
-            streaming = (self.streaming_auto
-                         and n >= STREAMING_MIN_POINTS
-                         and target > STREAMING_TARGET_FRACTION * n)
-        if streaming:
+        if (self.streaming_auto and n >= STREAMING_MIN_POINTS
+                and target > STREAMING_TARGET_FRACTION * n):
             return self._streaming_profile(radii, target)
         return self._top_sums(_squared_radii(radii), target) / target
 

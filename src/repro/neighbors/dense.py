@@ -31,9 +31,8 @@ class DenseBackend(NeighborBackend):
     name = "dense"
 
     # The matrix already holds every pairwise distance; the streaming
-    # large-target walk would only recompute what is cached, so it is never
-    # auto-selected for this strategy (explicit ``streaming=True`` still
-    # works, and still matches bit-for-bit).
+    # large-target walk would only recompute what is cached, so this
+    # strategy always takes the persisted path.
     streaming_auto = False
 
     def __init__(self, points) -> None:

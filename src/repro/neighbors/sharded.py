@@ -949,10 +949,9 @@ class _CompiledPlan:
 
     ``views_wire`` is the plan's view table as ``(token, matrix, offset)``
     triples; ``selection_specs[j][s]`` shard ``s``'s spec for selection
-    ``j``; ``bundle`` the ordered shard-side queries (``args`` is either a
-    tuple shared by every shard or a per-shard list); ``merges`` one entry
-    per *plan* query — ``(op, bundle_index, extra)``, with ``bundle_index``
-    ``None`` for coordinator operations evaluated parent-side.
+    ``j``; ``bundle`` the ordered shard-side queries, one per plan query
+    (``args`` is either a tuple shared by every shard or a per-shard list);
+    ``merges`` the matching ``(op, extra)`` merge inputs.
     """
 
     __slots__ = ("views_wire", "selection_specs", "bundle", "merges")
@@ -1545,9 +1544,6 @@ class ShardedBackend(NeighborBackend):
         merges: List[tuple] = []
         for query in plan.queries:
             op, view_slot, args = query.op, query.view_slot, query.args
-            if op == "capped_average_scores":
-                merges.append((op, None, args))
-                continue
             extra = None
             if op == "count_within_many":
                 centers, radii = args
@@ -1562,23 +1558,17 @@ class ShardedBackend(NeighborBackend):
             elif op in MASKED_PLAN_OPS:
                 # The merge needs the image dimension of the queried view.
                 extra = views[view_slot].image_dimension
-            merges.append((op, len(bundle), extra))
+            merges.append((op, extra))
             bundle.append((op, view_slot, query.selection_slot, args))
         return _CompiledPlan(views_wire, selection_specs, bundle, merges)
 
     def _merge_plan(self, compiled: _CompiledPlan,
                     shard_parts: List[list]) -> list:
         """Fold per-shard plan partials into per-query results (shard order,
-        deterministic) and evaluate the coordinator operations."""
+        deterministic)."""
         results: List[object] = []
-        for op, bundle_index, extra in compiled.merges:
-            if op == "capped_average_scores":
-                radii, target, streaming = extra
-                results.append(self.capped_average_scores(
-                    radii, target, streaming=streaming
-                ))
-                continue
-            parts = [shard[bundle_index] for shard in shard_parts]
+        for index, (op, extra) in enumerate(compiled.merges):
+            parts = [shard[index] for shard in shard_parts]
             if op in ("count_within_many", "depth_counts"):
                 results.append(np.sum(parts, axis=0, dtype=np.int64))
             elif op == "masked_sum":
@@ -1624,8 +1614,8 @@ class ShardedBackend(NeighborBackend):
         compiled = self._compile_plan(plan)
         self._stats["plans"] += 1
         if not compiled.bundle:
-            # Coordinator-only plan: nothing to fan out.
-            return PlanFuture(self._merge_plan(compiled, []))
+            # An empty plan: nothing to fan out, no node touched.
+            return PlanFuture([])
         self._stats["fanouts"] += 1
         self._stats["shard_tasks"] += self.num_shards
         future = _ShardedPlanFuture(self, compiled, self._dispatch([

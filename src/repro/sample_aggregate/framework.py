@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from repro.neighbors import (
     BackendLike,
     NeighborBackend,
     QueryPlan,
-    resolve_backend,
+    backend_scope,
 )
 from repro.sample_aggregate.aggregators import Aggregator, one_cluster_aggregator
 from repro.utils.rng import RngLike, as_generator, spawn_generators
@@ -55,11 +55,42 @@ def plan_capable(analysis) -> bool:
       results back to the block's value, bitwise identical to
       ``__call__(database[rows])``.
 
-    :func:`sample_and_aggregate` uses this to route every block through one
+    :func:`evaluate_blocks` uses this to route every block through one
     asynchronous backend plan instead of materialising the sub-sample
     parent-side.
     """
     return hasattr(analysis, "compile") and hasattr(analysis, "resolve")
+
+
+def evaluate_blocks(database: np.ndarray, analysis: Callable,
+                    row_sets: Sequence[np.ndarray],
+                    backend: BackendLike = None) -> List[np.ndarray]:
+    """``analysis(database[rows])`` for every row multiset in ``row_sets``,
+    each as a 1-d float array, in order.
+
+    With a ``backend``, a :func:`plan_capable` analysis and a 2-d
+    ``database``, every block compiles into its own :class:`QueryPlan` over
+    the backend :func:`~repro.neighbors.backend_scope` resolves, and all
+    plans are submitted before any is resolved: on a sharded or distributed
+    backend the blocks are embarrassingly parallel, so every worker stays
+    busy while the parent merges.  Every plan's merge is shard-order
+    deterministic and a plan-capable analysis resolves to bitwise its
+    parent-side value, so both paths return the same bits.  Otherwise each
+    block is evaluated parent-side.
+    """
+    if backend is None or not plan_capable(analysis) or database.ndim != 2:
+        values = [analysis(database[rows]) for rows in row_sets]
+    else:
+        with backend_scope(database, backend) as engine:
+            view = engine.view()
+            futures = []
+            for rows in row_sets:
+                plan = QueryPlan()
+                token = analysis.compile(plan, view, rows)
+                futures.append((engine.submit(plan), token, len(rows)))
+            values = [analysis.resolve(future.result(), token, size)
+                      for future, token, size in futures]
+    return [np.atleast_1d(np.asarray(value, dtype=float)) for value in values]
 
 
 @dataclass(frozen=True)
@@ -117,7 +148,6 @@ def sample_and_aggregate(database, analysis: Callable[[np.ndarray], np.ndarray],
                          config: Optional[OneClusterConfig] = None,
                          collect_diagnostics: bool = False,
                          backend: BackendLike = None,
-                         backend_options: Optional[dict] = None,
                          rng: RngLike = None,
                          ledger: Optional[PrivacyLedger] = None) -> StablePointResult:
     """Privately estimate a stable point of ``analysis`` on ``database``.
@@ -155,24 +185,18 @@ def sample_and_aggregate(database, analysis: Callable[[np.ndarray], np.ndarray],
         When True, the (non-private) sub-sample outputs ``Y`` are attached to
         the result for inspection in experiments.
     backend:
-        Optional neighbor backend for the block evaluations.  When the
-        analysis is :func:`plan_capable` and the database is a 2-d float
-        array, every block compiles into its own :class:`QueryPlan` over the
-        resolved backend and *all plans are submitted up-front* — on a
-        sharded/distributed backend the blocks are embarrassingly parallel,
-        so every worker stays busy while the parent merely merges — and the
-        block values (hence the release) are bitwise identical to the
+        Optional neighbor backend for the block evaluations (see
+        :func:`evaluate_blocks`): with a :func:`plan_capable` analysis over
+        a 2-d array every block is one asynchronous :class:`QueryPlan`, and
+        the block values (hence the release) are bitwise identical to the
         parent-side path.  Accepts anything
         :func:`~repro.neighbors.resolve_backend` does; a long-lived
         :class:`~repro.neighbors.NeighborBackend` instance built over
         ``database`` is reused without re-indexing, which is how
         :class:`~repro.experiments.harness.PipelinedRuns` amortises one
         backend across repeated trials.  Backend *names/classes* are also
-        forwarded to the default 1-cluster aggregator.  Ignored (with the
-        historical serial path) when the analysis is not plan-capable.
-    backend_options:
-        Construction options forwarded to :func:`resolve_backend` (rejected
-        for instances).
+        forwarded to the default 1-cluster aggregator.  Ignored when the
+        analysis is not plan-capable.
     rng, ledger:
         As elsewhere.
 
@@ -201,51 +225,9 @@ def sample_and_aggregate(database, analysis: Callable[[np.ndarray], np.ndarray],
         )
     indices = generator.integers(0, n, size=num_blocks * block_size)
 
-    use_plans = (backend is not None and plan_capable(analysis)
-                 and database.ndim == 2)
-    engine = None
-    owns_engine = False
-    if use_plans:
-        engine = resolve_backend(database, backend, backend_options)
-        owns_engine = not isinstance(backend, NeighborBackend)
-    elif backend_options is not None and backend is None:
-        raise ValueError("backend_options requires a backend")
-
-    try:
-        if use_plans:
-            # Each block is one independent plan; submitting them all before
-            # resolving any keeps a sharded/distributed backend's workers
-            # saturated.  Results are collected in block order, and every
-            # plan's merge is shard-order deterministic, so the values — and
-            # the aggregation below — match the serial path bitwise.
-            view = engine.view()
-            futures = []
-            for block_index in range(num_blocks):
-                rows = indices[block_index * block_size:
-                               (block_index + 1) * block_size]
-                plan = QueryPlan()
-                token = analysis.compile(plan, view, rows)
-                futures.append((engine.submit(plan), token))
-            outputs = [
-                np.atleast_1d(np.asarray(
-                    analysis.resolve(future.result(), token, block_size),
-                    dtype=float,
-                ))
-                for future, token in futures
-            ]
-        else:
-            subsample = database[indices]
-            outputs = []
-            for block_index in range(num_blocks):
-                block = subsample[block_index * block_size:
-                                  (block_index + 1) * block_size]
-                value = np.atleast_1d(np.asarray(analysis(block), dtype=float))
-                outputs.append(value)
-    finally:
-        if owns_engine and engine is not None:
-            close = getattr(engine, "close", None)
-            if close is not None:
-                close()
+    # One block per consecutive run of block_size sub-sampled rows.
+    outputs = evaluate_blocks(database, analysis,
+                              np.split(indices, num_blocks), backend)
     aggregate_values = np.vstack(outputs)
 
     target = max(1, int(math.floor(alpha * num_blocks / 2.0)))
@@ -282,6 +264,7 @@ def sample_and_aggregate(database, analysis: Callable[[np.ndarray], np.ndarray],
 
 __all__ = [
     "StablePointResult",
+    "evaluate_blocks",
     "plan_capable",
     "sample_and_aggregate",
     "sa_minimum_database_size",

@@ -11,11 +11,12 @@ on fresh sub-samples (a purely diagnostic, non-private computation).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from repro.neighbors import BackendLike, NeighborBackend, QueryPlan, resolve_backend
+from repro.neighbors import BackendLike
+from repro.sample_aggregate.framework import evaluate_blocks
 from repro.utils.rng import RngLike, as_generator
 from repro.utils.validation import check_integer, check_probability
 
@@ -50,7 +51,6 @@ class StabilityEstimate:
 def empirical_stability(database, analysis: Callable[[np.ndarray], np.ndarray],
                         candidate, block_size: int, radius: float,
                         repetitions: int = 100, backend: BackendLike = None,
-                        backend_options: Optional[dict] = None,
                         rng: RngLike = None) -> StabilityEstimate:
     """Estimate ``Pr[||f(S') - candidate|| <= radius]`` by Monte-Carlo.
 
@@ -68,17 +68,15 @@ def empirical_stability(database, analysis: Callable[[np.ndarray], np.ndarray],
         The stability radius ``r``.
     repetitions:
         Number of Monte-Carlo sub-samples.
-    backend, backend_options:
-        As in :func:`~repro.sample_aggregate.framework.sample_and_aggregate`:
-        with a plan-capable analysis (``compile``/``resolve``) every
-        repetition's sub-sample evaluation is one asynchronous
-        :class:`QueryPlan`, all submitted before any is resolved; the
-        distances are bitwise identical to the serial path.
+    backend:
+        As in :func:`~repro.sample_aggregate.framework.sample_and_aggregate`
+        (see :func:`~repro.sample_aggregate.framework.evaluate_blocks`):
+        with a plan-capable analysis every repetition's sub-sample
+        evaluation is one asynchronous query plan, and the distances are
+        bitwise identical to the parent-side path.
     rng:
         Seed or generator.
     """
-    from repro.sample_aggregate.framework import plan_capable
-
     database = np.asarray(database)
     check_integer(block_size, "block_size", minimum=1)
     check_integer(repetitions, "repetitions", minimum=1)
@@ -93,37 +91,9 @@ def empirical_stability(database, analysis: Callable[[np.ndarray], np.ndarray],
     index_sets = [generator.integers(0, n, size=block_size)
                   for _ in range(repetitions)]
 
-    use_plans = (backend is not None and plan_capable(analysis)
-                 and database.ndim == 2)
-    distances = np.empty(repetitions)
-    if use_plans:
-        engine = resolve_backend(database, backend, backend_options)
-        owns_engine = not isinstance(backend, NeighborBackend)
-        try:
-            view = engine.view()
-            futures = []
-            for indices in index_sets:
-                plan = QueryPlan()
-                token = analysis.compile(plan, view, indices)
-                futures.append((engine.submit(plan), token))
-            for rep, (future, token) in enumerate(futures):
-                value = np.atleast_1d(np.asarray(
-                    analysis.resolve(future.result(), token, block_size),
-                    dtype=float,
-                ))
-                distances[rep] = float(np.linalg.norm(value - candidate))
-        finally:
-            if owns_engine:
-                close = getattr(engine, "close", None)
-                if close is not None:
-                    close()
-    else:
-        if backend_options is not None and backend is None:
-            raise ValueError("backend_options requires a backend")
-        for rep, indices in enumerate(index_sets):
-            value = np.atleast_1d(np.asarray(analysis(database[indices]),
-                                             dtype=float))
-            distances[rep] = float(np.linalg.norm(value - candidate))
+    values = evaluate_blocks(database, analysis, index_sets, backend)
+    distances = np.array([float(np.linalg.norm(value - candidate))
+                          for value in values])
     probability = float(np.mean(distances <= radius))
     return StabilityEstimate(probability=probability, radius=float(radius),
                              distances=distances)

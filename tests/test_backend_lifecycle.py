@@ -1,7 +1,8 @@
 """Backend ownership: a call closes the backend it builds, never the caller's.
 
-The solvers (``good_center``, ``good_radius``, ``one_cluster``) and the
-geometry and baseline helpers that query a backend all accept ``backend=``
+The solvers (``good_center``, ``good_radius``, ``one_cluster``), the
+sample-and-aggregate block evaluations, and the geometry and baseline
+helpers that query a backend all accept ``backend=``
 as ``None``, a registry name, a class, or an instance.  A backend built
 inside the call (from ``None``, a name or a class) is the call's to close —
 on success *and* when the call raises, since a live exception's traceback
@@ -29,6 +30,12 @@ from repro.geometry.minimal_ball import (
     smallest_ball_two_approx,
 )
 from repro.neighbors import ChunkedBackend
+from repro.sample_aggregate import (
+    BlockMean,
+    empirical_stability,
+    noisy_average_aggregator,
+    private_mean_estimator,
+)
 
 PARAMS = PrivacyParams(8.0, 1e-5)
 DOMAIN = GridDomain.unit_cube(dimension=2, side=17)
@@ -57,6 +64,16 @@ CALLS = {
     "exponential_mechanism_cluster":
         lambda points, backend: exponential_mechanism_cluster(
             points, 250, PARAMS, DOMAIN, rng=0, backend=backend),
+    # The noisy-average aggregator builds no backend of its own, so the
+    # block evaluation's backend is the only one the call may build.
+    "private_mean_estimator":
+        lambda points, backend: private_mean_estimator(
+            points, 20, PARAMS, rng=0, backend=backend,
+            aggregator=noisy_average_aggregator(1.0, center=[0.5, 0.5])),
+    "empirical_stability":
+        lambda points, backend: empirical_stability(
+            points, BlockMean(), [0.5, 0.5], block_size=20, radius=0.1,
+            repetitions=5, rng=0, backend=backend),
 }
 
 

@@ -1006,7 +1006,7 @@ class TestFailover:
             num_shards=4, retry_backoff=0.01,
         )
         try:
-            future = backend.submit(QueryPlan())  # coordinator-only plan
+            future = backend.submit(QueryPlan())  # empty plan
             for server in servers:
                 server.stop()
             start = time.monotonic()

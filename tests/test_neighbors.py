@@ -11,9 +11,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import repro.neighbors._distance as _distance
 from repro.accounting.params import PrivacyParams
 from repro.core.config import OneClusterConfig
 from repro.core.good_radius import RadiusScore, good_radius
+from repro.datasets.synthetic import planted_cluster
 from repro.geometry.balls import (
     capped_average_score,
     capped_average_score_profile,
@@ -26,12 +28,12 @@ from repro.neighbors import (
     ChunkedBackend,
     DenseBackend,
     NeighborBackend,
-    QueryPlan,
     ShardedBackend,
     TreeBackend,
     auto_backend,
     resolve_backend,
 )
+from repro.neighbors._distance import row_block_size
 
 
 def all_backends(points):
@@ -185,8 +187,9 @@ class TestScoreParity:
 
     def test_radii_validation(self):
         """Radii that are neither a scalar nor 1-d, and NaN radii, raise
-        ValueError on both evaluation paths of every backend, in a plan and
-        through the geometry helper; infinite radii stay legal."""
+        ValueError at the profile entry point of every backend (before
+        either evaluation path is chosen) and through the geometry helper;
+        infinite radii stay legal."""
         points = DATASETS["random-2d"]
         n = points.shape[0]
         bad = [np.full((1, 2), 0.1), np.array([0.1, np.nan])]
@@ -195,18 +198,59 @@ class TestScoreParity:
         ]
         for backend in backends:
             for radii in bad:
-                for streaming in (False, True):
-                    with pytest.raises(ValueError, match="radii"):
-                        backend.capped_average_scores(radii, 10,
-                                                      streaming=streaming)
                 with pytest.raises(ValueError, match="radii"):
-                    QueryPlan().capped_average_scores(radii, 10)
+                    backend.capped_average_scores(radii, 10)
             scores = backend.capped_average_scores([np.inf, -np.inf], 10)
             assert scores.tolist() == [10.0, 0.0], backend_id(backend)
         for radii in bad:
             with pytest.raises(ValueError, match="radii"):
                 capped_average_score_profile(points, radii, n // 2,
                                              backend="chunked")
+
+
+class TestStreamingSlabReuse:
+    """Regression guard: the streaming walk sorts each distance slab once.
+
+    The streaming ``L(r, S)`` evaluation processes the radius grid in sweeps
+    sized to one memory budget; within a sweep every ``(block, n)`` distance
+    slab is computed and sorted exactly once, then binary-searched for every
+    radius.  Before the sweep refactor a grid this large (``grid_size``
+    radii at ``cap = t``) was split into multiple chunks, each re-running —
+    and re-sorting — the full blocked pass.  Counting the distance-block
+    calls of one streaming evaluation pins the reuse: exactly one pass over
+    the query rows (``ceil(n / block)`` block computations), regardless of
+    the grid size.  At this size half the memory budget would fit only
+    1552 of the 2048 radii in a sweep, so a shrunken sweep fails here.
+    """
+
+    def test_radius_grid_costs_one_blocked_pass(self, monkeypatch):
+        n, target, grid_size = 3000, 2700, 2048
+        points = planted_cluster(n=n, d=2, cluster_size=target,
+                                 cluster_radius=0.3, rng=0).points
+        radii = np.linspace(0.0, 1.2, grid_size)
+        backend = ChunkedBackend(points)
+        calls = []
+        original = _distance.squared_distance_block
+
+        def counting(queries, data):
+            calls.append(queries.shape[0])
+            return original(queries, data)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(_distance, "squared_distance_block", counting)
+            streamed = backend._streaming_profile(radii, target)
+        block = row_block_size(n, points.shape[1])
+        expected_passes = -(-n // block)               # ceil: one full pass
+        assert len(calls) == expected_passes, (
+            f"streaming walk ran {len(calls)} distance-block computations for "
+            f"{grid_size} radii, expected one full pass ({expected_passes}); "
+            "the sorted-slab reuse regressed"
+        )
+        # Below STREAMING_MIN_POINTS the entry point takes the persisted path.
+        persisted = backend.capped_average_scores(radii, target)
+        assert np.array_equal(streamed, persisted), (
+            "slab-reuse streaming scores diverged from the persisted statistic"
+        )
 
 
 class TestKthDistances:

@@ -160,9 +160,8 @@ class TestStatisticParity:
             # must agree bit for bit as well.
             target = targets[-2] if len(targets) > 1 else targets[0]
             assert np.array_equal(
-                backend.capped_average_scores(radii, target, streaming=True),
-                backends["dense"].capped_average_scores(radii, target,
-                                                        streaming=False),
+                backend._streaming_profile(radii, target),
+                backends["dense"].capped_average_scores(radii, target),
             ), (name, scenario)
             for k in (1, max(1, n // 2), n):
                 assert np.array_equal(
@@ -213,8 +212,7 @@ class TestProfileOracle:
                 got = backend.capped_average_scores(radii, target)
                 assert got.tobytes() == expected.tobytes(), (name, scenario,
                                                              target)
-            streamed = backends["chunked"].capped_average_scores(
-                radii, target, streaming=True)
+            streamed = backends["chunked"]._streaming_profile(radii, target)
             assert streamed.tobytes() == expected.tobytes(), (scenario,
                                                               target)
 

@@ -28,7 +28,6 @@ from repro.accounting.params import PrivacyParams
 from repro.clustering.k_cluster import k_cluster
 from repro.core.config import GoodCenterConfig
 from repro.core.good_center import good_center
-from repro.core.good_radius import RadiusScore
 from repro.experiments.harness import (
     coverage_counts_result,
     submit_coverage_counts,
@@ -88,7 +87,6 @@ def build_plan(backend, fx):
         "heaviest": plan.heaviest_cell_counts(search, fx["width"], batch),
         "cell": plan.cell_histogram(search, fx["width"], fx["shifts"]),
         "grid": plan.count_within_many(fx["points"][:5], [0.4, 1.1]),
-        "scores": plan.capped_average_scores([0.3, 0.8], 40),
     }
     return plan, slots, (search, frame, selection)
 
@@ -107,7 +105,6 @@ def reference_results(fx):
         "heaviest": search.heaviest_cell_counts(fx["width"], batch),
         "cell": search.cell_histogram(fx["width"], fx["shifts"]),
         "grid": backend.count_within_many(fx["points"][:5], [0.4, 1.1]),
-        "scores": backend.capped_average_scores([0.3, 0.8], 40),
     }
 
 
@@ -188,15 +185,6 @@ class TestSubmitDeterminism:
         # A future's result list is memoised.
         assert futures[0].result() is futures[0].result()
         assert futures[0].done()
-
-    def test_radius_score_submit_overlap(self, plan_fixture):
-        """RadiusScore.submit overlaps grids and matches evaluate bitwise."""
-        points = plan_fixture["points"]
-        score = RadiusScore(points, target=60, backend="chunked")
-        grids = [np.linspace(0.0, 2.5, 17), np.linspace(0.1, 1.3, 9)]
-        futures = [score.submit(grid) for grid in grids]
-        for grid, future in zip(grids, futures):
-            assert np.array_equal(future.result()[0], score.evaluate(grid))
 
 
 class TestPlanValidation:
@@ -293,13 +281,26 @@ class TestFanOutInstrumentation:
         before = backend.pool_stats()
         backend.execute(plan)
         after = backend.pool_stats()
-        # The bundle is one fan-out; the coordinator op in the plan
-        # (capped_average_scores) runs its own internal fan-outs (the two
-        # selection rounds of the threshold profile and one count round),
-        # so the delta is exactly four.
         assert after["plans"] - before["plans"] == 1
-        assert after["fanouts"] - before["fanouts"] == 4
-        assert after["shard_tasks"] - before["shard_tasks"] == 4 * 4
+        assert after["fanouts"] - before["fanouts"] == 1
+        assert after["shard_tasks"] - before["shard_tasks"] == 4
+
+    def test_profile_fanouts(self, plan_fixture):
+        """The GoodRadius profile is no plan: a cold batch is the two
+        selection rounds of the threshold profile plus one count round,
+        and a warm batch on the same target is the count round alone."""
+        backend = make_backend("sharded", plan_fixture["points"], shards=4)
+        expected = DenseBackend(plan_fixture["points"]).capped_average_scores(
+            [0.3, 0.8], 40)
+        for fanouts in (3, 1):
+            before = backend.pool_stats()
+            scores = backend.capped_average_scores([0.3, 0.8], 40)
+            after = backend.pool_stats()
+            assert np.array_equal(scores, expected)
+            assert after["plans"] - before["plans"] == 0
+            assert after["fanouts"] - before["fanouts"] == fanouts
+            assert (after["shard_tasks"] - before["shard_tasks"]
+                    == 4 * fanouts)
 
     def test_bundle_only_plan_is_exactly_one_fanout(self, plan_fixture):
         fx = plan_fixture

@@ -264,10 +264,11 @@ class TestPipelinedTable1:
         assert len(rows) == 4 * repetitions
         assert runs.num_backends == 0  # closed helpers forget their engines
         assert stats["backends"] == 2 * repetitions
-        # Every query rides a plan (a direct count query is a one-query
-        # plan); each plan costs at most one fan-out of its own (a
-        # coordinator-only score plan costs none), and every fan-out hits
-        # every shard once.
+        # Every count query rides a plan (a direct count query is a
+        # one-query plan); each plan costs at most one fan-out of its own
+        # (the GoodRadius profile is no plan: its fan-outs are among the
+        # internal rounds counted above), and every fan-out hits every
+        # shard once.
         assert stats["plans"] >= 4 * repetitions  # >= one coverage plan/row
         plan_fanouts = stats["fanouts"] - len(internal)
         assert 0 < plan_fanouts <= stats["plans"]

@@ -177,7 +177,7 @@ class TestProcessPool:
                 dense.capped_average_scores(radii, 40),
             )
             assert np.array_equal(
-                backend.capped_average_scores(radii, 120, streaming=True),
+                backend._streaming_profile(radii, 120),
                 dense.capped_average_scores(radii, 120),
             )
             assert np.array_equal(
@@ -196,10 +196,8 @@ class TestProcessPool:
         radii = np.linspace(0.0, 0.6, 9)
         run = {
             "plan": lambda b: b.count_within_many(points[:20], radii),
-            "truncated": lambda b: b.capped_average_scores(radii, 60,
-                                                           streaming=False),
-            "streaming": lambda b: b.capped_average_scores(radii, 60,
-                                                           streaming=True),
+            "truncated": lambda b: b.capped_average_scores(radii, 60),
+            "streaming": lambda b: b._streaming_profile(radii, 60),
         }[query]
         expected = run(neighbors.ChunkedBackend(points))
         with ShardedBackend(points, num_shards=2, num_workers=2) as backend:
@@ -432,9 +430,8 @@ class TestStreamingProfile:
         factory = BACKENDS[backend_name]
         backend = (factory(points, num_shards=3, num_workers=0)
                    if backend_name == "sharded" else factory(points))
-        streamed = backend.capped_average_scores(radii, target, streaming=True)
-        persisted = backend.capped_average_scores(radii, target,
-                                                  streaming=False)
+        streamed = backend._streaming_profile(radii, target)
+        persisted = backend.capped_average_scores(radii, target)
         assert np.array_equal(streamed, persisted)
         assert np.array_equal(
             streamed, DenseBackend(points).capped_average_scores(radii, target)
@@ -472,7 +469,7 @@ class TestStreamingProfile:
         tracemalloc.start()
         try:
             scores = backend.capped_average_scores(
-                np.array([0.02, 0.1, 0.4]), target, streaming=True
+                np.array([0.02, 0.1, 0.4]), target
             )
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -508,8 +505,9 @@ class TestResidentProfile:
                    if name == "sharded" else BACKENDS[name](points))
         fanouts = (backend.pool_stats()["fanouts"] if name == "sharded"
                    else None)
-        scores = backend.capped_average_scores(np.empty(0), 70,
-                                               streaming=streaming)
+        profile = (backend.capped_average_scores if streaming is None
+                   else backend._streaming_profile)
+        scores = profile(np.empty(0), 70)
         assert scores.shape == (0,) and scores.dtype == float
         with pytest.raises(ValueError, match="target"):
             backend.capped_average_scores([], 0)
