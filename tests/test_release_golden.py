@@ -14,6 +14,8 @@ found release and one NoisyAVG abstain), ``one_cluster``, ``good_radius``
 under both radius searches (RecConcave and noisy binary search),
 ``int_point`` (whose instance backend answers the step-4 depth plan, while
 a name goes to its cluster solver) and the exponential-mechanism baseline.
+``k_cluster`` (two rounds, the second on the points the first ball left)
+is pinned on ``None`` and ``"dense"``: it rejects backend instances.
 The private-aggregation baseline takes no backend and is pinned once.  The
 JL path is pinned by cross-backend parity only: its rotation basis comes
 from LAPACK QR and is mapped back with a BLAS matmul, so its last bits may
@@ -34,11 +36,12 @@ import pytest
 from repro.accounting.params import PrivacyParams
 from repro.baselines.exponential_ball import exponential_mechanism_cluster
 from repro.baselines.private_aggregation import private_aggregation_cluster
+from repro.clustering.k_cluster import k_cluster
 from repro.core.config import GoodCenterConfig, OneClusterConfig
 from repro.core.good_center import good_center
 from repro.core.good_radius import good_radius
 from repro.core.one_cluster import one_cluster
-from repro.datasets.synthetic import planted_cluster
+from repro.datasets.synthetic import gaussian_blobs, planted_cluster
 from repro.geometry.grid import GridDomain
 from repro.lowerbound import int_point
 from repro.neighbors import ShardedBackend
@@ -61,6 +64,8 @@ GOLDEN = {
         "12166e528791a8ba5d23be6cf0e5c2715bc13f57837bc944602333137a2ebe15",
     "private_aggregation_cluster":
         "0ab589150d7249bb4c4160821fa6b8898be7f200e536b7315cb1e015724da010",
+    "k_cluster":
+        "6463810f5af8baa5023104453fb6b96cb75a215b801110e0a09686151d8b99c0",
 }
 
 #: A NoisyAVG slice this small makes the pessimistic count non-positive,
@@ -75,6 +80,10 @@ def _fingerprint_parts(value, out: list) -> None:
         out.append(b"int:" + str(int(value)).encode())
     elif isinstance(value, (float, np.floating)):
         out.append(b"float:" + float(value).hex().encode())
+    elif isinstance(value, (list, tuple)):
+        out.append(f"{type(value).__name__}:{len(value)}".encode())
+        for item in value:
+            _fingerprint_parts(item, out)
     elif isinstance(value, np.ndarray):
         out.append(f"array:{value.dtype.str}:{value.shape}:".encode())
         out.append(np.ascontiguousarray(value).tobytes())
@@ -156,6 +165,14 @@ def _exponential_mechanism(backend):
                                          backend=backend(points))
 
 
+def _k_cluster(backend):
+    points, _, _ = gaussian_blobs(n=500, d=2, k=2, spread=0.02, rng=6)
+    result = k_cluster(points, k=2, params=PrivacyParams(10.0, 1e-5), rng=9,
+                       backend=backend(points))
+    # ball_coverages is a non-private diagnostic, not part of the release.
+    return result.balls, result.results, result.covered_fraction
+
+
 def _private_aggregation():
     points = planted_cluster(n=800, d=2, cluster_size=700,
                              cluster_radius=0.05, center=[0.5, 0.5],
@@ -179,6 +196,12 @@ BACKEND_FREE_CASES = {
     "private_aggregation_cluster": _private_aggregation,
 }
 
+#: Cases whose solver rejects a backend instance: pinned on the name
+#: selections only.
+NAMED_BACKEND_CASES = {
+    "k_cluster": _k_cluster,
+}
+
 BACKENDS = {
     "none": lambda points: None,
     "dense": lambda points: "dense",
@@ -191,6 +214,13 @@ BACKENDS = {
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_release_bytes_are_pinned(case, backend_name):
     result = CASES[case](BACKENDS[backend_name])
+    assert release_digest(result) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("backend_name", ["dense", "none"])
+@pytest.mark.parametrize("case", sorted(NAMED_BACKEND_CASES))
+def test_named_backend_release_bytes_are_pinned(case, backend_name):
+    result = NAMED_BACKEND_CASES[case](BACKENDS[backend_name])
     assert release_digest(result) == GOLDEN[case]
 
 
@@ -212,12 +242,16 @@ def test_cases_cover_found_and_abstain():
     for method in ("recconcave", "binary_search"):
         assert not _good_radius(method)(BACKENDS["none"]).zero_cluster
     assert not _int_point(BACKENDS["none"]).is_zero_radius
+    # Both rounds release a ball, and the second runs on a strict subset.
+    balls, _, covered_fraction = _k_cluster(BACKENDS["none"])
+    assert len(balls) == 2
+    assert 0.0 < covered_fraction < 1.0
 
 
 if __name__ == "__main__":
-    for name in sorted(CASES):
+    for name, run in sorted({**CASES, **NAMED_BACKEND_CASES}.items()):
         print(f"    {name!r}:\n"
-              f"        {release_digest(CASES[name](BACKENDS['dense']))!r},")
+              f"        {release_digest(run(BACKENDS['dense']))!r},")
     for name in sorted(BACKEND_FREE_CASES):
         print(f"    {name!r}:\n"
               f"        {release_digest(BACKEND_FREE_CASES[name]())!r},")
