@@ -15,6 +15,7 @@ from basic composition over the ``k`` private calls.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -27,12 +28,7 @@ from repro.core.one_cluster import one_cluster
 from repro.core.types import OneClusterResult
 from repro.geometry.balls import Ball
 from repro.geometry.grid import GridDomain
-from repro.neighbors import (
-    BackendLike,
-    NeighborBackend,
-    QueryPlan,
-    resolve_backend,
-)
+from repro.neighbors import BackendLike, QueryPlan, backend_scope
 from repro.utils.rng import RngLike, spawn_generators
 from repro.utils.validation import check_integer, check_points, check_probability
 
@@ -52,20 +48,18 @@ class KClusterResult:
         by the union of the released balls (computed against the coverage
         radius used during the run).
     ball_coverages:
-        Non-private diagnostic, populated only when a ``backend`` selection
-        was supplied: for each released ball, how many of the *original*
-        points lie within it, counted behind the backend (exact squared-space
-        counts).  The counting plans are *submitted asynchronously* as each
-        ball is released and merged only after the loop — later iterations'
-        draws never depend on them, so on a pooled sharded backend they
-        overlap the subsequent private runs.  ``None`` when no backend was
-        selected.
+        Non-private diagnostic: for each released ball, how many of the
+        *original* points lie within it, counted behind the backend (exact
+        squared-space counts).  The counting plans are *submitted
+        asynchronously* as each ball is released and merged only after the
+        loop — later iterations' draws never depend on them, so on a pooled
+        sharded backend they overlap the subsequent private runs.
     """
 
     balls: List[Ball]
     results: List[OneClusterResult]
     covered_fraction: float
-    ball_coverages: Optional[List[int]] = None
+    ball_coverages: List[int]
 
     @property
     def num_found(self) -> int:
@@ -99,25 +93,22 @@ def k_cluster(points, k: int, params: PrivacyParams, target: Optional[int] = Non
     coverage_slack:
         When removing covered points, the released ball's *measured* radius is
         used: the smallest radius capturing ``target`` remaining points around
-        the released centre, multiplied by this slack.  This keeps the
-        iteration practical when the guaranteed radius bound is very loose.
+        the released centre, multiplied by this slack (finite and positive).
+        This keeps the iteration practical when the guaranteed radius bound
+        is very loose.
     domain, config, rng, ledger:
         As in :func:`~repro.core.one_cluster.one_cluster`.
     backend:
-        Neighbor-backend selection forwarded to every iteration.  Pass a name
-        or class (not an instance): the point set shrinks between iterations,
-        so each call must index its own remaining points.  Each iteration's
-        :func:`~repro.core.one_cluster.one_cluster` call builds *and closes*
-        its own backend, so with ``"sharded"`` the worker pool and
-        shared-memory segment are released before the next iteration starts
-        — k iterations hold at most one pool at a time, never k.  (At the
-        sizes where sharding pays off the per-iteration pool start-up cost
-        is noise.)  When a selection is given, one additional long-lived
-        backend over the *original* points serves the per-ball coverage
-        diagnostics (``ball_coverages``), whose counting plans are submitted
-        asynchronously and overlap the later iterations.  To control the
-        sharded worker count, select the backend through ``config`` instead:
-        ``OneClusterConfig(neighbor_backend="sharded", neighbor_workers=2)``.
+        Neighbor-backend selection (``None`` = ``"auto"``, a name, a class,
+        or an instance), resolved once over all of ``points``.  Each
+        iteration's :func:`~repro.core.one_cluster.one_cluster` call runs on
+        ``backend.subset(rows)`` over the rows no released ball has covered
+        yet — the same strategy with the same constructor arguments — and
+        that subset is closed before the next iteration starts, so with
+        ``"sharded"`` k iterations hold at most one round's pool at a time.
+        The resolved backend answers the per-ball coverage counts
+        (``ball_coverages``).  A backend built here is closed before
+        returning; a caller's instance stays open.
 
     Returns
     -------
@@ -126,12 +117,10 @@ def k_cluster(points, k: int, params: PrivacyParams, target: Optional[int] = Non
     points = check_points(points)
     check_integer(k, "k", minimum=1)
     beta = check_probability(beta, "beta")
-    if isinstance(backend, NeighborBackend):
-        # Fail eagerly: the point set shrinks between iterations, so a fixed
-        # instance would only error mid-run after budget has been spent.
+    coverage_slack = float(coverage_slack)
+    if not 0 < coverage_slack < math.inf:
         raise ValueError(
-            "k_cluster removes covered points between iterations; pass a "
-            "backend name or class, not a prebuilt instance"
+            f"coverage_slack must be finite and positive, got {coverage_slack}"
         )
     n = points.shape[0]
     if target is None:
@@ -140,62 +129,42 @@ def k_cluster(points, k: int, params: PrivacyParams, target: Optional[int] = Non
 
     per_round = params.part(1.0 / k)
     rngs = spawn_generators(rng, k)
-    remaining = points.copy()
+    rows = np.arange(n)
     balls: List[Ball] = []
     results: List[OneClusterResult] = []
     covered_mask = np.zeros(n, dtype=bool)
-    original = points
-
-    # Per-ball coverage diagnostics ride *asynchronously submitted* query
-    # plans over one long-lived backend indexing the original points: the
-    # next iteration only needs the `remaining` set (computed in-line
-    # below), never these counts, so each submitted plan overlaps every
-    # subsequent private iteration and the futures are merged only after the
-    # loop.  Merge order is submission order and the sharded merge is
-    # shard-ordered, so the counts are deterministic regardless of how the
-    # rounds and the coverage tasks interleave.
-    # (The isinstance guard above rejects prebuilt instances, so this
-    # resolve always *builds* a backend — it is owned, and closed, here.)
-    diagnostics = (resolve_backend(points, backend)
-                   if backend is not None else None)
+    # Per-ball coverage counts ride asynchronously submitted query plans on
+    # the resolved backend: no later iteration needs them, so each plan
+    # overlaps every subsequent private iteration and the futures are
+    # merged only after the loop, in submission order.
     coverage_futures = []
-    try:
+    with backend_scope(points, backend) as resolved:
         for round_index in range(k):
-            if remaining.shape[0] < target:
+            if rows.shape[0] < target:
                 break
-            result = one_cluster(remaining, target, per_round, beta=beta,
-                                 domain=domain, config=config,
-                                 rng=rngs[round_index], ledger=ledger,
-                                 backend=backend)
+            with resolved.subset(rows) as round_backend:
+                remaining = round_backend.points
+                result = one_cluster(remaining, target, per_round, beta=beta,
+                                     domain=domain, config=config,
+                                     rng=rngs[round_index], ledger=ledger,
+                                     backend=round_backend)
             results.append(result)
             if not result.found:
                 continue
             # Use the measured radius (post-processing of the released centre
             # and the remaining public iteration state) to decide coverage.
             measured = result.effective_radius(remaining, target=target)
-            radius = measured * coverage_slack
-            ball = Ball(center=result.ball.center, radius=radius)
+            ball = Ball(center=result.ball.center,
+                        radius=measured * coverage_slack)
             balls.append(ball)
-            keep = ~ball.contains(remaining)
-            remaining = remaining[keep]
-            covered_mask |= ball.contains(original)
-            if diagnostics is not None:
-                plan = QueryPlan()
-                plan.count_within_many(
-                    np.asarray([ball.center], dtype=float),
-                    np.asarray([ball.radius], dtype=float),
-                )
-                coverage_futures.append(diagnostics.submit(plan))
-
-        ball_coverages = (
-            [int(future.result()[0][0, 0]) for future in coverage_futures]
-            if diagnostics is not None else None
-        )
-    finally:
-        if diagnostics is not None:
-            close = getattr(diagnostics, "close", None)
-            if close is not None:
-                close()
+            rows = rows[~ball.contains(remaining)]
+            covered_mask |= ball.contains(points)
+            plan = QueryPlan()
+            plan.count_within_many(np.asarray([ball.center], dtype=float),
+                                   np.asarray([ball.radius], dtype=float))
+            coverage_futures.append(resolved.submit(plan))
+        ball_coverages = [int(future.result()[0][0, 0])
+                          for future in coverage_futures]
 
     covered_fraction = float(np.count_nonzero(covered_mask)) / n
     return KClusterResult(balls=balls, results=results,

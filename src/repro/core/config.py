@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Tuple
+from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -246,34 +246,6 @@ class OneClusterConfig:
         The ``|X|`` used when no explicit :class:`~repro.geometry.grid.GridDomain`
         is supplied (the data's bounding box is quantised with this many grid
         points per axis).
-    neighbor_backend:
-        Which :mod:`repro.neighbors` strategy answers the distance queries:
-        ``"auto"`` (default; picks by workload size — dense, then sharded
-        above ``SHARDED_MIN_POINTS`` on multi-CPU machines, then tree /
-        chunked), ``"dense"``, ``"chunked"``, ``"tree"``, or ``"sharded"``.
-        Affects performance only — every backend returns identical counts and
-        scores.
-    neighbor_workers:
-        Worker-process count for ``neighbor_backend="sharded"`` (``0`` forces
-        the serial in-process fallback, ``None`` — the default — sizes the
-        pool from the CPU count).  For ``neighbor_backend="distributed"``
-        this is the per-node worker count instead.  Only consulted for
-        those two strategies.
-    neighbor_nodes:
-        Node-server addresses (``"host:port"`` strings, one
-        ``python -m repro.neighbors.serve`` per entry) for
-        ``neighbor_backend="distributed"`` — required by, and only
-        consulted for, that strategy.
-    neighbor_node_retries:
-        Re-dial attempts per node failure before the distributed backend
-        declares the node dead and hands its shards to the survivors
-        (``0`` disables failover: the first transport failure raises).
-        ``None`` — the default — keeps the backend's own default.  Only
-        consulted for ``neighbor_backend="distributed"``.
-    neighbor_node_retry_backoff:
-        Base sleep in seconds before re-dial attempt ``i`` (grows as
-        ``backoff * 2**i``).  ``None`` keeps the backend's default.  Only
-        consulted for ``neighbor_backend="distributed"``.
     """
 
     center: GoodCenterConfig = field(default_factory=GoodCenterConfig.practical)
@@ -281,11 +253,6 @@ class OneClusterConfig:
     paper_constants: bool = False
     radius_budget_fraction: float = 0.35
     grid_side: int = 1025
-    neighbor_backend: str = "auto"
-    neighbor_workers: Optional[int] = None
-    neighbor_nodes: Optional[Tuple[str, ...]] = None
-    neighbor_node_retries: Optional[int] = None
-    neighbor_node_retry_backoff: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.radius_method not in ("recconcave", "binary_search"):
@@ -297,60 +264,6 @@ class OneClusterConfig:
             raise ValueError("radius_budget_fraction must lie in (0, 1)")
         if self.grid_side < 2:
             raise ValueError("grid_side must be at least 2")
-        from repro.neighbors import BACKENDS, DISTRIBUTED_BACKEND_NAME
-
-        valid = {"auto", DISTRIBUTED_BACKEND_NAME, *BACKENDS}
-        if self.neighbor_backend not in valid:
-            raise ValueError(
-                f"neighbor_backend must be one of {sorted(valid)}, got "
-                f"{self.neighbor_backend!r}"
-            )
-        if self.neighbor_workers is not None and self.neighbor_workers < 0:
-            raise ValueError(
-                f"neighbor_workers must be non-negative or None, got "
-                f"{self.neighbor_workers}"
-            )
-        if self.neighbor_nodes is not None:
-            object.__setattr__(self, "neighbor_nodes",
-                               tuple(str(node) for node in self.neighbor_nodes))
-        if (self.neighbor_node_retries is not None
-                and self.neighbor_node_retries < 0):
-            raise ValueError(
-                f"neighbor_node_retries must be non-negative or None, got "
-                f"{self.neighbor_node_retries}"
-            )
-        if (self.neighbor_node_retry_backoff is not None
-                and self.neighbor_node_retry_backoff < 0):
-            raise ValueError(
-                f"neighbor_node_retry_backoff must be non-negative or None, "
-                f"got {self.neighbor_node_retry_backoff}"
-            )
-        if (self.neighbor_backend == DISTRIBUTED_BACKEND_NAME
-                and not self.neighbor_nodes):
-            raise ValueError(
-                "neighbor_backend='distributed' requires neighbor_nodes "
-                "('host:port' strings, one node server per entry)"
-            )
-
-    def neighbor_backend_options(self) -> dict:
-        """Constructor options for :func:`repro.neighbors.resolve_backend`.
-
-        Non-empty only for the sharded and distributed strategies (the
-        single-process backends take no tuning knobs from this config), so
-        the options can always be passed through safely.
-        """
-        if self.neighbor_backend == "sharded" and self.neighbor_workers is not None:
-            return {"num_workers": self.neighbor_workers}
-        if self.neighbor_backend == "distributed":
-            options: dict = {"nodes": list(self.neighbor_nodes)}
-            if self.neighbor_workers is not None:
-                options["node_workers"] = self.neighbor_workers
-            if self.neighbor_node_retries is not None:
-                options["retries"] = self.neighbor_node_retries
-            if self.neighbor_node_retry_backoff is not None:
-                options["retry_backoff"] = self.neighbor_node_retry_backoff
-            return options
-        return {}
 
     @classmethod
     def paper(cls) -> "OneClusterConfig":
@@ -361,50 +274,6 @@ class OneClusterConfig:
     def with_center(self, **overrides) -> "OneClusterConfig":
         """A copy with some GoodCenter constants replaced."""
         return replace(self, center=replace(self.center, **overrides))
-
-    def with_neighbors(self, backend: str,
-                       options: Optional[dict] = None) -> "OneClusterConfig":
-        """A copy routing neighbor queries through ``backend`` + ``options``.
-
-        The inverse of :meth:`neighbor_backend_options`: takes a strategy
-        name plus the *constructor* option dict
-        :func:`repro.neighbors.resolve_backend` accepts and folds both back
-        into config fields.  The service layer uses this for queries that
-        must rebuild backends internally (``k_cluster`` re-indexes its
-        shrinking point set every iteration, so a registered dataset's
-        resident *instance* cannot serve it — only its spec can).
-
-        Parameters
-        ----------
-        backend:
-            A strategy name (``"auto"``, ``"dense"``, ``"chunked"``,
-            ``"tree"``, ``"sharded"``, ``"distributed"``).
-        options:
-            Constructor options: ``num_workers`` / ``node_workers`` →
-            ``neighbor_workers``, ``nodes`` → ``neighbor_nodes``,
-            ``retries`` → ``neighbor_node_retries``, ``retry_backoff`` →
-            ``neighbor_node_retry_backoff``.  Unknown keys are rejected
-            (they could not survive the round trip back through
-            :meth:`neighbor_backend_options`).
-        """
-        options = dict(options or {})
-        updates: dict = {"neighbor_backend": str(backend)}
-        if "num_workers" in options:
-            updates["neighbor_workers"] = options.pop("num_workers")
-        if "node_workers" in options:
-            updates["neighbor_workers"] = options.pop("node_workers")
-        if "nodes" in options:
-            updates["neighbor_nodes"] = tuple(options.pop("nodes"))
-        if "retries" in options:
-            updates["neighbor_node_retries"] = options.pop("retries")
-        if "retry_backoff" in options:
-            updates["neighbor_node_retry_backoff"] = options.pop("retry_backoff")
-        if options:
-            raise ValueError(
-                f"unsupported neighbor backend options for config routing: "
-                f"{sorted(options)}"
-            )
-        return replace(self, **updates)
 
 
 __all__ = ["GoodCenterConfig", "OneClusterConfig"]

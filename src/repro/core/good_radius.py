@@ -163,9 +163,8 @@ def good_radius(points, target: int, params: PrivacyParams, beta: float = 0.1,
     ledger:
         Optional privacy ledger to record sub-mechanism spends.
     backend:
-        Neighbor-backend selection (name, class, or instance) for the ``L``
-        evaluations; overrides ``config.neighbor_backend`` when supplied.
-        Backend choice affects performance only — all backends return
+        Neighbor-backend selection (``None`` = ``"auto"``, a name, a
+        class, or an instance) for the ``L`` evaluations.  Backend choice affects performance only — all backends return
         identical scores, so the released radius distribution is unchanged.
 
     Returns
@@ -181,13 +180,9 @@ def good_radius(points, target: int, params: PrivacyParams, beta: float = 0.1,
         raise ValueError("good_radius requires delta > 0 (RecConcave and Gamma need it)")
 
     domain = _resolve_domain(points, domain, config.grid_side)
-    options = None
-    if backend is None:
-        backend = config.neighbor_backend
-        options = config.neighbor_backend_options() or None
     # A backend built here is closed before returning, even when the search
     # raises; a caller's instance stays open.
-    with backend_scope(points, backend, options) as resolved:
+    with backend_scope(points, backend) as resolved:
         return _search_radius(RadiusScore(points, target, backend=resolved),
                               params, beta, domain, config, rng, ledger)
 

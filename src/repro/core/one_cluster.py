@@ -87,9 +87,8 @@ def one_cluster(points, target: int, params: PrivacyParams, beta: float = 0.1,
         Optional :class:`~repro.accounting.ledger.PrivacyLedger` recording
         every sub-mechanism spend.
     backend:
-        Neighbor-backend selection (name, class, or instance); overrides
-        ``config.neighbor_backend``.  Resolved once and shared by both
-        phases: GoodRadius reuses its cached distance statistics and
+        Neighbor-backend selection (``None`` = ``"auto"``, a name, a
+        class, or an instance).  Resolved once and shared by both phases: GoodRadius reuses its cached distance statistics and
         GoodCenter batches its partition search through the same instance
         (one worker pool, not two, when the backend is sharded).
         Performance only — the output distribution is backend-independent.
@@ -123,15 +122,8 @@ def one_cluster(points, target: int, params: PrivacyParams, beta: float = 0.1,
     # backend built *here* (from None / a name / a class) is closed before
     # returning, so a sharded backend's worker pool and shared-memory
     # segment are released deterministically instead of riding on garbage
-    # collection — callers that loop (k_cluster builds one backend per
-    # iteration) would otherwise accumulate live pools and leak segments to
-    # interpreter shutdown.  A caller-supplied *instance* stays the
-    # caller's to close.
-    options = None
-    if backend is None:
-        backend = config.neighbor_backend
-        options = config.neighbor_backend_options() or None
-    with backend_scope(points, backend, options) as shared_backend:
+    # collection.  A caller-supplied *instance* stays the caller's to close.
+    with backend_scope(points, backend) as shared_backend:
         radius_result: GoodRadiusResult = good_radius(
             points, target, radius_params, beta=half_beta, domain=domain,
             config=config, rng=radius_rng, ledger=ledger,

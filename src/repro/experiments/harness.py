@@ -245,12 +245,6 @@ class PipelinedRuns:
             self._datasets[key] = points
         return engine
 
-    def submit_coverage(self, points: np.ndarray, balls) -> PlanFuture:
-        """Submit the coverage counts of ``balls`` over ``points`` through
-        the dataset's long-lived backend (see
-        :func:`submit_coverage_counts`)."""
-        return submit_coverage_counts(self.backend_for(points), balls)
-
     def stats(self) -> Dict[str, int]:
         """Aggregated plan/fan-out counters over every backend that exposes
         ``pool_stats()`` (plus ``backends``, the resolve count)."""
@@ -272,11 +266,8 @@ class PipelinedRuns:
         engines, self._engines = self._engines, {}
         self._datasets = {}
         for engine in engines.values():
-            if engine is self._backend:
-                continue
-            close = getattr(engine, "close", None)
-            if close is not None:
-                close()
+            if engine is not self._backend:
+                engine.close()
 
 
 def summarise(records: Iterable[EvaluationRecord]) -> Dict[str, float]:

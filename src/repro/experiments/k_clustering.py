@@ -10,18 +10,14 @@ blob standard deviations of it).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
 from repro.accounting.params import PrivacyParams
 from repro.clustering.k_cluster import k_cluster
 from repro.datasets.synthetic import gaussian_blobs
-from repro.experiments.harness import (
-    PipelinedRuns,
-    coverage_counts_result,
-    timed,
-)
+from repro.experiments.harness import timed
 from repro.neighbors import BackendLike
 from repro.utils.rng import as_generator, spawn_generators
 
@@ -29,55 +25,40 @@ from repro.utils.rng import as_generator, spawn_generators
 def run_k_clustering(k_values=(2, 3, 4), n: int = 3000, dimension: int = 2,
                      spread: float = 0.03, epsilon: float = 4.0,
                      delta: float = 1e-6, rng=None,
-                     backend: BackendLike = "auto",
-                     runs: Optional[PipelinedRuns] = None) -> List[Dict[str, object]]:
+                     backend: BackendLike = "auto") -> List[Dict[str, object]]:
     """Sweep the number of blobs/balls and measure coverage and recovery.
 
-    ``backend`` routes each 1-cluster iteration through
-    :func:`repro.neighbors.auto_backend` by default (release-neutral).  The
-    per-trial ball-coverage diagnostic (``max_ball_count``) is counted
-    through asynchronous query plans on a per-dataset long-lived backend
-    (``runs``, created on demand) and merged only after the whole sweep, so
-    trial ``k+1`` runs while trial ``k``'s counts are still in flight."""
+    ``backend`` is the selection each trial's
+    :func:`~repro.clustering.k_cluster.k_cluster` call resolves
+    (release-neutral; ``"auto"`` picks by size through
+    :func:`repro.neighbors.auto_backend`).  ``max_ball_count`` is the
+    largest of the per-ball coverage counts ``k_cluster`` itself reports
+    (``ball_coverages``), 0 when no ball was released."""
     generator = as_generator(rng)
-    owns_runs = runs is None
-    if runs is None:
-        runs = PipelinedRuns(backend)
-    pending: List[tuple] = []
-    try:
-        for k in k_values:
-            data_rng, solver_rng = spawn_generators(generator, 2)
-            points, labels, centers = gaussian_blobs(n=n, d=dimension, k=k,
-                                                     spread=spread, rng=data_rng)
-            params = PrivacyParams(epsilon, delta)
-            result, seconds = timed(k_cluster, points, k, params,
-                                    target=max(1, n // (2 * k)), rng=solver_rng,
-                                    backend=backend)
-            recovered = 0
-            for center in centers:
-                distances = [float(np.linalg.norm(ball.center - center))
-                             for ball in result.balls]
-                if distances and min(distances) <= 3.0 * spread * np.sqrt(dimension):
-                    recovered += 1
-            future = (runs.submit_coverage(points, result.balls)
-                      if result.balls else None)
-            pending.append(({
-                "k": k, "n": n, "d": dimension, "epsilon": epsilon,
-                "balls_found": result.num_found,
-                "covered_fraction": result.covered_fraction,
-                "centers_recovered": recovered,
-                "seconds": seconds,
-            }, future))
-
-        rows: List[Dict[str, object]] = []
-        for row, future in pending:
-            counts = coverage_counts_result(future) if future is not None else []
-            row["max_ball_count"] = max(counts) if counts else 0
-            rows.append(row)
-        return rows
-    finally:
-        if owns_runs:
-            runs.close()
+    rows: List[Dict[str, object]] = []
+    for k in k_values:
+        data_rng, solver_rng = spawn_generators(generator, 2)
+        points, labels, centers = gaussian_blobs(n=n, d=dimension, k=k,
+                                                 spread=spread, rng=data_rng)
+        params = PrivacyParams(epsilon, delta)
+        result, seconds = timed(k_cluster, points, k, params,
+                                target=max(1, n // (2 * k)), rng=solver_rng,
+                                backend=backend)
+        recovered = 0
+        for center in centers:
+            distances = [float(np.linalg.norm(ball.center - center))
+                         for ball in result.balls]
+            if distances and min(distances) <= 3.0 * spread * np.sqrt(dimension):
+                recovered += 1
+        rows.append({
+            "k": k, "n": n, "d": dimension, "epsilon": epsilon,
+            "balls_found": result.num_found,
+            "covered_fraction": result.covered_fraction,
+            "centers_recovered": recovered,
+            "seconds": seconds,
+            "max_ball_count": max(result.ball_coverages, default=0),
+        })
+    return rows
 
 
 __all__ = ["run_k_clustering"]

@@ -11,9 +11,9 @@ measured in E4.
 The sweep can additionally compare neighbor backends (``backends=``, e.g.
 ``("dense", "tree", "sharded")``): every backend returns identical scores, so
 the per-``n`` rows differ only in the ``seconds`` column — which is exactly
-the backend speedup the refactor is after.  The multi-process sharded backend
-can also be requested per run through
-``OneClusterConfig(neighbor_backend="sharded", neighbor_workers=...)``.
+the backend speedup the refactor is after.  A name builds its strategy with
+default arguments; to pin the sharded worker count, hand ``one_cluster`` an
+instance such as ``ShardedBackend(points, num_workers=2)``.
 """
 
 from __future__ import annotations

@@ -77,12 +77,12 @@ from repro.neighbors.sharded import ShardedBackend, _available_cpus
 from repro.neighbors.tree import HAVE_SCIPY_TREE, TreeBackend
 from repro.utils.validation import check_points
 
-#: Strategy registry, keyed by the names accepted in configs and CLIs.
+#: Strategy registry, keyed by the names ``backend=`` arguments accept.
 #: Every entry here is constructible from ``points`` alone; the
 #: ``"distributed"`` strategy (:mod:`repro.neighbors.distributed`) is *not*
 #: listed because it additionally needs live node servers — it is reachable
-#: through :func:`resolve_backend` (and configs) by name, with the node
-#: addresses supplied via ``options={"nodes": [...]}``.
+#: through :func:`resolve_backend` by name, with the node addresses
+#: supplied via ``options={"nodes": [...]}``.
 BACKENDS: Dict[str, Callable[..., NeighborBackend]] = {
     DenseBackend.name: DenseBackend,
     ChunkedBackend.name: ChunkedBackend,
@@ -221,8 +221,8 @@ def resolve_backend(points, backend: BackendLike = None,
 
 
 @contextlib.contextmanager
-def backend_scope(points, backend: BackendLike = None,
-                  options: Optional[dict] = None) -> Iterator[NeighborBackend]:
+def backend_scope(points,
+                  backend: BackendLike = None) -> Iterator[NeighborBackend]:
     """:func:`resolve_backend` for the length of a ``with`` block.
 
     A backend built here (from ``None``, a name or a class) belongs to the
@@ -232,14 +232,12 @@ def backend_scope(points, backend: BackendLike = None,
     otherwise keep them reachable).  A caller's instance stays the
     caller's to close.
     """
-    resolved = resolve_backend(points, backend, options)
+    resolved = resolve_backend(points, backend)
     try:
         yield resolved
     finally:
         if resolved is not backend:
-            close = getattr(resolved, "close", None)
-            if close is not None:
-                close()
+            resolved.close()
 
 
 __all__ = [

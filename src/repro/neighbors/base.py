@@ -860,8 +860,11 @@ class NeighborBackend(abc.ABC):
     #: speculative plan there is pure wasted work on a mispredict.
     supports_speculation: ClassVar[bool] = False
 
-    def __init__(self, points) -> None:
+    def __init__(self, points, **options) -> None:
         self._points = check_points(points)
+        #: The strategy's own constructor arguments (beyond ``points``):
+        #: :meth:`subset` rebuilds the strategy with them.
+        self._options = options
         self._truncated_cache: Optional[Tuple[int, np.ndarray]] = None
         self._profile_cache: Optional[Tuple[int, np.ndarray]] = None
         #: Per-stage speculative-execution accounting, recorded by callers
@@ -908,6 +911,49 @@ class NeighborBackend(abc.ABC):
     def dimension(self) -> int:
         """The ambient dimension ``d``."""
         return int(self._points.shape[1])
+
+    def subset(self, rows) -> "NeighborBackend":
+        """A fresh backend of this strategy over ``points[rows]``.
+
+        The new backend is built with this instance's own constructor
+        arguments, so every query on it answers exactly what a backend
+        built directly over ``points[rows]`` with those arguments answers.
+        It shares no cache, pool or connection with this one, and the
+        caller owns it: use it in a ``with`` block.
+
+        Parameters
+        ----------
+        rows:
+            1-d integer row indices into :attr:`points`, in the order the
+            new backend indexes them (no negative wrap-around).
+
+        Returns
+        -------
+        NeighborBackend
+        """
+        rows = np.asarray(rows)
+        if rows.ndim != 1 or rows.dtype.kind not in "iu":
+            raise ValueError("rows must be a 1-d array of integer row indices")
+        if rows.size and (int(rows.min()) < 0
+                          or int(rows.max()) >= self.num_points):
+            raise ValueError(f"rows must lie in [0, {self.num_points})")
+        return type(self)(self._points[rows], **self._options)
+
+    # ------------------------------------------------------------------ #
+    # Lifecycle
+    # ------------------------------------------------------------------ #
+    def close(self) -> None:
+        """Release the strategy's pools, segments and connections.
+
+        Nothing to release here; the sharded and distributed strategies
+        override it.  Safe to call repeatedly.
+        """
+
+    def __enter__(self) -> "NeighborBackend":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # ------------------------------------------------------------------ #
     # Projected dataset views

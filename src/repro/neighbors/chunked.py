@@ -30,7 +30,8 @@ class ChunkedBackend(NeighborBackend):
 
     def __init__(self, points, block_size: int = None,
                  memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET) -> None:
-        super().__init__(points)
+        super().__init__(points, block_size=block_size,
+                         memory_budget_bytes=memory_budget_bytes)
         if block_size is None:
             block_size = row_block_size(self.num_points, self.dimension,
                                         memory_budget_bytes)

@@ -172,6 +172,10 @@ class DistributedBackend(ShardedBackend):
             raise ValueError(
                 f"retry_backoff must be non-negative, got {retry_backoff}"
             )
+        options = dict(nodes=addresses, num_shards=num_shards,
+                       node_workers=node_workers, inner_backend=inner_backend,
+                       timeout=timeout, connect_timeout=connect_timeout,
+                       retries=retries, retry_backoff=retry_backoff)
         if num_shards is None:
             num_shards = len(addresses) * max(1, int(node_workers))
         # num_workers=0: the coordinator never starts a local pool — the
@@ -179,6 +183,8 @@ class DistributedBackend(ShardedBackend):
         # only, every actual task goes over the wire.
         super().__init__(points, num_shards=num_shards, num_workers=0,
                          inner_backend=inner_backend)
+        # subset() rebuilds this strategy, not the sharded one it extends.
+        self._options = options
         self._timeout = timeout
         self._connect_timeout = connect_timeout
         self._retries = retries

@@ -1060,7 +1060,8 @@ class ShardedBackend(NeighborBackend):
     def __init__(self, points, num_shards: Optional[int] = None,
                  num_workers: Optional[int] = None,
                  inner_backend: str = "auto") -> None:
-        super().__init__(points)
+        super().__init__(points, num_shards=num_shards,
+                         num_workers=num_workers, inner_backend=inner_backend)
         if num_workers is None:
             workers = min(_available_cpus(),
                           num_shards if num_shards else _available_cpus())
@@ -1285,12 +1286,6 @@ class ShardedBackend(NeighborBackend):
             except (FileNotFoundError, OSError):  # pragma: no cover
                 pass
         self._shards.clear_caches()
-
-    def __enter__(self) -> "ShardedBackend":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def __del__(self) -> None:  # pragma: no cover - GC timing dependent
         try:

@@ -41,7 +41,7 @@ class TreeBackend(NeighborBackend):
 
     def __init__(self, points, leaf_size: int = 32,
                  use_scipy: bool = None) -> None:
-        super().__init__(points)
+        super().__init__(points, leaf_size=leaf_size, use_scipy=use_scipy)
         leaf_size = check_integer(leaf_size, "leaf_size", minimum=1)
         if use_scipy is None:
             use_scipy = HAVE_SCIPY_TREE

@@ -4,16 +4,16 @@ A library caller pays backend construction (sharding, worker-pool spawn,
 node dials) on every ``one_cluster`` call; a *service* must not — its whole
 point is that the dataset outlives the request.  :class:`DatasetRegistry`
 keeps, per registered name, one :class:`RegisteredDataset`: the validated
-points, a resident :class:`~repro.neighbors.base.NeighborBackend` (warm
-caches, live pools), and the *spec* it was built from so queries that must
-re-index internally (``k_cluster`` shrinks its point set per iteration) can
-rebuild compatible backends via
-:meth:`~repro.core.config.OneClusterConfig.with_neighbors`.
+points and a resident :class:`~repro.neighbors.base.NeighborBackend` (warm
+caches, live pools).  Every query kind runs on that backend; ``k_cluster``,
+whose point set shrinks per iteration, runs each iteration on a
+:meth:`~repro.neighbors.base.NeighborBackend.subset` of it.
 
-Ownership is deterministic: a backend the registry *built* (spec path) is
-closed by :meth:`DatasetRegistry.unregister` / :meth:`close_all`; an
-already-built instance handed to :meth:`register` stays the caller's to
-close — the same contract ``one_cluster`` itself follows.
+Ownership is deterministic: a backend the registry *built* (from ``None``,
+a name or a class) is closed by :meth:`DatasetRegistry.unregister` /
+:meth:`close_all`; an already-built instance handed to :meth:`register`
+stays the caller's to close — the same contract ``one_cluster`` itself
+follows.
 """
 
 from __future__ import annotations
@@ -28,17 +28,9 @@ from repro.neighbors import BackendLike, NeighborBackend, resolve_backend
 from repro.utils.validation import check_points
 
 
-def _close_backend(backend: NeighborBackend) -> None:
-    """Close a backend if its strategy has resources to release (only the
-    sharded/distributed strategies define ``close``)."""
-    close = getattr(backend, "close", None)
-    if close is not None:
-        close()
-
-
 @dataclass
 class RegisteredDataset:
-    """One resident dataset: points + warm backend + rebuild spec.
+    """One resident dataset: points + warm backend.
 
     Attributes
     ----------
@@ -49,10 +41,6 @@ class RegisteredDataset:
     backend:
         The resident :class:`NeighborBackend` answering this dataset's
         queries.
-    spec, spec_options:
-        The name/class the backend was built from plus its constructor
-        options, or ``None`` when the caller supplied an instance (then no
-        rebuild recipe exists).
     owns_backend:
         Whether the registry built (and therefore closes) the backend.
     """
@@ -60,8 +48,6 @@ class RegisteredDataset:
     name: str
     points: np.ndarray
     backend: NeighborBackend
-    spec: Optional[BackendLike]
-    spec_options: Optional[dict]
     owns_backend: bool
     lock: threading.Lock = field(default_factory=threading.Lock)
 
@@ -104,14 +90,12 @@ class DatasetRegistry:
         points:
             The ``(n, d)`` dataset.
         backend:
-            Anything :func:`~repro.neighbors.resolve_backend` accepts.  A
-            name/class is a *spec*: the registry builds, owns, and closes
-            the backend, and the spec is kept for queries that re-index
-            internally.  An instance is adopted as-is (caller keeps
-            ownership; ``k_cluster`` through the service is then
-            unavailable for this dataset).
+            Anything :func:`~repro.neighbors.resolve_backend` accepts.  From
+            ``None``, a name or a class the registry builds, owns, and
+            closes the backend; an instance is adopted as-is (the caller
+            keeps ownership).
         options:
-            Constructor options for the spec path (e.g.
+            Constructor options for a backend built here (e.g.
             ``{"num_workers": 2}``); rejected with an instance, exactly as
             in :func:`resolve_backend`.
         """
@@ -119,7 +103,6 @@ class DatasetRegistry:
         if not name:
             raise ValueError("dataset name must be non-empty")
         points = check_points(points)
-        is_instance = isinstance(backend, NeighborBackend)
         resolved = resolve_backend(points, backend, options=options)
         # Index the exact array the backend indexed: an adopted instance
         # may hold its own (equal) copy, and release parity demands the
@@ -128,14 +111,12 @@ class DatasetRegistry:
             name=name,
             points=resolved.points,
             backend=resolved,
-            spec=None if is_instance else backend,
-            spec_options=None if is_instance else dict(options or {}),
-            owns_backend=not is_instance,
+            owns_backend=resolved is not backend,
         )
         with self._lock:
             if name in self._datasets:
                 if entry.owns_backend:
-                    _close_backend(resolved)
+                    resolved.close()
                 raise ValueError(f"dataset {name!r} is already registered")
             self._datasets[name] = entry
         return entry
@@ -173,7 +154,7 @@ class DatasetRegistry:
         if entry is None:
             raise KeyError(f"no dataset registered as {name!r}")
         if entry.owns_backend:
-            _close_backend(entry.backend)
+            entry.backend.close()
 
     def close_all(self) -> None:
         """Unregister everything, closing every registry-owned backend
@@ -182,7 +163,7 @@ class DatasetRegistry:
             entries, self._datasets = list(self._datasets.values()), {}
         for entry in entries:
             if entry.owns_backend:
-                _close_backend(entry.backend)
+                entry.backend.close()
 
 
 __all__ = ["DatasetRegistry", "RegisteredDataset"]

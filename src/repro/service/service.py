@@ -7,8 +7,9 @@ strategies, and privacy accounting — into one long-lived object a server
 process would embed:
 
 * **Datasets are resident.**  :meth:`~ClusteringService.register_dataset`
-  builds a backend once; every subsequent query reuses its warm caches and
-  live pools (see :mod:`repro.service.registry`).
+  builds (or adopts) a backend once; every subsequent query runs on it and
+  reuses its warm caches and live pools, and ``k_cluster`` runs each
+  iteration on a row subset of it (see :mod:`repro.service.registry`).
 * **Budgets are enforced.**  Each tenant holds a
   :class:`~repro.accounting.budget.BudgetedLedger`; a query is debited
   *at admission*, atomically, and a query that would exceed the tenant's
@@ -44,7 +45,6 @@ from typing import Any, Callable, Dict, Optional
 from repro.accounting import BudgetedLedger, PrivacyParams
 from repro.clustering import k_cluster, outlier_ball
 from repro.core import good_center, good_radius, one_cluster
-from repro.core.config import OneClusterConfig
 from repro.neighbors import BackendLike
 from repro.service.jobs import JobHandle
 from repro.service.registry import DatasetRegistry, RegisteredDataset
@@ -62,10 +62,6 @@ _SOLVERS: Dict[str, Callable[..., Any]] = {
     "k_cluster": k_cluster,
     "outlier_screen": outlier_ball,
 }
-
-#: Kinds that re-index shrinking point sets internally and therefore need a
-#: rebuild *spec* (name/class + options), not the resident instance.
-_SPEC_ONLY_KINDS = frozenset({"k_cluster"})
 
 
 class ServiceSaturatedError(RuntimeError):
@@ -279,9 +275,8 @@ class ClusteringService:
         :class:`JobHandle`.
 
         The sequence is *validate → charge → enqueue*: anything wrong with
-        the request (unknown tenant/dataset/kind, a k_cluster against an
-        instance-registered dataset, bad kwargs) raises before the tenant
-        is charged, and a full queue rolls the charge back — a tenant only
+        the request (unknown tenant/dataset/kind, reserved kwargs) raises
+        before the tenant is charged, and a full queue rolls the charge back — a tenant only
         ever pays for queries that will run.
 
         Parameters
@@ -330,12 +325,9 @@ class ClusteringService:
                      params: PrivacyParams, kwargs: dict) -> Callable[[], Any]:
         """Bind a solver call to the resident dataset.
 
-        Instance-path kinds run against ``entry.backend`` directly (the
-        solvers never close caller-supplied instances, so the backend stays
-        warm across queries).  Spec-only kinds (``k_cluster`` re-indexes a
-        shrinking point set every iteration) are routed through
-        :meth:`OneClusterConfig.with_neighbors` instead, which requires the
-        dataset to have been registered from a spec, not an instance.
+        Every kind runs against ``entry.backend`` (the solvers never close
+        a caller's instance, so the backend stays warm across queries);
+        ``k_cluster`` runs each iteration on a subset of it.
         """
         if kind not in _SOLVERS:
             raise ValueError(
@@ -349,32 +341,6 @@ class ClusteringService:
                     "overridden per query"
                 )
         solver = _SOLVERS[kind]
-        kwargs = dict(kwargs)
-        if kind in _SPEC_ONLY_KINDS:
-            spec, spec_options = entry.spec, dict(entry.spec_options or {})
-            if entry.owns_backend is False:
-                raise ValueError(
-                    f"{kind} re-indexes its points every iteration, so it "
-                    f"needs a backend spec; dataset {entry.name!r} was "
-                    "registered from an already-built instance — register "
-                    "it from a name/class to use this query"
-                )
-            if isinstance(spec, str) or spec is None:
-                config = kwargs.pop("config", None) or OneClusterConfig()
-                kwargs["config"] = config.with_neighbors(
-                    spec or "auto", spec_options
-                )
-                backend_arg: BackendLike = None
-            elif not spec_options:
-                backend_arg = spec  # a class: k_cluster accepts it directly
-            else:
-                raise ValueError(
-                    f"dataset {entry.name!r} was registered from a backend "
-                    "class with options, which k_cluster cannot rebuild; "
-                    "register it by strategy name instead"
-                )
-            return lambda: solver(entry.points, params=params,
-                                  backend=backend_arg, **kwargs)
         return lambda: solver(entry.points, params=params,
                               backend=entry.backend, **kwargs)
 

@@ -46,11 +46,14 @@ def check_points(points, *, dimension: Optional[int] = None,
 
 
 def check_positive(value: float, name: str, *, strict: bool = True) -> float:
-    """Validate that ``value`` is positive (or non-negative if not strict)."""
+    """Validate that ``value`` is positive (or non-negative if not strict).
+
+    NaN is rejected in both modes (every comparison with it is false).
+    """
     value = float(value)
-    if strict and value <= 0:
+    if strict and not value > 0:
         raise ValueError(f"{name} must be positive, got {value}")
-    if not strict and value < 0:
+    if not strict and not value >= 0:
         raise ValueError(f"{name} must be non-negative, got {value}")
     return value
 

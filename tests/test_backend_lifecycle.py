@@ -8,13 +8,15 @@ inside the call (from ``None``, a name or a class) is the call's to close —
 on success *and* when the call raises, since a live exception's traceback
 would otherwise keep a sharded backend's worker pool and shared-memory
 segment reachable.  An instance belongs to the caller and stays open either
-way.
+way.  ``k_cluster`` builds more than one backend (the resolved one and a
+subset per iteration), so it has its own tests below the generic table.
 """
 
 import pytest
 
 from repro.accounting.params import PrivacyParams
 from repro.baselines.exponential_ball import exponential_mechanism_cluster
+from repro.clustering.k_cluster import k_cluster
 from repro.core.good_center import good_center
 from repro.core.good_radius import good_radius
 from repro.core.one_cluster import one_cluster
@@ -123,3 +125,35 @@ def test_caller_instance_stays_open(points, call):
     with pytest.raises(RuntimeError, match="injected"):
         run(points, Failing(points))
     assert closed == []
+
+
+def test_k_cluster_closes_resolved_and_subset_backends(points):
+    """The resolved backend and every iteration's subset are closed, on
+    success and when the first iteration raises."""
+    Recording, Failing, closed = recording_classes()
+    result = k_cluster(points, k=2, params=PARAMS, rng=0, backend=Recording)
+    assert len(result.results) == 2
+    assert len({id(backend) for backend in closed}) == len(closed) == 3
+    # The resolved backend spans every point and closes last.
+    assert closed[-1].num_points == points.shape[0]
+    assert all(backend.num_points < points.shape[0]
+               for backend in closed[1:-1])
+    del closed[:]
+    with pytest.raises(RuntimeError, match="injected"):
+        k_cluster(points, k=2, params=PARAMS, rng=0, backend=Failing)
+    assert len(closed) == 2
+    assert all(isinstance(backend, Failing) for backend in closed)
+
+
+def test_k_cluster_leaves_caller_instance_open(points):
+    """A caller's instance stays open; the subsets k_cluster built from it
+    are closed, on success and when the first iteration raises."""
+    Recording, Failing, closed = recording_classes()
+    instance = Recording(points)
+    result = k_cluster(points, k=2, params=PARAMS, rng=0, backend=instance)
+    assert len(closed) == len(result.results) == 2
+    failing = Failing(points)
+    with pytest.raises(RuntimeError, match="injected"):
+        k_cluster(points, k=2, params=PARAMS, rng=0, backend=failing)
+    assert len(closed) == 3
+    assert instance not in closed and failing not in closed

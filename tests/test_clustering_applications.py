@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.accounting.ledger import PrivacyLedger
 from repro.accounting.params import PrivacyParams
 from repro.clustering.k_cluster import k_cluster
 from repro.clustering.outliers import outlier_ball
-from repro.core.config import OneClusterConfig
 from repro.datasets.synthetic import clustered_with_outliers, gaussian_blobs
 
 
@@ -38,6 +38,16 @@ class TestKCluster:
         with pytest.raises(ValueError):
             k_cluster(points, k=0, params=PrivacyParams(1.0, 1e-6))
 
+    @pytest.mark.parametrize("slack", [-1.0, 0.0, float("nan"),
+                                       float("inf")])
+    def test_bad_coverage_slack_rejected_before_any_spend(self, slack):
+        points, _, _ = gaussian_blobs(n=600, d=2, k=2, spread=0.03, rng=6)
+        ledger = PrivacyLedger()
+        with pytest.raises(ValueError, match="coverage_slack"):
+            k_cluster(points, k=2, params=PrivacyParams(8.0, 1e-5), rng=7,
+                      coverage_slack=slack, ledger=ledger)
+        assert ledger.entries == []
+
     def test_results_and_balls_lengths_consistent(self):
         points, _, _ = gaussian_blobs(n=600, d=2, k=2, spread=0.03, rng=6)
         result = k_cluster(points, k=2, params=PrivacyParams(8.0, 1e-5), rng=7)
@@ -48,47 +58,45 @@ class TestKCluster:
 class TestKClusterBackends:
     """End-to-end k-clustering across the neighbor backends.
 
-    k_cluster takes backend *selections* (names / classes / config), not
-    instances — the point set shrinks between iterations — so the
-    ``neighbor_backend`` fixture's name is mapped onto the matching
-    selection style: the sharded strategy goes through
-    ``OneClusterConfig(neighbor_backend=..., neighbor_workers=...)``, which
-    is also the only way to pin its worker count.
+    k_cluster takes every ``backend=`` form (``None``, a name, a class or
+    an instance).  It resolves one backend over all the points and runs
+    each iteration on ``backend.subset(rows)`` over the rows not yet
+    covered, so the ``neighbor_backend`` fixture's selection (a serial
+    3-shard instance for "sharded") is passed straight through.
     """
 
     @staticmethod
-    def _run(points, name, *, workers=0, rng=9):
-        params = PrivacyParams(10.0, 1e-5)
-        if name == "sharded":
-            config = OneClusterConfig(neighbor_backend="sharded",
-                                      neighbor_workers=workers)
-            return k_cluster(points, k=2, params=params, rng=rng,
-                             config=config)
-        backend = None if name == "reference" else name
-        return k_cluster(points, k=2, params=params, rng=rng, backend=backend)
+    def _run(points, backend, rng=9):
+        return k_cluster(points, k=2, params=PrivacyParams(10.0, 1e-5),
+                         rng=rng, backend=backend)
 
     def test_release_identical_across_backends(self, neighbor_backend):
         points, _, _ = gaussian_blobs(n=500, d=2, k=2, spread=0.02, rng=6)
-        reference = self._run(points, "reference")
-        result = self._run(points, neighbor_backend.backend_name)
+        reference = self._run(points, None)
+        result = self._run(points, neighbor_backend(points))
         assert result.num_found == reference.num_found
         assert result.covered_fraction == reference.covered_fraction
         for ball, expected in zip(result.balls, reference.balls):
             assert np.array_equal(ball.center, expected.center)
             assert ball.radius == expected.radius
+        assert result.ball_coverages == reference.ball_coverages
 
     def test_iterations_close_their_backends(self, monkeypatch):
-        """Each iteration's internally built backend is closed before
-        k_cluster returns (the sharded pool / shared-memory lifecycle gap
-        this test originally exposed: cleanup used to ride on GC)."""
+        """Each iteration's subset backend is closed before the next
+        iteration builds its own, and before k_cluster returns (the sharded
+        pool / shared-memory lifecycle gap this test originally exposed:
+        cleanup used to ride on GC).  The caller's instance stays open."""
         from repro.neighbors.sharded import ShardedBackend
 
         built = []
         closed = []
+        live_at_build = []
         original_init = ShardedBackend.__init__
         original_close = ShardedBackend.close
 
         def spy_init(self, *args, **kwargs):
+            live_at_build.append(
+                [b for b in built[1:] if b not in closed])
             built.append(self)
             return original_init(self, *args, **kwargs)
 
@@ -100,22 +108,30 @@ class TestKClusterBackends:
         monkeypatch.setattr(ShardedBackend, "__init__", spy_init)
         monkeypatch.setattr(ShardedBackend, "close", spy_close)
         points, _, _ = gaussian_blobs(n=400, d=2, k=2, spread=0.02, rng=8)
-        self._run(points, "sharded", workers=0)
-        assert built, "the sharded backend was never selected"
-        assert set(id(b) for b in built) <= set(id(c) for c in closed)
+        instance = ShardedBackend(points, num_shards=3, num_workers=0)
+        result = self._run(points, instance)
+        assert len(built) == 1 + len(result.results) >= 2
+        assert all(live == [] for live in live_at_build)
+        assert set(id(b) for b in built[1:]) == set(id(c) for c in closed)
+        assert instance not in closed
 
     @pytest.mark.slow
     def test_two_worker_pool_release_identical(self):
         """A real 2-process pool behind k_cluster: bitwise the serial
-        release, pools torn down between iterations."""
+        release; each iteration's subset starts and closes its own pool."""
+        from repro.neighbors.sharded import ShardedBackend
+
         points, _, _ = gaussian_blobs(n=500, d=2, k=2, spread=0.02, rng=6)
-        serial = self._run(points, "sharded", workers=0)
-        pooled = self._run(points, "sharded", workers=2)
+        with ShardedBackend(points, num_shards=2, num_workers=0) as backend:
+            serial = self._run(points, backend)
+        with ShardedBackend(points, num_shards=2, num_workers=2) as backend:
+            pooled = self._run(points, backend)
         assert pooled.num_found == serial.num_found
         assert pooled.covered_fraction == serial.covered_fraction
         for ball, expected in zip(pooled.balls, serial.balls):
             assert np.array_equal(ball.center, expected.center)
             assert ball.radius == expected.radius
+        assert pooled.ball_coverages == serial.ball_coverages
 
 
 class TestOutlierScreen:

@@ -10,7 +10,8 @@ The contract, in three layers:
   over 1/2/3 loopback node servers releases *bitwise* the same values as
   the dense in-process reference — raw queries, fused plans, GoodRadius,
   GoodCenter (both projection paths, speculation on and off), and
-  k_cluster through the config path.  Shard partials merge in shard order
+  k_cluster, whose every round runs on a subset backend dialing the same
+  nodes.  Shard partials merge in shard order
   no matter which socket answered them, so this is parity by construction;
   these tests pin that the construction holds.
 * **Failure**: with failover on (the default), a dead node is re-dialed
@@ -43,7 +44,6 @@ import pytest
 import repro.neighbors.sharded as sharded_module
 from repro.accounting.params import PrivacyParams
 from repro.clustering.k_cluster import k_cluster
-from repro.core.config import OneClusterConfig
 from repro.core.good_center import good_center
 from repro.core.good_radius import good_radius
 from repro.neighbors import (
@@ -431,34 +431,29 @@ class TestLoopbackParity:
             assert speculated.radius_bound == plain.radius_bound
 
     def test_k_cluster_release_identical_via_config(self):
+        """k_cluster on a distributed instance (no config field selects a
+        backend any more): each round's subset dials the same nodes, and
+        the release and coverage counts match the in-process reference."""
         from repro.datasets.synthetic import gaussian_blobs
 
         points, _, _ = gaussian_blobs(n=500, d=2, k=2, spread=0.02, rng=6)
         params = PrivacyParams(10.0, 1e-5)
         reference = k_cluster(points, k=2, params=params, rng=9)
-        with node_cluster(2) as addresses:
-            config = OneClusterConfig(neighbor_backend="distributed",
-                                      neighbor_nodes=tuple(addresses))
+        with distributed_backend(points, 2) as backend:
             released = k_cluster(points, k=2, params=params, rng=9,
-                                 config=config)
-        assert released.num_found == reference.num_found
+                                 backend=backend)
+            assert backend.live_nodes == [0, 1]
+        assert released.num_found == reference.num_found == 2
         assert released.covered_fraction == reference.covered_fraction
         for ball, expected in zip(released.balls, reference.balls):
             assert np.array_equal(ball.center, expected.center)
             assert ball.radius == expected.radius
+        assert released.ball_coverages == reference.ball_coverages
 
     def test_resolve_backend_requires_nodes(self):
         points = DATASETS["random-2d"]
         with pytest.raises(ValueError, match="node servers"):
             resolve_backend(points, "distributed")
-        with pytest.raises(ValueError):
-            OneClusterConfig(neighbor_backend="distributed")
-        config = OneClusterConfig(neighbor_backend="distributed",
-                                  neighbor_nodes=("127.0.0.1:1",),
-                                  neighbor_workers=2)
-        assert config.neighbor_backend_options() == {
-            "nodes": ["127.0.0.1:1"], "node_workers": 2,
-        }
 
     def test_resolve_backend_builds_distributed(self):
         points = DATASETS["random-2d"]
@@ -1222,24 +1217,21 @@ class TestFailover:
             assert all(entry is not None for entry in stats["nodes"])
             assert events == ["send"] * 3 + ["wait"] * 3
 
-    def test_config_threads_retry_knobs(self):
-        """OneClusterConfig carries the failover knobs through to the
-        backend constructor options (and validates them)."""
-        config = OneClusterConfig(neighbor_backend="distributed",
-                                  neighbor_nodes=("127.0.0.1:1",),
-                                  neighbor_node_retries=0,
-                                  neighbor_node_retry_backoff=0.25)
-        assert config.neighbor_backend_options() == {
-            "nodes": ["127.0.0.1:1"], "retries": 0, "retry_backoff": 0.25,
-        }
-        defaults = OneClusterConfig(neighbor_backend="distributed",
-                                    neighbor_nodes=("127.0.0.1:1",))
-        options = defaults.neighbor_backend_options()
-        assert "retries" not in options and "retry_backoff" not in options
-        with pytest.raises(ValueError, match="neighbor_node_retries"):
-            OneClusterConfig(neighbor_node_retries=-1)
-        with pytest.raises(ValueError, match="neighbor_node_retry_backoff"):
-            OneClusterConfig(neighbor_node_retry_backoff=-0.1)
+    def test_constructor_rejects_negative_retry_settings(self, monkeypatch):
+        """Negative failover settings raise before any node is dialed."""
+        dialed = []
+
+        def spy_init(self, *args, **kwargs):
+            dialed.append(args)
+            raise AssertionError("a node was dialed")
+
+        monkeypatch.setattr(NodeClient, "__init__", spy_init)
+        points = DATASETS["random-2d"]
+        with pytest.raises(ValueError, match="retries"):
+            DistributedBackend(points, ["127.0.0.1:1"], retries=-1)
+        with pytest.raises(ValueError, match="retry_backoff"):
+            DistributedBackend(points, ["127.0.0.1:1"], retry_backoff=-0.1)
+        assert dialed == []
 
 
 class TestWorkStealing:

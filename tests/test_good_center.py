@@ -140,6 +140,14 @@ class TestGoodCenter:
             good_center(small_cluster_data.points, radius=0.0, target=100,
                         params=PrivacyParams(1.0, 1e-6))
 
+    def test_nan_radius_rejected_before_any_spend(self, small_cluster_data):
+        ledger = PrivacyLedger()
+        with pytest.raises(ValueError, match="radius"):
+            good_center(small_cluster_data.points, radius=float("nan"),
+                        target=100, params=PrivacyParams(1.0, 1e-6), rng=0,
+                        ledger=ledger)
+        assert ledger.entries == []
+
     def test_requires_positive_delta(self, small_cluster_data):
         with pytest.raises(ValueError):
             good_center(small_cluster_data.points, radius=0.1, target=100,

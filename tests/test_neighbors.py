@@ -3,7 +3,9 @@
 The contract under test: Dense, Chunked, and Tree (scipy and pure-python)
 backends are *interchangeable* — identical integer counts and identical
 ``L(r, S)`` values on random and adversarial datasets — and the non-dense
-strategies never materialise an ``(n, n)`` distance matrix.
+strategies never materialise an ``(n, n)`` distance matrix.  On every
+strategy, sharded and distributed included, ``backend.subset(rows)``
+answers bitwise like a backend built directly over ``points[rows]``.
 """
 
 import tracemalloc
@@ -13,7 +15,6 @@ import pytest
 
 import repro.neighbors._distance as _distance
 from repro.accounting.params import PrivacyParams
-from repro.core.config import OneClusterConfig
 from repro.core.good_radius import RadiusScore, good_radius
 from repro.datasets.synthetic import planted_cluster
 from repro.geometry.balls import (
@@ -28,6 +29,7 @@ from repro.neighbors import (
     ChunkedBackend,
     DenseBackend,
     NeighborBackend,
+    QueryPlan,
     ShardedBackend,
     TreeBackend,
     auto_backend,
@@ -308,10 +310,99 @@ class TestSelection:
         with pytest.raises(TypeError):
             resolve_backend(points, 42)
 
-    def test_config_validates_backend_name(self):
-        with pytest.raises(ValueError):
-            OneClusterConfig(neighbor_backend="octree")
-        assert OneClusterConfig(neighbor_backend="tree").neighbor_backend == "tree"
+
+@pytest.fixture(params=["dense", "chunked", "tree", "sharded", "distributed"])
+def build_backend(request):
+    """A factory for one strategy with non-default constructor arguments
+    (two loopback node servers for "distributed"); closes every backend it
+    built, then stops the servers."""
+    name = request.param
+    built, servers = [], []
+    if name == "distributed":
+        from repro.neighbors.distributed import DistributedBackend
+        from repro.neighbors.serve import NodeServer
+
+        servers = [NodeServer().start() for _ in range(2)]
+        nodes = [server.address for server in servers]
+
+        def make(points):
+            return DistributedBackend(points, nodes, num_shards=3, retries=1)
+    else:
+        make = {
+            "dense": DenseBackend,
+            "chunked": lambda points: ChunkedBackend(points, block_size=29),
+            "tree": lambda points: TreeBackend(points, leaf_size=7,
+                                               use_scipy=False),
+            "sharded": lambda points: ShardedBackend(points, num_shards=3,
+                                                     num_workers=0),
+        }[name]
+
+    def factory(points):
+        backend = make(points)
+        built.append(backend)
+        return backend
+
+    yield factory
+    for backend in built:
+        backend.close()
+    for server in servers:
+        server.stop()
+
+
+class TestSubset:
+    """``backend.subset(rows)``: the same strategy, rebuilt with the same
+    constructor arguments over ``points[rows]``."""
+
+    POINTS = np.random.default_rng(4).uniform(size=(150, 2))
+    ROWS = np.flatnonzero(np.random.default_rng(5).uniform(size=150) < 0.6)
+
+    @staticmethod
+    def answers(backend):
+        """Every query family a solver sends: the GoodRadius profile,
+        ball counts around arbitrary centres, k-th distances and a
+        masked-sum plan."""
+        points = backend.points
+        radii = radii_for(points)
+        centers = np.random.default_rng(6).uniform(size=(5, 2))
+        plan = QueryPlan()
+        plan.masked_sum(backend.view(), np.arange(points.shape[0]) % 3 == 0)
+        return [
+            backend.capped_average_scores(radii, 12),
+            backend.count_within_many(centers, radii),
+            backend.kth_distances(4),
+            backend.execute(plan)[0],
+        ]
+
+    def test_subset_answers_like_a_direct_build(self, build_backend):
+        backend = build_backend(self.POINTS)
+        direct = build_backend(self.POINTS[self.ROWS])
+        with backend.subset(self.ROWS) as subset:
+            assert type(subset) is type(backend)
+            assert subset._options == backend._options
+            assert np.array_equal(subset.points, self.POINTS[self.ROWS])
+            for ours, theirs in zip(self.answers(subset),
+                                    self.answers(direct)):
+                assert ours.dtype == theirs.dtype
+                assert ours.shape == theirs.shape
+                assert ours.tobytes() == theirs.tobytes()
+
+    def test_subset_keeps_constructor_arguments(self):
+        points = self.POINTS
+        chunked = ChunkedBackend(points, block_size=29).subset(self.ROWS)
+        assert chunked.block_size == 29
+        tree = TreeBackend(points, use_scipy=False).subset(self.ROWS)
+        assert not tree.uses_scipy
+        with ShardedBackend(points, num_shards=5,
+                            num_workers=0).subset(self.ROWS) as sharded:
+            assert sharded.num_shards == 5
+            assert not sharded.parallel
+
+    @pytest.mark.parametrize("rows", [[-1, 0], [0, 150], [[0, 1]],
+                                      [0.0, 1.0]])
+    def test_subset_rejects_bad_rows(self, build_backend, rows):
+        backend = build_backend(self.POINTS)
+        with pytest.raises(ValueError, match="rows"):
+            backend.subset(rows)
 
 
 class TestIntegration:

@@ -529,20 +529,20 @@ class TestKClusterAsyncCoverage:
         points = small_cluster_data.points
         params = PrivacyParams(8.0, 1e-5)
         plain = k_cluster(points, k=2, params=params, rng=7)
-        assert plain.ball_coverages is None
         with_backend = k_cluster(points, k=2, params=params, rng=7,
                                  backend="chunked")
         other_backend = k_cluster(points, k=2, params=params, rng=7,
                                   backend="dense")
         # The diagnostics are pure post-processing: releases are bitwise
-        # unchanged with and without them.
+        # the same on every backend.
         assert with_backend.num_found == plain.num_found
         for ours, theirs in zip(with_backend.balls, plain.balls):
             assert np.array_equal(ours.center, theirs.center)
             assert ours.radius == theirs.radius
         assert with_backend.covered_fraction == plain.covered_fraction
-        # And backend-independent.
+        # And backend-independent; a list on every call, one per ball.
         assert with_backend.ball_coverages == other_backend.ball_coverages
+        assert plain.ball_coverages == with_backend.ball_coverages
         assert len(with_backend.ball_coverages) == with_backend.num_found
 
     def test_matches_synchronous_harness_counts(self, small_cluster_data):

@@ -13,13 +13,12 @@ Covered, each on ``backend=None``, ``"dense"`` and a serial 3-shard
 found release and one NoisyAVG abstain), ``one_cluster``, ``good_radius``
 under both radius searches (RecConcave and noisy binary search),
 ``int_point`` (whose instance backend answers the step-4 depth plan, while
-a name goes to its cluster solver) and the exponential-mechanism baseline.
-``k_cluster`` (two rounds, the second on the points the first ball left)
-is pinned on ``None`` and ``"dense"``: it rejects backend instances.
-The private-aggregation baseline takes no backend and is pinned once.  The
-JL path is pinned by cross-backend parity only: its rotation basis comes
-from LAPACK QR and is mapped back with a BLAS matmul, so its last bits may
-differ between numpy builds.
+a name goes to its cluster solver), ``k_cluster`` (two rounds, the second
+on the subset of points the first ball left) and the exponential-mechanism
+baseline.  The private-aggregation baseline takes no backend and is pinned
+once.  The JL path is pinned by cross-backend parity only: its rotation
+basis comes from LAPACK QR and is mapped back with a BLAS matmul, so its
+last bits may differ between numpy builds.
 
 A digest mismatch means some release changed.  If the change is
 intentional (a new mechanism, a new noise stream), recapture the digests
@@ -189,17 +188,12 @@ CASES = {
     "good_radius_binary_search": _good_radius("binary_search"),
     "int_point": _int_point,
     "exponential_mechanism_cluster": _exponential_mechanism,
+    "k_cluster": _k_cluster,
 }
 
 #: Cases whose solver takes no ``backend=`` argument.
 BACKEND_FREE_CASES = {
     "private_aggregation_cluster": _private_aggregation,
-}
-
-#: Cases whose solver rejects a backend instance: pinned on the name
-#: selections only.
-NAMED_BACKEND_CASES = {
-    "k_cluster": _k_cluster,
 }
 
 BACKENDS = {
@@ -214,13 +208,6 @@ BACKENDS = {
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_release_bytes_are_pinned(case, backend_name):
     result = CASES[case](BACKENDS[backend_name])
-    assert release_digest(result) == GOLDEN[case]
-
-
-@pytest.mark.parametrize("backend_name", ["dense", "none"])
-@pytest.mark.parametrize("case", sorted(NAMED_BACKEND_CASES))
-def test_named_backend_release_bytes_are_pinned(case, backend_name):
-    result = NAMED_BACKEND_CASES[case](BACKENDS[backend_name])
     assert release_digest(result) == GOLDEN[case]
 
 
@@ -249,9 +236,9 @@ def test_cases_cover_found_and_abstain():
 
 
 if __name__ == "__main__":
-    for name, run in sorted({**CASES, **NAMED_BACKEND_CASES}.items()):
+    for name in sorted(CASES):
         print(f"    {name!r}:\n"
-              f"        {release_digest(run(BACKENDS['dense']))!r},")
+              f"        {release_digest(CASES[name](BACKENDS['dense']))!r},")
     for name in sorted(BACKEND_FREE_CASES):
         print(f"    {name!r}:\n"
               f"        {release_digest(BACKEND_FREE_CASES[name]())!r},")

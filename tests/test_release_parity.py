@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.accounting.params import PrivacyParams
-from repro.core.config import GoodCenterConfig, OneClusterConfig
+from repro.core.config import GoodCenterConfig
 from repro.core.good_center import good_center
 from repro.core.good_radius import good_radius
 from repro.core.one_cluster import one_cluster
@@ -152,21 +152,6 @@ class TestOneClusterReleaseParity:
                 == reference.radius_result.radius)
         assert_same_center_release(reference.center_result,
                                    result.center_result)
-        if reference.found:
-            assert np.array_equal(result.ball.center, reference.ball.center)
-            assert result.ball.radius == reference.ball.radius
-
-    def test_config_backend_selection_identical(self, small_cluster_data):
-        """Selecting the backend through OneClusterConfig releases the same
-        ball as the explicit backend= argument."""
-        points = small_cluster_data.points
-        params = PrivacyParams(8.0, 1e-5)
-        reference = one_cluster(points, target=250, params=params, rng=9,
-                                backend="chunked")
-        config = OneClusterConfig(neighbor_backend="chunked")
-        result = one_cluster(points, target=250, params=params, rng=9,
-                             config=config)
-        assert result.found == reference.found
         if reference.found:
             assert np.array_equal(result.ball.center, reference.ball.center)
             assert result.ball.radius == reference.ball.radius

@@ -133,8 +133,8 @@ class TestServiceReleaseParity:
                 assert screened.ball.radius == direct_screen.ball.radius
 
     def test_k_cluster_parity_via_spec(self, cluster_points):
-        # k_cluster re-indexes per iteration, so the service routes the
-        # registered *spec* through the config instead of the instance.
+        # A dataset registered from a name: k_cluster runs each iteration
+        # on a subset of the service-built resident backend.
         points = cluster_points
         with ClusteringService() as service:
             service.register_dataset("data", points, backend="dense")
@@ -148,6 +148,36 @@ class TestServiceReleaseParity:
             for ours, theirs in zip(result.balls, direct.balls):
                 assert np.array_equal(ours.center, theirs.center)
                 assert ours.radius == theirs.radius
+            assert result.ball_coverages == direct.ball_coverages
+
+    def test_k_cluster_on_instance_dataset(self, cluster_points):
+        """A dataset registered from an instance serves k_cluster: the
+        release is the direct call's on the same instance, every subset
+        is closed, and the instance stays open."""
+        closed = []
+
+        class Tracking(DenseBackend):
+            def close(self):
+                closed.append(self)
+
+        points = cluster_points
+        instance = Tracking(points)
+        with ClusteringService() as service:
+            service.register_dataset("inst", points, backend=instance)
+            service.create_tenant("tenant", PrivacyParams(64.0, 1e-4))
+            direct = k_cluster(points, k=2, params=LOOSE, rng=4,
+                               backend=instance)
+            job = service.k_cluster("tenant", "inst", k=2, params=LOOSE,
+                                    rng=4)
+            result = job.result(timeout=240)
+        assert result.num_found == direct.num_found >= 1
+        for ours, theirs in zip(result.balls, direct.balls):
+            assert np.array_equal(ours.center, theirs.center)
+            assert ours.radius == theirs.radius
+        assert result.covered_fraction == direct.covered_fraction
+        assert result.ball_coverages == direct.ball_coverages
+        assert len(closed) == len(direct.results) + len(result.results)
+        assert instance not in closed
 
     def test_distributed_parity(self, cluster_points):
         # In-process loopback node servers (the test_distributed pattern):
@@ -259,8 +289,6 @@ class TestBudgetEnforcement:
             with pytest.raises(TypeError, match="supplied by the service"):
                 service.submit("t", "inst", "good_radius", step,
                                target=800, backend="dense")
-            with pytest.raises(ValueError, match="already-built instance"):
-                service.k_cluster("t", "inst", k=2, params=step)
             assert service.tenant("t").spent() is None
 
     def test_advanced_composition_tenant(self, cluster_points):

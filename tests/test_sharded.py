@@ -18,7 +18,6 @@ import pytest
 
 import repro.neighbors as neighbors
 from repro.accounting.params import PrivacyParams
-from repro.core.config import OneClusterConfig
 from repro.core.good_center import good_center
 from repro.core.good_radius import good_radius
 from repro.geometry.boxes import ShiftedBoxPartition
@@ -628,14 +627,6 @@ class TestSelectionAndConfig:
         instance = ShardedBackend(points, num_workers=0)
         with pytest.raises(ValueError):
             resolve_backend(points, instance, options={"num_workers": 2})
-
-    def test_config_accepts_sharded_and_workers(self):
-        config = OneClusterConfig(neighbor_backend="sharded",
-                                  neighbor_workers=0)
-        assert config.neighbor_backend_options() == {"num_workers": 0}
-        assert OneClusterConfig().neighbor_backend_options() == {}
-        with pytest.raises(ValueError):
-            OneClusterConfig(neighbor_workers=-1)
 
     def test_shard_bounds_cover_dataset(self):
         points = DATASETS["random-2d"]

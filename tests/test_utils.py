@@ -188,6 +188,13 @@ class TestValidation:
             check_positive(0.0, "x")
         assert check_positive(0.0, "x", strict=False) == 0.0
 
+    def test_check_positive_rejects_nan(self):
+        for strict in (True, False):
+            with pytest.raises(ValueError):
+                check_positive(float("nan"), "x", strict=strict)
+        with pytest.raises(ValueError):
+            check_positive(-0.5, "x", strict=False)
+
     def test_check_probability(self):
         assert check_probability(0.5, "p") == 0.5
         with pytest.raises(ValueError):
