@@ -15,6 +15,7 @@ from basic composition over the ``k`` private calls.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import List, Optional
@@ -100,14 +101,18 @@ def k_cluster(points, k: int, params: PrivacyParams, target: Optional[int] = Non
         As in :func:`~repro.core.one_cluster.one_cluster`.
     backend:
         Neighbor-backend selection (``None`` = ``"auto"``, a name, a class,
-        or an instance), resolved once over all of ``points``.  Each
-        iteration's :func:`~repro.core.one_cluster.one_cluster` call runs on
-        ``backend.subset(rows)`` over the rows no released ball has covered
-        yet — the same strategy with the same constructor arguments — and
-        that subset is closed before the next iteration starts, so with
-        ``"sharded"`` k iterations hold at most one round's pool at a time.
-        The resolved backend answers the per-ball coverage counts
-        (``ball_coverages``).  A backend built here is closed before
+        or an instance), resolved once over all of ``points``.  The
+        resolved backend runs the iterations until a released ball covers
+        a point, and answers the per-ball coverage counts
+        (``ball_coverages``).  Every later iteration's
+        :func:`~repro.core.one_cluster.one_cluster` call runs on
+        ``resolved.subset(rows)`` over the rows no ball has covered yet:
+        the same strategy with the same constructor arguments, except that
+        a strategy picked by size (``None`` or ``"auto"``, also a service
+        dataset registered without a backend) is picked again for the
+        remaining row count.  That subset is closed before the next
+        iteration starts, so with ``"sharded"`` k iterations hold at most
+        one round's pool at a time.  A backend built here is closed before
         returning; a caller's instance stays open.
 
     Returns
@@ -142,7 +147,11 @@ def k_cluster(points, k: int, params: PrivacyParams, target: Optional[int] = Non
         for round_index in range(k):
             if rows.shape[0] < target:
                 break
-            with resolved.subset(rows) as round_backend:
+            # Until a ball covers a point, the resolved backend itself
+            # indexes exactly the remaining rows.
+            scope = (contextlib.nullcontext(resolved) if rows.shape[0] == n
+                     else resolved.subset(rows))
+            with scope as round_backend:
                 remaining = round_backend.points
                 result = one_cluster(remaining, target, per_round, beta=beta,
                                      domain=domain, config=config,

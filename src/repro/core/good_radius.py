@@ -164,8 +164,9 @@ def good_radius(points, target: int, params: PrivacyParams, beta: float = 0.1,
         Optional privacy ledger to record sub-mechanism spends.
     backend:
         Neighbor-backend selection (``None`` = ``"auto"``, a name, a
-        class, or an instance) for the ``L`` evaluations.  Backend choice affects performance only — all backends return
-        identical scores, so the released radius distribution is unchanged.
+        class, or an instance) for the ``L`` evaluations.  Backend choice
+        affects performance only — all backends return identical scores,
+        so the released radius distribution is unchanged.
 
     Returns
     -------

@@ -88,9 +88,10 @@ def one_cluster(points, target: int, params: PrivacyParams, beta: float = 0.1,
         every sub-mechanism spend.
     backend:
         Neighbor-backend selection (``None`` = ``"auto"``, a name, a
-        class, or an instance).  Resolved once and shared by both phases: GoodRadius reuses its cached distance statistics and
-        GoodCenter batches its partition search through the same instance
-        (one worker pool, not two, when the backend is sharded).
+        class, or an instance).  Resolved once and shared by both phases:
+        GoodRadius reuses its cached distance statistics and GoodCenter
+        batches its partition search through the same instance (one worker
+        pool, not two, when the backend is sharded).
         Performance only — the output distribution is backend-independent.
 
     Returns

@@ -48,7 +48,8 @@ def run_k_clustering(k_values=(2, 3, 4), n: int = 3000, dimension: int = 2,
         for center in centers:
             distances = [float(np.linalg.norm(ball.center - center))
                          for ball in result.balls]
-            if distances and min(distances) <= 3.0 * spread * np.sqrt(dimension):
+            if distances and (min(distances)
+                              <= 3.0 * spread * np.sqrt(dimension)):
                 recovered += 1
         rows.append({
             "k": k, "n": n, "d": dimension, "epsilon": epsilon,

@@ -160,11 +160,14 @@ def resolve_backend(points, backend: BackendLike = None,
     points:
         The ``(n, d)`` dataset the backend must index.
     backend:
-        ``None`` / ``"auto"`` (size-based selection via :func:`auto_backend`),
-        a registry name (``"dense"``, ``"chunked"``, ``"tree"``,
-        ``"sharded"``), ``"distributed"`` (which additionally requires
-        ``options={"nodes": [...]}``), a backend class, or an existing
-        instance (which must have been built over the same dataset).
+        ``None`` / ``"auto"`` (size-based selection via
+        :func:`auto_backend`; without ``options``, the backend's
+        :meth:`~repro.neighbors.base.NeighborBackend.subset` selects again
+        by the subset's size), a registry name (``"dense"``,
+        ``"chunked"``, ``"tree"``, ``"sharded"``), ``"distributed"``
+        (which additionally requires ``options={"nodes": [...]}``), a
+        backend class, or an existing instance (which must have been built
+        over the same dataset).
     options:
         Optional constructor keyword arguments applied when a backend is
         *built* here (name or class), e.g. ``{"num_workers": 4}`` for the
@@ -196,7 +199,8 @@ def resolve_backend(points, backend: BackendLike = None,
         return backend(points, **(options or {}))
     if isinstance(backend, str):
         name = backend.lower()
-        if name == "auto":
+        auto = name == "auto"
+        if auto:
             name = auto_backend(points.shape[0], points.shape[1])
         if name == DISTRIBUTED_BACKEND_NAME:
             if not (options or {}).get("nodes"):
@@ -213,7 +217,11 @@ def resolve_backend(points, backend: BackendLike = None,
                 f"unknown backend {backend!r}; expected 'auto', "
                 f"'{DISTRIBUTED_BACKEND_NAME}', or one of {sorted(BACKENDS)}"
             )
-        return BACKENDS[name](points, **(options or {}))
+        resolved = BACKENDS[name](points, **(options or {}))
+        # Picked by size: its subsets pick again by theirs.  Options fit
+        # the strategy picked here only, so with options it is kept.
+        resolved._auto_selected = auto and not options
+        return resolved
     raise TypeError(
         f"backend must be None, a name, a NeighborBackend class or instance; "
         f"got {type(backend).__name__}"

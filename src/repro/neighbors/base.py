@@ -865,6 +865,10 @@ class NeighborBackend(abc.ABC):
         #: The strategy's own constructor arguments (beyond ``points``):
         #: :meth:`subset` rebuilds the strategy with them.
         self._options = options
+        #: Set by :func:`~repro.neighbors.resolve_backend` when it picked
+        #: this strategy by size (``"auto"`` without options): then
+        #: :meth:`subset` picks again for the subset's size.
+        self._auto_selected = False
         self._truncated_cache: Optional[Tuple[int, np.ndarray]] = None
         self._profile_cache: Optional[Tuple[int, np.ndarray]] = None
         #: Per-stage speculative-execution accounting, recorded by callers
@@ -913,13 +917,17 @@ class NeighborBackend(abc.ABC):
         return int(self._points.shape[1])
 
     def subset(self, rows) -> "NeighborBackend":
-        """A fresh backend of this strategy over ``points[rows]``.
+        """A fresh backend over ``points[rows]``.
 
-        The new backend is built with this instance's own constructor
-        arguments, so every query on it answers exactly what a backend
-        built directly over ``points[rows]`` with those arguments answers.
-        It shares no cache, pool or connection with this one, and the
-        caller owns it: use it in a ``with`` block.
+        The new backend is of this strategy, built with this instance's
+        own constructor arguments, so every query on it answers exactly
+        what a backend built directly over ``points[rows]`` with those
+        arguments answers.  A backend that
+        :func:`~repro.neighbors.resolve_backend` picked by size
+        (``"auto"``) picks again for ``len(rows)`` instead, as an
+        ``"auto"`` resolve over those rows does.  Either way it shares no
+        cache, pool or connection with this one, and the caller owns it:
+        use it in a ``with`` block.
 
         Parameters
         ----------
@@ -937,7 +945,16 @@ class NeighborBackend(abc.ABC):
         if rows.size and (int(rows.min()) < 0
                           or int(rows.max()) >= self.num_points):
             raise ValueError(f"rows must lie in [0, {self.num_points})")
-        return type(self)(self._points[rows], **self._options)
+        return self._rebuild(self._points[rows])
+
+    def _rebuild(self, points) -> "NeighborBackend":
+        """The backend :meth:`subset` builds over ``points``."""
+        if self._auto_selected:
+            # Imported here: the package imports this module.
+            from repro.neighbors import resolve_backend
+
+            return resolve_backend(points, "auto")
+        return type(self)(points, **self._options)
 
     # ------------------------------------------------------------------ #
     # Lifecycle

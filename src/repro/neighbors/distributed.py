@@ -172,12 +172,12 @@ class DistributedBackend(ShardedBackend):
             raise ValueError(
                 f"retry_backoff must be non-negative, got {retry_backoff}"
             )
+        if num_shards is None:
+            num_shards = len(addresses) * max(1, int(node_workers))
         options = dict(nodes=addresses, num_shards=num_shards,
                        node_workers=node_workers, inner_backend=inner_backend,
                        timeout=timeout, connect_timeout=connect_timeout,
                        retries=retries, retry_backoff=retry_backoff)
-        if num_shards is None:
-            num_shards = len(addresses) * max(1, int(node_workers))
         # num_workers=0: the coordinator never starts a local pool — the
         # serial _ShardSet stays as the plan compiler's validation context
         # only, every actual task goes over the wire.
@@ -261,6 +261,13 @@ class DistributedBackend(ShardedBackend):
         raise BackendUnavailableError(
             "every node of the distributed backend is dead"
         )
+
+    def _rebuild(self, points) -> "DistributedBackend":
+        """:meth:`subset` dials only the nodes still serving (a node
+        declared dead would fail the new backend's ``init``), with the same
+        shard count."""
+        nodes = [self._options["nodes"][node] for node in self.live_nodes]
+        return type(self)(points, **dict(self._options, nodes=nodes))
 
     def shard_owners(self) -> List[int]:
         """The current shard → node map (diagnostics; deterministic in the

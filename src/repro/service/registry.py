@@ -6,8 +6,9 @@ point is that the dataset outlives the request.  :class:`DatasetRegistry`
 keeps, per registered name, one :class:`RegisteredDataset`: the validated
 points and a resident :class:`~repro.neighbors.base.NeighborBackend` (warm
 caches, live pools).  Every query kind runs on that backend; ``k_cluster``,
-whose point set shrinks per iteration, runs each iteration on a
-:meth:`~repro.neighbors.base.NeighborBackend.subset` of it.
+whose point set shrinks per iteration, runs each iteration after its first
+released ball on a :meth:`~repro.neighbors.base.NeighborBackend.subset` of
+it.
 
 Ownership is deterministic: a backend the registry *built* (from ``None``,
 a name or a class) is closed by :meth:`DatasetRegistry.unregister` /

@@ -9,7 +9,8 @@ process would embed:
 * **Datasets are resident.**  :meth:`~ClusteringService.register_dataset`
   builds (or adopts) a backend once; every subsequent query runs on it and
   reuses its warm caches and live pools, and ``k_cluster`` runs each
-  iteration on a row subset of it (see :mod:`repro.service.registry`).
+  iteration after its first released ball on a row subset of it (see
+  :mod:`repro.service.registry`).
 * **Budgets are enforced.**  Each tenant holds a
   :class:`~repro.accounting.budget.BudgetedLedger`; a query is debited
   *at admission*, atomically, and a query that would exceed the tenant's
@@ -276,8 +277,8 @@ class ClusteringService:
 
         The sequence is *validate → charge → enqueue*: anything wrong with
         the request (unknown tenant/dataset/kind, reserved kwargs) raises
-        before the tenant is charged, and a full queue rolls the charge back — a tenant only
-        ever pays for queries that will run.
+        before the tenant is charged, and a full queue rolls the charge
+        back — a tenant only ever pays for queries that will run.
 
         Parameters
         ----------
@@ -327,7 +328,8 @@ class ClusteringService:
 
         Every kind runs against ``entry.backend`` (the solvers never close
         a caller's instance, so the backend stays warm across queries);
-        ``k_cluster`` runs each iteration on a subset of it.
+        ``k_cluster`` runs each iteration after its first released ball on
+        a subset of it.
         """
         if kind not in _SOLVERS:
             raise ValueError(

@@ -8,8 +8,9 @@ inside the call (from ``None``, a name or a class) is the call's to close —
 on success *and* when the call raises, since a live exception's traceback
 would otherwise keep a sharded backend's worker pool and shared-memory
 segment reachable.  An instance belongs to the caller and stays open either
-way.  ``k_cluster`` builds more than one backend (the resolved one and a
-subset per iteration), so it has its own tests below the generic table.
+way.  ``k_cluster`` builds more than one backend (the resolved one, and a
+subset for each iteration after a released ball covers points), so it has
+its own tests below the generic table.
 """
 
 import pytest
@@ -128,32 +129,51 @@ def test_caller_instance_stays_open(points, call):
 
 
 def test_k_cluster_closes_resolved_and_subset_backends(points):
-    """The resolved backend and every iteration's subset are closed, on
-    success and when the first iteration raises."""
+    """The resolved backend (which runs the first iteration) and every
+    later iteration's subset are closed, on success and when the resolved
+    backend or a subset raises."""
     Recording, Failing, closed = recording_classes()
     result = k_cluster(points, k=2, params=PARAMS, rng=0, backend=Recording)
-    assert len(result.results) == 2
-    assert len({id(backend) for backend in closed}) == len(closed) == 3
-    # The resolved backend spans every point and closes last.
-    assert closed[-1].num_points == points.shape[0]
-    assert all(backend.num_points < points.shape[0]
-               for backend in closed[1:-1])
+    assert len(result.results) == 2 and result.num_found >= 1
+    # Iteration 2's subset closes first; the resolved backend spans every
+    # point and closes last.
+    assert len({id(backend) for backend in closed}) == len(closed) == 2
+    assert closed[0].num_points < points.shape[0] == closed[1].num_points
     del closed[:]
     with pytest.raises(RuntimeError, match="injected"):
         k_cluster(points, k=2, params=PARAMS, rng=0, backend=Failing)
-    assert len(closed) == 2
-    assert all(isinstance(backend, Failing) for backend in closed)
+    assert len(closed) == 1 and isinstance(closed[0], Failing)
+    del closed[:]
+
+    class FailingSubsets(Recording):
+        def subset(self, rows):
+            return Failing(self.points[rows])
+
+    with pytest.raises(RuntimeError, match="injected"):
+        k_cluster(points, k=2, params=PARAMS, rng=0, backend=FailingSubsets)
+    assert [type(backend) for backend in closed] == [Failing, FailingSubsets]
 
 
 def test_k_cluster_leaves_caller_instance_open(points):
-    """A caller's instance stays open; the subsets k_cluster built from it
-    are closed, on success and when the first iteration raises."""
+    """A caller's instance runs the first iteration and stays open; the
+    subsets k_cluster built from it are closed, on success and when one
+    raises."""
     Recording, Failing, closed = recording_classes()
     instance = Recording(points)
     result = k_cluster(points, k=2, params=PARAMS, rng=0, backend=instance)
-    assert len(closed) == len(result.results) == 2
-    failing = Failing(points)
+    assert len(result.results) == 2 and result.num_found >= 1
+    assert len(closed) == 1 and closed[0].num_points < points.shape[0]
+
+    class FailingSubsets(Recording):
+        def subset(self, rows):
+            return Failing(self.points[rows])
+
+    failing = FailingSubsets(points)
     with pytest.raises(RuntimeError, match="injected"):
         k_cluster(points, k=2, params=PARAMS, rng=0, backend=failing)
-    assert len(closed) == 3
+    assert len(closed) == 2 and isinstance(closed[1], Failing)
+    with pytest.raises(RuntimeError, match="injected"):
+        k_cluster(points, k=2, params=PARAMS, rng=0,
+                  backend=Failing(points))
+    assert len(closed) == 2
     assert instance not in closed and failing not in closed

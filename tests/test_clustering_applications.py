@@ -59,10 +59,11 @@ class TestKClusterBackends:
     """End-to-end k-clustering across the neighbor backends.
 
     k_cluster takes every ``backend=`` form (``None``, a name, a class or
-    an instance).  It resolves one backend over all the points and runs
-    each iteration on ``backend.subset(rows)`` over the rows not yet
-    covered, so the ``neighbor_backend`` fixture's selection (a serial
-    3-shard instance for "sharded") is passed straight through.
+    an instance).  It resolves one backend over all the points, runs the
+    first iteration on it and each later one on ``backend.subset(rows)``
+    over the rows not yet covered, so the ``neighbor_backend`` fixture's
+    selection (a serial 3-shard instance for "sharded") is passed straight
+    through.
     """
 
     @staticmethod
@@ -82,10 +83,11 @@ class TestKClusterBackends:
         assert result.ball_coverages == reference.ball_coverages
 
     def test_iterations_close_their_backends(self, monkeypatch):
-        """Each iteration's subset backend is closed before the next
-        iteration builds its own, and before k_cluster returns (the sharded
-        pool / shared-memory lifecycle gap this test originally exposed:
-        cleanup used to ride on GC).  The caller's instance stays open."""
+        """The first iteration runs on the caller's instance; each later
+        iteration's subset backend is closed before the next iteration
+        builds its own, and before k_cluster returns (the sharded pool /
+        shared-memory lifecycle gap this test originally exposed: cleanup
+        used to ride on GC).  The caller's instance stays open."""
         from repro.neighbors.sharded import ShardedBackend
 
         built = []
@@ -110,7 +112,7 @@ class TestKClusterBackends:
         points, _, _ = gaussian_blobs(n=400, d=2, k=2, spread=0.02, rng=8)
         instance = ShardedBackend(points, num_shards=3, num_workers=0)
         result = self._run(points, instance)
-        assert len(built) == 1 + len(result.results) >= 2
+        assert len(built) == len(result.results) >= 2
         assert all(live == [] for live in live_at_build)
         assert set(id(b) for b in built[1:]) == set(id(c) for c in closed)
         assert instance not in closed
@@ -118,7 +120,8 @@ class TestKClusterBackends:
     @pytest.mark.slow
     def test_two_worker_pool_release_identical(self):
         """A real 2-process pool behind k_cluster: bitwise the serial
-        release; each iteration's subset starts and closes its own pool."""
+        release; each later iteration's subset starts and closes its own
+        pool."""
         from repro.neighbors.sharded import ShardedBackend
 
         points, _, _ = gaussian_blobs(n=500, d=2, k=2, spread=0.02, rng=6)

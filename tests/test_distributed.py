@@ -10,10 +10,10 @@ The contract, in three layers:
   over 1/2/3 loopback node servers releases *bitwise* the same values as
   the dense in-process reference — raw queries, fused plans, GoodRadius,
   GoodCenter (both projection paths, speculation on and off), and
-  k_cluster, whose every round runs on a subset backend dialing the same
-  nodes.  Shard partials merge in shard order
-  no matter which socket answered them, so this is parity by construction;
-  these tests pin that the construction holds.
+  k_cluster, whose later rounds run on subset backends dialing the same
+  nodes.  Shard partials merge in shard order no matter which socket
+  answered them, so this is parity by construction; these tests pin that
+  the construction holds.
 * **Failure**: with failover on (the default), a dead node is re-dialed
   (replaying ``init``) or its shards are adopted by the survivors in ring
   order, only its batch is replayed, and the release does not move a byte
@@ -431,9 +431,9 @@ class TestLoopbackParity:
             assert speculated.radius_bound == plain.radius_bound
 
     def test_k_cluster_release_identical_via_config(self):
-        """k_cluster on a distributed instance (no config field selects a
-        backend any more): each round's subset dials the same nodes, and
-        the release and coverage counts match the in-process reference."""
+        """k_cluster on a distributed instance: the first round runs on it,
+        the second on a subset dialing the same nodes, and the release and
+        coverage counts match the in-process reference."""
         from repro.datasets.synthetic import gaussian_blobs
 
         points, _, _ = gaussian_blobs(n=500, d=2, k=2, spread=0.02, rng=6)
@@ -923,6 +923,33 @@ class TestFailover:
         assert stats["adopted_shards"] > 0
         assert stats["live_nodes"] == num_nodes - 1
         assert stats["nodes"][-1] is None
+
+    def test_subset_dials_only_live_nodes(self):
+        """After a node is declared dead, ``subset`` builds over the
+        survivors with the same shard count, and answers like a direct
+        build over the rows."""
+        points = DATASETS["random-2d"]
+        rows = np.arange(0, points.shape[0], 2)
+        servers = [NodeServer().start() for _ in range(2)]
+        try:
+            with DistributedBackend(
+                points, nodes=[server.address for server in servers],
+                num_shards=4, retry_backoff=0.01,
+            ) as backend:
+                servers[1].stop()
+                assert np.array_equal(backend.radius_counts(0.5),
+                                      DenseBackend(points).radius_counts(0.5))
+                assert backend.live_nodes == [0]
+                with backend.subset(rows) as subset:
+                    assert subset.node_addresses == backend.node_addresses[:1]
+                    assert subset.num_shards == 4
+                    assert np.array_equal(
+                        subset.radius_counts(0.5),
+                        DenseBackend(points[rows]).radius_counts(0.5),
+                    )
+        finally:
+            for server in servers:
+                server.stop()
 
     def test_adoption_is_deterministic(self):
         """Same survivor set → same shard map: adoption follows the fixed

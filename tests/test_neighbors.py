@@ -26,6 +26,7 @@ from repro.geometry.balls import (
 from repro.geometry.minimal_ball import smallest_ball_two_approx
 from repro.neighbors import (
     BACKENDS,
+    DENSE_MAX_POINTS,
     ChunkedBackend,
     DenseBackend,
     NeighborBackend,
@@ -351,7 +352,8 @@ def build_backend(request):
 
 class TestSubset:
     """``backend.subset(rows)``: the same strategy, rebuilt with the same
-    constructor arguments over ``points[rows]``."""
+    constructor arguments over ``points[rows]`` (a strategy picked by size
+    is picked again)."""
 
     POINTS = np.random.default_rng(4).uniform(size=(150, 2))
     ROWS = np.flatnonzero(np.random.default_rng(5).uniform(size=150) < 0.6)
@@ -403,6 +405,33 @@ class TestSubset:
         backend = build_backend(self.POINTS)
         with pytest.raises(ValueError, match="rows"):
             backend.subset(rows)
+
+    def test_auto_selected_subset_selects_again(self):
+        """A backend resolve_backend picked by size picks again for each
+        subset's size; a named strategy, or "auto" with options, is
+        kept."""
+        points = np.random.default_rng(7).uniform(
+            size=(DENSE_MAX_POINTS + 50, 2))
+        few, most = np.arange(100), np.arange(DENSE_MAX_POINTS + 10)
+        picked = auto_backend(*points.shape)
+        assert picked != "dense" == auto_backend(100, 2)
+        for selection in (None, "auto"):
+            backend = resolve_backend(points, selection)
+            assert backend.name == picked
+            with backend.subset(few) as subset:
+                assert type(subset) is DenseBackend
+            with backend.subset(most) as subset:
+                assert subset.name == picked
+                with subset.subset(few) as smaller:
+                    assert type(smaller) is DenseBackend
+        named = resolve_backend(points, picked)
+        assert type(named.subset(few)) is type(named)
+        options = ({"leaf_size": 7} if picked == "tree"
+                   else {"block_size": 29})
+        with_options = resolve_backend(points, "auto", options)
+        subset = with_options.subset(few)
+        assert type(subset) is type(with_options)
+        assert subset._options == with_options._options
 
 
 class TestIntegration:

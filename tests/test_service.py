@@ -133,8 +133,9 @@ class TestServiceReleaseParity:
                 assert screened.ball.radius == direct_screen.ball.radius
 
     def test_k_cluster_parity_via_spec(self, cluster_points):
-        # A dataset registered from a name: k_cluster runs each iteration
-        # on a subset of the service-built resident backend.
+        # A dataset registered from a name: k_cluster runs its first
+        # iteration on the service-built resident backend and the second
+        # on a subset of it.
         points = cluster_points
         with ClusteringService() as service:
             service.register_dataset("data", points, backend="dense")
@@ -152,8 +153,9 @@ class TestServiceReleaseParity:
 
     def test_k_cluster_on_instance_dataset(self, cluster_points):
         """A dataset registered from an instance serves k_cluster: the
-        release is the direct call's on the same instance, every subset
-        is closed, and the instance stays open."""
+        release is the direct call's on the same instance, which runs the
+        first iteration of each; every later iteration's subset is closed,
+        and the instance stays open."""
         closed = []
 
         class Tracking(DenseBackend):
@@ -176,7 +178,9 @@ class TestServiceReleaseParity:
             assert ours.radius == theirs.radius
         assert result.covered_fraction == direct.covered_fraction
         assert result.ball_coverages == direct.ball_coverages
-        assert len(closed) == len(direct.results) + len(result.results)
+        assert direct.results[0].found and len(direct.results) == 2
+        assert len(closed) == 2
+        assert all(backend.num_points < points.shape[0] for backend in closed)
         assert instance not in closed
 
     def test_distributed_parity(self, cluster_points):
