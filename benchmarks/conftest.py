@@ -26,8 +26,8 @@ def pytest_addoption(parser):
     group = parser.getgroup("repro benchmarks")
     group.addoption("--backend", default=None,
                     help="neighbor backend for backend-aware benchmarks "
-                         "(a repro.neighbors.BACKENDS name, e.g. dense, "
-                         "chunked, tree, sharded)")
+                         "(a repro.neighbors.BACKENDS name: chunked, "
+                         "tree or sharded)")
     group.addoption("--workers", type=int, default=None,
                     help="worker-process count for the sharded backend "
                          "(0 = serial in-parent fallback)")

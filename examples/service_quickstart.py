@@ -33,7 +33,7 @@ def main() -> None:
     with ClusteringService() as service:
         # One registration, many queries: the backend (and its caches)
         # outlives every request.
-        service.register_dataset("demo", points, backend="dense")
+        service.register_dataset("demo", points, backend="chunked")
         service.create_tenant("alice", cap=PrivacyParams(2.0, 1e-6))
         service.create_tenant("bob", cap=PrivacyParams(0.5, 1e-6))
 

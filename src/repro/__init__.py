@@ -37,7 +37,6 @@ from repro.geometry import Ball, GridDomain
 from repro.clustering import k_cluster, outlier_ball, OutlierScreen
 from repro.neighbors import (
     NeighborBackend,
-    DenseBackend,
     ChunkedBackend,
     TreeBackend,
     ShardedBackend,
@@ -62,7 +61,6 @@ __all__ = [
     "Ball",
     "GridDomain",
     "NeighborBackend",
-    "DenseBackend",
     "ChunkedBackend",
     "TreeBackend",
     "ShardedBackend",

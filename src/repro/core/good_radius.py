@@ -46,13 +46,12 @@ class RadiusScore:
     """Evaluator of the capped-average score ``L(r, S)``.
 
     A thin wrapper over a :class:`~repro.neighbors.NeighborBackend`: the
-    backend owns the distance computation strategy (dense matrix, blocked,
-    KD-tree, or a shard-per-process pool), caches the per-point
-    truncated-distance statistic — switching to the radii-chunked streaming
-    walk for large targets, where nothing is persisted — and batches whole
-    radius grids in one call.  The evaluator therefore never materialises an
-    ``(n, n)`` matrix unless the dense backend was explicitly chosen (or
-    selected automatically at small ``n``).
+    backend owns the distance computation strategy (blocked, KD-tree, or a
+    shard-per-process pool), caches the per-point truncated-distance
+    statistic — switching to the radii-chunked streaming walk for large
+    targets, where nothing is persisted — and batches whole radius grids in
+    one call.  The evaluator therefore never materialises an ``(n, n)``
+    matrix.
 
     Parameters
     ----------

@@ -23,9 +23,9 @@ class GoodRadiusResult:
     gamma:
         The promise value Γ used (paper-faithful or practical).
     score:
-        The (non-private, diagnostic) value of the capped-average score
-        ``L(radius, S)``; populated only when ``collect_diagnostics`` was
-        requested, ``nan`` otherwise.
+        The exact capped-average score ``L(radius, S)`` at the released
+        radius, computed from the data without noise.  It is not private
+        and must never be released.
     zero_cluster:
         Whether the algorithm took the early exit for a radius-0 cluster
         (Algorithm 1, step 2).

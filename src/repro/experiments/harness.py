@@ -93,8 +93,8 @@ def evaluate_result(method: str, points: np.ndarray, target: int,
     """Measure a solver's output against the non-private reference.
 
     ``backend`` selects the neighbor backend used to compute the reference
-    solution when none is supplied (at large ``n`` the default dense
-    reference would itself be the bottleneck).  ``captured`` supplies the
+    solution when none is supplied (at large ``n`` the non-private
+    reference is itself a bottleneck).  ``captured`` supplies the
     :func:`comparison_ball` coverage count when the caller already holds it
     (the pipelined runners count it through an asynchronous backend plan);
     when omitted it is computed here.

@@ -9,7 +9,7 @@ contrasted with the ``sqrt(d)``-scaling of the private-aggregation baseline
 measured in E4.
 
 The sweep can additionally compare neighbor backends (``backends=``, e.g.
-``("dense", "tree", "sharded")``): every backend returns identical scores, so
+``("chunked", "tree", "sharded")``): every backend returns identical scores, so
 the per-``n`` rows differ only in the ``seconds`` column — which is exactly
 the backend speedup the refactor is after.  A name builds its strategy with
 default arguments; to pin the sharded worker count, hand ``one_cluster`` an

@@ -8,7 +8,6 @@ from repro.geometry.balls import (
     capped_counts_around_points,
     capped_average_score,
     capped_average_score_profile,
-    pairwise_distances,
 )
 from repro.geometry.minimal_ball import (
     smallest_ball_two_approx,
@@ -28,7 +27,6 @@ __all__ = [
     "capped_counts_around_points",
     "capped_average_score",
     "capped_average_score_profile",
-    "pairwise_distances",
     "smallest_ball_two_approx",
     "smallest_interval_1d",
     "smallest_ball_exact_1d",

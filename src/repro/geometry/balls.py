@@ -12,10 +12,9 @@ RecConcave invocation possible.
 
 This module provides vectorised implementations of those quantities plus a
 :class:`Ball` value type used across the public API.  All counting routes
-through the pluggable :mod:`repro.neighbors` backend layer (dense matrix,
-blocked, or KD-tree — pass ``backend=`` to choose; the default ``"auto"``
-picks by workload size).  The legacy ``distances=`` parameters still accept a
-precomputed ``(n, n)`` matrix for callers that already hold one.
+through the pluggable :mod:`repro.neighbors` backend layer (blocked brute
+force, KD-tree, or sharded — pass ``backend=`` to choose; the default
+``"auto"`` picks by workload size).
 """
 
 from __future__ import annotations
@@ -80,23 +79,6 @@ def ball_membership(points: np.ndarray, center: np.ndarray,
     return np.linalg.norm(points - center[None, :], axis=1) <= radius
 
 
-def pairwise_distances(points: np.ndarray) -> np.ndarray:
-    """The full ``(n, n)`` Euclidean distance matrix.
-
-    GoodRadius evaluates ``L(r, S)`` at many radii; precomputing the distance
-    matrix once makes each evaluation an ``O(n^2)`` comparison instead of an
-    ``O(n^2 d)`` recomputation.
-    """
-    points = check_points(points)
-    squared_norms = np.sum(points ** 2, axis=1)
-    squared = squared_norms[:, None] + squared_norms[None, :] - 2.0 * points @ points.T
-    np.maximum(squared, 0.0, out=squared)
-    # The Gram-matrix formulation leaves tiny positive residues on the
-    # diagonal; each point is at distance exactly zero from itself.
-    np.fill_diagonal(squared, 0.0)
-    return np.sqrt(squared)
-
-
 def count_in_ball(points: np.ndarray, center: np.ndarray, radius: float) -> int:
     """``B_r(center, S)``: the number of points within ``radius`` of ``center``."""
     points = check_points(points)
@@ -113,7 +95,6 @@ def count_in_ball(points: np.ndarray, center: np.ndarray, radius: float) -> int:
 
 
 def counts_around_points(points: np.ndarray, radius: float,
-                         distances: np.ndarray = None,
                          backend: BackendLike = None) -> np.ndarray:
     """``B_r(x_i, S)`` for every input point ``x_i`` simultaneously.
 
@@ -124,12 +105,6 @@ def counts_around_points(points: np.ndarray, radius: float,
     radius:
         The ball radius; negative radii give all-zero counts (matching the
         paper's convention ``B_r = 0`` for ``r < 0``).
-    distances:
-        Optional precomputed pairwise distance matrix (legacy path; takes
-        precedence over ``backend`` when supplied).  Note the legacy path
-        inherits the accuracy of the supplied matrix — a Gram-computed matrix
-        (:func:`pairwise_distances`) puts duplicate points at distance ~1e-8,
-        so its counts can differ from the backend path at boundary radii.
     backend:
         Neighbor-backend selection (name, class, instance, or ``None`` for
         automatic); see :func:`repro.neighbors.resolve_backend`.
@@ -137,25 +112,20 @@ def counts_around_points(points: np.ndarray, radius: float,
     points = check_points(points)
     if radius < 0:
         return np.zeros(points.shape[0], dtype=np.int64)
-    if distances is not None:
-        return np.count_nonzero(distances <= radius, axis=1).astype(np.int64)
     with backend_scope(points, backend) as resolved:
         return resolved.radius_counts(radius)
 
 
 def capped_counts_around_points(points: np.ndarray, radius: float, cap: int,
-                                distances: np.ndarray = None,
                                 backend: BackendLike = None) -> np.ndarray:
     """``Bbar_r(x_i, S) = min(B_r(x_i, S), cap)`` for every input point."""
     if cap < 0:
         raise ValueError(f"cap must be non-negative, got {cap}")
-    counts = counts_around_points(points, radius, distances=distances,
-                                  backend=backend)
+    counts = counts_around_points(points, radius, backend=backend)
     return np.minimum(counts, cap)
 
 
 def capped_average_score(points: np.ndarray, radius: float, target: int,
-                         distances: np.ndarray = None,
                          backend: BackendLike = None) -> float:
     """The sensitivity-2 score ``L(r, S)`` of GoodRadius (Algorithm 1, step 1).
 
@@ -171,8 +141,6 @@ def capped_average_score(points: np.ndarray, radius: float, target: int,
     target:
         The target cluster size ``t`` (also the cap); must satisfy
         ``1 <= target <= n``.
-    distances:
-        Optional precomputed pairwise distance matrix (legacy path).
     backend:
         Neighbor-backend selection; see :func:`repro.neighbors.resolve_backend`.
     """
@@ -182,14 +150,6 @@ def capped_average_score(points: np.ndarray, radius: float, target: int,
         raise ValueError(f"target must lie in [1, n={n}], got {target}")
     if radius < 0:
         return 0.0
-    if distances is not None:
-        capped = capped_counts_around_points(points, radius, target,
-                                             distances=distances)
-        if target == n:
-            top = capped
-        else:
-            top = np.partition(capped, n - target)[n - target:]
-        return float(top.mean())
     with backend_scope(points, backend) as resolved:
         return resolved.capped_average_score(radius, target)
 
@@ -198,8 +158,7 @@ def capped_average_score_profile(points: np.ndarray, radii: np.ndarray,
                                  target: int,
                                  backend: BackendLike = None) -> np.ndarray:
     """Evaluate ``L(r, S)`` on a whole grid of radii in one batched backend
-    call (no per-radius Python loop, no dense matrix unless the backend is
-    dense)."""
+    call (no per-radius Python loop, no distance matrix)."""
     points = check_points(points)
     radii = np.asarray(radii, dtype=float)
     with backend_scope(points, backend) as resolved:
@@ -209,7 +168,6 @@ def capped_average_score_profile(points: np.ndarray, radii: np.ndarray,
 __all__ = [
     "Ball",
     "ball_membership",
-    "pairwise_distances",
     "count_in_ball",
     "counts_around_points",
     "capped_counts_around_points",

@@ -29,7 +29,6 @@ from repro.utils.validation import check_points
 
 
 def smallest_ball_two_approx(points: np.ndarray, target: int,
-                             distances: np.ndarray = None,
                              backend: BackendLike = None) -> Ball:
     """Factor-2 approximation of the smallest ball containing ``target`` points.
 
@@ -43,9 +42,6 @@ def smallest_ball_two_approx(points: np.ndarray, target: int,
         ``(n, d)`` input points.
     target:
         The number of points the ball must contain (``1 <= target <= n``).
-    distances:
-        Optional precomputed pairwise distance matrix (legacy path; takes
-        precedence over ``backend`` when supplied).
     backend:
         Neighbor-backend selection; the backend's ``k``-th-nearest-distance
         query is exactly the per-centre radius this approximation minimises.
@@ -56,20 +52,16 @@ def smallest_ball_two_approx(points: np.ndarray, target: int,
         raise ValueError(f"target must lie in [1, n={n}], got {target}")
     # For each candidate centre, the radius needed to capture `target` points
     # is the target-th smallest distance from that centre.
-    if distances is not None:
-        radii_needed = np.partition(distances, target - 1, axis=1)[:, target - 1]
-    else:
-        with backend_scope(points, backend) as resolved:
-            radii_needed = resolved.kth_distances(target)
+    with backend_scope(points, backend) as resolved:
+        radii_needed = resolved.kth_distances(target)
     best_index = int(np.argmin(radii_needed))
     return Ball(center=points[best_index].copy(), radius=float(radii_needed[best_index]))
 
 
 def optimal_radius_lower_bound(points: np.ndarray, target: int,
-                               distances: np.ndarray = None,
                                backend: BackendLike = None) -> float:
     """A certified lower bound on ``r_opt``: half the 2-approximation radius."""
-    return smallest_ball_two_approx(points, target, distances=distances,
+    return smallest_ball_two_approx(points, target,
                                     backend=backend).radius / 2.0
 
 

@@ -3,12 +3,11 @@
 The 1-cluster pipeline only ever asks a few questions about the geometry of
 its input — per-point ball counts, ball counts around arbitrary centres
 (single-radius or batched over a radius grid), and each point's ``k``
-smallest distances.  This package hides those questions behind the
-:class:`~repro.neighbors.base.NeighborBackend` protocol with four
-interchangeable strategies:
+smallest distances.  None of them needs the ``(n, n)`` distance matrix.
+This package hides those questions behind the
+:class:`~repro.neighbors.base.NeighborBackend` protocol with two in-process
+strategies and one that shards them across processes:
 
-* :class:`~repro.neighbors.dense.DenseBackend` — the full row-sorted
-  ``(n, n)`` distance matrix; fastest for small ``n``, ``O(n^2)`` memory.
 * :class:`~repro.neighbors.chunked.ChunkedBackend` — blocked brute force with
   a fixed memory budget; any ``n``, ``O(n * block)`` memory.
 * :class:`~repro.neighbors.tree.TreeBackend` — scipy ``cKDTree`` (pure-python
@@ -16,8 +15,9 @@ interchangeable strategies:
   dimension.
 * :class:`~repro.neighbors.sharded.ShardedBackend` — the dataset sharded
   across worker processes over a shared-memory block, each shard answered by
-  one of the strategies above, per-shard results merged exactly; the right
-  choice for very large ``n`` on multi-core machines.
+  one of the two strategies above (picked by :func:`auto_backend`'s rule),
+  per-shard results merged exactly; the right choice for very large ``n``
+  on multi-core machines.
 
 Beyond distance queries, every backend also answers *grid-hash* and *masked
 aggregate* queries over an arbitrary linear image of its points through
@@ -72,7 +72,6 @@ from repro.neighbors.base import (
     first_occurrence_cells,
 )
 from repro.neighbors.chunked import ChunkedBackend
-from repro.neighbors.dense import DenseBackend
 from repro.neighbors.sharded import ShardedBackend, _available_cpus
 from repro.neighbors.tree import HAVE_SCIPY_TREE, TreeBackend
 from repro.utils.validation import check_points
@@ -84,7 +83,6 @@ from repro.utils.validation import check_points
 #: through :func:`resolve_backend` by name, with the node addresses
 #: supplied via ``options={"nodes": [...]}``.
 BACKENDS: Dict[str, Callable[..., NeighborBackend]] = {
-    DenseBackend.name: DenseBackend,
     ChunkedBackend.name: ChunkedBackend,
     TreeBackend.name: TreeBackend,
     ShardedBackend.name: ShardedBackend,
@@ -99,8 +97,10 @@ DISTRIBUTED_BACKEND_NAME = "distributed"
 #: a backend class, an already-built instance, or None (= "auto").
 BackendLike = Union[None, str, NeighborBackend, type]
 
-#: Largest n for which the dense O(n^2) matrix is the default choice.
-DENSE_MAX_POINTS = 2048
+#: Largest n for which blocked brute force is the default choice in every
+#: dimension: below it, a KD-tree's build and traversal cost more than the
+#: ``(block, n)`` slabs they would prune.
+CHUNKED_MAX_POINTS = 2048
 
 #: Largest dimension for which KD-trees still beat blocked brute force.
 TREE_MAX_DIMENSION = 8
@@ -116,12 +116,10 @@ def auto_backend(num_points: int, dimension: int) -> str:
 
     Heuristics, in order:
 
-    * ``n <= DENSE_MAX_POINTS`` — the dense matrix fits comfortably (32 MiB)
-      and amortises best over the thousands of radii GoodRadius probes.
     * ``n >= SHARDED_MIN_POINTS`` with more than one usable CPU — shard the
-      points across worker processes; each shard is answered by its own
-      auto-chosen single-process backend, so this dominates whichever
-      strategy would otherwise win.
+      points across worker processes; each shard is answered by the
+      in-process strategy the remaining rules pick for its size.
+    * ``n <= CHUNKED_MAX_POINTS`` — blocked brute force, in every dimension.
     * ``d <= TREE_MAX_DIMENSION`` (scipy available) — KD-trees; higher
       dimensions degrade tree pruning to brute force with extra overhead.
     * otherwise — blocked brute force, the safe choice at any size.
@@ -142,11 +140,16 @@ def auto_backend(num_points: int, dimension: int) -> str:
     str
         A :data:`BACKENDS` registry name.
     """
-    if num_points <= DENSE_MAX_POINTS:
-        return DenseBackend.name
     if num_points >= SHARDED_MIN_POINTS and _available_cpus() > 1:
         return ShardedBackend.name
-    if dimension <= TREE_MAX_DIMENSION and HAVE_SCIPY_TREE:
+    return _in_process_backend(num_points, dimension)
+
+
+def _in_process_backend(num_points: int, dimension: int) -> str:
+    """:func:`auto_backend`'s choice with sharding ruled out: the strategy
+    each shard of a sharded backend builds."""
+    if (num_points > CHUNKED_MAX_POINTS and dimension <= TREE_MAX_DIMENSION
+            and HAVE_SCIPY_TREE):
         return TreeBackend.name
     return ChunkedBackend.name
 
@@ -161,17 +164,17 @@ def resolve_backend(points, backend: BackendLike = None,
         The ``(n, d)`` dataset the backend must index.
     backend:
         ``None`` / ``"auto"`` (size-based selection via
-        :func:`auto_backend`; without ``options``, the backend's
+        :func:`auto_backend`; the backend's
         :meth:`~repro.neighbors.base.NeighborBackend.subset` selects again
-        by the subset's size), a registry name (``"dense"``,
-        ``"chunked"``, ``"tree"``, ``"sharded"``), ``"distributed"``
-        (which additionally requires ``options={"nodes": [...]}``), a
-        backend class, or an existing instance (which must have been built
-        over the same dataset).
+        by the subset's size), a registry name (``"chunked"``, ``"tree"``,
+        ``"sharded"``), ``"distributed"`` (which additionally requires
+        ``options={"nodes": [...]}``), a backend class, or an existing
+        instance (which must have been built over the same dataset).
     options:
         Optional constructor keyword arguments applied when a backend is
-        *built* here (name or class), e.g. ``{"num_workers": 4}`` for the
-        sharded backend.  Rejected when ``backend`` is already an instance.
+        *built* here from a name or class, e.g. ``{"num_workers": 4}`` for
+        the sharded backend.  Rejected with ``None`` / ``"auto"`` (options
+        fit one strategy, and the size picks which) and with an instance.
 
     Returns
     -------
@@ -201,6 +204,12 @@ def resolve_backend(points, backend: BackendLike = None,
         name = backend.lower()
         auto = name == "auto"
         if auto:
+            if options:
+                raise ValueError(
+                    "backend options cannot be applied to 'auto', which "
+                    "picks the strategy by the dataset's size; name the "
+                    f"strategy instead (one of {sorted(BACKENDS)})"
+                )
             name = auto_backend(points.shape[0], points.shape[1])
         if name == DISTRIBUTED_BACKEND_NAME:
             if not (options or {}).get("nodes"):
@@ -218,9 +227,8 @@ def resolve_backend(points, backend: BackendLike = None,
                 f"'{DISTRIBUTED_BACKEND_NAME}', or one of {sorted(BACKENDS)}"
             )
         resolved = BACKENDS[name](points, **(options or {}))
-        # Picked by size: its subsets pick again by theirs.  Options fit
-        # the strategy picked here only, so with options it is kept.
-        resolved._auto_selected = auto and not options
+        # Picked by size: its subsets pick again by theirs.
+        resolved._auto_selected = auto
         return resolved
     raise TypeError(
         f"backend must be None, a name, a NeighborBackend class or instance; "
@@ -252,7 +260,7 @@ __all__ = [
     "BACKENDS",
     "BackendLike",
     "BackendUnavailableError",
-    "DENSE_MAX_POINTS",
+    "CHUNKED_MAX_POINTS",
     "DISTRIBUTED_BACKEND_NAME",
     "SHARDED_MIN_POINTS",
     "STREAMING_MIN_POINTS",
@@ -267,7 +275,6 @@ __all__ = [
     "ProjectedView",
     "QueryPlan",
     "first_occurrence_cells",
-    "DenseBackend",
     "ChunkedBackend",
     "TreeBackend",
     "ShardedBackend",

@@ -9,10 +9,10 @@ within radius ``r`` iff ``sum((x - y)^2) <= r*r``.  Two reasons:
   distance (e.g. ``r = sqrt(3)`` for points at the corners of a unit cube).
   Working in squared space everywhere makes counts identical by construction.
 * **Accuracy.**  The squared sum is computed by direct differencing, which is
-  exact to the last ulp — unlike the Gram-matrix shortcut of
-  :func:`repro.geometry.balls.pairwise_distances`, whose catastrophic
-  cancellation puts duplicate points at distance ~1e-8 instead of 0 (breaking
-  counts at radius 0).  It also skips ``n^2`` square roots.
+  exact to the last ulp — unlike the Gram-matrix shortcut
+  ``|x|^2 + |y|^2 - 2 x.y``, whose catastrophic cancellation puts duplicate
+  points at distance ~1e-8 instead of 0 (breaking counts at radius 0).  It
+  also skips ``n^2`` square roots.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ def squared_distance_gather(queries: np.ndarray,
     ``cdist`` and numpy's einsum round the per-pair sum differently in the
     last ulp, and mixing the two kernels across backends would break the
     exact-parity contract (the tree backend's truncated statistic would
-    disagree with dense/chunked on generic float data).  On the scipy path
+    disagree with chunked on generic float data).  On the scipy path
     the pairs are translated to the origin — ``||x - y||^2`` equals
     ``||(y - x) - 0||^2`` term for term, the inner subtraction being the same
     single rounding — and pushed through the same ``cdist`` kernel in one
@@ -75,17 +75,16 @@ def squared_distance_gather(queries: np.ndarray,
     return _kernels.squared_distance_gather(queries, neighbors)
 
 
-def row_block_size(num_points: int, dimension: int,
-                   memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET) -> int:
+def row_block_size(num_points: int, dimension: int) -> int:
     """How many query rows a blocked distance pass may process at once.
 
     Sized so one block's scratch (the ``(block, n)`` distance slab, or the
     ``(block, n, d)`` difference tensor on the scipy-less path) stays within
-    the memory budget; clamped to ``[16, 4096]`` so tiny budgets still make
-    progress and huge ones do not defeat the cache.
+    :data:`DEFAULT_MEMORY_BUDGET`; clamped to ``[16, 4096]`` so huge
+    datasets still make progress and tiny ones do not defeat the cache.
     """
     per_row_elements = num_points * (dimension + 2 if _cdist is None else 2)
-    block = memory_budget_bytes // max(1, 8 * per_row_elements)
+    block = DEFAULT_MEMORY_BUDGET // max(1, 8 * per_row_elements)
     return int(min(4096, max(16, block)))
 
 

@@ -294,8 +294,8 @@ class ProjectedView:
     JL projection, a random rotation, or the identity) of the points a
     backend indexes, without the caller ever materialising the image itself.
 
-    This base implementation serves the in-process strategies (dense /
-    chunked / tree) and is the serial reference every other strategy must
+    This base implementation serves the in-process strategies (chunked /
+    tree) and is the serial reference every other strategy must
     match: the image is computed once with the row-decomposable
     :func:`repro.geometry.jl.project_rows` and cached on the view, so a
     partition search probing many shifted partitions pays the projection cost
@@ -845,13 +845,8 @@ class PlanFuture:
 class NeighborBackend(abc.ABC):
     """Distance-query oracle over a fixed ``(n, d)`` dataset."""
 
-    #: Registry name of the strategy ("dense", "chunked", "tree", "sharded").
+    #: Registry name of the strategy ("chunked", "tree", "sharded").
     name: ClassVar[str] = "abstract"
-
-    #: Whether the streaming large-target profile may be auto-selected for
-    #: this strategy.  The dense backend opts out: it already holds the full
-    #: matrix, so recomputing distances would only slow it down.
-    streaming_auto: ClassVar[bool] = True
 
     #: Whether speculative plan submission pays off on this strategy.  Only
     #: strategies whose :meth:`submit` genuinely overlaps work with the
@@ -1216,8 +1211,7 @@ class NeighborBackend(abc.ABC):
           keeps ``T`` in its shards and the parent only ``O(t)`` state (see
           :meth:`repro.neighbors.sharded.ShardedBackend._top_sums`).
         * **Streaming** (``target > STREAMING_TARGET_FRACTION * n`` at
-          ``n >= STREAMING_MIN_POINTS``, unless the strategy opts out
-          through :attr:`streaming_auto`): never persist the statistic;
+          ``n >= STREAMING_MIN_POINTS``): never persist the statistic;
           process the radii in chunks and recompute blocked distance passes
           per chunk, histogramming capped counts on the fly.
           ``O(n * block + chunk * target)`` memory at *every* target, which is
@@ -1250,7 +1244,7 @@ class NeighborBackend(abc.ABC):
             raise ValueError(f"target must lie in [1, n={n}], got {target}")
         if radii.size == 0:
             return np.empty(0, dtype=float)
-        if (self.streaming_auto and n >= STREAMING_MIN_POINTS
+        if (n >= STREAMING_MIN_POINTS
                 and target > STREAMING_TARGET_FRACTION * n):
             return self._streaming_profile(radii, target)
         return self._top_sums(_squared_radii(radii), target) / target
@@ -1297,8 +1291,6 @@ class NeighborBackend(abc.ABC):
         sized so its ``(sweep, cap + 1)`` histograms fill (at most) one
         memory budget; in the common regime the whole radius grid fits one
         sweep, so every block is sorted exactly once for the entire profile.
-        (The pre-PR-5 walk chunked at half a budget and re-ran the distance
-        pass — recomputing *and re-sorting* every slab — per chunk.)
         """
         cap = min(target, self.num_points)
         keys = _squared_radii(radii)

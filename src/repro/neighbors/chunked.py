@@ -1,11 +1,11 @@
 """Chunked backend: blocked distance computation with bounded memory.
 
 Never materialises more than one ``(block, n)`` slab of the distance matrix;
-the block size is derived from a memory budget (default 64 MiB), so the
-backend handles any ``n`` the caller has time for — ``O(n * block)`` scratch
-instead of the dense backend's ``O(n^2)``.  Capped-count queries additionally
-keep only each point's ``k`` smallest distances (``O(n * k)``), which is all
-the score ``L(r, S)`` ever looks at.
+the block size is derived from a 64 MiB memory budget, so the backend
+handles any ``n`` the caller has time for — ``O(n * block)`` scratch instead
+of a full matrix's ``O(n^2)``.  Capped-count queries additionally keep only
+each point's ``k`` smallest distances (``O(n * k)``), which is all the score
+``L(r, S)`` ever looks at.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.neighbors._distance import (
-    DEFAULT_MEMORY_BUDGET,
     blocked_radius_counts,
     blocked_radius_counts_many,
     row_block_size,
@@ -28,13 +27,10 @@ class ChunkedBackend(NeighborBackend):
 
     name = "chunked"
 
-    def __init__(self, points, block_size: int = None,
-                 memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET) -> None:
-        super().__init__(points, block_size=block_size,
-                         memory_budget_bytes=memory_budget_bytes)
+    def __init__(self, points, block_size: int = None) -> None:
+        super().__init__(points, block_size=block_size)
         if block_size is None:
-            block_size = row_block_size(self.num_points, self.dimension,
-                                        memory_budget_bytes)
+            block_size = row_block_size(self.num_points, self.dimension)
         self._block = check_integer(block_size, "block_size", minimum=1)
 
     @property

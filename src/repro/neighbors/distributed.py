@@ -64,6 +64,7 @@ from repro import kernels as _kernels
 from repro.neighbors.base import BackendUnavailableError
 from repro.neighbors.rpc import NodeClient, PendingReply, parse_node_address
 from repro.neighbors.sharded import ShardedBackend
+from repro.utils.validation import check_integer
 
 __all__ = ["DistributedBackend"]
 
@@ -128,8 +129,6 @@ class DistributedBackend(ShardedBackend):
         Worker processes each node's local pool starts (``0`` = the node
         answers serially in its connection thread; a ``--workers`` flag on
         the server overrides this).  Default 0.
-    inner_backend:
-        Per-shard strategy, as for :class:`ShardedBackend`.
     timeout:
         Per-call read timeout in seconds (``None`` = wait forever), as an
         overall deadline across a call's pipelined replies.  When a node
@@ -157,8 +156,7 @@ class DistributedBackend(ShardedBackend):
     PING_TIMEOUT: ClassVar[float] = 5.0
 
     def __init__(self, points, nodes: Sequence, num_shards: Optional[int] = None,
-                 node_workers: int = 0, inner_backend: str = "auto",
-                 timeout: Optional[float] = None,
+                 node_workers: int = 0, timeout: Optional[float] = None,
                  connect_timeout: Optional[float] = 10.0,
                  retries: int = 2, retry_backoff: float = 0.1) -> None:
         addresses = [parse_node_address(node) for node in nodes]
@@ -172,24 +170,24 @@ class DistributedBackend(ShardedBackend):
             raise ValueError(
                 f"retry_backoff must be non-negative, got {retry_backoff}"
             )
+        node_workers = check_integer(node_workers, "node_workers", minimum=0)
         if num_shards is None:
-            num_shards = len(addresses) * max(1, int(node_workers))
+            num_shards = len(addresses) * max(1, node_workers)
         options = dict(nodes=addresses, num_shards=num_shards,
-                       node_workers=node_workers, inner_backend=inner_backend,
-                       timeout=timeout, connect_timeout=connect_timeout,
-                       retries=retries, retry_backoff=retry_backoff)
+                       node_workers=node_workers, timeout=timeout,
+                       connect_timeout=connect_timeout, retries=retries,
+                       retry_backoff=retry_backoff)
         # num_workers=0: the coordinator never starts a local pool — the
         # serial _ShardSet stays as the plan compiler's validation context
         # only, every actual task goes over the wire.
-        super().__init__(points, num_shards=num_shards, num_workers=0,
-                         inner_backend=inner_backend)
+        super().__init__(points, num_shards=num_shards, num_workers=0)
         # subset() rebuilds this strategy, not the sharded one it extends.
         self._options = options
         self._timeout = timeout
         self._connect_timeout = connect_timeout
         self._retries = retries
         self._retry_backoff = retry_backoff
-        self._node_workers = max(1, int(node_workers))
+        self._node_workers = max(1, node_workers)
         self._closed = False
         self._stats.update({"redials": 0, "adopted_shards": 0,
                             "replayed_tasks": 0})
@@ -203,7 +201,7 @@ class DistributedBackend(ShardedBackend):
                 )
             self._live = [True] * len(self._clients)
             self._init_request = ("init", self._points, self.num_shards,
-                                  int(node_workers), self._inner_backend)
+                                  node_workers)
             # Pipelined: every node deserialises the dataset and builds its
             # backend concurrently, then the replies are drained in order.
             pendings = [client.send(self._init_request)

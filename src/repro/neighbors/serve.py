@@ -70,12 +70,17 @@ def _init_fingerprint(request: tuple) -> tuple:
     dataset's exact bytes (cheap next to deserialising the dataset, which
     already happened).  Two requests with equal fingerprints would build
     byte-identical backends, so the second build can be skipped."""
-    _, points, num_shards, num_workers, inner_backend = request
+    if len(request) != 4:
+        raise ValueError(
+            "init takes (points, num_shards, num_workers); got "
+            f"{len(request) - 1} fields"
+        )
+    _, points, num_shards, num_workers = request
     points = np.asarray(points)
     digest = hashlib.sha256(np.ascontiguousarray(points)).hexdigest()
     return (int(num_shards),
             None if num_workers is None else int(num_workers),
-            str(inner_backend), points.dtype.str, points.shape, digest)
+            points.dtype.str, points.shape, digest)
 
 
 class NodeServer:
@@ -90,15 +95,11 @@ class NodeServer:
         When not ``None``, overrides the worker count every ``init``
         request asks for — the operator of the node machine knows its core
         budget better than the coordinator does.
-    inner_backend:
-        When not ``None``, likewise overrides the per-shard strategy.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
-                 num_workers: Optional[int] = None,
-                 inner_backend: Optional[str] = None) -> None:
+                 num_workers: Optional[int] = None) -> None:
         self._override_workers = num_workers
-        self._override_inner = inner_backend
         self._listener = socket.create_server((host, port))
         self.host, self.port = self._listener.getsockname()[:2]
         self._stopping = threading.Event()
@@ -293,16 +294,13 @@ class NodeServer:
                     pass
 
     def _build_backend(self, request: tuple) -> ShardedBackend:
-        _, points, num_shards, num_workers, inner_backend = request
+        _, points, num_shards, num_workers = request
         workers = (self._override_workers if self._override_workers is not None
                    else num_workers)
-        inner = (self._override_inner if self._override_inner is not None
-                 else inner_backend)
         return ShardedBackend(
             np.ascontiguousarray(np.asarray(points, dtype=float)),
             num_shards=int(num_shards),
             num_workers=None if workers is None else int(workers),
-            inner_backend=str(inner),
         )
 
 
@@ -320,13 +318,9 @@ def main(argv=None) -> int:
     parser.add_argument("--workers", type=int, default=None,
                         help="override the worker-process count requested "
                              "by the coordinator's init")
-    parser.add_argument("--inner-backend", default=None,
-                        help="override the per-shard strategy requested by "
-                             "the coordinator's init")
     args = parser.parse_args(argv)
     server = NodeServer(host=args.host, port=args.port,
-                        num_workers=args.workers,
-                        inner_backend=args.inner_backend)
+                        num_workers=args.workers)
     print(f"LISTENING {server.host} {server.port}", flush=True)
     try:
         server.serve_forever()

@@ -4,8 +4,8 @@ Radius-count queries are embarrassingly parallel in the *data*: for any centre
 ``c``, ``B_r(c, S) = sum over shards of B_r(c, S_shard)``.
 :class:`ShardedBackend` exploits this by splitting the point set into
 contiguous shards, answering each shard's sub-query with an ordinary
-single-process backend (dense / chunked / tree, chosen per shard by
-``auto_backend`` unless pinned), and merging:
+single-process backend (chunked or tree, chosen per shard by
+``auto_backend``'s rule), and merging:
 
 * **counts** — summed across shards (exact, integer addition);
 * **the GoodRadius profile** — each shard computes and keeps its own
@@ -131,11 +131,10 @@ class _ShardSet:
     #: the ``_view_images`` attribute note in ``__init__``).
     VIEW_IMAGE_CACHE_PER_SHARD: ClassVar[int] = 2
 
-    def __init__(self, points: np.ndarray, bounds: Sequence[Tuple[int, int]],
-                 inner_backend: str) -> None:
+    def __init__(self, points: np.ndarray,
+                 bounds: Sequence[Tuple[int, int]]) -> None:
         self.points = points
         self.bounds = list(bounds)
-        self.inner_backend = inner_backend
         self._backends = {}
         #: Per-shard cached projected images: ``shard -> {view token: image}``
         #: with the oldest entry evicted beyond
@@ -143,8 +142,8 @@ class _ShardSet:
         #: bounded number of ``(shard n, k)`` images per shard it serves.
         #: Two entries cover GoodCenter's working set (the partition-search
         #: view the selection predicate is re-derived against plus the
-        #: rotated-frame view) — the old single-entry cache thrashed between
-        #: them on every masked query.
+        #: rotated-frame view), so masked queries alternating between them
+        #: never recompute an image.
         self._view_images = {}
         #: Per-shard memoised selection membership: ``shard -> (selection
         #: token, ascending shard-local rows)``.  One entry per shard (the
@@ -167,23 +166,11 @@ class _ShardSet:
 
     def _inner_name(self, num_points: int) -> str:
         """The single-process strategy for ``num_points`` of these points:
-        the pinned ``inner_backend``, else :func:`auto_backend`'s choice,
-        never recursing into sharding (or back out over the wire)."""
-        from repro.neighbors import (
-            HAVE_SCIPY_TREE,
-            TREE_MAX_DIMENSION,
-            auto_backend,
-        )
+        :func:`~repro.neighbors.auto_backend`'s choice with sharding ruled
+        out."""
+        from repro.neighbors import _in_process_backend
 
-        dimension = self.points.shape[1]
-        name = self.inner_backend
-        if name == "auto":
-            name = auto_backend(num_points, dimension)
-        if name in (ShardedBackend.name, "distributed"):
-            # Fall through to the remaining single-process heuristics.
-            name = ("tree" if dimension <= TREE_MAX_DIMENSION
-                    and HAVE_SCIPY_TREE else "chunked")
-        return name
+        return _in_process_backend(num_points, self.points.shape[1])
 
     def backend(self, shard: int) -> NeighborBackend:
         """The inner backend indexing shard ``shard`` (built on first use).
@@ -191,9 +178,8 @@ class _ShardSet:
         Caches are per process.  Since shard→worker routing affinity (tasks
         for shard ``s`` always land on worker ``s mod W``), each shard's
         index is built in exactly one worker under pool mode, so this lazy
-        build runs once per shard pool-wide — the old any-idle-worker routing
-        could duplicate it once per (shard, worker) pair under mixed
-        plan/point-query load.
+        build runs once per shard pool-wide, never once per (shard, worker)
+        pair under mixed plan/point-query load.
         """
         if shard not in self._backends:
             from repro.neighbors import BACKENDS
@@ -545,8 +531,7 @@ _WORKER_SHM: Optional[shared_memory.SharedMemory] = None
 
 
 def _init_worker(shm_name: str, shape: Tuple[int, int], dtype_str: str,
-                 bounds: Sequence[Tuple[int, int]],
-                 inner_backend: str) -> None:
+                 bounds: Sequence[Tuple[int, int]]) -> None:
     """Pool initialiser: attach the shared dataset, build the shard set."""
     global _WORKER_SHARDS, _WORKER_SHM
     # Attach WITHOUT registering with the resource tracker: the parent owns
@@ -568,7 +553,7 @@ def _init_worker(shm_name: str, shape: Tuple[int, int], dtype_str: str,
             resource_tracker.register = original_register
     points = np.ndarray(shape, dtype=np.dtype(dtype_str), buffer=shm.buf)
     _WORKER_SHM = shm
-    _WORKER_SHARDS = _ShardSet(points, bounds, inner_backend)
+    _WORKER_SHARDS = _ShardSet(points, bounds)
 
 
 def _run_shard_task(shard: int, payload: tuple) -> list:
@@ -1011,6 +996,9 @@ class _ShardedPlanFuture(PlanFuture):
 class ShardedBackend(NeighborBackend):
     """Dataset sharded across processes; per-shard answers merged exactly.
 
+    Each shard answers with the single-process strategy
+    :func:`~repro.neighbors.auto_backend`'s rule picks for its size.
+
     Parameters
     ----------
     points:
@@ -1024,10 +1012,6 @@ class ShardedBackend(NeighborBackend):
         ``min(num_shards, cpu count)``; ``0`` forces the serial in-process
         path (identical results, no pool); values ``> 1`` request a process
         pool, which silently degrades to serial if the pool cannot start.
-    inner_backend:
-        The single-process strategy each shard answers with: a registry name
-        or ``"auto"`` (default; per-shard size-based choice, never recursing
-        into ``"sharded"``).
     """
 
     name = "sharded"
@@ -1048,7 +1032,7 @@ class ShardedBackend(NeighborBackend):
     #: :meth:`_heaviest_cell_merge`).  Bounds the
     #: parent's merge scratch at ``O(shards * top_k)`` instead of the total
     #: number of occupied boxes.  ``None`` disables the truncation (full
-    #: per-shard histograms, the pre-bounded behaviour).
+    #: per-shard histograms).
     HEAVIEST_CELL_TOP_K: ClassVar[Optional[int]] = 64
 
     #: Whether a worker slot that drains its own affinity queue may steal
@@ -1058,10 +1042,9 @@ class ShardedBackend(NeighborBackend):
     WORK_STEALING: ClassVar[bool] = True
 
     def __init__(self, points, num_shards: Optional[int] = None,
-                 num_workers: Optional[int] = None,
-                 inner_backend: str = "auto") -> None:
+                 num_workers: Optional[int] = None) -> None:
         super().__init__(points, num_shards=num_shards,
-                         num_workers=num_workers, inner_backend=inner_backend)
+                         num_workers=num_workers)
         if num_workers is None:
             workers = min(_available_cpus(),
                           num_shards if num_shards else _available_cpus())
@@ -1074,10 +1057,8 @@ class ShardedBackend(NeighborBackend):
         offsets = np.linspace(0, self.num_points, num_shards + 1).astype(int)
         self._bounds = [(int(offsets[i]), int(offsets[i + 1]))
                         for i in range(num_shards)]
-        self._inner_backend = str(inner_backend)
         self._requested_workers = min(workers, num_shards)
-        self._shards = _ShardSet(self._points, self._bounds,
-                                 self._inner_backend)
+        self._shards = _ShardSet(self._points, self._bounds)
         self._executors: Optional[List[ProcessPoolExecutor]] = None
         self._shm: Optional[shared_memory.SharedMemory] = None
         self._pool_failed = False
@@ -1164,12 +1145,10 @@ class ShardedBackend(NeighborBackend):
         serial).  One executor per worker slot is what implements the
         shard→worker routing *affinity*: tasks for shard ``s`` always go to
         slot ``s mod W`` (see :class:`_PoolBatch`), so each shard's
-        lazy index/image caches live in exactly one worker process —
-        the single shared pool they replace let any idle worker grab any
-        shard, duplicating per-shard indexes across workers under mixed
-        plan/point-query load.  With the default topology (shards ==
-        workers) per-fan-out parallelism is unchanged: every slot still
-        receives exactly one task per collective operation.
+        lazy index/image caches live in exactly one worker process, never
+        duplicated across workers under mixed plan/point-query load.  With
+        the default topology (shards == workers) every slot receives
+        exactly one task per collective operation.
         """
         if self._requested_workers <= 1 or self._pool_failed:
             return None
@@ -1194,7 +1173,7 @@ class ShardedBackend(NeighborBackend):
                     mp_context=context,
                     initializer=_init_worker,
                     initargs=(shm.name, data.shape, data.dtype.str,
-                              self._bounds, self._inner_backend),
+                              self._bounds),
                 ))
         except (OSError, ValueError, ImportError) as error:
             for executor in executors:  # pragma: no cover - partial start-up

@@ -97,8 +97,8 @@ class DatasetRegistry:
             keeps ownership).
         options:
             Constructor options for a backend built here (e.g.
-            ``{"num_workers": 2}``); rejected with an instance, exactly as
-            in :func:`resolve_backend`.
+            ``{"num_workers": 2}``); rejected with ``None`` / ``"auto"``
+            and with an instance, exactly as in :func:`resolve_backend`.
         """
         name = str(name)
         if not name:

@@ -171,7 +171,7 @@ class ClusteringService:
     Examples
     --------
     >>> service = ClusteringService()
-    >>> service.register_dataset("demo", points, backend="dense")
+    >>> service.register_dataset("demo", points, backend="chunked")
     >>> service.create_tenant("alice", PrivacyParams(2.0, 1e-6))
     >>> job = service.good_radius("alice", "demo", target=900,
     ...                           params=PrivacyParams(0.5, 1e-7), rng=7)

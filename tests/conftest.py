@@ -17,7 +17,7 @@ from repro.datasets.synthetic import planted_cluster
 #: through.  "reference" is the in-parent path (``backend=None``); "sharded"
 #: builds a 3-shard serial instance so the fan-out/merge code runs without a
 #: worker pool (pool transport itself is covered by the slow suite).
-BACKEND_CHOICES = ("reference", "dense", "chunked", "tree", "sharded")
+BACKEND_CHOICES = ("reference", "chunked", "tree", "sharded")
 
 
 def pytest_addoption(parser):
@@ -44,7 +44,7 @@ def neighbor_backend(request):
     to pass as ``backend=`` for the parametrized backend name.
 
     End-to-end tests take this fixture to run once per backend without
-    duplicating their bodies; ``pytest --backend dense`` (etc.) restricts the
+    duplicating their bodies; ``pytest --backend tree`` (etc.) restricts the
     sweep to a single strategy.  The selected name is exposed as
     ``neighbor_backend.backend_name``.
     """

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from repro.accounting.params import PrivacyParams
 from repro.core.config import GoodCenterConfig, OneClusterConfig
 from repro.core.good_radius import RadiusScore
-from repro.geometry.balls import pairwise_distances
 from repro.geometry.grid import GridDomain
 from repro.quasiconcave.quality import is_quasi_concave
 
@@ -57,20 +56,6 @@ class TestGoodRadiusQualityInvariants:
 
 
 class TestGeometryInvariants:
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(min_value=2, max_value=25),
-           st.integers(min_value=1, max_value=4),
-           st.integers(min_value=0, max_value=10 ** 6))
-    def test_pairwise_distances_metric_properties(self, n, d, seed):
-        rng = np.random.default_rng(seed)
-        points = rng.uniform(-5, 5, size=(n, d))
-        distances = pairwise_distances(points)
-        assert np.allclose(distances, distances.T, atol=1e-7)
-        assert np.allclose(np.diag(distances), 0.0)
-        # Triangle inequality on a random triple.
-        i, j, k = rng.integers(0, n, size=3)
-        assert distances[i, k] <= distances[i, j] + distances[j, k] + 1e-7
-
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=1, max_value=4),
            st.integers(min_value=3, max_value=65),

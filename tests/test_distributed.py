@@ -8,7 +8,7 @@ The contract, in three layers:
   never changes by crossing a socket.
 * **Parity**: a :class:`~repro.neighbors.distributed.DistributedBackend`
   over 1/2/3 loopback node servers releases *bitwise* the same values as
-  the dense in-process reference — raw queries, fused plans, GoodRadius,
+  the chunked in-process reference — raw queries, fused plans, GoodRadius,
   GoodCenter (both projection paths, speculation on and off), and
   k_cluster, whose later rounds run on subset backends dialing the same
   nodes.  Shard partials merge in shard order no matter which socket
@@ -48,7 +48,7 @@ from repro.core.good_center import good_center
 from repro.core.good_radius import good_radius
 from repro.neighbors import (
     BackendUnavailableError,
-    DenseBackend,
+    ChunkedBackend,
     PlanFuture,
     QueryPlan,
     ShardedBackend,
@@ -299,31 +299,31 @@ class TestLoopbackParity:
     @pytest.mark.parametrize("num_nodes", NODE_COUNTS)
     def test_raw_queries_identical(self, name, num_nodes):
         points = DATASETS[name]
-        dense = DenseBackend(points)
+        local = ChunkedBackend(points)
         with distributed_backend(points, num_nodes, num_shards=5) as backend:
             assert backend.num_nodes == num_nodes
             for radius in (-1.0, 0.0, 0.3, 1.5, 10.0):
                 assert np.array_equal(backend.radius_counts(radius),
-                                      dense.radius_counts(radius))
+                                      local.radius_counts(radius))
             centers = points[:7] + 0.1
             assert np.array_equal(
                 backend.query_radius_counts(centers, 0.4),
-                dense.query_radius_counts(centers, 0.4),
+                local.query_radius_counts(centers, 0.4),
             )
             radii = np.array([0.0, 0.2, 0.7, 3.0])
             for target in (1, 5, points.shape[0]):
                 assert np.array_equal(
                     backend.capped_average_scores(radii, target),
-                    dense.capped_average_scores(radii, target),
+                    local.capped_average_scores(radii, target),
                 )
             for k in (1, points.shape[0] // 2, points.shape[0]):
                 assert np.array_equal(backend.kth_distances(k),
-                                      dense.kth_distances(k))
+                                      local.kth_distances(k))
 
     @pytest.mark.parametrize("num_nodes", NODE_COUNTS)
     def test_plan_execute_and_submit_identical(self, num_nodes):
         points = DATASETS["random-2d"]
-        dense = DenseBackend(points)
+        local = ChunkedBackend(points)
 
         def build(backend):
             view = backend.view(np.eye(2)[::-1].copy())
@@ -337,7 +337,7 @@ class TestLoopbackParity:
             plan.masked_axis_histograms(view, selection, 0.25)
             return plan
 
-        reference = dense.execute(build(dense))
+        reference = local.execute(build(local))
         with distributed_backend(points, num_nodes, num_shards=4) as backend:
             executed = backend.execute(build(backend))
             future = backend.submit(build(backend))
@@ -353,7 +353,7 @@ class TestLoopbackParity:
                                            loose_params, num_nodes):
         points = small_cluster_data.points
         reference = good_radius(points, 200, loose_params, rng=11,
-                                backend="dense")
+                                backend="chunked")
         with distributed_backend(points, num_nodes, num_shards=4) as backend:
             released = good_radius(points, 200, loose_params, rng=11,
                                    backend=backend)
@@ -430,7 +430,7 @@ class TestLoopbackParity:
             assert np.array_equal(speculated.center, plain.center)
             assert speculated.radius_bound == plain.radius_bound
 
-    def test_k_cluster_release_identical_via_config(self):
+    def test_k_cluster_release_identical_on_distributed_instance(self):
         """k_cluster on a distributed instance: the first round runs on it,
         the second on a subset dialing the same nodes, and the release and
         coverage counts match the in-process reference."""
@@ -465,13 +465,13 @@ class TestLoopbackParity:
                 assert backend.node_addresses == addresses
                 assert np.array_equal(
                     backend.radius_counts(0.4),
-                    DenseBackend(points).radius_counts(0.4),
+                    ChunkedBackend(points).radius_counts(0.4),
                 )
             finally:
                 backend.close()
 
     @pytest.mark.slow
-    def test_two_serve_processes_match_dense(self):
+    def test_two_serve_processes_match_chunked(self):
         """Two real ``serve`` node processes on loopback, reached through
         ``resolve_backend`` and the CLI entry point the README documents."""
         points = np.random.default_rng(0).uniform(size=(500, 2))
@@ -480,8 +480,10 @@ class TestLoopbackParity:
                                       options={"nodes": nodes,
                                                "num_shards": 4})
             try:
-                assert np.array_equal(backend.radius_counts(0.3),
-                                      DenseBackend(points).radius_counts(0.3))
+                assert np.array_equal(
+                    backend.radius_counts(0.3),
+                    ChunkedBackend(points).radius_counts(0.3),
+                )
             finally:
                 backend.close()
 
@@ -622,7 +624,7 @@ class TestFaultInjection:
                 )
             assert np.array_equal(
                 backend.radius_counts(0.4),
-                DenseBackend(points).radius_counts(0.4),
+                ChunkedBackend(points).radius_counts(0.4),
             )
 
     def test_undecodable_reply_poisons_connection(self):
@@ -712,7 +714,7 @@ class TestFaultInjection:
             client = NodeClient(*parse_node_address(addresses[0]),
                                 timeout=10.0)
             try:
-                init = client.call(("init", points, 2, 0, "auto"))
+                init = client.call(("init", points, 2, 0))
                 assert init["status"] == "ok"
                 for tasks, problem in malformed:
                     reply = client.call(("shard_tasks", tasks))
@@ -724,8 +726,28 @@ class TestFaultInjection:
                 total = np.sum([part[0] for part in reply["value"]], axis=0)
                 assert np.array_equal(
                     total,
-                    DenseBackend(points).count_within_many(centers, [0.5]),
+                    ChunkedBackend(points).count_within_many(centers, [0.5]),
                 )
+            finally:
+                client.close()
+
+    def test_node_rejects_init_with_strategy_field(self):
+        """An ``init`` with a fifth field (a per-shard strategy name, which
+        the protocol no longer carries) gets an error reply, and the same
+        connection then accepts a well-formed four-field ``init``."""
+        points = DATASETS["random-2d"]
+        with node_cluster(1) as addresses:
+            client = NodeClient(*parse_node_address(addresses[0]),
+                                timeout=10.0)
+            try:
+                reply = client.call(("init", points, 2, 0, "auto"))
+                assert reply["status"] == "error"
+                assert "init takes (points, num_shards, num_workers)" \
+                    in reply["error"], reply["error"]
+                reply = client.call(("init", points, 2, 0))
+                assert reply["status"] == "ok"
+                assert reply["value"]["num_shards"] == 2
+                assert reply["value"]["reused"] is False
             finally:
                 client.close()
 
@@ -734,9 +756,10 @@ class TestFaultInjection:
         """The acceptance scenario: a real node *process* SIGKILLed while
         a plan is in flight.  With failover on (the default), result()
         recovers — the survivor adopts the dead node's shards and replays
-        only its batch — and the plan's results are bitwise the dense
-        reference's; the same backend keeps answering afterwards.  With
-        ``retries=0`` the same kill raises cleanly instead."""
+        only its batch — and the plan's results are bitwise the
+        in-process reference's; the same backend keeps answering
+        afterwards.  With ``retries=0`` the same kill raises cleanly
+        instead."""
         points = DATASETS["random-2d"]
 
         def build_plan():
@@ -744,8 +767,8 @@ class TestFaultInjection:
             plan.count_within_many(points[:4], [0.5, 1.0])
             return plan
 
-        dense = DenseBackend(points)
-        reference = dense.execute(build_plan())
+        local = ChunkedBackend(points)
+        reference = local.execute(build_plan())
 
         # Failover on: the kill is absorbed, the results do not move.
         proc, victim = spawn_node()
@@ -773,7 +796,7 @@ class TestFaultInjection:
                     assert stats["live_nodes"] == 1
                     # The backend keeps serving after the loss.
                     assert np.array_equal(backend.radius_counts(0.5),
-                                          dense.radius_counts(0.5))
+                                          local.radius_counts(0.5))
                 finally:
                     backend.close()
         finally:
@@ -800,13 +823,13 @@ class TestFaultInjection:
                 finally:
                     backend.close()
                 # The surviving node is unharmed: a fresh backend over it
-                # alone still matches the dense reference.
+                # alone still matches the in-process reference.
                 replacement = DistributedBackend(points, nodes=survivors,
                                                  num_shards=2)
                 try:
                     assert np.array_equal(
                         replacement.radius_counts(0.5),
-                        dense.radius_counts(0.5),
+                        local.radius_counts(0.5),
                     )
                 finally:
                     replacement.close()
@@ -850,14 +873,14 @@ class TestFailover:
         re-dialed (re-``init``), the failed batch replayed, nothing
         adopted — and the counts do not move a bit."""
         points = DATASETS["random-2d"]
-        dense = DenseBackend(points)
+        local = ChunkedBackend(points)
         with distributed_backend(points, 2, num_shards=4,
                                  retry_backoff=0.01) as backend:
             before = backend.radius_counts(0.5)
             backend._clients[0].send(("debug_drop",))
             after = backend.radius_counts(0.5)
             assert results_equal(before, after)
-            assert np.array_equal(after, dense.radius_counts(0.5))
+            assert np.array_equal(after, local.radius_counts(0.5))
             stats = backend.pool_stats()
             assert stats["redials"] == 1
             assert stats["adopted_shards"] == 0
@@ -872,12 +895,12 @@ class TestFailover:
         with node_cluster(1) as addresses:
             client = NodeClient(*parse_node_address(addresses[0]))
             try:
-                request = ("init", points, 4, 0, "auto")
+                request = ("init", points, 4, 0)
                 first = client.call(request)["value"]
                 again = client.call(request)["value"]
                 assert first["reused"] is False
                 assert again["reused"] is True
-                rebuilt = client.call(("init", points, 3, 0, "auto"))["value"]
+                rebuilt = client.call(("init", points, 3, 0))["value"]
                 assert rebuilt["reused"] is False
                 assert rebuilt["num_shards"] == 3
             finally:
@@ -891,7 +914,7 @@ class TestFailover:
         (2→1 and 3→2 topologies)."""
         points = small_cluster_data.points
         reference = good_radius(points, 200, loose_params, rng=11,
-                                backend="dense")
+                                backend="chunked")
         servers = [NodeServer().start() for _ in range(num_nodes)]
         try:
             backend = DistributedBackend(
@@ -907,7 +930,7 @@ class TestFailover:
                 # the point here is to *hit* the dead node and adopt.
                 assert np.array_equal(
                     backend.radius_counts(0.1234),
-                    DenseBackend(points).radius_counts(0.1234),
+                    ChunkedBackend(points).radius_counts(0.1234),
                 )
                 degraded = good_radius(points, 200, loose_params, rng=11,
                                        backend=backend)
@@ -937,15 +960,17 @@ class TestFailover:
                 num_shards=4, retry_backoff=0.01,
             ) as backend:
                 servers[1].stop()
-                assert np.array_equal(backend.radius_counts(0.5),
-                                      DenseBackend(points).radius_counts(0.5))
+                assert np.array_equal(
+                    backend.radius_counts(0.5),
+                    ChunkedBackend(points).radius_counts(0.5),
+                )
                 assert backend.live_nodes == [0]
                 with backend.subset(rows) as subset:
                     assert subset.node_addresses == backend.node_addresses[:1]
                     assert subset.num_shards == 4
                     assert np.array_equal(
                         subset.radius_counts(0.5),
-                        DenseBackend(points[rows]).radius_counts(0.5),
+                        ChunkedBackend(points[rows]).radius_counts(0.5),
                     )
         finally:
             for server in servers:
@@ -989,14 +1014,14 @@ class TestFailover:
         result() routes through the same recovery path and returns results
         bitwise identical to the healthy run's."""
         points = DATASETS["random-2d"]
-        dense = DenseBackend(points)
+        local = ChunkedBackend(points)
 
         def build_plan():
             plan = QueryPlan()
             plan.count_within_many(points[:5], [0.3, 0.8])
             return plan
 
-        reference = dense.execute(build_plan())
+        reference = local.execute(build_plan())
         with distributed_backend(points, 2, num_shards=4,
                                  retry_backoff=0.01) as backend:
             # The drop is queued *before* the plan: the server reads it
@@ -1137,8 +1162,10 @@ class TestFailover:
                             == healthy.center.tobytes())
                     assert released.radius_bound == healthy.radius_bound
                 # The degraded backend keeps answering after the loss.
-                assert np.array_equal(backend.radius_counts(0.3),
-                                      DenseBackend(points).radius_counts(0.3))
+                assert np.array_equal(
+                    backend.radius_counts(0.3),
+                    ChunkedBackend(points).radius_counts(0.3),
+                )
             finally:
                 backend.close()
 
@@ -1153,7 +1180,7 @@ class TestFailover:
         points = np.random.default_rng(2).uniform(size=(300, 3))
         radii = np.linspace(-0.1, 1.2, 40)
         target = 150
-        healthy = DenseBackend(points).capped_average_scores(radii, target)
+        healthy = ChunkedBackend(points).capped_average_scores(radii, target)
         with node_processes(3) as (procs, nodes):
             # Three shards, one per node: every fan-out is one dispatch.
             backend = DistributedBackend(points, nodes=nodes, num_shards=3,
@@ -1245,7 +1272,8 @@ class TestFailover:
             assert events == ["send"] * 3 + ["wait"] * 3
 
     def test_constructor_rejects_negative_retry_settings(self, monkeypatch):
-        """Negative failover settings raise before any node is dialed."""
+        """Negative failover settings, and a node worker count that is not
+        a non-negative integer, raise before any node is dialed."""
         dialed = []
 
         def spy_init(self, *args, **kwargs):
@@ -1258,6 +1286,10 @@ class TestFailover:
             DistributedBackend(points, ["127.0.0.1:1"], retries=-1)
         with pytest.raises(ValueError, match="retry_backoff"):
             DistributedBackend(points, ["127.0.0.1:1"], retry_backoff=-0.1)
+        for node_workers in (-1, 1.5):
+            with pytest.raises(ValueError, match="node_workers"):
+                DistributedBackend(points, ["127.0.0.1:1"],
+                                   node_workers=node_workers)
         assert dialed == []
 
 
@@ -1310,7 +1342,8 @@ class TestWorkStealing:
         finally:
             pool.close()
         assert stats["stolen_tasks"] == 0
-        assert np.array_equal(counts, DenseBackend(points).radius_counts(0.4))
+        assert np.array_equal(counts,
+                              ChunkedBackend(points).radius_counts(0.4))
 
 
 class TestTreeTruncatedCross:
@@ -1327,21 +1360,6 @@ class TestTreeTruncatedCross:
                 got = backend.truncated_squared_cross(queries, k)
                 expected = truncated_squared_cross(queries, points, k, 64)
                 assert got.tobytes() == expected.tobytes(), (name, k)
-
-    def test_sharded_tree_inner_matches_chunked_inner(self):
-        points = np.random.default_rng(4).uniform(size=(90, 2))
-        radii = np.array([0.0, 0.2, 0.6, 2.0])
-        tree = ShardedBackend(points, num_shards=3, num_workers=0,
-                              inner_backend="tree")
-        chunked = ShardedBackend(points, num_shards=3, num_workers=0,
-                                 inner_backend="chunked")
-        for target in (1, 9, 45, 90):
-            assert np.array_equal(
-                tree.capped_average_scores(radii, target),
-                chunked.capped_average_scores(radii, target),
-            )
-        tree.close()
-        chunked.close()
 
     def test_property_parity_with_oracle(self):
         hypothesis = pytest.importorskip("hypothesis")

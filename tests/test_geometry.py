@@ -10,7 +10,6 @@ from repro.geometry.balls import (
     capped_counts_around_points,
     count_in_ball,
     counts_around_points,
-    pairwise_distances,
 )
 from repro.geometry.grid import GridDomain
 from repro.geometry.minimal_ball import (
@@ -91,15 +90,6 @@ class TestBall:
 
 
 class TestCounting:
-    def test_pairwise_distances_match_direct(self):
-        rng = np.random.default_rng(0)
-        points = rng.uniform(size=(30, 3))
-        distances = pairwise_distances(points)
-        direct = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=2)
-        # The Gram-matrix formulation loses a few digits to cancellation, so
-        # compare at single-precision-ish tolerance.
-        assert np.allclose(distances, direct, atol=1e-7)
-
     def test_count_in_ball(self):
         points = np.array([[0.0], [0.5], [2.0]])
         assert count_in_ball(points, np.array([0.0]), 1.0) == 2

@@ -71,7 +71,7 @@ class TestIntPointReduction:
         with pytest.raises(ValueError):
             int_point(np.zeros(10), cluster_size=10, params=PrivacyParams(1.0, 1e-6))
 
-    @pytest.mark.parametrize("backend", [None, "dense"])
+    @pytest.mark.parametrize("backend", [None, "tree"])
     def test_rejects_non_finite_database(self, backend):
         values = np.concatenate([np.random.default_rng(7).normal(size=400),
                                  [np.nan, np.inf, np.inf]])

@@ -29,7 +29,7 @@ from repro.core.config import GoodCenterConfig
 from repro.core.good_center import good_center
 from repro.core.good_radius import good_radius
 from repro.datasets.synthetic import planted_cluster
-from repro.neighbors import DenseBackend, ShardedBackend
+from repro.neighbors import ChunkedBackend, ShardedBackend
 
 
 @pytest.mark.slow
@@ -148,7 +148,7 @@ class TestHeaviestCellMergeGuard:
 
     def test_recount_certifies_global_argmax_outside_every_top_k(self):
         points = self.adversarial_points()
-        reference = DenseBackend(points).view().heaviest_cell_counts(
+        reference = ChunkedBackend(points).view().heaviest_cell_counts(
             1.0, np.zeros((1, 1))
         )
         assert reference[0] == 10      # the split cell, heaviest only merged
@@ -190,7 +190,7 @@ class TestHeaviestCellMergeGuard:
         points = np.concatenate([shard(np.arange(1, 7)),
                                  shard(np.arange(11, 17))]).reshape(-1, 1)
         shifts = np.array([[0.0], [0.1], [0.3]])
-        reference = DenseBackend(points).view().heaviest_cell_counts(
+        reference = ChunkedBackend(points).view().heaviest_cell_counts(
             1.0, shifts
         )
         assert reference.tolist() == [40, 40, 40]
@@ -216,8 +216,9 @@ class TestHeaviestCellMergeGuard:
         rng = np.random.default_rng(11)
         points = rng.uniform(0, 30, size=(400, 2))
         shifts = rng.uniform(0, 1.0, size=(5, 2))
-        reference = DenseBackend(points).view().heaviest_cell_counts(1.0,
-                                                                     shifts)
+        reference = ChunkedBackend(points).view().heaviest_cell_counts(
+            1.0, shifts
+        )
         for shards in (1, 2, 5):
             backend = ShardedBackend(points, num_shards=shards, num_workers=0)
             backend.HEAVIEST_CELL_TOP_K = top_k

@@ -6,8 +6,8 @@ sweep the *masked* view queries — ``masked_sum`` /
 ``masked_clipped_sum`` / ``masked_axis_histograms`` — over a zoo of selections (empty, full, singleton, duplicate row multisets,
 boolean masks, box-label predicates) and boundary clip radii (exact
 point-to-centre distances, so the sphere mask hits representable values dead
-on), asserting the library-wide contract *bitwise* on every draw: dense,
-chunked, tree, and sharded (any shard count) backends — on identity and
+on), asserting the library-wide contract *bitwise* on every draw: chunked,
+tree, and sharded (any shard count) backends — on identity and
 projected views alike — return identical counts, identical correctly-rounded
 exact sums, and identical first-occurrence-ordered histograms.
 
@@ -34,7 +34,7 @@ from test_parity_properties import SETTINGS, build_points, datasets, make_backen
 from repro.geometry.balls import ball_membership
 from repro.geometry.boxes import box_labels, interval_labels
 from repro.geometry.jl import project_rows
-from repro.neighbors import DenseBackend, ShardedBackend
+from repro.neighbors import ChunkedBackend, ShardedBackend
 from repro.neighbors.base import first_occurrence_cells
 
 
@@ -118,7 +118,7 @@ class TestMaskedAggregateParity:
 
         for name, factory in make_selections(None, image, seed + 7):
             # In-parent reference, independent of the backend layer.
-            reference_view = backends["dense"].view(matrix)
+            reference_view = backends["chunked"].view(matrix)
             rows = selection_reference_rows(factory(reference_view), image,
                                             reference_view)
             selected = image[rows]
@@ -199,7 +199,7 @@ class TestMaskedAggregateParity:
 
 class TestMaskedValidation:
     def test_bool_mask_shape_rejected(self):
-        for backend in (DenseBackend(np.zeros((6, 2))),
+        for backend in (ChunkedBackend(np.zeros((6, 2))),
                         ShardedBackend(np.zeros((6, 2)), num_shards=2,
                                        num_workers=0)):
             view = backend.view()
@@ -207,7 +207,7 @@ class TestMaskedValidation:
                 view.masked_sum(np.zeros(4, dtype=bool))
 
     def test_rows_out_of_range_rejected(self):
-        for backend in (DenseBackend(np.zeros((6, 2))),
+        for backend in (ChunkedBackend(np.zeros((6, 2))),
                         ShardedBackend(np.zeros((6, 2)), num_shards=2,
                                        num_workers=0)):
             view = backend.view()
@@ -218,28 +218,28 @@ class TestMaskedValidation:
 
     def test_foreign_box_selection_rejected(self):
         points = np.arange(12.0).reshape(6, 2)
-        selection = DenseBackend(points).view().box_selection(
+        selection = ChunkedBackend(points).view().box_selection(
             1.0, np.zeros(2), np.zeros(2, dtype=np.int64)
         )
-        for backend in (DenseBackend(points),
+        for backend in (ChunkedBackend(points),
                         ShardedBackend(points, num_shards=2, num_workers=0)):
             with pytest.raises(ValueError):
                 backend.view().masked_sum(selection)
 
     def test_clip_center_dimension_rejected(self):
-        backend = DenseBackend(np.zeros((6, 3)))
+        backend = ChunkedBackend(np.zeros((6, 3)))
         view = backend.view(np.ones((2, 3)))
         with pytest.raises(ValueError):
             view.masked_clipped_sum(np.arange(6), np.zeros(3), 1.0)
 
     def test_bad_label_shape_rejected(self):
-        backend = DenseBackend(np.zeros((6, 3)))
+        backend = ChunkedBackend(np.zeros((6, 3)))
         view = backend.view(np.ones((2, 3)))
         with pytest.raises(ValueError):
             view.box_selection(1.0, np.zeros(2), np.zeros(3, dtype=np.int64))
 
     def test_empty_selection_identities(self):
-        for backend in (DenseBackend(np.arange(12.0).reshape(6, 2)),
+        for backend in (ChunkedBackend(np.arange(12.0).reshape(6, 2)),
                         ShardedBackend(np.arange(12.0).reshape(6, 2),
                                        num_shards=3, num_workers=0)):
             view = backend.view()

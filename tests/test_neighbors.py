@@ -1,11 +1,12 @@
 """Tests for the pluggable neighbor-backend layer.
 
-The contract under test: Dense, Chunked, and Tree (scipy and pure-python)
-backends are *interchangeable* — identical integer counts and identical
-``L(r, S)`` values on random and adversarial datasets — and the non-dense
-strategies never materialise an ``(n, n)`` distance matrix.  On every
-strategy, sharded and distributed included, ``backend.subset(rows)``
-answers bitwise like a backend built directly over ``points[rows]``.
+The contract under test: Chunked and Tree (scipy and pure-python) backends
+are *interchangeable* — identical integer counts and identical ``L(r, S)``
+values on random and adversarial datasets, equal to brute-force oracles
+computed by direct differencing — and neither strategy materialises an
+``(n, n)`` distance matrix.  On every strategy, sharded and distributed
+included, ``backend.subset(rows)`` answers bitwise like a backend built
+directly over ``points[rows]``.
 """
 
 import tracemalloc
@@ -21,14 +22,12 @@ from repro.geometry.balls import (
     capped_average_score,
     capped_average_score_profile,
     counts_around_points,
-    pairwise_distances,
 )
 from repro.geometry.minimal_ball import smallest_ball_two_approx
 from repro.neighbors import (
     BACKENDS,
-    DENSE_MAX_POINTS,
+    CHUNKED_MAX_POINTS,
     ChunkedBackend,
-    DenseBackend,
     NeighborBackend,
     QueryPlan,
     ShardedBackend,
@@ -42,7 +41,6 @@ from repro.neighbors._distance import row_block_size
 def all_backends(points):
     """One instance of every strategy (both tree variants)."""
     return [
-        DenseBackend(points),
         ChunkedBackend(points, block_size=29),
         TreeBackend(points),
         TreeBackend(points, use_scipy=False, leaf_size=7),
@@ -75,8 +73,31 @@ DATASETS = {
 }
 
 
+def exact_distances(points):
+    """The ``(n, n)`` Euclidean distance matrix, by direct differencing."""
+    differences = points[:, None, :] - points[None, :, :]
+    return np.sqrt((differences ** 2).sum(axis=2))
+
+
+def brute_counts(points, centers, radius):
+    """``B_r(c, S)`` per centre by direct differencing: ``d2 <= r*r``, the
+    squared-space convention (cKDTree's) every backend follows."""
+    if radius < 0:
+        return np.zeros(centers.shape[0], dtype=np.int64)
+    return np.array([
+        np.count_nonzero(((points - c) ** 2).sum(axis=1) <= radius * radius)
+        for c in centers
+    ])
+
+
+def brute_score(points, radius, target):
+    """``L(r, S)``: the mean of the ``target`` largest capped counts."""
+    capped = np.minimum(brute_counts(points, points, radius), target)
+    return int(np.sort(capped)[::-1][:target].sum()) / target
+
+
 def radii_for(points):
-    distances = pairwise_distances(points)
+    distances = exact_distances(points)
     span = float(distances.max())
     rng = np.random.default_rng(99)
     probe = rng.uniform(0.0, span * 1.1, size=12)
@@ -94,13 +115,7 @@ class TestCountParity:
             for radius in radii_for(points):
                 counts = backend.radius_counts(float(radius))
                 assert counts.dtype == np.int64
-                # "Within radius r" means d2 <= r*r (squared-space, the
-                # cKDTree convention every backend follows).
-                brute = np.array([
-                    np.count_nonzero(
-                        ((points - x) ** 2).sum(axis=1) <= radius * radius
-                    ) for x in points
-                ]) if radius >= 0 else np.zeros(points.shape[0], dtype=int)
+                brute = brute_counts(points, points, radius)
                 assert np.array_equal(counts, brute), (
                     backend_id(backend), radius
                 )
@@ -113,21 +128,10 @@ class TestCountParity:
         centers = rng.uniform(points.min() - 0.5, points.max() + 0.5,
                               size=(23, points.shape[1]))
         for radius in (0.0, 0.3, 2.0, 5.0):
-            brute = np.array([
-                np.count_nonzero(((points - c) ** 2).sum(axis=1) <= radius * radius)
-                for c in centers
-            ])
+            brute = brute_counts(points, centers, radius)
             for backend in all_backends(points):
                 counts = backend.query_radius_counts(centers, radius)
                 assert np.array_equal(counts, brute), backend_id(backend)
-
-    def test_dense_query_counts_on_overlapping_view(self):
-        """A reordered view of the dataset must be treated as ordinary query
-        centres, not served from the dataset-ordered matrix."""
-        points = DATASETS["random-2d"]
-        backend = DenseBackend(points)
-        counts = backend.query_radius_counts(backend.points[::-1], 0.3)
-        assert np.array_equal(counts, backend.radius_counts(0.3)[::-1])
 
 
 class TestScoreParity:
@@ -136,29 +140,21 @@ class TestScoreParity:
         points = DATASETS[name]
         n = points.shape[0]
         radii = radii_for(points)
-        distances = pairwise_distances(points)
-        # The Gram-matrix legacy path is only approximate (it loses ~8
-        # digits to cancellation), so it is cross-checked only at radii
-        # bounded away from every pairwise distance; the backends
-        # themselves must agree exactly at *every* radius, boundaries
-        # included.
-        gaps = np.abs(radii[:, None] - distances.ravel()[None, :]).min(axis=1)
-        safe = gaps > 1e-6
+        # Every backend matches the brute-force top-t mean exactly, at
+        # every radius, boundaries included.
         for target in {1, 3, n // 2, n}:
             target = max(1, target)
-            legacy = np.array([
-                capped_average_score(points, float(r), target,
-                                     distances=distances)
-                for r in radii[safe]
+            brute = np.array([brute_score(points, r, target) for r in radii])
+            single = np.array([
+                capped_average_score(points, float(r), target)
+                for r in radii
             ])
-            profiles = [
-                backend.capped_average_scores(radii, target)
-                for backend in all_backends(points)
-            ]
-            for profile in profiles[1:]:
-                # Identical integer counts => identical scores, exactly.
-                assert np.array_equal(profile, profiles[0])
-            assert np.allclose(profiles[0][safe], legacy, atol=1e-6)
+            assert np.array_equal(single, brute)
+            for backend in all_backends(points):
+                profile = backend.capped_average_scores(radii, target)
+                assert np.array_equal(profile, brute), (
+                    backend_id(backend), target
+                )
 
     def test_profile_matches_issue_tolerance(self):
         points = DATASETS["random-2d"]
@@ -167,7 +163,7 @@ class TestScoreParity:
             backend_id(b): b.capped_average_scores(radii, 40)
             for b in all_backends(points)
         }
-        base = profiles.pop("dense")
+        base = profiles.pop("chunked")
         for name, profile in profiles.items():
             assert np.allclose(profile, base, atol=1e-9), name
 
@@ -182,7 +178,7 @@ class TestScoreParity:
 
     def test_target_validation(self):
         points = DATASETS["random-2d"]
-        backend = DenseBackend(points)
+        backend = ChunkedBackend(points)
         with pytest.raises(ValueError):
             backend.capped_average_scores([0.1], points.shape[0] + 1)
         with pytest.raises(ValueError):
@@ -260,7 +256,7 @@ class TestKthDistances:
     @pytest.mark.parametrize("name", ["random-2d", "duplicates", "random-highd"])
     def test_matches_sorted_matrix(self, name):
         points = DATASETS[name]
-        sorted_distances = np.sort(pairwise_distances(points), axis=1)
+        sorted_distances = np.sort(exact_distances(points), axis=1)
         for k in (1, 2, points.shape[0] // 2, points.shape[0]):
             for backend in all_backends(points):
                 kth = backend.kth_distances(k)
@@ -268,7 +264,7 @@ class TestKthDistances:
                                    atol=1e-7), backend_id(backend)
 
     def test_k_validation(self):
-        backend = DenseBackend(DATASETS["random-2d"])
+        backend = ChunkedBackend(DATASETS["random-2d"])
         with pytest.raises(ValueError):
             backend.kth_distances(0)
         with pytest.raises(ValueError):
@@ -276,18 +272,21 @@ class TestKthDistances:
 
     def test_two_approx_uses_backend(self):
         points = DATASETS["random-2d"]
-        reference = smallest_ball_two_approx(
-            points, 50, distances=pairwise_distances(points)
-        )
+        # The smallest 50th-nearest distance over all candidate centres.
+        reference = np.sort(exact_distances(points), axis=1)[:, 49].min()
         for name in BACKENDS:
             ball = smallest_ball_two_approx(points, 50, backend=name)
-            assert ball.radius == pytest.approx(reference.radius, abs=1e-7)
+            assert ball.radius == pytest.approx(reference, abs=1e-7)
 
 
 class TestSelection:
     def test_auto_backend_regimes(self):
-        assert auto_backend(100, 2) == "dense"
-        assert auto_backend(2048, 50) == "dense"
+        # Blocked brute force at n <= CHUNKED_MAX_POINTS in every
+        # dimension, also where larger n picks the KD-tree.
+        assert CHUNKED_MAX_POINTS == 2048
+        for n in (1, 100, 2048):
+            for d in (2, 50):
+                assert auto_backend(n, d) == "chunked", (n, d)
         assert auto_backend(50000, 2) == "tree"
         assert auto_backend(50000, 100) == "chunked"
 
@@ -306,13 +305,34 @@ class TestSelection:
 
     def test_resolve_rejects_unknown(self):
         points = DATASETS["random-2d"]
-        with pytest.raises(ValueError):
-            resolve_backend(points, "octree")
+        assert sorted(BACKENDS) == ["chunked", "sharded", "tree"]
+        for name in ("octree", "dense"):
+            with pytest.raises(ValueError,
+                               match=r"\['chunked', 'sharded', 'tree'\]"):
+                resolve_backend(points, name)
         with pytest.raises(TypeError):
             resolve_backend(points, 42)
 
+    @pytest.mark.parametrize("options", [{"block_size": 64},
+                                         {"num_workers": 2},
+                                         {"leaf_size": 7}])
+    @pytest.mark.parametrize("selection", [None, "auto"])
+    def test_auto_rejects_options(self, monkeypatch, options, selection):
+        """Options fit one strategy and auto picks the strategy by size, so
+        auto with options is rejected at every size, before any backend
+        (or worker pool) is built."""
+        def build(self, points, **kwargs):
+            raise AssertionError("a backend was built")
 
-@pytest.fixture(params=["dense", "chunked", "tree", "sharded", "distributed"])
+        monkeypatch.setattr(NeighborBackend, "__init__", build)
+        rng = np.random.default_rng(9)
+        for n, d in ((1000, 2), (5000, 2), (5000, 16), (100_000, 2)):
+            points = rng.uniform(size=(n, d))
+            with pytest.raises(ValueError, match="name the strategy"):
+                resolve_backend(points, selection, options)
+
+
+@pytest.fixture(params=["chunked", "tree", "sharded", "distributed"])
 def build_backend(request):
     """A factory for one strategy with non-default constructor arguments
     (two loopback node servers for "distributed"); closes every backend it
@@ -330,7 +350,6 @@ def build_backend(request):
             return DistributedBackend(points, nodes, num_shards=3, retries=1)
     else:
         make = {
-            "dense": DenseBackend,
             "chunked": lambda points: ChunkedBackend(points, block_size=29),
             "tree": lambda points: TreeBackend(points, leaf_size=7,
                                                use_scipy=False),
@@ -408,30 +427,25 @@ class TestSubset:
 
     def test_auto_selected_subset_selects_again(self):
         """A backend resolve_backend picked by size picks again for each
-        subset's size; a named strategy, or "auto" with options, is
-        kept."""
+        subset's size; a named strategy is kept.  (Auto with options is
+        rejected: see ``TestSelection.test_auto_rejects_options``.)"""
         points = np.random.default_rng(7).uniform(
-            size=(DENSE_MAX_POINTS + 50, 2))
-        few, most = np.arange(100), np.arange(DENSE_MAX_POINTS + 10)
+            size=(CHUNKED_MAX_POINTS + 50, 2))
+        few, most = np.arange(100), np.arange(CHUNKED_MAX_POINTS + 10)
         picked = auto_backend(*points.shape)
-        assert picked != "dense" == auto_backend(100, 2)
+        assert picked != "chunked" == auto_backend(100, 2)
         for selection in (None, "auto"):
             backend = resolve_backend(points, selection)
             assert backend.name == picked
-            with backend.subset(few) as subset:
-                assert type(subset) is DenseBackend
+            for rows in (few, np.arange(CHUNKED_MAX_POINTS)):
+                with backend.subset(rows) as subset:
+                    assert type(subset) is ChunkedBackend
             with backend.subset(most) as subset:
                 assert subset.name == picked
                 with subset.subset(few) as smaller:
-                    assert type(smaller) is DenseBackend
+                    assert type(smaller) is ChunkedBackend
         named = resolve_backend(points, picked)
         assert type(named.subset(few)) is type(named)
-        options = ({"leaf_size": 7} if picked == "tree"
-                   else {"block_size": 29})
-        with_options = resolve_backend(points, "auto", options)
-        subset = with_options.subset(few)
-        assert type(subset) is type(with_options)
-        assert subset._options == with_options._options
 
 
 class TestIntegration:
@@ -439,11 +453,10 @@ class TestIntegration:
         rng = np.random.default_rng(5)
         points = rng.uniform(size=(90, 3))
         radii = np.linspace(0.0, 1.8, 33)
-        base = RadiusScore(points, 30, backend="dense").evaluate(radii)
-        for name in ("chunked", "tree"):
-            assert np.array_equal(
-                RadiusScore(points, 30, backend=name).evaluate(radii), base
-            )
+        base = RadiusScore(points, 30, backend="chunked").evaluate(radii)
+        assert np.array_equal(
+            RadiusScore(points, 30, backend="tree").evaluate(radii), base
+        )
 
     def test_good_radius_backend_independent(self, small_cluster_data, loose_params):
         results = {
@@ -488,7 +501,7 @@ class TestMemoryGuard:
     @pytest.mark.parametrize("name", ["chunked", "tree"])
     def test_no_quadratic_allocation(self, big_points, name):
         backend = BACKENDS[name](big_points)
-        dense_bytes = self.N * self.N * 8
+        matrix_bytes = self.N * self.N * 8
         tracemalloc.start()
         try:
             backend.radius_counts(0.02)
@@ -500,5 +513,5 @@ class TestMemoryGuard:
             tracemalloc.stop()
         assert scores.shape == (48,)
         assert np.all(np.diff(scores) >= 0)
-        # Well under the 3.2 GB a dense (n, n) float64 matrix would cost.
-        assert peak < dense_bytes / 8, f"{name} peaked at {peak / 1e6:.0f} MB"
+        # Well under the 3.2 GB a full (n, n) float64 matrix would cost.
+        assert peak < matrix_bytes / 8, f"{name} peaked at {peak / 1e6:.0f} MB"

@@ -4,8 +4,8 @@ Randomised-but-seeded generators sweep dataset shapes the hand-picked cases
 in ``test_neighbors.py`` / ``test_sharded.py`` cannot enumerate — sizes,
 dimensions, duplicate blocks, colinear and fully degenerate point sets,
 integer grids with exactly representable boundary distances — and assert the
-library-wide contract *bitwise* on every draw: dense, chunked, tree and
-sharded (any shard count, serial mode) backends return identical integer
+library-wide contract *bitwise* on every draw: chunked, tree and sharded
+(any shard count, serial mode) backends return identical integer
 counts, identical truncated statistics and ``L(r, S)`` scores, and identical
 projected-view grid hashes.
 
@@ -27,7 +27,6 @@ from repro.geometry.jl import project_rows
 from repro.neighbors import (
     BACKENDS,
     ChunkedBackend,
-    DenseBackend,
     ShardedBackend,
     TreeBackend,
     first_occurrence_cells,
@@ -91,7 +90,6 @@ def boundary_radii(points: np.ndarray, seed: int) -> np.ndarray:
 
 def make_backends(points: np.ndarray, num_shards: int) -> dict:
     return {
-        "dense": DenseBackend(points),
         "chunked": ChunkedBackend(points),
         "tree": TreeBackend(points),
         f"sharded[{num_shards}]": ShardedBackend(
@@ -122,21 +120,21 @@ class TestCountParity:
             np.random.default_rng(seed + 2).uniform(-3, 3, size=(4, d)),
         ])
         backends = make_backends(points, shards)
-        reference_many = backends["dense"].count_within_many(centers, radii)
+        reference_many = backends["chunked"].count_within_many(centers, radii)
         for name, backend in backends.items():
             for radius in radii[:4]:
                 counts = backend.query_radius_counts(centers, float(radius))
                 assert counts.dtype == np.int64, name
                 assert np.array_equal(
                     counts,
-                    backends["dense"].query_radius_counts(centers,
-                                                          float(radius)),
+                    backends["chunked"].query_radius_counts(centers,
+                                                            float(radius)),
                 ), (name, scenario, radius)
             batched = backend.count_within_many(centers, radii)
             assert np.array_equal(batched, reference_many), (name, scenario)
             assert np.array_equal(
                 backend.radius_counts(float(radii[-1])),
-                backends["dense"].radius_counts(float(radii[-1])),
+                backends["chunked"].radius_counts(float(radii[-1])),
             ), (name, scenario)
 
 
@@ -154,19 +152,19 @@ class TestStatisticParity:
             for target in targets:
                 assert np.array_equal(
                     backend.capped_average_scores(radii, target),
-                    backends["dense"].capped_average_scores(radii, target),
+                    backends["chunked"].capped_average_scores(radii, target),
                 ), (name, scenario, target)
             # The streaming walk is an independent evaluation strategy and
             # must agree bit for bit as well.
             target = targets[-2] if len(targets) > 1 else targets[0]
             assert np.array_equal(
                 backend._streaming_profile(radii, target),
-                backends["dense"].capped_average_scores(radii, target),
+                backends["chunked"].capped_average_scores(radii, target),
             ), (name, scenario)
             for k in (1, max(1, n // 2), n):
                 assert np.array_equal(
                     backend.kth_distances(k),
-                    backends["dense"].kth_distances(k),
+                    backends["chunked"].kth_distances(k),
                 ), (name, scenario, k)
 
 
@@ -253,7 +251,6 @@ class TestThresholdSelection:
         radii = np.concatenate([[-1.0, 0.0], np.sqrt(distances),
                                 np.nextafter(np.sqrt(distances), np.inf),
                                 [np.inf]])
-        dense = DenseBackend(points)
         backend = ShardedBackend(points, num_shards=shards, num_workers=0)
         for target in sorted({1, max(1, n // 2), n}):
             sums = backend._top_sums(keys, target)
@@ -263,8 +260,8 @@ class TestThresholdSelection:
             assert scores.tobytes() == oracle_scores(points, radii,
                                                      target).tobytes()
             thresholds, _ = backend._threshold_profile(target)
-            column = np.partition(dense.truncated_squared(target),
-                                  target - 1, axis=0)[target - 1]
+            truncated = np.sort(squared, axis=1)[:, :target]
+            column = np.partition(truncated, target - 1, axis=0)[target - 1]
             assert thresholds.tobytes() == column.tobytes()
 
 
@@ -362,7 +359,7 @@ class TestPlanSubmitDeterminism:
     """Async plan submission is bitwise deterministic: any number of
     overlapped ``submit`` calls, resolved in any order, return exactly what
     a synchronous ``execute`` returns — which itself bitwise matches the
-    dense backend's direct evaluation, across scenarios, shard counts and
+    chunked backend's direct evaluation, across scenarios, shard counts and
     selection kinds."""
 
     @SETTINGS
@@ -399,10 +396,10 @@ class TestPlanSubmitDeterminism:
             )
             return plan, slots
 
-        dense = DenseBackend(points)
-        reference_plan, slots = build(dense)
-        reference = dense.execute(reference_plan)
-        for backend in (ChunkedBackend(points),
+        chunked = ChunkedBackend(points)
+        reference_plan, slots = build(chunked)
+        reference = chunked.execute(reference_plan)
+        for backend in (TreeBackend(points),
                         ShardedBackend(points, num_shards=shards,
                                        num_workers=0)):
             plan, other_slots = build(backend)
@@ -432,13 +429,13 @@ class TestPlanSubmitDeterminism:
 
 class TestViewValidation:
     def test_matrix_shape_rejected(self):
-        backend = DenseBackend(np.zeros((4, 3)))
+        backend = ChunkedBackend(np.zeros((4, 3)))
         with pytest.raises(ValueError):
             backend.view(np.zeros((2, 5)))
 
     def test_rows_out_of_range_rejected(self):
         points = np.arange(12.0).reshape(6, 2)
-        for backend in (DenseBackend(points),
+        for backend in (ChunkedBackend(points),
                         ShardedBackend(points, num_shards=2, num_workers=0)):
             view = backend.view(np.eye(2))
             with pytest.raises(ValueError):
@@ -447,7 +444,7 @@ class TestViewValidation:
                 view.masked_axis_histograms([-1], 1.0)
 
     def test_shift_dimension_rejected(self):
-        backend = DenseBackend(np.zeros((4, 3)))
+        backend = ChunkedBackend(np.zeros((4, 3)))
         view = backend.view(np.ones((2, 3)))
         with pytest.raises(ValueError):
             view.heaviest_cell_counts(1.0, np.zeros((1, 3)))
@@ -459,7 +456,7 @@ class TestViewValidation:
         shifted = points + offset[None, :]
         partition = ShiftedBoxPartition(dimension=3, width=0.9, rng=1)
         reference = box_labels(shifted, partition.shifts, 0.9)
-        for backend in (DenseBackend(points),
+        for backend in (ChunkedBackend(points),
                         ShardedBackend(points, num_shards=3, num_workers=0)):
             view = backend.view(offset=offset)
             cell_labels, cell_counts = view.cell_histogram(0.9,

@@ -36,7 +36,7 @@ from repro.geometry.boxes import box_labels
 from repro.geometry.jl import project_rows
 from repro.neighbors import (
     BACKENDS,
-    DenseBackend,
+    ChunkedBackend,
     PlanFuture,
     QueryPlan,
     ShardedBackend,
@@ -92,8 +92,8 @@ def build_plan(backend, fx):
 
 
 def reference_results(fx):
-    """The direct-call reference, computed on the dense backend."""
-    backend = DenseBackend(fx["points"])
+    """The direct-call reference, computed on the chunked backend."""
+    backend = ChunkedBackend(fx["points"])
     search = backend.view(fx["matrix"])
     frame = backend.view(fx["basis"])
     rows = fx["rows"]
@@ -152,10 +152,10 @@ class TestPlanParity:
         rows = fx["rows"]
         mask = np.zeros(fx["points"].shape[0], dtype=bool)
         mask[rows] = True
-        expected = DenseBackend(fx["points"]).view(fx["basis"]).masked_sum(
+        expected = ChunkedBackend(fx["points"]).view(fx["basis"]).masked_sum(
             rows
         )
-        for name in ("dense", "sharded"):
+        for name in ("chunked", "sharded"):
             backend = make_backend(name, fx["points"])
             frame = backend.view(fx["basis"])
             plan = QueryPlan()
@@ -190,7 +190,7 @@ class TestSubmitDeterminism:
 class TestPlanValidation:
     def test_foreign_view_rejected(self, plan_fixture):
         points = plan_fixture["points"]
-        backend = make_backend("dense", points)
+        backend = make_backend("tree", points)
         other = make_backend("chunked", points)
         plan = QueryPlan()
         plan.cell_histogram(other.view(plan_fixture["matrix"]),
@@ -202,7 +202,7 @@ class TestPlanValidation:
             sharded.execute(plan)
 
     def test_eager_argument_validation(self, plan_fixture):
-        backend = make_backend("dense", plan_fixture["points"])
+        backend = make_backend("chunked", plan_fixture["points"])
         view = backend.view(plan_fixture["matrix"])
         plan = QueryPlan()
         with pytest.raises(TypeError):
@@ -258,7 +258,7 @@ class TestPlanValidation:
         assert view.heaviest_cell_counts(0.5, shifts[None, :])[0] >= 1
 
     def test_selection_slots_deduplicate_by_identity(self, plan_fixture):
-        backend = make_backend("dense", plan_fixture["points"])
+        backend = make_backend("chunked", plan_fixture["points"])
         view = backend.view(plan_fixture["matrix"])
         selection = view.box_selection(plan_fixture["width"],
                                        plan_fixture["shifts"],
@@ -290,8 +290,8 @@ class TestFanOutInstrumentation:
         selection rounds of the threshold profile plus one count round,
         and a warm batch on the same target is the count round alone."""
         backend = make_backend("sharded", plan_fixture["points"], shards=4)
-        expected = DenseBackend(plan_fixture["points"]).capped_average_scores(
-            [0.3, 0.8], 40)
+        reference = ChunkedBackend(plan_fixture["points"])
+        expected = reference.capped_average_scores([0.3, 0.8], 40)
         for fanouts in (3, 1):
             before = backend.pool_stats()
             scores = backend.capped_average_scores([0.3, 0.8], 40)
@@ -513,7 +513,7 @@ class TestSpeculativePlans:
     def test_non_sharded_backends_never_speculate(self, jl_points):
         """supports_speculation gates the whole subsystem: serial backends
         evaluate submit() eagerly, so speculating there is pure waste."""
-        backend = BACKENDS["dense"](jl_points)
+        backend = BACKENDS["chunked"](jl_points)
         result = good_center(jl_points, radius=0.1, target=700,
                              params=self.PARAMS, config=self.JL_CONFIG,
                              rng=1, backend=backend)
@@ -532,7 +532,7 @@ class TestKClusterAsyncCoverage:
         with_backend = k_cluster(points, k=2, params=params, rng=7,
                                  backend="chunked")
         other_backend = k_cluster(points, k=2, params=params, rng=7,
-                                  backend="dense")
+                                  backend="tree")
         # The diagnostics are pure post-processing: releases are bitwise
         # the same on every backend.
         assert with_backend.num_found == plain.num_found

@@ -8,7 +8,7 @@ dtype, shape and raw bytes of every array, ``float.hex`` of every float —
 and the SHA-256 digest of that fingerprint must equal the stored one, on
 every backend.
 
-Covered, each on ``backend=None``, ``"dense"`` and a serial 3-shard
+Covered, each on ``backend=None``, ``"tree"`` and a serial 3-shard
 ``ShardedBackend``: ``good_center`` on the identity projection path (one
 found release and one NoisyAVG abstain), ``one_cluster``, ``good_radius``
 under both radius searches (RecConcave and noisy binary search),
@@ -198,7 +198,7 @@ BACKEND_FREE_CASES = {
 
 BACKENDS = {
     "none": lambda points: None,
-    "dense": lambda points: "dense",
+    "tree": lambda points: "tree",
     "sharded": lambda points: ShardedBackend(points, num_shards=3,
                                              num_workers=0),
 }
@@ -238,7 +238,7 @@ def test_cases_cover_found_and_abstain():
 if __name__ == "__main__":
     for name in sorted(CASES):
         print(f"    {name!r}:\n"
-              f"        {release_digest(CASES[name](BACKENDS['dense']))!r},")
+              f"        {release_digest(CASES[name](BACKENDS['tree']))!r},")
     for name in sorted(BACKEND_FREE_CASES):
         print(f"    {name!r}:\n"
               f"        {release_digest(BACKEND_FREE_CASES[name]())!r},")

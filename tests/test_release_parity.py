@@ -5,7 +5,7 @@ performance* — at a fixed seed, every private release is bit-identical
 whether the distance/grid-hash queries run through an in-process backend or
 merged across shards.  These tests pin that contract for the end-to-end
 algorithms (``good_center`` on both projection paths, ``good_radius``,
-``one_cluster``) by comparing each named backend against the ``"dense"``
+``one_cluster``) by comparing each named backend against the ``"chunked"``
 reference — the base serial view and plan evaluator — at fixed seeds; the
 low-level query parity behind it is covered property-style in
 ``test_parity_properties.py``, and ``test_release_golden.py`` pins the
@@ -59,7 +59,7 @@ class TestGoodCenterReleaseParity:
         points = medium_cluster_data.points
         for seed in (0, 7):
             reference = good_center(points, radius=0.05, target=400,
-                                    params=LOOSE, rng=seed, backend="dense")
+                                    params=LOOSE, rng=seed, backend="chunked")
             assert reference.projected_dimension == points.shape[1]
             result = good_center(points, radius=0.05, target=400,
                                  params=LOOSE, rng=seed,
@@ -71,7 +71,7 @@ class TestGoodCenterReleaseParity:
         for seed in (1, 4):
             reference = good_center(points, radius=0.1, target=700,
                                     params=GENEROUS, config=JL_CONFIG,
-                                    rng=seed, backend="dense")
+                                    rng=seed, backend="chunked")
             assert reference.projected_dimension < points.shape[1]
             result = good_center(points, radius=0.1, target=700,
                                  params=GENEROUS, config=JL_CONFIG, rng=seed,
@@ -85,7 +85,7 @@ class TestGoodCenterReleaseParity:
         points = jl_cluster_points
         reference = good_center(points, radius=0.1, target=700,
                                 params=GENEROUS, config=JL_CONFIG, rng=2,
-                                backend="dense")
+                                backend="chunked")
         for batch in (1, 3, 16):
             backend = ShardedBackend(points, num_shards=3, num_workers=0)
             backend.HEAVIEST_CELL_BATCH = batch
@@ -101,7 +101,7 @@ class TestRotatedStageMigration:
     (merged per-axis histograms, NoisyAVG from merged exact-sum
     statistics).  The merged statistics are canonical (exact fixed-point
     sums, first-occurrence histogram order), so every backend releases the
-    dense reference's bytes — including on the NoisyAVG abstain branch."""
+    chunked reference's bytes — including on the NoisyAVG abstain branch."""
 
     def test_noisy_avg_abstain_branch_parity(self, jl_cluster_points,
                                              neighbor_backend):
@@ -114,11 +114,11 @@ class TestRotatedStageMigration:
         points = jl_cluster_points
         reference = good_center(points, radius=0.1, target=700,
                                 params=GENEROUS, config=starved, rng=4,
-                                backend="dense")
+                                backend="chunked")
         assert not reference.found
         # Sanity: only the starved NoisyAVG slice makes this seed fail.
         control = good_center(points, radius=0.1, target=700, params=GENEROUS,
-                              config=JL_CONFIG, rng=4, backend="dense")
+                              config=JL_CONFIG, rng=4, backend="chunked")
         assert control.found
         result = good_center(points, radius=0.1, target=700,
                              params=GENEROUS, config=starved, rng=4,
@@ -131,7 +131,7 @@ class TestGoodRadiusReleaseParity:
                                neighbor_backend):
         points = small_cluster_data.points
         reference = good_radius(points, 200, loose_params, rng=11,
-                                backend="dense")
+                                backend="chunked")
         result = good_radius(points, 200, loose_params, rng=11,
                              backend=neighbor_backend(points))
         assert result.radius == reference.radius
@@ -144,7 +144,7 @@ class TestOneClusterReleaseParity:
         points = small_cluster_data.points
         params = PrivacyParams(8.0, 1e-5)
         reference = one_cluster(points, target=250, params=params, rng=4,
-                                backend="dense")
+                                backend="chunked")
         result = one_cluster(points, target=250, params=params, rng=4,
                              backend=neighbor_backend(points))
         assert result.found == reference.found

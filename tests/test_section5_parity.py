@@ -4,7 +4,7 @@ Sample-and-aggregate, the quasi-concave depth selection, and the IntPoint
 reduction now route their block/score evaluations through the
 ``NeighborBackend``/``QueryPlan`` stack.  These tests pin the contract that
 made the threading admissible: for every backend — parent-side ``None``,
-dense, serial-sharded, and (slow tier) a real 2-worker sharded pool — the
+tree, serial-sharded, and (slow tier) a real 2-worker sharded pool — the
 *released* values are bitwise identical, and the plan/fan-out accounting
 shows the pipelined paths submit exactly the expected plans over one
 long-lived backend (no silent per-trial rebuilds).  Mirrors the seeded
@@ -47,9 +47,9 @@ SA_KWARGS = dict(alpha=0.8, subsample_fraction=1.0 / 3.0)
 
 
 def sa_backends(points):
-    """The fast-tier backend sweep: dense and serial-sharded instances."""
+    """The fast-tier backend sweep: tree and serial-sharded instances."""
     return [
-        resolve_backend(points, "dense"),
+        resolve_backend(points, "tree"),
         ShardedBackend(points, num_shards=3, num_workers=0),
     ]
 
@@ -73,7 +73,7 @@ class TestSampleAggregateParity:
         base = private_mean_estimator(gaussian_points, 10, PARAMS, rng=1,
                                       **SA_KWARGS)
         named = private_mean_estimator(gaussian_points, 10, PARAMS,
-                                       backend="dense", rng=1, **SA_KWARGS)
+                                       backend="tree", rng=1, **SA_KWARGS)
         assert np.array_equal(named.point, base.point)
 
     @pytest.mark.slow
@@ -223,7 +223,7 @@ def _rows_equal(left, right):
 
 class TestPipelinedTable1:
     def test_rows_byte_identical_across_backends(self):
-        base = run_table1(n=400, repetitions=2, rng=3, backend="dense")
+        base = run_table1(n=400, repetitions=2, rng=3, backend="tree")
         with PipelinedRuns("sharded",
                            options={"num_shards": 3, "num_workers": 0}) as runs:
             sharded = run_table1(n=400, repetitions=2, rng=3, runs=runs)
@@ -231,7 +231,7 @@ class TestPipelinedTable1:
 
     @pytest.mark.slow
     def test_rows_byte_identical_on_worker_pool(self):
-        base = run_table1(n=400, repetitions=2, rng=3, backend="dense")
+        base = run_table1(n=400, repetitions=2, rng=3, backend="tree")
         with PipelinedRuns("sharded",
                            options={"num_shards": 4, "num_workers": 2}) as runs:
             pooled = run_table1(n=400, repetitions=2, rng=3, runs=runs)

@@ -4,7 +4,7 @@ The contract under test, in order of importance:
 
 1. **Release parity** — a private release produced through the service is
    *bitwise identical* to the same-seed direct library call, on every
-   backend strategy (dense / sharded / distributed).
+   backend strategy (chunked / tree / sharded / distributed).
 2. **Budget enforcement** — each tenant's cumulative spend is capped
    atomically: the query that would exceed the cap raises
    ``BudgetExhaustedError`` at submit time, other tenants proceed
@@ -23,7 +23,7 @@ import pytest
 from repro.accounting import BudgetExhaustedError, PrivacyParams
 from repro.clustering import k_cluster, outlier_ball
 from repro.core import good_center, good_radius, one_cluster
-from repro.neighbors import DenseBackend
+from repro.neighbors import ChunkedBackend
 from repro.neighbors.serve import NodeServer
 from repro.service import (
     ClusteringService,
@@ -73,7 +73,7 @@ def assert_same_cluster_release(reference, other):
 # 1. Release parity through the service
 # --------------------------------------------------------------------- #
 BACKEND_SPECS = [
-    pytest.param("dense", None, id="dense"),
+    pytest.param("tree", None, id="tree"),
     pytest.param("sharded", {"num_shards": 3, "num_workers": 0},
                  id="sharded-serial"),
     pytest.param("sharded", {"num_workers": 2}, id="sharded-pool",
@@ -132,16 +132,17 @@ class TestServiceReleaseParity:
                                       direct_screen.ball.center)
                 assert screened.ball.radius == direct_screen.ball.radius
 
-    def test_k_cluster_parity_via_spec(self, cluster_points):
+    def test_k_cluster_parity_on_name_registered_dataset(self,
+                                                         cluster_points):
         # A dataset registered from a name: k_cluster runs its first
         # iteration on the service-built resident backend and the second
         # on a subset of it.
         points = cluster_points
         with ClusteringService() as service:
-            service.register_dataset("data", points, backend="dense")
+            service.register_dataset("data", points, backend="tree")
             service.create_tenant("tenant", PrivacyParams(64.0, 1e-4))
             direct = k_cluster(points, k=2, params=LOOSE, rng=4,
-                               backend="dense")
+                               backend="tree")
             job = service.k_cluster("tenant", "data", k=2, params=LOOSE,
                                     rng=4)
             result = job.result(timeout=240)
@@ -158,7 +159,7 @@ class TestServiceReleaseParity:
         and the instance stays open."""
         closed = []
 
-        class Tracking(DenseBackend):
+        class Tracking(ChunkedBackend):
             def close(self):
                 closed.append(self)
 
@@ -220,7 +221,7 @@ class TestBudgetEnforcement:
     def test_refusal_exactly_at_cap(self, cluster_points):
         # Four eps/4 queries fill the cap exactly; the fifth is refused.
         with ClusteringService() as service:
-            service.register_dataset("data", cluster_points, backend="dense")
+            service.register_dataset("data", cluster_points, backend="chunked")
             service.create_tenant("capped", PrivacyParams(1.0, 1e-6))
             step = PrivacyParams(0.25, 1e-8)
             jobs = [service.good_radius("capped", "data", target=800,
@@ -242,7 +243,7 @@ class TestBudgetEnforcement:
 
     def test_other_tenants_unaffected(self, cluster_points):
         with ClusteringService() as service:
-            service.register_dataset("data", cluster_points, backend="dense")
+            service.register_dataset("data", cluster_points, backend="chunked")
             service.create_tenant("poor", PrivacyParams(0.5, 1e-6))
             service.create_tenant("rich", PrivacyParams(50.0, 1e-4))
             step = PrivacyParams(0.5, 1e-8)
@@ -269,7 +270,7 @@ class TestBudgetEnforcement:
         try:
             with ClusteringService() as service:
                 service.register_dataset("data", cluster_points,
-                                         backend="dense")
+                                         backend="chunked")
                 service.create_tenant("t", PrivacyParams(1.0, 1e-6))
                 service.good_radius("t", "data", target=800,
                                     params=PrivacyParams(1.0, 1e-8),
@@ -285,14 +286,14 @@ class TestBudgetEnforcement:
     def test_invalid_requests_cost_nothing(self, cluster_points):
         with ClusteringService() as service:
             service.register_dataset("inst", cluster_points,
-                                     backend=DenseBackend(cluster_points))
+                                     backend=ChunkedBackend(cluster_points))
             service.create_tenant("t", PrivacyParams(1.0, 1e-6))
             step = PrivacyParams(0.25, 1e-8)
             with pytest.raises(ValueError, match="unknown query kind"):
                 service.submit("t", "inst", "sort_the_data", step)
             with pytest.raises(TypeError, match="supplied by the service"):
                 service.submit("t", "inst", "good_radius", step,
-                               target=800, backend="dense")
+                               target=800, backend="chunked")
             assert service.tenant("t").spent() is None
 
     def test_advanced_composition_tenant(self, cluster_points):
@@ -304,7 +305,7 @@ class TestBudgetEnforcement:
         try:
             with ClusteringService(max_queue=512) as service:
                 service.register_dataset("data", cluster_points,
-                                         backend="dense")
+                                         backend="chunked")
                 ledger = service.create_tenant(
                     "adv", PrivacyParams(1.0, 1e-4),
                     composition="advanced", delta_prime=1e-6,
@@ -347,7 +348,7 @@ class TestConcurrentTenants:
         }
         with ClusteringService() as service:
             for name, data in datasets.items():
-                service.register_dataset(name, data, backend="dense")
+                service.register_dataset(name, data, backend="chunked")
             for tenant in requests:
                 service.create_tenant(tenant, PrivacyParams(64.0, 1e-4))
             results: dict = {}
@@ -395,7 +396,7 @@ class TestConcurrentTenants:
         try:
             with ClusteringService(max_queue=64) as service:
                 service.register_dataset("data", cluster_points,
-                                         backend="dense")
+                                         backend="chunked")
                 service.create_tenant("t", PrivacyParams(1.0, 1e-5))
                 step = PrivacyParams(0.1, 1e-9)
                 outcomes: list = []
@@ -437,7 +438,7 @@ class TestJobsAndLifecycle:
         try:
             with ClusteringService() as service:
                 service.register_dataset("data", cluster_points,
-                                         backend="dense")
+                                         backend="chunked")
                 service.create_tenant("t", PrivacyParams(4.0, 1e-5))
                 job = service.good_radius("t", "data", target=800,
                                           params=PrivacyParams(0.5, 1e-8),
@@ -469,7 +470,7 @@ class TestJobsAndLifecycle:
         try:
             with ClusteringService(max_queue=1) as service:
                 service.register_dataset("data", cluster_points,
-                                         backend="dense")
+                                         backend="chunked")
                 service.create_tenant("t", PrivacyParams(10.0, 1e-5))
                 step = PrivacyParams(0.5, 1e-8)
                 running = service.good_radius("t", "data", target=800,
@@ -542,7 +543,7 @@ class TestJobsAndLifecycle:
         # must be refunded.  Stopping the captured worker directly
         # reproduces exactly the state the race leaves behind.
         with ClusteringService() as service:
-            service.register_dataset("data", cluster_points, backend="dense")
+            service.register_dataset("data", cluster_points, backend="chunked")
             service.create_tenant("t", PrivacyParams(1.0, 1e-6))
             service._workers["data"].stop()
             with pytest.raises(KeyError, match="no dataset"):
@@ -571,16 +572,21 @@ class TestJobsAndLifecycle:
 
         service._registry.register = racing_register  # type: ignore
         with pytest.raises(RuntimeError, match="closed"):
-            service.register_dataset("data", cluster_points, backend="dense")
+            service.register_dataset("data", cluster_points, backend="chunked")
         assert service._workers == {}
         assert service.datasets() == []
 
     def test_registry_validation(self, cluster_points):
         with ClusteringService() as service:
-            service.register_dataset("data", cluster_points, backend="dense")
+            # Options fit one strategy, and backend=None picks it by size.
+            with pytest.raises(ValueError, match="name the strategy"):
+                service.register_dataset("data", cluster_points,
+                                         options={"num_workers": 2})
+            assert service.datasets() == []
+            service.register_dataset("data", cluster_points, backend="chunked")
             with pytest.raises(ValueError, match="already registered"):
                 service.register_dataset("data", cluster_points,
-                                         backend="dense")
+                                         backend="chunked")
             with pytest.raises(ValueError, match="already exists"):
                 service.create_tenant("t", PrivacyParams(1.0, 1e-6))
                 service.create_tenant("t", PrivacyParams(1.0, 1e-6))
@@ -593,7 +599,7 @@ class TestJobsAndLifecycle:
 
     def test_close_is_terminal_and_idempotent(self, cluster_points):
         service = ClusteringService()
-        service.register_dataset("data", cluster_points, backend="dense")
+        service.register_dataset("data", cluster_points, backend="chunked")
         service.create_tenant("t", PrivacyParams(1.0, 1e-6))
         service.close()
         service.close()  # idempotent

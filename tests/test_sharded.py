@@ -23,8 +23,9 @@ from repro.core.good_radius import good_radius
 from repro.geometry.boxes import ShiftedBoxPartition
 from repro.neighbors import (
     BACKENDS,
-    DenseBackend,
+    ChunkedBackend,
     ShardedBackend,
+    TreeBackend,
     auto_backend,
     resolve_backend,
 )
@@ -52,9 +53,10 @@ SHARD_COUNTS = (1, 2, 7)
 
 def radii_for(points):
     """Probe radii: negatives, zero, boundary hits, spans, random probes."""
-    from repro.geometry.balls import pairwise_distances
-
-    distances = pairwise_distances(points)
+    # Exact distances, by direct differencing.
+    distances = np.sqrt(
+        ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
+    )
     span = float(distances.max())
     probe = np.random.default_rng(9).uniform(0.0, span * 1.1, size=10)
     exact = distances[distances > 0]
@@ -69,19 +71,20 @@ class TestShardedParity:
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     def test_counts_identical(self, name, shards):
         points = DATASETS[name]
-        dense = DenseBackend(points)
+        reference = ChunkedBackend(points)
         backend = ShardedBackend(points, num_shards=shards, num_workers=0)
         assert backend.num_shards == min(shards, points.shape[0])
         for radius in radii_for(points):
             counts = backend.radius_counts(float(radius))
             assert counts.dtype == np.int64
-            assert np.array_equal(counts, dense.radius_counts(float(radius)))
+            assert np.array_equal(counts,
+                                  reference.radius_counts(float(radius)))
 
     @pytest.mark.parametrize("name", ["random-2d", "duplicates", "integer-grid"])
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     def test_query_counts_arbitrary_centers(self, name, shards):
         points = DATASETS[name]
-        dense = DenseBackend(points)
+        reference = ChunkedBackend(points)
         backend = ShardedBackend(points, num_shards=shards, num_workers=0)
         centers = np.random.default_rng(7).uniform(
             points.min() - 0.5, points.max() + 0.5, size=(19, points.shape[1])
@@ -89,7 +92,7 @@ class TestShardedParity:
         for radius in (0.0, 0.3, 2.0, 5.0):
             assert np.array_equal(
                 backend.query_radius_counts(centers, radius),
-                dense.query_radius_counts(centers, radius),
+                reference.query_radius_counts(centers, radius),
             )
 
     @pytest.mark.parametrize("name", sorted(DATASETS))
@@ -98,35 +101,47 @@ class TestShardedParity:
         points = DATASETS[name]
         n = points.shape[0]
         radii = radii_for(points)
-        dense = DenseBackend(points)
+        reference = ChunkedBackend(points)
         backend = ShardedBackend(points, num_shards=shards, num_workers=0)
         for target in sorted({1, 3, n // 2, int(0.9 * n), n}):
             target = max(1, target)
             assert np.array_equal(
                 backend.capped_average_scores(radii, target),
-                dense.capped_average_scores(radii, target),
+                reference.capped_average_scores(radii, target),
             ), (name, shards, target)
 
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     def test_kth_distances_identical(self, shards):
         points = DATASETS["duplicates"]
-        dense = DenseBackend(points)
+        reference = ChunkedBackend(points)
         backend = ShardedBackend(points, num_shards=shards, num_workers=0)
         for k in (1, 2, points.shape[0] // 2, points.shape[0]):
             assert np.array_equal(backend.kth_distances(k),
-                                  dense.kth_distances(k))
+                                  reference.kth_distances(k))
 
-    @pytest.mark.parametrize("inner", ["dense", "chunked", "tree"])
-    def test_inner_backend_choice_is_invisible(self, inner):
+    def test_inner_strategy_is_invisible(self, monkeypatch):
+        """Each shard builds the in-process strategy auto_backend's rule
+        picks for its size: chunked at these sizes, and the KD-tree (plus
+        a full-dataset tree for the truncated statistic) at d=2 once the
+        chunked threshold is 0.  Every answer is bitwise the same."""
         points = DATASETS["random-2d"]
-        dense = DenseBackend(points)
-        backend = ShardedBackend(points, num_shards=3, num_workers=0,
-                                 inner_backend=inner)
-        for radius in (0.0, 0.4, 1.2):
-            assert np.array_equal(backend.radius_counts(radius),
-                                  dense.radius_counts(radius))
-        assert np.array_equal(backend.capped_average_scores([0.2, 0.7], 30),
-                              dense.capped_average_scores([0.2, 0.7], 30))
+        radii = radii_for(points)
+        centers = np.random.default_rng(11).uniform(size=(9, 2))
+
+        def answers(inner):
+            backend = ShardedBackend(points, num_shards=3, num_workers=0)
+            got = [backend.count_within_many(centers, radii)]
+            got += [backend.radius_counts(float(r)) for r in radii]
+            got += [backend.capped_average_scores(radii, target)
+                    for target in (1, 30, 70, 140)]
+            got += [backend.kth_distances(k) for k in (1, 12, 140)]
+            assert all(isinstance(backend._shards.backend(shard), inner)
+                       for shard in range(3))
+            return [value.tobytes() for value in got]
+
+        default = answers(ChunkedBackend)
+        monkeypatch.setattr(neighbors, "CHUNKED_MAX_POINTS", 0)
+        assert answers(TreeBackend) == default
 
 
 class TestBatchedCounts:
@@ -140,7 +155,7 @@ class TestBatchedCounts:
             points.min(), points.max(), size=(13, points.shape[1])
         )
         reference = np.stack([
-            DenseBackend(points).query_radius_counts(centers, float(r))
+            ChunkedBackend(points).query_radius_counts(centers, float(r))
             for r in radii
         ])
         for factory_name, factory in BACKENDS.items():
@@ -166,22 +181,22 @@ class TestProcessPool:
 
     def test_pool_parity_and_lifecycle(self):
         points = DATASETS["random-2d"]
-        dense = DenseBackend(points)
+        reference = ChunkedBackend(points)
         radii = radii_for(points)
         with ShardedBackend(points, num_shards=3, num_workers=2) as backend:
             assert np.array_equal(backend.radius_counts(0.3),
-                                  dense.radius_counts(0.3))
+                                  reference.radius_counts(0.3))
             assert np.array_equal(
                 backend.capped_average_scores(radii, 40),
-                dense.capped_average_scores(radii, 40),
+                reference.capped_average_scores(radii, 40),
             )
             assert np.array_equal(
                 backend._streaming_profile(radii, 120),
-                dense.capped_average_scores(radii, 120),
+                reference.capped_average_scores(radii, 120),
             )
             assert np.array_equal(
                 backend.count_within_many(points[:9], radii),
-                dense.count_within_many(points[:9], radii),
+                reference.count_within_many(points[:9], radii),
             )
         # close() is idempotent and the context manager already closed it.
         backend.close()
@@ -300,11 +315,11 @@ class TestProcessPool:
         unique, counts = np.unique(labels, axis=0, return_counts=True)
         chosen = unique[int(np.argmax(counts))]
         rows = np.flatnonzero(np.all(labels == chosen[None, :], axis=1))
-        dense = DenseBackend(points)
-        dense_frame = dense.view(basis)
-        expected_sum = dense_frame.masked_sum(rows)
-        expected_hists = dense_frame.masked_axis_histograms(rows, 0.4)
-        expected_grid = dense.count_within_many(points[:6], [0.3, 1.2])
+        reference = ChunkedBackend(points)
+        reference_frame = reference.view(basis)
+        expected_sum = reference_frame.masked_sum(rows)
+        expected_hists = reference_frame.masked_axis_histograms(rows, 0.4)
+        expected_grid = reference.count_within_many(points[:6], [0.3, 1.2])
         with ShardedBackend(points, num_shards=4, num_workers=2) as backend:
             # A stolen task builds its shard's index on the thief too, so
             # the affinity assertions below need stealing off.
@@ -356,7 +371,7 @@ class TestProcessPool:
         """Masked aggregate queries over a real pool: the BoxSelection label
         predicate ships to the workers, each shard re-derives its own
         membership and returns exact fixed-point partials, and the merged
-        statistics match the in-parent dense reference bitwise."""
+        statistics match the in-parent chunked reference bitwise."""
         from repro.geometry.balls import ball_membership
         from repro.geometry.boxes import box_labels
         from repro.geometry.jl import project_rows
@@ -375,8 +390,8 @@ class TestProcessPool:
         center = rotated[rows].mean(axis=0)
         radius = 1.5
 
-        dense_view = DenseBackend(points).view(basis)
-        reference_sum = dense_view.masked_sum(rows)
+        reference_view = ChunkedBackend(points).view(basis)
+        reference_sum = reference_view.masked_sum(rows)
         inside = ball_membership(rotated[rows], center, radius)
         with ShardedBackend(points, num_shards=3, num_workers=2) as backend:
             selection = backend.view(matrix).box_selection(width, shifts,
@@ -385,14 +400,17 @@ class TestProcessPool:
             assert np.array_equal(view.masked_sum(selection), reference_sum)
             clipped = view.masked_clipped_sum(selection, center, radius)
             assert clipped.count == int(np.count_nonzero(inside))
-            dense_clipped = dense_view.masked_clipped_sum(rows, center,
-                                                          radius)
+            reference_clipped = reference_view.masked_clipped_sum(
+                rows, center, radius
+            )
             assert np.array_equal(clipped.vector_sum,
-                                  dense_clipped.vector_sum)
+                                  reference_clipped.vector_sum)
             hists = view.masked_axis_histograms(selection, 0.4)
-            dense_hists = dense_view.masked_axis_histograms(rows, 0.4)
+            reference_hists = reference_view.masked_axis_histograms(rows,
+                                                                    0.4)
             assert int(hists[0][1].sum()) == rows.shape[0]
-            for (got_l, got_c), (exp_l, exp_c) in zip(hists, dense_hists):
+            for (got_l, got_c), (exp_l, exp_c) in zip(hists,
+                                                      reference_hists):
                 assert np.array_equal(got_l, exp_l)
                 assert np.array_equal(got_c, exp_c)
 
@@ -433,7 +451,8 @@ class TestStreamingProfile:
         persisted = backend.capped_average_scores(radii, target)
         assert np.array_equal(streamed, persisted)
         assert np.array_equal(
-            streamed, DenseBackend(points).capped_average_scores(radii, target)
+            streamed,
+            ChunkedBackend(points).capped_average_scores(radii, target),
         )
 
     def test_streaming_auto_selection(self, monkeypatch):
@@ -456,9 +475,6 @@ class TestStreamingProfile:
         calls.clear()
         chunked.capped_average_scores([0.1, 0.5], max(1, n // 10))
         assert not calls, "small targets should keep the persisted path"
-        # Dense opts out of auto-streaming entirely.
-        dense = DenseBackend(points)
-        assert dense.streaming_auto is False
 
     @pytest.mark.slow
     def test_streaming_never_persists_the_statistic(self):
@@ -575,9 +591,9 @@ class TestResidentProfile:
             fresh = ShardedBackend(points, num_shards=3, num_workers=0)
             assert got.tobytes() == fresh.capped_average_scores(
                 radii, target).tobytes()
-            assert got.tobytes() == DenseBackend(
+            assert got.tobytes() == ChunkedBackend(
                 points).capped_average_scores(radii, target).tobytes()
-            assert backend.kth_distances(k).tobytes() == DenseBackend(
+            assert backend.kth_distances(k).tobytes() == ChunkedBackend(
                 points).kth_distances(k).tobytes()
 
     @pytest.mark.slow
@@ -606,7 +622,7 @@ class TestResidentProfile:
 
 class TestSelectionAndConfig:
     def test_auto_backend_sharded_regime(self, monkeypatch):
-        assert auto_backend(100, 2) == "dense"
+        assert auto_backend(100, 2) == "chunked"
         assert auto_backend(50000, 2) == "tree"
         monkeypatch.setattr(neighbors, "_available_cpus", lambda: 8)
         assert auto_backend(200000, 2) == "sharded"
@@ -643,7 +659,7 @@ class TestPrivatePipelineParity:
     def test_good_radius_sharded_release(self, small_cluster_data, loose_params):
         points = small_cluster_data.points
         reference = good_radius(points, 200, loose_params, rng=11,
-                                backend="dense")
+                                backend="chunked")
         sharded = good_radius(points, 200, loose_params, rng=11,
                               backend=ShardedBackend(points, num_shards=3,
                                                      num_workers=0))
