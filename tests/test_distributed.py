@@ -41,6 +41,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+import repro.neighbors as neighbors
 import repro.neighbors.sharded as sharded_module
 from repro.accounting.params import PrivacyParams
 from repro.clustering.k_cluster import k_cluster
@@ -1360,6 +1361,28 @@ class TestTreeTruncatedCross:
                 got = backend.truncated_squared_cross(queries, k)
                 expected = truncated_squared_cross(queries, points, k, 64)
                 assert got.tobytes() == expected.tobytes(), (name, k)
+
+    def test_sharded_tree_inner_matches_chunked_inner(self, monkeypatch):
+        """Shards on the KD-tree strategy (the chunked threshold patched to
+        0, so the truncated statistic runs on the full-dataset tree) give
+        the capped-average profile bitwise as shards on chunked do."""
+        points = np.random.default_rng(4).uniform(size=(90, 2))
+        radii = np.array([0.0, 0.2, 0.6, 2.0])
+        targets = (1, 9, 45, 90)
+        chunked = ShardedBackend(points, num_shards=3, num_workers=0)
+        expected = [chunked.capped_average_scores(radii, target)
+                    for target in targets]
+        assert all(isinstance(chunked._shards.backend(shard), ChunkedBackend)
+                   for shard in range(3))
+        chunked.close()
+        monkeypatch.setattr(neighbors, "CHUNKED_MAX_POINTS", 0)
+        tree = ShardedBackend(points, num_shards=3, num_workers=0)
+        for target, want in zip(targets, expected):
+            assert np.array_equal(tree.capped_average_scores(radii, target),
+                                  want)
+        assert all(isinstance(tree._shards.backend(shard), TreeBackend)
+                   for shard in range(3))
+        tree.close()
 
     def test_property_parity_with_oracle(self):
         hypothesis = pytest.importorskip("hypothesis")

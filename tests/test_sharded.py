@@ -119,29 +119,33 @@ class TestShardedParity:
             assert np.array_equal(backend.kth_distances(k),
                                   reference.kth_distances(k))
 
-    def test_inner_strategy_is_invisible(self, monkeypatch):
+    @pytest.mark.parametrize("inner", ["chunked", "tree"])
+    def test_inner_backend_choice_is_invisible(self, inner, monkeypatch):
         """Each shard builds the in-process strategy auto_backend's rule
         picks for its size: chunked at these sizes, and the KD-tree (plus
         a full-dataset tree for the truncated statistic) at d=2 once the
-        chunked threshold is 0.  Every answer is bitwise the same."""
+        chunked threshold is 0.  Either way every answer is bitwise the
+        whole-dataset chunked reference's."""
         points = DATASETS["random-2d"]
         radii = radii_for(points)
         centers = np.random.default_rng(11).uniform(size=(9, 2))
 
-        def answers(inner):
-            backend = ShardedBackend(points, num_shards=3, num_workers=0)
+        def answers(backend):
             got = [backend.count_within_many(centers, radii)]
             got += [backend.radius_counts(float(r)) for r in radii]
             got += [backend.capped_average_scores(radii, target)
                     for target in (1, 30, 70, 140)]
             got += [backend.kth_distances(k) for k in (1, 12, 140)]
-            assert all(isinstance(backend._shards.backend(shard), inner)
-                       for shard in range(3))
             return [value.tobytes() for value in got]
 
-        default = answers(ChunkedBackend)
-        monkeypatch.setattr(neighbors, "CHUNKED_MAX_POINTS", 0)
-        assert answers(TreeBackend) == default
+        expected = answers(ChunkedBackend(points))
+        if inner == "tree":
+            monkeypatch.setattr(neighbors, "CHUNKED_MAX_POINTS", 0)
+        backend = ShardedBackend(points, num_shards=3, num_workers=0)
+        assert answers(backend) == expected
+        inner_class = {"chunked": ChunkedBackend, "tree": TreeBackend}[inner]
+        assert all(isinstance(backend._shards.backend(shard), inner_class)
+                   for shard in range(3))
 
 
 class TestBatchedCounts:
