@@ -109,10 +109,6 @@ class RadiusScore:
         """
         return self._backend.capped_average_scores(radii, self._target)
 
-    def evaluate_single(self, radius: float) -> float:
-        """``L(radius, S)`` for one radius (see :meth:`evaluate`)."""
-        return float(self.evaluate(np.array([radius]))[0])
-
 
 def _resolve_domain(points: np.ndarray, domain: Optional[GridDomain],
                     grid_side: int) -> GridDomain:
@@ -208,12 +204,20 @@ def _search_radius(score: RadiusScore, params: PrivacyParams, beta: float,
         # its 8^{log*} factor is available via config.paper_constants.
         gamma = (2.0 / half.epsilon) * math.log(4.0 * solution_count / beta)
 
+    # Every score the search reads — L(0), L(r) and L(r/2) over the grid —
+    # rides one profile batch.  Each radius is scored independently, so
+    # batching never changes a value.
+    values = score.evaluate(np.concatenate([[0.0], candidate_radii,
+                                            candidate_radii / 2.0]))
+    score_at_zero = float(values[0])
+    grid_scores = values[1:solution_count + 1]
+    half_scores = values[solution_count + 1:]
+
     # ------------------------------------------------------------------ #
     # Step 2: zero-radius early exit.  Skipped (deterministically, based on
     # public parameters only) when the test threshold is non-positive, i.e.
     # when t <= 2 Gamma and the test could never be meaningful.
     # ------------------------------------------------------------------ #
-    score_at_zero = score.evaluate_single(0.0)
     threshold_zero = target - 2.0 * gamma - (4.0 / params.epsilon) * math.log(2.0 / beta)
     if threshold_zero > 0:
         noisy_zero = score_at_zero + laplace_noise(4.0 / params.epsilon, rng=laplace_rng)
@@ -229,19 +233,14 @@ def _search_radius(score: RadiusScore, params: PrivacyParams, beta: float,
     if config.radius_method == "binary_search":
         # Monotone search for the smallest radius with L(r) >= t - 2 Gamma.
         index = noisy_binary_search(
-            lambda i: score.evaluate_single(float(candidate_radii[i])),
+            lambda i: float(grid_scores[i]),
             solution_count, threshold=target - 2.0 * gamma, params=half,
             sensitivity=2.0, rng=search_rng,
         ).index
     else:
-        # RecConcave reads every radius's quality, so L(r) and L(r/2) over
-        # the whole grid ride one fused profile batch: each radius is scored
-        # independently, so batching never changes a value.
-        values = score.evaluate(np.concatenate([candidate_radii,
-                                                candidate_radii / 2.0]))
         quality = 0.5 * np.minimum(
-            target - values[solution_count:],
-            values[:solution_count] - target + 4.0 * gamma,
+            target - half_scores,
+            grid_scores - target + 4.0 * gamma,
         )
         index = rec_concave(quality, promise=gamma, alpha=0.5, params=half,
                             rng=search_rng).index
@@ -252,7 +251,7 @@ def _search_radius(score: RadiusScore, params: PrivacyParams, beta: float,
     return GoodRadiusResult(
         radius=radius,
         gamma=gamma,
-        score=score.evaluate_single(radius),
+        score=float(grid_scores[index]),
         zero_cluster=False,
         method=config.radius_method,
     )

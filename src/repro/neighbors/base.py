@@ -34,17 +34,25 @@ in-process backends select and sort those ``t**2`` values once per target
 search — ``O(m log t)``.  The sharded backend keeps the statistic in its
 shards and answers the same integer through a column-threshold identity
 (see :mod:`repro.neighbors.sharded`), so nothing of size ``O(n t)`` leaves
-a shard.  Large targets (by default ``t > n/2`` at ``n >= 8192``) switch to
-a radii-chunked *streaming* walk that recomputes blocked distance passes
-per radius chunk and persists nothing — ``O(n * block + chunk * t)``
-memory at every target, which keeps outlier screening (``t ~ 0.9 n``) off
-the ``O(n^2)``-memory cliff.  Every path is bit-identical.
+a shard.  Every backend keeps this profile state warm per target, not only
+for the latest one: a :class:`ProfileCache` holds the recent targets in
+most-recently-used order and evicts the least recently used while their
+arrays exceed :data:`~repro.neighbors._distance.DEFAULT_MEMORY_BUDGET`
+(64 MiB), always keeping the newest — so a dataset queried at several
+targets (outlier screening at ``t ~ 0.9 n`` between GoodRadius calls) pays
+the selection and sort once per target.  Large targets (by default ``t > n/2``
+at ``n >= 8192``) switch to a radii-chunked *streaming* walk that
+recomputes blocked distance passes per radius chunk and persists nothing —
+``O(n * block + chunk * t)`` memory at every target, which keeps outlier
+screening (``t ~ 0.9 n``) off the ``O(n^2)``-memory cliff.  Every path is
+bit-identical.
 """
 
 from __future__ import annotations
 
 import abc
 import itertools
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, ClassVar, Dict, List, Optional, Tuple
 
@@ -110,6 +118,64 @@ def _check_width(width) -> float:
     reports all ``n`` points.
     """
     return check_positive(_check_finite(width, "width"), "width")
+
+
+class ProfileCache:
+    """GoodRadius profile state kept per target, bounded in bytes.
+
+    ``L(r, S)`` depends on the target ``t``, and one dataset is often
+    queried at several targets, so each of the three places that keep
+    profile state — the in-process backends' sorted ``t**2`` values, the
+    sharded parent's thresholds and prefix sums, and each shard's sorted
+    below-threshold entries — keeps it in one of these, one entry per
+    recent target (a shard's entries are keyed by ``(shard, target)``).
+    Entries are arrays or tuples of arrays, kept in most-recently-used
+    order.  After each insertion the least recently used are evicted while
+    the entries' bytes exceed :data:`DEFAULT_MEMORY_BUDGET`, but the
+    newest always stays, so a single target over the budget is still
+    cached.
+    """
+
+    def __init__(self) -> None:
+        #: ``key -> (entry, its bytes)``, least recently used first.
+        self._entries: "OrderedDict[Any, Tuple[Any, int]]" = OrderedDict()
+        self._nbytes = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    @property
+    def nbytes(self) -> int:
+        """The bytes of every cached array."""
+        return self._nbytes
+
+    def get(self, key):
+        """The entry under ``key``, now the most recently used, or
+        ``None``."""
+        entry = self._entries.get(key)
+        if entry is None:
+            return None
+        self._entries.move_to_end(key)
+        return entry[0]
+
+    def put(self, key, value) -> None:
+        """Store ``value`` under ``key`` as the most recently used entry,
+        then evict the least recently used while over budget."""
+        size = (value.nbytes if isinstance(value, np.ndarray)
+                else sum(part.nbytes for part in value))
+        replaced = self._entries.pop(key, None)
+        if replaced is not None:
+            self._nbytes -= replaced[1]
+        self._entries[key] = (value, size)
+        self._nbytes += size
+        while len(self._entries) > 1 and self._nbytes > DEFAULT_MEMORY_BUDGET:
+            _, (_, evicted) = self._entries.popitem(last=False)
+            self._nbytes -= evicted
+
+    def clear(self) -> None:
+        """Drop every entry."""
+        self._entries.clear()
+        self._nbytes = 0
 
 
 class BackendUnavailableError(RuntimeError):
@@ -865,7 +931,9 @@ class NeighborBackend(abc.ABC):
         #: :meth:`subset` picks again for the subset's size.
         self._auto_selected = False
         self._truncated_cache: Optional[Tuple[int, np.ndarray]] = None
-        self._profile_cache: Optional[Tuple[int, np.ndarray]] = None
+        #: The sorted ``t**2`` profile values per target (see
+        #: :meth:`_profile_values`).
+        self._profile_cache = ProfileCache()
         #: Per-stage speculative-execution accounting, recorded by callers
         #: (GoodCenter's noise-gate predictor) via :meth:`record_speculation`.
         self._speculation: Dict[str, Dict[str, int]] = {}
@@ -1163,7 +1231,7 @@ class NeighborBackend(abc.ABC):
         k = min(k, self.num_points)
         if self._truncated_cache is None or self._truncated_cache[0] < k:
             self._truncated_cache = (k, self._compute_truncated_squared(k))
-            self._profile_cache = None
+            self._profile_cache.clear()
         return self._truncated_cache[1][:, :k]
 
     def kth_distances(self, k: int) -> np.ndarray:
@@ -1205,11 +1273,19 @@ class NeighborBackend(abc.ABC):
           ``t`` smallest of each column (the entries ``<= r*r`` are a
           prefix of a sorted column, so ties need no special case).  The
           in-process backends select and sort those ``t**2`` values once
-          per target — ``O(n t)`` selection plus ``O(t^2 log t)`` sort,
-          cached — and every radius batch is then one binary search,
+          per target — ``O(n t)`` selection plus ``O(t^2 log t)`` sort —
+          and every radius batch is then one binary search,
           ``O(m log t)``, in ``O(n * t)`` memory.  The sharded backend
           keeps ``T`` in its shards and the parent only ``O(t)`` state (see
-          :meth:`repro.neighbors.sharded.ShardedBackend._top_sums`).
+          :meth:`repro.neighbors.sharded.ShardedBackend._top_sums`).  The
+          profile stays warm per cached target, not only for the latest:
+          a :class:`ProfileCache` keeps recent targets in
+          most-recently-used order and evicts the least recently used
+          while their bytes exceed the 64 MiB
+          :data:`~repro.neighbors._distance.DEFAULT_MEMORY_BUDGET`, always
+          keeping the newest.  A return to a cached target costs one
+          binary search in-process, or one count fan-out on the sharded
+          and distributed backends.
         * **Streaming** (``target > STREAMING_TARGET_FRACTION * n`` at
           ``n >= STREAMING_MIN_POINTS``): never persist the statistic;
           process the radii in chunks and recompute blocked distance passes
@@ -1259,17 +1335,24 @@ class NeighborBackend(abc.ABC):
 
     def _profile_values(self, target: int) -> np.ndarray:
         """The sorted ``target**2`` smallest-per-column entries of the
-        truncated statistic (see :meth:`capped_average_scores`), cached for
-        the latest target."""
-        cached = self._profile_cache
-        if cached is None or cached[0] != target:
+        truncated statistic (see :meth:`capped_average_scores`).
+
+        Cached per target in a :class:`ProfileCache`: the recent targets
+        stay warm while their arrays fit the 64 MiB
+        :data:`DEFAULT_MEMORY_BUDGET` (least recently used evicted first;
+        the newest always stays), so a return to a cached target hands
+        back the same array.  Widening the truncated statistic clears
+        every entry.
+        """
+        values = self._profile_cache.get(target)
+        if values is None:
             truncated = self.truncated_squared(target)
             if truncated.shape[0] > target:
                 truncated = np.partition(truncated, target - 1,
                                          axis=0)[:target]
-            cached = (target, np.sort(truncated, axis=None))
-            self._profile_cache = cached
-        return cached[1]
+            values = np.sort(truncated, axis=None)
+            self._profile_cache.put(target, values)
+        return values
 
     def capped_average_score(self, radius: float, target: int) -> float:
         """``L(radius, S)`` for a single radius (see

@@ -57,6 +57,7 @@ merge.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Callable, ClassVar, List, Optional, Sequence, Tuple
 
@@ -67,6 +68,20 @@ from repro.neighbors.sharded import ShardedBackend
 from repro.utils.validation import check_integer
 
 __all__ = ["DistributedBackend"]
+
+
+def _check_timeout(value, name: str) -> Optional[float]:
+    """``None``, or a finite number of seconds above 0, as a float."""
+    if value is None:
+        return None
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be a number of seconds or None, "
+                        "got bool")
+    value = float(value)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be a finite number of seconds above "
+                         f"0, or None; got {value}")
+    return value
 
 
 class _NodeBatches:
@@ -133,8 +148,10 @@ class DistributedBackend(ShardedBackend):
         Per-call read timeout in seconds (``None`` = wait forever), as an
         overall deadline across a call's pipelined replies.  When a node
         exceeds it, the call fails over (or raises with ``retries=0``).
+        A finite number above 0, or ``None``.
     connect_timeout:
-        Socket connect timeout for the initial dial and every re-dial.
+        Socket connect timeout for the initial dial and every re-dial; a
+        finite number above 0, or ``None``.
     retries:
         Re-dial attempts per node failure before the node is declared dead
         and its shards are adopted by the surviving nodes.  ``0`` disables
@@ -143,7 +160,9 @@ class DistributedBackend(ShardedBackend):
         contract, preserved bit-for-bit).  Default 2.
     retry_backoff:
         Base sleep before re-dial attempt ``i`` (``retry_backoff * 2**i``
-        seconds, exponential).  Default 0.1.
+        seconds, exponential); finite and non-negative.  Default 0.1.
+
+    Every setting is checked before any node is dialed.
     """
 
     name = "distributed"
@@ -162,14 +181,15 @@ class DistributedBackend(ShardedBackend):
         addresses = [parse_node_address(node) for node in nodes]
         if not addresses:
             raise ValueError("DistributedBackend requires at least one node")
-        retries = int(retries)
-        if retries < 0:
-            raise ValueError(f"retries must be non-negative, got {retries}")
+        retries = check_integer(retries, "retries", minimum=0)
         retry_backoff = float(retry_backoff)
-        if retry_backoff < 0:
+        if not (math.isfinite(retry_backoff) and retry_backoff >= 0):
             raise ValueError(
-                f"retry_backoff must be non-negative, got {retry_backoff}"
+                f"retry_backoff must be finite and non-negative, got "
+                f"{retry_backoff}"
             )
+        timeout = _check_timeout(timeout, "timeout")
+        connect_timeout = _check_timeout(connect_timeout, "connect_timeout")
         node_workers = check_integer(node_workers, "node_workers", minimum=0)
         if num_shards is None:
             num_shards = len(addresses) * max(1, node_workers)

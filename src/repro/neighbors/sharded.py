@@ -79,6 +79,7 @@ from repro.neighbors.base import (
     ClippedSum,
     NeighborBackend,
     PlanFuture,
+    ProfileCache,
     ProjectedView,
     QueryPlan,
     depth_count_pairs,
@@ -159,10 +160,13 @@ class _ShardSet:
         #: -> (rows, k)`` array, the widest any task asked for (a narrower
         #: request reads its leading columns).
         self._blocks = {}
-        #: Per-shard state of the GoodRadius profile: ``shard -> (target,
-        #: thresholds, sorted entries)``, the block's entries below their
-        #: column's threshold (see :meth:`below_threshold`).
-        self._profiles = {}
+        #: Per-shard state of the GoodRadius profile, warm per target:
+        #: ``(shard, target) -> (thresholds, sorted entries)``, the block's
+        #: entries below their column's threshold (see
+        #: :meth:`below_threshold`).  One :class:`ProfileCache` for all the
+        #: shards this process serves: least recently used evicted while
+        #: the entries exceed the 64 MiB memory budget, the newest kept.
+        self._profiles = ProfileCache()
 
     def _inner_name(self, num_points: int) -> str:
         """The single-process strategy for ``num_points`` of these points:
@@ -293,16 +297,15 @@ class _ShardSet:
                         thresholds: np.ndarray) -> np.ndarray:
         """The shard's block entries below their column's threshold,
         sorted — the per-shard half of the column-threshold identity —
-        rebuilt whenever the target or the thresholds differ from the
-        ones it was built for."""
-        cached = self._profiles.get(shard)
-        if (cached is None or cached[0] != target
-                or not np.array_equal(cached[1], thresholds)):
+        cached per ``(shard, target)`` and rebuilt when the target is not
+        cached or the task's thresholds differ from the ones it was built
+        for."""
+        cached = self._profiles.get((shard, target))
+        if cached is None or not np.array_equal(cached[0], thresholds):
             block = self.block(shard, target)
-            cached = (target, thresholds,
-                      np.sort(block[block < thresholds[None, :]]))
-            self._profiles[shard] = cached
-        return cached[2]
+            cached = (thresholds, np.sort(block[block < thresholds[None, :]]))
+            self._profiles.put((shard, target), cached)
+        return cached[1]
 
     # ------------------------------------------------------------------ #
     # Plan execution (one task per shard for a whole QueryPlan)
@@ -1073,10 +1076,10 @@ class ShardedBackend(NeighborBackend):
         self._stats = {"fanouts": 0, "shard_tasks": 0, "plans": 0,
                        "stolen_tasks": 0}
         self._stats_lock = threading.Lock()
-        #: The parent's half of the GoodRadius profile for the latest
-        #: target: ``(target, thresholds tau, prefix sums of t - s_j)``,
-        #: ``O(t)`` (see :meth:`_top_sums`).
-        self._threshold_cache: Optional[tuple] = None
+        #: The parent's half of the GoodRadius profile, per target:
+        #: ``target -> (thresholds tau, prefix sums of t - s_j)``, ``O(t)``
+        #: each (see :meth:`_threshold_profile`).
+        self._threshold_cache = ProfileCache()
 
     # ------------------------------------------------------------------ #
     # Topology
@@ -1104,9 +1107,10 @@ class ShardedBackend(NeighborBackend):
         (per-shard tasks those operations dispatched) and ``plans`` (query
         plans executed/submitted — every direct view or count query counts,
         since it runs as a one-query plan; the profile's fan-outs — two
-        selection rounds per new target, then one count round per radius
-        batch — and the ``kth_distances``, truncated-gather and
-        streaming-histogram fan-outs do not), plus the topology and a
+        selection rounds per target not in the parent's cache, then one
+        count round per radius batch — and the ``kth_distances``,
+        truncated-gather and streaming-histogram fan-outs do not), plus
+        the topology and a
         ``workers`` list: one :meth:`_ShardSet.cache_stats` entry per live
         worker slot (pool mode) or the parent shard set's entry (serial
         fallback), whose ``resident_blocks`` maps each shard to the width
@@ -1248,10 +1252,12 @@ class ShardedBackend(NeighborBackend):
         Safe to call repeatedly; also invoked on garbage collection.  After
         closing, the next query transparently restarts the pool.  Also drops
         the serial fallback's cached view images, memoised selections and
-        resident row blocks (in pool mode those caches live in the worker
-        processes and die with them).  The parent's ``O(t)`` profile state
-        stays: every count task carries the thresholds, so the fresh
-        workers rebuild their share from it.
+        resident row blocks and per-target profile entries (in pool mode
+        those caches live in the worker processes and die with them).  The
+        parent's ``O(t)`` profile state stays, for every target its cache
+        holds: every count task carries the thresholds, so the fresh
+        workers rebuild their share from it and a cached target still
+        costs one count fan-out.
         """
         executors, self._executors = self._executors, None
         if executors is not None:
@@ -1384,8 +1390,7 @@ class ShardedBackend(NeighborBackend):
 
     def _threshold_profile(self, target: int) -> Tuple[np.ndarray,
                                                        np.ndarray]:
-        """``(tau, prefix sums of t - s_j)`` for ``target``, cached for the
-        latest target.
+        """``(tau, prefix sums of t - s_j)`` for ``target``.
 
         An exact two-round selection over the shards' resident blocks:
         round 1 samples every ``ceil(sqrt(t))``-th order statistic of each
@@ -1394,20 +1399,25 @@ class ShardedBackend(NeighborBackend):
         count below the bracket and its entries inside it
         (:func:`_thresholds`).  ``O(shards * t^1.5)`` values cross the
         transport, instead of the ``(n, t)`` statistic.
+
+        Cached per target in a :class:`~repro.neighbors.base.ProfileCache`
+        (least recently used evicted while the entries exceed the 64 MiB
+        memory budget, the newest kept), so a return to a cached target
+        skips both selection rounds: its next batch is one count fan-out.
         """
-        cached = self._threshold_cache
-        if cached is None or cached[0] != target:
+        cached = self._threshold_cache.get(target)
+        if cached is None:
             lower, upper = _brackets(
                 list(self._shard_waves("profile_samples", (target,))),
                 [high - low for low, high in self._bounds], target,
             )
-            cached = (target, *_thresholds(
+            cached = _thresholds(
                 list(self._shard_waves("profile_bracket",
                                        (target, lower, upper))),
                 target, upper,
-            ))
-            self._threshold_cache = cached
-        return cached[1], cached[2]
+            )
+            self._threshold_cache.put(target, cached)
+        return cached
 
     def _capped_count_histograms(self, keys: np.ndarray,
                                  cap: int) -> np.ndarray:

@@ -1273,8 +1273,9 @@ class TestFailover:
             assert events == ["send"] * 3 + ["wait"] * 3
 
     def test_constructor_rejects_negative_retry_settings(self, monkeypatch):
-        """Negative failover settings, and a node worker count that is not
-        a non-negative integer, raise before any node is dialed."""
+        """Failover settings and timeouts out of range or of the wrong
+        type, and a node worker count that is not a non-negative integer,
+        raise before any node is dialed."""
         dialed = []
 
         def spy_init(self, *args, **kwargs):
@@ -1283,10 +1284,22 @@ class TestFailover:
 
         monkeypatch.setattr(NodeClient, "__init__", spy_init)
         points = DATASETS["random-2d"]
-        with pytest.raises(ValueError, match="retries"):
-            DistributedBackend(points, ["127.0.0.1:1"], retries=-1)
-        with pytest.raises(ValueError, match="retry_backoff"):
-            DistributedBackend(points, ["127.0.0.1:1"], retry_backoff=-0.1)
+        for retries, error in ((-1, ValueError), (1.5, ValueError),
+                               (True, TypeError)):
+            with pytest.raises(error, match="retries"):
+                DistributedBackend(points, ["127.0.0.1:1"], retries=retries)
+        for backoff in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="retry_backoff"):
+                DistributedBackend(points, ["127.0.0.1:1"],
+                                   retry_backoff=backoff)
+        for name in ("timeout", "connect_timeout"):
+            for value, error in ((0, ValueError), (-1.0, ValueError),
+                                 (float("nan"), ValueError),
+                                 (float("inf"), ValueError),
+                                 (True, TypeError)):
+                with pytest.raises(error, match=name):
+                    DistributedBackend(points, ["127.0.0.1:1"],
+                                       **{name: value})
         for node_workers in (-1, 1.5):
             with pytest.raises(ValueError, match="node_workers"):
                 DistributedBackend(points, ["127.0.0.1:1"],

@@ -21,7 +21,7 @@ class TestRadiusScore:
         score = RadiusScore(points, target=25)
         for radius in (0.0, 0.1, 0.4, 1.0):
             direct = capped_average_score(points, radius, target=25)
-            assert score.evaluate_single(radius) == pytest.approx(direct)
+            assert score.evaluate(radius)[0] == pytest.approx(direct)
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(1)
@@ -29,7 +29,7 @@ class TestRadiusScore:
         score = RadiusScore(points, target=20)
         radii = np.linspace(0, 1.5, 37)
         batch = score.evaluate(radii)
-        singles = np.array([score.evaluate_single(r) for r in radii])
+        singles = np.array([score.evaluate(r)[0] for r in radii])
         assert np.allclose(batch, singles)
 
     def test_negative_radius_gives_zero(self):
@@ -46,7 +46,7 @@ class TestRadiusScore:
     def test_capped_at_target(self):
         points = np.zeros((40, 2))
         score = RadiusScore(points, target=10)
-        assert score.evaluate_single(1.0) == pytest.approx(10.0)
+        assert score.evaluate(1.0)[0] == pytest.approx(10.0)
 
     def test_target_validation(self):
         points = np.zeros((10, 2))

@@ -23,11 +23,13 @@ import sys
 import numpy as np
 import pytest
 
+import repro.neighbors.base as base_module
 import repro.neighbors.sharded as sharded_module
 from repro.accounting.params import PrivacyParams
 from repro.clustering.k_cluster import k_cluster
-from repro.core.config import GoodCenterConfig
+from repro.core.config import GoodCenterConfig, OneClusterConfig
 from repro.core.good_center import good_center
+from repro.core.good_radius import good_radius
 from repro.experiments.harness import (
     coverage_counts_result,
     submit_coverage_counts,
@@ -285,22 +287,51 @@ class TestFanOutInstrumentation:
         assert after["fanouts"] - before["fanouts"] == 1
         assert after["shard_tasks"] - before["shard_tasks"] == 4
 
-    def test_profile_fanouts(self, plan_fixture):
+    def test_profile_fanouts(self, plan_fixture, monkeypatch):
         """The GoodRadius profile is no plan: a cold batch is the two
         selection rounds of the threshold profile plus one count round,
-        and a warm batch on the same target is the count round alone."""
-        backend = make_backend("sharded", plan_fixture["points"], shards=4)
+        and a warm batch is the count round alone — also on a return to a
+        target the parent still caches (40 -> 60 -> 40).  With the memory
+        budget patched so that one entry fits, the return is cold again."""
         reference = ChunkedBackend(plan_fixture["points"])
-        expected = reference.capped_average_scores([0.3, 0.8], 40)
-        for fanouts in (3, 1):
-            before = backend.pool_stats()
-            scores = backend.capped_average_scores([0.3, 0.8], 40)
-            after = backend.pool_stats()
-            assert np.array_equal(scores, expected)
-            assert after["plans"] - before["plans"] == 0
-            assert after["fanouts"] - before["fanouts"] == fanouts
-            assert (after["shard_tasks"] - before["shard_tasks"]
-                    == 4 * fanouts)
+        expected = {target: reference.capped_average_scores([0.3, 0.8],
+                                                             target)
+                    for target in (40, 60)}
+        for budget, returning in ((None, 1), (1, 3)):
+            if budget is not None:
+                monkeypatch.setattr(base_module, "DEFAULT_MEMORY_BUDGET",
+                                    budget)
+            backend = make_backend("sharded", plan_fixture["points"],
+                                   shards=4)
+            for target, fanouts in ((40, 3), (40, 1), (60, 3),
+                                    (40, returning)):
+                before = backend.pool_stats()
+                scores = backend.capped_average_scores([0.3, 0.8], target)
+                after = backend.pool_stats()
+                assert np.array_equal(scores, expected[target])
+                assert after["plans"] - before["plans"] == 0
+                assert after["fanouts"] - before["fanouts"] == fanouts
+                assert (after["shard_tasks"] - before["shard_tasks"]
+                        == 4 * fanouts)
+
+    @pytest.mark.parametrize("method", ["recconcave", "binary_search"])
+    def test_good_radius_reads_profile_in_one_batch(self, plan_fixture,
+                                                    method):
+        """A cold good_radius evaluates L(0), the grid and the half grid in
+        one profile batch: two selection rounds and one count round,
+        whichever search reads the scores."""
+        points = plan_fixture["points"]
+        config = OneClusterConfig(radius_method=method)
+        backend = make_backend("sharded", points, shards=4)
+        before = backend.pool_stats()
+        result = good_radius(points, 60, PrivacyParams(2.0, 1e-6),
+                             config=config, rng=5, backend=backend)
+        after = backend.pool_stats()
+        assert after["fanouts"] - before["fanouts"] == 3
+        assert after["plans"] - before["plans"] == 0
+        reference = good_radius(points, 60, PrivacyParams(2.0, 1e-6),
+                                config=config, rng=5, backend="chunked")
+        assert result == reference
 
     def test_bundle_only_plan_is_exactly_one_fanout(self, plan_fixture):
         fx = plan_fixture

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import repro.neighbors as neighbors
+import repro.neighbors.base as base_module
 from repro.accounting.params import PrivacyParams
 from repro.core.good_center import good_center
 from repro.core.good_radius import good_radius
@@ -29,6 +30,7 @@ from repro.neighbors import (
     auto_backend,
     resolve_backend,
 )
+from repro.neighbors.base import ProfileCache
 
 DATASETS = {
     "random-2d": np.random.default_rng(0).uniform(size=(140, 2)),
@@ -531,11 +533,12 @@ class TestResidentProfile:
         with pytest.raises(ValueError, match="target"):
             backend.capped_average_scores([], 0)
         assert backend._truncated_cache is None
-        assert backend._profile_cache is None
+        assert len(backend._profile_cache) == 0
         if name == "sharded":
             stats = backend.pool_stats()
             assert stats["fanouts"] == fanouts
-            assert backend._threshold_cache is None
+            assert len(backend._threshold_cache) == 0
+            assert len(backend._shards._profiles) == 0
             assert stats["workers"][0]["resident_blocks"] == {}
 
     def test_profile_replies_stay_below_t_to_the_1_5(self, monkeypatch):
@@ -622,6 +625,134 @@ class TestResidentProfile:
                 for worker in stats["workers"]] == [[0, 2], [1, 3]]
         assert {columns for worker in stats["workers"]
                 for columns in worker["resident_blocks"].values()} == {200}
+
+
+#: Targets that leave, revisit and widen past cached entries.
+PROFILE_TARGETS = (40, 20, 45, 20, 40, 5)
+
+
+def profile_backend(name, points, workers=0):
+    """An in-process backend, or a 3-shard sharded one."""
+    if name == "sharded":
+        return ShardedBackend(points, num_shards=3, num_workers=workers)
+    return BACKENDS[name](points)
+
+
+def profile_caches(backend):
+    """Every per-target profile cache a backend keeps in this process."""
+    if isinstance(backend, ShardedBackend):
+        return [backend._threshold_cache, backend._shards._profiles]
+    return [backend._profile_cache]
+
+
+class TestProfileCache:
+    """Each backend keeps its GoodRadius profile warm per recent target,
+    least recently used evicted first while the entries exceed the memory
+    budget, the newest always kept — and no target sequence moves a
+    score."""
+
+    @pytest.mark.parametrize("name", ["chunked", "tree", "sharded"])
+    @pytest.mark.parametrize("budget", [None, 1])
+    def test_target_sequence_matches_fresh_backends(self, name, budget,
+                                                    monkeypatch):
+        """With the default budget, or one that lets a single entry stay,
+        every target of the sequence is bitwise a fresh backend's answer.
+        The default budget keeps every target: the shard set keys its
+        entries by (shard, target)."""
+        if budget is not None:
+            monkeypatch.setattr(base_module, "DEFAULT_MEMORY_BUDGET", budget)
+        points = DATASETS["duplicates"]
+        radii = radii_for(points)
+        backend = profile_backend(name, points)
+        for target in PROFILE_TARGETS:
+            got = backend.capped_average_scores(radii, target)
+            fresh = profile_backend(name, points).capped_average_scores(
+                radii, target)
+            assert got.tobytes() == fresh.tobytes(), target
+            assert got.tobytes() == ChunkedBackend(
+                points).capped_average_scores(radii, target).tobytes()
+            if budget is not None:
+                assert all(len(cache) == 1
+                           for cache in profile_caches(backend)), target
+        if budget is None:
+            distinct = len(set(PROFILE_TARGETS))
+            assert [len(cache) for cache in profile_caches(backend)] == (
+                [distinct, 3 * distinct] if name == "sharded"
+                else [distinct])
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("budget", [None, 1])
+    def test_pool_target_sequence_matches_fresh_backends(self, budget,
+                                                         monkeypatch):
+        """The same sequence on a 2-worker pool (the patched budget reaches
+        the workers, which fork after it is set)."""
+        if budget is not None:
+            monkeypatch.setattr(base_module, "DEFAULT_MEMORY_BUDGET", budget)
+        points = DATASETS["duplicates"]
+        radii = radii_for(points)
+        with profile_backend("sharded", points, workers=2) as pool:
+            for target in PROFILE_TARGETS:
+                got = pool.capped_average_scores(radii, target)
+                fresh = profile_backend("sharded", points)
+                assert got.tobytes() == fresh.capped_average_scores(
+                    radii, target).tobytes(), target
+            assert pool.pool_stats()["parallel"], (
+                "pool fell back to serial; seam untested")
+
+    @pytest.mark.parametrize("name", ["chunked", "tree"])
+    def test_return_to_cached_target_reuses_array(self, name, monkeypatch):
+        """In-process, a return to a cached target hands back the cached
+        array without reading the statistic again."""
+        backend = BACKENDS[name](DATASETS["random-2d"])
+        first = backend._profile_values(40)
+        second = backend._profile_values(20)
+
+        def unexpected(k):
+            raise AssertionError(f"truncated_squared({k}) was read again")
+
+        monkeypatch.setattr(backend, "truncated_squared", unexpected)
+        assert backend._profile_values(40) is first
+        assert backend._profile_values(20) is second
+
+    def test_caches_stay_within_budget(self, monkeypatch):
+        """After more targets than the budget holds, each cache holds at
+        most the budget's bytes, or exactly one entry, and has evicted."""
+        budget = 20_000
+        monkeypatch.setattr(base_module, "DEFAULT_MEMORY_BUDGET", budget)
+        points = np.random.default_rng(4).uniform(size=(200, 2))
+        radii = np.linspace(0.0, 1.5, 24)
+        backends = [ChunkedBackend(points),
+                    ShardedBackend(points, num_shards=3, num_workers=0)]
+        targets = range(20, 201, 10)
+        for target in targets:
+            for backend in backends:
+                backend.capped_average_scores(radii, target)
+                for cache in profile_caches(backend):
+                    assert cache.nbytes <= budget or len(cache) == 1, target
+        for backend in backends:
+            for cache in profile_caches(backend):
+                assert 1 <= len(cache) < len(targets)
+
+    def test_least_recently_used_is_evicted_first(self, monkeypatch):
+        monkeypatch.setattr(base_module, "DEFAULT_MEMORY_BUDGET", 3 * 80)
+        cache = ProfileCache()
+        for key in "abc":
+            cache.put(key, np.zeros(10))          # 80 bytes each
+        assert cache.get("a") is not None         # now the most recent
+        cache.put("d", np.zeros(10))
+        assert cache.get("b") is None
+        assert all(cache.get(key) is not None for key in "acd")
+        assert cache.nbytes == 3 * 80
+        cache.put("a", np.zeros(5))               # replaced, not added
+        assert len(cache) == 3 and cache.nbytes == 2 * 80 + 40
+        big = (np.zeros(100), np.zeros(1))        # over the budget alone
+        cache.put("big", big)
+        assert len(cache) == 1 and cache.get("big") is big
+        assert cache.nbytes == 808
+        cache.put("e", np.zeros(10))
+        assert len(cache) == 1 and cache.get("big") is None
+        cache.clear()
+        assert len(cache) == 0 and cache.nbytes == 0
 
 
 class TestSelectionAndConfig:
