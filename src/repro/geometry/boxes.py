@@ -83,6 +83,12 @@ def unique_rows(labels: np.ndarray, return_index: bool = False,
     count.  The grid hashes' label matrices need far fewer bits, so that
     branch only serves adversarial inputs.
 
+    The keys are sorted unstably (``np.unique`` with ``return_index``
+    forces a stable sort): equal keys are equal rows, so any member of a
+    group stands for it, the first occurrences are the groups' smallest
+    row indices (one ``np.minimum.reduceat``, only when asked for), and
+    the inverse and counts follow from where the groups start.
+
     Parameters
     ----------
     labels:
@@ -117,12 +123,23 @@ def unique_rows(labels: np.ndarray, return_index: bool = False,
                 low = 0
         keys = keys * size + (column - low)
         span *= size
-    unique = np.unique(keys, return_index=True,
-                       return_inverse=return_inverse,
-                       return_counts=return_counts)
-    index = unique[1]
-    extras = ([index] if return_index else []) + list(unique[2:])
-    return (labels[index], *extras) if extras else labels[index]
+    order = np.argsort(keys)
+    ordered = keys[order]
+    is_start = np.empty(keys.shape[0], dtype=bool)
+    is_start[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=is_start[1:])
+    starts = np.flatnonzero(is_start)
+    extras = []
+    if return_index:
+        extras.append(np.minimum.reduceat(order, starts))
+    if return_inverse:
+        inverse = np.empty(keys.shape[0], dtype=np.intp)
+        inverse[order] = np.cumsum(is_start) - 1
+        extras.append(inverse)
+    if return_counts:
+        extras.append(np.diff(starts, append=keys.shape[0]))
+    unique = labels[order[starts]]
+    return (unique, *extras) if extras else unique
 
 
 def interval_labels(values: np.ndarray, width: float,

@@ -154,7 +154,9 @@ class _ShardSet:
         self._selection_rows = {}
         #: The full-dataset scipy KD-tree the truncated row blocks are
         #: selected with (built on first use, when :meth:`_inner_name`
-        #: picks the tree at the full dataset's size).
+        #: picks the tree at the full dataset's size and
+        #: :func:`~repro.neighbors.tree.tree_selects` picks it for the
+        #: block's ``k``).
         self._full_tree = None
         #: Per-shard resident row block of the truncated statistic: ``shard
         #: -> (rows, k)`` array, the widest any task asked for (a narrower
@@ -265,21 +267,22 @@ class _ShardSet:
         kept.
 
         When :meth:`_inner_name` picks the scipy KD-tree at the full
-        dataset's size, a full-dataset tree (cached in this process)
+        dataset's size and :func:`~repro.neighbors.tree.tree_selects`
+        picks it for ``k``, a full-dataset tree (cached in this process)
         selects the neighbours and the shared gather kernel recomputes the
-        values, so the block is bitwise the blocked brute force's — and
+        values; otherwise the blocked slab builds the block and no tree is
+        built.  Either way the block is bitwise the blocked slab's — and
         the leading ``k`` columns of a wider block are bitwise the
         ``k``-column block.
         """
-        from repro.neighbors import HAVE_SCIPY_TREE
-        from repro.neighbors.tree import TreeBackend
+        from repro.neighbors.tree import TreeBackend, tree_selects
 
-        k = min(k, self.points.shape[0])
+        n = self.points.shape[0]
+        k = min(k, n)
         cached = self._blocks.get(shard)
         if cached is None or cached.shape[1] < k:
             low, high = self.bounds[shard]
-            if (HAVE_SCIPY_TREE
-                    and self._inner_name(self.points.shape[0]) == "tree"):
+            if self._inner_name(n) == "tree" and tree_selects(k, n):
                 if self._full_tree is None:
                     self._full_tree = TreeBackend(self.points)
                 cached = self._full_tree.truncated_squared_cross(

@@ -1,14 +1,20 @@
-"""Tree backend: KD-tree accelerated radius counting.
+"""Tree backend: KD-tree radius counting and small-``k`` neighbour selection.
 
 Uses :class:`scipy.spatial.cKDTree` when scipy is installed — batched
 ``query_ball_point(..., return_length=True)`` for radius counts and
-``query(k=...)`` for the truncated nearest-neighbour distances — and falls
-back to the pure-python KD-tree of :mod:`repro.neighbors._kdtree` for radius
-counts (with blocked brute force for the truncated distances) when it is not.
-In low dimension this turns the ``O(n^2)`` per-radius count into
-``O(n log n)``-ish work and the ``L(r, S)`` sufficient statistic into an
-``O(n k)`` k-nearest-neighbour query, which is what makes ``good_radius`` at
-``n = 20k`` run in seconds instead of minutes.
+``query(k=...)`` to select each point's ``k`` nearest neighbours for the
+truncated statistic — and falls back to the pure-python KD-tree of
+:mod:`repro.neighbors._kdtree` for radius counts when it is not.  In low
+dimension this turns the ``O(n^2)`` per-radius count into
+``O(n log n)``-ish work and a small-``k`` truncated statistic into an
+``O(n k log n)`` k-nearest-neighbour query.
+
+The KD-tree's neighbour heaps cost more per kept neighbour than the blocked
+slab's ``np.partition`` once ``k`` is a few percent of ``n``, so the
+truncated statistic picks its kernel per call (:func:`tree_selects`): the
+tree selects below :data:`TREE_SELECT_FRACTION` of ``n``, and the blocked
+slab of :mod:`repro.neighbors._distance` builds it at or above that (and on
+every call without scipy).  Both kernels give the same bits.
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ from repro.neighbors._distance import (
     DEFAULT_MEMORY_BUDGET,
     row_block_size,
     squared_distance_gather,
-    truncated_squared_bruteforce,
     truncated_squared_cross,
 )
 from repro.neighbors._kdtree import PyKDTree
@@ -33,9 +38,24 @@ except ImportError:  # pragma: no cover - scipy-less environments
 
 HAVE_SCIPY_TREE = _CKDTree is not None
 
+#: The KD-tree selects a truncated statistic's ``k`` nearest neighbours only
+#: while ``k`` is below this fraction of the dataset size ``n``; at or above
+#: it the blocked slab is faster (ARCHITECTURE.md, *Selection*, has the
+#: measured crossover table).
+TREE_SELECT_FRACTION = 1 / 32
+
+
+def tree_selects(k: int, num_points: int) -> bool:
+    """Whether the scipy KD-tree, rather than the blocked slab, should
+    build a ``k``-column truncated statistic over ``num_points`` points:
+    :class:`TreeBackend` asks this on every call, and the sharded backend's
+    shards ask it before they build a full-dataset tree."""
+    return k < TREE_SELECT_FRACTION * num_points
+
 
 class TreeBackend(NeighborBackend):
-    """KD-tree (scipy ``cKDTree``, or pure-python fallback) radius counting."""
+    """KD-tree (scipy ``cKDTree``, or pure-python fallback) radius counting,
+    and KD-tree neighbour selection for small-``k`` truncated statistics."""
 
     name = "tree"
 
@@ -86,29 +106,37 @@ class TreeBackend(NeighborBackend):
         return self._tree.count_within(centers, radius)
 
     def _compute_truncated_squared(self, k: int) -> np.ndarray:
-        if self._scipy:
-            return self.truncated_squared_cross(self._points, k)
-        block = row_block_size(self.num_points, self.dimension)
-        return truncated_squared_bruteforce(self._points, k, block)
+        return self.truncated_squared_cross(self._points, k)
 
     def truncated_squared_cross(self, queries, k: int) -> np.ndarray:
         """Each query row's ``min(k, n)`` smallest squared distances to this
-        backend's points, row-sorted — the tree-accelerated twin of
-        :func:`repro.neighbors._distance.truncated_squared_cross`.
+        backend's points, row-sorted, with the kernel picked per call.
 
-        The sharded backend's row block of the truncated statistic is
-        exactly this shape (queries = one shard's rows, data = the full
-        dataset), so with a scipy tree over all points a shard answers it in
-        ``O(m k log n)`` instead of the ``O(m n)`` blocked brute force.
-        Bitwise parity with the brute-force kernel holds by the same recipe
-        as the self-query case: the tree only *selects* the neighbour
-        indices, and the squared values are recomputed from those indices
-        through the shared gather kernel, whose rounding matches the blocked
-        kernel to the last ulp.
+        With scipy and ``k`` below :data:`TREE_SELECT_FRACTION` of ``n``
+        (:func:`tree_selects`), the KD-tree selects each query's ``k``
+        nearest rows in ``O(m k log n)``; otherwise this returns the
+        ``O(m n)`` blocked slab,
+        :func:`repro.neighbors._distance.truncated_squared_cross`.  The
+        sharded backend's row block of the statistic is exactly this shape
+        (queries = one shard's rows, data = the full dataset).  Both kernels
+        give the same bits: the tree only *selects* the neighbour indices,
+        and the squared values are recomputed from those indices through
+        the shared gather kernel, whose rounding matches the blocked kernel
+        to the last ulp.
+
+        Raises
+        ------
+        ValueError
+            If ``queries`` is not a finite ``(m, d)`` array in this
+            backend's dimension, or ``k`` is not an integer of at least 1.
+        TypeError
+            If ``k`` is a bool.
         """
-        queries = np.ascontiguousarray(np.asarray(queries, dtype=float))
-        k = min(int(k), self.num_points)
-        if not self._scipy:
+        queries = np.ascontiguousarray(
+            check_points(queries, dimension=self.dimension, name="queries")
+        )
+        k = min(check_integer(k, "k", minimum=1), self.num_points)
+        if not (self._scipy and tree_selects(k, self.num_points)):
             block = row_block_size(self.num_points, self.dimension)
             return truncated_squared_cross(queries, self._points, k, block)
         _, indices = self._tree.query(queries, k=k, workers=-1)
@@ -134,4 +162,5 @@ class TreeBackend(NeighborBackend):
         return squared
 
 
-__all__ = ["HAVE_SCIPY_TREE", "TreeBackend"]
+__all__ = ["HAVE_SCIPY_TREE", "TREE_SELECT_FRACTION", "TreeBackend",
+           "tree_selects"]

@@ -29,6 +29,7 @@ truncated statistic (property-tested against the brute-force kernel).
 """
 
 import dataclasses
+import math
 import os
 import socket
 import struct
@@ -43,6 +44,7 @@ import pytest
 
 import repro.neighbors as neighbors
 import repro.neighbors.sharded as sharded_module
+import repro.neighbors.tree as tree_module
 from repro.accounting.params import PrivacyParams
 from repro.clustering.k_cluster import k_cluster
 from repro.core.good_center import good_center
@@ -67,7 +69,7 @@ from repro.neighbors.rpc import (
     write_frame,
 )
 from repro.neighbors.serve import NodeServer
-from repro.neighbors.tree import TreeBackend
+from repro.neighbors.tree import HAVE_SCIPY_TREE, TreeBackend
 
 NODE_COUNTS = (1, 2, 3)
 
@@ -1364,7 +1366,20 @@ class TestTreeTruncatedCross:
     """The tree-backed per-shard truncated statistic is bitwise the
     brute-force kernel on every input — duplicates, boundary ties, d=1,
     d=24 — because the tree only *selects* the k nearest rows; the squared
-    distances are recomputed by the same gather kernel and row-sorted."""
+    distances are recomputed by the same gather kernel and row-sorted.
+
+    These inputs sit far below the k/n crossover at which the tree hands
+    the statistic to the blocked slab, so the crossover is patched: here
+    the KD-tree selects at every k, and in :class:`TestSlabTruncatedCross`
+    the slab builds every statistic."""
+
+    #: What ``tree.TREE_SELECT_FRACTION`` is patched to for every test.
+    SELECT_FRACTION = math.inf
+
+    @pytest.fixture(autouse=True)
+    def _pin_kernel(self, monkeypatch):
+        monkeypatch.setattr(tree_module, "TREE_SELECT_FRACTION",
+                            self.SELECT_FRACTION)
 
     def test_matches_bruteforce_on_fixed_cases(self):
         for name, points in DATASETS.items():
@@ -1375,10 +1390,14 @@ class TestTreeTruncatedCross:
                 expected = truncated_squared_cross(queries, points, k, 64)
                 assert got.tobytes() == expected.tobytes(), (name, k)
 
+    @pytest.mark.skipif(not HAVE_SCIPY_TREE,
+                        reason="shards pick the tree strategy only with "
+                               "scipy's cKDTree")
     def test_sharded_tree_inner_matches_chunked_inner(self, monkeypatch):
         """Shards on the KD-tree strategy (the chunked threshold patched to
-        0, so the truncated statistic runs on the full-dataset tree) give
-        the capped-average profile bitwise as shards on chunked do."""
+        0, so the truncated statistic runs on the full-dataset tree, or on
+        the slab in the subclass) give the capped-average profile bitwise
+        as shards on chunked do."""
         points = np.random.default_rng(4).uniform(size=(90, 2))
         radii = np.array([0.0, 0.2, 0.6, 2.0])
         targets = (1, 9, 45, 90)
@@ -1395,6 +1414,9 @@ class TestTreeTruncatedCross:
                                   want)
         assert all(isinstance(tree._shards.backend(shard), TreeBackend)
                    for shard in range(3))
+        # The full-dataset tree is built only where it selects.
+        assert (tree._shards._full_tree is None) == (
+            self.SELECT_FRACTION == 0)
         tree.close()
 
     def test_property_parity_with_oracle(self):
@@ -1429,6 +1451,13 @@ class TestTreeTruncatedCross:
             assert got.tobytes() == expected.tobytes()
 
         run()
+
+
+class TestSlabTruncatedCross(TestTreeTruncatedCross):
+    """The same cases with the crossover patched to 0, so the tree backend
+    hands every truncated statistic to the blocked slab."""
+
+    SELECT_FRACTION = 0.0
 
 
 class TestNodeServerBookkeeping:

@@ -9,12 +9,15 @@ included, ``backend.subset(rows)`` answers bitwise like a backend built
 directly over ``points[rows]``.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import repro.neighbors as neighbors_module
 import repro.neighbors._distance as _distance
+import repro.neighbors.tree as tree_module
 from repro.accounting.params import PrivacyParams
 from repro.core.good_radius import RadiusScore, good_radius
 from repro.datasets.synthetic import planted_cluster
@@ -27,6 +30,7 @@ from repro.geometry.minimal_ball import smallest_ball_two_approx
 from repro.neighbors import (
     BACKENDS,
     CHUNKED_MAX_POINTS,
+    HAVE_SCIPY_TREE,
     ChunkedBackend,
     NeighborBackend,
     QueryPlan,
@@ -279,6 +283,79 @@ class TestKthDistances:
             assert ball.radius == pytest.approx(reference, abs=1e-7)
 
 
+class TestTreeKernelPick:
+    """``TreeBackend.truncated_squared_cross`` picks its kernel per call:
+    the KD-tree selects the neighbours below ``TREE_SELECT_FRACTION`` of
+    ``n``, and the blocked slab builds the statistic at or above it."""
+
+    @pytest.mark.parametrize("side", ["tree", "slab", "pure"])
+    def test_truncated_cross_validates_arguments(self, side, monkeypatch):
+        """Bad arguments raise before a kernel is picked, on either side
+        of the crossover and on the pure-python tree."""
+        points = DATASETS["random-2d"]
+        if side == "pure":
+            backend = TreeBackend(points, use_scipy=False)
+        else:
+            monkeypatch.setattr(tree_module, "TREE_SELECT_FRACTION",
+                                math.inf if side == "tree" else 0.0)
+            backend = TreeBackend(points)
+        queries = points[:6]
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="k must be at least 1"):
+                backend.truncated_squared_cross(queries, k)
+        with pytest.raises(ValueError, match="k must be an integer"):
+            backend.truncated_squared_cross(queries, 1.5)
+        with pytest.raises(TypeError, match="k must be an integer"):
+            backend.truncated_squared_cross(queries, True)
+        with_nan = queries.copy()
+        with_nan[2, 1] = np.nan
+        with pytest.raises(ValueError, match="queries must contain only"):
+            backend.truncated_squared_cross(with_nan, 3)
+        with pytest.raises(ValueError, match="queries must have dimension"):
+            backend.truncated_squared_cross(np.zeros((4, 3)), 3)
+        expected = _distance.truncated_squared_cross(queries, points, 3, 16)
+        for k in (3, 3.0, np.int64(3)):
+            got = backend.truncated_squared_cross(queries, k)
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.skipif(not HAVE_SCIPY_TREE,
+                        reason="the KD-tree selection needs scipy's cKDTree")
+    @pytest.mark.parametrize("where", ["in-process", "shard"])
+    def test_tree_selects_only_below_the_crossover(self, where, monkeypatch):
+        """Just below ``TREE_SELECT_FRACTION * n`` the tree's
+        ``cKDTree.query`` selects the neighbours; at it the slab builds the
+        statistic, and a serial tree-inner shard builds no full-dataset
+        tree.  Both read the chunked reference's bits."""
+        queried = []
+
+        class SpyTree(tree_module._CKDTree):
+            def query(self, *args, **kwargs):
+                queried.append(kwargs["k"])
+                return super().query(*args, **kwargs)
+
+        monkeypatch.setattr(tree_module, "_CKDTree", SpyTree)
+        # Shards pick the tree strategy at any size.
+        monkeypatch.setattr(neighbors_module, "CHUNKED_MAX_POINTS", 0)
+        points = np.random.default_rng(3).uniform(size=(1000, 2))
+        at = math.ceil(tree_module.TREE_SELECT_FRACTION * points.shape[0])
+        for k, selects in ((at - 1, True), (at, False)):
+            queried.clear()
+            if where == "in-process":
+                backend = TreeBackend(points)
+            else:
+                backend = ShardedBackend(points, num_shards=2, num_workers=0)
+            with backend:
+                got = backend.truncated_squared(k)
+                if where == "shard":
+                    assert all(isinstance(backend._shards.backend(shard),
+                                          TreeBackend) for shard in range(2))
+                    assert (backend._shards._full_tree is not None) == selects
+            calls = 1 if where == "in-process" else 2
+            assert queried == ([k] * calls if selects else []), k
+            expected = ChunkedBackend(points).truncated_squared(k)
+            assert got.tobytes() == expected.tobytes(), k
+
+
 class TestSelection:
     def test_auto_backend_regimes(self):
         # Blocked brute force at n <= CHUNKED_MAX_POINTS in every
@@ -287,7 +364,9 @@ class TestSelection:
         for n in (1, 100, 2048):
             for d in (2, 50):
                 assert auto_backend(n, d) == "chunked", (n, d)
-        assert auto_backend(50000, 2) == "tree"
+        # Without scipy the tree is never picked: chunked is the fallback.
+        assert auto_backend(50000, 2) == ("tree" if HAVE_SCIPY_TREE
+                                          else "chunked")
         assert auto_backend(50000, 100) == "chunked"
 
     def test_resolve_by_name_class_instance(self):
@@ -433,7 +512,9 @@ class TestSubset:
             size=(CHUNKED_MAX_POINTS + 50, 2))
         few, most = np.arange(100), np.arange(CHUNKED_MAX_POINTS + 10)
         picked = auto_backend(*points.shape)
-        assert picked != "chunked" == auto_backend(100, 2)
+        # Without scipy the tree is never picked: chunked is the fallback.
+        assert (picked != "chunked") == HAVE_SCIPY_TREE
+        assert auto_backend(100, 2) == "chunked"
         for selection in (None, "auto"):
             backend = resolve_backend(points, selection)
             assert backend.name == picked

@@ -8,6 +8,7 @@ persisted-statistic path exactly while never allocating the ``O(n * t)``
 truncated statistic.
 """
 
+import math
 import os
 import signal
 import tracemalloc
@@ -18,12 +19,14 @@ import pytest
 
 import repro.neighbors as neighbors
 import repro.neighbors.base as base_module
+import repro.neighbors.tree as tree_module
 from repro.accounting.params import PrivacyParams
 from repro.core.good_center import good_center
 from repro.core.good_radius import good_radius
 from repro.geometry.boxes import ShiftedBoxPartition
 from repro.neighbors import (
     BACKENDS,
+    HAVE_SCIPY_TREE,
     ChunkedBackend,
     ShardedBackend,
     TreeBackend,
@@ -31,6 +34,10 @@ from repro.neighbors import (
     resolve_backend,
 )
 from repro.neighbors.base import ProfileCache
+
+requires_scipy_tree = pytest.mark.skipif(
+    not HAVE_SCIPY_TREE,
+    reason="shards pick the tree strategy only with scipy's cKDTree")
 
 DATASETS = {
     "random-2d": np.random.default_rng(0).uniform(size=(140, 2)),
@@ -121,13 +128,18 @@ class TestShardedParity:
             assert np.array_equal(backend.kth_distances(k),
                                   reference.kth_distances(k))
 
-    @pytest.mark.parametrize("inner", ["chunked", "tree"])
+    @pytest.mark.parametrize("inner", [
+        "chunked",
+        pytest.param("tree", marks=requires_scipy_tree),
+        pytest.param("tree-slab", marks=requires_scipy_tree),
+    ])
     def test_inner_backend_choice_is_invisible(self, inner, monkeypatch):
         """Each shard builds the in-process strategy auto_backend's rule
-        picks for its size: chunked at these sizes, and the KD-tree (plus
-        a full-dataset tree for the truncated statistic) at d=2 once the
-        chunked threshold is 0.  Either way every answer is bitwise the
-        whole-dataset chunked reference's."""
+        picks for its size: chunked at these sizes, and the KD-tree at d=2
+        once the chunked threshold is 0.  The truncated statistic then runs
+        on a full-dataset tree at every k (``tree``, the k/n crossover
+        patched away) or on the blocked slab at every k (``tree-slab``).
+        Every answer is bitwise the whole-dataset chunked reference's."""
         points = DATASETS["random-2d"]
         radii = radii_for(points)
         centers = np.random.default_rng(11).uniform(size=(9, 2))
@@ -141,13 +153,16 @@ class TestShardedParity:
             return [value.tobytes() for value in got]
 
         expected = answers(ChunkedBackend(points))
-        if inner == "tree":
+        if inner != "chunked":
             monkeypatch.setattr(neighbors, "CHUNKED_MAX_POINTS", 0)
+            monkeypatch.setattr(tree_module, "TREE_SELECT_FRACTION",
+                                math.inf if inner == "tree" else 0.0)
         backend = ShardedBackend(points, num_shards=3, num_workers=0)
         assert answers(backend) == expected
-        inner_class = {"chunked": ChunkedBackend, "tree": TreeBackend}[inner]
+        inner_class = ChunkedBackend if inner == "chunked" else TreeBackend
         assert all(isinstance(backend._shards.backend(shard), inner_class)
                    for shard in range(3))
+        assert (backend._shards._full_tree is None) == (inner != "tree")
 
 
 class TestBatchedCounts:
@@ -757,13 +772,15 @@ class TestProfileCache:
 
 class TestSelectionAndConfig:
     def test_auto_backend_sharded_regime(self, monkeypatch):
+        # Without scipy the tree is never picked: chunked is the fallback.
+        low_dimensional = "tree" if HAVE_SCIPY_TREE else "chunked"
         assert auto_backend(100, 2) == "chunked"
-        assert auto_backend(50000, 2) == "tree"
+        assert auto_backend(50000, 2) == low_dimensional
         monkeypatch.setattr(neighbors, "_available_cpus", lambda: 8)
         assert auto_backend(200000, 2) == "sharded"
         assert auto_backend(200000, 100) == "sharded"
         monkeypatch.setattr(neighbors, "_available_cpus", lambda: 1)
-        assert auto_backend(200000, 2) == "tree"
+        assert auto_backend(200000, 2) == low_dimensional
 
     def test_resolve_sharded_with_options(self):
         points = DATASETS["random-2d"]
