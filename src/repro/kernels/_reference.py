@@ -5,7 +5,9 @@ in :mod:`repro.kernels._native` must reproduce.  The distance and label
 bodies are the exact numpy expressions the library used before kernel
 dispatch existed, moved here so both kernel sets live behind one import seam
 (:mod:`repro.kernels`).  The fixed-point column kernel is specified by its
-merged totals, not its bytes (see its docstring).
+merged totals, not its bytes: it splits each row block with ``np.frexp``,
+the same decomposition the native kernel makes per element, and sums the
+mantissa integers per (exponent, column) bucket (see its docstring).
 
 This module must not import anything from :mod:`repro` outside the kernels
 package: the modules it accelerates (``repro.neighbors._distance``,
@@ -34,24 +36,17 @@ HAVE_SCIPY_CDIST = _cdist is not None
 SCALE_BITS = 1074
 
 #: ``2**53`` — scaling a frexp mantissa (``0.5 <= |m| < 1``) by this yields
-#: an exact integer with at most 53 bits (the frexp-based
-#: :func:`repro.utils.exactsum.fixed_point_sum` and native kernel use it).
+#: an exact integer with at most 53 bits (every fixed-point kernel uses it).
 _MANTISSA_SCALE = float(1 << 53)
 
 #: Longest summation segment: ``512 * 2**53 < 2**63`` guarantees the int64
-#: segment sums cannot overflow.
+#: segment sums cannot overflow.  The column kernel's row block.
 _SEGMENT = 512
 
-#: The float64 bit fields the column kernel reads: 52 fraction bits below an
-#: 11-bit biased exponent field.
-_FRACTION_BITS = 52
-_FRACTION_MASK = (1 << _FRACTION_BITS) - 1
-_EXPONENT_MASK = 0x7FF
-
-#: Shifts a fixed-point limb may carry.  frexp-style (native) subnormal
-#: limbs go down to ``-52``; this module's column kernel emits ``0 ..
-#: 2045``, and ``2045`` is the largest finite float64's (the all-ones
-#: exponent field is inf/nan).
+#: Shifts a fixed-point limb may carry: a frexp exponent ``e`` of a finite
+#: float64 lies in ``[-1073, 1024]``, and its shift ``e + 1021`` in ``[-52,
+#: 2045]``.  Both column kernels emit the whole range; negative shifts are
+#: subnormals'.
 _MIN_SHIFT = -52
 _MAX_SHIFT = 2045
 
@@ -116,19 +111,22 @@ def fixed_point_column_partials(
     total.  The partial is plain fixed-width integers, picklable without
     arbitrary-precision payloads and producible by a compiled kernel.
 
-    No float operation, sort or per-element Python loop: the sign, the
-    biased exponent field ``E`` and the 52-bit fraction ``F`` are read from
-    the float64 bits, and in ``2**-SCALE_BITS`` units each value is
-    ``±(2**52 * [E > 0] + F) * 2**(E - [E > 0])``.  The distinct shifts
-    present are ranked, and each (``_SEGMENT``-row chunk, shift, column)
-    bucket is summed by one ``np.add.at`` into an int64 table:
-    ``_SEGMENT * 2**53 < 2**63``, so no bucket can overflow.  Columns are
-    processed in slabs whose table stays within ``max(q * k, 2**16)``
-    entries, so a matrix spanning all 2046 exponents needs no more scratch
-    than a few copies of its input.
+    No sort and no per-element Python loop.  The rows are taken in blocks
+    of at most ``_SEGMENT``, and one ``np.frexp`` splits each block into
+    mantissas ``m`` (``0.5 <= |m| < 1``, or 0) and exponents ``e``: the
+    value is ``(m * 2**53) * 2**(e - 53)``, where ``m * 2**53`` and its
+    int64 cast are exact, so in ``2**-SCALE_BITS`` units the shift is
+    ``e + 1021`` (down to ``-52`` for subnormals, whose integers are
+    divisible by ``2**-shift``).  Each (exponent minus the block's smallest
+    exponent, column) bucket is summed by one ``np.add.at`` into an int64
+    table; a bucket holds at most ``_SEGMENT`` integers below ``2**53``, so
+    it cannot overflow.  Columns are processed in slabs whose table stays
+    within ``max(rows * k, 2**16)`` entries, so a block spanning all
+    exponents needs no more scratch than a few copies of the block, and no
+    scratch array outgrows one block.
 
-    The decomposition itself is *not* canonical (the native kernel emits a
-    different but equivalent one); the **merged total** per column —
+    The decomposition itself is *not* canonical (the native kernel flushes
+    its accumulators at other points); the **merged total** per column —
     ``sum(limbs[i] << shifts[i])`` over the column's entries, exact integer
     arithmetic — is canonical, and equals
     :func:`repro.utils.exactsum.fixed_point_sum` of the column bit for bit.
@@ -143,43 +141,28 @@ def fixed_point_column_partials(
     empty = np.empty(0, dtype=np.int64)
     if q == 0 or k == 0:
         return empty, empty, empty
-    bits = matrix.view(np.int64)
-    # E, then the shift E - [E > 0]; the integer 2**52 * [E > 0] + F.
-    element_shifts = bits >> _FRACTION_BITS
-    element_shifts &= _EXPONENT_MASK
-    normal = element_shifts != 0
-    integers = bits & _FRACTION_MASK
-    integers |= np.left_shift(normal, _FRACTION_BITS, dtype=np.int64)
-    element_shifts -= normal
-    del normal
-    # The sign bit as 0 / -1: (magnitude ^ sign) - sign is the signed value.
-    signs = bits >> 63
-    integers ^= signs
-    integers -= signs
-    del signs
-    present = np.zeros(_MAX_SHIFT + 1, dtype=bool)
-    present[element_shifts] = True
-    distinct = np.flatnonzero(present)
-    ranks = (np.cumsum(present) - 1)[element_shifts]
-    del element_shifts
-    num_shifts = distinct.shape[0]
-    chunk_of_row = np.arange(q) // _SEGMENT
-    chunks = int(chunk_of_row[-1]) + 1
-    width = max(1, max(q * k, _MIN_TABLE) // (chunks * num_shifts))
     limbs, shifts, columns = [], [], []
-    for start in range(0, k, width):
-        stop = min(start + width, k)
-        span = stop - start
-        # Bucket (chunk, shift rank, column) of each element in the slab.
-        buckets = ranks[:, start:stop] * span
-        buckets += np.arange(span)
-        buckets += (chunk_of_row * (num_shifts * span))[:, None]
-        table = np.zeros(chunks * num_shifts * span, dtype=np.int64)
-        np.add.at(table, buckets.ravel(), integers[:, start:stop].ravel())
-        del buckets
-        hits = np.flatnonzero(table)
-        limbs.append(table[hits])
-        shifts.append(distinct[hits // span % num_shifts])
-        columns.append(hits % span + start)
+    for top in range(0, q, _SEGMENT):
+        integers, exponents = np.frexp(matrix[top:top + _SEGMENT])
+        # Scale the mantissas and cast them to int64 in their own buffer.
+        integers = np.multiply(integers, _MANTISSA_SCALE,
+                               out=integers.view(np.int64), casting="unsafe")
+        low = int(exponents.min())
+        spread = int(exponents.max()) - low + 1
+        width = max(1, max(integers.size, _MIN_TABLE) // spread)
+        for start in range(0, k, width):
+            stop = min(start + width, k)
+            span = stop - start
+            # Bucket (exponent - low, column) of each element in the slab.
+            buckets = np.multiply(exponents[:, start:stop], span,
+                                  dtype=np.intp)
+            buckets += np.arange(-low * span, (1 - low) * span)
+            table = np.zeros(spread * span, dtype=np.int64)
+            np.add.at(table, buckets.ravel(), integers[:, start:stop].ravel())
+            del buckets
+            hits = np.flatnonzero(table)
+            limbs.append(table[hits])
+            shifts.append(hits // span + (low + SCALE_BITS - 53))
+            columns.append(hits % span + start)
     return (np.concatenate(limbs), np.concatenate(shifts),
             np.concatenate(columns))

@@ -64,11 +64,7 @@ from repro.neighbors._distance import (
     row_block_size,
     squared_radius_keys,
 )
-from repro.utils.exactsum import (
-    exact_column_sums,
-    fixed_point_column_sums,
-    fixed_point_to_float,
-)
+from repro.utils.exactsum import exact_column_sums
 from repro.utils.validation import check_integer, check_points, check_positive
 
 #: Auto-select the streaming (non-persisted) ``L(r, S)`` walk when the target
@@ -642,12 +638,10 @@ class ProjectedView:
             )
         image = self.image(self._selection_rows(selection))
         inside = ball_membership(image, center, float(clip_radius))
-        totals = fixed_point_column_sums(image[inside] - center[None, :])
-        vector_sum = np.asarray(
-            [fixed_point_to_float(total) for total in totals], dtype=float
+        return ClippedSum(
+            count=int(np.count_nonzero(inside)),
+            vector_sum=exact_column_sums(image[inside] - center[None, :]),
         )
-        return ClippedSum(count=int(np.count_nonzero(inside)),
-                          vector_sum=vector_sum)
 
     def masked_axis_histograms(self, selection, width: float,
                                offset: float = 0.0) -> list:

@@ -87,7 +87,7 @@ from repro.neighbors.base import (
 from repro import kernels as _kernels
 from repro.utils.exactsum import (
     fixed_point_column_partials,
-    fixed_point_to_float,
+    fixed_point_to_floats,
     merge_column_partials,
 )
 from repro.utils.validation import check_integer, check_points
@@ -735,10 +735,8 @@ def _merge_column_sums(parts: Sequence[tuple],
     """Fold ``(count, (limb, shift, column) arrays)`` partials into the
     exact float column sums (see
     :func:`repro.utils.exactsum.merge_column_partials`)."""
-    totals = merge_column_partials(image_dimension,
-                                   [part[1] for part in parts])
-    return np.asarray([fixed_point_to_float(total) for total in totals],
-                      dtype=float)
+    return fixed_point_to_floats(merge_column_partials(
+        image_dimension, [part[1] for part in parts]))
 
 
 def _merge_axis_histograms(parts: Sequence[tuple],

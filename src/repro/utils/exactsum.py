@@ -24,11 +24,13 @@ splits all values at once, mantissas sharing an exponent are summed with
 cannot overflow (``512 * 2**53 < 2**63``), and the per-segment fold runs in
 Python.  The masked sums take the vectorised two-stage route instead, with
 no sort and no per-element or per-entry Python loop: the column kernel
-(:func:`repro.kernels.fixed_point_column_partials`) reads sign, exponent and
-fraction from the float64 bits and buckets the integers per (512-row chunk,
-shift, column) with ``np.add.at``, emitting fixed-width ``(limb, shift,
-column)`` triples; :func:`merge_column_partials` sums those as base-``2**32``
-digits in an int64 table and builds one big integer per column.
+(:func:`repro.kernels.fixed_point_column_partials`) splits each block of at
+most 512 rows with one ``np.frexp`` and sums the exact mantissa integers
+per (exponent, column) bucket with one ``np.add.at`` (a small
+superaccumulator per column and block), emitting fixed-width ``(limb,
+shift, column)`` triples; :func:`merge_column_partials` sums those as
+base-``2**32`` digits in an int64 table and builds one big integer per
+column, and :func:`fixed_point_to_floats` rounds each total once.
 """
 
 from __future__ import annotations
@@ -49,6 +51,10 @@ from repro.kernels._reference import (
     _SEGMENT,
     SCALE_BITS,
 )
+
+#: The fixed-point unit's reciprocal, ``2**SCALE_BITS``: a total divided by
+#: it is the float it stands for.
+_SCALE = 1 << SCALE_BITS
 
 #: The merge adds this to every shift so digit positions are non-negative.
 _SHIFT_BIAS = 64
@@ -141,8 +147,8 @@ def merge_column_partials(num_columns: int, partials: Iterable) -> List[int]:
     internal decomposition (reference and native kernels emit different but
     equivalent ones), and of the fold order.
 
-    The fold is vectorised.  Every shift is biased by ``+64`` (native
-    subnormal limbs carry shifts down to ``-52``), and each limb is split at
+    The fold is vectorised.  Every shift is biased by ``+64`` (subnormal
+    limbs carry shifts down to ``-52``), and each limb is split at
     bit position ``shift`` into three base-``2**32`` digits, each far below
     ``2**63``.  One ``np.add.at`` per digit sums them into a
     ``(digit, column)`` int64 table, one vectorised carry pass normalises
@@ -261,24 +267,29 @@ def fixed_point_to_float(total: int) -> float:
     the canonical (partition-independent) rounding of the exact sum.
     """
     try:
-        return total / (1 << SCALE_BITS)
+        return total / _SCALE
     except OverflowError:  # pragma: no cover - astronomically large sums
         return float("inf") if total > 0 else float("-inf")
+
+
+def fixed_point_to_floats(totals: Iterable[int]) -> np.ndarray:
+    """:func:`fixed_point_to_float` of each total, as a float array: the
+    one conversion from merged column totals to a sum vector."""
+    return np.asarray([fixed_point_to_float(total) for total in totals],
+                      dtype=float)
 
 
 def exact_column_sums(matrix) -> np.ndarray:
     """Correctly-rounded per-column sums of a ``(q, k)`` float matrix.
 
     The convenience composition of :func:`fixed_point_column_sums` and
-    :func:`fixed_point_to_float`: the value every backend's masked-sum query
-    returns, and the value :func:`repro.mechanisms.noisy_average.noisy_average`
-    feeds its selected-average — one definition, so the in-parent and
-    shard-merged paths cannot drift apart.
+    :func:`fixed_point_to_floats`: the value every backend's masked-sum
+    query returns, and the value
+    :func:`repro.mechanisms.noisy_average.noisy_average` feeds its
+    selected-average — one definition, so the in-parent and shard-merged
+    paths cannot drift apart.
     """
-    return np.asarray([
-        fixed_point_to_float(total)
-        for total in fixed_point_column_sums(matrix)
-    ], dtype=float)
+    return fixed_point_to_floats(fixed_point_column_sums(matrix))
 
 
 __all__ = [
@@ -288,5 +299,6 @@ __all__ = [
     "fixed_point_column_sums",
     "fixed_point_sum",
     "fixed_point_to_float",
+    "fixed_point_to_floats",
     "merge_column_partials",
 ]

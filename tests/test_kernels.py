@@ -13,11 +13,14 @@ Three contracts are pinned here:
   *any* decomposition into integer ``(limb, shift, column)`` triples, but the
   merged integer total per column must equal the canonical
   ``fixed_point_sum`` of that column — for any split of the rows, in any
-  merge order.  The earlier lexsort / ``np.add.reduceat`` kernel and its
-  per-entry big-int fold are kept below as test-local oracles; the merge
-  must also accept their frexp-style partials, whose subnormal shifts are
-  negative like the native kernel's.  Malformed partials (they can arrive
-  from remote nodes) must raise, never mis-merge.
+  merge order, on inputs short and tall enough to cross the kernel's
+  512-row blocks.  An earlier lexsort / ``np.add.reduceat`` kernel and its
+  per-entry big-int fold are kept below as test-local oracles.  Every
+  kernel splits with frexp, so subnormal shifts are negative (down to
+  -52) and the merge must take them.  The reference kernel's scratch
+  memory is bounded by one row block, not by the input.  Malformed
+  partials (they can arrive from remote nodes) must raise, never
+  mis-merge.
 * **Import-time selection.**  ``REPRO_KERNELS=python`` forces the reference
   set, ``=native`` falls back (with a warning) when numba or scipy is
   missing, an invalid value raises, and the default is silent
@@ -97,10 +100,9 @@ def assert_bitwise(got, expected, label):
 
 
 def oracle_column_partials(matrix):
-    """The column kernel before bit-level bucketing: frexp mantissas
-    lexsorted by (column, shift) and summed in ``np.add.reduceat`` segments
-    of at most ``_SEGMENT`` entries.  Subnormals get negative shifts (down
-    to -52), as in the native kernel's decomposition."""
+    """A sorting column kernel: frexp mantissas lexsorted by (column,
+    shift) and summed in ``np.add.reduceat`` segments of at most
+    ``_SEGMENT`` entries.  Subnormals get negative shifts (down to -52)."""
     matrix = np.asarray(matrix, dtype=float)
     q, k = matrix.shape
     empty = np.empty(0, dtype=np.int64)
@@ -162,6 +164,23 @@ def exponent_spread():
         -300, 300, size=(1500, 600))
 
 
+def across_blocks():
+    """1100 rows, three 512-row blocks: signed zeros (frexp exponent 0)
+    among subnormals, and +-DBL_MAX among +-nextafter(2, 0)."""
+    rng = np.random.default_rng(23)
+    tiny = 5e-324
+    small = rng.choice([0.0, -0.0, tiny, -tiny, 3 * tiny, 1e-310, -3e-320],
+                       size=1100)
+    large = rng.choice([DBL_MAX, -DBL_MAX, MAX_BELOW_TWO, -MAX_BELOW_TWO],
+                       size=1100)
+    return np.column_stack([small, large])
+
+
+def tall_narrow():
+    """25,000 x 64 near 0.5: few exponents, 49 row blocks."""
+    return np.random.default_rng(29).normal(0.5, 0.05, size=(25_000, 64))
+
+
 def exactness_cases():
     """(name, builder) pairs of the matrices the reference partials must
     sum exactly."""
@@ -185,14 +204,15 @@ def exactness_cases():
             [MAX_BELOW_TWO, -MAX_BELOW_TWO, DBL_MAX, -DBL_MAX], (1537, 1))),
         ("all-exponents", all_exponents_row),
         ("exponent-spread", exponent_spread),
+        ("across-blocks", across_blocks),
     ]
 
 
 @st.composite
-def mixed_matrices(draw):
+def mixed_matrices(draw, max_rows=80):
     """Mixed magnitudes, subnormals, signed zeros and heavy duplication."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    q = draw(st.integers(0, 80))
+    q = draw(st.integers(0, max_rows))
     k = draw(st.integers(1, 5))
     matrix = rng.normal(size=(q, k)) * 10.0 ** rng.integers(
         -300, 300, size=(q, k))
@@ -204,6 +224,14 @@ def mixed_matrices(draw):
     if q and draw(st.booleans()):
         matrix = matrix[rng.integers(0, min(q, 3), size=q)]
     return matrix
+
+
+def cut_rows(matrix, data):
+    """``matrix`` cut into row blocks at up to four drawn rows."""
+    q = matrix.shape[0]
+    cuts = sorted(data.draw(st.lists(st.integers(0, q), max_size=4)))
+    bounds = [0, *cuts, q]
+    return [matrix[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 class TestReferenceExactness:
@@ -250,10 +278,8 @@ class TestReferenceExactness:
     @settings(max_examples=60, deadline=None)
     @given(matrix=mixed_matrices(), data=st.data())
     def test_kernel_and_merge_match_the_oracles(self, matrix, data):
-        q, k = matrix.shape
-        cuts = sorted(data.draw(st.lists(st.integers(0, q), max_size=4)))
-        bounds = [0, *cuts, q]
-        blocks = [matrix[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+        k = matrix.shape[1]
+        blocks = cut_rows(matrix, data)
         expected = [fixed_point_sum(matrix[:, j]) for j in range(k)]
         new = [_reference.fixed_point_column_partials(block)
                for block in blocks]
@@ -265,20 +291,42 @@ class TestReferenceExactness:
         # new merge: the decomposition the native kernel emits.
         assert merge_column_partials(k, old[::-1]) == expected
 
-    def test_merge_takes_negative_subnormal_shifts(self):
+    @pytest.mark.slow
+    @settings(max_examples=40, deadline=None)
+    @given(matrix=mixed_matrices(max_rows=1600), data=st.data())
+    def test_tall_matrices_merge_to_the_canonical_sums(self, matrix, data):
+        """The twin above over several 512-row blocks, for the reference
+        and the dispatched kernel."""
+        k = matrix.shape[1]
+        blocks = cut_rows(matrix, data)
+        expected = [fixed_point_sum(matrix[:, j]) for j in range(k)]
+        for kernel in (_reference.fixed_point_column_partials,
+                       kernels.fixed_point_column_partials):
+            parts = [kernel(block) for block in blocks]
+            assert merge_column_partials(k, parts[::-1]) == expected
+
+    @pytest.mark.parametrize("kernel", [
+        oracle_column_partials, _reference.fixed_point_column_partials])
+    def test_merge_takes_negative_subnormal_shifts(self, kernel):
         tiny = 5e-324
         matrix = np.array([[tiny, -3 * tiny, 1e-310],
                            [2.2e-308, tiny, -1e-320],
                            [-tiny, 7 * tiny, 1.0]])
-        partials = oracle_column_partials(matrix)
+        partials = kernel(matrix)
         assert partials[1].min() == -52
         assert merge_column_partials(3, [partials]) == [
             fixed_point_sum(matrix[:, j]) for j in range(3)]
 
-    @pytest.mark.parametrize("build", [all_exponents_row, exponent_spread])
-    def test_scratch_memory_is_bounded(self, build):
-        """Column slabs keep the bucket table near the input's size, even
-        when every column spans all exponents."""
+    @pytest.mark.parametrize("build, factor, slack", [
+        (all_exponents_row, 16, 1 << 20),
+        (exponent_spread, 16, 1 << 20),
+        (tall_narrow, 0.25, 0),
+    ])
+    def test_scratch_memory_is_bounded(self, build, factor, slack):
+        """Column slabs keep the bucket table near a row block's size, even
+        when every column spans all exponents, and no scratch array
+        outgrows one 512-row block, so a tall input needs a fraction of
+        its own size."""
         matrix = build()
         tracemalloc.start()
         try:
@@ -286,7 +334,7 @@ class TestReferenceExactness:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * matrix.nbytes + (1 << 20)
+        assert peak <= factor * matrix.nbytes + slack
 
 
 class TestMergeValidation:
