@@ -287,8 +287,9 @@ class TestReferenceExactness:
         assert merge_column_partials(k, new[::-1]) == expected
         assert oracle_fold(k, old) == expected
         assert oracle_fold(k, new) == expected
-        # The frexp-style partials (negative subnormal shifts) through the
-        # new merge: the decomposition the native kernel emits.
+        # The sorting oracle's partials (one entry per 512 values of a
+        # (column, shift) group, as the native kernel flushes) through the
+        # digit-table merge.
         assert merge_column_partials(k, old[::-1]) == expected
 
     @pytest.mark.slow
@@ -305,22 +306,22 @@ class TestReferenceExactness:
             parts = [kernel(block) for block in blocks]
             assert merge_column_partials(k, parts[::-1]) == expected
 
-    @pytest.mark.parametrize("kernel", [
-        oracle_column_partials, _reference.fixed_point_column_partials])
-    def test_merge_takes_negative_subnormal_shifts(self, kernel):
+    def test_merge_takes_negative_subnormal_shifts(self):
         tiny = 5e-324
         matrix = np.array([[tiny, -3 * tiny, 1e-310],
                            [2.2e-308, tiny, -1e-320],
                            [-tiny, 7 * tiny, 1.0]])
-        partials = kernel(matrix)
-        assert partials[1].min() == -52
-        assert merge_column_partials(3, [partials]) == [
-            fixed_point_sum(matrix[:, j]) for j in range(3)]
+        for kernel in (oracle_column_partials,
+                       _reference.fixed_point_column_partials):
+            partials = kernel(matrix)
+            assert partials[1].min() == -52, kernel.__name__
+            assert merge_column_partials(3, [partials]) == [
+                fixed_point_sum(matrix[:, j]) for j in range(3)]
 
     @pytest.mark.parametrize("build, factor, slack", [
-        (all_exponents_row, 16, 1 << 20),
-        (exponent_spread, 16, 1 << 20),
-        (tall_narrow, 0.25, 0),
+        pytest.param(all_exponents_row, 16, 1 << 20, id="all_exponents_row"),
+        pytest.param(exponent_spread, 16, 1 << 20, id="exponent_spread"),
+        pytest.param(tall_narrow, 0.25, 0, id="tall_narrow"),
     ])
     def test_scratch_memory_is_bounded(self, build, factor, slack):
         """Column slabs keep the bucket table near a row block's size, even
