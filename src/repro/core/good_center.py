@@ -210,17 +210,22 @@ def good_center(points, radius: float, target: int, params: PrivacyParams,
                           note="GoodCenter partition search")
         width = config.box_width(radius, k, identity_projection)
 
-        # One plan per attempt batch: the view picks the batch (1
-        # in-process, where attempts past the accepted one would be wasted
-        # hashes; larger on the sharded view, amortising its fan-out).
+        # One plan per attempt batch.  Batches double (1, 2, 4, ...) up to
+        # the view's cap — 1 in-process, where a fan-out costs nothing to
+        # amortise; larger on the sharded view — so a search accepted at
+        # attempt a hashes at most 2a - 1 partitions: most searches accept
+        # within the first few attempts, and every hash past the accepted
+        # one is work nothing reads.
         chosen_partition: Optional[ShiftedBoxPartition] = None
         histogram = None
         attempts = 0
+        request_size = 1
         while attempts < max_attempts and chosen_partition is None:
             batch = [
                 ShiftedBoxPartition(dimension=k, width=width, rng=shift_rng)
-                for _ in range(min(view.batch_size, max_attempts - attempts))
+                for _ in range(min(request_size, max_attempts - attempts))
             ]
+            request_size = min(2 * request_size, view.batch_size)
             counts = resolved.execute(_plan(
                 "heaviest_cell_counts", view, width,
                 np.stack([partition.shifts for partition in batch]),
@@ -266,8 +271,8 @@ def good_center(points, radius: float, target: int, params: PrivacyParams,
                 "cell_histogram", view, width, chosen_partition.shifts,
             ))[0]
         cell_keys, cell_counts = histogram
-        cells = [(tuple(int(index) for index in key), int(count))
-                 for key, count in zip(cell_keys, cell_counts)]
+        cells = list(zip(map(tuple, cell_keys.tolist()),
+                         cell_counts.tolist()))
 
         # Box-stage speculation: the stability histogram's choice is usually
         # the heaviest occupied cell, and the next stage's plan for that

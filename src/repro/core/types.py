@@ -61,7 +61,7 @@ class GoodCenterResult:
     captured_count:
         Non-private diagnostic: how many of the points selected into the set
         ``D`` (mapped into the chosen box) survived to the final average.
-        ``-1`` when diagnostics were not collected.
+        ``-1`` when nothing was released.
     """
 
     center: Optional[np.ndarray]

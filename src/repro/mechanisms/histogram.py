@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, Optional, Sequence
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,8 +48,7 @@ def _count_cells(labels: Iterable[Hashable]) -> Counter:
     return counter
 
 
-def release_threshold(params: PrivacyParams, beta: float = 0.05,
-                      num_elements: int = 1) -> float:
+def release_threshold(params: PrivacyParams) -> float:
     """The suppression threshold guaranteeing ``(epsilon, delta)``-DP.
 
     The classical analysis requires suppressing cells whose noisy count is
@@ -62,6 +61,24 @@ def release_threshold(params: PrivacyParams, beta: float = 0.05,
     if params.delta <= 0:
         raise ValueError("stability-based histogram requires delta > 0")
     return 1.0 + (2.0 / params.epsilon) * math.log(2.0 / params.delta)
+
+
+def _released_cells(cells: Iterable, params: PrivacyParams,
+                    rng: RngLike) -> List[Tuple[Hashable, int, float]]:
+    """``(key, count, noisy count)`` of every cell that clears the release
+    threshold, in cell order.  All ``m`` variates come from one
+    ``laplace(size=m)`` call: the same draws, in the same order, as one
+    scalar call per cell, and the generator ends in the same state."""
+    generator = as_generator(rng)
+    threshold = release_threshold(params)
+    cells = list(cells)
+    counts = np.fromiter((count for _, count in cells), dtype=float,
+                         count=len(cells))
+    noisy = counts + generator.laplace(0.0, 2.0 / params.epsilon,
+                                       size=len(cells))
+    return [(key, count, value)
+            for (key, count), value in zip(cells, noisy.tolist())
+            if value >= threshold]
 
 
 def noisy_histogram_from_counts(cells: Sequence, params: PrivacyParams,
@@ -86,14 +103,8 @@ def noisy_histogram_from_counts(cells: Sequence, params: PrivacyParams,
     rng:
         Seed or generator.
     """
-    generator = as_generator(rng)
-    threshold = release_threshold(params)
-    released: Dict[Hashable, float] = {}
-    for key, count in cells:
-        noisy = count + generator.laplace(0.0, 2.0 / params.epsilon)
-        if noisy >= threshold:
-            released[key] = noisy
-    return released
+    released = _released_cells(cells, params, rng)
+    return {key: noisy for key, _, noisy in released}
 
 
 def noisy_histogram(labels: Sequence[Hashable], params: PrivacyParams,
@@ -131,17 +142,12 @@ def stable_histogram_choice_from_counts(cells: Sequence,
     rng:
         Seed or generator.
     """
-    cells = list(cells)
-    released = noisy_histogram_from_counts(cells, params, rng=rng)
+    released = _released_cells(cells, params, rng)
     if not released:
         return HistogramChoice(key=None, noisy_count=0.0, true_count=0)
-    best_key = max(released, key=lambda key: released[key])
-    counts = dict(cells)
-    return HistogramChoice(
-        key=best_key,
-        noisy_count=float(released[best_key]),
-        true_count=int(counts[best_key]),
-    )
+    # max keeps the first of equal noisy counts, i.e. the earliest cell.
+    key, count, noisy = max(released, key=lambda cell: cell[2])
+    return HistogramChoice(key=key, noisy_count=noisy, true_count=int(count))
 
 
 def stable_histogram_choice(labels: Sequence[Hashable], params: PrivacyParams,

@@ -435,10 +435,11 @@ class ProjectedView:
 
     @property
     def batch_size(self) -> int:
-        """How many partition-search attempts callers should batch per
-        :meth:`heaviest_cell_counts` call.  1 for in-process views (there is
-        no fan-out to amortise, and batching would waste hash passes beyond
-        the accepted attempt); the sharded view raises it."""
+        """The cap on partition-search attempts per
+        :meth:`heaviest_cell_counts` call: GoodCenter doubles its batches
+        (1, 2, 4, ...) until they reach it.  1 for in-process views (there
+        is no fan-out to amortise, and batching would waste hash passes
+        beyond the accepted attempt); the sharded view raises it."""
         return 1
 
     def _check_rows(self, rows) -> np.ndarray:

@@ -1027,7 +1027,9 @@ class ShardedBackend(NeighborBackend):
     #: deterministic without a pool.
     supports_speculation: ClassVar[bool] = True
 
-    #: Partition-search attempts batched per heaviest-cell request.
+    #: The cap on partition-search attempts per heaviest-cell request:
+    #: GoodCenter's batches double (1, 2, 4, ...) until they reach it, so a
+    #: search hashes at most the accepted batch's tail past its answer.
     HEAVIEST_CELL_BATCH: ClassVar[int] = 8
 
     #: How many cells each shard returns per heaviest-cell attempt; the
@@ -1709,8 +1711,10 @@ class _ShardedView(ProjectedView):
 
     @property
     def batch_size(self) -> int:
-        """Partition-search attempts batched per request (amortises the
-        per-shard fan-out)."""
+        """The cap that GoodCenter's doubling search batches reach
+        (:attr:`ShardedBackend.HEAVIEST_CELL_BATCH`): once a search has run
+        long, each request amortises the per-shard fan-out over this many
+        attempts."""
         return int(self._backend.HEAVIEST_CELL_BATCH)
 
     def _one_query(self, op: str, *args):

@@ -362,10 +362,23 @@ class TestFanOutInstrumentation:
         assert worker["built_shards"] == [0, 1]
 
 
+def search_requests(attempts: int, cap: int) -> int:
+    """How many requests the partition search takes to reach ``attempts``:
+    its batches double (1, 2, 4, ...) up to ``cap`` partitions."""
+    requests, covered, size = 0, 0, 1
+    while covered < attempts:
+        covered += size
+        requests += 1
+        size = min(2 * size, cap)
+    return requests
+
+
 class TestGoodCenterRoundTrips:
     """The acceptance criterion: each GoodCenter stage is one plan, one
-    round trip per shard — search batches included — and the selection's
-    membership is derived exactly once per shard for all of steps 8-11."""
+    round trip per shard — search batches included — the search hashes no
+    partition past the doubling batch that holds the accepted attempt, and
+    the selection's membership is derived exactly once per shard for all of
+    steps 8-11."""
 
     JL_CONFIG = GoodCenterConfig(jl_constant=0.3)
     PARAMS = PrivacyParams(16.0, 1e-4)
@@ -380,33 +393,46 @@ class TestGoodCenterRoundTrips:
         return np.vstack([cluster, noise])
 
     def run_counted(self, points, monkeypatch, **kwargs):
+        """Run on a serial 3-shard backend; returns the result, the pool
+        stats, the shards that derived a box membership, and per shard the
+        partition count of each search request."""
         derivations = []
-        original = sharded_module._ShardSet._box_rows
+        hashed = {}
+        original_rows = sharded_module._ShardSet._box_rows
+        original_partial = sharded_module._ShardSet._partial
 
-        def spy(self, shard, *args):
+        def spy_rows(self, shard, *args):
             derivations.append(shard)
-            return original(self, shard, *args)
+            return original_rows(self, shard, *args)
 
-        monkeypatch.setattr(sharded_module._ShardSet, "_box_rows", spy)
+        def spy_partial(self, shard, op, view, rows, args):
+            if op == "heaviest_cell_counts":
+                hashed.setdefault(shard, []).append(len(args[1]))
+            return original_partial(self, shard, op, view, rows, args)
+
         backend = ShardedBackend(points, num_shards=3, num_workers=0)
         backend.HEAVIEST_CELL_TOP_K = None
         # Speculation off: these tests pin the *unspeculated* per-stage plan
         # counts (speculation's own accounting — plans = these + misses — is
         # TestSpeculativePlans' job, and a hit/miss depends on noise).
         backend.supports_speculation = False
-        result = good_center(points, params=self.PARAMS, backend=backend,
-                             **kwargs)
-        return result, backend.pool_stats(), derivations
+        # The spies come off after each run, so runs never stack them.
+        with monkeypatch.context() as patch:
+            patch.setattr(sharded_module._ShardSet, "_box_rows", spy_rows)
+            patch.setattr(sharded_module._ShardSet, "_partial", spy_partial)
+            result = good_center(points, params=self.PARAMS,
+                                 backend=backend, **kwargs)
+        return result, backend.pool_stats(), derivations, hashed
 
     def test_jl_path_one_round_trip_per_stage(self, jl_points, monkeypatch):
-        result, stats, derivations = self.run_counted(
+        result, stats, derivations, _ = self.run_counted(
             jl_points, monkeypatch, radius=0.1, target=700,
             config=self.JL_CONFIG, rng=1,
         )
         assert result.found
         assert result.projected_dimension < jl_points.shape[1]
-        batch = ShardedBackend.HEAVIEST_CELL_BATCH
-        search_plans = -(-result.attempts // batch)     # ceil
+        search_plans = search_requests(result.attempts,
+                                       ShardedBackend.HEAVIEST_CELL_BATCH)
         # One plan per search batch + step 7 + steps 8-9 + steps 10-11,
         # each exactly one fan-out (= one round trip per shard).
         assert stats["plans"] == search_plans + 3
@@ -420,13 +446,13 @@ class TestGoodCenterRoundTrips:
     def test_identity_path_one_round_trip_per_stage(self, medium_cluster_data,
                                                     monkeypatch):
         points = medium_cluster_data.points
-        result, stats, derivations = self.run_counted(
+        result, stats, derivations, _ = self.run_counted(
             points, monkeypatch, radius=0.05, target=400, rng=0,
         )
         assert result.found
         assert result.projected_dimension == points.shape[1]
-        batch = ShardedBackend.HEAVIEST_CELL_BATCH
-        search_plans = -(-result.attempts // batch)
+        search_plans = search_requests(result.attempts,
+                                       ShardedBackend.HEAVIEST_CELL_BATCH)
         # Identity path skips steps 8-9: search batches + step 7 + the
         # steps-10-11 statistics plan.
         assert stats["plans"] == search_plans + 2
@@ -439,16 +465,44 @@ class TestGoodCenterRoundTrips:
         round trip (the abstain decision happens in the parent)."""
         starved = GoodCenterConfig(jl_constant=0.3,
                                    budget_split=(0.4, 0.4, 0.15, 0.001))
-        result, stats, derivations = self.run_counted(
+        result, stats, derivations, _ = self.run_counted(
             jl_points, monkeypatch, radius=0.1, target=700, config=starved,
             rng=4,
         )
         assert not result.found
-        batch = ShardedBackend.HEAVIEST_CELL_BATCH
-        search_plans = -(-result.attempts // batch)
+        search_plans = search_requests(result.attempts,
+                                       ShardedBackend.HEAVIEST_CELL_BATCH)
         assert stats["plans"] == search_plans + 3
         assert stats["fanouts"] == stats["plans"]
         assert sorted(derivations) == [0, 1, 2]
+
+    def test_search_hashes_only_what_it_may_read(self, jl_points,
+                                                 medium_cluster_data,
+                                                 monkeypatch):
+        """The first request hashes one partition, and a search accepted at
+        attempt ``a`` hashes at most ``min(2a - 1, a + cap - 1)`` per shard:
+        each batch doubles, so at most the accepted batch's tail is
+        wasted."""
+        cap = ShardedBackend.HEAVIEST_CELL_BATCH
+        identity = dict(radius=0.05, target=400)
+        jl = dict(radius=0.1, target=700, config=self.JL_CONFIG)
+        cases = ([(medium_cluster_data.points, identity, seed)
+                  for seed in (0, 3, 10)]
+                 + [(jl_points, jl, seed) for seed in (0, 7)])
+        seen = set()
+        for points, kwargs, seed in cases:
+            result, _, _, hashed = self.run_counted(points, monkeypatch,
+                                                    rng=seed, **kwargs)
+            attempts = result.attempts
+            seen.add(attempts)
+            assert sorted(hashed) == [0, 1, 2]
+            for sizes in hashed.values():
+                assert sizes[0] == 1
+                assert len(sizes) == search_requests(attempts, cap)
+                assert attempts <= sum(sizes) <= min(2 * attempts - 1,
+                                                     attempts + cap - 1)
+        # An attempt-1 acceptance and a search that reaches the cap ran.
+        assert 1 in seen and max(seen) >= cap
 
 
 class TestSpeculativePlans:

@@ -95,6 +95,27 @@ class TestGoodCenterReleaseParity:
                                  backend=backend)
             assert_same_center_release(reference, result)
 
+    @pytest.mark.slow
+    def test_doubling_batch_on_a_worker_pool(self, medium_cluster_data):
+        """The search's doubling batches on a real 2-worker pool with
+        speculation on.  Each search takes at least 4 attempts, so its 1-,
+        2- and 4-partition requests run while a speculative step-7
+        histogram may be in flight; the release is still chunked's."""
+        points = medium_cluster_data.points
+        kwargs = dict(radius=0.05, target=400, params=LOOSE)
+        with ShardedBackend(points, num_shards=2, num_workers=2) as backend:
+            assert backend.supports_speculation
+            for seed in (2, 5):
+                reference = good_center(points, rng=seed, backend="chunked",
+                                        **kwargs)
+                assert reference.attempts >= 4
+                result = good_center(points, rng=seed, backend=backend,
+                                     **kwargs)
+                assert_same_center_release(reference, result)
+            stats = backend.pool_stats()
+        assert stats["parallel"], "pool fell back to serial; path untested"
+        assert "search->box" in stats["speculation"]
+
 
 class TestRotatedStageMigration:
     """Steps 8-11 run as masked aggregates over a label-predicate selection

@@ -10,9 +10,12 @@ from repro.mechanisms.histogram import (
     choosing_mechanism_loss,
     choosing_mechanism_requirement,
     noisy_histogram,
+    noisy_histogram_from_counts,
     release_threshold,
     stable_histogram_choice,
+    stable_histogram_choice_from_counts,
 )
+from repro.neighbors.base import first_occurrence_cells
 
 
 class TestAboveThreshold:
@@ -121,3 +124,71 @@ class TestStableHistogram:
     def test_bucketize_rejects_bad_width(self):
         with pytest.raises(ValueError):
             bucketize(np.array([1.0]), width=0.0)
+
+
+def scalar_noisy_histogram(cells, params, generator):
+    """The stability histogram drawn one variate per cell, in cell order."""
+    threshold = release_threshold(params)
+    released = {}
+    for key, count in cells:
+        noisy = count + generator.laplace(0.0, 2.0 / params.epsilon)
+        if noisy >= threshold:
+            released[key] = noisy
+    return released
+
+
+class TestHistogramDrawOrder:
+    """The noise draws that make every backend's GoodCenter release equal:
+    one ``Lap(2/epsilon)`` variate per cell, in cell order, whatever the
+    counts-level entry point does to draw them."""
+
+    PARAMS = PrivacyParams(1.0, 1e-6)
+
+    @staticmethod
+    def cells(num_cells, seed):
+        """Box-like keys whose counts straddle the release threshold."""
+        rng = np.random.default_rng(1000 + seed)
+        keys = rng.integers(-50, 50, size=(num_cells, 3)).tolist()
+        counts = rng.integers(0, 60, size=num_cells).tolist()
+        unique = dict(zip(map(tuple, keys), counts))
+        return list(unique.items())
+
+    @pytest.mark.parametrize("num_cells", [0, 1, 1000])
+    @pytest.mark.parametrize("pass_generator", [False, True])
+    def test_matches_scalar_loop_bitwise(self, num_cells, pass_generator):
+        for seed in range(5):
+            cells = self.cells(num_cells, seed)
+            reference_rng = np.random.default_rng(seed)
+            expected = scalar_noisy_histogram(cells, self.PARAMS,
+                                              reference_rng)
+            generator = np.random.default_rng(seed)
+            released = noisy_histogram_from_counts(
+                cells, self.PARAMS,
+                rng=generator if pass_generator else seed,
+            )
+            assert list(released) == list(expected)
+            assert ([value.hex() for value in released.values()]
+                    == [value.hex() for value in expected.values()])
+            if pass_generator:
+                # The generator is left where the scalar loop leaves it.
+                assert generator.random() == reference_rng.random()
+            if num_cells == 1000:
+                assert 0 < len(released) < len(cells)
+
+    def test_counts_choice_equals_label_choice(self):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            labels = rng.zipf(1.6, size=800) % 97
+            keys, counts = first_occurrence_cells(labels)
+            cells = list(zip(keys.tolist(), counts.tolist()))
+            from_counts = stable_histogram_choice_from_counts(
+                cells, self.PARAMS, rng=seed,
+            )
+            from_labels = stable_histogram_choice(labels.tolist(),
+                                                  self.PARAMS, rng=seed)
+            assert from_counts.key == from_labels.key
+            assert from_counts.true_count == from_labels.true_count
+            assert (from_counts.noisy_count.hex()
+                    == from_labels.noisy_count.hex())
+            if from_counts.found:
+                assert from_counts.true_count == dict(cells)[from_counts.key]
