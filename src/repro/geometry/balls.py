@@ -1,20 +1,14 @@
-"""Ball counting and the capped-average score ``L(r, S)``.
+"""Balls and ball counting.
 
-The heart of GoodRadius (paper Section 3.1) is the function
-
-``L(r, S) = (1/t) * max over distinct i_1..i_t of sum_j Bbar_r(x_{i_j}, S)``
-
-where ``Bbar_r(x, S) = min(B_r(x, S), t)`` counts (capped at ``t``) the input
-points within distance ``r`` of ``x``.  Averaging the ``t`` largest capped
-counts reduces the sensitivity of the naive max-count score from ``Omega(t)``
-to 2 (paper Lemma 4.5), which is what makes a private binary search /
-RecConcave invocation possible.
-
-This module provides vectorised implementations of those quantities plus a
-:class:`Ball` value type used across the public API.  All counting routes
-through the pluggable :mod:`repro.neighbors` backend layer (blocked brute
-force, KD-tree, or sharded — pass ``backend=`` to choose; the default
-``"auto"`` picks by workload size).
+A :class:`Ball` value type used across the public API, the shared sphere
+membership predicate, and ``B_r(x_i, S)`` — the number of input points
+within distance ``r`` of each input point, the count GoodRadius caps at
+``t`` and averages into its sensitivity-2 score ``L(r, S)`` (paper
+Section 3.1, Lemma 4.5; see
+:meth:`repro.neighbors.base.NeighborBackend.capped_average_scores`).  All
+counting routes through the pluggable :mod:`repro.neighbors` backend layer
+(blocked brute force, KD-tree, or sharded — pass ``backend=`` to choose;
+the default ``"auto"`` picks by workload size).
 """
 
 from __future__ import annotations
@@ -79,21 +73,6 @@ def ball_membership(points: np.ndarray, center: np.ndarray,
     return np.linalg.norm(points - center[None, :], axis=1) <= radius
 
 
-def count_in_ball(points: np.ndarray, center: np.ndarray, radius: float) -> int:
-    """``B_r(center, S)``: the number of points within ``radius`` of ``center``."""
-    points = check_points(points)
-    center = np.asarray(center, dtype=float).reshape(-1)
-    if center.shape[0] != points.shape[1]:
-        raise ValueError(
-            f"center has dimension {center.shape[0]} but points have "
-            f"dimension {points.shape[1]}"
-        )
-    if radius < 0:
-        return 0
-    distances = np.linalg.norm(points - center[None, :], axis=1)
-    return int(np.count_nonzero(distances <= radius))
-
-
 def counts_around_points(points: np.ndarray, radius: float,
                          backend: BackendLike = None) -> np.ndarray:
     """``B_r(x_i, S)`` for every input point ``x_i`` simultaneously.
@@ -116,61 +95,8 @@ def counts_around_points(points: np.ndarray, radius: float,
         return resolved.radius_counts(radius)
 
 
-def capped_counts_around_points(points: np.ndarray, radius: float, cap: int,
-                                backend: BackendLike = None) -> np.ndarray:
-    """``Bbar_r(x_i, S) = min(B_r(x_i, S), cap)`` for every input point."""
-    if cap < 0:
-        raise ValueError(f"cap must be non-negative, got {cap}")
-    counts = counts_around_points(points, radius, backend=backend)
-    return np.minimum(counts, cap)
-
-
-def capped_average_score(points: np.ndarray, radius: float, target: int,
-                         backend: BackendLike = None) -> float:
-    """The sensitivity-2 score ``L(r, S)`` of GoodRadius (Algorithm 1, step 1).
-
-    The average of the ``target`` largest capped counts
-    ``Bbar_r(x_i, S) = min(B_r(x_i, S), target)``.
-
-    Parameters
-    ----------
-    points:
-        ``(n, d)`` input points.
-    radius:
-        The ball radius ``r``; negative values give 0.
-    target:
-        The target cluster size ``t`` (also the cap); must satisfy
-        ``1 <= target <= n``.
-    backend:
-        Neighbor-backend selection; see :func:`repro.neighbors.resolve_backend`.
-    """
-    points = check_points(points)
-    n = points.shape[0]
-    if not (1 <= target <= n):
-        raise ValueError(f"target must lie in [1, n={n}], got {target}")
-    if radius < 0:
-        return 0.0
-    with backend_scope(points, backend) as resolved:
-        return resolved.capped_average_score(radius, target)
-
-
-def capped_average_score_profile(points: np.ndarray, radii: np.ndarray,
-                                 target: int,
-                                 backend: BackendLike = None) -> np.ndarray:
-    """Evaluate ``L(r, S)`` on a whole grid of radii in one batched backend
-    call (no per-radius Python loop, no distance matrix)."""
-    points = check_points(points)
-    radii = np.asarray(radii, dtype=float)
-    with backend_scope(points, backend) as resolved:
-        return resolved.capped_average_scores(radii, target)
-
-
 __all__ = [
     "Ball",
     "ball_membership",
-    "count_in_ball",
     "counts_around_points",
-    "capped_counts_around_points",
-    "capped_average_score",
-    "capped_average_score_profile",
 ]

@@ -10,9 +10,10 @@ strategies and one that shards them across processes:
 
 * :class:`~repro.neighbors.chunked.ChunkedBackend` — blocked brute force with
   a fixed memory budget; any ``n``, ``O(n * block)`` memory.
-* :class:`~repro.neighbors.tree.TreeBackend` — scipy ``cKDTree`` (pure-python
-  KD-tree fallback) radius counting; the right choice for large ``n`` in low
-  dimension.
+* :class:`~repro.neighbors.tree.TreeBackend` — scipy ``cKDTree`` radius
+  counting and neighbour selection; the right choice for large ``n`` in low
+  dimension.  It needs scipy: without it the constructor raises
+  ``ImportError`` and :func:`auto_backend` picks ``chunked`` instead.
 * :class:`~repro.neighbors.sharded.ShardedBackend` — the dataset sharded
   across worker processes over a shared-memory block, each shard answered by
   one of the two strategies above (picked by :func:`auto_backend`'s rule),

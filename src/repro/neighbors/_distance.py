@@ -127,7 +127,6 @@ def blocked_radius_counts_many(queries: np.ndarray, data: np.ndarray,
         ``(m, q)`` ``int64`` counts; row ``j`` holds the counts at
         ``radii[j]``.
     """
-    radii = np.atleast_1d(np.asarray(radii, dtype=float))
     keys = squared_radius_keys(radii)
     counts = np.empty((keys.shape[0], queries.shape[0]), dtype=np.int64)
     for start in range(0, queries.shape[0], block_size):
@@ -139,25 +138,15 @@ def blocked_radius_counts_many(queries: np.ndarray, data: np.ndarray,
     return counts
 
 
-def truncated_squared_bruteforce(points: np.ndarray, k: int,
-                                 block_size: int) -> np.ndarray:
-    """Each point's ``k`` smallest squared distances to the dataset, row-sorted.
-
-    One blocked pass over the rows of the (never materialised) distance
-    matrix: ``O(n * block)`` scratch, ``(n, k)`` output.  Row ``i`` always
-    starts with the self-distance 0.
-    """
-    return truncated_squared_cross(points, points, k, block_size)
-
-
 def truncated_squared_cross(queries: np.ndarray, data: np.ndarray, k: int,
                             block_size: int) -> np.ndarray:
     """Each query's ``k`` smallest squared distances to ``data``, row-sorted.
 
-    The cross-set generalisation of :func:`truncated_squared_bruteforce`
-    (which is the ``queries is data`` case): the sharded backend uses it to
-    compute one shard's rows of the global statistic against the full
-    dataset.
+    One blocked pass over the rows of the (never materialised) distance
+    matrix: ``O(q * block)`` scratch, ``(q, k)`` output.  With
+    ``queries is data`` it is the in-process truncated statistic (each row
+    starts with the self-distance 0); the sharded backend passes one
+    shard's rows as the queries, for that shard's rows of the statistic.
 
     Parameters
     ----------
@@ -243,6 +232,5 @@ __all__ = [
     "squared_distance_block",
     "squared_radius_keys",
     "row_block_size",
-    "truncated_squared_bruteforce",
     "truncated_squared_cross",
 ]

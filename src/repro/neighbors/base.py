@@ -14,14 +14,17 @@ the rest of the library needs:
   ``k``-th nearest dataset point (the statistic behind the non-private
   factor-2 approximation).
 
-Everything else — capped counts, the sensitivity-2 score ``L(r, S)`` and its
-whole-grid profile — is derived here in the base class from one primitive the
-concrete backends implement: each point's ``k`` smallest *squared* distances
+``kth_distances`` and the sensitivity-2 score ``L(r, S)`` are derived from
+one statistic: each point's ``k`` smallest *squared* distances
 (``min(B_r(x), k)`` only depends on the ``k`` nearest neighbours of ``x``, so
-this is a sufficient statistic for every capped count).  All comparisons
-happen in squared space — ``within radius r`` means ``d2 <= r*r`` — matching
-scipy's KD-tree convention so every backend returns identical integer counts;
-see :mod:`repro.neighbors._distance`.
+this is a sufficient statistic for every capped count).  The in-process
+strategies (chunked and tree) build it through their
+``_compute_truncated_squared`` hook and the base class reads it; the sharded
+backend keeps it in its shards and overrides both readers,
+:meth:`NeighborBackend._kth_squared` and :meth:`NeighborBackend._top_sums`.
+All comparisons happen in squared space — ``within radius r`` means
+``d2 <= r*r`` — matching scipy's KD-tree convention so every backend returns
+identical integer counts; see :mod:`repro.neighbors._distance`.
 
 The derived profile evaluation never materialises an ``(n, m)`` count matrix.
 Small targets read the score off an order statistic of the truncated
@@ -81,17 +84,26 @@ STREAMING_MIN_POINTS = 8192
 _squared_radii = squared_radius_keys
 
 
-def _check_radii(radii) -> np.ndarray:
-    """Score-profile radii as a 1-d float array.
-
-    Rejects any other shape and NaN radii (a NaN key would silently score
-    every point as captured); infinite radii stay legal.
-    """
-    radii = np.atleast_1d(np.asarray(radii, dtype=float))
-    if radii.ndim != 1:
+def _check_1d(values, name: str) -> np.ndarray:
+    """A scalar or 1-d query argument (radii, thresholds) as a 1-d float
+    array; any other shape raises ``ValueError`` naming ``name``, on every
+    backend and when a plan appends the query alike."""
+    values = np.atleast_1d(np.asarray(values, dtype=float))
+    if values.ndim != 1:
         raise ValueError(
-            f"radii must be a scalar or a 1-d array, got shape {radii.shape}"
+            f"{name} must be a scalar or a 1-d array, got shape {values.shape}"
         )
+    return values
+
+
+def _check_radii(radii) -> np.ndarray:
+    """Score-profile radii as a 1-d float array (see :func:`_check_1d`).
+
+    Also rejects NaN radii (a NaN key would silently score every point as
+    captured); infinite radii stay legal.  The count queries take NaN
+    radii and count nothing.
+    """
+    radii = _check_1d(radii, "radii")
     if np.isnan(radii).any():
         raise ValueError("radii must not be NaN")
     return radii
@@ -862,18 +874,16 @@ class QueryPlan:
         Decomposes into per-shard partials, so it joins the plan's single
         fused round trip."""
         centers = check_points(centers, name="centers")
-        radii = np.atleast_1d(np.asarray(radii, dtype=float))
-        return self._append("count_within_many", None, None, (centers, radii))
+        return self._append("count_within_many", None, None,
+                            (centers, _check_1d(radii, "radii")))
 
     def depth_counts(self, thresholds) -> int:
         """Append a :meth:`NeighborBackend.depth_counts` query (the interior
         point reduction's one-sided rank counts); returns its result slot.
         Decomposes into per-shard integer partials, so it joins the plan's
         single fused round trip."""
-        thresholds = np.atleast_1d(np.asarray(thresholds, dtype=float))
-        if thresholds.ndim != 1:
-            raise ValueError("thresholds must be a 1-d array")
-        return self._append("depth_counts", None, None, (thresholds,))
+        return self._append("depth_counts", None, None,
+                            (_check_1d(thresholds, "thresholds"),))
 
 
 class PlanFuture:
@@ -1139,11 +1149,6 @@ class NeighborBackend(abc.ABC):
         """``B_r(c, S)`` for every query centre ``c`` (``int64``, shape
         ``(len(centers),)``); negative radii give all-zero counts."""
 
-    @abc.abstractmethod
-    def _compute_truncated_squared(self, k: int) -> np.ndarray:
-        """Each point's ``k`` smallest squared distances to the dataset
-        (including the self-distance 0), row-sorted ascending; ``(n, k)``."""
-
     # ------------------------------------------------------------------ #
     # Derived queries (shared across strategies)
     # ------------------------------------------------------------------ #
@@ -1177,7 +1182,8 @@ class NeighborBackend(abc.ABC):
         centers:
             ``(q, d)`` query centres.
         radii:
-            ``(m,)`` radii; negative entries give all-zero counts.
+            Scalar or ``(m,)`` radii; negative and NaN entries give
+            all-zero counts.  Other shapes raise ``ValueError``.
 
         Returns
         -------
@@ -1185,7 +1191,7 @@ class NeighborBackend(abc.ABC):
             ``(m, q)`` ``int64`` counts; row ``j`` holds the counts at
             ``radii[j]``.
         """
-        radii = np.atleast_1d(np.asarray(radii, dtype=float))
+        radii = _check_1d(radii, "radii")
         centers = check_points(centers, dimension=self.dimension,
                                name="centers")
         return np.stack([
@@ -1207,7 +1213,8 @@ class NeighborBackend(abc.ABC):
         Parameters
         ----------
         thresholds:
-            Scalar or ``(m,)`` array of query thresholds.
+            Scalar or ``(m,)`` array of query thresholds; other shapes
+            raise ``ValueError``.
 
         Returns
         -------
@@ -1215,14 +1222,17 @@ class NeighborBackend(abc.ABC):
             ``(m, 2)`` ``int64`` count pairs (column 0: ``<=``, column 1:
             ``>=``).
         """
-        thresholds = np.atleast_1d(np.asarray(thresholds, dtype=float))
-        return depth_count_pairs(self._points[:, 0], thresholds)
+        return depth_count_pairs(self._points[:, 0],
+                                 _check_1d(thresholds, "thresholds"))
 
-    def truncated_squared(self, k: int) -> np.ndarray:
+    def _truncated_squared(self, k: int) -> np.ndarray:
         """Row-sorted ``(n, k)`` matrix of each point's ``k`` smallest
-        squared distances; cached (a larger cached answer serves smaller
-        ``k``)."""
-        k = check_integer(k, "k", minimum=1)
+        squared distances (self-distance 0 included), built by the
+        in-process strategies' ``_compute_truncated_squared`` hook and
+        cached (a larger cached answer serves smaller ``k``).  Read only by
+        :meth:`_kth_squared` and :meth:`_profile_values`; the sharded
+        backend overrides :meth:`_kth_squared` and :meth:`_top_sums`, so it
+        never builds one."""
         k = min(k, self.num_points)
         if self._truncated_cache is None or self._truncated_cache[0] < k:
             self._truncated_cache = (k, self._compute_truncated_squared(k))
@@ -1245,7 +1255,7 @@ class NeighborBackend(abc.ABC):
         """Column ``k - 1`` of the truncated statistic (``(n,)``): each
         point's ``k``-th smallest squared distance.  The sharded backend
         reads it from its shards' resident row blocks instead."""
-        return self.truncated_squared(k)[:, k - 1]
+        return self._truncated_squared(k)[:, k - 1]
 
     def capped_average_scores(self, radii, target: int) -> np.ndarray:
         """The GoodRadius score ``L(r, S)`` at every radius in ``radii``.
@@ -1341,19 +1351,13 @@ class NeighborBackend(abc.ABC):
         """
         values = self._profile_cache.get(target)
         if values is None:
-            truncated = self.truncated_squared(target)
+            truncated = self._truncated_squared(target)
             if truncated.shape[0] > target:
                 truncated = np.partition(truncated, target - 1,
                                          axis=0)[:target]
             values = np.sort(truncated, axis=None)
             self._profile_cache.put(target, values)
         return values
-
-    def capped_average_score(self, radius: float, target: int) -> float:
-        """``L(radius, S)`` for a single radius (see
-        :meth:`capped_average_scores`)."""
-        return float(self.capped_average_scores(
-            np.asarray([radius], dtype=float), target)[0])
 
     # ------------------------------------------------------------------ #
     # Streaming large-target profile (radii-chunked, nothing persisted)

@@ -16,9 +16,9 @@ from repro.neighbors._distance import (
     blocked_radius_counts,
     blocked_radius_counts_many,
     row_block_size,
-    truncated_squared_bruteforce,
+    truncated_squared_cross,
 )
-from repro.neighbors.base import NeighborBackend
+from repro.neighbors.base import NeighborBackend, _check_1d
 from repro.utils.validation import check_integer, check_points
 
 
@@ -65,14 +65,15 @@ class ChunkedBackend(NeighborBackend):
         :meth:`NeighborBackend.count_within_many`."""
         centers = check_points(centers, dimension=self.dimension,
                                name="centers")
-        radii = np.atleast_1d(np.asarray(radii, dtype=float))
+        radii = _check_1d(radii, "radii")
         if radii.size == 0:
             return np.empty((0, centers.shape[0]), dtype=np.int64)
         return blocked_radius_counts_many(centers, self._points, radii,
                                           self._block)
 
     def _compute_truncated_squared(self, k: int) -> np.ndarray:
-        return truncated_squared_bruteforce(self._points, k, self._block)
+        return truncated_squared_cross(self._points, self._points, k,
+                                       self._block)
 
 
 __all__ = ["ChunkedBackend"]

@@ -82,6 +82,7 @@ from repro.neighbors.base import (
     ProfileCache,
     ProjectedView,
     QueryPlan,
+    _check_1d,
     depth_count_pairs,
 )
 from repro import kernels as _kernels
@@ -400,9 +401,9 @@ class _ShardSet:
         ``count_labels`` (the exact-recount round of the bounded
         heaviest-cell merge), ``histograms`` (this shard's streaming
         ``L(r, S)`` partial), and the reads of the shard's resident row
-        block of the truncated statistic — ``truncated`` (the block),
-        ``kth`` (one column of it) and the three GoodRadius profile rounds
-        ``profile_samples``, ``profile_bracket`` and ``profile_counts``.
+        block of the truncated statistic — ``kth`` (one column of it) and
+        the three GoodRadius profile rounds ``profile_samples``,
+        ``profile_bracket`` and ``profile_counts``.
         Each carries everything its shard needs to rebuild the block and
         the profile state, so a fresh or stealing worker, or an adopting
         node, answers it bitwise like the shard's home worker.
@@ -422,10 +423,6 @@ class _ShardSet:
             )
         if op == "depth_counts":
             return depth_count_pairs(self.points[low:high, 0], *args)
-        if op == "truncated":
-            # The shard's row block, for the public ``truncated_squared``.
-            (k,) = args
-            return self.block(shard, k)
         if op == "kth":
             (k,) = args
             return self.block(shard, k)[:, k - 1]
@@ -666,8 +663,6 @@ class _PoolBatch:
         queue = self._queues[slot]
         if queue:
             return queue.popleft(), False
-        if not self._backend.WORK_STEALING:
-            return None, False
         victim = max(range(len(self._queues)),
                      key=lambda s: (len(self._queues[s]), -s))
         if not self._queues[victim]:
@@ -1041,12 +1036,6 @@ class ShardedBackend(NeighborBackend):
     #: per-shard histograms).
     HEAVIEST_CELL_TOP_K: ClassVar[Optional[int]] = 64
 
-    #: Whether a worker slot that drains its own affinity queue may steal
-    #: queued tasks from other slots (see :class:`_PoolBatch`).  A pure
-    #: wall-clock lever: results are merged in task order either way, so
-    #: released values are bitwise identical with stealing on or off.
-    WORK_STEALING: ClassVar[bool] = True
-
     def __init__(self, points, num_shards: Optional[int] = None,
                  num_workers: Optional[int] = None) -> None:
         super().__init__(points, num_shards=num_shards,
@@ -1111,9 +1100,8 @@ class ShardedBackend(NeighborBackend):
         plans executed/submitted — every direct view or count query counts,
         since it runs as a one-query plan; the profile's fan-outs — two
         selection rounds per target not in the parent's cache, then one
-        count round per radius batch — and the ``kth_distances``,
-        truncated-gather and streaming-histogram fan-outs do not), plus
-        the topology and a
+        count round per radius batch — and the ``kth_distances`` and
+        streaming-histogram fan-outs do not), plus the topology and a
         ``workers`` list: one :meth:`_ShardSet.cache_stats` entry per live
         worker slot (pool mode) or the parent shard set's entry (serial
         fallback), whose ``resident_blocks`` maps each shard to the width
@@ -1334,30 +1322,12 @@ class ShardedBackend(NeighborBackend):
         """
         centers = check_points(centers, dimension=self.dimension,
                                name="centers")
-        radii = np.atleast_1d(np.asarray(radii, dtype=float))
+        radii = _check_1d(radii, "radii")
         if radii.size == 0:
             return np.empty((0, centers.shape[0]), dtype=np.int64)
         plan = QueryPlan()
         plan.count_within_many(centers, radii)
         return self.execute(plan)[0]
-
-    def _compute_truncated_squared(self, k: int) -> np.ndarray:
-        """The truncated statistic gathered from the shards' row blocks.
-
-        Each shard keeps its own rows' ``k`` smallest squared distances
-        against the full (shared-memory) dataset; the blocks are copied into
-        their row ranges of one preallocated ``(n, k)`` array as the shards
-        arrive, in shard order.  Every row comes whole from one shard, so
-        the array is bitwise the single-process statistic.  Only the public
-        :meth:`truncated_squared` gathers it: no solver path moves the
-        ``(n, k)`` statistic out of the shards.
-        """
-        k = min(k, self.num_points)
-        truncated = np.empty((self.num_points, k), dtype=float)
-        for block, (low, high) in zip(self._shard_waves("truncated", (k,)),
-                                      self._bounds):
-            truncated[low:high] = block
-        return truncated
 
     def _kth_squared(self, k: int) -> np.ndarray:
         """Column ``k - 1`` of the shards' resident row blocks, ``n``

@@ -1,20 +1,20 @@
 """Tree backend: KD-tree radius counting and small-``k`` neighbour selection.
 
-Uses :class:`scipy.spatial.cKDTree` when scipy is installed — batched
-``query_ball_point(..., return_length=True)`` for radius counts and
-``query(k=...)`` to select each point's ``k`` nearest neighbours for the
-truncated statistic — and falls back to the pure-python KD-tree of
-:mod:`repro.neighbors._kdtree` for radius counts when it is not.  In low
-dimension this turns the ``O(n^2)`` per-radius count into
-``O(n log n)``-ish work and a small-``k`` truncated statistic into an
-``O(n k log n)`` k-nearest-neighbour query.
+Wraps :class:`scipy.spatial.cKDTree` — batched ``query_ball_point(...,
+return_length=True)`` for radius counts and ``query(k=...)`` to select each
+point's ``k`` nearest neighbours for the truncated statistic — so it needs
+scipy: without it the constructor raises ``ImportError``, and
+:func:`~repro.neighbors.auto_backend` never picks the tree.  In low
+dimension this turns the ``O(n^2)`` per-radius count into ``O(n log n)``-ish
+work and a small-``k`` truncated statistic into an ``O(n k log n)``
+k-nearest-neighbour query.
 
 The KD-tree's neighbour heaps cost more per kept neighbour than the blocked
 slab's ``np.partition`` once ``k`` is a few percent of ``n``, so the
 truncated statistic picks its kernel per call (:func:`tree_selects`): the
 tree selects below :data:`TREE_SELECT_FRACTION` of ``n``, and the blocked
-slab of :mod:`repro.neighbors._distance` builds it at or above that (and on
-every call without scipy).  Both kernels give the same bits.
+slab of :mod:`repro.neighbors._distance` builds it at or above that.  Both
+kernels give the same bits.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from repro.neighbors._distance import (
     squared_distance_gather,
     truncated_squared_cross,
 )
-from repro.neighbors._kdtree import PyKDTree
 from repro.neighbors.base import NeighborBackend
 from repro.utils.validation import check_integer, check_points
 
@@ -37,6 +36,9 @@ except ImportError:  # pragma: no cover - scipy-less environments
     _CKDTree = None
 
 HAVE_SCIPY_TREE = _CKDTree is not None
+
+#: The ``leafsize`` every :class:`TreeBackend` builds its ``cKDTree`` with.
+LEAF_SIZE = 32
 
 #: The KD-tree selects a truncated statistic's ``k`` nearest neighbours only
 #: while ``k`` is below this fraction of the dataset size ``n``; at or above
@@ -54,30 +56,25 @@ def tree_selects(k: int, num_points: int) -> bool:
 
 
 class TreeBackend(NeighborBackend):
-    """KD-tree (scipy ``cKDTree``, or pure-python fallback) radius counting,
-    and KD-tree neighbour selection for small-``k`` truncated statistics."""
+    """scipy ``cKDTree`` radius counting, and KD-tree neighbour selection for
+    small-``k`` truncated statistics.
+
+    Raises
+    ------
+    ImportError
+        If scipy is not installed (checked before anything is built).
+    """
 
     name = "tree"
 
-    def __init__(self, points, leaf_size: int = 32,
-                 use_scipy: bool = None) -> None:
-        super().__init__(points, leaf_size=leaf_size, use_scipy=use_scipy)
-        leaf_size = check_integer(leaf_size, "leaf_size", minimum=1)
-        if use_scipy is None:
-            use_scipy = HAVE_SCIPY_TREE
-        elif use_scipy and not HAVE_SCIPY_TREE:
-            raise ValueError("use_scipy=True requires scipy to be installed")
-        self._scipy = bool(use_scipy)
-        if self._scipy:
-            self._tree = _CKDTree(self._points, leafsize=leaf_size)
-        else:
-            self._tree = PyKDTree(self._points, leaf_size=leaf_size)
-
-    @property
-    def uses_scipy(self) -> bool:
-        """Whether the scipy ``cKDTree`` (vs the pure-python tree) backs this
-        instance."""
-        return self._scipy
+    def __init__(self, points) -> None:
+        if _CKDTree is None:
+            raise ImportError(
+                "the tree backend needs scipy's cKDTree; install scipy or "
+                "pick another backend (e.g. 'chunked')"
+            )
+        super().__init__(points)
+        self._tree = _CKDTree(self._points, leafsize=LEAF_SIZE)
 
     def query_radius_counts(self, centers, radius: float) -> np.ndarray:
         """``B_r(c, S)`` per centre via a batched tree query.
@@ -98,12 +95,9 @@ class TreeBackend(NeighborBackend):
                                name="centers")
         if radius < 0:
             return np.zeros(centers.shape[0], dtype=np.int64)
-        if self._scipy:
-            counts = self._tree.query_ball_point(centers, radius,
-                                                 return_length=True,
-                                                 workers=-1)
-            return np.asarray(counts, dtype=np.int64).reshape(-1)
-        return self._tree.count_within(centers, radius)
+        counts = self._tree.query_ball_point(centers, radius,
+                                             return_length=True, workers=-1)
+        return np.asarray(counts, dtype=np.int64).reshape(-1)
 
     def _compute_truncated_squared(self, k: int) -> np.ndarray:
         return self.truncated_squared_cross(self._points, k)
@@ -112,7 +106,7 @@ class TreeBackend(NeighborBackend):
         """Each query row's ``min(k, n)`` smallest squared distances to this
         backend's points, row-sorted, with the kernel picked per call.
 
-        With scipy and ``k`` below :data:`TREE_SELECT_FRACTION` of ``n``
+        With ``k`` below :data:`TREE_SELECT_FRACTION` of ``n``
         (:func:`tree_selects`), the KD-tree selects each query's ``k``
         nearest rows in ``O(m k log n)``; otherwise this returns the
         ``O(m n)`` blocked slab,
@@ -136,7 +130,7 @@ class TreeBackend(NeighborBackend):
             check_points(queries, dimension=self.dimension, name="queries")
         )
         k = min(check_integer(k, "k", minimum=1), self.num_points)
-        if not (self._scipy and tree_selects(k, self.num_points)):
+        if not tree_selects(k, self.num_points):
             block = row_block_size(self.num_points, self.dimension)
             return truncated_squared_cross(queries, self._points, k, block)
         _, indices = self._tree.query(queries, k=k, workers=-1)

@@ -12,6 +12,7 @@ import pytest
 
 from repro.accounting.params import PrivacyParams
 from repro.datasets.synthetic import planted_cluster
+from repro.neighbors import HAVE_SCIPY_TREE
 
 #: The ``backend=`` selections the ``neighbor_backend`` fixture cycles
 #: through.  "reference" is the in-parent path (``backend=None``); "sharded"
@@ -35,7 +36,22 @@ def pytest_generate_tests(metafunc):
     if "neighbor_backend" in metafunc.fixturenames:
         option = metafunc.config.getoption("--backend")
         names = [option] if option else list(BACKEND_CHOICES)
-        metafunc.parametrize("neighbor_backend", names, indirect=True)
+        metafunc.parametrize("neighbor_backend", [
+            pytest.param(name, marks=pytest.mark.needs_scipy)
+            if name == "tree" else name for name in names
+        ], indirect=True)
+
+
+def pytest_collection_modifyitems(config, items):
+    """Skip every test, or parameter case, marked ``needs_scipy`` where
+    scipy is not installed: each one builds the tree backend, whose
+    constructor raises ``ImportError`` without scipy's cKDTree."""
+    if HAVE_SCIPY_TREE:
+        return
+    skip = pytest.mark.skip(reason="the tree backend needs scipy's cKDTree")
+    for item in items:
+        if item.get_closest_marker("needs_scipy"):
+            item.add_marker(skip)
 
 
 @pytest.fixture

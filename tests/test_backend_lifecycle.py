@@ -22,11 +22,7 @@ from repro.core.good_center import good_center
 from repro.core.good_radius import good_radius
 from repro.core.one_cluster import one_cluster
 from repro.datasets.synthetic import planted_cluster
-from repro.geometry.balls import (
-    capped_average_score,
-    capped_average_score_profile,
-    counts_around_points,
-)
+from repro.geometry.balls import counts_around_points
 from repro.geometry.grid import GridDomain
 from repro.geometry.minimal_ball import (
     optimal_radius_lower_bound,
@@ -53,11 +49,6 @@ CALLS = {
         points, target=250, params=PARAMS, rng=0, backend=backend),
     "counts_around_points": lambda points, backend: counts_around_points(
         points, 0.05, backend=backend),
-    "capped_average_score": lambda points, backend: capped_average_score(
-        points, 0.05, 250, backend=backend),
-    "capped_average_score_profile":
-        lambda points, backend: capped_average_score_profile(
-            points, [0.02, 0.05], 250, backend=backend),
     "smallest_ball_two_approx":
         lambda points, backend: smallest_ball_two_approx(
             points, 250, backend=backend),

@@ -69,7 +69,7 @@ from repro.neighbors.rpc import (
     write_frame,
 )
 from repro.neighbors.serve import NodeServer
-from repro.neighbors.tree import HAVE_SCIPY_TREE, TreeBackend
+from repro.neighbors.tree import TreeBackend
 
 NODE_COUNTS = (1, 2, 3)
 
@@ -1346,22 +1346,8 @@ class TestWorkStealing:
         for counts, reference in zip(got, expected):
             assert np.array_equal(counts, reference)
 
-    @pytest.mark.slow
-    def test_stealing_disabled_keeps_affinity(self, monkeypatch):
-        monkeypatch.setattr(ShardedBackend, "WORK_STEALING", False)
-        monkeypatch.setattr(sharded_module, "_TASK_DELAY", (0, 0.25))
-        points = np.random.default_rng(9).uniform(size=(200, 2))
-        pool = ShardedBackend(points, num_shards=6, num_workers=2)
-        try:
-            counts = pool.radius_counts(0.4)
-            stats = pool.pool_stats()
-        finally:
-            pool.close()
-        assert stats["stolen_tasks"] == 0
-        assert np.array_equal(counts,
-                              ChunkedBackend(points).radius_counts(0.4))
 
-
+@pytest.mark.needs_scipy
 class TestTreeTruncatedCross:
     """The tree-backed per-shard truncated statistic is bitwise the
     brute-force kernel on every input — duplicates, boundary ties, d=1,
@@ -1390,9 +1376,6 @@ class TestTreeTruncatedCross:
                 expected = truncated_squared_cross(queries, points, k, 64)
                 assert got.tobytes() == expected.tobytes(), (name, k)
 
-    @pytest.mark.skipif(not HAVE_SCIPY_TREE,
-                        reason="shards pick the tree strategy only with "
-                               "scipy's cKDTree")
     def test_sharded_tree_inner_matches_chunked_inner(self, monkeypatch):
         """Shards on the KD-tree strategy (the chunked threshold patched to
         0, so the truncated statistic runs on the full-dataset tree, or on

@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.geometry.balls import (
-    Ball,
-    capped_average_score,
-    capped_counts_around_points,
-    count_in_ball,
-    counts_around_points,
-)
+from repro.core.good_radius import RadiusScore
+from repro.geometry.balls import Ball, counts_around_points
 from repro.geometry.grid import GridDomain
 from repro.geometry.minimal_ball import (
     optimal_radius_lower_bound,
@@ -19,6 +14,7 @@ from repro.geometry.minimal_ball import (
     smallest_ball_two_approx,
     smallest_interval_1d,
 )
+from repro.neighbors import ChunkedBackend
 
 
 class TestGridDomain:
@@ -91,43 +87,51 @@ class TestBall:
 
 class TestCounting:
     def test_count_in_ball(self):
+        """``B_r(c, S)`` around one centre: the ball's own count, and the
+        backend's query count, which is 0 at a negative radius."""
         points = np.array([[0.0], [0.5], [2.0]])
-        assert count_in_ball(points, np.array([0.0]), 1.0) == 2
-        assert count_in_ball(points, np.array([0.0]), -1.0) == 0
+        assert Ball(center=np.array([0.0]), radius=1.0).count(points) == 2
+        backend = ChunkedBackend(points)
+        assert backend.query_radius_counts([[0.0]], 1.0).tolist() == [2]
+        assert backend.query_radius_counts([[0.0]], -1.0).tolist() == [0]
 
     def test_counts_around_points(self):
         points = np.array([[0.0], [0.1], [5.0]])
         counts = counts_around_points(points, radius=0.2)
         assert counts.tolist() == [2, 2, 1]
 
-    def test_capped_counts(self):
-        points = np.zeros((10, 1))
-        counts = capped_counts_around_points(points, radius=0.1, cap=4)
-        assert np.all(counts == 4)
+
+def score_at(points, radius, target):
+    """``L(radius, S)`` through the batched score, one radius."""
+    return float(RadiusScore(points, target).evaluate(radius)[0])
 
 
 class TestCappedAverageScore:
+    """The sensitivity-2 score ``L(r, S)`` (paper Section 3.1), read through
+    :class:`RadiusScore` and the backend's ``capped_average_scores``."""
+
     def test_equals_t_when_cluster_exists(self):
         points = np.vstack([np.zeros((50, 2)), np.full((10, 2), 5.0)])
-        score = capped_average_score(points, radius=0.1, target=40)
+        score = score_at(points, radius=0.1, target=40)
         assert score == pytest.approx(40.0)
 
     def test_zero_for_negative_radius(self):
         points = np.random.default_rng(0).uniform(size=(20, 2))
-        assert capped_average_score(points, radius=-1.0, target=5) == 0.0
+        assert score_at(points, radius=-1.0, target=5) == 0.0
 
     def test_monotone_in_radius(self):
         points = np.random.default_rng(0).uniform(size=(60, 2))
         radii = [0.0, 0.1, 0.3, 0.6, 1.5]
-        scores = [capped_average_score(points, r, target=20) for r in radii]
-        assert all(a <= b + 1e-9 for a, b in zip(scores, scores[1:]))
+        scores = RadiusScore(points, target=20).evaluate(radii)
+        assert np.all(np.diff(scores) >= 0)
 
     def test_invalid_target(self):
         points = np.zeros((5, 1))
-        with pytest.raises(ValueError):
-            capped_average_score(points, 0.1, target=0)
-        with pytest.raises(ValueError):
-            capped_average_score(points, 0.1, target=6)
+        for target in (0, 6):
+            with pytest.raises(ValueError, match="target"):
+                RadiusScore(points, target=target)
+            with pytest.raises(ValueError, match="target"):
+                ChunkedBackend(points).capped_average_scores([0.1], target)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=2, max_value=30), st.integers(min_value=0, max_value=10 ** 6))
@@ -139,8 +143,8 @@ class TestCappedAverageScore:
         neighbour[rng.integers(0, n)] = rng.uniform(size=2)
         target = int(rng.integers(1, n + 1))
         radius = float(rng.uniform(0, 1.5))
-        a = capped_average_score(points, radius, target)
-        b = capped_average_score(neighbour, radius, target)
+        a = score_at(points, radius, target)
+        b = score_at(neighbour, radius, target)
         assert abs(a - b) <= 2.0 + 1e-9
 
 

@@ -9,7 +9,7 @@ from repro.core.config import OneClusterConfig
 from repro.core.good_radius import RadiusScore, good_radius
 from repro.datasets.adversarial import split_cluster_configuration
 from repro.datasets.synthetic import identical_points_cluster, planted_cluster
-from repro.geometry.balls import capped_average_score, counts_around_points
+from repro.geometry.balls import counts_around_points
 from repro.geometry.grid import GridDomain
 from repro.geometry.minimal_ball import smallest_ball_two_approx
 
@@ -20,7 +20,9 @@ class TestRadiusScore:
         points = rng.uniform(size=(80, 3))
         score = RadiusScore(points, target=25)
         for radius in (0.0, 0.1, 0.4, 1.0):
-            direct = capped_average_score(points, radius, target=25)
+            # The mean of the 25 largest counts capped at 25.
+            capped = np.minimum(counts_around_points(points, radius), 25)
+            direct = np.sort(capped)[::-1][:25].mean()
             assert score.evaluate(radius)[0] == pytest.approx(direct)
 
     def test_batch_matches_single(self):
@@ -65,8 +67,8 @@ class TestRadiusScore:
         # Move the single middle point to join the right blob.
         middle_index = target // 2
         neighbour[middle_index] = 2.0
-        before = capped_average_score(points, 1.0, target)
-        after = capped_average_score(neighbour, 1.0, target)
+        before = RadiusScore(points, target).evaluate(1.0)[0]
+        after = RadiusScore(neighbour, target).evaluate(1.0)[0]
         assert abs(before - after) <= 2.0 + 1e-9
 
 

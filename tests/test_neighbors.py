@@ -1,7 +1,7 @@
 """Tests for the pluggable neighbor-backend layer.
 
-The contract under test: Chunked and Tree (scipy and pure-python) backends
-are *interchangeable* — identical integer counts and identical ``L(r, S)``
+The contract under test: the Chunked and Tree backends are
+*interchangeable* — identical integer counts and identical ``L(r, S)``
 values on random and adversarial datasets, equal to brute-force oracles
 computed by direct differencing — and neither strategy materialises an
 ``(n, n)`` distance matrix.  On every strategy, sharded and distributed
@@ -15,17 +15,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import repro.baselines.exponential_ball as exponential_ball
 import repro.neighbors as neighbors_module
 import repro.neighbors._distance as _distance
 import repro.neighbors.tree as tree_module
 from repro.accounting.params import PrivacyParams
+from repro.baselines.exponential_ball import exponential_mechanism_cluster
 from repro.core.good_radius import RadiusScore, good_radius
 from repro.datasets.synthetic import planted_cluster
-from repro.geometry.balls import (
-    capped_average_score,
-    capped_average_score_profile,
-    counts_around_points,
-)
+from repro.geometry.balls import counts_around_points
+from repro.geometry.grid import GridDomain
 from repro.geometry.minimal_ball import smallest_ball_two_approx
 from repro.neighbors import (
     BACKENDS,
@@ -43,18 +42,12 @@ from repro.neighbors._distance import row_block_size
 
 
 def all_backends(points):
-    """One instance of every strategy (both tree variants)."""
-    return [
-        ChunkedBackend(points, block_size=29),
-        TreeBackend(points),
-        TreeBackend(points, use_scipy=False, leaf_size=7),
-    ]
-
-
-def backend_id(backend):
-    if isinstance(backend, TreeBackend) and not backend.uses_scipy:
-        return "tree-pure"
-    return backend.name
+    """One instance of every in-process strategy (the tree only where
+    scipy is installed)."""
+    backends = [ChunkedBackend(points, block_size=29)]
+    if HAVE_SCIPY_TREE:
+        backends.append(TreeBackend(points))
+    return backends
 
 
 DATASETS = {
@@ -121,7 +114,7 @@ class TestCountParity:
                 assert counts.dtype == np.int64
                 brute = brute_counts(points, points, radius)
                 assert np.array_equal(counts, brute), (
-                    backend_id(backend), radius
+                    backend.name, radius
                 )
             reference = counts if reference is None else reference
 
@@ -135,7 +128,7 @@ class TestCountParity:
             brute = brute_counts(points, centers, radius)
             for backend in all_backends(points):
                 counts = backend.query_radius_counts(centers, radius)
-                assert np.array_equal(counts, brute), backend_id(backend)
+                assert np.array_equal(counts, brute), backend.name
 
 
 class TestScoreParity:
@@ -149,22 +142,17 @@ class TestScoreParity:
         for target in {1, 3, n // 2, n}:
             target = max(1, target)
             brute = np.array([brute_score(points, r, target) for r in radii])
-            single = np.array([
-                capped_average_score(points, float(r), target)
-                for r in radii
-            ])
-            assert np.array_equal(single, brute)
             for backend in all_backends(points):
                 profile = backend.capped_average_scores(radii, target)
                 assert np.array_equal(profile, brute), (
-                    backend_id(backend), target
+                    backend.name, target
                 )
 
     def test_profile_matches_issue_tolerance(self):
         points = DATASETS["random-2d"]
         radii = np.linspace(0.0, 1.5, 40)
         profiles = {
-            backend_id(b): b.capped_average_scores(radii, 40)
+            b.name: b.capped_average_scores(radii, 40)
             for b in all_backends(points)
         }
         base = profiles.pop("chunked")
@@ -176,7 +164,8 @@ class TestScoreParity:
         backend = ChunkedBackend(points)
         radii = np.array([0.9, 0.1, -0.5, 0.4, 0.1])
         profile = backend.capped_average_scores(radii, 25)
-        singles = [backend.capped_average_score(float(r), 25) for r in radii]
+        singles = [backend.capped_average_scores(float(r), 25)[0]
+                   for r in radii]
         assert np.array_equal(profile, np.array(singles))
         assert profile[2] == 0.0
 
@@ -191,10 +180,8 @@ class TestScoreParity:
     def test_radii_validation(self):
         """Radii that are neither a scalar nor 1-d, and NaN radii, raise
         ValueError at the profile entry point of every backend (before
-        either evaluation path is chosen) and through the geometry helper;
-        infinite radii stay legal."""
+        either evaluation path is chosen); infinite radii stay legal."""
         points = DATASETS["random-2d"]
-        n = points.shape[0]
         bad = [np.full((1, 2), 0.1), np.array([0.1, np.nan])]
         backends = all_backends(points) + [
             ShardedBackend(points, num_shards=3, num_workers=0)
@@ -204,11 +191,7 @@ class TestScoreParity:
                 with pytest.raises(ValueError, match="radii"):
                     backend.capped_average_scores(radii, 10)
             scores = backend.capped_average_scores([np.inf, -np.inf], 10)
-            assert scores.tolist() == [10.0, 0.0], backend_id(backend)
-        for radii in bad:
-            with pytest.raises(ValueError, match="radii"):
-                capped_average_score_profile(points, radii, n // 2,
-                                             backend="chunked")
+            assert scores.tolist() == [10.0, 0.0], backend.name
 
 
 class TestStreamingSlabReuse:
@@ -265,7 +248,7 @@ class TestKthDistances:
             for backend in all_backends(points):
                 kth = backend.kth_distances(k)
                 assert np.allclose(kth, sorted_distances[:, k - 1],
-                                   atol=1e-7), backend_id(backend)
+                                   atol=1e-7), backend.name
 
     def test_k_validation(self):
         backend = ChunkedBackend(DATASETS["random-2d"])
@@ -274,6 +257,7 @@ class TestKthDistances:
         with pytest.raises(ValueError):
             backend.kth_distances(10 ** 6)
 
+    @pytest.mark.needs_scipy
     def test_two_approx_uses_backend(self):
         points = DATASETS["random-2d"]
         # The smallest 50th-nearest distance over all candidate centres.
@@ -283,22 +267,20 @@ class TestKthDistances:
             assert ball.radius == pytest.approx(reference, abs=1e-7)
 
 
+@pytest.mark.needs_scipy
 class TestTreeKernelPick:
     """``TreeBackend.truncated_squared_cross`` picks its kernel per call:
     the KD-tree selects the neighbours below ``TREE_SELECT_FRACTION`` of
     ``n``, and the blocked slab builds the statistic at or above it."""
 
-    @pytest.mark.parametrize("side", ["tree", "slab", "pure"])
+    @pytest.mark.parametrize("side", ["tree", "slab"])
     def test_truncated_cross_validates_arguments(self, side, monkeypatch):
         """Bad arguments raise before a kernel is picked, on either side
-        of the crossover and on the pure-python tree."""
+        of the crossover."""
         points = DATASETS["random-2d"]
-        if side == "pure":
-            backend = TreeBackend(points, use_scipy=False)
-        else:
-            monkeypatch.setattr(tree_module, "TREE_SELECT_FRACTION",
-                                math.inf if side == "tree" else 0.0)
-            backend = TreeBackend(points)
+        monkeypatch.setattr(tree_module, "TREE_SELECT_FRACTION",
+                            math.inf if side == "tree" else 0.0)
+        backend = TreeBackend(points)
         queries = points[:6]
         for k in (0, -1):
             with pytest.raises(ValueError, match="k must be at least 1"):
@@ -318,8 +300,6 @@ class TestTreeKernelPick:
             got = backend.truncated_squared_cross(queries, k)
             assert got.tobytes() == expected.tobytes()
 
-    @pytest.mark.skipif(not HAVE_SCIPY_TREE,
-                        reason="the KD-tree selection needs scipy's cKDTree")
     @pytest.mark.parametrize("where", ["in-process", "shard"])
     def test_tree_selects_only_below_the_crossover(self, where, monkeypatch):
         """Just below ``TREE_SELECT_FRACTION * n`` the tree's
@@ -345,14 +325,17 @@ class TestTreeKernelPick:
             else:
                 backend = ShardedBackend(points, num_shards=2, num_workers=0)
             with backend:
-                got = backend.truncated_squared(k)
-                if where == "shard":
+                if where == "in-process":
+                    got = backend._truncated_squared(k)
+                else:
+                    got = np.concatenate([backend._shards.block(shard, k)
+                                          for shard in range(2)])
                     assert all(isinstance(backend._shards.backend(shard),
                                           TreeBackend) for shard in range(2))
                     assert (backend._shards._full_tree is not None) == selects
             calls = 1 if where == "in-process" else 2
             assert queried == ([k] * calls if selects else []), k
-            expected = ChunkedBackend(points).truncated_squared(k)
+            expected = ChunkedBackend(points)._truncated_squared(k)
             assert got.tobytes() == expected.tobytes(), k
 
 
@@ -369,6 +352,7 @@ class TestSelection:
                                           else "chunked")
         assert auto_backend(50000, 100) == "chunked"
 
+    @pytest.mark.needs_scipy
     def test_resolve_by_name_class_instance(self):
         points = DATASETS["random-2d"]
         assert resolve_backend(points, "chunked").name == "chunked"
@@ -394,7 +378,7 @@ class TestSelection:
 
     @pytest.mark.parametrize("options", [{"block_size": 64},
                                          {"num_workers": 2},
-                                         {"leaf_size": 7}])
+                                         {"num_shards": 2}])
     @pytest.mark.parametrize("selection", [None, "auto"])
     def test_auto_rejects_options(self, monkeypatch, options, selection):
         """Options fit one strategy and auto picks the strategy by size, so
@@ -411,7 +395,88 @@ class TestSelection:
                 resolve_backend(points, selection, options)
 
 
-@pytest.fixture(params=["chunked", "tree", "sharded", "distributed"])
+class TestTreeNeedsScipy:
+    """Without scipy's cKDTree the tree strategy refuses to build, and
+    nothing that picks a strategy by itself asks for it."""
+
+    @pytest.fixture
+    def without_scipy(self, monkeypatch):
+        monkeypatch.setattr(tree_module, "_CKDTree", None)
+        for module in (tree_module, neighbors_module, exponential_ball):
+            monkeypatch.setattr(module, "HAVE_SCIPY_TREE", False)
+
+    def test_tree_raises_before_building(self, without_scipy, monkeypatch):
+        def build(self, points, **kwargs):
+            raise AssertionError("a backend was built")
+
+        monkeypatch.setattr(NeighborBackend, "__init__", build)
+        points = DATASETS["random-2d"]
+        with pytest.raises(ImportError, match="scipy"):
+            TreeBackend(points)
+        with pytest.raises(ImportError, match="scipy"):
+            resolve_backend(points, "tree")
+
+    def test_auto_and_the_exponential_baseline_pick_chunked(self,
+                                                            without_scipy):
+        assert auto_backend(50000, 2) == "chunked"
+        points = planted_cluster(n=300, d=2, cluster_size=120,
+                                 cluster_radius=0.05, rng=3).points
+        domain = GridDomain.unit_cube(dimension=2, side=17)
+        params = PrivacyParams(8.0, 1e-5)
+        result = exponential_mechanism_cluster(points, 100, params, domain,
+                                               rng=4)
+        chunked = exponential_mechanism_cluster(points, 100, params, domain,
+                                                rng=4, backend="chunked")
+        assert np.array_equal(result.ball.center, chunked.ball.center)
+        assert result.ball.radius == chunked.ball.radius
+
+
+def build_named(name, points):
+    """A backend by registry name (sharded: 3 serial shards)."""
+    if name == "sharded":
+        return ShardedBackend(points, num_shards=3, num_workers=0)
+    return BACKENDS[name](points)
+
+
+@pytest.mark.parametrize("name", [
+    "chunked", pytest.param("tree", marks=pytest.mark.needs_scipy), "sharded"])
+class TestQueryArgumentShapes:
+    """``count_within_many``'s radii and ``depth_counts``' thresholds are a
+    scalar or a 1-d array on every backend; any other shape raises the same
+    ``ValueError``, naming the argument, everywhere."""
+
+    POINTS = DATASETS["random-2d"]
+
+    def test_count_within_many_radii(self, name):
+        backend = build_named(name, self.POINTS)
+        centers = self.POINTS[:4]
+        with pytest.raises(ValueError, match="radii"):
+            backend.count_within_many(centers, [[0.1, 0.2]])
+        assert backend.count_within_many(centers, 0.3).shape == (1, 4)
+        # NaN radii count nothing, on every backend.
+        assert not backend.count_within_many(centers, [np.nan]).any()
+
+    def test_depth_counts_thresholds(self, name):
+        backend = build_named(name, self.POINTS)
+        with pytest.raises(ValueError, match="thresholds"):
+            backend.depth_counts([[0.2, 0.5]])
+        assert backend.depth_counts(0.3).shape == (1, 2)
+        assert backend.depth_counts([0.2, 0.5]).shape == (2, 2)
+
+
+def test_plan_rejects_bad_radii_and_thresholds_when_appended():
+    """A plan rejects the shapes the direct calls reject, at append."""
+    plan = QueryPlan()
+    with pytest.raises(ValueError, match="radii"):
+        plan.count_within_many(DATASETS["random-2d"][:4], [[0.1, 0.2]])
+    with pytest.raises(ValueError, match="thresholds"):
+        plan.depth_counts([[0.2, 0.5]])
+    assert len(plan) == 0
+
+
+@pytest.fixture(params=["chunked",
+                        pytest.param("tree", marks=pytest.mark.needs_scipy),
+                        "sharded", "distributed"])
 def build_backend(request):
     """A factory for one strategy with non-default constructor arguments
     (two loopback node servers for "distributed"); closes every backend it
@@ -430,8 +495,7 @@ def build_backend(request):
     else:
         make = {
             "chunked": lambda points: ChunkedBackend(points, block_size=29),
-            "tree": lambda points: TreeBackend(points, leaf_size=7,
-                                               use_scipy=False),
+            "tree": TreeBackend,
             "sharded": lambda points: ShardedBackend(points, num_shards=3,
                                                      num_workers=0),
         }[name]
@@ -490,8 +554,6 @@ class TestSubset:
         points = self.POINTS
         chunked = ChunkedBackend(points, block_size=29).subset(self.ROWS)
         assert chunked.block_size == 29
-        tree = TreeBackend(points, use_scipy=False).subset(self.ROWS)
-        assert not tree.uses_scipy
         with ShardedBackend(points, num_shards=5,
                             num_workers=0).subset(self.ROWS) as sharded:
             assert sharded.num_shards == 5
@@ -529,6 +591,7 @@ class TestSubset:
         assert type(named.subset(few)) is type(named)
 
 
+@pytest.mark.needs_scipy
 class TestIntegration:
     def test_radius_score_backend_equivalence(self):
         rng = np.random.default_rng(5)
@@ -548,13 +611,6 @@ class TestIntegration:
         radii = {result.radius for result in results.values()}
         # Identical scores + identical rng stream => identical release.
         assert len(radii) == 1
-
-    def test_profile_helper_routes_through_backend(self):
-        points = DATASETS["random-2d"]
-        radii = np.linspace(0, 1.0, 11)
-        via_tree = capped_average_score_profile(points, radii, 30, backend="tree")
-        via_default = capped_average_score_profile(points, radii, 30)
-        assert np.array_equal(via_tree, via_default)
 
     def test_counts_around_points_backend_param(self):
         points = DATASETS["duplicates"]
@@ -579,7 +635,8 @@ class TestMemoryGuard:
     def big_points(self):
         return np.random.default_rng(17).uniform(size=(self.N, 2))
 
-    @pytest.mark.parametrize("name", ["chunked", "tree"])
+    @pytest.mark.parametrize("name", [
+        "chunked", pytest.param("tree", marks=pytest.mark.needs_scipy)])
     def test_no_quadratic_allocation(self, big_points, name):
         backend = BACKENDS[name](big_points)
         matrix_bytes = self.N * self.N * 8

@@ -26,6 +26,7 @@ from repro.geometry.boxes import ShiftedBoxPartition, box_labels, interval_label
 from repro.geometry.jl import project_rows
 from repro.neighbors import (
     BACKENDS,
+    HAVE_SCIPY_TREE,
     ChunkedBackend,
     ShardedBackend,
     TreeBackend,
@@ -89,13 +90,13 @@ def boundary_radii(points: np.ndarray, seed: int) -> np.ndarray:
 
 
 def make_backends(points: np.ndarray, num_shards: int) -> dict:
-    return {
-        "chunked": ChunkedBackend(points),
-        "tree": TreeBackend(points),
-        f"sharded[{num_shards}]": ShardedBackend(
-            points, num_shards=num_shards, num_workers=0
-        ),
-    }
+    """Every strategy over ``points`` (the tree where scipy is installed)."""
+    backends = {"chunked": ChunkedBackend(points)}
+    if HAVE_SCIPY_TREE:
+        backends["tree"] = TreeBackend(points)
+    backends[f"sharded[{num_shards}]"] = ShardedBackend(
+        points, num_shards=num_shards, num_workers=0)
+    return backends
 
 
 datasets = st.tuples(
@@ -399,9 +400,7 @@ class TestPlanSubmitDeterminism:
         chunked = ChunkedBackend(points)
         reference_plan, slots = build(chunked)
         reference = chunked.execute(reference_plan)
-        for backend in (TreeBackend(points),
-                        ShardedBackend(points, num_shards=shards,
-                                       num_workers=0)):
+        for backend in make_backends(points, shards).values():
             plan, other_slots = build(backend)
             assert other_slots == slots
             synchronous = backend.execute(plan)

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from repro.accounting.params import PrivacyParams
+from repro.core.good_radius import RadiusScore
 from repro.mechanisms.exponential import exponential_mechanism
 from repro.mechanisms.histogram import stable_histogram_choice
 from repro.mechanisms.laplace import laplace_counting_query
-from repro.geometry.balls import capped_average_score
 
 
 def _event_probability(samples, event) -> float:
@@ -102,6 +102,6 @@ class TestScoreSensitivityUnderSwap:
             neighbour[rng.integers(0, n)] = rng.uniform(size=3)
             target = int(rng.integers(1, n + 1))
             radius = float(rng.uniform(0, 1.0))
-            delta = abs(capped_average_score(points, radius, target)
-                        - capped_average_score(neighbour, radius, target))
+            delta = abs(RadiusScore(points, target).evaluate(radius)[0]
+                        - RadiusScore(neighbour, target).evaluate(radius)[0])
             assert delta <= 2.0 + 1e-9

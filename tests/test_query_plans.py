@@ -48,6 +48,11 @@ from repro.neighbors import (
 good_center_module = sys.modules["repro.core.good_center"]
 
 
+#: The registry's strategy names; the tree's case needs scipy.
+BACKEND_NAMES = [pytest.param(name, marks=pytest.mark.needs_scipy)
+                 if name == "tree" else name for name in sorted(BACKENDS)]
+
+
 def make_backend(name, points, shards=3):
     if name == "sharded":
         return ShardedBackend(points, num_shards=shards, num_workers=0)
@@ -128,7 +133,7 @@ def assert_matches(key, got, expected):
 class TestPlanParity:
     """execute(plan) == the direct calls, bitwise, on every backend."""
 
-    @pytest.mark.parametrize("name", sorted(BACKENDS))
+    @pytest.mark.parametrize("name", BACKEND_NAMES)
     def test_all_ops_match_direct_calls(self, plan_fixture, name):
         expected = reference_results(plan_fixture)
         backend = make_backend(name, plan_fixture["points"])
@@ -171,7 +176,7 @@ class TestPlanParity:
 class TestSubmitDeterminism:
     """Overlapped submission cannot move a bit; resolution order is free."""
 
-    @pytest.mark.parametrize("name", sorted(BACKENDS))
+    @pytest.mark.parametrize("name", BACKEND_NAMES)
     def test_submit_matches_execute(self, plan_fixture, name):
         backend = make_backend(name, plan_fixture["points"])
         plan, slots, _ = build_plan(backend, plan_fixture)
@@ -190,6 +195,7 @@ class TestSubmitDeterminism:
 
 
 class TestPlanValidation:
+    @pytest.mark.needs_scipy
     def test_foreign_view_rejected(self, plan_fixture):
         points = plan_fixture["points"]
         backend = make_backend("tree", points)
@@ -609,6 +615,7 @@ class TestSpeculativePlans:
 class TestKClusterAsyncCoverage:
     """k_cluster's submitted coverage plans: deterministic, release-neutral."""
 
+    @pytest.mark.needs_scipy
     def test_ball_coverages_deterministic_and_release_neutral(
             self, small_cluster_data):
         points = small_cluster_data.points

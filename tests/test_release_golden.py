@@ -204,7 +204,8 @@ BACKENDS = {
 }
 
 
-@pytest.mark.parametrize("backend_name", sorted(BACKENDS))
+@pytest.mark.parametrize("backend_name", [
+    "none", "sharded", pytest.param("tree", marks=pytest.mark.needs_scipy)])
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_release_bytes_are_pinned(case, backend_name):
     result = CASES[case](BACKENDS[backend_name])

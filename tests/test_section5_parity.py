@@ -19,7 +19,7 @@ import pytest
 from repro.accounting.params import PrivacyParams
 from repro.experiments import PipelinedRuns, run_table1
 from repro.lowerbound import int_point, interior_depths
-from repro.neighbors import QueryPlan, resolve_backend
+from repro.neighbors import HAVE_SCIPY_TREE, QueryPlan, resolve_backend
 from repro.neighbors.base import depth_count_pairs
 from repro.neighbors.sharded import ShardedBackend
 from repro.sample_aggregate import (
@@ -47,11 +47,12 @@ SA_KWARGS = dict(alpha=0.8, subsample_fraction=1.0 / 3.0)
 
 
 def sa_backends(points):
-    """The fast-tier backend sweep: tree and serial-sharded instances."""
-    return [
-        resolve_backend(points, "tree"),
-        ShardedBackend(points, num_shards=3, num_workers=0),
-    ]
+    """The fast-tier backend sweep: tree (where scipy is installed) and
+    serial-sharded instances."""
+    backends = [ShardedBackend(points, num_shards=3, num_workers=0)]
+    if HAVE_SCIPY_TREE:
+        backends.insert(0, resolve_backend(points, "tree"))
+    return backends
 
 
 class TestSampleAggregateParity:
@@ -69,6 +70,7 @@ class TestSampleAggregateParity:
             if close is not None:
                 close()
 
+    @pytest.mark.needs_scipy
     def test_backend_name_matches_parent_path(self, gaussian_points):
         base = private_mean_estimator(gaussian_points, 10, PARAMS, rng=1,
                                       **SA_KWARGS)
@@ -222,6 +224,7 @@ def _rows_equal(left, right):
 
 
 class TestPipelinedTable1:
+    @pytest.mark.needs_scipy
     def test_rows_byte_identical_across_backends(self):
         base = run_table1(n=400, repetitions=2, rng=3, backend="tree")
         with PipelinedRuns("sharded",
@@ -230,6 +233,7 @@ class TestPipelinedTable1:
         assert _rows_equal(_strip_seconds(base), _strip_seconds(sharded))
 
     @pytest.mark.slow
+    @pytest.mark.needs_scipy
     def test_rows_byte_identical_on_worker_pool(self):
         base = run_table1(n=400, repetitions=2, rng=3, backend="tree")
         with PipelinedRuns("sharded",

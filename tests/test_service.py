@@ -73,7 +73,7 @@ def assert_same_cluster_release(reference, other):
 # 1. Release parity through the service
 # --------------------------------------------------------------------- #
 BACKEND_SPECS = [
-    pytest.param("tree", None, id="tree"),
+    pytest.param("tree", None, id="tree", marks=pytest.mark.needs_scipy),
     pytest.param("sharded", {"num_shards": 3, "num_workers": 0},
                  id="sharded-serial"),
     pytest.param("sharded", {"num_workers": 2}, id="sharded-pool",
@@ -132,6 +132,7 @@ class TestServiceReleaseParity:
                                       direct_screen.ball.center)
                 assert screened.ball.radius == direct_screen.ball.radius
 
+    @pytest.mark.needs_scipy
     def test_k_cluster_parity_on_name_registered_dataset(self,
                                                          cluster_points):
         # A dataset registered from a name: k_cluster runs its first

@@ -35,9 +35,9 @@ from repro.neighbors import (
 )
 from repro.neighbors.base import ProfileCache
 
-requires_scipy_tree = pytest.mark.skipif(
-    not HAVE_SCIPY_TREE,
-    reason="shards pick the tree strategy only with scipy's cKDTree")
+#: The registry's strategy names; the tree's case needs scipy.
+BACKEND_NAMES = [pytest.param(name, marks=pytest.mark.needs_scipy)
+                 if name == "tree" else name for name in sorted(BACKENDS)]
 
 DATASETS = {
     "random-2d": np.random.default_rng(0).uniform(size=(140, 2)),
@@ -130,8 +130,8 @@ class TestShardedParity:
 
     @pytest.mark.parametrize("inner", [
         "chunked",
-        pytest.param("tree", marks=requires_scipy_tree),
-        pytest.param("tree-slab", marks=requires_scipy_tree),
+        pytest.param("tree", marks=pytest.mark.needs_scipy),
+        pytest.param("tree-slab", marks=pytest.mark.needs_scipy),
     ])
     def test_inner_backend_choice_is_invisible(self, inner, monkeypatch):
         """Each shard builds the in-process strategy auto_backend's rule
@@ -168,6 +168,7 @@ class TestShardedParity:
 class TestBatchedCounts:
     """count_within_many == stacked per-radius queries, for every backend."""
 
+    @pytest.mark.needs_scipy
     @pytest.mark.parametrize("name", ["random-2d", "duplicates", "integer-grid"])
     def test_matches_per_radius_queries(self, name):
         points = DATASETS[name]
@@ -341,10 +342,9 @@ class TestProcessPool:
         expected_sum = reference_frame.masked_sum(rows)
         expected_hists = reference_frame.masked_axis_histograms(rows, 0.4)
         expected_grid = reference.count_within_many(points[:6], [0.3, 1.2])
-        with ShardedBackend(points, num_shards=4, num_workers=2) as backend:
-            # A stolen task builds its shard's index on the thief too, so
-            # the affinity assertions below need stealing off.
-            backend.WORK_STEALING = False
+        # One shard per worker slot: no slot ever has a queued task another
+        # could steal, so each shard's state stays on its affinity worker.
+        with ShardedBackend(points, num_shards=2, num_workers=2) as backend:
             search = backend.view(matrix)
             frame = backend.view(basis)
             selection = search.box_selection(width, shifts, chosen)
@@ -376,17 +376,15 @@ class TestProcessPool:
             assert after["parallel"] is True
             assert after["plans"] - before["plans"] == 2
             assert after["fanouts"] - before["fanouts"] == 2
-            assert after["shard_tasks"] - before["shard_tasks"] == 8
+            assert after["shard_tasks"] - before["shard_tasks"] == 4
             # Affinity: every shard's index/caches live in exactly one
-            # worker, and with 2 workers the round-robin split is 0,2 / 1,3.
+            # worker, shard 0 on slot 0 and shard 1 on slot 1.
             built = [worker["built_shards"] for worker in after["workers"]]
             flattened = sorted(shard for shards in built for shard in shards)
             assert flattened == sorted(set(flattened))
             selections = [worker["cached_selections"]
                           for worker in after["workers"]]
-            assert sorted(s for group in selections for s in group) == [
-                0, 1, 2, 3
-            ]
+            assert selections == [[0], [1]]
 
     def test_masked_aggregates_pool(self):
         """Masked aggregate queries over a real pool: the BoxSelection label
@@ -459,7 +457,7 @@ class TestHeaviestCells:
 class TestStreamingProfile:
     """The radii-chunked large-target walk: exact parity, bounded memory."""
 
-    @pytest.mark.parametrize("backend_name", sorted(BACKENDS))
+    @pytest.mark.parametrize("backend_name", BACKEND_NAMES)
     def test_large_target_parity(self, backend_name):
         points = DATASETS["random-2d"]
         n = points.shape[0]
@@ -533,7 +531,7 @@ class TestResidentProfile:
     ``O(t^1.5)``, and shard state is rebuilt from each task, never
     assumed."""
 
-    @pytest.mark.parametrize("name", sorted(BACKENDS))
+    @pytest.mark.parametrize("name", BACKEND_NAMES)
     @pytest.mark.parametrize("streaming", [None, True])
     def test_empty_batch_builds_nothing(self, name, streaming):
         points = DATASETS["random-2d"]
@@ -666,7 +664,9 @@ class TestProfileCache:
     budget, the newest always kept — and no target sequence moves a
     score."""
 
-    @pytest.mark.parametrize("name", ["chunked", "tree", "sharded"])
+    @pytest.mark.parametrize("name", [
+        "chunked", pytest.param("tree", marks=pytest.mark.needs_scipy),
+        "sharded"])
     @pytest.mark.parametrize("budget", [None, 1])
     def test_target_sequence_matches_fresh_backends(self, name, budget,
                                                     monkeypatch):
@@ -714,7 +714,8 @@ class TestProfileCache:
             assert pool.pool_stats()["parallel"], (
                 "pool fell back to serial; seam untested")
 
-    @pytest.mark.parametrize("name", ["chunked", "tree"])
+    @pytest.mark.parametrize("name", [
+        "chunked", pytest.param("tree", marks=pytest.mark.needs_scipy)])
     def test_return_to_cached_target_reuses_array(self, name, monkeypatch):
         """In-process, a return to a cached target hands back the cached
         array without reading the statistic again."""
@@ -723,9 +724,9 @@ class TestProfileCache:
         second = backend._profile_values(20)
 
         def unexpected(k):
-            raise AssertionError(f"truncated_squared({k}) was read again")
+            raise AssertionError(f"_truncated_squared({k}) was read again")
 
-        monkeypatch.setattr(backend, "truncated_squared", unexpected)
+        monkeypatch.setattr(backend, "_truncated_squared", unexpected)
         assert backend._profile_values(40) is first
         assert backend._profile_values(20) is second
 
