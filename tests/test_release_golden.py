@@ -14,9 +14,11 @@ found release and one NoisyAVG abstain), ``one_cluster``, ``good_radius``
 under both radius searches (RecConcave and noisy binary search),
 ``int_point`` (whose instance backend answers the step-4 depth plan, while
 a name goes to its cluster solver), ``k_cluster`` (two rounds, the second
-on the subset of points the first ball left) and the exponential-mechanism
-baseline.  The private-aggregation baseline takes no backend and is pinned
-once.  The JL path is pinned by cross-backend parity only: its rotation
+on the subset of points the first ball left), the exponential-mechanism
+baseline and a sample-and-aggregate ``private_mean_estimator`` over
+narrow-spread rows (its block means, the exact fixed-point column sums,
+are pinned along with the noisy average released from them).  The
+private-aggregation baseline takes no backend and is pinned once.  The JL path is pinned by cross-backend parity only: its rotation
 basis comes from LAPACK QR and is mapped back with a BLAS matmul, so its
 last bits may differ between numpy builds.
 
@@ -44,6 +46,10 @@ from repro.datasets.synthetic import gaussian_blobs, planted_cluster
 from repro.geometry.grid import GridDomain
 from repro.lowerbound import int_point
 from repro.neighbors import ShardedBackend
+from repro.sample_aggregate import (
+    noisy_average_aggregator,
+    private_mean_estimator,
+)
 
 #: SHA-256 of each case's release fingerprint (backend-independent).
 GOLDEN = {
@@ -65,6 +71,8 @@ GOLDEN = {
         "0ab589150d7249bb4c4160821fa6b8898be7f200e536b7315cb1e015724da010",
     "k_cluster":
         "6463810f5af8baa5023104453fb6b96cb75a215b801110e0a09686151d8b99c0",
+    "private_mean_estimator":
+        "4e74eac21d84617e8bdd3741cc848478235190ece29ce0a77941bf5bbdda6820",
 }
 
 #: A NoisyAVG slice this small makes the pessimistic count non-positive,
@@ -172,6 +180,23 @@ def _k_cluster(backend):
     return result.balls, result.results, result.covered_fraction
 
 
+def _narrow_rows():
+    """3000 x 64 draws of N(0.5, 0.05): two binades, [0.25, 1), per block."""
+    return np.random.default_rng(13).normal(0.5, 0.05, size=(3000, 64))
+
+
+def _private_mean(backend):
+    data = _narrow_rows()
+    # The block means ride along (collect_diagnostics): a last-bit change in
+    # one of them could round away in the noisy average.
+    return private_mean_estimator(
+        data, block_size=100, params=PrivacyParams(8.0, 1e-5), alpha=0.8,
+        subsample_fraction=1.0, collect_diagnostics=True,
+        aggregator=noisy_average_aggregator(clip_radius=1.0,
+                                            center=np.full(64, 0.5)),
+        rng=8, backend=backend(data))
+
+
 def _private_aggregation():
     points = planted_cluster(n=800, d=2, cluster_size=700,
                              cluster_radius=0.05, center=[0.5, 0.5],
@@ -189,6 +214,7 @@ CASES = {
     "int_point": _int_point,
     "exponential_mechanism_cluster": _exponential_mechanism,
     "k_cluster": _k_cluster,
+    "private_mean_estimator": _private_mean,
 }
 
 #: Cases whose solver takes no ``backend=`` argument.
@@ -234,6 +260,11 @@ def test_cases_cover_found_and_abstain():
     balls, _, covered_fraction = _k_cluster(BACKENDS["none"])
     assert len(balls) == 2
     assert 0.0 < covered_fraction < 1.0
+    # The block means are plan queries on a backend and parent-side sums
+    # without one, over rows that span two binades.
+    assert _private_mean(BACKENDS["none"]).found
+    _, exponents = np.frexp(_narrow_rows())
+    assert set(np.unique(exponents).tolist()) == {-1, 0}
 
 
 if __name__ == "__main__":
