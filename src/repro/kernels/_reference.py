@@ -6,8 +6,10 @@ bodies are the exact numpy expressions the library used before kernel
 dispatch existed, moved here so both kernel sets live behind one import seam
 (:mod:`repro.kernels`).  The fixed-point column kernel is specified by its
 merged totals, not its bytes: it splits each row block with ``np.frexp``,
-the same decomposition the native kernel makes per element, and sums the
-mantissa integers per (exponent, column) bucket (see its docstring).
+the same decomposition the native kernel makes per element, and either
+sums each column in int64 after aligning the block to its smallest
+exponent (a block spanning few binades) or sums the mantissa integers per
+(exponent, column) bucket (see its docstring).
 
 This module must not import anything from :mod:`repro` outside the kernels
 package: the modules it accelerates (``repro.neighbors._distance``,
@@ -115,15 +117,35 @@ def fixed_point_column_partials(
     of at most ``_SEGMENT``, and one ``np.frexp`` splits each block into
     mantissas ``m`` (``0.5 <= |m| < 1``, or 0) and exponents ``e``: the
     value is ``(m * 2**53) * 2**(e - 53)``, where ``m * 2**53`` and its
-    int64 cast are exact, so in ``2**-SCALE_BITS`` units the shift is
-    ``e + 1021`` (down to ``-52`` for subnormals, whose integers are
-    divisible by ``2**-shift``).  Each (exponent minus the block's smallest
-    exponent, column) bucket is summed by one ``np.add.at`` into an int64
-    table; a bucket holds at most ``_SEGMENT`` integers below ``2**53``, so
-    it cannot overflow.  Columns are processed in slabs whose table stays
-    within ``max(rows * k, 2**16)`` entries, so a block spanning all
-    exponents needs no more scratch than a few copies of the block, and no
-    scratch array outgrows one block.
+    int64 cast are exact.  Each block then takes one of two paths, chosen
+    from the spread ``s = max(e) - min(e) + 1`` of its exponents (the
+    binades it spans; a zero's exponent is 0):
+
+    * **Dense**, when ``s + (rows - 1).bit_length() <= 63 - 52``.  With
+      ``low = min(e)``, every value is an integer multiple of
+      ``2**(low - 53)`` whose multiplier is below ``2**(52 + s)`` in
+      magnitude, so ``np.ldexp(block, 53 - low)`` and its int64 cast are
+      exact, and a column's sum of at most ``2**bit_length(rows - 1)``
+      such integers stays below ``2**63``.  One int64 sum per column is
+      the whole partial: one ``(limb, low + SCALE_BITS - 53, column)``
+      entry per nonzero column, with no bucket table.  Narrow data, such
+      as sample-and-aggregate block means over values of one scale, takes
+      this path.
+    * **Bucketed**, otherwise: in ``2**-SCALE_BITS`` units the shift of
+      ``m * 2**53`` is ``e + 1021``, and each (exponent minus the block's
+      smallest exponent, column) bucket is summed by one ``np.add.at``
+      into an int64 table; a bucket holds at most ``_SEGMENT`` integers
+      below ``2**53``, so it cannot overflow.  Columns are processed in
+      slabs whose table stays within ``max(rows * k, 2**16)`` entries, so
+      a block spanning all exponents needs no more scratch than a few
+      copies of the block, and no scratch array outgrows one block.
+      Blocks of wide spread (NoisyAVG's deltas, mixed scales, zeros among
+      tiny values) need this path: one int64 per column would overflow.
+
+    Either way a shift lies in ``[-52, 2045]`` and is negative only for a
+    block reaching the subnormals (``min(e) < -1021``), whose values are
+    all multiples of ``2**-SCALE_BITS``, so every limb with a negative
+    shift is divisible by ``2**-shift``.
 
     The decomposition itself is *not* canonical (the native kernel flushes
     its accumulators at other points); the **merged total** per column —
@@ -143,12 +165,24 @@ def fixed_point_column_partials(
         return empty, empty, empty
     limbs, shifts, columns = [], [], []
     for top in range(0, q, _SEGMENT):
-        integers, exponents = np.frexp(matrix[top:top + _SEGMENT])
+        block = matrix[top:top + _SEGMENT]
+        integers, exponents = np.frexp(block)
+        low = int(exponents.min())
+        spread = int(exponents.max()) - low + 1
+        if spread + (block.shape[0] - 1).bit_length() <= 63 - 52:
+            # Dense: align every value to 2**(low - 53) in the mantissas'
+            # buffer and sum each column in int64.
+            sums = np.ldexp(block, 53 - low, out=integers.view(np.int64),
+                            casting="unsafe").sum(axis=0)
+            hits = np.flatnonzero(sums)
+            limbs.append(sums[hits])
+            shifts.append(np.full(hits.size, low + SCALE_BITS - 53,
+                                  dtype=np.int64))
+            columns.append(hits)
+            continue
         # Scale the mantissas and cast them to int64 in their own buffer.
         integers = np.multiply(integers, _MANTISSA_SCALE,
                                out=integers.view(np.int64), casting="unsafe")
-        low = int(exponents.min())
-        spread = int(exponents.max()) - low + 1
         width = max(1, max(integers.size, _MIN_TABLE) // spread)
         for start in range(0, k, width):
             stop = min(start + width, k)

@@ -1329,6 +1329,15 @@ class ShardedBackend(NeighborBackend):
         plan.count_within_many(centers, radii)
         return self.execute(plan)[0]
 
+    def depth_counts(self, thresholds) -> np.ndarray:
+        """The one-sided rank counts as a one-query plan: each shard counts
+        its own rows and the parent sums the integer pairs (see
+        :meth:`NeighborBackend.depth_counts`).  The plan validates the
+        thresholds when the query is appended, before anything fans out."""
+        plan = QueryPlan()
+        plan.depth_counts(thresholds)
+        return self.execute(plan)[0]
+
     def _kth_squared(self, k: int) -> np.ndarray:
         """Column ``k - 1`` of the shards' resident row blocks, ``n``
         values, concatenated in shard order."""

@@ -23,14 +23,25 @@ splits all values at once, mantissas sharing an exponent are summed with
 ``np.add.reduceat`` in segments short enough that the ``int64`` partials
 cannot overflow (``512 * 2**53 < 2**63``), and the per-segment fold runs in
 Python.  The masked sums take the vectorised two-stage route instead, with
-no sort and no per-element or per-entry Python loop: the column kernel
+no sort and no per-element or per-entry Python loop.  The column kernel
 (:func:`repro.kernels.fixed_point_column_partials`) splits each block of at
-most 512 rows with one ``np.frexp`` and sums the exact mantissa integers
-per (exponent, column) bucket with one ``np.add.at`` (a small
-superaccumulator per column and block), emitting fixed-width ``(limb,
-shift, column)`` triples; :func:`merge_column_partials` sums those as
-base-``2**32`` digits in an int64 table and builds one big integer per
-column, and :func:`fixed_point_to_floats` rounds each total once.
+most 512 rows with one ``np.frexp`` and emits fixed-width ``(limb, shift,
+column)`` triples by one of two paths, picked per block from the spread
+``s`` of its exponents (the binades it spans):
+
+* when ``s + (rows - 1).bit_length() <= 63 - 52``, every value is an
+  integer multiple of ``2**(min exponent - 53)`` whose multiplier is below
+  ``2**(52 + s)``, so the block is aligned with one exact ``np.ldexp`` and
+  each column summed in int64 without overflow: one triple per column;
+* otherwise the exact mantissa integers are summed per (exponent, column)
+  bucket with one ``np.add.at`` (a small superaccumulator per column and
+  block).  Blocks that span many binades, such as NoisyAVG's deltas around
+  a centre or mixed-scale data, need it: one int64 per column would
+  overflow.
+
+:func:`merge_column_partials` sums the triples as base-``2**32`` digits in
+an int64 table and builds one big integer per column, and
+:func:`fixed_point_to_floats` rounds each total once.
 """
 
 from __future__ import annotations

@@ -17,10 +17,13 @@ Three contracts are pinned here:
   512-row blocks.  An earlier lexsort / ``np.add.reduceat`` kernel and its
   per-entry big-int fold are kept below as test-local oracles.  Every
   kernel splits with frexp, so subnormal shifts are negative (down to
-  -52) and the merge must take them.  The reference kernel's scratch
-  memory is bounded by one row block, not by the input.  Malformed
-  partials (they can arrive from remote nodes) must raise, never
-  mis-merge.
+  -52) and the merge must take them.  The reference kernel sums a block
+  that spans few binades as one aligned int64 per column: the cases at
+  its int64 bound, one binade past it, in the subnormals and with zeros
+  among tiny values (which widen the spread) pin where that path may run.
+  The reference kernel's scratch memory is bounded by one row block, not
+  by the input.  Malformed partials (they can arrive from remote nodes)
+  must raise, never mis-merge.
 * **Import-time selection.**  ``REPRO_KERNELS=python`` forces the reference
   set, ``=native`` falls back (with a warning) when numba or scipy is
   missing, an invalid value raises, and the default is silent
@@ -181,6 +184,40 @@ def tall_narrow():
     return np.random.default_rng(29).normal(0.5, 0.05, size=(25_000, 64))
 
 
+def dense_limit_block():
+    """512 rows spanning two binades with the largest mantissas of both
+    signs: aligned to 0.5's exponent, columns 0 and 1 sum to
+    ``+-(2**63 - 1024)``, int64's limit for the dense path; columns 2 and
+    3 mix both binades."""
+    matrix = np.tile([MAX_BELOW_TWO, -MAX_BELOW_TWO, MAX_BELOW_TWO,
+                      -MAX_BELOW_TWO], (512, 1))
+    matrix[::2, 2:] = [0.5, -0.5]
+    return matrix
+
+
+def dense_limit_plus_quarter():
+    """The limit block with one 0.25: three binades, one past the dense
+    bound, where one aligned column sum would overflow int64."""
+    matrix = dense_limit_block()
+    matrix[7, 2] = 0.25
+    return matrix
+
+
+def narrow_subnormals():
+    """40 x 3 subnormals of 21 or 22 significant bits: two binades below
+    the normals, so an aligned sum carries a negative shift."""
+    rng = np.random.default_rng(31)
+    units = rng.integers(1 << 20, 1 << 22, size=(40, 3))
+    return units * 5e-324 * np.where(rng.random((40, 3)) < 0.5, -1.0, 1.0)
+
+
+def zeros_among_tiny():
+    """Zeros (frexp exponent 0) among values near 1e-300: a wide spread."""
+    rng = np.random.default_rng(37)
+    tiny = rng.uniform(1e-300, 2e-300, size=(60, 3))
+    return np.where(rng.random((60, 3)) < 0.3, 0.0, tiny)
+
+
 def exactness_cases():
     """(name, builder) pairs of the matrices the reference partials must
     sum exactly."""
@@ -205,17 +242,28 @@ def exactness_cases():
         ("all-exponents", all_exponents_row),
         ("exponent-spread", exponent_spread),
         ("across-blocks", across_blocks),
+        ("dense-limit", dense_limit_block),
+        ("dense-limit-plus-quarter", dense_limit_plus_quarter),
+        ("narrow-subnormals", narrow_subnormals),
+        ("zeros-among-tiny", zeros_among_tiny),
     ]
 
 
 @st.composite
 def mixed_matrices(draw, max_rows=80):
-    """Mixed magnitudes, subnormals, signed zeros and heavy duplication."""
+    """Mixed magnitudes, subnormals, signed zeros and heavy duplication,
+    or a narrow band (uniform on [1, 2) times one power of two, both signs)
+    that the column kernel sums densely unless specials widen it."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     q = draw(st.integers(0, max_rows))
     k = draw(st.integers(1, 5))
-    matrix = rng.normal(size=(q, k)) * 10.0 ** rng.integers(
-        -300, 300, size=(q, k))
+    if draw(st.booleans()):
+        signs = np.where(rng.random((q, k)) < 0.5, -1.0, 1.0)
+        matrix = signs * rng.uniform(1.0, 2.0, size=(q, k)) * 2.0 ** draw(
+            st.integers(-1070, 1022))
+    else:
+        matrix = rng.normal(size=(q, k)) * 10.0 ** rng.integers(
+            -300, 300, size=(q, k))
     specials = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -3e-320,
                          2.2e-308, 1.0, -1.0, MAX_BELOW_TWO, DBL_MAX,
                          -DBL_MAX])
@@ -317,6 +365,27 @@ class TestReferenceExactness:
             assert partials[1].min() == -52, kernel.__name__
             assert merge_column_partials(3, [partials]) == [
                 fixed_point_sum(matrix[:, j]) for j in range(3)]
+
+    def test_narrow_block_gives_one_limb_per_column(self):
+        """A shard's 98-row block of N(0.5, 0.05) spans two binades: one
+        aligned int64 sum per column, not one limb per (column,
+        exponent)."""
+        block = np.random.default_rng(41).normal(0.5, 0.05, size=(98, 512))
+        limbs, shifts, columns = _reference.fixed_point_column_partials(block)
+        assert np.unique(columns).size == columns.size
+        assert merge_column_partials(512, [(limbs, shifts, columns)]) == [
+            fixed_point_sum(block[:, j]) for j in range(512)]
+
+    def test_dense_path_runs_up_to_the_int64_bound(self):
+        """Two binades over 512 rows still take one limb per column; a
+        third binade sends the block back to the exponent buckets, one
+        limb per (column, exponent)."""
+        _, _, columns = _reference.fixed_point_column_partials(
+            dense_limit_block())
+        assert np.bincount(columns).tolist() == [1, 1, 1, 1]
+        _, _, columns = _reference.fixed_point_column_partials(
+            dense_limit_plus_quarter())
+        assert np.bincount(columns).tolist() == [1, 1, 3, 2]
 
     @pytest.mark.parametrize("build, factor, slack", [
         pytest.param(all_exponents_row, 16, 1 << 20, id="all_exponents_row"),

@@ -18,9 +18,10 @@ on the subset of points the first ball left), the exponential-mechanism
 baseline and a sample-and-aggregate ``private_mean_estimator`` over
 narrow-spread rows (its block means, the exact fixed-point column sums,
 are pinned along with the noisy average released from them).  The
-private-aggregation baseline takes no backend and is pinned once.  The JL path is pinned by cross-backend parity only: its rotation
-basis comes from LAPACK QR and is mapped back with a BLAS matmul, so its
-last bits may differ between numpy builds.
+private-aggregation baseline takes no backend and is pinned once.  The JL
+path is pinned by cross-backend parity only: its rotation basis comes from
+LAPACK QR and is mapped back with a BLAS matmul, so its last bits may
+differ between numpy builds.
 
 A digest mismatch means some release changed.  If the change is
 intentional (a new mechanism, a new noise stream), recapture the digests

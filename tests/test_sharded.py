@@ -195,6 +195,25 @@ class TestBatchedCounts:
         assert np.array_equal(batched[1], backend.radius_counts(0.3))
 
 
+class TestDepthCounts:
+    """A direct depth_counts call is a one-query plan, like the same query
+    appended to a plan."""
+
+    def test_direct_call_fans_out_once(self):
+        points = np.random.default_rng(8).normal(size=(1000, 2))
+        thresholds = np.array([-1.0, 0.0, 0.5, points[3, 0]])
+        backend = ShardedBackend(points, num_shards=3, num_workers=0)
+        before = backend.pool_stats()["fanouts"]
+        with pytest.raises(ValueError, match="thresholds"):
+            backend.depth_counts([[0.0, 0.5]])
+        assert backend.pool_stats()["fanouts"] == before
+        counts = backend.depth_counts(thresholds)
+        assert backend.pool_stats()["fanouts"] == before + 1
+        assert counts.dtype == np.int64
+        assert np.array_equal(
+            counts, ChunkedBackend(points).depth_counts(thresholds))
+
+
 @pytest.mark.slow
 class TestProcessPool:
     """The multi-process path must agree with serial — same merge code, plus
