@@ -143,7 +143,8 @@ def truncated_squared_cross(queries: np.ndarray, data: np.ndarray, k: int,
     """Each query's ``k`` smallest squared distances to ``data``, row-sorted.
 
     One blocked pass over the rows of the (never materialised) distance
-    matrix: ``O(q * block)`` scratch, ``(q, k)`` output.  With
+    matrix: one ``(block, n)`` slab of scratch at a time, partitioned and
+    sorted in place, and the ``(q, k)`` output.  With
     ``queries is data`` it is the in-process truncated statistic (each row
     starts with the self-distance 0); the sharded backend passes one
     shard's rows as the queries, for that shard's rows of the statistic.
@@ -165,15 +166,46 @@ def truncated_squared_cross(queries: np.ndarray, data: np.ndarray, k: int,
     numpy.ndarray
         ``(q, min(k, n))`` row-sorted squared distances.
     """
+    return _truncated_squared(queries, data, k, block_size, columns=False)
+
+
+def truncated_squared_columns(queries: np.ndarray, data: np.ndarray, k: int,
+                              block_size: int) -> np.ndarray:
+    """:func:`truncated_squared_cross` column by column: ``(min(k, n),
+    q)``, row ``j`` holding column ``j`` of the row-sorted statistic in
+    ascending order.
+
+    The same blocked pass writes each slab's sorted rows straight into
+    their columns, so it holds one slab and the output, never the
+    row-sorted statistic beside its transpose; each row of the output is
+    then sorted in place.
+    """
+    return _truncated_squared(queries, data, k, block_size, columns=True)
+
+
+def _truncated_squared(queries: np.ndarray, data: np.ndarray, k: int,
+                       block_size: int, columns: bool) -> np.ndarray:
+    """The blocked pass behind :func:`truncated_squared_cross` and
+    :func:`truncated_squared_columns`."""
     n = data.shape[0]
     k = min(k, n)
-    out = np.empty((queries.shape[0], k), dtype=float)
-    for start in range(0, queries.shape[0], block_size):
+    q = queries.shape[0]
+    out = np.empty((k, q) if columns else (q, k), dtype=float)
+    for start in range(0, q, block_size):
         squared = squared_distance_block(queries[start:start + block_size], data)
         if k < n:
-            squared = np.partition(squared, k - 1, axis=1)[:, :k]
+            # In place: np.partition would copy the whole slab.
+            squared.partition(k - 1, axis=1)
+            squared = squared[:, :k]
         squared.sort(axis=1)
-        out[start:start + block_size] = squared[:, :k]
+        if columns:
+            out[:, start:start + squared.shape[0]] = squared.T
+        else:
+            out[start:start + squared.shape[0]] = squared
+        # Free this slab before the next one is computed.
+        del squared
+    if columns:
+        out.sort(axis=1)
     return out
 
 
@@ -232,5 +264,6 @@ __all__ = [
     "squared_distance_block",
     "squared_radius_keys",
     "row_block_size",
+    "truncated_squared_columns",
     "truncated_squared_cross",
 ]

@@ -10,8 +10,10 @@ single-process backend (chunked or tree, chosen per shard by
 * **counts** — summed across shards (exact, integer addition);
 * **the GoodRadius profile** — each shard computes and keeps its own
   *rows* of the truncated statistic (its points' ``t`` smallest squared
-  distances against the full dataset); the parent holds only each
-  column's threshold and sums per-shard integer counts (the
+  distances against the full dataset), column-sorted from its first
+  profile task on, so the selection rounds read sample ranks and binary
+  searches instead of passes over the whole block; the parent holds only
+  each column's threshold and sums per-shard integer counts (the
   column-threshold identity of :meth:`ShardedBackend._top_sums`);
 * **streaming histograms** — the large-target ``L(r, S)`` walk also shards
   the query rows, and the per-range capped-count histograms add up.
@@ -33,7 +35,7 @@ plan — shipped as a *single* task per shard (one round trip per shard for
 a whole plan), optionally submitted asynchronously (``submit``), with the
 merge always folding shards in shard order so overlapping plans cannot
 perturb a single bit.  The profile's selection and count rounds over the
-resident row blocks, the ``kth_distances`` column read, the streaming
+resident statistics, the ``kth_distances`` column read, the streaming
 profile histograms (summed) and the heaviest-cell merge's recount rounds
 are internal plan ops of the same bundle form; each carries what its shard
 needs to rebuild its state, so a restarted pool, a stolen task or an
@@ -70,6 +72,7 @@ import numpy as np
 from repro.neighbors._distance import (
     capped_count_histograms,
     row_block_size,
+    truncated_squared_columns,
     truncated_squared_cross,
 )
 from repro.neighbors.base import (
@@ -159,13 +162,17 @@ class _ShardSet:
         #: :func:`~repro.neighbors.tree.tree_selects` picks it for the
         #: block's ``k``).
         self._full_tree = None
-        #: Per-shard resident row block of the truncated statistic: ``shard
-        #: -> (rows, k)`` array, the widest any task asked for (a narrower
-        #: request reads its leading columns).
+        #: Per-shard resident truncated statistic, in one layout at a time:
+        #: ``shard -> ("rows", (rows, k) row-sorted block)`` until the
+        #: shard's first profile task, then ``shard -> ("columns", (k,
+        #: rows) array)`` whose row ``j`` is column ``j`` of the block,
+        #: sorted (see :meth:`columns`).  Each layout keeps the widest
+        #: statistic asked of it; a narrower request reads its leading
+        #: columns, or rows.
         self._blocks = {}
         #: Per-shard state of the GoodRadius profile, warm per target:
-        #: ``(shard, target) -> (thresholds, sorted entries)``, the block's
-        #: entries below their column's threshold (see
+        #: ``(shard, target) -> (thresholds, sorted entries)``, the
+        #: statistic's entries below their column's threshold (see
         #: :meth:`below_threshold`).  One :class:`ProfileCache` for all the
         #: shards this process serves: least recently used evicted while
         #: the entries exceed the 64 MiB memory budget, the newest kept.
@@ -234,7 +241,7 @@ class _ShardSet:
 
     def clear_caches(self) -> None:
         """Drop every cached per-shard view image, memoised selection
-        membership, resident row block and profile state (see
+        membership, resident statistic and profile state (see
         :meth:`ShardedBackend.close`)."""
         self._view_images.clear()
         self._selection_rows.clear()
@@ -253,8 +260,9 @@ class _ShardSet:
             },
             "cached_selections": sorted(self._selection_rows),
             "resident_blocks": {
-                shard: int(block.shape[1])
-                for shard, block in sorted(self._blocks.items())
+                shard: int(array.shape[1] if layout == "rows"
+                           else array.shape[0])
+                for shard, (layout, array) in sorted(self._blocks.items())
             },
             "pid": os.getpid(),
         }
@@ -262,52 +270,102 @@ class _ShardSet:
     # ------------------------------------------------------------------ #
     # The resident truncated statistic (GoodRadius's profile)
     # ------------------------------------------------------------------ #
-    def block(self, shard: int, k: int) -> np.ndarray:
-        """The shard's rows' ``min(k, n)`` smallest squared distances to
-        the full dataset, row-sorted: ``(rows, k)``, built on first use and
-        kept.
+    def _build(self, shard: int, k: int, columns: bool) -> np.ndarray:
+        """The shard's rows' ``k`` smallest squared distances to the full
+        dataset, computed and not kept: row-sorted ``(rows, k)``, or with
+        ``columns`` in :meth:`columns`' layout ``(k, rows)``.
 
         When :meth:`_inner_name` picks the scipy KD-tree at the full
         dataset's size and :func:`~repro.neighbors.tree.tree_selects`
         picks it for ``k``, a full-dataset tree (cached in this process)
         selects the neighbours and the shared gather kernel recomputes the
-        values; otherwise the blocked slab builds the block and no tree is
-        built.  Either way the block is bitwise the blocked slab's — and
+        values; otherwise the blocked slab builds the statistic and no
+        tree is built.  Either way it is bitwise the blocked slab's — and
         the leading ``k`` columns of a wider block are bitwise the
         ``k``-column block.
         """
         from repro.neighbors.tree import TreeBackend, tree_selects
 
         n = self.points.shape[0]
-        k = min(k, n)
-        cached = self._blocks.get(shard)
-        if cached is None or cached.shape[1] < k:
-            low, high = self.bounds[shard]
-            if self._inner_name(n) == "tree" and tree_selects(k, n):
-                if self._full_tree is None:
-                    self._full_tree = TreeBackend(self.points)
-                cached = self._full_tree.truncated_squared_cross(
-                    self.points[low:high], k
-                )
-            else:
-                cached = truncated_squared_cross(
-                    self.points[low:high], self.points, k,
-                    row_block_size(*self.points.shape)
-                )
-            self._blocks[shard] = cached
-        return cached[:, :k]
+        low, high = self.bounds[shard]
+        if self._inner_name(n) == "tree" and tree_selects(k, n):
+            if self._full_tree is None:
+                self._full_tree = TreeBackend(self.points)
+            block = self._full_tree.truncated_squared_cross(
+                self.points[low:high], k
+            )
+            return _sorted_columns(block) if columns else block
+        kernel = (truncated_squared_columns if columns
+                  else truncated_squared_cross)
+        return kernel(self.points[low:high], self.points, k,
+                      row_block_size(*self.points.shape))
+
+    def block(self, shard: int, k: int) -> np.ndarray:
+        """The shard's rows' ``min(k, n)`` smallest squared distances to
+        the full dataset, row-sorted: ``(rows, k)``.
+
+        Read from the resident row block while the shard holds one at least
+        ``k`` wide.  Otherwise built (:meth:`_build`) and kept, unless the
+        shard's statistic is already column-sorted (:meth:`columns`): then
+        the block is computed for this call only, so a shard never keeps
+        both layouts.
+        """
+        k = min(k, self.points.shape[0])
+        layout, array = self._blocks.get(shard, (None, None))
+        if layout == "rows" and array.shape[1] >= k:
+            return array[:, :k]
+        if layout == "columns":
+            return self._build(shard, k, columns=False)
+        del array
+        self._blocks.pop(shard, None)
+        block = self._build(shard, k, columns=False)
+        self._blocks[shard] = ("rows", block)
+        return block
+
+    def columns(self, shard: int, k: int) -> np.ndarray:
+        """The shard's statistic column by column: ``(min(k, n), rows)``,
+        row ``j`` holding column ``j`` of :meth:`block` in ascending order.
+
+        The profile rounds read only this layout.  The first profile task
+        of a shard sorts the columns of its resident row block, when it
+        holds one at least ``k`` wide, and drops the block; otherwise it
+        builds the layout straight from the slab pass.  Sorting each
+        column of a wider statistic leaves its leading columns exactly the
+        narrower statistic's sorted columns, so a narrower target reads the
+        leading rows and only a wider one rebuilds.
+        """
+        k = min(k, self.points.shape[0])
+        layout, array = self._blocks.get(shard, (None, None))
+        if layout == "columns" and array.shape[0] >= k:
+            return array[:k]
+        self._blocks.pop(shard, None)
+        if layout == "rows" and array.shape[1] >= k:
+            array = _sorted_columns(array)
+        else:
+            del array
+            array = self._build(shard, k, columns=True)
+        self._blocks[shard] = ("columns", array)
+        return array[:k]
 
     def below_threshold(self, shard: int, target: int,
                         thresholds: np.ndarray) -> np.ndarray:
-        """The shard's block entries below their column's threshold,
-        sorted — the per-shard half of the column-threshold identity —
-        cached per ``(shard, target)`` and rebuilt when the target is not
-        cached or the task's thresholds differ from the ones it was built
-        for."""
+        """The shard's statistic entries below their column's threshold,
+        sorted — the per-shard half of the column-threshold identity.
+
+        Each column's entries below its threshold are a prefix of its
+        sorted row in :meth:`columns`: one binary search per column finds
+        the prefixes, and one sort orders them together.  Cached per
+        ``(shard, target)`` and rebuilt when the target is not cached or
+        the task's thresholds differ from the ones it was built for.
+        """
         cached = self._profiles.get((shard, target))
         if cached is None or not np.array_equal(cached[0], thresholds):
-            block = self.block(shard, target)
-            cached = (thresholds, np.sort(block[block < thresholds[None, :]]))
+            columns = self.columns(shard, target)
+            below = _column_runs(columns,
+                                 np.zeros(columns.shape[0], dtype=np.intp),
+                                 _sorted_counts(columns, thresholds, "left"))
+            below.sort()
+            cached = (thresholds, below)
             self._profiles.put((shard, target), cached)
         return cached[1]
 
@@ -400,13 +458,16 @@ class _ShardSet:
         slice.  The other ops are internal, never plan methods:
         ``count_labels`` (the exact-recount round of the bounded
         heaviest-cell merge), ``histograms`` (this shard's streaming
-        ``L(r, S)`` partial), and the reads of the shard's resident row
-        block of the truncated statistic — ``kth`` (one column of it) and
-        the three GoodRadius profile rounds ``profile_samples``,
-        ``profile_bracket`` and ``profile_counts``.
-        Each carries everything its shard needs to rebuild the block and
-        the profile state, so a fresh or stealing worker, or an adopting
-        node, answers it bitwise like the shard's home worker.
+        ``L(r, S)`` partial), and the reads of the shard's resident
+        truncated statistic: ``kth`` (one column of the row-sorted
+        :meth:`block`) and the three GoodRadius profile rounds over the
+        sorted :meth:`columns` — ``profile_samples`` (the entries at the
+        sample ranks), ``profile_bracket`` (two binary searches per column
+        and the runs between them) and ``profile_counts`` (through
+        :meth:`below_threshold`).  Each carries everything its shard needs
+        to rebuild the statistic and the profile state, so a fresh or
+        stealing worker, or an adopting node, answers it bitwise like the
+        shard's home worker.
         """
         from repro.geometry.balls import ball_membership
         from repro.geometry.boxes import (
@@ -424,27 +485,29 @@ class _ShardSet:
         if op == "depth_counts":
             return depth_count_pairs(self.points[low:high, 0], *args)
         if op == "kth":
+            # A copy: the block may have been built for this call alone.
             (k,) = args
-            return self.block(shard, k)[:, k - 1]
+            return self.block(shard, k)[:, k - 1].copy()
         if op == "profile_samples":
             # Selection round 1: every ceil(sqrt(t))-th order statistic of
-            # each column's t smallest, plus the last (see _sample_ranks).
+            # each column's t smallest, plus the last (see _sample_ranks),
+            # read off the sorted columns.
             (target,) = args
-            block = self.block(shard, target)
-            ranks = _sample_ranks(block.shape[0], target)
-            return np.sort(block, axis=0)[ranks - 1]
+            columns = self.columns(shard, target)
+            ranks = _sample_ranks(columns.shape[1], target)
+            return np.ascontiguousarray(columns[:, ranks - 1].T)
         if op == "profile_bracket":
             # Selection round 2: per column, the count at or below the
             # bracket and the entries strictly inside it, grouped by
-            # column.  Every entry outside the shard's t smallest of a
-            # column lies at or above the upper bound, so the whole block
-            # gives the same answer as those t smallest.
+            # column (ascending within each).  Every entry outside the
+            # shard's t smallest of a column lies at or above the upper
+            # bound, so the whole column gives the same answer as those t
+            # smallest.
             target, lower, upper = args
-            block = self.block(shard, target)
-            inside = (block > lower[None, :]) & (block < upper[None, :])
-            return (np.count_nonzero(block <= lower[None, :], axis=0),
-                    np.count_nonzero(inside, axis=0),
-                    block.T[inside.T])
+            columns = self.columns(shard, target)
+            below = _sorted_counts(columns, lower, "right")
+            under = np.maximum(_sorted_counts(columns, upper, "left"), below)
+            return below, under - below, _column_runs(columns, below, under)
         if op == "profile_counts":
             # #{(i, j) : T[i, j] < tau_j and T[i, j] <= key} per key.
             target, thresholds, keys = args
@@ -827,6 +890,49 @@ def _bounded_maximum(lists: Sequence[tuple]):
     return candidates, bound, None
 
 
+def _sorted_columns(block: np.ndarray) -> np.ndarray:
+    """A row-sorted ``(rows, k)`` block column by column: its transpose,
+    copied, with every row sorted in place."""
+    columns = block.T.copy()
+    columns.sort(axis=1)
+    return columns
+
+
+def _sorted_counts(columns: np.ndarray, values: np.ndarray,
+                   side: str) -> np.ndarray:
+    """``np.searchsorted(columns[j], values[j], side)`` for every row ``j``
+    of ``columns`` (each row sorted ascending) at once: how many of its
+    entries are ``<= values[j]`` (``side="right"``) or ``< values[j]``
+    (``side="left"``).
+
+    The qualifying entries of a row are a prefix, so the count is found
+    bit by bit from the top: one probe of every row per bit of the row
+    length.
+    """
+    width, rows = columns.shape
+    flat = columns.reshape(-1)
+    before_row = np.arange(width, dtype=np.intp) * rows - 1
+    counts = np.zeros(width, dtype=np.intp)
+    step = 1 << (rows.bit_length() - 1) if rows else 0
+    while step:
+        candidate = counts + step
+        probe = flat[before_row + np.minimum(candidate, rows)]
+        hit = probe <= values if side == "right" else probe < values
+        counts += np.where(hit & (candidate <= rows), step, 0)
+        step >>= 1
+    return counts
+
+
+def _column_runs(columns: np.ndarray, starts: np.ndarray,
+                 stops: np.ndarray) -> np.ndarray:
+    """``columns[j, starts[j]:stops[j]]`` for every row ``j``, concatenated
+    in row order."""
+    return np.concatenate([
+        row[start:stop]
+        for row, start, stop in zip(columns, starts.tolist(), stops.tolist())
+    ])
+
+
 #: Columns per step of the parent's selection merges, which bounds their
 #: scratch at a few ``(sampled rows, chunk)`` arrays whatever ``t`` is.
 _SELECTION_CHUNK = 256
@@ -1105,7 +1211,8 @@ class ShardedBackend(NeighborBackend):
         ``workers`` list: one :meth:`_ShardSet.cache_stats` entry per live
         worker slot (pool mode) or the parent shard set's entry (serial
         fallback), whose ``resident_blocks`` maps each shard to the width
-        of the truncated row block it keeps.  With routing affinity each
+        of the truncated statistic it keeps, row- or column-sorted (one
+        layout at a time).  With routing affinity each
         shard index appears in exactly one worker's ``built_shards`` — the
         property the affinity tests pin.
 
@@ -1242,8 +1349,8 @@ class ShardedBackend(NeighborBackend):
 
         Safe to call repeatedly; also invoked on garbage collection.  After
         closing, the next query transparently restarts the pool.  Also drops
-        the serial fallback's cached view images, memoised selections and
-        resident row blocks and per-target profile entries (in pool mode
+        the serial fallback's cached view images, memoised selections,
+        resident statistics and per-target profile entries (in pool mode
         those caches live in the worker processes and die with them).  The
         parent's ``O(t)`` profile state stays, for every target its cache
         holds: every count task carries the thresholds, so the fresh
@@ -1339,8 +1446,10 @@ class ShardedBackend(NeighborBackend):
         return self.execute(plan)[0]
 
     def _kth_squared(self, k: int) -> np.ndarray:
-        """Column ``k - 1`` of the shards' resident row blocks, ``n``
-        values, concatenated in shard order."""
+        """Column ``k - 1`` of the shards' row-sorted blocks, ``n``
+        values, concatenated in shard order: read from a resident row
+        block, or computed for the call when the shard's statistic is
+        column-sorted (see :meth:`_ShardSet.block`)."""
         return np.concatenate(list(self._shard_waves("kth", (k,))))
 
     def _top_sums(self, keys: np.ndarray, target: int) -> np.ndarray:
@@ -1374,13 +1483,17 @@ class ShardedBackend(NeighborBackend):
                                                        np.ndarray]:
         """``(tau, prefix sums of t - s_j)`` for ``target``.
 
-        An exact two-round selection over the shards' resident blocks:
-        round 1 samples every ``ceil(sqrt(t))``-th order statistic of each
-        shard's per-column ``t`` smallest (:func:`_brackets` turns them
-        into bounds around each ``tau_j``), round 2 returns each shard's
-        count below the bracket and its entries inside it
-        (:func:`_thresholds`).  ``O(shards * t^1.5)`` values cross the
-        transport, instead of the ``(n, t)`` statistic.
+        An exact two-round selection over the shards' resident
+        statistics, which the first round leaves column-sorted
+        (:meth:`_ShardSet.columns`): round 1 reads every
+        ``ceil(sqrt(t))``-th order statistic of each shard's per-column
+        ``t`` smallest (:func:`_brackets` turns them into bounds around
+        each ``tau_j``), round 2 binary-searches each column for the
+        shard's count below the bracket and returns it with the entries
+        inside it (:func:`_thresholds`).  After a shard's build, both
+        rounds touch only ``O(t^1.5)`` of its entries, and
+        ``O(shards * t^1.5)`` values cross the transport, instead of the
+        ``(n, t)`` statistic.
 
         Cached per target in a :class:`~repro.neighbors.base.ProfileCache`
         (least recently used evicted while the entries exceed the 64 MiB

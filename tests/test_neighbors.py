@@ -239,6 +239,48 @@ class TestStreamingSlabReuse:
         )
 
 
+@pytest.mark.skipif(_distance._cdist is None,
+                    reason="without scipy's cdist the slab kernel's scratch "
+                           "is the (block, n, d) difference tensor")
+class TestTruncatedKernelScratch:
+    """The truncated-statistic kernels partition and sort each ``(block,
+    n)`` slab in place: besides the ``(q, k)`` output they hold one slab at
+    a time, where a copying partition held two."""
+
+    @pytest.mark.parametrize("kernel", ["truncated_squared_cross",
+                                        "truncated_squared_columns"])
+    def test_peak_is_output_plus_one_slab(self, kernel):
+        q, n, d, k = 1500, 3000, 16, 1500
+        rng = np.random.default_rng(8)
+        queries = rng.uniform(size=(q, d))
+        data = rng.uniform(size=(n, d))
+        block = row_block_size(n, d)
+        tracemalloc.start()
+        try:
+            out = getattr(_distance, kernel)(queries, data, k, block)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        slab = block * n * 8
+        assert out.size == q * k
+        assert peak <= out.nbytes + 1.25 * slab, (
+            f"peaked at output + {(peak - out.nbytes) / slab:.2f} slabs")
+
+    @pytest.mark.parametrize("k", [1, 37, 499, 500, 900])
+    def test_in_place_rows_match_a_full_sort(self, k):
+        """Every ``k``, also ``k >= n``, is bitwise the leading ``k``
+        entries of each fully sorted row, across several row blocks; the
+        column layout is their transpose with each row sorted."""
+        rng = np.random.default_rng(9)
+        queries = rng.integers(0, 4, size=(300, 3)).astype(float)
+        data = np.vstack([queries, rng.uniform(size=(200, 3))])
+        got = _distance.truncated_squared_cross(queries, data, k, 64)
+        full = np.sort(_distance.squared_distance_block(queries, data), axis=1)
+        assert got.tobytes() == full[:, :k].tobytes()
+        columns = _distance.truncated_squared_columns(queries, data, k, 64)
+        assert columns.tobytes() == np.sort(full[:, :k].T, axis=1).tobytes()
+
+
 class TestKthDistances:
     @pytest.mark.parametrize("name", ["random-2d", "duplicates", "random-highd"])
     def test_matches_sorted_matrix(self, name):

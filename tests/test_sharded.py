@@ -16,9 +16,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import repro.neighbors as neighbors
 import repro.neighbors.base as base_module
+import repro.neighbors.sharded as sharded_module
 import repro.neighbors.tree as tree_module
 from repro.accounting.params import PrivacyParams
 from repro.core.good_center import good_center
@@ -637,9 +640,12 @@ class TestResidentProfile:
 
     @pytest.mark.slow
     def test_four_shards_on_two_workers(self):
-        """(c) Four shards on two workers: each worker keeps the blocks of
-        the two shards routed to it, and target changes and ``kth`` reads
-        over that state are bitwise the serial answers."""
+        """(c) Four shards on two workers: each worker keeps the
+        statistics of the two shards routed to it, column-sorted at the
+        widest target profiled, and target changes and ``kth`` reads over
+        that state are bitwise the serial answers.  A ``kth`` read past a
+        column-sorted statistic computes its row blocks for the call and
+        keeps nothing, so the widths stay at 150."""
         points = np.random.default_rng(6).uniform(size=(240, 3))
         radii = radii_for(points)
         serial = ShardedBackend(points, num_shards=4, num_workers=0)
@@ -656,7 +662,249 @@ class TestResidentProfile:
         assert [sorted(worker["resident_blocks"])
                 for worker in stats["workers"]] == [[0, 2], [1, 3]]
         assert {columns for worker in stats["workers"]
-                for columns in worker["resident_blocks"].values()} == {200}
+                for columns in worker["resident_blocks"].values()} == {150}
+
+
+def masked_samples(block, target):
+    """Selection round 1 by its definition over the whole row block: sort
+    every column, keep the sample ranks."""
+    ranks = sharded_module._sample_ranks(block.shape[0], target)
+    return np.sort(block, axis=0)[ranks - 1]
+
+
+def masked_bracket(block, lower, upper):
+    """Selection round 2 by masks over the whole row block: the count at
+    or below ``lower`` and the entries strictly between the bounds,
+    grouped by column in row order."""
+    inside = (block > lower[None, :]) & (block < upper[None, :])
+    return (np.count_nonzero(block <= lower[None, :], axis=0),
+            np.count_nonzero(inside, axis=0),
+            block.T[inside.T])
+
+
+def masked_below(block, thresholds):
+    """The count round's entries by a mask over the whole row block."""
+    return np.sort(block[block < thresholds[None, :]])
+
+
+def resident_shard_set(blocks):
+    """A serial shard set whose shards hold ``blocks`` as their resident
+    row-sorted statistic (the dataset itself is never read)."""
+    edges = np.cumsum([0] + [block.shape[0] for block in blocks]).tolist()
+    shards = sharded_module._ShardSet(np.zeros((edges[-1], 1)),
+                                      list(zip(edges[:-1], edges[1:])))
+    for shard, block in enumerate(blocks):
+        shards._blocks[shard] = ("rows", block.copy())
+    return shards
+
+
+#: The handful of values the tie-heavy blocks are drawn from.
+PALETTE = (0.0, 1.0, 2.0, 5.0)
+
+
+@st.composite
+def tie_heavy_blocks(draw):
+    """1-7 shards of row-sorted ``(rows, t)`` blocks, some shards shorter
+    than ``t`` and some longer, over one to four values; the leading and
+    trailing columns may be forced all-equal (every real block's first
+    column is all zeros)."""
+    rows = draw(st.lists(st.integers(1, 9), min_size=1, max_size=7))
+    target = draw(st.integers(1, min(12, sum(rows))))
+    palette = PALETTE[:draw(st.integers(1, len(PALETTE)))]
+    leading = draw(st.integers(0, target))
+    trailing = draw(st.integers(0, target - leading))
+    blocks = []
+    for count in rows:
+        block = np.sort(draw(arrays(np.float64, (count, target),
+                                    elements=st.sampled_from(palette))),
+                        axis=1)
+        block[:, :leading] = palette[0]
+        block[:, target - trailing:] = palette[-1]
+        blocks.append(block)
+    return blocks, target
+
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None,
+                             derandomize=True,
+                             suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestSortedColumnRounds:
+    """The profile rounds over each shard's column-sorted statistic answer
+    bitwise what the masks over its row block define, on tie-heavy blocks
+    and brackets that sit on column entries."""
+
+    @PROPERTY_SETTINGS
+    @given(case=tie_heavy_blocks(), data=st.data())
+    def test_rounds_match_masked_formulas(self, case, data):
+        blocks, target = case
+        shards = resident_shard_set(blocks)
+        samples = [shards._partial(shard, "profile_samples", None, None,
+                                   (target,))
+                   for shard in range(len(blocks))]
+        for block, got in zip(blocks, samples):
+            expected = masked_samples(block, target)
+            assert got.dtype == expected.dtype
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+        assert all(layout == "columns"
+                   for layout, _ in shards._blocks.values())
+
+        lower, upper = sharded_module._brackets(
+            samples, [block.shape[0] for block in blocks], target)
+        values = np.unique(np.concatenate([block.ravel()
+                                           for block in blocks]))
+        on_entries = st.sampled_from(values.tolist())
+        brackets = [
+            (lower, upper),
+            (np.full(target, -np.inf), upper),
+            (data.draw(arrays(np.float64, target,
+                              elements=st.sampled_from(
+                                  [-np.inf] + values.tolist()))),
+             data.draw(arrays(np.float64, target, elements=on_entries))),
+        ]
+        for low, high in brackets:
+            replies, expected_replies = [], []
+            for shard, block in enumerate(blocks):
+                got = shards._partial(shard, "profile_bracket", None, None,
+                                      (target, low, high))
+                expected = masked_bracket(block, low, high)
+                for mine, theirs in zip(got, expected):
+                    assert mine.dtype == theirs.dtype
+                assert np.array_equal(got[0], expected[0])
+                assert np.array_equal(got[1], expected[1])
+                split = np.cumsum(expected[1])[:-1]
+                for mine, theirs in zip(np.split(got[2], split),
+                                        np.split(expected[2], split)):
+                    assert mine.tobytes() == np.sort(theirs).tobytes()
+                replies.append(got)
+                expected_replies.append(expected)
+            if low is lower:
+                # The merge reads the same thresholds from either order.
+                merged = sharded_module._thresholds(replies, target, upper)
+                reference = sharded_module._thresholds(expected_replies,
+                                                       target, upper)
+                for mine, theirs in zip(merged, reference):
+                    assert mine.tobytes() == theirs.tobytes()
+                thresholds = merged[0]
+
+        drawn = data.draw(arrays(np.float64, target, elements=on_entries))
+        for cut in (thresholds, drawn):
+            for shard, block in enumerate(blocks):
+                got = shards.below_threshold(shard, target, cut)
+                assert got.tobytes() == masked_below(block, cut).tobytes()
+
+    @PROPERTY_SETTINGS
+    @given(points=st.integers(2, 40).flatmap(
+               lambda n: arrays(np.float64, (n, 2),
+                                elements=st.sampled_from([0.0, 1.0, 3.0]))),
+           shards=st.integers(1, 7), data=st.data())
+    def test_scores_match_chunked(self, points, shards, data):
+        target = data.draw(st.integers(1, points.shape[0]))
+        radii = radii_for(points)
+        backend = ShardedBackend(points, num_shards=shards, num_workers=0)
+        got = backend.capped_average_scores(radii, target)
+        expected = ChunkedBackend(points).capped_average_scores(radii, target)
+        assert got.tobytes() == expected.tobytes()
+
+
+class TestStatisticLayout:
+    """A shard keeps one copy of its truncated statistic: row-sorted until
+    its first profile task, column-sorted after it, never both."""
+
+    @staticmethod
+    def counted_builds(monkeypatch):
+        """Record every ``(shard, k, layout)`` statistic a shard set
+        computes."""
+        builds = []
+        original = sharded_module._ShardSet._build
+
+        def counting(self, shard, k, columns):
+            builds.append((shard, k, "columns" if columns else "rows"))
+            return original(self, shard, k, columns)
+
+        monkeypatch.setattr(sharded_module._ShardSet, "_build", counting)
+        return builds
+
+    @staticmethod
+    def assert_one_statistic(backend, layout, width, targets):
+        """Each shard holds one array of ``layout`` and ``width`` that
+        owns its memory (no other layout kept alive behind it as its base),
+        plus one below-threshold entry per profiled target."""
+        shards = backend._shards
+        assert sorted(shards._blocks) == list(range(backend.num_shards))
+        for shard, (low, high) in enumerate(backend.shard_bounds):
+            held, array = shards._blocks[shard]
+            assert held == layout
+            assert array.shape == ((high - low, width) if layout == "rows"
+                                   else (width, high - low))
+            assert array.base is None
+        assert len(shards._profiles) == backend.num_shards * len(targets)
+        assert all(shards._profiles.get((shard, target)) is not None
+                   for shard in range(backend.num_shards)
+                   for target in targets)
+        assert shards.cache_stats()["resident_blocks"] == {
+            shard: width for shard in range(backend.num_shards)}
+
+    def test_profile_then_kth_reads(self, monkeypatch):
+        """Profile at t, read ``kth`` below, at and above t, profile a
+        smaller target, then t again: every answer is ``chunked``'s, each
+        ``kth`` read computes its row blocks for the call, and only the
+        first profile builds a statistic, which stays column-sorted."""
+        points = DATASETS["duplicates"]
+        radii = radii_for(points)
+        chunked = ChunkedBackend(points)
+        backend = ShardedBackend(points, num_shards=3, num_workers=0)
+        builds = self.counted_builds(monkeypatch)
+        target, profiled = 20, []
+        for op, k in (("profile", target), ("kth", 12), ("kth", target),
+                      ("kth", 45), ("profile", 12), ("profile", target)):
+            builds.clear()
+            computed = [(shard, k, "rows" if op == "kth" else "columns")
+                        for shard in range(3)]
+            if op == "kth":
+                got = backend.kth_distances(k)
+                expected = chunked.kth_distances(k)
+            else:
+                got = backend.capped_average_scores(radii, k)
+                expected = chunked.capped_average_scores(radii, k)
+                if profiled:
+                    computed = []
+                if k not in profiled:
+                    profiled.append(k)
+            assert got.tobytes() == expected.tobytes(), (op, k)
+            assert builds == computed, (op, k)
+            self.assert_one_statistic(backend, "columns", target, profiled)
+        backend.close()
+        assert backend._shards._blocks == {}
+        assert len(backend._shards._profiles) == 0
+
+    def test_kth_then_profile_converts_the_row_block(self, monkeypatch):
+        """A ``kth`` read on a fresh shard keeps its row block; the next
+        profile sorts that block's columns instead of building one, and a
+        wider target rebuilds and replaces it."""
+        points = DATASETS["duplicates"]
+        radii = radii_for(points)
+        chunked = ChunkedBackend(points)
+        backend = ShardedBackend(points, num_shards=3, num_workers=0)
+        builds = self.counted_builds(monkeypatch)
+        assert (backend.kth_distances(30).tobytes()
+                == chunked.kth_distances(30).tobytes())
+        assert builds == [(shard, 30, "rows") for shard in range(3)]
+        self.assert_one_statistic(backend, "rows", 30, [])
+        builds.clear()
+        assert (backend.kth_distances(12).tobytes()
+                == chunked.kth_distances(12).tobytes())
+        for target, built in ((20, []),
+                              (40, [(s, 40, "columns") for s in range(3)])):
+            got = backend.capped_average_scores(radii, target)
+            assert got.tobytes() == chunked.capped_average_scores(
+                radii, target).tobytes()
+            assert builds == built, target
+            self.assert_one_statistic(backend, "columns", max(target, 30),
+                                      [20, 40][:1 + (target == 40)])
+        backend.close()
+        assert backend._shards._blocks == {}
 
 
 #: Targets that leave, revisit and widen past cached entries.
