@@ -209,6 +209,25 @@ def _truncated_squared(queries: np.ndarray, data: np.ndarray, k: int,
     return out
 
 
+def kth_squared_cross(queries: np.ndarray, data: np.ndarray, k: int,
+                      block_size: int) -> np.ndarray:
+    """Column ``k - 1`` of :func:`truncated_squared_cross`: each query's
+    ``k``-th smallest squared distance to ``data`` (``1 <= k <= n``).
+
+    The same blocked pass, but each slab is only partitioned in place and
+    read at ``k - 1``, so no ``(q, k)`` block is built or sorted.  The
+    value a partition puts there is the one a sort would, bit for bit.
+    """
+    out = np.empty(queries.shape[0], dtype=float)
+    for start in range(0, queries.shape[0], block_size):
+        squared = squared_distance_block(queries[start:start + block_size], data)
+        squared.partition(k - 1, axis=1)
+        out[start:start + squared.shape[0]] = squared[:, k - 1]
+        # Free this slab before the next one is computed.
+        del squared
+    return out
+
+
 def capped_count_histograms(queries: np.ndarray, data: np.ndarray,
                             keys: np.ndarray, cap: int,
                             block_size: int) -> np.ndarray:
@@ -261,6 +280,7 @@ __all__ = [
     "blocked_radius_counts",
     "blocked_radius_counts_many",
     "capped_count_histograms",
+    "kth_squared_cross",
     "squared_distance_block",
     "squared_radius_keys",
     "row_block_size",

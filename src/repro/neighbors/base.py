@@ -1254,7 +1254,7 @@ class NeighborBackend(abc.ABC):
     def _kth_squared(self, k: int) -> np.ndarray:
         """Column ``k - 1`` of the truncated statistic (``(n,)``): each
         point's ``k``-th smallest squared distance.  The sharded backend
-        reads it from its shards' row-sorted blocks instead."""
+        computes it on its shards instead, without their row blocks."""
         return self._truncated_squared(k)[:, k - 1]
 
     def capped_average_scores(self, radii, target: int) -> np.ndarray:

@@ -71,6 +71,7 @@ import numpy as np
 
 from repro.neighbors._distance import (
     capped_count_histograms,
+    kth_squared_cross,
     row_block_size,
     truncated_squared_columns,
     truncated_squared_cross,
@@ -162,13 +163,11 @@ class _ShardSet:
         #: :func:`~repro.neighbors.tree.tree_selects` picks it for the
         #: block's ``k``).
         self._full_tree = None
-        #: Per-shard resident truncated statistic, in one layout at a time:
-        #: ``shard -> ("rows", (rows, k) row-sorted block)`` until the
-        #: shard's first profile task, then ``shard -> ("columns", (k,
-        #: rows) array)`` whose row ``j`` is column ``j`` of the block,
-        #: sorted (see :meth:`columns`).  Each layout keeps the widest
-        #: statistic asked of it; a narrower request reads its leading
-        #: columns, or rows.
+        #: Per-shard resident truncated statistic, column-sorted: ``shard
+        #: -> (k, rows)`` array whose row ``j`` is column ``j`` of the
+        #: shard's row block, sorted (see :meth:`columns`), the widest any
+        #: profile task asked for (a narrower target reads its leading
+        #: rows).
         self._blocks = {}
         #: Per-shard state of the GoodRadius profile, warm per target:
         #: ``(shard, target) -> (thresholds, sorted entries)``, the
@@ -260,9 +259,8 @@ class _ShardSet:
             },
             "cached_selections": sorted(self._selection_rows),
             "resident_blocks": {
-                shard: int(array.shape[1] if layout == "rows"
-                           else array.shape[0])
-                for shard, (layout, array) in sorted(self._blocks.items())
+                shard: int(columns.shape[0])
+                for shard, columns in sorted(self._blocks.items())
             },
             "pid": os.getpid(),
         }
@@ -270,19 +268,20 @@ class _ShardSet:
     # ------------------------------------------------------------------ #
     # The resident truncated statistic (GoodRadius's profile)
     # ------------------------------------------------------------------ #
-    def _build(self, shard: int, k: int, columns: bool) -> np.ndarray:
+    def _build(self, shard: int, k: int, form: str) -> np.ndarray:
         """The shard's rows' ``k`` smallest squared distances to the full
-        dataset, computed and not kept: row-sorted ``(rows, k)``, or with
-        ``columns`` in :meth:`columns`' layout ``(k, rows)``.
+        dataset, computed and not kept, in one of three forms: ``"rows"``,
+        the row-sorted ``(rows, k)`` block; ``"columns"``, :meth:`columns`'
+        ``(k, rows)`` layout; ``"kth"``, the block's last column alone.
 
         When :meth:`_inner_name` picks the scipy KD-tree at the full
         dataset's size and :func:`~repro.neighbors.tree.tree_selects`
         picks it for ``k``, a full-dataset tree (cached in this process)
         selects the neighbours and the shared gather kernel recomputes the
-        values; otherwise the blocked slab builds the statistic and no
-        tree is built.  Either way it is bitwise the blocked slab's — and
-        the leading ``k`` columns of a wider block are bitwise the
-        ``k``-column block.
+        values; otherwise the blocked slab pass of the form's kernel
+        computes it and no tree is built.  Either way it is bitwise the
+        blocked slab's — and the leading ``k`` columns of a wider block
+        are bitwise the ``k``-column block.
         """
         from repro.neighbors.tree import TreeBackend, tree_selects
 
@@ -294,58 +293,41 @@ class _ShardSet:
             block = self._full_tree.truncated_squared_cross(
                 self.points[low:high], k
             )
-            return _sorted_columns(block) if columns else block
-        kernel = (truncated_squared_columns if columns
-                  else truncated_squared_cross)
+            if form == "columns":
+                return _sorted_columns(block)
+            return block[:, k - 1].copy() if form == "kth" else block
+        kernel = {"rows": truncated_squared_cross,
+                  "columns": truncated_squared_columns,
+                  "kth": kth_squared_cross}[form]
         return kernel(self.points[low:high], self.points, k,
                       row_block_size(*self.points.shape))
 
     def block(self, shard: int, k: int) -> np.ndarray:
         """The shard's rows' ``min(k, n)`` smallest squared distances to
-        the full dataset, row-sorted: ``(rows, k)``.
-
-        Read from the resident row block while the shard holds one at least
-        ``k`` wide.  Otherwise built (:meth:`_build`) and kept, unless the
-        shard's statistic is already column-sorted (:meth:`columns`): then
-        the block is computed for this call only, so a shard never keeps
-        both layouts.
-        """
-        k = min(k, self.points.shape[0])
-        layout, array = self._blocks.get(shard, (None, None))
-        if layout == "rows" and array.shape[1] >= k:
-            return array[:, :k]
-        if layout == "columns":
-            return self._build(shard, k, columns=False)
-        del array
-        self._blocks.pop(shard, None)
-        block = self._build(shard, k, columns=False)
-        self._blocks[shard] = ("rows", block)
-        return block
+        the full dataset, row-sorted: ``(rows, k)``, built (:meth:`_build`)
+        for this call and never kept — the shard keeps only its sorted
+        :meth:`columns`."""
+        return self._build(shard, min(k, self.points.shape[0]), "rows")
 
     def columns(self, shard: int, k: int) -> np.ndarray:
         """The shard's statistic column by column: ``(min(k, n), rows)``,
-        row ``j`` holding column ``j`` of :meth:`block` in ascending order.
+        row ``j`` holding column ``j`` of :meth:`block` in ascending order,
+        built on first use and kept.
 
-        The profile rounds read only this layout.  The first profile task
-        of a shard sorts the columns of its resident row block, when it
-        holds one at least ``k`` wide, and drops the block; otherwise it
-        builds the layout straight from the slab pass.  Sorting each
-        column of a wider statistic leaves its leading columns exactly the
-        narrower statistic's sorted columns, so a narrower target reads the
-        leading rows and only a wider one rebuilds.
+        The profile rounds read only this layout.  Sorting each column of
+        a wider statistic leaves its leading columns exactly the narrower
+        statistic's sorted columns, so a narrower target reads the leading
+        rows and only a wider one rebuilds.
         """
         k = min(k, self.points.shape[0])
-        layout, array = self._blocks.get(shard, (None, None))
-        if layout == "columns" and array.shape[0] >= k:
-            return array[:k]
-        self._blocks.pop(shard, None)
-        if layout == "rows" and array.shape[1] >= k:
-            array = _sorted_columns(array)
-        else:
-            del array
-            array = self._build(shard, k, columns=True)
-        self._blocks[shard] = ("columns", array)
-        return array[:k]
+        cached = self._blocks.get(shard)
+        if cached is None or cached.shape[0] < k:
+            # Drop the narrower statistic before building the wider one.
+            self._blocks.pop(shard, None)
+            del cached
+            cached = self._build(shard, k, "columns")
+            self._blocks[shard] = cached
+        return cached[:k]
 
     def below_threshold(self, shard: int, target: int,
                         thresholds: np.ndarray) -> np.ndarray:
@@ -353,17 +335,18 @@ class _ShardSet:
         sorted — the per-shard half of the column-threshold identity.
 
         Each column's entries below its threshold are a prefix of its
-        sorted row in :meth:`columns`: one binary search per column finds
-        the prefixes, and one sort orders them together.  Cached per
+        sorted row in :meth:`columns`: a binary search of each row finds
+        its prefix, and one sort orders them together.  Cached per
         ``(shard, target)`` and rebuilt when the target is not cached or
         the task's thresholds differ from the ones it was built for.
         """
         cached = self._profiles.get((shard, target))
         if cached is None or not np.array_equal(cached[0], thresholds):
             columns = self.columns(shard, target)
-            below = _column_runs(columns,
-                                 np.zeros(columns.shape[0], dtype=np.intp),
-                                 _sorted_counts(columns, thresholds, "left"))
+            below = np.concatenate([
+                column[:column.searchsorted(cut, "left")]
+                for column, cut in zip(columns, thresholds.tolist())
+            ])
             below.sort()
             cached = (thresholds, below)
             self._profiles.put((shard, target), cached)
@@ -458,12 +441,12 @@ class _ShardSet:
         slice.  The other ops are internal, never plan methods:
         ``count_labels`` (the exact-recount round of the bounded
         heaviest-cell merge), ``histograms`` (this shard's streaming
-        ``L(r, S)`` partial), and the reads of the shard's resident
-        truncated statistic: ``kth`` (one column of the row-sorted
-        :meth:`block`) and the three GoodRadius profile rounds over the
-        sorted :meth:`columns` — ``profile_samples`` (the entries at the
-        sample ranks), ``profile_bracket`` (two binary searches per column
-        and the runs between them) and ``profile_counts`` (through
+        ``L(r, S)`` partial), ``kth`` (one column of the row-sorted
+        :meth:`block`, computed without the block and never kept), and the
+        three GoodRadius profile rounds over the shard's resident sorted
+        :meth:`columns` — ``profile_samples`` (the entries at the sample
+        ranks), ``profile_bracket`` (two binary searches per column and the
+        runs between them) and ``profile_counts`` (through
         :meth:`below_threshold`).  Each carries everything its shard needs
         to rebuild the statistic and the profile state, so a fresh or
         stealing worker, or an adopting node, answers it bitwise like the
@@ -485,9 +468,8 @@ class _ShardSet:
         if op == "depth_counts":
             return depth_count_pairs(self.points[low:high, 0], *args)
         if op == "kth":
-            # A copy: the block may have been built for this call alone.
             (k,) = args
-            return self.block(shard, k)[:, k - 1].copy()
+            return self._build(shard, k, "kth")
         if op == "profile_samples":
             # Selection round 1: every ceil(sqrt(t))-th order statistic of
             # each column's t smallest, plus the last (see _sample_ranks),
@@ -505,9 +487,16 @@ class _ShardSet:
             # smallest.
             target, lower, upper = args
             columns = self.columns(shard, target)
-            below = _sorted_counts(columns, lower, "right")
-            under = np.maximum(_sorted_counts(columns, upper, "left"), below)
-            return below, under - below, _column_runs(columns, below, under)
+            below = np.empty(columns.shape[0], dtype=np.intp)
+            inside = np.empty_like(below)
+            runs = []
+            for j, (column, lower_j, upper_j) in enumerate(
+                    zip(columns, lower.tolist(), upper.tolist())):
+                start = column.searchsorted(lower_j, "right")
+                stop = max(column.searchsorted(upper_j, "left"), start)
+                below[j], inside[j] = start, stop - start
+                runs.append(column[start:stop])
+            return below, inside, np.concatenate(runs)
         if op == "profile_counts":
             # #{(i, j) : T[i, j] < tau_j and T[i, j] <= key} per key.
             target, thresholds, keys = args
@@ -898,41 +887,6 @@ def _sorted_columns(block: np.ndarray) -> np.ndarray:
     return columns
 
 
-def _sorted_counts(columns: np.ndarray, values: np.ndarray,
-                   side: str) -> np.ndarray:
-    """``np.searchsorted(columns[j], values[j], side)`` for every row ``j``
-    of ``columns`` (each row sorted ascending) at once: how many of its
-    entries are ``<= values[j]`` (``side="right"``) or ``< values[j]``
-    (``side="left"``).
-
-    The qualifying entries of a row are a prefix, so the count is found
-    bit by bit from the top: one probe of every row per bit of the row
-    length.
-    """
-    width, rows = columns.shape
-    flat = columns.reshape(-1)
-    before_row = np.arange(width, dtype=np.intp) * rows - 1
-    counts = np.zeros(width, dtype=np.intp)
-    step = 1 << (rows.bit_length() - 1) if rows else 0
-    while step:
-        candidate = counts + step
-        probe = flat[before_row + np.minimum(candidate, rows)]
-        hit = probe <= values if side == "right" else probe < values
-        counts += np.where(hit & (candidate <= rows), step, 0)
-        step >>= 1
-    return counts
-
-
-def _column_runs(columns: np.ndarray, starts: np.ndarray,
-                 stops: np.ndarray) -> np.ndarray:
-    """``columns[j, starts[j]:stops[j]]`` for every row ``j``, concatenated
-    in row order."""
-    return np.concatenate([
-        row[start:stop]
-        for row, start, stop in zip(columns, starts.tolist(), stops.tolist())
-    ])
-
-
 #: Columns per step of the parent's selection merges, which bounds their
 #: scratch at a few ``(sampled rows, chunk)`` arrays whatever ``t`` is.
 _SELECTION_CHUNK = 256
@@ -1211,10 +1165,9 @@ class ShardedBackend(NeighborBackend):
         ``workers`` list: one :meth:`_ShardSet.cache_stats` entry per live
         worker slot (pool mode) or the parent shard set's entry (serial
         fallback), whose ``resident_blocks`` maps each shard to the width
-        of the truncated statistic it keeps, row- or column-sorted (one
-        layout at a time).  With routing affinity each
-        shard index appears in exactly one worker's ``built_shards`` — the
-        property the affinity tests pin.
+        of the column-sorted truncated statistic it keeps.  With routing
+        affinity each shard index appears in exactly one worker's
+        ``built_shards`` — the property the affinity tests pin.
 
         Purely diagnostic: reading it never starts the pool, but in pool
         mode it does dispatch one stats task per live worker slot.
@@ -1447,9 +1400,9 @@ class ShardedBackend(NeighborBackend):
 
     def _kth_squared(self, k: int) -> np.ndarray:
         """Column ``k - 1`` of the shards' row-sorted blocks, ``n``
-        values, concatenated in shard order: read from a resident row
-        block, or computed for the call when the shard's statistic is
-        column-sorted (see :meth:`_ShardSet.block`)."""
+        values, concatenated in shard order: each shard computes its rows'
+        ``k``-th smallest squared distances for the call, without building
+        its block, and keeps nothing (see :meth:`_ShardSet._build`)."""
         return np.concatenate(list(self._shard_waves("kth", (k,))))
 
     def _top_sums(self, keys: np.ndarray, target: int) -> np.ndarray:

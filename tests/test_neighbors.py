@@ -243,12 +243,13 @@ class TestStreamingSlabReuse:
                     reason="without scipy's cdist the slab kernel's scratch "
                            "is the (block, n, d) difference tensor")
 class TestTruncatedKernelScratch:
-    """The truncated-statistic kernels partition and sort each ``(block,
-    n)`` slab in place: besides the ``(q, k)`` output they hold one slab at
-    a time, where a copying partition held two."""
+    """The truncated-statistic kernels partition (and sort) each ``(block,
+    n)`` slab in place: besides their output they hold one slab at a time,
+    where a copying partition held two."""
 
     @pytest.mark.parametrize("kernel", ["truncated_squared_cross",
-                                        "truncated_squared_columns"])
+                                        "truncated_squared_columns",
+                                        "kth_squared_cross"])
     def test_peak_is_output_plus_one_slab(self, kernel):
         q, n, d, k = 1500, 3000, 16, 1500
         rng = np.random.default_rng(8)
@@ -262,7 +263,7 @@ class TestTruncatedKernelScratch:
         finally:
             tracemalloc.stop()
         slab = block * n * 8
-        assert out.size == q * k
+        assert out.size == (q if kernel == "kth_squared_cross" else q * k)
         assert peak <= out.nbytes + 1.25 * slab, (
             f"peaked at output + {(peak - out.nbytes) / slab:.2f} slabs")
 
@@ -270,7 +271,8 @@ class TestTruncatedKernelScratch:
     def test_in_place_rows_match_a_full_sort(self, k):
         """Every ``k``, also ``k >= n``, is bitwise the leading ``k``
         entries of each fully sorted row, across several row blocks; the
-        column layout is their transpose with each row sorted."""
+        column layout is their transpose with each row sorted, and the
+        ``k``-th column alone (``k <= n``) is the last of them."""
         rng = np.random.default_rng(9)
         queries = rng.integers(0, 4, size=(300, 3)).astype(float)
         data = np.vstack([queries, rng.uniform(size=(200, 3))])
@@ -279,6 +281,9 @@ class TestTruncatedKernelScratch:
         assert got.tobytes() == full[:, :k].tobytes()
         columns = _distance.truncated_squared_columns(queries, data, k, 64)
         assert columns.tobytes() == np.sort(full[:, :k].T, axis=1).tobytes()
+        if k <= data.shape[0]:
+            kth = _distance.kth_squared_cross(queries, data, k, 64)
+            assert kth.tobytes() == full[:, k - 1].tobytes()
 
 
 class TestKthDistances:

@@ -643,9 +643,9 @@ class TestResidentProfile:
         """(c) Four shards on two workers: each worker keeps the
         statistics of the two shards routed to it, column-sorted at the
         widest target profiled, and target changes and ``kth`` reads over
-        that state are bitwise the serial answers.  A ``kth`` read past a
-        column-sorted statistic computes its row blocks for the call and
-        keeps nothing, so the widths stay at 150."""
+        that state are bitwise the serial answers.  A ``kth`` read computes
+        its column for the call and keeps nothing, so the widths stay at
+        150."""
         points = np.random.default_rng(6).uniform(size=(240, 3))
         radii = radii_for(points)
         serial = ShardedBackend(points, num_shards=4, num_workers=0)
@@ -688,13 +688,14 @@ def masked_below(block, thresholds):
 
 
 def resident_shard_set(blocks):
-    """A serial shard set whose shards hold ``blocks`` as their resident
-    row-sorted statistic (the dataset itself is never read)."""
+    """A serial shard set whose shards hold the sorted columns of the
+    row-sorted ``blocks`` as their resident statistic (the dataset itself
+    is never read)."""
     edges = np.cumsum([0] + [block.shape[0] for block in blocks]).tolist()
     shards = sharded_module._ShardSet(np.zeros((edges[-1], 1)),
                                       list(zip(edges[:-1], edges[1:])))
     for shard, block in enumerate(blocks):
-        shards._blocks[shard] = ("rows", block.copy())
+        shards._blocks[shard] = sharded_module._sorted_columns(block)
     return shards
 
 
@@ -747,8 +748,6 @@ class TestSortedColumnRounds:
             assert got.dtype == expected.dtype
             assert got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()
-        assert all(layout == "columns"
-                   for layout, _ in shards._blocks.values())
 
         lower, upper = sharded_module._brackets(
             samples, [block.shape[0] for block in blocks], target)
@@ -809,35 +808,33 @@ class TestSortedColumnRounds:
 
 
 class TestStatisticLayout:
-    """A shard keeps one copy of its truncated statistic: row-sorted until
-    its first profile task, column-sorted after it, never both."""
+    """A shard keeps one copy of its truncated statistic, column-sorted,
+    from its first profile task on; a ``kth`` read computes its column for
+    the call and keeps nothing."""
 
     @staticmethod
     def counted_builds(monkeypatch):
-        """Record every ``(shard, k, layout)`` statistic a shard set
-        computes."""
+        """Record every ``(shard, k, form)`` a shard set computes."""
         builds = []
         original = sharded_module._ShardSet._build
 
-        def counting(self, shard, k, columns):
-            builds.append((shard, k, "columns" if columns else "rows"))
-            return original(self, shard, k, columns)
+        def counting(self, shard, k, form):
+            builds.append((shard, k, form))
+            return original(self, shard, k, form)
 
         monkeypatch.setattr(sharded_module._ShardSet, "_build", counting)
         return builds
 
     @staticmethod
-    def assert_one_statistic(backend, layout, width, targets):
-        """Each shard holds one array of ``layout`` and ``width`` that
-        owns its memory (no other layout kept alive behind it as its base),
-        plus one below-threshold entry per profiled target."""
+    def assert_one_statistic(backend, width, targets):
+        """Each shard holds one ``(width, rows)`` array that owns its
+        memory (no other array kept alive behind it as its base), plus one
+        below-threshold entry per profiled target."""
         shards = backend._shards
         assert sorted(shards._blocks) == list(range(backend.num_shards))
         for shard, (low, high) in enumerate(backend.shard_bounds):
-            held, array = shards._blocks[shard]
-            assert held == layout
-            assert array.shape == ((high - low, width) if layout == "rows"
-                                   else (width, high - low))
+            array = shards._blocks[shard]
+            assert array.shape == (width, high - low)
             assert array.base is None
         assert len(shards._profiles) == backend.num_shards * len(targets)
         assert all(shards._profiles.get((shard, target)) is not None
@@ -846,21 +843,26 @@ class TestStatisticLayout:
         assert shards.cache_stats()["resident_blocks"] == {
             shard: width for shard in range(backend.num_shards)}
 
-    def test_profile_then_kth_reads(self, monkeypatch):
-        """Profile at t, read ``kth`` below, at and above t, profile a
-        smaller target, then t again: every answer is ``chunked``'s, each
-        ``kth`` read computes its row blocks for the call, and only the
-        first profile builds a statistic, which stays column-sorted."""
+    def test_profile_and_kth_sequence(self, monkeypatch):
+        """Read ``kth`` on a fresh backend, profile at t, read ``kth``
+        below, at and above t, profile a smaller target, then t again:
+        every answer is ``chunked``'s, each ``kth`` read computes only its
+        column and keeps nothing, and only the first profile builds a
+        statistic."""
         points = DATASETS["duplicates"]
         radii = radii_for(points)
         chunked = ChunkedBackend(points)
         backend = ShardedBackend(points, num_shards=3, num_workers=0)
         builds = self.counted_builds(monkeypatch)
+        assert (backend.kth_distances(30).tobytes()
+                == chunked.kth_distances(30).tobytes())
+        assert builds == [(shard, 30, "kth") for shard in range(3)]
+        assert backend._shards._blocks == {}
         target, profiled = 20, []
         for op, k in (("profile", target), ("kth", 12), ("kth", target),
                       ("kth", 45), ("profile", 12), ("profile", target)):
             builds.clear()
-            computed = [(shard, k, "rows" if op == "kth" else "columns")
+            computed = [(shard, k, "kth" if op == "kth" else "columns")
                         for shard in range(3)]
             if op == "kth":
                 got = backend.kth_distances(k)
@@ -874,37 +876,10 @@ class TestStatisticLayout:
                     profiled.append(k)
             assert got.tobytes() == expected.tobytes(), (op, k)
             assert builds == computed, (op, k)
-            self.assert_one_statistic(backend, "columns", target, profiled)
+            self.assert_one_statistic(backend, target, profiled)
         backend.close()
         assert backend._shards._blocks == {}
         assert len(backend._shards._profiles) == 0
-
-    def test_kth_then_profile_converts_the_row_block(self, monkeypatch):
-        """A ``kth`` read on a fresh shard keeps its row block; the next
-        profile sorts that block's columns instead of building one, and a
-        wider target rebuilds and replaces it."""
-        points = DATASETS["duplicates"]
-        radii = radii_for(points)
-        chunked = ChunkedBackend(points)
-        backend = ShardedBackend(points, num_shards=3, num_workers=0)
-        builds = self.counted_builds(monkeypatch)
-        assert (backend.kth_distances(30).tobytes()
-                == chunked.kth_distances(30).tobytes())
-        assert builds == [(shard, 30, "rows") for shard in range(3)]
-        self.assert_one_statistic(backend, "rows", 30, [])
-        builds.clear()
-        assert (backend.kth_distances(12).tobytes()
-                == chunked.kth_distances(12).tobytes())
-        for target, built in ((20, []),
-                              (40, [(s, 40, "columns") for s in range(3)])):
-            got = backend.capped_average_scores(radii, target)
-            assert got.tobytes() == chunked.capped_average_scores(
-                radii, target).tobytes()
-            assert builds == built, target
-            self.assert_one_statistic(backend, "columns", max(target, 30),
-                                      [20, 40][:1 + (target == 40)])
-        backend.close()
-        assert backend._shards._blocks == {}
 
 
 #: Targets that leave, revisit and widen past cached entries.
