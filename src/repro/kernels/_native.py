@@ -158,9 +158,15 @@ def fused_interval_labels(values: np.ndarray, width: float,
 
 
 def fixed_point_column_partials(matrix: np.ndarray):
-    """Native fixed-point column partials (see the reference docstring)."""
+    """Native fixed-point column partials (see the reference docstring).
+
+    Non-finite input raises ``ValueError`` here, before the jitted loop,
+    as the reference kernel raises it from each block's min and max.
+    """
     matrix = np.ascontiguousarray(matrix, dtype=np.float64)
     if matrix.size == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, empty
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError("exact summation requires finite values")
     return _column_partials(matrix)

@@ -5,11 +5,13 @@ in :mod:`repro.kernels._native` must reproduce.  The distance and label
 bodies are the exact numpy expressions the library used before kernel
 dispatch existed, moved here so both kernel sets live behind one import seam
 (:mod:`repro.kernels`).  The fixed-point column kernel is specified by its
-merged totals, not its bytes: it splits each row block with ``np.frexp``,
-the same decomposition the native kernel makes per element, and either
-sums each column in int64 after aligning the block to its smallest
-exponent (a block spanning few binades) or sums the mantissa integers per
-(exponent, column) bucket (see its docstring).
+merged totals, not its bytes: it reads each row block's frexp exponent
+range (from the block's min and max when the block has one sign and no
+zero, from ``np.frexp``, the decomposition the native kernel makes per
+element, otherwise) and either sums each column in int64 after aligning
+the block to its smallest exponent (a block spanning few binades) or sums
+the mantissa integers per (exponent, column) bucket (see its docstring).
+It rejects non-finite input itself.
 
 This module must not import anything from :mod:`repro` outside the kernels
 package: the modules it accelerates (``repro.neighbors._distance``,
@@ -18,6 +20,7 @@ package: the modules it accelerates (``repro.neighbors._distance``,
 
 from __future__ import annotations
 
+import math
 from typing import Tuple
 
 import numpy as np
@@ -114,12 +117,19 @@ def fixed_point_column_partials(
     arbitrary-precision payloads and producible by a compiled kernel.
 
     No sort and no per-element Python loop.  The rows are taken in blocks
-    of at most ``_SEGMENT``, and one ``np.frexp`` splits each block into
-    mantissas ``m`` (``0.5 <= |m| < 1``, or 0) and exponents ``e``: the
-    value is ``(m * 2**53) * 2**(e - 53)``, where ``m * 2**53`` and its
-    int64 cast are exact.  Each block then takes one of two paths, chosen
-    from the spread ``s = max(e) - min(e) + 1`` of its exponents (the
-    binades it spans; a zero's exponent is 0):
+    of at most ``_SEGMENT``, each read first for its min and max:
+    ``ValueError`` if either is NaN or infinite (the native kernel's
+    wrapper makes the same check).  Every value is ``m * 2**e`` with its
+    frexp mantissa ``m`` (``0.5 <= |m| < 1``, or 0) and exponent ``e``, so
+    it is ``(m * 2**53) * 2**(e - 53)``, where ``m * 2**53`` and its int64
+    cast are exact.  A block takes one of two paths, chosen from the
+    spread ``s = max(e) - min(e) + 1`` of its exponents (the binades it
+    spans; a zero's exponent is 0).  When the block has one sign and no
+    zero, ``e`` grows with ``|x|`` and the block's min and max are its
+    extreme magnitudes, so ``math.frexp`` of those two gives ``min(e)``
+    and ``max(e)`` with no block-wide pass.  Any other block is split by
+    one ``np.frexp`` into its mantissas and exponents, and ``min(e)`` and
+    ``max(e)`` are read from those:
 
     * **Dense**, when ``s + (rows - 1).bit_length() <= 63 - 52``.  With
       ``low = min(e)``, every value is an integer multiple of
@@ -130,7 +140,7 @@ def fixed_point_column_partials(
       the whole partial: one ``(limb, low + SCALE_BITS - 53, column)``
       entry per nonzero column, with no bucket table.  Narrow data, such
       as sample-and-aggregate block means over values of one scale, takes
-      this path.
+      this path, and when it has one sign it takes it without frexp.
     * **Bucketed**, otherwise: in ``2**-SCALE_BITS`` units the shift of
       ``m * 2**53`` is ``e + 1021``, and each (exponent minus the block's
       smallest exponent, column) bucket is summed by one ``np.add.at``
@@ -139,8 +149,9 @@ def fixed_point_column_partials(
       slabs whose table stays within ``max(rows * k, 2**16)`` entries, so
       a block spanning all exponents needs no more scratch than a few
       copies of the block, and no scratch array outgrows one block.
-      Blocks of wide spread (NoisyAVG's deltas, mixed scales, zeros among
-      tiny values) need this path: one int64 per column would overflow.
+      A one-signed block is split by ``np.frexp`` here.  Blocks of wide
+      spread (NoisyAVG's deltas, mixed scales, zeros among tiny values)
+      need this path: one int64 per column would overflow.
 
     Either way a shift lies in ``[-52, 2045]`` and is negative only for a
     block reaching the subnormals (``min(e) < -1021``), whose values are
@@ -166,13 +177,24 @@ def fixed_point_column_partials(
     limbs, shifts, columns = [], [], []
     for top in range(0, q, _SEGMENT):
         block = matrix[top:top + _SEGMENT]
-        integers, exponents = np.frexp(block)
-        low = int(exponents.min())
-        spread = int(exponents.max()) - low + 1
+        smallest, largest = float(block.min()), float(block.max())
+        if not (math.isfinite(smallest) and math.isfinite(largest)):
+            raise ValueError("exact summation requires finite values")
+        integers = exponents = None
+        if smallest > 0 or largest < 0:
+            # One sign and no zero: the extremes are the smallest and
+            # largest magnitudes, so they carry the extreme exponents.
+            low, high = sorted(math.frexp(x)[1] for x in (smallest, largest))
+        else:
+            integers, exponents = np.frexp(block)
+            low, high = int(exponents.min()), int(exponents.max())
+        spread = high - low + 1
         if spread + (block.shape[0] - 1).bit_length() <= 63 - 52:
-            # Dense: align every value to 2**(low - 53) in the mantissas'
-            # buffer and sum each column in int64.
-            sums = np.ldexp(block, 53 - low, out=integers.view(np.int64),
+            # Dense: align every value to 2**(low - 53), in the mantissas'
+            # buffer when frexp made one, and sum each column in int64.
+            aligned = (np.empty(block.shape, dtype=np.int64)
+                       if integers is None else integers.view(np.int64))
+            sums = np.ldexp(block, 53 - low, out=aligned,
                             casting="unsafe").sum(axis=0)
             hits = np.flatnonzero(sums)
             limbs.append(sums[hits])
@@ -180,6 +202,8 @@ def fixed_point_column_partials(
                                   dtype=np.int64))
             columns.append(hits)
             continue
+        if integers is None:
+            integers, exponents = np.frexp(block)
         # Scale the mantissas and cast them to int64 in their own buffer.
         integers = np.multiply(integers, _MANTISSA_SCALE,
                                out=integers.view(np.int64), casting="unsafe")

@@ -1544,13 +1544,13 @@ class ShardedBackend(NeighborBackend):
                 )
             rows = np.flatnonzero(array)
         else:
-            rows = np.sort(self._check_global_rows(array), kind="stable")
-        specs = []
-        for low, high in self._bounds:
-            lo = np.searchsorted(rows, low, side="left")
-            hi = np.searchsorted(rows, high, side="left")
-            specs.append(("rows", rows[lo:hi] - low))
-        return specs
+            rows = np.sort(self._check_global_rows(array))
+        # The shards are contiguous: one search over their starts and n
+        # cuts the ascending rows into every shard's segment.
+        starts = [low for low, _ in self._bounds]
+        cuts = np.searchsorted(rows, starts + [self.num_points]).tolist()
+        return [("rows", rows[cuts[shard]:cuts[shard + 1]] - low)
+                for shard, low in enumerate(starts)]
 
     def _view_wire(self, view: ProjectedView) -> tuple:
         """A view's ``(token, matrix, offset)`` wire triple."""

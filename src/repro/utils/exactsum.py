@@ -24,19 +24,24 @@ splits all values at once, mantissas sharing an exponent are summed with
 cannot overflow (``512 * 2**53 < 2**63``), and the per-segment fold runs in
 Python.  The masked sums take the vectorised two-stage route instead, with
 no sort and no per-element or per-entry Python loop.  The column kernel
-(:func:`repro.kernels.fixed_point_column_partials`) splits each block of at
-most 512 rows with one ``np.frexp`` and emits fixed-width ``(limb, shift,
-column)`` triples by one of two paths, picked per block from the spread
-``s`` of its exponents (the binades it spans):
+(:func:`repro.kernels.fixed_point_column_partials`) takes the rows in
+blocks of at most 512 and emits fixed-width ``(limb, shift, column)``
+triples by one of two paths, picked per block from the spread ``s`` of its
+frexp exponents (the binades it spans).  Each kernel rejects non-finite
+input itself: the reference kernel from each block's min and max, the
+native one in its Python wrapper.  A block of one sign and no zero gets
+its smallest and largest exponent from ``math.frexp`` of its min and max;
+any other block from one ``np.frexp`` of the whole block:
 
 * when ``s + (rows - 1).bit_length() <= 63 - 52``, every value is an
   integer multiple of ``2**(min exponent - 53)`` whose multiplier is below
   ``2**(52 + s)``, so the block is aligned with one exact ``np.ldexp`` and
   each column summed in int64 without overflow: one triple per column;
-* otherwise the exact mantissa integers are summed per (exponent, column)
-  bucket with one ``np.add.at`` (a small superaccumulator per column and
-  block).  Blocks that span many binades, such as NoisyAVG's deltas around
-  a centre or mixed-scale data, need it: one int64 per column would
+* otherwise the exact mantissa integers (from one ``np.frexp``, a
+  one-signed block's too) are summed per (exponent, column) bucket with
+  one ``np.add.at`` (a small superaccumulator per column and block).
+  Blocks that span many binades, such as NoisyAVG's deltas around a
+  centre or mixed-scale data, need it: one int64 per column would
   overflow.
 
 :func:`merge_column_partials` sums the triples as base-``2**32`` digits in
@@ -139,13 +144,14 @@ def fixed_point_column_partials(
     these are fixed-width integer arrays — cheap to pickle across the
     sharded backend's process boundary and producible by the compiled
     kernel (:func:`repro.kernels.fixed_point_column_partials`, to which
-    this validated wrapper dispatches).
+    this wrapper dispatches).  The wrapper checks the shape; the
+    dispatched kernel raises ``ValueError`` on a NaN or infinite value
+    (the python kernel finds one in each block's min and max, which it
+    reads anyway).
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {matrix.shape}")
-    if matrix.size and not np.all(np.isfinite(matrix)):
-        raise ValueError("exact summation requires finite values")
     return kernels.fixed_point_column_partials(matrix)
 
 

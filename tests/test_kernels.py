@@ -252,21 +252,30 @@ def exactness_cases():
 @st.composite
 def mixed_matrices(draw, max_rows=80):
     """Mixed magnitudes, subnormals, signed zeros and heavy duplication,
-    or a narrow band (uniform on [1, 2) times one power of two, both signs)
-    that the column kernel sums densely unless specials widen it."""
+    or a narrow band (uniform on [1, 2) times one power of two, from the
+    subnormals to the top binade) that the column kernel sums densely
+    unless specials widen it.  The band has both signs, or one sign: then
+    the specials are nonzero and of that sign, so the block stays
+    one-signed and its extremes alone give its exponent range."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     q = draw(st.integers(0, max_rows))
     k = draw(st.integers(1, 5))
-    if draw(st.booleans()):
-        signs = np.where(rng.random((q, k)) < 0.5, -1.0, 1.0)
-        matrix = signs * rng.uniform(1.0, 2.0, size=(q, k)) * 2.0 ** draw(
-            st.integers(-1070, 1022))
-    else:
-        matrix = rng.normal(size=(q, k)) * 10.0 ** rng.integers(
-            -300, 300, size=(q, k))
     specials = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -3e-320,
                          2.2e-308, 1.0, -1.0, MAX_BELOW_TWO, DBL_MAX,
                          -DBL_MAX])
+    kind = draw(st.sampled_from(["mixed", "narrow", "one-signed"]))
+    if kind == "mixed":
+        matrix = rng.normal(size=(q, k)) * 10.0 ** rng.integers(
+            -300, 300, size=(q, k))
+    else:
+        matrix = rng.uniform(1.0, 2.0, size=(q, k)) * 2.0 ** draw(
+            st.integers(-1074, 1023))
+        if kind == "narrow":
+            matrix *= np.where(rng.random((q, k)) < 0.5, -1.0, 1.0)
+        else:
+            sign = draw(st.sampled_from([-1.0, 1.0]))
+            matrix *= sign
+            specials = sign * specials[specials > 0]
     special = rng.random((q, k)) < draw(st.floats(0.0, 1.0))
     matrix[special] = rng.choice(specials, size=int(special.sum()))
     if q and draw(st.booleans()):
@@ -323,6 +332,31 @@ class TestReferenceExactness:
         with pytest.raises(ValueError, match="finite"):
             fixed_point_column_partials(np.array([[np.nan, 0.0]]))
 
+    @pytest.mark.parametrize("kernel", [
+        _reference.fixed_point_column_partials,
+        kernels.fixed_point_column_partials,
+    ], ids=["reference", "dispatched"])
+    @pytest.mark.parametrize("matrix", [
+        "one-signed", "mixed-sign", "wide-spread"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_each_kernel_rejects_non_finite(self, kernel, matrix, bad):
+        """Every kernel checks its own input, in the first 512-row block
+        and in a later one, whichever path the block would take."""
+        rng = np.random.default_rng(43)
+        shape = (1100, 3)
+        if matrix == "wide-spread":
+            base = rng.normal(size=shape) * 10.0 ** rng.integers(
+                -300, 300, size=shape)
+        else:
+            base = rng.normal(0.5, 0.05, size=shape)
+            if matrix == "mixed-sign":
+                base *= rng.choice([-1.0, 1.0], size=shape)
+        for row in (3, 700):
+            poisoned = base.copy()
+            poisoned[row, 1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                kernel(poisoned)
+
     @settings(max_examples=60, deadline=None)
     @given(matrix=mixed_matrices(), data=st.data())
     def test_kernel_and_merge_match_the_oracles(self, matrix, data):
@@ -367,14 +401,17 @@ class TestReferenceExactness:
                 fixed_point_sum(matrix[:, j]) for j in range(3)]
 
     def test_narrow_block_gives_one_limb_per_column(self):
-        """A shard's 98-row block of N(0.5, 0.05) spans two binades: one
+        """A shard's 98-row block of N(+-0.5, 0.05) spans two binades: one
         aligned int64 sum per column, not one limb per (column,
         exponent)."""
-        block = np.random.default_rng(41).normal(0.5, 0.05, size=(98, 512))
-        limbs, shifts, columns = _reference.fixed_point_column_partials(block)
-        assert np.unique(columns).size == columns.size
-        assert merge_column_partials(512, [(limbs, shifts, columns)]) == [
-            fixed_point_sum(block[:, j]) for j in range(512)]
+        for mean in (0.5, -0.5):
+            block = np.random.default_rng(41).normal(mean, 0.05,
+                                                     size=(98, 512))
+            limbs, shifts, columns = _reference.fixed_point_column_partials(
+                block)
+            assert np.unique(columns).size == columns.size
+            assert merge_column_partials(512, [(limbs, shifts, columns)]) == [
+                fixed_point_sum(block[:, j]) for j in range(512)]
 
     def test_dense_path_runs_up_to_the_int64_bound(self):
         """Two binades over 512 rows still take one limb per column; a
@@ -386,6 +423,19 @@ class TestReferenceExactness:
         _, _, columns = _reference.fixed_point_column_partials(
             dense_limit_plus_quarter())
         assert np.bincount(columns).tolist() == [1, 1, 3, 2]
+
+    @pytest.mark.parametrize("build", [
+        *(pytest.param(build, id=name) for name, build in exactness_cases()),
+        # The other two scratch-bound builders are exactness cases.
+        pytest.param(tall_narrow, id="tall_narrow"),
+    ])
+    def test_finite_blocks_raise_no_floating_point_flag(self, build):
+        """No scaling overflows and no cast to int64 leaves its range, on
+        either path of any finite block (the oracle tests pin that every
+        cast is exact)."""
+        matrix = build()
+        with np.errstate(invalid="raise", over="raise"):
+            _reference.fixed_point_column_partials(matrix)
 
     @pytest.mark.parametrize("build, factor, slack", [
         pytest.param(all_exponents_row, 16, 1 << 20, id="all_exponents_row"),

@@ -34,7 +34,12 @@ from test_parity_properties import SETTINGS, build_points, datasets, make_backen
 from repro.geometry.balls import ball_membership
 from repro.geometry.boxes import box_labels, interval_labels
 from repro.geometry.jl import project_rows
-from repro.neighbors import ChunkedBackend, ShardedBackend
+from repro.neighbors import (
+    ChunkedBackend,
+    QueryPlan,
+    ShardedBackend,
+    TreeBackend,
+)
 from repro.neighbors.base import first_occurrence_cells
 
 
@@ -237,6 +242,25 @@ class TestMaskedValidation:
         view = backend.view(np.ones((2, 3)))
         with pytest.raises(ValueError):
             view.box_selection(1.0, np.zeros(2), np.zeros(3, dtype=np.int64))
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(ChunkedBackend, id="chunked"),
+        pytest.param(TreeBackend, id="tree", marks=pytest.mark.needs_scipy),
+        pytest.param(lambda points: ShardedBackend(
+            points, num_shards=3, num_workers=0), id="sharded-serial"),
+        pytest.param(lambda points: ShardedBackend(
+            points, num_shards=2, num_workers=2), id="sharded-pool",
+            marks=pytest.mark.slow),
+    ])
+    def test_non_finite_image_rejected(self, build):
+        """An offset view's image holds inf: the exact sum's error reaches
+        the caller of a masked-sum plan, from the parent or a worker."""
+        with build(np.arange(12.0).reshape(6, 2)) as backend:
+            plan = QueryPlan()
+            plan.masked_sum(backend.view(offset=[np.inf, 0.0]), np.arange(6))
+            with pytest.raises(ValueError,
+                               match="exact summation requires finite"):
+                backend.execute(plan)
 
     def test_empty_selection_identities(self):
         for backend in (ChunkedBackend(np.arange(12.0).reshape(6, 2)),

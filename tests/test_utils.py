@@ -85,6 +85,8 @@ class TestExactSum:
             floats,
             np.asarray([fixed_point_to_float(t) for t in totals]),
         )
+        with pytest.raises(ValueError, match="finite"):
+            exact_column_sums(np.array([[1.0], [np.nan]]))
         with pytest.raises(ValueError):
             fixed_point_column_sums(np.zeros(4))
         with pytest.raises(ValueError):
