@@ -212,7 +212,7 @@ def good_center(points, radius: float, target: int, params: PrivacyParams,
 
         # One plan per attempt batch.  Batches double (1, 2, 4, ...) up to
         # the view's cap — 1 in-process, where a fan-out costs nothing to
-        # amortise; larger on the sharded view — so a search accepted at
+        # amortise; larger on the sharded backends — so a search accepted at
         # attempt a hashes at most 2a - 1 partitions: most searches accept
         # within the first few attempts, and every hash past the accepted
         # one is work nothing reads.

@@ -72,10 +72,10 @@ def apply_linear_image(points: np.ndarray, matrix: np.ndarray = None,
                        offset: np.ndarray = None) -> np.ndarray:
     """``Y = X A^T (+ b)`` with identity conventions, row-decomposably.
 
-    The single definition of "a view's linear image" shared by
-    :meth:`repro.neighbors.base.ProjectedView.image` and the sharded
-    backend's worker-side projection — one code path, so the two can never
-    drift apart and break the bitwise parity contract.  ``matrix=None`` means
+    The single definition of "a view's linear image", applied shard-side
+    by the plan engine (:meth:`repro.neighbors._engine._ShardSet.view_image`)
+    on every backend, so no two paths can drift apart and break the bitwise
+    parity contract.  ``matrix=None`` means
     the identity (the input is returned as-is when ``offset`` is also
     ``None``); a bare ``offset`` translates; otherwise defers to
     :func:`project_rows` (which is what makes any row subset's image bitwise

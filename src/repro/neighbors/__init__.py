@@ -30,17 +30,18 @@ boolean mask, or a row multiset) — counts, exact fixed-point sums, per-axis
 extremes, first-occurrence-ordered interval histograms, and NoisyAVG's
 clipped ``(count, sum)`` statistics.  These are the questions GoodCenter
 asks about its JL-projected and rotated points (Algorithm 2, steps 3-11).
-The sharded strategy applies the projection *and* the aggregation
-shard-side, so the parent never materialises the image, the selected set,
-or any membership array.
+Every view query is a one-query :class:`~repro.neighbors.base.QueryPlan`,
+applied shard-side, so the sharded parent never materialises the image,
+the selected set, or any membership array.
 
-Any bundle of these read-only primitives can travel as a
-:class:`~repro.neighbors.base.QueryPlan`: ``backend.execute(plan)`` runs
-the whole bundle in one worker round trip per shard (serial backends
-evaluate it as a loop, so parity is by construction), with per-plan
-shard-side memoisation of selection membership and projected images, and
-``backend.submit(plan)`` dispatches it asynchronously — shard-order merges
-keep every value bitwise deterministic no matter how many plans overlap.
+Any bundle of these read-only primitives can travel as one
+:class:`~repro.neighbors.base.QueryPlan`.  Every backend runs it through
+the one plan engine (:mod:`repro.neighbors._engine`): the in-process
+strategies as its one-shard case, the sharded ones as one worker round
+trip per shard, with shard-side memoisation of selection membership and
+projected images.  ``backend.submit(plan)`` dispatches it asynchronously —
+shard-order merges keep every value bitwise deterministic no matter how
+many plans overlap.
 
 All strategies return *identical* integer counts, bit-identical ``L(r, S)``
 values, and identical view grid hashes (see

@@ -14,6 +14,11 @@ the rest of the library needs:
   ``k``-th nearest dataset point (the statistic behind the non-private
   factor-2 approximation).
 
+GoodCenter's grid hashes and masked aggregates (:class:`ProjectedView`)
+and the depth counts are :class:`QueryPlan` queries, which every backend
+runs through one plan engine (:mod:`repro.neighbors._engine`); the
+in-process strategies are its one-shard case.
+
 ``kth_distances`` and the sensitivity-2 score ``L(r, S)`` are derived from
 one statistic: each point's ``k`` smallest *squared* distances
 (``min(B_r(x), k)`` only depends on the ``k`` nearest neighbours of ``x``, so
@@ -67,7 +72,15 @@ from repro.neighbors._distance import (
     row_block_size,
     squared_radius_keys,
 )
-from repro.utils.exactsum import exact_column_sums
+from repro.neighbors._engine import (
+    BACKEND_PLAN_OPS,
+    MASKED_PLAN_OPS,
+    VIEW_PLAN_OPS,
+    _compile_plan,
+    _merge_plan,
+    _ShardSet,
+    depth_count_pairs,
+)
 from repro.utils.validation import check_integer, check_points, check_positive
 
 #: Auto-select the streaming (non-persisted) ``L(r, S)`` walk when the target
@@ -246,36 +259,6 @@ def _scores_from_histograms(histograms: np.ndarray, cap: int,
     return scores
 
 
-def depth_count_pairs(values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    """``[#{v <= a}, #{v >= a}]`` for every threshold ``a``.
-
-    The single definition every depth-count path shares — the in-process
-    backends evaluate it over the whole first coordinate, the sharded
-    workers over their own shard's slice — so the per-shard integer
-    partials sum to exactly the whole-dataset counts at any shard topology
-    (exact integer comparisons, no floating-point accumulation).
-
-    Parameters
-    ----------
-    values:
-        ``(n,)`` data values (the first coordinate of the indexed points).
-    thresholds:
-        ``(m,)`` query thresholds.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``(m, 2)`` ``int64``; column 0 counts ``v <= a``, column 1 counts
-        ``v >= a``.
-    """
-    ordered = np.sort(np.asarray(values, dtype=float))
-    thresholds = np.asarray(thresholds, dtype=float)
-    below = np.searchsorted(ordered, thresholds, side="right")
-    above = ordered.shape[0] - np.searchsorted(ordered, thresholds,
-                                               side="left")
-    return np.stack([below, above], axis=1).astype(np.int64)
-
-
 def first_occurrence_cells(labels: np.ndarray):
     """Unique labels with counts, ordered by first occurrence.
 
@@ -308,6 +291,12 @@ def first_occurrence_cells(labels: np.ndarray):
 #: of one ``good_center`` call (and of one :class:`QueryPlan`) derive each
 #: shard's membership at most once per worker instead of once per query.
 _SELECTION_TOKENS = itertools.count(1)
+
+#: Monotonic ids for non-identity :class:`ProjectedView` instances: every
+#: shard set caches its shard's projected image keyed by the view's token,
+#: so a view's matrix is applied to a shard at most once per process no
+#: matter how many queries it answers.
+_VIEW_TOKENS = itertools.count(1)
 
 
 @dataclass(frozen=True)
@@ -368,21 +357,20 @@ class ProjectedView:
     JL projection, a random rotation, or the identity) of the points a
     backend indexes, without the caller ever materialising the image itself.
 
-    This base implementation serves the in-process strategies (chunked /
-    tree) and is the serial reference every other strategy must
-    match: the image is computed once with the row-decomposable
-    :func:`repro.geometry.jl.project_rows` and cached on the view, so a
-    partition search probing many shifted partitions pays the projection cost
-    once.  :class:`~repro.neighbors.sharded.ShardedBackend` overrides
-    :meth:`NeighborBackend.view` with a view whose every query is a one-query
-    :class:`QueryPlan`: the small ``(k, d)`` matrix travels to the workers
-    and is applied shard-side over the shared-memory block — the parent
-    never holds the ``(n, k)`` image.  Because ``project_rows`` is bitwise
-    row-decomposable and the grid hashes
-    (:func:`repro.geometry.boxes.box_labels`,
-    :func:`repro.geometry.boxes.interval_labels`) are shared single
-    definitions, every strategy's view returns identical integers — the
-    exact-parity contract extends to projected queries.
+    Every query is a one-query :class:`QueryPlan` on the view's backend, run
+    by the one plan engine (:mod:`repro.neighbors._engine`): the small
+    ``(k, d)`` matrix travels with each shard task and is applied
+    shard-side, cached per shard under the view's token.  Because
+    :func:`repro.geometry.jl.project_rows` is bitwise row-decomposable and
+    the grid hashes are shared single definitions, every strategy's view
+    returns identical values.
+
+    The masked queries take a *selection*: a :class:`BoxSelection`
+    (evaluated against the view it was built from, which must share this
+    view's backend), an ``(n,)`` boolean membership mask, or a 1-d integer
+    row array (duplicate rows keep multiset semantics).  They read the
+    selected rows in ascending dataset-row order — the order the per-axis
+    histograms' first-occurrence cells are defined over.
 
     Parameters
     ----------
@@ -413,7 +401,10 @@ class ProjectedView:
                     f"offset must have {k} entries, got {offset.shape[0]}"
                 )
         self._offset = offset
-        self._image_cache: Optional[np.ndarray] = None
+        # Identity views read the points directly — no image to cache, so
+        # no token.
+        self._token = (next(_VIEW_TOKENS)
+                       if matrix is not None or offset is not None else None)
 
     # ------------------------------------------------------------------ #
     # Geometry of the image
@@ -449,45 +440,16 @@ class ProjectedView:
     def batch_size(self) -> int:
         """The cap on partition-search attempts per
         :meth:`heaviest_cell_counts` call: GoodCenter doubles its batches
-        (1, 2, 4, ...) until they reach it.  1 for in-process views (there
-        is no fan-out to amortise, and batching would waste hash passes
-        beyond the accepted attempt); the sharded view raises it."""
-        return 1
+        (1, 2, 4, ...) until they reach it.  The sharded backends'
+        ``HEAVIEST_CELL_BATCH``, which amortises each fan-out over several
+        attempts; 1 in-process, where there is no fan-out to amortise and
+        batching would waste hash passes beyond the accepted attempt."""
+        return int(getattr(self._backend, "HEAVIEST_CELL_BATCH", 1))
 
-    def _check_rows(self, rows) -> np.ndarray:
-        """Validate a row-subset index array (no negative wrap-around: the
-        sharded view routes rows to shards by value, so python-style negative
-        indices would silently diverge from the in-process view)."""
-        rows = np.asarray(rows, dtype=np.int64).reshape(-1)
-        if rows.size and (int(rows.min()) < 0
-                          or int(rows.max()) >= self.num_points):
-            raise ValueError("rows must lie in [0, n)")
-        return rows
-
-    def image(self, rows=None) -> np.ndarray:
-        """The projected coordinates of (a row subset of) the points.
-
-        With ``rows=None`` the full ``(n, k)`` image is computed once and
-        cached on the view; with an index array only those rows are
-        projected (bitwise identical to slicing the full image, by
-        :func:`~repro.geometry.jl.project_rows` row-decomposability).
-        Identity views return (slices of) the backend's own points without
-        copying.
-        """
-        if rows is not None:
-            rows = self._check_rows(rows)
-        points = self._backend.points
-        if self._matrix is None and self._offset is None:
-            return points if rows is None else points[rows]
-        from repro.geometry.jl import apply_linear_image
-
-        if rows is not None:
-            return apply_linear_image(points[rows], self._matrix,
-                                      self._offset)
-        if self._image_cache is None:
-            self._image_cache = apply_linear_image(points, self._matrix,
-                                                   self._offset)
-        return self._image_cache
+    def _one_query(self, op: str, *args):
+        plan = QueryPlan()
+        getattr(plan, op)(self, *args)
+        return self._backend.execute(plan)[0]
 
     # ------------------------------------------------------------------ #
     # Grid-hash queries
@@ -530,26 +492,7 @@ class ProjectedView:
         numpy.ndarray
             ``(a,)`` ``int64`` heaviest-cell counts.
         """
-        from repro.geometry.boxes import box_labels, unique_rows
-
-        width = _check_width(width)
-        shifts = self._check_shifts(shifts, batched=True)
-        image = self.image()
-        counts = np.empty(shifts.shape[0], dtype=np.int64)
-        for attempt in range(shifts.shape[0]):
-            labels = box_labels(image, shifts[attempt], width)
-            _, cell_counts = unique_rows(labels, return_counts=True)
-            counts[attempt] = int(cell_counts.max())
-        return counts
-
-    def _label_array(self, width: float, shifts) -> np.ndarray:
-        """The ``(n, k)`` integer box-index vectors of every imaged point
-        under one shifted partition.  Private: it materialises the image in
-        this process, which a sharded view must never do."""
-        from repro.geometry.boxes import box_labels
-
-        shifts = self._check_shifts(shifts, batched=False)
-        return box_labels(self.image(), shifts, _check_width(width))
+        return self._one_query("heaviest_cell_counts", width, shifts)
 
     def cell_histogram(self, width: float, shifts):
         """Occupied boxes of one shifted partition, with their counts.
@@ -560,7 +503,7 @@ class ProjectedView:
         stability-based histogram mechanism needs for bit-identical noise
         draws (see :func:`first_occurrence_cells`).
         """
-        return first_occurrence_cells(self._label_array(width, shifts))
+        return self._one_query("cell_histogram", width, shifts)
 
     # ------------------------------------------------------------------ #
     # Masked aggregation (GoodCenter steps 8-11)
@@ -586,48 +529,16 @@ class ProjectedView:
         return BoxSelection(view=self, width=width, shifts=shifts,
                             label=label, token=next(_SELECTION_TOKENS))
 
-    def _selection_rows(self, selection) -> np.ndarray:
-        """Normalise a masked-query selection to ascending global rows.
-
-        A selection is a :class:`BoxSelection` (evaluated against the view it
-        was built from — it must share this view's backend), an ``(n,)``
-        boolean membership mask, or an integer row array (sorted here;
-        duplicate rows keep multiset semantics).  Ascending dataset-row order
-        is part of the query contract — it is the order the per-axis
-        histograms' first-occurrence cells are defined over.
-        """
-        if isinstance(selection, BoxSelection):
-            if selection.view.backend is not self.backend:
-                raise ValueError(
-                    "the BoxSelection was built over a different backend's "
-                    "view; selections only transfer between views of the "
-                    "same backend"
-                )
-            labels = selection.view._label_array(selection.width,
-                                                 selection.shifts)
-            return np.flatnonzero(np.all(labels == selection.label[None, :],
-                                         axis=1))
-        array = np.asarray(selection)
-        if array.dtype == np.bool_:
-            if array.shape != (self.num_points,):
-                raise ValueError(
-                    f"boolean selection must have shape ({self.num_points},), "
-                    f"got {array.shape}"
-                )
-            return np.flatnonzero(array)
-        return np.sort(self._check_rows(array), kind="stable")
-
     def masked_sum(self, selection) -> np.ndarray:
         """The ``(k,)`` exact (correctly-rounded) sum of the selected image
         points.
 
-        Computed through :func:`repro.utils.exactsum.exact_column_sums`, so
-        the value is independent of how the rows are partitioned — every
+        Computed through :func:`repro.utils.exactsum.merge_column_partials`,
+        so the value is independent of how the rows are partitioned — every
         backend, at every shard count, returns bitwise the same vector.
         An empty selection sums to zeros.
         """
-        rows = self._selection_rows(selection)
-        return exact_column_sums(self.image(rows))
+        return self._one_query("masked_sum", selection)
 
     def masked_clipped_sum(self, selection, center,
                            clip_radius: float) -> ClippedSum:
@@ -637,24 +548,12 @@ class ProjectedView:
         ``center`` (the bounding sphere ``C`` of Algorithm 2, step 10 — the
         shared :func:`repro.geometry.balls.ball_membership` definition) and
         returns their count with the exact sum of ``y - center`` — everything
-        step 11's noisy average needs, in ``O(k)`` parent memory.  The sum is
-        accumulated in exact fixed point and converted once, on the total,
-        so sharded partials merge to bitwise the same vector.
+        step 11's noisy average needs, in ``O(k)`` caller memory.  The sum
+        is accumulated in exact fixed point and converted once, on the
+        total, so per-shard partials merge to bitwise the same vector.
         """
-        from repro.geometry.balls import ball_membership
-
-        center = np.asarray(center, dtype=float).reshape(-1)
-        if center.shape[0] != self.image_dimension:
-            raise ValueError(
-                f"center has dimension {center.shape[0]}, expected "
-                f"{self.image_dimension}"
-            )
-        image = self.image(self._selection_rows(selection))
-        inside = ball_membership(image, center, float(clip_radius))
-        return ClippedSum(
-            count=int(np.count_nonzero(inside)),
-            vector_sum=exact_column_sums(image[inside] - center[None, :]),
-        )
+        return self._one_query("masked_clipped_sum", selection, center,
+                               clip_radius)
 
     def masked_axis_histograms(self, selection, width: float,
                                offset: float = 0.0) -> list:
@@ -667,40 +566,16 @@ class ProjectedView:
         draws (step 9) are defined over, so a caller feeding these histograms
         to :func:`repro.mechanisms.histogram.stable_histogram_choice_from_counts`
         reproduces the label-sequence path's noise bit for bit.  The result
-        is ``O(occupied intervals)`` per axis; the sharded view additionally
-        never materialises the ``(q, k)`` label matrix in the parent (this
-        in-process base labels its own rows transiently).
+        is ``O(occupied intervals)`` per axis; the ``(q, k)`` label matrix
+        only ever exists per shard.
         """
-        from repro.geometry.boxes import interval_labels
-
-        width = _check_width(width)
-        offset = _check_finite(offset, "offset")
-        rows = self._selection_rows(selection)
-        labels = interval_labels(self.image(rows), width, offset)
-        return [first_occurrence_cells(labels[:, axis])
-                for axis in range(self.image_dimension)]
+        return self._one_query("masked_axis_histograms", selection, width,
+                               offset)
 
 
 # --------------------------------------------------------------------------- #
 # Query plans: one-round-trip multi-query execution
 # --------------------------------------------------------------------------- #
-
-#: Plan operations evaluated over a selection (their per-shard partials are
-#: computed from the memoised membership rows).
-MASKED_PLAN_OPS = frozenset({
-    "masked_sum", "masked_clipped_sum", "masked_axis_histograms",
-})
-
-#: Plan operations evaluated against a :class:`ProjectedView` (the masked
-#: ones plus the grid-hash queries).
-VIEW_PLAN_OPS = MASKED_PLAN_OPS | frozenset({
-    "heaviest_cell_counts", "cell_histogram",
-})
-
-#: Whole-dataset plan operations answered by the backend itself; both
-#: decompose into per-shard partials and join the single fused round trip.
-BACKEND_PLAN_OPS = frozenset({"count_within_many", "depth_counts"})
-
 
 @dataclass(frozen=True)
 class PlanQuery:
@@ -736,12 +611,13 @@ class QueryPlan:
     masked aggregates, grid hashes, batched ball counts — over one or more
     :class:`ProjectedView`\\ s and selections, and hands them to
     :meth:`NeighborBackend.execute` (or :meth:`NeighborBackend.submit` for
-    asynchronous submission).  The payoff is transport, not semantics: the
-    sharded backend ships the whole bundle to each shard as a *single*
-    worker task — one round trip per shard for the entire plan, with the
-    shard's selection membership and projected images derived at most once —
-    while the in-process backends evaluate the same bundle as a plain loop,
-    so parity across backends is by construction.
+    asynchronous submission).  Every backend compiles the bundle to one
+    wire form and ships it to each of its shards as a *single* task — one
+    round trip per shard for the entire plan, with the shard's selection
+    membership and projected images derived at most once — and merges the
+    per-shard partials in shard order (see :mod:`repro.neighbors._engine`).
+    The in-process backends are the one-shard case of the same engine, so
+    parity across backends is by construction.
 
     Each append method validates its arguments eagerly (so mistakes surface
     where the plan is built, not inside a worker) and returns the query's
@@ -870,18 +746,16 @@ class QueryPlan:
     # ------------------------------------------------------------------ #
     def count_within_many(self, centers, radii) -> int:
         """Append a :meth:`NeighborBackend.count_within_many` query (the
-        batched ``(centers, radii)`` count grid); returns its result slot.
-        Decomposes into per-shard partials, so it joins the plan's single
-        fused round trip."""
+        batched ``(centers, radii)`` count grid); returns its result
+        slot."""
         centers = check_points(centers, name="centers")
         return self._append("count_within_many", None, None,
                             (centers, _check_1d(radii, "radii")))
 
     def depth_counts(self, thresholds) -> int:
         """Append a :meth:`NeighborBackend.depth_counts` query (the interior
-        point reduction's one-sided rank counts); returns its result slot.
-        Decomposes into per-shard integer partials, so it joins the plan's
-        single fused round trip."""
+        point reduction's one-sided rank counts); returns its result
+        slot."""
         return self._append("depth_counts", None, None,
                             (_check_1d(thresholds, "thresholds"),))
 
@@ -889,9 +763,9 @@ class QueryPlan:
 class PlanFuture:
     """Handle for a submitted :class:`QueryPlan`.
 
-    The base class wraps an already-computed result list — the serial
-    backends evaluate eagerly at submission, so ``submit`` degrades to
-    ``execute`` with a deferred hand-over.  The sharded backend returns a
+    The base class wraps an already-computed result list: the in-process
+    backends run their one shard at submission, so ``submit`` degrades to
+    ``execute`` with a deferred hand-over.  The sharded backends return a
     subclass whose per-shard tasks are genuinely in flight; its
     :meth:`result` collects and merges them **in shard order**, so the
     merged values — and therefore every released value derived from them —
@@ -942,6 +816,12 @@ class NeighborBackend(abc.ABC):
         #: Per-stage speculative-execution accounting, recorded by callers
         #: (GoodCenter's noise-gate predictor) via :meth:`record_speculation`.
         self._speculation: Dict[str, Dict[str, int]] = {}
+        #: The plan engine's topology: the ``[low, high)`` row range of
+        #: every shard — here one shard, the whole dataset.
+        self._bounds = [(0, self.num_points)]
+        #: The shard executor every plan runs on (see :meth:`_dispatch`);
+        #: shard 0's count queries are answered by this backend itself.
+        self._shards = _ShardSet(self._points, self._bounds, owner=self)
 
     # ------------------------------------------------------------------ #
     # Speculative-execution accounting
@@ -1007,13 +887,20 @@ class NeighborBackend(abc.ABC):
         -------
         NeighborBackend
         """
+        return self._rebuild(self._points[self._check_rows(rows)])
+
+    def _check_rows(self, rows) -> np.ndarray:
+        """``rows`` as a 1-d ``int64`` array of row indices into
+        :attr:`points` — the one row check, shared by :meth:`subset` and
+        the masked queries' row selections.  Negative indices are rejected,
+        not wrapped: a plan routes each row to its shard by value."""
         rows = np.asarray(rows)
         if rows.ndim != 1 or rows.dtype.kind not in "iu":
             raise ValueError("rows must be a 1-d array of integer row indices")
         if rows.size and (int(rows.min()) < 0
                           or int(rows.max()) >= self.num_points):
             raise ValueError(f"rows must lie in [0, {self.num_points})")
-        return self._rebuild(self._points[rows])
+        return rows.astype(np.int64, copy=False)
 
     def _rebuild(self, points) -> "NeighborBackend":
         """The backend :meth:`subset` builds over ``points``."""
@@ -1030,9 +917,11 @@ class NeighborBackend(abc.ABC):
     def close(self) -> None:
         """Release the strategy's pools, segments and connections.
 
-        Nothing to release here; the sharded and distributed strategies
-        override it.  Safe to call repeatedly.
+        Here that is the plan executor's cached view images and memoised
+        selections; the sharded and distributed strategies also shut down
+        their workers or connections.  Safe to call repeatedly.
         """
+        self._shards.clear_caches()
 
     def __enter__(self) -> "NeighborBackend":
         return self
@@ -1059,72 +948,28 @@ class NeighborBackend(abc.ABC):
         -------
         ProjectedView
             A handle answering grid-hash queries (heaviest-cell counts, box
-            histograms) and masked aggregates over the image.  Strategies
-            with worker processes override this to apply the projection
-            shard-side; results are bit-identical either way.
+            histograms) and masked aggregates over the image, each as a
+            one-query plan whose shards apply the projection to their own
+            rows.
         """
         return ProjectedView(self, matrix=matrix, offset=offset)
 
     # ------------------------------------------------------------------ #
     # Query-plan execution
     # ------------------------------------------------------------------ #
-    def _evaluate_plan_query(self, plan: QueryPlan, query: PlanQuery,
-                             rows_cache: dict):
-        """Evaluate one plan query in-process (the serial reference).
-
-        Selection membership is derived once per selection slot and reused
-        by every query sharing it (``rows_cache``); feeding the precomputed
-        ascending row array back through the masked queries' row-selection
-        path is bitwise identical to handing each query the original
-        selection, so the memoisation is pure performance.
-        """
-        if query.op == "count_within_many":
-            centers, radii = query.args
-            return self.count_within_many(centers, radii)
-        if query.op == "depth_counts":
-            (thresholds,) = query.args
-            return self.depth_counts(thresholds)
-        if query.op not in VIEW_PLAN_OPS:
-            raise ValueError(f"unknown plan operation {query.op!r}")
-        view = plan.views[query.view_slot]
-        if view.backend is not self:
-            raise ValueError(
-                "the plan queries a view of a different backend; build the "
-                "plan against the backend that executes it"
-            )
-        if query.selection_slot is None:
-            return getattr(view, query.op)(*query.args)
-        rows = rows_cache.get(query.selection_slot)
-        if rows is None:
-            rows = view._selection_rows(plan.selections[query.selection_slot])
-            rows_cache[query.selection_slot] = rows
-        return getattr(view, query.op)(rows, *query.args)
-
     def execute(self, plan: QueryPlan) -> List[Any]:
-        """Run a :class:`QueryPlan`; one result per query, in plan order.
+        """Run a :class:`QueryPlan` (whose views must belong to this
+        backend); one result per query, indexed by the slots the plan's
+        append methods returned.
 
-        This base implementation evaluates the bundle as a plain in-process
-        loop over the existing primitives — which is the definition the
-        fused strategies must match, so cross-backend parity of plan results
-        is by construction.  Selection membership is derived once per
-        distinct selection and shared by every query referencing it.
-
-        Parameters
-        ----------
-        plan:
-            The bundle to run.  Views referenced by the plan must belong to
-            this backend.
-
-        Returns
-        -------
-        list
-            Per-query results, indexed by the slots the plan's append
-            methods returned; each entry has exactly the type and value the
-            corresponding direct method call would produce.
+        Every backend runs every plan through the one plan engine
+        (:mod:`repro.neighbors._engine`): compiled to the wire form, one
+        task per shard through :meth:`_dispatch`, the partials merged in
+        shard order.  Here that is one shard, run serially in this process,
+        so cross-backend parity of plan results is by construction.
         """
-        rows_cache: dict = {}
-        return [self._evaluate_plan_query(plan, query, rows_cache)
-                for query in plan.queries]
+        compiled, handle = self._dispatch_plan(plan)
+        return _merge_plan(self, compiled, handle.result())
 
     def submit(self, plan: QueryPlan) -> PlanFuture:
         """Submit a :class:`QueryPlan` asynchronously; returns a
@@ -1135,11 +980,47 @@ class NeighborBackend(abc.ABC):
         chew on the new bundle.  Results — collected with
         :meth:`PlanFuture.result` — are bitwise identical to
         :meth:`execute`, regardless of how many plans are in flight or how
-        worker scheduling interleaves them (the sharded merge always folds
-        shards in shard order).  Serial backends evaluate eagerly at
+        worker scheduling interleaves them (the merge always folds shards
+        in shard order).  The in-process backends run the plan at
         submission and hand back a completed future.
         """
         return PlanFuture(self.execute(plan))
+
+    def _dispatch_plan(self, plan: QueryPlan) -> tuple:
+        """Compile ``plan`` and dispatch one task per shard (none for an
+        empty plan); returns the compiled plan and the dispatch handle."""
+        compiled = _compile_plan(self, plan)
+        if not compiled.bundle:
+            return compiled, PlanFuture([])
+        tasks = [(shard, compiled.shard_args(shard))
+                 for shard in range(len(self._bounds))]
+        self._count_fanout(len(tasks))
+        return compiled, self._dispatch(tasks)
+
+    def _view_round(self, view_wire: tuple, op: str, args: tuple) -> list:
+        """One single-query fan-out over ``view_wire``, returning the
+        per-shard partials in shard order.  The bounded heaviest-cell
+        merge's recount and escalation rounds ride it; they are rounds of
+        the plan being merged, so they count as fan-outs, not as plans."""
+        payload = ([view_wire], [], [(op, 0, None, args)])
+        tasks = [(shard, payload) for shard in range(len(self._bounds))]
+        self._count_fanout(len(tasks))
+        return [part[0] for part in self._dispatch(tasks).result()]
+
+    def _dispatch(self, tasks):
+        """Send a batch of ``(shard, payload)`` tasks; return a handle
+        whose ``done()`` / ``result()`` give the results in task order.
+
+        The one transport seam.  Here the tasks run serially on this
+        process's shard executor; the sharded backend overrides it with its
+        worker pool, the distributed backend with its node connections.
+        """
+        return PlanFuture([self._shards.execute_plan(shard, *payload)
+                           for shard, payload in tasks])
+
+    def _count_fanout(self, tasks: int) -> None:
+        """Record one collective operation of ``tasks`` shard tasks (the
+        sharded backends' ``pool_stats`` counters; nothing here)."""
 
     # ------------------------------------------------------------------ #
     # Primitives each strategy implements
@@ -1206,9 +1087,10 @@ class NeighborBackend(abc.ABC):
         two counts whose minimum is the *depth* quality
         ``q(S, a) = min(#{x <= a}, #{x >= a})`` of the interior point
         reduction (paper Algorithm 3, step 4; the backend's points are the
-        1-d database reshaped to ``(n, 1)`` there).  Counts are exact
-        integer comparisons, so every backend — and every shard topology,
-        by integer-sum merges — returns bitwise identical values.
+        1-d database reshaped to ``(n, 1)`` there).  A one-query plan: each
+        shard counts its own rows with :func:`depth_count_pairs` and the
+        integer pairs sum, so every backend and every shard topology
+        returns bitwise identical values.
 
         Parameters
         ----------
@@ -1222,8 +1104,9 @@ class NeighborBackend(abc.ABC):
             ``(m, 2)`` ``int64`` count pairs (column 0: ``<=``, column 1:
             ``>=``).
         """
-        return depth_count_pairs(self._points[:, 0],
-                                 _check_1d(thresholds, "thresholds"))
+        plan = QueryPlan()
+        plan.depth_counts(thresholds)
+        return self.execute(plan)[0]
 
     def _truncated_squared(self, k: int) -> np.ndarray:
         """Row-sorted ``(n, k)`` matrix of each point's ``k`` smallest

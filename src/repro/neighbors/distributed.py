@@ -197,9 +197,9 @@ class DistributedBackend(ShardedBackend):
                        node_workers=node_workers, timeout=timeout,
                        connect_timeout=connect_timeout, retries=retries,
                        retry_backoff=retry_backoff)
-        # num_workers=0: the coordinator never starts a local pool — the
-        # serial _ShardSet stays as the plan compiler's validation context
-        # only, every actual task goes over the wire.
+        # num_workers=0: the coordinator never starts a local pool, and
+        # its _dispatch sends every task over the wire, so its own shard
+        # set never runs one.
         super().__init__(points, num_shards=num_shards, num_workers=0)
         # subset() rebuilds this strategy, not the sharded one it extends.
         self._options = options

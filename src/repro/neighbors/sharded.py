@@ -27,25 +27,25 @@ shard→worker *affinity* (shard ``s`` always lands on worker slot ``s mod
 W``), so each shard's lazily built index, cached view images, and memoised
 selection membership live in exactly one worker.
 
-Workers run one kind of task: a ``(shard, payload)`` pair whose payload is
-a compiled plan bundle, evaluated by :meth:`_ShardSet.execute_plan`.  Every
-view query and every count query is a
-:class:`~repro.neighbors.base.QueryPlan` — a direct call is a one-query
-plan — shipped as a *single* task per shard (one round trip per shard for
-a whole plan), optionally submitted asynchronously (``submit``), with the
-merge always folding shards in shard order so overlapping plans cannot
-perturb a single bit.  The profile's selection and count rounds over the
-resident statistics, the ``kth_distances`` column read, the streaming
-profile histograms (summed) and the heaviest-cell merge's recount rounds
-are internal plan ops of the same bundle form; each carries what its shard
-needs to rebuild its state, so a restarted pool, a stolen task or an
-adopting node answers it bitwise alike.  Every batch
-leaves through one transport seam, :meth:`ShardedBackend._dispatch`; the
-distributed backend overrides only that seam.  On a single-CPU machine,
-when ``num_workers=0``, or when the pool cannot start (sandboxes without
-``/dev/shm``) or dies, the same shard/merge code runs serially in-process
-— results are bit-identical either way, the pool is purely a wall-clock
-lever.
+Every plan — view, count and depth queries included, a direct call being
+a one-query plan — runs through the plan engine of
+:mod:`repro.neighbors._engine`, which is shared with every backend: this
+module supplies the topology (several shards) and the transport, and keeps
+the GoodRadius profile rounds.  A task is a ``(shard, payload)`` pair whose
+payload is a compiled plan bundle, run by
+:meth:`_ProfileShardSet.execute_plan`: one task per shard for a whole plan,
+optionally submitted asynchronously (``submit``), merged in shard order so
+overlapping plans cannot perturb a single bit.  The profile's selection and
+count rounds, the ``kth_distances`` column read and the streaming profile
+histograms are internal ops of the same bundle form; each carries what its
+shard needs to rebuild its state, so a restarted pool, a stolen task or an
+adopting node answers it bitwise alike.  Every batch leaves through one
+transport seam, :meth:`ShardedBackend._dispatch`; the distributed backend
+overrides only that seam.  On a single-CPU machine, when
+``num_workers=0``, or when the pool cannot start (sandboxes without
+``/dev/shm``) or dies, the tasks run serially in-process on the same shard
+set — results are bit-identical either way, the pool is purely a
+wall-clock lever.
 
 Everything merged here is integer counts or exact squared distances, so the
 sharded backend keeps the library-wide guarantee: identical counts and
@@ -55,7 +55,6 @@ count.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import threading
@@ -74,39 +73,24 @@ from repro.neighbors._distance import (
     kth_squared_cross,
     row_block_size,
     truncated_squared_columns,
-    truncated_squared_cross,
 )
+from repro.neighbors._engine import _merge_plan, _ShardSet
 from repro.neighbors.base import (
-    MASKED_PLAN_OPS,
-    VIEW_PLAN_OPS,
-    BoxSelection,
-    ClippedSum,
     NeighborBackend,
     PlanFuture,
     ProfileCache,
-    ProjectedView,
     QueryPlan,
     _check_1d,
-    depth_count_pairs,
 )
 from repro import kernels as _kernels
-from repro.utils.exactsum import (
-    fixed_point_column_partials,
-    fixed_point_to_floats,
-    merge_column_partials,
-)
 from repro.utils.validation import check_integer, check_points
 
-#: Monotonic ids for projected views: workers cache each shard's projected
-#: image keyed by the view's token, so a view's matrix is applied to a shard
-#: at most once per worker process no matter how many queries it answers.
-_VIEW_TOKENS = itertools.count(1)
-
 #: Test seam: ``(shard, seconds)`` sleeps that long before running any task
-#: for that shard.  Consulted by :meth:`_ShardSet.execute_plan` in whichever
-#: process executes the task (fork-inherited by pool workers started after it
-#: is set), so tests can make exactly one shard artificially slow and pin the
-#: work-stealing scheduler's behaviour without touching query code.
+#: for that shard.  Consulted by :meth:`_ProfileShardSet.execute_plan` in
+#: whichever process executes the task (fork-inherited by pool workers
+#: started after it is set), so tests can make exactly one shard
+#: artificially slow and pin the work-stealing scheduler's behaviour without
+#: touching query code.
 _TASK_DELAY: Optional[Tuple[int, float]] = None
 
 
@@ -124,50 +108,26 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-class _ShardSet:
-    """The per-process shard executor: points + lazily built inner backends.
-
-    One instance lives in the parent (serial fallback) and one in every worker
-    process (built over the shared-memory view in the pool initialiser).  All
-    shard-local query logic is here so the serial and multi-process paths run
-    literally the same code.
-    """
-
-    #: How many projected images a worker keeps per shard it serves (see
-    #: the ``_view_images`` attribute note in ``__init__``).
-    VIEW_IMAGE_CACHE_PER_SHARD: ClassVar[int] = 2
+class _ProfileShardSet(_ShardSet):
+    """The sharded backend's shard executor: the plan engine's
+    :class:`~repro.neighbors._engine._ShardSet` plus each shard's resident
+    truncated statistic and the internal ops that read it.  One lives in
+    the parent (serial fallback) and one in every worker process."""
 
     def __init__(self, points: np.ndarray,
                  bounds: Sequence[Tuple[int, int]]) -> None:
-        self.points = points
-        self.bounds = list(bounds)
-        self._backends = {}
-        #: Per-shard cached projected images: ``shard -> {view token: image}``
-        #: with the oldest entry evicted beyond
-        #: :data:`VIEW_IMAGE_CACHE_PER_SHARD`, so a long-lived worker holds a
-        #: bounded number of ``(shard n, k)`` images per shard it serves.
-        #: Two entries cover GoodCenter's working set (the partition-search
-        #: view the selection predicate is re-derived against plus the
-        #: rotated-frame view), so masked queries alternating between them
-        #: never recompute an image.
-        self._view_images = {}
-        #: Per-shard memoised selection membership: ``shard -> (selection
-        #: token, ascending shard-local rows)``.  One entry per shard (the
-        #: latest selection wins): the masked queries of one ``good_center``
-        #: call — and of one query plan — all reference a single selection,
-        #: so each worker derives its shard's membership exactly once.
-        self._selection_rows = {}
-        #: The full-dataset scipy KD-tree the truncated row blocks are
+        super().__init__(points, bounds)
+        #: The full-dataset scipy KD-tree the truncated statistic is
         #: selected with (built on first use, when :meth:`_inner_name`
         #: picks the tree at the full dataset's size and
         #: :func:`~repro.neighbors.tree.tree_selects` picks it for the
-        #: block's ``k``).
+        #: statistic's ``k``).
         self._full_tree = None
         #: Per-shard resident truncated statistic, column-sorted: ``shard
         #: -> (k, rows)`` array whose row ``j`` is column ``j`` of the
-        #: shard's row block, sorted (see :meth:`columns`), the widest any
-        #: profile task asked for (a narrower target reads its leading
-        #: rows).
+        #: shard's rows' ``k`` smallest squared distances, sorted (see
+        #: :meth:`columns`), the widest any profile task asked for (a
+        #: narrower target reads its leading rows).
         self._blocks = {}
         #: Per-shard state of the GoodRadius profile, warm per target:
         #: ``(shard, target) -> (thresholds, sorted entries)``, the
@@ -177,73 +137,9 @@ class _ShardSet:
         #: the entries exceed the 64 MiB memory budget, the newest kept.
         self._profiles = ProfileCache()
 
-    def _inner_name(self, num_points: int) -> str:
-        """The single-process strategy for ``num_points`` of these points:
-        :func:`~repro.neighbors.auto_backend`'s choice with sharding ruled
-        out."""
-        from repro.neighbors import _in_process_backend
-
-        return _in_process_backend(num_points, self.points.shape[1])
-
-    def backend(self, shard: int) -> NeighborBackend:
-        """The inner backend indexing shard ``shard`` (built on first use).
-
-        Caches are per process.  Since shard→worker routing affinity (tasks
-        for shard ``s`` always land on worker ``s mod W``), each shard's
-        index is built in exactly one worker under pool mode, so this lazy
-        build runs once per shard pool-wide, never once per (shard, worker)
-        pair under mixed plan/point-query load.
-        """
-        if shard not in self._backends:
-            from repro.neighbors import BACKENDS
-
-            low, high = self.bounds[shard]
-            self._backends[shard] = BACKENDS[self._inner_name(high - low)](
-                self.points[low:high]
-            )
-        return self._backends[shard]
-
-    # ------------------------------------------------------------------ #
-    # Projected-view sub-queries (GoodCenter's grid hashing)
-    # ------------------------------------------------------------------ #
-    def view_image(self, shard: int, token: Optional[int],
-                   matrix: Optional[np.ndarray],
-                   offset: Optional[np.ndarray],
-                   rows: Optional[np.ndarray] = None) -> np.ndarray:
-        """This shard's rows under a view's linear image.
-
-        ``rows`` (shard-local indices) restricts the image to a subset and is
-        never cached; the full-shard image of a non-identity view is cached
-        per ``token`` so the matrix shipped with each task is applied at most
-        once per worker.  Projection goes through the row-decomposable
-        :func:`repro.geometry.jl.project_rows`, so the shard-side image is
-        bitwise identical to slicing a parent-side projection.
-        """
-        low, high = self.bounds[shard]
-        if matrix is None and offset is None:
-            base = self.points[low:high]
-            return base if rows is None else base[rows]
-        from repro.geometry.jl import apply_linear_image
-
-        if rows is not None:
-            return apply_linear_image(self.points[low:high][rows], matrix,
-                                      offset)
-        if token is None:
-            return apply_linear_image(self.points[low:high], matrix, offset)
-        cached = self._view_images.setdefault(shard, {})
-        if token not in cached:
-            cached[token] = apply_linear_image(self.points[low:high], matrix,
-                                               offset)
-            while len(cached) > self.VIEW_IMAGE_CACHE_PER_SHARD:
-                cached.pop(next(iter(cached)))
-        return cached[token]
-
     def clear_caches(self) -> None:
-        """Drop every cached per-shard view image, memoised selection
-        membership, resident statistic and profile state (see
-        :meth:`ShardedBackend.close`)."""
-        self._view_images.clear()
-        self._selection_rows.clear()
+        """Also drop the resident statistics and profile state."""
+        super().clear_caches()
         self._blocks.clear()
         self._profiles.clear()
 
@@ -257,7 +153,7 @@ class _ShardSet:
                 shard: len(images)
                 for shard, images in sorted(self._view_images.items())
             },
-            "cached_selections": sorted(self._selection_rows),
+            "cached_selections": sorted(self._memberships),
             "resident_blocks": {
                 shard: int(columns.shape[0])
                 for shard, columns in sorted(self._blocks.items())
@@ -270,9 +166,9 @@ class _ShardSet:
     # ------------------------------------------------------------------ #
     def _build(self, shard: int, k: int, form: str) -> np.ndarray:
         """The shard's rows' ``k`` smallest squared distances to the full
-        dataset, computed and not kept, in one of three forms: ``"rows"``,
-        the row-sorted ``(rows, k)`` block; ``"columns"``, :meth:`columns`'
-        ``(k, rows)`` layout; ``"kth"``, the block's last column alone.
+        dataset, computed and not kept, in one of two forms: ``"columns"``,
+        :meth:`columns`' ``(k, rows)`` layout; ``"kth"``, the row-sorted
+        block's last column alone.
 
         When :meth:`_inner_name` picks the scipy KD-tree at the full
         dataset's size and :func:`~repro.neighbors.tree.tree_selects`
@@ -280,8 +176,8 @@ class _ShardSet:
         selects the neighbours and the shared gather kernel recomputes the
         values; otherwise the blocked slab pass of the form's kernel
         computes it and no tree is built.  Either way it is bitwise the
-        blocked slab's — and the leading ``k`` columns of a wider block
-        are bitwise the ``k``-column block.
+        blocked slab's — and the leading ``k`` columns of a wider statistic
+        are bitwise the ``k``-column statistic.
         """
         from repro.neighbors.tree import TreeBackend, tree_selects
 
@@ -295,24 +191,17 @@ class _ShardSet:
             )
             if form == "columns":
                 return _sorted_columns(block)
-            return block[:, k - 1].copy() if form == "kth" else block
-        kernel = {"rows": truncated_squared_cross,
-                  "columns": truncated_squared_columns,
-                  "kth": kth_squared_cross}[form]
+            return block[:, k - 1].copy()
+        kernel = (truncated_squared_columns if form == "columns"
+                  else kth_squared_cross)
         return kernel(self.points[low:high], self.points, k,
                       row_block_size(*self.points.shape))
 
-    def block(self, shard: int, k: int) -> np.ndarray:
-        """The shard's rows' ``min(k, n)`` smallest squared distances to
-        the full dataset, row-sorted: ``(rows, k)``, built (:meth:`_build`)
-        for this call and never kept — the shard keeps only its sorted
-        :meth:`columns`."""
-        return self._build(shard, min(k, self.points.shape[0]), "rows")
-
     def columns(self, shard: int, k: int) -> np.ndarray:
         """The shard's statistic column by column: ``(min(k, n), rows)``,
-        row ``j`` holding column ``j`` of :meth:`block` in ascending order,
-        built on first use and kept.
+        row ``j`` holding, in ascending order, the shard's rows' ``j + 1``-th
+        smallest squared distances to the full dataset; built on first use
+        and kept.
 
         The profile rounds read only this layout.  Sorting each column of
         a wider statistic leaves its leading columns exactly the narrower
@@ -353,120 +242,29 @@ class _ShardSet:
         return cached[1]
 
     # ------------------------------------------------------------------ #
-    # Plan execution (one task per shard for a whole QueryPlan)
+    # Task execution
     # ------------------------------------------------------------------ #
-    def _selection_rows_local(self, shard: int, spec: tuple) -> np.ndarray:
-        """Shard-local ascending rows of a masked-query selection.
-
-        ``spec`` is the wire form of a selection: ``("rows", local_rows)``
-        ships a pre-sliced shard-local index array, while ``("box",
-        sel_token, view_token, sel_matrix, sel_offset, width, shifts,
-        label)`` ships the *label predicate* — the shard re-derives its own
-        membership from its (token-cached) image of the selecting view, so
-        the mask never exists as an array in the parent.  The derived rows
-        are memoised per shard under ``sel_token``: consecutive plans over
-        the same selection (GoodCenter issues several per call) hash the
-        image once, not once per plan.
-        """
-        if spec[0] == "rows":
-            return np.asarray(spec[1], dtype=np.int64)
-        _, sel_token, token, matrix, offset, width, shifts, label = spec
-        if sel_token is not None:
-            cached = self._selection_rows.get(shard)
-            if cached is not None and cached[0] == sel_token:
-                return cached[1]
-        rows = self._box_rows(shard, token, matrix, offset, width, shifts,
-                              label)
-        if sel_token is not None:
-            self._selection_rows[shard] = (sel_token, rows)
-        return rows
-
-    def _box_rows(self, shard: int, token: Optional[int],
-                  matrix: Optional[np.ndarray], offset: Optional[np.ndarray],
-                  width: float, shifts: np.ndarray,
-                  label: np.ndarray) -> np.ndarray:
-        """Shard-local rows whose image falls in box ``label`` (one hash
-        pass over the shard's cached image)."""
-        from repro.geometry.boxes import box_labels
-
-        image = self.view_image(shard, token, matrix, offset)
-        labels = box_labels(image, np.asarray(shifts, dtype=float), width)
-        return np.flatnonzero(
-            np.all(labels == np.asarray(label, dtype=np.int64)[None, :],
-                   axis=1)
-        )
-
     def execute_plan(self, shard: int, views: Sequence[tuple],
                      selections: Sequence[tuple],
                      queries: Sequence[tuple]) -> list:
-        """Evaluate every query of a compiled plan over this shard.
-
-        This is the one shard task: the serial path, the pool workers and
-        the remote node servers all run it, so the :data:`_TASK_DELAY` test
-        seam applies uniformly.  ``views`` is the plan's view table as
-        ``(token, matrix, offset)`` wire triples, ``selections`` its
-        selection table in the per-shard spec form of
-        :meth:`_selection_rows_local`, and ``queries`` the ordered ``(op,
-        view_slot, selection_slot, args)`` bundle.  Each query yields this
-        shard's mergeable partial (see :meth:`_partial`); the whole bundle
-        costs *one* task dispatch, each selection's membership is derived
-        at most once, and each view's image is projected at most once (the
-        token-keyed image cache).
-        """
+        """The engine's one shard task, after the :data:`_TASK_DELAY` test
+        seam: the serial path, the pool workers and the remote node servers
+        all run it, so the seam applies uniformly."""
         delay = _TASK_DELAY
         if delay is not None and int(delay[0]) == int(shard):
             time.sleep(float(delay[1]))
-        rows_cache: dict = {}
-        results = []
-        for op, view_slot, sel_slot, args in queries:
-            rows = None
-            if sel_slot is not None:
-                rows = rows_cache.get(sel_slot)
-                if rows is None:
-                    rows = self._selection_rows_local(shard,
-                                                      selections[sel_slot])
-                    rows_cache[sel_slot] = rows
-            view = views[view_slot] if view_slot is not None else None
-            results.append(self._partial(shard, op, view, rows, args))
-        return results
+        return super().execute_plan(shard, views, selections, queries)
 
     def _partial(self, shard: int, op: str, view: Optional[tuple],
                  rows: Optional[np.ndarray], args: tuple):
-        """One plan query's partial over this shard.
-
-        Grid hashes go through :func:`repro.geometry.boxes.box_labels` and
-        :func:`repro.geometry.boxes.interval_labels`, the clip ball through
-        :func:`repro.geometry.balls.ball_membership` — the shared
-        definitions that make every partial bitwise the in-process view's
-        slice.  The other ops are internal, never plan methods:
-        ``count_labels`` (the exact-recount round of the bounded
-        heaviest-cell merge), ``histograms`` (this shard's streaming
-        ``L(r, S)`` partial), ``kth`` (one column of the row-sorted
-        :meth:`block`, computed without the block and never kept), and the
-        three GoodRadius profile rounds over the shard's resident sorted
-        :meth:`columns` — ``profile_samples`` (the entries at the sample
-        ranks), ``profile_bracket`` (two binary searches per column and the
-        runs between them) and ``profile_counts`` (through
-        :meth:`below_threshold`).  Each carries everything its shard needs
-        to rebuild the statistic and the profile state, so a fresh or
-        stealing worker, or an adopting node, answers it bitwise like the
-        shard's home worker.
+        """One query's partial over this shard: the engine's plan ops, plus
+        ``kth`` (one column of the row-sorted statistic, never kept),
+        ``histograms`` (this shard's streaming ``L(r, S)`` partial), and
+        the GoodRadius profile rounds over the resident sorted
+        :meth:`columns`.  Each carries everything its shard needs to
+        rebuild its state, so a fresh or stealing worker, or an adopting
+        node, answers it bitwise like the shard's home worker.
         """
-        from repro.geometry.balls import ball_membership
-        from repro.geometry.boxes import (
-            box_labels, interval_labels, unique_rows,
-        )
-
-        low, high = self.bounds[shard]
-        if op == "count_within_many":
-            centers, radii = args
-            # ``None`` is the wire encoding for "the full dataset" (which
-            # workers already hold in shared memory, so it is never pickled).
-            return self.backend(shard).count_within_many(
-                self.points if centers is None else centers, radii
-            )
-        if op == "depth_counts":
-            return depth_count_pairs(self.points[low:high, 0], *args)
         if op == "kth":
             (k,) = args
             return self._build(shard, k, "kth")
@@ -506,74 +304,11 @@ class _ShardSet:
             # Capped-count histograms over the shard's *query rows*, counted
             # against the full dataset.
             keys, cap = args
+            low, high = self.bounds[shard]
             return capped_count_histograms(self.points[low:high], self.points,
                                            keys, cap,
                                            row_block_size(*self.points.shape))
-        if op not in VIEW_PLAN_OPS and op != "count_labels":
-            raise ValueError(f"unknown plan operation {op!r}")
-        image = self.view_image(shard, *view, rows=rows)
-        if op == "heaviest_cell_counts":
-            # Per attempt: the shard's top_k heaviest labels with their
-            # counts, plus a cap (the top_k-th largest count, an upper bound
-            # on every cell the truncation dropped; 0 when nothing was).
-            width, shifts, top_k = args
-            results = []
-            for shift in shifts:
-                unique, counts = unique_rows(box_labels(image, shift, width),
-                                             return_counts=True)
-                cap = 0
-                if top_k is not None and counts.shape[0] > top_k:
-                    keep = np.argpartition(counts,
-                                           counts.shape[0] - top_k)[-top_k:]
-                    cap = int(counts[keep].min())
-                    unique, counts = unique[keep], counts[keep]
-                results.append((unique, counts, cap))
-            return results
-        if op == "count_labels":
-            # Per attempt: the shard's exact count of every queried label
-            # (0 for boxes it does not occupy).
-            width, shifts, labels_per_attempt = args
-            results = []
-            for shift, queries in zip(shifts, labels_per_attempt):
-                combined = np.concatenate(
-                    [queries, box_labels(image, shift, width)], axis=0
-                )
-                unique, inverse = unique_rows(combined, return_inverse=True)
-                table = np.bincount(inverse[queries.shape[0]:],
-                                    minlength=unique.shape[0])
-                results.append(table[inverse[:queries.shape[0]]])
-            return results
-        if op == "cell_histogram":
-            # (labels, counts, first local row): the first rows let the
-            # parent restore global first-occurrence cell order.
-            width, shifts = args
-            unique, first, counts = unique_rows(
-                box_labels(image, shifts, width), return_index=True,
-                return_counts=True,
-            )
-            return unique, counts, first
-        if op == "masked_sum":
-            return int(rows.shape[0]), fixed_point_column_partials(image)
-        if op == "masked_clipped_sum":
-            center, clip_radius = args
-            center = np.asarray(center, dtype=float)
-            inside = ball_membership(image, center, clip_radius)
-            deltas = image[inside] - center[None, :]
-            return (int(np.count_nonzero(inside)),
-                    fixed_point_column_partials(deltas))
-        # masked_axis_histograms: (local selected count, per-axis (labels,
-        # counts, first local position)); the parent offsets the positions
-        # by the preceding shards' selected counts to restore global
-        # first-occurrence order.
-        width, axis_offset = args
-        labels = interval_labels(image, width, axis_offset)
-        per_axis = []
-        for axis in range(labels.shape[1]):
-            unique, first, counts = np.unique(labels[:, axis],
-                                              return_index=True,
-                                              return_counts=True)
-            per_axis.append((unique, counts, first))
-        return int(rows.shape[0]), per_axis
+        return super()._partial(shard, op, view, rows, args)
 
 
 # --------------------------------------------------------------------------- #
@@ -581,7 +316,7 @@ class _ShardSet:
 # --------------------------------------------------------------------------- #
 
 #: The worker's shard set, installed by :func:`_init_worker`.
-_WORKER_SHARDS: Optional[_ShardSet] = None
+_WORKER_SHARDS: Optional[_ProfileShardSet] = None
 _WORKER_SHM: Optional[shared_memory.SharedMemory] = None
 
 
@@ -608,7 +343,7 @@ def _init_worker(shm_name: str, shape: Tuple[int, int], dtype_str: str,
             resource_tracker.register = original_register
     points = np.ndarray(shape, dtype=np.dtype(dtype_str), buffer=shm.buf)
     _WORKER_SHM = shm
-    _WORKER_SHARDS = _ShardSet(points, bounds)
+    _WORKER_SHARDS = _ProfileShardSet(points, bounds)
 
 
 def _run_shard_task(shard: int, payload: tuple) -> list:
@@ -623,11 +358,9 @@ def _worker_cache_stats() -> dict:
 
 class _PoolBatch:
     """The local transport's handle for one batch of ``(shard, payload)``
-    tasks (see :meth:`ShardedBackend._dispatch`).
+    tasks on the worker pool (see :meth:`ShardedBackend._dispatch`).
 
-    Without a pool (``num_workers`` below 2, or a pool that could not start
-    or has died) the batch runs serially in-process at dispatch.  Otherwise
-    the tasks go through a parent-side work-stealing scheduler.  With the
+    The tasks go through a parent-side work-stealing scheduler.  With the
     default topology (shards == worker slots) every slot receives exactly
     one task and this degenerates to the plain affinity dispatch.  When
     shards outnumber workers, eager per-slot submission would make the
@@ -644,22 +377,20 @@ class _PoolBatch:
     count is surfaced via ``pool_stats()["stolen_tasks"]``.
 
     A pool that dies under the batch is shut down for good and the whole
-    batch is recomputed on the serial path — the one broken-pool fallback
-    of every local dispatch.
+    batch is dispatched again, now on the serial path — the one broken-pool
+    fallback of every local dispatch.
     """
 
     __slots__ = ("_backend", "_executors", "_tasks", "_lock", "_queues",
                  "_proxies", "_results")
 
     def __init__(self, backend: "ShardedBackend",
+                 executors: List[ProcessPoolExecutor],
                  tasks: Sequence[Tuple[int, tuple]]) -> None:
         self._backend = backend
+        self._executors = executors
         self._tasks = list(tasks)
         self._results: Optional[list] = None
-        self._executors = backend._ensure_executors()
-        if self._executors is None:
-            self._results = self._run_serially()
-            return
         self._lock = threading.Lock()
         self._proxies: List[Future] = [Future() for _ in self._tasks]
         slots = len(self._executors)
@@ -675,11 +406,6 @@ class _PoolBatch:
         for slot, index in enumerate(firsts):
             if index is None or not self._submit(slot, index, False):
                 self._start_next(slot)
-
-    def _run_serially(self) -> list:
-        shards = self._backend._shards
-        return [shards.execute_plan(shard, *payload)
-                for shard, payload in self._tasks]
 
     def done(self) -> bool:
         """Whether every task has finished."""
@@ -703,7 +429,7 @@ class _PoolBatch:
                         RuntimeWarning,
                         stacklevel=2,
                     )
-                self._results = self._run_serially()
+                self._results = backend._dispatch(self._tasks).result()
         return self._results
 
     def _pick(self, slot: int):
@@ -770,114 +496,8 @@ class _PoolBatch:
 
 
 # --------------------------------------------------------------------------- #
-# Deterministic shard-order merges
-#
-# Plan results collect per-shard partials in shard order and fold them
-# through these functions, so a result is independent of worker scheduling:
-# the fold order is the shard order, never the completion order.
+# The GoodRadius profile rounds' parent-side merges
 # --------------------------------------------------------------------------- #
-
-def _merge_column_sums(parts: Sequence[tuple],
-                       image_dimension: int) -> np.ndarray:
-    """Fold ``(count, (limb, shift, column) arrays)`` partials into the
-    exact float column sums (see
-    :func:`repro.utils.exactsum.merge_column_partials`)."""
-    return fixed_point_to_floats(merge_column_partials(
-        image_dimension, [part[1] for part in parts]))
-
-
-def _merge_axis_histograms(parts: Sequence[tuple],
-                           image_dimension: int) -> list:
-    """Merge per-shard masked axis histograms, restoring the global
-    first-occurrence cell order.
-
-    Shard ``s``'s first-occurrence positions are offset by the selected-row
-    counts of shards ``0..s-1`` (the shards partition the ascending selected
-    sequence), then each axis follows the min-first / stable-argsort recipe
-    the stability histogram's noise draws depend on.
-    """
-    merged = []
-    for axis in range(image_dimension):
-        all_labels = []
-        all_counts = []
-        all_firsts = []
-        position_offset = 0
-        for local_count, per_axis in parts:
-            labels, counts, firsts = per_axis[axis]
-            all_labels.append(labels)
-            all_counts.append(counts)
-            all_firsts.append(firsts + position_offset)
-            position_offset += int(local_count)
-        labels = np.concatenate(all_labels)
-        counts = np.concatenate(all_counts)
-        firsts = np.concatenate(all_firsts)
-        unique, group = np.unique(labels, return_inverse=True)
-        summed = np.bincount(group, weights=counts,
-                             minlength=unique.shape[0]).astype(np.int64)
-        first = np.full(unique.shape[0], np.iinfo(np.int64).max,
-                        dtype=np.int64)
-        np.minimum.at(first, group, firsts)
-        order = np.argsort(first, kind="stable")
-        merged.append((unique[order], summed[order]))
-    return merged
-
-
-def _merge_cell_histogram(parts: Sequence[tuple],
-                          bounds: Sequence[Tuple[int, int]],
-                          num_points: int):
-    """Merge per-shard box histograms into global first-occurrence order
-    (see :meth:`~repro.neighbors.base.ProjectedView.cell_histogram`)."""
-    from repro.geometry.boxes import unique_rows
-
-    all_labels = np.concatenate([part[0] for part in parts], axis=0)
-    all_counts = np.concatenate([part[1] for part in parts])
-    all_firsts = np.concatenate([
-        part[2] + low for part, (low, _) in zip(parts, bounds)
-    ])
-    # The global group of each shard-unique cell.
-    unique, group = unique_rows(all_labels, return_inverse=True)
-    counts = np.bincount(group, weights=all_counts,
-                         minlength=unique.shape[0]).astype(np.int64)
-    first = np.full(unique.shape[0], num_points, dtype=np.int64)
-    np.minimum.at(first, group, all_firsts)
-    order = np.argsort(first, kind="stable")
-    return unique[order], counts[order]
-
-
-def _bounded_maximum(lists: Sequence[tuple]):
-    """Merge one attempt's per-shard ``(cells, counts, cap)`` top-k lists.
-
-    Returns ``(candidates, bound, maximum)``: the ``(u, k)`` union of the
-    listed cells, the cap sum ``bound`` (no cell that no shard listed can
-    hold more points), and the global heaviest-cell count when the lists
-    alone prove it, else ``None``.  A listed cell holds at least the sum
-    of its listed counts (``lower``) and at most that plus the caps of the
-    shards that did not list it (``upper``) — a shard with cap 0 listed
-    every cell it has, so it adds nothing.  A cell every truncating shard
-    listed has ``upper == lower``, an exact count; when the largest exact
-    count reaches both every ``upper`` and ``bound``, no cell can beat it.
-    """
-    from repro.geometry.boxes import unique_rows
-
-    caps = np.asarray([int(cap) for _, _, cap in lists], dtype=np.int64)
-    bound = int(caps.sum())
-    candidates, group = unique_rows(
-        np.concatenate([cells for cells, _, _ in lists], axis=0),
-        return_inverse=True,
-    )
-    counts = np.concatenate([listed for _, listed, _ in lists])
-    # The cap of the shard that listed each row (a shard lists a cell once).
-    row_caps = np.repeat(caps, [cells.shape[0] for cells, _, _ in lists])
-    lower = np.bincount(group, weights=counts,
-                        minlength=candidates.shape[0]).astype(np.int64)
-    listed_caps = np.bincount(group, weights=row_caps,
-                              minlength=candidates.shape[0]).astype(np.int64)
-    upper = lower + (bound - listed_caps)
-    exact = lower[upper == lower]
-    if exact.size and int(exact.max()) >= max(int(upper.max()), bound):
-        return candidates, bound, int(exact.max())
-    return candidates, bound, None
-
 
 def _sorted_columns(block: np.ndarray) -> np.ndarray:
     """A row-sorted ``(rows, k)`` block column by column: its transpose,
@@ -988,49 +608,15 @@ def _thresholds(parts: Sequence[tuple], target: int,
     return thresholds, np.concatenate([[0], np.cumsum(target - under)])
 
 
-class _CompiledPlan:
-    """The wire form of one :class:`~repro.neighbors.base.QueryPlan`.
-
-    ``views_wire`` is the plan's view table as ``(token, matrix, offset)``
-    triples; ``selection_specs[j][s]`` shard ``s``'s spec for selection
-    ``j``; ``bundle`` the ordered shard-side queries, one per plan query
-    (``args`` is either a tuple shared by every shard or a per-shard list);
-    ``merges`` the matching ``(op, extra)`` merge inputs.
-    """
-
-    __slots__ = ("views_wire", "selection_specs", "bundle", "merges")
-
-    def __init__(self, views_wire, selection_specs, bundle, merges) -> None:
-        self.views_wire = views_wire
-        self.selection_specs = selection_specs
-        self.bundle = bundle
-        self.merges = merges
-
-    def shard_args(self, shard: int) -> tuple:
-        """The ``(views, selections, queries)`` task payload for one
-        shard."""
-        selections = [specs[shard] for specs in self.selection_specs]
-        queries = [
-            (op, view_slot, sel_slot,
-             args if isinstance(args, tuple) else args[shard])
-            for op, view_slot, sel_slot, args in self.bundle
-        ]
-        return (self.views_wire, selections, queries)
-
-
 class _ShardedPlanFuture(PlanFuture):
-    """An in-flight plan: one dispatched task per shard, on either
-    transport.
+    """An in-flight plan: ``handle`` is what
+    :meth:`ShardedBackend._dispatch` returned.  :meth:`result` folds its
+    per-shard partials **in shard order** through the plan engine's merges,
+    so the values are independent of worker scheduling, of how many plans
+    overlap, and of any recovery the transport ran (a dead local pool, a
+    dead node)."""
 
-    ``handle`` is what :meth:`ShardedBackend._dispatch` returned.
-    :meth:`result` takes its per-shard partials **in shard order** and folds
-    them through the deterministic merges, so the values — and the releases
-    derived from them — are independent of worker scheduling, of how many
-    plans are overlapped, and of any recovery the transport ran on the way
-    (a dead local pool, a dead node).
-    """
-
-    def __init__(self, backend: "ShardedBackend", compiled: _CompiledPlan,
+    def __init__(self, backend: "ShardedBackend", compiled,
                  handle) -> None:
         self._backend = backend
         self._compiled = compiled
@@ -1046,8 +632,8 @@ class _ShardedPlanFuture(PlanFuture):
         """Block for the per-shard tasks, merge in shard order, and return
         the per-query results (memoised across calls)."""
         if self._resolved is None:
-            self._resolved = self._backend._merge_plan(self._compiled,
-                                                       self._handle.result())
+            self._resolved = _merge_plan(self._backend, self._compiled,
+                                         self._handle.result())
             self._handle = None
         return self._resolved
 
@@ -1090,7 +676,7 @@ class ShardedBackend(NeighborBackend):
     #: How many cells each shard returns per heaviest-cell attempt; the
     #: bounded merge settles the maximum from these lists or falls back to
     #: an exact recount of the candidate union (see
-    #: :meth:`_heaviest_cell_merge`).  Bounds the
+    #: :func:`repro.neighbors._engine._heaviest_cell_merge`).  Bounds the
     #: parent's merge scratch at ``O(shards * top_k)`` instead of the total
     #: number of occupied boxes.  ``None`` disables the truncation (full
     #: per-shard histograms).
@@ -1113,7 +699,7 @@ class ShardedBackend(NeighborBackend):
         self._bounds = [(int(offsets[i]), int(offsets[i + 1]))
                         for i in range(num_shards)]
         self._requested_workers = min(workers, num_shards)
-        self._shards = _ShardSet(self._points, self._bounds)
+        self._shards = _ProfileShardSet(self._points, self._bounds)
         self._executors: Optional[List[ProcessPoolExecutor]] = None
         self._shm: Optional[shared_memory.SharedMemory] = None
         self._pool_failed = False
@@ -1162,8 +748,8 @@ class ShardedBackend(NeighborBackend):
         selection rounds per target not in the parent's cache, then one
         count round per radius batch — and the ``kth_distances`` and
         streaming-histogram fan-outs do not), plus the topology and a
-        ``workers`` list: one :meth:`_ShardSet.cache_stats` entry per live
-        worker slot (pool mode) or the parent shard set's entry (serial
+        ``workers`` list: one :meth:`_ProfileShardSet.cache_stats` entry per
+        live worker slot (pool mode) or the parent shard set's entry (serial
         fallback), whose ``resident_blocks`` maps each shard to the width
         of the column-sorted truncated statistic it keeps.  With routing
         affinity each shard index appears in exactly one worker's
@@ -1258,17 +844,27 @@ class ShardedBackend(NeighborBackend):
             self._stats["stolen_tasks"] += 1
 
     def _dispatch(self, tasks: Sequence[Tuple[int, tuple]]):
-        """Send a batch of ``(shard, payload)`` tasks; return its handle.
+        """Send a batch of ``(shard, payload)`` tasks to the worker pool;
+        return its handle (see :meth:`NeighborBackend._dispatch`).
 
-        The one transport seam: plans, the bounded heaviest-cell merge's
-        rounds, the shard waves and the node server's batches all leave
-        through here, and the distributed backend overrides only this (and
-        :meth:`_wave_size`).  The handle's ``done()`` / ``result()`` give
-        the results in task order, so merges downstream are independent of
-        which slot or node ran what.  Callers count the fan-out; the
-        transport counts only its own recovery.
+        Plans, the bounded heaviest-cell merge's rounds, the shard waves
+        and the node server's batches all leave through here, and the
+        distributed backend overrides only this (and :meth:`_wave_size`).
+        Without a pool (``num_workers`` below 2, or a pool that could not
+        start or has died) the batch runs serially on the parent's shard
+        set, as the in-process backends run theirs.  Callers count the
+        fan-out (:meth:`_count_fanout`); the transport counts only its own
+        recovery.
         """
-        return _PoolBatch(self, tasks)
+        executors = self._ensure_executors()
+        if executors is None:
+            return super()._dispatch(tasks)
+        return _PoolBatch(self, executors, tasks)
+
+    def _count_fanout(self, tasks: int) -> None:
+        """Count one collective operation of ``tasks`` shard tasks."""
+        self._stats["fanouts"] += 1
+        self._stats["shard_tasks"] += tasks
 
     def _wave_size(self) -> int:
         """Shards per wave of :meth:`_shard_waves`: one per worker slot."""
@@ -1293,8 +889,7 @@ class ShardedBackend(NeighborBackend):
                 raise ValueError("a shard task payload must be a (views, "
                                  "selections, queries) triple")
             checked.append((shard, payload))
-        self._stats["fanouts"] += 1
-        self._stats["shard_tasks"] += len(checked)
+        self._count_fanout(len(checked))
         return self._dispatch(checked).result()
 
     def close(self) -> None:
@@ -1321,7 +916,7 @@ class ShardedBackend(NeighborBackend):
                 shm.unlink()
             except (FileNotFoundError, OSError):  # pragma: no cover
                 pass
-        self._shards.clear_caches()
+        super().close()
 
     def __del__(self) -> None:  # pragma: no cover - GC timing dependent
         try:
@@ -1340,8 +935,7 @@ class ShardedBackend(NeighborBackend):
         parent consumes (copies or sums) each wave's results before the
         next wave's arrive.
         """
-        self._stats["fanouts"] += 1
-        self._stats["shard_tasks"] += self.num_shards
+        self._count_fanout(self.num_shards)
         payload = ([], [], [(op, None, None, args)])
         wave = self._wave_size()
         for start in range(0, self.num_shards, wave):
@@ -1354,21 +948,8 @@ class ShardedBackend(NeighborBackend):
     # NeighborBackend protocol
     # ------------------------------------------------------------------ #
     def query_radius_counts(self, centers, radius: float) -> np.ndarray:
-        """``B_r(c, S)`` per centre: the sum of per-shard counts (a
-        one-radius :meth:`count_within_many`).
-
-        Parameters
-        ----------
-        centers:
-            ``(q, d)`` query centres.
-        radius:
-            The ball radius; negative radii give all-zero counts.
-
-        Returns
-        -------
-        numpy.ndarray
-            ``(q,)`` ``int64`` counts.
-        """
+        """``B_r(c, S)`` per centre: a one-radius
+        :meth:`count_within_many`, the sum of per-shard counts."""
         return self.count_within_many(centers, [float(radius)])[0]
 
     def count_within_many(self, centers, radii) -> np.ndarray:
@@ -1389,20 +970,11 @@ class ShardedBackend(NeighborBackend):
         plan.count_within_many(centers, radii)
         return self.execute(plan)[0]
 
-    def depth_counts(self, thresholds) -> np.ndarray:
-        """The one-sided rank counts as a one-query plan: each shard counts
-        its own rows and the parent sums the integer pairs (see
-        :meth:`NeighborBackend.depth_counts`).  The plan validates the
-        thresholds when the query is appended, before anything fans out."""
-        plan = QueryPlan()
-        plan.depth_counts(thresholds)
-        return self.execute(plan)[0]
-
     def _kth_squared(self, k: int) -> np.ndarray:
         """Column ``k - 1`` of the shards' row-sorted blocks, ``n``
         values, concatenated in shard order: each shard computes its rows'
         ``k``-th smallest squared distances for the call, without building
-        its block, and keeps nothing (see :meth:`_ShardSet._build`)."""
+        its block, and keeps nothing (see :meth:`_ProfileShardSet._build`)."""
         return np.concatenate(list(self._shard_waves("kth", (k,))))
 
     def _top_sums(self, keys: np.ndarray, target: int) -> np.ndarray:
@@ -1438,7 +1010,7 @@ class ShardedBackend(NeighborBackend):
 
         An exact two-round selection over the shards' resident
         statistics, which the first round leaves column-sorted
-        (:meth:`_ShardSet.columns`): round 1 reads every
+        (:meth:`_ProfileShardSet.columns`): round 1 reads every
         ``ceil(sqrt(t))``-th order statistic of each shard's per-column
         ``t`` smallest (:func:`_brackets` turns them into bounds around
         each ``tau_j``), round 2 binary-searches each column for the
@@ -1482,155 +1054,14 @@ class ShardedBackend(NeighborBackend):
         return total
 
     # ------------------------------------------------------------------ #
-    # Grid hashing (GoodCenter's partition search)
-    # ------------------------------------------------------------------ #
-    def view(self, matrix=None, offset=None) -> "ProjectedView":
-        """A sharded :class:`~repro.neighbors.base.ProjectedView`.
-
-        The ``(k, d)`` projection matrix travels with each shard task (it is
-        tiny) and is applied shard-side over the shared-memory block — the
-        parent never materialises the ``(n, k)`` image.  Workers cache each
-        shard's image per view, so repeated queries (a partition search
-        probing hundreds of shifted partitions) project each shard once.
-        Results are bit-identical to the in-process view because the
-        projection is row-decomposable and the grid hashes are shared single
-        definitions (see :func:`repro.geometry.jl.project_rows`).
-        """
-        return _ShardedView(self, matrix=matrix, offset=offset)
-
-    # ------------------------------------------------------------------ #
     # Query plans (one task per shard per plan)
     # ------------------------------------------------------------------ #
-    def _check_global_rows(self, rows) -> np.ndarray:
-        """Validate a global row-index array (mirrors the view-side check —
-        no negative wrap-around, values in ``[0, n)``)."""
-        rows = np.asarray(rows, dtype=np.int64).reshape(-1)
-        if rows.size and (int(rows.min()) < 0
-                          or int(rows.max()) >= self.num_points):
-            raise ValueError("rows must lie in [0, n)")
-        return rows
-
-    def _selection_specs(self, selection) -> List[tuple]:
-        """Per-shard wire specs of a masked-query selection.
-
-        A :class:`~repro.neighbors.base.BoxSelection` ships as its *label
-        predicate* — ``(selection token, selecting view's cache token /
-        matrix / offset, width, shifts, label)``, identical for every shard;
-        each worker re-derives its own membership from its cached image of
-        the selecting view (memoising the rows under the selection token),
-        so no ``O(n)`` mask or row list ever crosses the wire (or exists in
-        the parent).  Row/mask selections are normalised to ascending global
-        rows and sliced so each shard receives only its own (shard-local)
-        segment.
-        """
-        if isinstance(selection, BoxSelection):
-            view = selection.view
-            if view.backend is not self:
-                raise ValueError(
-                    "the BoxSelection was built over a different backend's "
-                    "view; selections only transfer between views of the "
-                    "same backend"
-                )
-            token = view._token if isinstance(view, _ShardedView) else None
-            spec = ("box", selection.token, token, view.matrix, view.offset,
-                    float(selection.width), selection.shifts, selection.label)
-            return [spec] * self.num_shards
-        array = np.asarray(selection)
-        if array.dtype == np.bool_:
-            if array.shape != (self.num_points,):
-                raise ValueError(
-                    f"boolean selection must have shape ({self.num_points},),"
-                    f" got {array.shape}"
-                )
-            rows = np.flatnonzero(array)
-        else:
-            rows = np.sort(self._check_global_rows(array))
-        # The shards are contiguous: one search over their starts and n
-        # cuts the ascending rows into every shard's segment.
-        starts = [low for low, _ in self._bounds]
-        cuts = np.searchsorted(rows, starts + [self.num_points]).tolist()
-        return [("rows", rows[cuts[shard]:cuts[shard + 1]] - low)
-                for shard, low in enumerate(starts)]
-
-    def _view_wire(self, view: ProjectedView) -> tuple:
-        """A view's ``(token, matrix, offset)`` wire triple."""
-        if view.backend is not self:
-            raise ValueError(
-                "the plan queries a view of a different backend; build the "
-                "plan against the backend that executes it"
-            )
-        token = view._token if isinstance(view, _ShardedView) else None
-        return (token, view.matrix, view.offset)
-
-    def _compile_plan(self, plan: QueryPlan) -> _CompiledPlan:
-        """Compile a :class:`~repro.neighbors.base.QueryPlan` to wire form.
-
-        Validation (view ownership, centre dimensions, row ranges) happens
-        here, in the parent, so workers only ever see well-formed payloads.
-        """
-        views = plan.views
-        views_wire = [self._view_wire(view) for view in views]
-        selection_specs = [self._selection_specs(selection)
-                           for selection in plan.selections]
-        bundle: List[tuple] = []
-        merges: List[tuple] = []
-        for query in plan.queries:
-            op, view_slot, args = query.op, query.view_slot, query.args
-            extra = None
-            if op == "count_within_many":
-                centers, radii = args
-                centers = check_points(centers, dimension=self.dimension,
-                                       name="centers")
-                args = (None if centers is self._points else centers, radii)
-            elif op == "heaviest_cell_counts":
-                top_k = (int(self.HEAVIEST_CELL_TOP_K)
-                         if self.HEAVIEST_CELL_TOP_K else None)
-                args = (*args, top_k)
-                extra = (views_wire[view_slot], *args)
-            elif op in MASKED_PLAN_OPS:
-                # The merge needs the image dimension of the queried view.
-                extra = views[view_slot].image_dimension
-            merges.append((op, extra))
-            bundle.append((op, view_slot, query.selection_slot, args))
-        return _CompiledPlan(views_wire, selection_specs, bundle, merges)
-
-    def _merge_plan(self, compiled: _CompiledPlan,
-                    shard_parts: List[list]) -> list:
-        """Fold per-shard plan partials into per-query results (shard order,
-        deterministic)."""
-        results: List[object] = []
-        for index, (op, extra) in enumerate(compiled.merges):
-            parts = [shard[index] for shard in shard_parts]
-            if op in ("count_within_many", "depth_counts"):
-                results.append(np.sum(parts, axis=0, dtype=np.int64))
-            elif op == "masked_sum":
-                results.append(_merge_column_sums(parts, extra))
-            elif op == "masked_clipped_sum":
-                results.append(ClippedSum(
-                    count=int(sum(part[0] for part in parts)),
-                    vector_sum=_merge_column_sums(parts, extra),
-                ))
-            elif op == "masked_axis_histograms":
-                results.append(_merge_axis_histograms(parts, extra))
-            elif op == "heaviest_cell_counts":
-                # extra = (view wire triple, width, shifts, top_k)
-                results.append(self._heaviest_cell_merge(*extra, parts))
-            elif op == "cell_histogram":
-                results.append(_merge_cell_histogram(parts, self._bounds,
-                                                     self.num_points))
-            else:  # pragma: no cover - _compile_plan covers every op
-                raise ValueError(f"unknown plan operation {op!r}")
-        return results
-
     def execute(self, plan: QueryPlan) -> list:
         """Run a :class:`~repro.neighbors.base.QueryPlan` in **one round
-        trip per shard**: the whole bundle travels to each shard as a
-        single ``(shard, payload)`` task, each shard derives every
-        selection's membership and every view's image at most once, and the
-        parent merges the partials in shard order — bitwise what the serial
-        loop produces.  (The one exception is a plan carrying a
-        ``heaviest_cell_counts`` query whose bounded top-``k`` merge round
-        1 cannot certify: its recount and escalation rounds add fan-outs.)
+        trip per shard** (see :meth:`NeighborBackend.execute`), bitwise what
+        the in-process backends' one shard produces.  A
+        ``heaviest_cell_counts`` query whose bounded merge round 1 cannot
+        certify adds its recount rounds.
         """
         return self.submit(plan).result()
 
@@ -1643,148 +1074,11 @@ class ShardedBackend(NeighborBackend):
         tasks ran at dispatch, and the plan is merged here too, so a caller
         submitting many plans holds one plan's shard partials at a time.
         """
-        compiled = self._compile_plan(plan)
+        future = _ShardedPlanFuture(self, *self._dispatch_plan(plan))
         self._stats["plans"] += 1
-        if not compiled.bundle:
-            # An empty plan: nothing to fan out, no node touched.
-            return PlanFuture([])
-        self._stats["fanouts"] += 1
-        self._stats["shard_tasks"] += self.num_shards
-        future = _ShardedPlanFuture(self, compiled, self._dispatch([
-            (shard, compiled.shard_args(shard))
-            for shard in range(self.num_shards)
-        ]))
         if not self.parallel:
             future.result()
         return future
-
-    def _view_round(self, view_wire: tuple, op: str, args: tuple) -> list:
-        """One single-query fan-out over ``view_wire``, returning the
-        per-shard partials in shard order.  The bounded heaviest-cell
-        merge's recount and escalation rounds ride it; they are rounds of
-        the plan being merged, so they count as fan-outs, not as plans."""
-        self._stats["fanouts"] += 1
-        self._stats["shard_tasks"] += self.num_shards
-        payload = ([view_wire], [], [(op, 0, None, args)])
-        parts = self._dispatch([(shard, payload)
-                                for shard in range(self.num_shards)])
-        return [part[0] for part in parts.result()]
-
-    def _heaviest_cell_merge(self, view_wire: tuple, width: float,
-                             shifts: np.ndarray, top_k: Optional[int],
-                             parts: list) -> np.ndarray:
-        """The bounded heaviest-cell merge of a plan's
-        ``heaviest_cell_counts`` partials.
-
-        Each shard returns only its ``top_k`` heaviest cells plus a cap (its
-        ``top_k``-th largest count, bounding every truncated cell; 0 when it
-        listed every cell), so the parent's scratch is ``O(shards * top_k)``
-        per attempt instead of the total occupied-box count.  Round 1's
-        lists usually settle an attempt on their own: the *round-1
-        certificate* (:func:`_bounded_maximum`) proves the global maximum
-        from the listed counts and the caps, with no further fan-out, and
-        always succeeds when no shard truncated.  An attempt it cannot
-        settle is made exact by *recounting*: the union of the shards'
-        candidate cells is shipped back and every shard reports its exact
-        occupancy of each candidate; a candidate max ``>= sum of caps``
-        certifies that no truncated cell can beat it.  Either way the
-        returned maxima (and hence AboveThreshold's query stream) are
-        bitwise the full merge's; only the number of fan-outs differs.
-        Attempts the recount cannot certify retry with ``top_k`` escalated
-        4x (reaching the untruncated merge in the worst case) and go
-        through the same two rules, so termination is unconditional.
-        ``parts`` are round 1's partials, which arrived inside the plan's
-        own task.
-        """
-        maxima = np.zeros(shifts.shape[0], dtype=np.int64)
-        unresolved = np.arange(shifts.shape[0])
-        while True:
-            recount_slots = []
-            candidates = []
-            bounds = []
-            for slot, attempt in enumerate(unresolved):
-                unique, bound, best = _bounded_maximum(
-                    [part[slot] for part in parts]
-                )
-                if best is not None:
-                    maxima[attempt] = best
-                    continue
-                recount_slots.append(slot)
-                candidates.append(unique)
-                bounds.append(bound)
-            still = []
-            if recount_slots:
-                slots = np.asarray(recount_slots)
-                exact_parts = self._view_round(
-                    view_wire, "count_labels",
-                    (float(width), shifts[unresolved[slots]], candidates),
-                )
-                for position, slot in enumerate(recount_slots):
-                    exact = np.sum([part[position] for part in exact_parts],
-                                   axis=0, dtype=np.int64)
-                    best = int(exact.max())
-                    attempt = int(unresolved[slot])
-                    if best >= bounds[position]:
-                        maxima[attempt] = best
-                    else:
-                        still.append(attempt)
-            if not still:
-                return maxima
-            unresolved = np.asarray(still, dtype=np.int64)
-            top_k = (None if top_k is None or 4 * top_k >= self.num_points
-                     else 4 * top_k)
-            parts = self._view_round(
-                view_wire, "heaviest_cell_counts",
-                (float(width), shifts[unresolved], top_k),
-            )
-
-
-class _ShardedView(ProjectedView):
-    """The sharded backend's :class:`ProjectedView`: every query is a
-    one-query :class:`~repro.neighbors.base.QueryPlan`, so grid hashes and
-    masked aggregates run shard-side (over worker processes when the pool
-    is up) and their partials merge exactly in the parent."""
-
-    def __init__(self, backend: ShardedBackend, matrix=None,
-                 offset=None) -> None:
-        super().__init__(backend, matrix=matrix, offset=offset)
-        # Identity views read the shared-memory block directly — no cache to
-        # key, so no token.
-        self._token = (next(_VIEW_TOKENS)
-                       if self._matrix is not None or self._offset is not None
-                       else None)
-
-    @property
-    def batch_size(self) -> int:
-        """The cap that GoodCenter's doubling search batches reach
-        (:attr:`ShardedBackend.HEAVIEST_CELL_BATCH`): once a search has run
-        long, each request amortises the per-shard fan-out over this many
-        attempts."""
-        return int(self._backend.HEAVIEST_CELL_BATCH)
-
-    def _one_query(self, op: str, *args):
-        plan = QueryPlan()
-        getattr(plan, op)(self, *args)
-        return self._backend.execute(plan)[0]
-
-    def heaviest_cell_counts(self, width: float, shifts) -> np.ndarray:
-        return self._one_query("heaviest_cell_counts", width, shifts)
-
-    def cell_histogram(self, width: float, shifts):
-        return self._one_query("cell_histogram", width, shifts)
-
-    def masked_sum(self, selection) -> np.ndarray:
-        return self._one_query("masked_sum", selection)
-
-    def masked_clipped_sum(self, selection, center,
-                           clip_radius: float) -> ClippedSum:
-        return self._one_query("masked_clipped_sum", selection, center,
-                               clip_radius)
-
-    def masked_axis_histograms(self, selection, width: float,
-                               offset: float = 0.0) -> list:
-        return self._one_query("masked_axis_histograms", selection, width,
-                               offset)
 
 
 __all__ = ["ShardedBackend"]

@@ -43,6 +43,7 @@ import numpy as np
 import pytest
 
 import repro.neighbors as neighbors
+import repro.neighbors._engine as engine_module
 import repro.neighbors.sharded as sharded_module
 import repro.neighbors.tree as tree_module
 from repro.accounting.params import PrivacyParams
@@ -239,7 +240,7 @@ class TestWireEncoding:
         matrix = np.random.default_rng(11).normal(size=(2, 2))
         view = backend.view(matrix)
         selection = view.box_selection(0.25, np.zeros(2), [1, -2])
-        spec = backend._selection_specs(selection)[0]
+        spec = engine_module._selection_specs(backend, selection)[0]
         out = decode(encode(spec))
         assert wire_equal(out, spec)
         assert out[0] == "box"
@@ -262,7 +263,7 @@ class TestWireEncoding:
                                 1.0)
         plan.masked_sum(view, selection)
         plan.masked_axis_histograms(view, selection, 0.5)
-        compiled = backend._compile_plan(plan)
+        compiled = engine_module._compile_plan(backend, plan)
         for shard in range(backend.num_shards):
             payload = encode(compiled.shard_args(shard))
             assert wire_equal(decode(payload), compiled.shard_args(shard))

@@ -352,7 +352,8 @@ class TestTreeKernelPick:
         """Just below ``TREE_SELECT_FRACTION * n`` the tree's
         ``cKDTree.query`` selects the neighbours; at it the slab builds the
         statistic, and a serial tree-inner shard builds no full-dataset
-        tree.  Both read the chunked reference's bits."""
+        tree.  Both read the chunked reference's bits: a shard's sorted
+        columns are its rows of the chunked statistic, column-sorted."""
         queried = []
 
         class SpyTree(tree_module._CKDTree):
@@ -373,17 +374,23 @@ class TestTreeKernelPick:
                 backend = ShardedBackend(points, num_shards=2, num_workers=0)
             with backend:
                 if where == "in-process":
-                    got = backend._truncated_squared(k)
+                    got = [backend._truncated_squared(k)]
+                    bounds = None
                 else:
-                    got = np.concatenate([backend._shards.block(shard, k)
-                                          for shard in range(2)])
+                    got = [backend._shards.columns(shard, k)
+                           for shard in range(2)]
+                    bounds = backend.shard_bounds
                     assert all(isinstance(backend._shards.backend(shard),
                                           TreeBackend) for shard in range(2))
                     assert (backend._shards._full_tree is not None) == selects
             calls = 1 if where == "in-process" else 2
             assert queried == ([k] * calls if selects else []), k
-            expected = ChunkedBackend(points)._truncated_squared(k)
-            assert got.tobytes() == expected.tobytes(), k
+            reference = ChunkedBackend(points)._truncated_squared(k)
+            expected = ([reference] if bounds is None else
+                        [np.sort(reference[low:high].T, axis=1)
+                         for low, high in bounds])
+            for part, want in zip(got, expected):
+                assert part.tobytes() == want.tobytes(), k
 
 
 class TestSelection:

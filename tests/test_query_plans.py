@@ -3,9 +3,10 @@
 Three contracts are pinned here:
 
 * **Plan parity.**  ``backend.execute(plan)`` returns, slot for slot,
-  exactly what the corresponding direct method calls return — on every
-  backend, because the serial evaluator *is* the direct calls and the
-  sharded path reuses the per-query shard partials and shard-order merges.
+  exactly what the shared definitions give (the grid hashes, the clip
+  ball, a ``Fraction`` column sum, the chunked count kernel) — on every
+  backend, each of which runs the plan through the one plan engine, the
+  in-process ones as its one-shard case.
 * **One round trip per shard.**  On the sharded backend a whole plan is a
   single ``execute_plan`` task per shard, counted by the ``pool_stats()``
   instrumentation; ``good_center``'s stages (the partition-search batch,
@@ -23,6 +24,9 @@ import sys
 import numpy as np
 import pytest
 
+from test_masked_properties import exact_reference_sums
+
+import repro.neighbors._engine as engine_module
 import repro.neighbors.base as base_module
 import repro.neighbors.sharded as sharded_module
 from repro.accounting.params import PrivacyParams
@@ -34,14 +38,17 @@ from repro.experiments.harness import (
     coverage_counts_result,
     submit_coverage_counts,
 )
-from repro.geometry.boxes import box_labels
+from repro.geometry.balls import ball_membership
+from repro.geometry.boxes import box_labels, interval_labels
 from repro.geometry.jl import project_rows
 from repro.neighbors import (
     BACKENDS,
     ChunkedBackend,
+    ClippedSum,
     PlanFuture,
     QueryPlan,
     ShardedBackend,
+    first_occurrence_cells,
     resolve_backend,
 )
 
@@ -99,19 +106,33 @@ def build_plan(backend, fx):
 
 
 def reference_results(fx):
-    """The direct-call reference, computed on the chunked backend."""
-    backend = ChunkedBackend(fx["points"])
-    search = backend.view(fx["matrix"])
-    frame = backend.view(fx["basis"])
-    rows = fx["rows"]
+    """The reference, computed from the shared definitions without any plan:
+    the grid hashes and :func:`first_occurrence_cells`, the clip ball,
+    ``Fraction`` column sums, and the chunked backend's direct count
+    kernel."""
+    search = project_rows(fx["points"], fx["matrix"])
+    selected = project_rows(fx["points"], fx["basis"])[fx["rows"]]
     batch = np.stack([fx["shifts"], fx["shifts"] + 0.13])
+    inside = ball_membership(selected, fx["center"], 1.5)
+    axis_labels = interval_labels(selected, 0.4)
     return {
-        "sum": frame.masked_sum(rows),
-        "clipped": frame.masked_clipped_sum(rows, fx["center"], 1.5),
-        "hists": frame.masked_axis_histograms(rows, 0.4),
-        "heaviest": search.heaviest_cell_counts(fx["width"], batch),
-        "cell": search.cell_histogram(fx["width"], fx["shifts"]),
-        "grid": backend.count_within_many(fx["points"][:5], [0.4, 1.1]),
+        "sum": exact_reference_sums(selected),
+        "clipped": ClippedSum(
+            count=int(np.count_nonzero(inside)),
+            vector_sum=exact_reference_sums(selected[inside]
+                                            - fx["center"][None, :]),
+        ),
+        "hists": [first_occurrence_cells(axis_labels[:, axis])
+                  for axis in range(axis_labels.shape[1])],
+        "heaviest": np.asarray([
+            first_occurrence_cells(box_labels(search, shift,
+                                              fx["width"]))[1].max()
+            for shift in batch
+        ]),
+        "cell": first_occurrence_cells(box_labels(search, fx["shifts"],
+                                                  fx["width"])),
+        "grid": ChunkedBackend(fx["points"]).count_within_many(
+            fx["points"][:5], [0.4, 1.1]),
     }
 
 
@@ -159,9 +180,8 @@ class TestPlanParity:
         rows = fx["rows"]
         mask = np.zeros(fx["points"].shape[0], dtype=bool)
         mask[rows] = True
-        expected = ChunkedBackend(fx["points"]).view(fx["basis"]).masked_sum(
-            rows
-        )
+        expected = exact_reference_sums(
+            project_rows(fx["points"], fx["basis"])[rows])
         for name in ("chunked", "sharded"):
             backend = make_backend(name, fx["points"])
             frame = backend.view(fx["basis"])
@@ -171,6 +191,81 @@ class TestPlanParity:
             results = backend.execute(plan)
             assert np.array_equal(results[by_mask], expected), name
             assert np.array_equal(results[by_rows], expected), name
+
+
+#: The in-process strategies; the tree's case needs scipy.
+IN_PROCESS_NAMES = [name for name in BACKEND_NAMES
+                    if getattr(name, "values", (name,))[0] != "sharded"]
+
+
+class TestOnePlanEngine:
+    """The in-process backends run every plan, direct view and depth queries
+    included, as the plan engine's one-shard case: one shard task per plan,
+    on an executor whose caches ``close()`` drops and whose link back to
+    the backend keeps no reference cycle."""
+
+    @pytest.mark.parametrize("name", IN_PROCESS_NAMES)
+    def test_each_plan_is_one_shard_task(self, plan_fixture, name,
+                                         monkeypatch):
+        calls = []
+        original = engine_module._ShardSet.execute_plan
+
+        def spy(self, shard, *payload):
+            calls.append(shard)
+            return original(self, shard, *payload)
+
+        monkeypatch.setattr(engine_module._ShardSet, "execute_plan", spy)
+        backend = make_backend(name, plan_fixture["points"])
+        plan, _, (_, frame, selection) = build_plan(backend, plan_fixture)
+        backend.execute(plan)
+        assert calls == [0]
+        frame.masked_sum(selection)
+        assert calls == [0, 0]
+        backend.depth_counts([0.0, 0.5])
+        assert calls == [0, 0, 0]
+
+    @pytest.mark.parametrize("name", IN_PROCESS_NAMES)
+    def test_dropped_backend_is_freed_without_gc(self, plan_fixture, name):
+        import gc
+        import weakref
+
+        backend = make_backend(name, plan_fixture["points"])
+        plan, _, views = build_plan(backend, plan_fixture)
+        backend.execute(plan)
+        ref = weakref.ref(backend)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del backend, plan, views
+            assert ref() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    @pytest.mark.parametrize("name", IN_PROCESS_NAMES)
+    def test_pickled_backend_relinks_its_executor(self, plan_fixture, name):
+        import pickle
+
+        backend = make_backend(name, plan_fixture["points"])
+        plan, slots, _ = build_plan(backend, plan_fixture)
+        expected = backend.execute(plan)
+        copy = pickle.loads(pickle.dumps(backend))
+        assert copy._shards._owner() is copy
+        plan, _, _ = build_plan(copy, plan_fixture)
+        results = copy.execute(plan)
+        for key, slot in slots.items():
+            assert_matches(key, results[slot], expected[slot])
+
+    @pytest.mark.parametrize("name", IN_PROCESS_NAMES)
+    def test_close_drops_cached_images_and_selections(self, plan_fixture,
+                                                      name):
+        backend = make_backend(name, plan_fixture["points"])
+        plan, _, _ = build_plan(backend, plan_fixture)
+        backend.execute(plan)
+        shards = backend._shards
+        assert shards._view_images and shards._memberships
+        backend.close()
+        assert not shards._view_images and not shards._memberships
 
 
 class TestSubmitDeterminism:

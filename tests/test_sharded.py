@@ -692,8 +692,8 @@ def resident_shard_set(blocks):
     row-sorted ``blocks`` as their resident statistic (the dataset itself
     is never read)."""
     edges = np.cumsum([0] + [block.shape[0] for block in blocks]).tolist()
-    shards = sharded_module._ShardSet(np.zeros((edges[-1], 1)),
-                                      list(zip(edges[:-1], edges[1:])))
+    shards = sharded_module._ProfileShardSet(
+        np.zeros((edges[-1], 1)), list(zip(edges[:-1], edges[1:])))
     for shard, block in enumerate(blocks):
         shards._blocks[shard] = sharded_module._sorted_columns(block)
     return shards
@@ -816,13 +816,14 @@ class TestStatisticLayout:
     def counted_builds(monkeypatch):
         """Record every ``(shard, k, form)`` a shard set computes."""
         builds = []
-        original = sharded_module._ShardSet._build
+        original = sharded_module._ProfileShardSet._build
 
         def counting(self, shard, k, form):
             builds.append((shard, k, form))
             return original(self, shard, k, form)
 
-        monkeypatch.setattr(sharded_module._ShardSet, "_build", counting)
+        monkeypatch.setattr(sharded_module._ProfileShardSet, "_build",
+                            counting)
         return builds
 
     @staticmethod
