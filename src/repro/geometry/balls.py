@@ -14,11 +14,14 @@ the default ``"auto"`` picks by workload size).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.neighbors import BackendLike, backend_scope
 from repro.utils.validation import check_points, check_positive
+
+if TYPE_CHECKING:
+    from repro.neighbors import BackendLike
 
 
 @dataclass(frozen=True)
@@ -88,6 +91,9 @@ def counts_around_points(points: np.ndarray, radius: float,
         Neighbor-backend selection (name, class, instance, or ``None`` for
         automatic); see :func:`repro.neighbors.resolve_backend`.
     """
+    # Imported here: the plan engine (repro.neighbors) imports this module.
+    from repro.neighbors import backend_scope
+
     points = check_points(points)
     if radius < 0:
         return np.zeros(points.shape[0], dtype=np.int64)

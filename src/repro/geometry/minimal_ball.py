@@ -19,13 +19,15 @@ private algorithms against:
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
 
 from repro.geometry.balls import Ball
-from repro.neighbors import BackendLike, backend_scope
 from repro.utils.validation import check_points
+
+if TYPE_CHECKING:
+    from repro.neighbors import BackendLike
 
 
 def smallest_ball_two_approx(points: np.ndarray, target: int,
@@ -46,6 +48,9 @@ def smallest_ball_two_approx(points: np.ndarray, target: int,
         Neighbor-backend selection; the backend's ``k``-th-nearest-distance
         query is exactly the per-centre radius this approximation minimises.
     """
+    # Imported here: the plan engine (repro.neighbors) imports this package.
+    from repro.neighbors import backend_scope
+
     points = check_points(points)
     n = points.shape[0]
     if not (1 <= target <= n):

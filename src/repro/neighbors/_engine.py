@@ -19,6 +19,10 @@ from typing import ClassVar, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.geometry.balls import ball_membership
+from repro.geometry.boxes import box_labels, interval_labels, unique_rows
+from repro.geometry.jl import apply_linear_image
+from repro.neighbors._distance import DEFAULT_MEMORY_BUDGET
 from repro.utils.exactsum import (
     fixed_point_column_partials,
     fixed_point_to_floats,
@@ -74,10 +78,29 @@ def depth_count_pairs(values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     return np.stack([below, above], axis=1).astype(np.int64)
 
 
+def _cell_table(image: np.ndarray, width: float, shift: np.ndarray) -> tuple:
+    """One shifted partition's cell table over ``image``: ``(cells, counts,
+    first rows)``, the occupied cells in :func:`unique_rows` order with
+    their counts and the first row each occurs in.  The one definition
+    behind the ``heaviest_cell_counts`` and ``cell_histogram`` partials,
+    so a table one computed is bitwise the table the other would."""
+    unique, first, counts = unique_rows(box_labels(image, shift, width),
+                                        return_index=True, return_counts=True)
+    return unique, counts, first
+
+
+def _cell_key(view: tuple, width: float, shift: np.ndarray) -> tuple:
+    """The key a shard keeps a partition's cell table under: the view's
+    image token (``None`` for the identity view, whose image is the shard
+    itself), the width and the shift's bytes."""
+    return view[0], float(width), np.asarray(shift, dtype=float).tobytes()
+
+
 class _ShardSet:
     """The per-process shard executor: the points, the ``[low, high)``
     shard bounds, and each shard's lazily built inner backend, projected
-    images and memoised selection membership.
+    images, memoised selection (its rows and their images) and latest
+    partition-search cell tables.
 
     Every plan task runs :meth:`execute_plan` on one of these — an
     in-process backend's own one-shard set, the sharded backend's serial
@@ -87,8 +110,9 @@ class _ShardSet:
     the backend holding this set is still freed by reference counting.
     """
 
-    #: How many projected images a worker keeps per shard it serves (see
-    #: the ``_view_images`` attribute note in ``__init__``).
+    #: How many projected images a worker keeps per shard it serves, and
+    #: per shard's memoised selection (see the ``_view_images`` and
+    #: ``_memberships`` attribute notes in ``__init__``).
     VIEW_IMAGE_CACHE_PER_SHARD: ClassVar[int] = 2
 
     def __init__(self, points: np.ndarray,
@@ -97,25 +121,41 @@ class _ShardSet:
         self.bounds = list(bounds)
         self._owner = None if owner is None else weakref.ref(owner)
         self._backends = {}
-        #: Per-shard cached projected images: ``shard -> {view token: image}``
-        #: with the oldest entry evicted beyond
+        #: Per-shard cached full-shard images: ``shard -> {view token:
+        #: image}`` with the oldest entry evicted beyond
         #: :data:`VIEW_IMAGE_CACHE_PER_SHARD`, so a long-lived worker holds a
         #: bounded number of ``(shard n, k)`` images per shard it serves.
-        #: Two entries cover GoodCenter's working set (the partition-search
-        #: view the selection predicate is re-derived against plus the
-        #: rotated-frame view), so masked queries alternating between them
-        #: never recompute an image.
+        #: GoodCenter's partition search hashes this image, and its
+        #: selection is re-derived from it; the rotated frame images only
+        #: the selected rows (kept with the selection, below).
         self._view_images = {}
-        #: Per-shard memoised selection membership: ``shard -> (selection
-        #: token, ascending shard-local rows)``.  One entry per shard (the
-        #: latest selection wins): the masked queries of one ``good_center``
-        #: call — and of one query plan — all reference a single selection,
-        #: so each shard's membership is derived exactly once.
+        #: Per-shard memoised selection: ``shard -> (selection token,
+        #: ascending shard-local rows, {view token: image of those rows})``.
+        #: One entry per shard (the latest selection wins): the masked
+        #: queries of one ``good_center`` call — and of one query plan — all
+        #: reference a single selection, so each shard's membership is
+        #: derived exactly once, and its rows are projected once per view
+        #: (GoodCenter's steps-10-11 statistics read the rotated image its
+        #: step-9 histograms projected).  The images are bounded like
+        #: ``_view_images``.
         self._memberships = {}
+        #: Per-shard cell tables of the latest ``heaviest_cell_counts``
+        #: batch: ``shard -> (bytes, {(view token, width, shift bytes):
+        #: (cells, counts, first local rows)})``, one untruncated table per
+        #: attempt, so the step-7 ``cell_histogram`` of the accepted
+        #: partition reads its table instead of hashing the image again.
+        #: A shard drops its tables before its next batch hashes, and the
+        #: batch keeps its own only while every shard's tables together fit
+        #: :data:`~repro.neighbors._distance.DEFAULT_MEMORY_BUDGET`; one
+        #: that outgrows it holds one table at a time, as with no memo.
+        self._cell_tables = {}
 
     def __getstate__(self) -> dict:
-        # Pickle the owner itself (a weak reference does not pickle).
-        return dict(self.__dict__, _owner=self._owner and self._owner())
+        # Pickle the owner itself (a weak reference does not pickle), and
+        # none of the caches keyed by this process's view and selection
+        # tokens: another process numbers its own from the same start.
+        return dict(self.__dict__, _owner=self._owner and self._owner(),
+                    _view_images={}, _memberships={}, _cell_tables={})
 
     def __setstate__(self, state: dict) -> None:
         owner = state.pop("_owner")
@@ -148,10 +188,12 @@ class _ShardSet:
         return self._backends[shard]
 
     def clear_caches(self) -> None:
-        """Drop every cached view image and memoised selection membership
-        (see :meth:`~repro.neighbors.base.NeighborBackend.close`)."""
+        """Drop every cached view image, memoised selection (rows and
+        images) and cell table (see
+        :meth:`~repro.neighbors.base.NeighborBackend.close`)."""
         self._view_images.clear()
         self._memberships.clear()
+        self._cell_tables.clear()
 
     # ------------------------------------------------------------------ #
     # Projected images and selections
@@ -162,25 +204,35 @@ class _ShardSet:
                    rows: Optional[np.ndarray] = None) -> np.ndarray:
         """This shard's rows under a view's linear image.
 
-        ``rows`` (shard-local indices) restricts the image to a subset and is
-        never cached; the full-shard image of a non-identity view is cached
-        per ``token`` so the matrix shipped with each task is applied at most
-        once per process.  Projection goes through the row-decomposable
+        The full-shard image of a non-identity view is cached per ``token``
+        so the matrix shipped with each task is applied at most once per
+        process.  ``rows`` (shard-local indices) restricts the image to a
+        subset; it is cached only when ``rows`` *is* the shard's memoised
+        selection (the array :meth:`_local_rows` returned), under that
+        selection's entry and the view's ``token``.  Either cache keeps the
+        newest :data:`VIEW_IMAGE_CACHE_PER_SHARD` views.  Projection goes
+        through the row-decomposable
         :func:`repro.geometry.jl.project_rows`, so the shard-side image is
-        bitwise identical to slicing a whole-dataset projection.
+        bitwise identical to slicing a whole-dataset projection, cached or
+        not.
         """
         low, high = self.bounds[shard]
         base = self.points[low:high]
         if matrix is None and offset is None:
             return base if rows is None else base[rows]
-        from repro.geometry.jl import apply_linear_image
-
-        if rows is not None or token is None:
+        if token is None:
             return apply_linear_image(base if rows is None else base[rows],
                                       matrix, offset)
-        cached = self._view_images.setdefault(shard, {})
+        if rows is None:
+            cached = self._view_images.setdefault(shard, {})
+        else:
+            selection = self._memberships.get(shard)
+            if selection is None or rows is not selection[1]:
+                return apply_linear_image(base[rows], matrix, offset)
+            cached = selection[2]
         if token not in cached:
-            cached[token] = apply_linear_image(base, matrix, offset)
+            cached[token] = apply_linear_image(
+                base if rows is None else base[rows], matrix, offset)
             while len(cached) > self.VIEW_IMAGE_CACHE_PER_SHARD:
                 cached.pop(next(iter(cached)))
         return cached[token]
@@ -196,7 +248,8 @@ class _ShardSet:
         the mask never exists as an array in the caller.  The derived rows
         are memoised per shard under ``sel_token``: consecutive plans over
         the same selection (GoodCenter issues several per call) hash the
-        image once, not once per plan.
+        image once, not once per plan, and find the images of those rows
+        that earlier plans projected (see :meth:`view_image`).
         """
         if spec[0] == "rows":
             return np.asarray(spec[1], dtype=np.int64)
@@ -208,7 +261,7 @@ class _ShardSet:
         rows = self._box_rows(shard, token, matrix, offset, width, shifts,
                               label)
         if sel_token is not None:
-            self._memberships[shard] = (sel_token, rows)
+            self._memberships[shard] = (sel_token, rows, {})
         return rows
 
     def _box_rows(self, shard: int, token: Optional[int],
@@ -217,8 +270,6 @@ class _ShardSet:
                   label: np.ndarray) -> np.ndarray:
         """Shard-local rows whose image falls in box ``label`` (one hash
         pass over the shard's cached image)."""
-        from repro.geometry.boxes import box_labels
-
         image = self.view_image(shard, token, matrix, offset)
         labels = box_labels(image, np.asarray(shifts, dtype=float), width)
         return np.flatnonzero(
@@ -235,7 +286,8 @@ class _ShardSet:
         """The one shard task: every query of a compiled plan (see
         :class:`_CompiledPlan`) over this shard, one mergeable partial each
         (:meth:`_partial`).  Each selection's membership is derived and
-        each view's image projected at most once."""
+        each view's image (of the shard, or of a memoised selection's rows)
+        projected at most once."""
         rows_cache: dict = {}
         results = []
         for op, view_slot, sel_slot, args in queries:
@@ -259,6 +311,9 @@ class _ShardSet:
         definitions that make every partial bitwise a slice of the
         whole-dataset answer.  ``count_labels`` is internal, never a plan
         method: the exact-recount round of the bounded heaviest-cell merge.
+        ``heaviest_cell_counts`` keeps each attempt's full cell table, and
+        ``cell_histogram`` over a partition the latest batch hashed returns
+        that table, which is exactly the table it would compute.
         """
         if op == "count_within_many":
             centers, radii = args
@@ -272,20 +327,39 @@ class _ShardSet:
             return depth_count_pairs(self.points[low:high, 0], *args)
         if op not in VIEW_PLAN_OPS and op != "count_labels":
             raise ValueError(f"unknown plan operation {op!r}")
-        from repro.geometry.boxes import (
-            box_labels, interval_labels, unique_rows,
-        )
-
+        if op == "cell_histogram":
+            # (labels, counts, first local row): the first rows let the
+            # merge restore global first-occurrence cell order.
+            width, shifts = args
+            _, tables = self._cell_tables.get(shard, (0, {}))
+            table = tables.get(_cell_key(view, width, shifts))
+            if table is None:
+                table = _cell_table(self.view_image(shard, *view), width,
+                                    shifts)
+            return table
         image = self.view_image(shard, *view, rows=rows)
         if op == "heaviest_cell_counts":
             # Per attempt: the shard's top_k heaviest labels with their
             # counts, plus a cap (the top_k-th largest count, an upper bound
             # on every cell the truncation dropped; 0 when nothing was).
+            # The batch replaces the shard's previous tables, and keeps its
+            # own only while every shard's together fit the memory budget:
+            # past it the shard keeps none, and holds one table at a time.
             width, shifts, top_k = args
+            self._cell_tables.pop(shard, None)
+            room = DEFAULT_MEMORY_BUDGET - sum(
+                nbytes for nbytes, _ in self._cell_tables.values())
             results = []
+            tables, nbytes = {}, 0
             for shift in shifts:
-                unique, counts = unique_rows(box_labels(image, shift, width),
-                                             return_counts=True)
+                unique, counts, first = _cell_table(image, width, shift)
+                if tables is not None:
+                    nbytes += unique.nbytes + counts.nbytes + first.nbytes
+                    if nbytes > room:
+                        tables = None
+                    else:
+                        tables[_cell_key(view, width, shift)] = (
+                            unique, counts, first)
                 cap = 0
                 if top_k is not None and counts.shape[0] > top_k:
                     keep = np.argpartition(counts,
@@ -293,6 +367,8 @@ class _ShardSet:
                     cap = int(counts[keep].min())
                     unique, counts = unique[keep], counts[keep]
                 results.append((unique, counts, cap))
+            if tables:
+                self._cell_tables[shard] = (nbytes, tables)
             return results
         if op == "count_labels":
             # Per attempt: the shard's exact count of every queried label
@@ -308,20 +384,9 @@ class _ShardSet:
                                     minlength=unique.shape[0])
                 results.append(table[inverse[:queries.shape[0]]])
             return results
-        if op == "cell_histogram":
-            # (labels, counts, first local row): the first rows let the
-            # merge restore global first-occurrence cell order.
-            width, shifts = args
-            unique, first, counts = unique_rows(
-                box_labels(image, shifts, width), return_index=True,
-                return_counts=True,
-            )
-            return unique, counts, first
         if op == "masked_sum":
             return int(rows.shape[0]), fixed_point_column_partials(image)
         if op == "masked_clipped_sum":
-            from repro.geometry.balls import ball_membership
-
             center, clip_radius = args
             center = np.asarray(center, dtype=float)
             inside = ball_membership(image, center, clip_radius)
@@ -413,8 +478,6 @@ def _merge_cell_histogram(parts: Sequence[tuple],
         labels, counts, firsts = parts[0]
         order = np.argsort(firsts, kind="stable")
         return labels[order], counts[order]
-    from repro.geometry.boxes import unique_rows
-
     all_labels = np.concatenate([part[0] for part in parts], axis=0)
     all_counts = np.concatenate([part[1] for part in parts])
     all_firsts = np.concatenate([
@@ -448,8 +511,6 @@ def _bounded_maximum(lists: Sequence[tuple]):
     if len(lists) == 1:
         cells, counts, cap = lists[0]
         return cells, int(cap), int(counts.max())
-    from repro.geometry.boxes import unique_rows
-
     caps = np.asarray([int(cap) for _, _, cap in lists], dtype=np.int64)
     bound = int(caps.sum())
     candidates, group = unique_rows(

@@ -66,6 +66,7 @@ from typing import Any, ClassVar, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.geometry.boxes import unique_rows
 from repro.neighbors._distance import (
     DEFAULT_MEMORY_BUDGET,
     capped_count_histograms,
@@ -273,8 +274,6 @@ def first_occurrence_cells(labels: np.ndarray):
     this order for the release to be bit-identical to the label-sequence
     path.
     """
-    from repro.geometry.boxes import unique_rows
-
     labels = np.asarray(labels)
     if labels.ndim == 1:
         unique, first, counts = np.unique(labels, return_index=True,
@@ -917,9 +916,10 @@ class NeighborBackend(abc.ABC):
     def close(self) -> None:
         """Release the strategy's pools, segments and connections.
 
-        Here that is the plan executor's cached view images and memoised
-        selections; the sharded and distributed strategies also shut down
-        their workers or connections.  Safe to call repeatedly.
+        Here that is the plan executor's cached view images, memoised
+        selections (with their images) and partition-search cell tables;
+        the sharded and distributed strategies also shut down their
+        workers or connections.  Safe to call repeatedly.
         """
         self._shards.clear_caches()
 

@@ -24,8 +24,9 @@ their initialiser and build per-shard inner backends lazily (cached per
 process), so a query ships only its small payload (a radius, a handful of
 shifts, a centre block) — never the dataset.  Tasks are routed with
 shard→worker *affinity* (shard ``s`` always lands on worker slot ``s mod
-W``), so each shard's lazily built index, cached view images, and memoised
-selection membership live in exactly one worker.
+W``), so each shard's lazily built index, cached view images, memoised
+selection (its rows and their images) and latest cell tables live in
+exactly one worker.
 
 Every plan — view, count and depth queries included, a direct call being
 a one-query plan — runs through the plan engine of
@@ -146,7 +147,10 @@ class _ProfileShardSet(_ShardSet):
     def cache_stats(self) -> dict:
         """Cache/index occupancy of this shard set (one worker's view of the
         world under pool mode; the parent's under the serial fallback).
-        Feeds :meth:`ShardedBackend.pool_stats`."""
+        Feeds :meth:`ShardedBackend.pool_stats`.  ``selection_images``
+        lists, per shard, the view tokens its memoised selection's rows are
+        projected under; ``cell_tables`` counts the cell tables each shard
+        keeps from its latest partition-search batch, and their bytes."""
         return {
             "built_shards": sorted(self._backends),
             "cached_view_images": {
@@ -154,6 +158,14 @@ class _ProfileShardSet(_ShardSet):
                 for shard, images in sorted(self._view_images.items())
             },
             "cached_selections": sorted(self._memberships),
+            "selection_images": {
+                shard: sorted(images)
+                for shard, (_, _, images) in sorted(self._memberships.items())
+            },
+            "cell_tables": {
+                shard: {"tables": len(tables), "bytes": nbytes}
+                for shard, (nbytes, tables) in sorted(self._cell_tables.items())
+            },
             "resident_blocks": {
                 shard: int(columns.shape[0])
                 for shard, columns in sorted(self._blocks.items())
@@ -751,9 +763,11 @@ class ShardedBackend(NeighborBackend):
         ``workers`` list: one :meth:`_ProfileShardSet.cache_stats` entry per
         live worker slot (pool mode) or the parent shard set's entry (serial
         fallback), whose ``resident_blocks`` maps each shard to the width
-        of the column-sorted truncated statistic it keeps.  With routing
-        affinity each shard index appears in exactly one worker's
-        ``built_shards`` — the property the affinity tests pin.
+        of the column-sorted truncated statistic it keeps, and whose
+        ``selection_images`` and ``cell_tables`` report the plan engine's
+        two per-shard memos (see :meth:`_ProfileShardSet.cache_stats`).
+        With routing affinity each shard index appears in exactly one
+        worker's ``built_shards`` — the property the affinity tests pin.
 
         Purely diagnostic: reading it never starts the pool, but in pool
         mode it does dispatch one stats task per live worker slot.

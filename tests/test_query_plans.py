@@ -260,12 +260,202 @@ class TestOnePlanEngine:
     def test_close_drops_cached_images_and_selections(self, plan_fixture,
                                                       name):
         backend = make_backend(name, plan_fixture["points"])
-        plan, _, _ = build_plan(backend, plan_fixture)
+        plan, _, (_, frame, _) = build_plan(backend, plan_fixture)
         backend.execute(plan)
         shards = backend._shards
         assert shards._view_images and shards._memberships
+        # Both memos are filled: the selection's frame image and the
+        # search batch's two cell tables.
+        assert list(shards._memberships[0][2]) == [frame._token]
+        assert len(shards._cell_tables[0][1]) == 2
         backend.close()
         assert not shards._view_images and not shards._memberships
+        assert not shards._cell_tables
+
+
+class TestShardMemos:
+    """The executor's two per-shard memos — a selection's images per view,
+    the latest search batch's cell tables — return exactly what a fresh
+    computation would, on every backend, and stay within their bounds."""
+
+    @staticmethod
+    def selection_reference(fx, label, basis):
+        """The exact sum of the ``basis`` image (``None``: the points) of
+        the rows whose search image falls in box ``label``."""
+        labels = box_labels(project_rows(fx["points"], fx["matrix"]),
+                            fx["shifts"], fx["width"])
+        rows = np.flatnonzero(np.all(labels == label[None, :], axis=1))
+        image = (fx["points"] if basis is None
+                 else project_rows(fx["points"], basis))
+        return exact_reference_sums(image[rows])
+
+    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    def test_selection_images_per_view(self, plan_fixture, name):
+        """One selection under two views and the identity view, then a
+        second selection under one of those views: every masked sum is
+        its own selection's image under its own view, whether the image
+        was memoised, read back from the memo or never memoised."""
+        fx = plan_fixture
+        other_basis = np.random.default_rng(8).normal(size=(6, 6))
+        labels = box_labels(project_rows(fx["points"], fx["matrix"]),
+                            fx["shifts"], fx["width"])
+        second = next(label for label in np.unique(labels, axis=0)
+                      if not np.array_equal(label, fx["chosen"]))
+        backend = make_backend(name, fx["points"])
+        search = backend.view(fx["matrix"])
+        frames = {"basis": backend.view(fx["basis"]),
+                  "other": backend.view(other_basis),
+                  "identity": backend.view()}
+        bases = {"basis": fx["basis"], "other": other_basis,
+                 "identity": None}
+        first = search.box_selection(fx["width"], fx["shifts"], fx["chosen"])
+        later = search.box_selection(fx["width"], fx["shifts"], second)
+        for selection, label, order in (
+                (first, fx["chosen"], ("basis", "other", "identity", "basis",
+                                       "other")),
+                (later, second, ("other", "basis", "other"))):
+            for key in order:
+                got = frames[key].masked_sum(selection)
+                assert np.array_equal(
+                    got, self.selection_reference(fx, label, bases[key])
+                ), (name, key)
+        # The latest selection wins; its images are kept per view token
+        # (the identity view's rows need no projection).
+        for memo in backend._shards._memberships.values():
+            assert memo[0] == later.token
+            assert set(memo[2]) == {frames["basis"]._token,
+                                    frames["other"]._token}
+
+    def test_selection_images_are_bounded(self, plan_fixture):
+        fx = plan_fixture
+        backend = make_backend("sharded", fx["points"])
+        selection = backend.view(fx["matrix"]).box_selection(
+            fx["width"], fx["shifts"], fx["chosen"])
+        rng = np.random.default_rng(9)
+        bound = backend._shards.VIEW_IMAGE_CACHE_PER_SHARD
+        views = [backend.view(rng.normal(size=(6, 6)))
+                 for _ in range(bound + 2)]
+        for view in views:
+            view.masked_sum(selection)
+        for memo in backend._shards._memberships.values():
+            assert list(memo[2]) == [view._token for view in views[-bound:]]
+
+    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    def test_cell_histogram_reads_the_search_tables(self, plan_fixture,
+                                                    name, monkeypatch):
+        """A partition the latest search batch hashed is histogrammed from
+        its kept table, with no grid hash; another width, another shift or
+        another view hashes again.  Every result is the reference."""
+        fx = plan_fixture
+        hashes = []
+        original = engine_module.box_labels
+
+        def spy(*args):
+            hashes.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(engine_module, "box_labels", spy)
+        backend = make_backend(name, fx["points"])
+        backend.HEAVIEST_CELL_TOP_K = None    # no truncation → no recount
+        search = backend.view(fx["matrix"])
+        batch = np.stack([fx["shifts"], fx["shifts"] + 0.13])
+        search.heaviest_cell_counts(fx["width"], batch)
+        shards = len(backend._bounds)
+        assert len(hashes) == 2 * shards
+        searched = project_rows(fx["points"], fx["matrix"])
+        identity = backend.view()
+        origin = np.zeros(fx["points"].shape[1])
+        for view, image, width, shifts, hashed in (
+                (search, searched, fx["width"], batch[1], 0),
+                (search, searched, fx["width"], batch[0], 0),
+                (search, searched, fx["width"] * 2, batch[0], shards),
+                (search, searched, fx["width"], batch[0] + 0.05, shards),
+                # The same matrix under a new view token.
+                (backend.view(fx["matrix"]), searched, fx["width"],
+                 batch[0], shards),
+                (identity, fx["points"], fx["width"], origin, shards)):
+            hashes.clear()
+            got = view.cell_histogram(width, shifts)
+            assert len(hashes) == hashed, name
+            assert_matches("cell", got, first_occurrence_cells(
+                box_labels(image, shifts, width)))
+        # The identity view's tables are kept too (its image is the shard).
+        identity.heaviest_cell_counts(fx["width"], origin[None, :])
+        hashes.clear()
+        got = identity.cell_histogram(fx["width"], origin)
+        assert hashes == []
+        assert_matches("cell", got, first_occurrence_cells(
+            box_labels(fx["points"], origin, fx["width"])))
+
+    def test_cell_tables_respect_the_memory_budget(self, plan_fixture,
+                                                   monkeypatch):
+        """With the budget patched below one batch's tables, no shard keeps
+        any and the histogram is hashed and still exact; the default
+        budget keeps the latest batch only."""
+        fx = plan_fixture
+        batch = np.stack([fx["shifts"], fx["shifts"] + 0.13])
+        expected = first_occurrence_cells(box_labels(
+            project_rows(fx["points"], fx["matrix"]), batch[0], fx["width"]))
+        backend = make_backend("sharded", fx["points"])
+        search = backend.view(fx["matrix"])
+        search.heaviest_cell_counts(fx["width"], batch)
+        search.heaviest_cell_counts(fx["width"], batch[1:])
+        tables = backend._shards._cell_tables
+        assert sorted(tables) == [0, 1, 2]
+        for nbytes, kept in tables.values():
+            assert len(kept) == 1
+            assert nbytes == sum(array.nbytes for table in kept.values()
+                                 for array in table)
+        monkeypatch.setattr(engine_module, "DEFAULT_MEMORY_BUDGET", 64)
+        search.heaviest_cell_counts(fx["width"], batch)
+        assert tables == {}
+        assert_matches("cell", search.cell_histogram(fx["width"], batch[0]),
+                       expected)
+        stats = backend.pool_stats()["workers"][0]
+        assert stats["cell_tables"] == {}
+
+    def test_an_unkept_batch_holds_one_table_at_a_time(self, plan_fixture,
+                                                       monkeypatch):
+        """A shard drops its previous batch's tables before it hashes the
+        next, and a batch that outgrows the budget drops its own tables as
+        soon as it does: from then on each attempt's table dies once it is
+        truncated, so the batch never holds more than one table beyond the
+        budget.  The histogram is still exact."""
+        import weakref
+
+        fx = plan_fixture
+        backend = make_backend("chunked", fx["points"])
+        search = backend.view(fx["matrix"])
+        batch = np.random.default_rng(10).uniform(0.0, fx["width"],
+                                                  size=(5, 3))
+        search.heaviest_cell_counts(fx["width"], batch)
+        shards = backend._shards
+        kept = shards._cell_tables[0][1]
+        assert len(kept) == batch.shape[0]
+        # Room for the batch's first table only: the second outgrows it.
+        budget = sum(array.nbytes for array in next(iter(kept.values())))
+        firsts = [weakref.ref(table[2]) for table in kept.values()]
+        del kept
+        live = []
+        original = engine_module._cell_table
+
+        def spy(*args):
+            assert 0 not in shards._cell_tables
+            # Only the table the loop just truncated may still be alive.
+            live.append(sum(ref() is not None for ref in firsts))
+            table = original(*args)
+            firsts.append(weakref.ref(table[2]))
+            return table
+
+        monkeypatch.setattr(engine_module, "DEFAULT_MEMORY_BUDGET", budget)
+        monkeypatch.setattr(engine_module, "_cell_table", spy)
+        search.heaviest_cell_counts(fx["width"], batch)
+        assert live == [0] + [1] * (batch.shape[0] - 1)
+        assert shards._cell_tables == {}
+        assert_matches("cell", search.cell_histogram(fx["width"], batch[2]),
+                       first_occurrence_cells(box_labels(
+                           project_rows(fx["points"], fx["matrix"]),
+                           batch[2], fx["width"])))
 
 
 class TestSubmitDeterminism:
@@ -543,6 +733,91 @@ class TestGoodCenterRoundTrips:
         # the whole rotated stage (the steps-10-11 plan hits the token
         # cache), never re-derived per masked query.
         assert sorted(derivations) == [0, 1, 2]
+
+    def test_jl_path_reuses_shard_work_across_plans(self, jl_points,
+                                                    monkeypatch):
+        """Each shard projects its selected rows under the rotated basis
+        once, for both the steps-8-9 and the steps-10-11 plans, and the
+        step-7 histogram of the accepted partition reads the table the
+        search hashed: no grid hash.  The release is chunked's."""
+        ops = []
+        running = []
+        rotated = []
+        histogram_hashes = []
+        original_partial = engine_module._ShardSet._partial
+        original_image = engine_module.apply_linear_image
+        original_labels = engine_module.box_labels
+
+        def spy_partial(self, shard, op, view, rows, args):
+            ops.append(op)
+            running.append(op)
+            try:
+                return original_partial(self, shard, op, view, rows, args)
+            finally:
+                running.pop()
+
+        def spy_image(points, matrix, offset):
+            # Only the selected rows are ever imaged under the square
+            # rotation basis (the search view is a k x d JL map, k < d).
+            if matrix.shape[0] == matrix.shape[1]:
+                rotated.append(points.shape[0])
+            return original_image(points, matrix, offset)
+
+        def spy_labels(*args):
+            if running == ["cell_histogram"]:
+                histogram_hashes.append(args)
+            return original_labels(*args)
+
+        monkeypatch.setattr(engine_module._ShardSet, "_partial",
+                            spy_partial)
+        monkeypatch.setattr(engine_module, "apply_linear_image", spy_image)
+        monkeypatch.setattr(engine_module, "box_labels", spy_labels)
+        kwargs = dict(radius=0.1, target=700, config=self.JL_CONFIG, rng=1)
+        result, _, _, _ = self.run_counted(jl_points, monkeypatch, **kwargs)
+        assert result.found
+        assert result.projected_dimension < jl_points.shape[1]
+        assert ops.count("masked_axis_histograms") == 3
+        assert ops.count("masked_clipped_sum") == 3
+        assert len(rotated) == 3
+        assert ops.count("cell_histogram") == 3
+        assert histogram_hashes == []
+        reference = good_center(jl_points, params=self.PARAMS,
+                                backend="chunked", **kwargs)
+        assert np.array_equal(result.center, reference.center)
+        assert result.radius_bound == reference.radius_bound
+        assert result.captured_count == reference.captured_count
+
+    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    def test_pickled_executor_drops_the_memos(self, jl_points, name):
+        """The executor's caches are keyed by this process's view and
+        selection tokens, which another process numbers from the same
+        start, so a pickled executor carries none of them.  A pickled
+        in-process backend still releases bitwise what the original
+        does."""
+        import pickle
+
+        kwargs = dict(radius=0.1, target=700, config=self.JL_CONFIG, rng=1)
+        backend = make_backend(name, jl_points)
+        result = good_center(jl_points, params=self.PARAMS, backend=backend,
+                             **kwargs)
+        assert result.found
+        assert result.projected_dimension < jl_points.shape[1]
+        shards = backend._shards
+        assert shards._view_images and shards._cell_tables
+        assert all(memo[2] for memo in shards._memberships.values())
+        copy = pickle.loads(pickle.dumps(shards))
+        assert not copy._view_images and not copy._memberships
+        assert not copy._cell_tables
+        assert shards._view_images and shards._memberships
+        if name == "sharded":
+            return
+        copy = pickle.loads(pickle.dumps(backend))
+        assert not copy._shards._memberships
+        again = good_center(jl_points, params=self.PARAMS, backend=copy,
+                            **kwargs)
+        assert np.array_equal(again.center, result.center)
+        assert again.radius_bound == result.radius_bound
+        assert again.captured_count == result.captured_count
 
     def test_identity_path_one_round_trip_per_stage(self, medium_cluster_data,
                                                     monkeypatch):

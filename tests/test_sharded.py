@@ -455,6 +455,42 @@ class TestProcessPool:
                 assert np.array_equal(got_l, exp_l)
                 assert np.array_equal(got_c, exp_c)
 
+    def test_good_center_jl_releases_pool(self):
+        """Several JL-path ``good_center`` calls on one pool, speculation
+        on: the workers' selection images and cell tables, kept across
+        plans and replaced across calls, leave every release bitwise
+        chunked's."""
+        from repro.core.config import GoodCenterConfig
+
+        rng = np.random.default_rng(3)
+        points = np.vstack([
+            np.full(8, 0.5) + rng.normal(0, 0.015, size=(900, 8)),
+            rng.uniform(0, 1, size=(300, 8)),
+        ])
+        kwargs = dict(radius=0.1, target=700, params=PrivacyParams(16.0, 1e-4),
+                      config=GoodCenterConfig(jl_constant=0.3))
+        found = []
+        with ShardedBackend(points, num_shards=3, num_workers=2) as backend:
+            for seed in (0, 1, 4, 7):
+                pooled = good_center(points, rng=seed, backend=backend,
+                                     **kwargs)
+                serial = good_center(points, rng=seed, backend="chunked",
+                                     **kwargs)
+                found.append(serial.found)
+                assert pooled.projected_dimension < points.shape[1]
+                assert pooled.found == serial.found
+                assert pooled.attempts == serial.attempts
+                if serial.found:
+                    assert np.array_equal(pooled.center, serial.center)
+                    assert pooled.radius_bound == serial.radius_bound
+                    assert pooled.captured_count == serial.captured_count
+            stats = backend.pool_stats()
+        assert all(found)
+        assert stats["parallel"] is True
+        workers = stats["workers"]
+        assert any(worker["selection_images"] for worker in workers)
+        assert any(worker["cell_tables"] for worker in workers)
+
 
 class TestHeaviestCells:
     @pytest.mark.parametrize("name", ["random-2d", "duplicates", "identical"])
