@@ -71,7 +71,7 @@ from repro.mechanisms.noisy_average import (  # noqa: F401
 )
 from repro.neighbors import BackendLike, QueryPlan, backend_scope
 from repro.utils.rng import RngLike, spawn_generators
-from repro.utils.validation import check_integer, check_points, check_positive, check_probability
+from repro.utils.validation import check_integer, check_positive, check_probability
 
 
 def _predict_slot(counts) -> int:
@@ -151,7 +151,6 @@ def good_center(points, radius: float, target: int, params: PrivacyParams,
         box/interval or NoisyAVG abstained; callers may retry with a fresh
         budget or report failure.
     """
-    points = check_points(points)
     radius = check_positive(radius, "radius")
     target = check_integer(target, "target", minimum=1)
     beta = check_probability(beta, "beta")
@@ -160,37 +159,42 @@ def good_center(points, radius: float, target: int, params: PrivacyParams,
     if config is None:
         config = GoodCenterConfig.practical()
 
-    n, dimension = points.shape
     at_fraction, box_fraction, axes_fraction, avg_fraction = config.budget_split
     at_epsilon = params.epsilon * at_fraction
     box_epsilon = params.epsilon * box_fraction
     axes_epsilon = params.epsilon * axes_fraction
     avg_epsilon = params.epsilon * avg_fraction
     quarter_delta = params.delta / 4.0
-    # The partition *shift* draws get their own stream (shift_rng), separate
-    # from AboveThreshold's noise stream (partition_rng): the batched search
-    # below draws a few shifts ahead of their AboveThreshold queries, and
-    # with a shared stream that lookahead would reorder the noise draws —
-    # i.e. the batch size would change the release.  With split streams the
-    # query sequence, and hence the output distribution, is identical at
-    # every batch size.
-    (jl_rng, partition_rng, box_rng, basis_rng, axis_rng, avg_rng,
-     shift_rng) = spawn_generators(rng, 7)
 
-    # ------------------------------------------------------------------ #
-    # Step 1: Johnson-Lindenstrauss projection (identity when k reaches d).
-    # ------------------------------------------------------------------ #
-    k = config.projection_dimension(n, beta, ambient_dimension=dimension)
-    identity_projection = k >= dimension
-    projection: Optional[JohnsonLindenstrauss] = None
-    if identity_projection:
-        k = dimension
-    else:
-        projection = JohnsonLindenstrauss(input_dimension=dimension,
-                                          output_dimension=k, rng=jl_rng)
-
+    # Resolving the backend validates the points: once per call, whether
+    # the backend is built here or is the caller's instance, and after the
+    # scalars, so a bad scalar never starts a backend.
     with backend_scope(points,
                        "chunked" if backend is None else backend) as resolved:
+        n, dimension = resolved.num_points, resolved.dimension
+        # The partition *shift* draws get their own stream (shift_rng),
+        # separate from AboveThreshold's noise stream (partition_rng): the
+        # batched search below draws a few shifts ahead of their
+        # AboveThreshold queries, and with a shared stream that lookahead
+        # would reorder the noise draws — i.e. the batch size would change
+        # the release.  With split streams the query sequence, and hence
+        # the output distribution, is identical at every batch size.
+        (jl_rng, partition_rng, box_rng, basis_rng, axis_rng, avg_rng,
+         shift_rng) = spawn_generators(rng, 7)
+
+        # -------------------------------------------------------------- #
+        # Step 1: Johnson-Lindenstrauss projection (identity when k
+        # reaches d).
+        # -------------------------------------------------------------- #
+        k = config.projection_dimension(n, beta, ambient_dimension=dimension)
+        identity_projection = k >= dimension
+        projection: Optional[JohnsonLindenstrauss] = None
+        if identity_projection:
+            k = dimension
+        else:
+            projection = JohnsonLindenstrauss(input_dimension=dimension,
+                                              output_dimension=k, rng=jl_rng)
+
         # The projected points live behind a ProjectedView (applied
         # shard-side by the sharded strategy, so the parent never
         # materialises the (n, k) image).

@@ -58,6 +58,10 @@ def box_labels(points: np.ndarray, shifts: np.ndarray,
 #: Packed row keys must stay below this bound to fit a signed int64.
 _KEY_LIMIT = 2 ** 63
 
+#: Packed keys spanning at most this many values fit a ``uint16``, which
+#: numpy's stable sort orders by radix.
+_RADIX_LIMIT = 2 ** 16
+
 
 def _dense_rank(values: np.ndarray) -> Tuple[np.ndarray, int]:
     """``values`` replaced by their rank among the distinct values, with
@@ -83,11 +87,15 @@ def unique_rows(labels: np.ndarray, return_index: bool = False,
     count.  The grid hashes' label matrices need far fewer bits, so that
     branch only serves adversarial inputs.
 
-    The keys are sorted unstably (``np.unique`` with ``return_index``
-    forces a stable sort): equal keys are equal rows, so any member of a
-    group stands for it, the first occurrences are the groups' smallest
-    row indices (one ``np.minimum.reduceat``, only when asked for), and
-    the inverse and counts follow from where the groups start.
+    When the packed keys span at most ``2**16`` values, so that every key
+    fits a ``uint16``, they are sorted as ``uint16`` with
+    ``kind="stable"``, which numpy runs as an ``O(m)`` radix sort; wider
+    spans take the unstable comparison sort (``np.unique`` with
+    ``return_index`` forces a stable one).  Either
+    order serves: equal keys are equal rows, so any member of a group
+    stands for it, the first occurrences are the groups' smallest row
+    indices (one ``np.minimum.reduceat``, only when asked for), and the
+    inverse and counts follow from where the groups start.
 
     Parameters
     ----------
@@ -123,7 +131,10 @@ def unique_rows(labels: np.ndarray, return_index: bool = False,
                 low = 0
         keys = keys * size + (column - low)
         span *= size
-    order = np.argsort(keys)
+    if span <= _RADIX_LIMIT:
+        order = np.argsort(keys.astype(np.uint16), kind="stable")
+    else:
+        order = np.argsort(keys)
     ordered = keys[order]
     is_start = np.empty(keys.shape[0], dtype=bool)
     is_start[:1] = True

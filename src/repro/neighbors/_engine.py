@@ -80,20 +80,23 @@ def depth_count_pairs(values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
 
 def _cell_table(image: np.ndarray, width: float, shift: np.ndarray) -> tuple:
     """One shifted partition's cell table over ``image``: ``(cells, counts,
-    first rows)``, the occupied cells in :func:`unique_rows` order with
-    their counts and the first row each occurs in.  The one definition
-    behind the ``heaviest_cell_counts`` and ``cell_histogram`` partials,
-    so a table one computed is bitwise the table the other would."""
-    unique, first, counts = unique_rows(box_labels(image, shift, width),
-                                        return_index=True, return_counts=True)
-    return unique, counts, first
+    first rows, row cells)``, the occupied cells in :func:`unique_rows`
+    order with their counts and the first row each occurs in, and each
+    row's index into the cells.  The one definition behind the
+    ``heaviest_cell_counts`` and ``cell_histogram`` partials and a box
+    selection's rows, so a table one computed is bitwise the table the
+    others would."""
+    unique, first, inverse, counts = unique_rows(
+        box_labels(image, shift, width), return_index=True,
+        return_inverse=True, return_counts=True)
+    return unique, counts, first, inverse
 
 
-def _cell_key(view: tuple, width: float, shift: np.ndarray) -> tuple:
+def _cell_key(token: Optional[int], width: float, shift: np.ndarray) -> tuple:
     """The key a shard keeps a partition's cell table under: the view's
     image token (``None`` for the identity view, whose image is the shard
     itself), the width and the shift's bytes."""
-    return view[0], float(width), np.asarray(shift, dtype=float).tobytes()
+    return token, float(width), np.asarray(shift, dtype=float).tobytes()
 
 
 class _ShardSet:
@@ -110,9 +113,9 @@ class _ShardSet:
     the backend holding this set is still freed by reference counting.
     """
 
-    #: How many projected images a worker keeps per shard it serves, and
-    #: per shard's memoised selection (see the ``_view_images`` and
-    #: ``_memberships`` attribute notes in ``__init__``).
+    #: How many projected images of a shard's memoised selection a worker
+    #: keeps (see the ``_memberships`` attribute note in ``__init__``); of
+    #: the whole shard it keeps the newest view's image only.
     VIEW_IMAGE_CACHE_PER_SHARD: ClassVar[int] = 2
 
     def __init__(self, points: np.ndarray,
@@ -121,13 +124,13 @@ class _ShardSet:
         self.bounds = list(bounds)
         self._owner = None if owner is None else weakref.ref(owner)
         self._backends = {}
-        #: Per-shard cached full-shard images: ``shard -> {view token:
-        #: image}`` with the oldest entry evicted beyond
-        #: :data:`VIEW_IMAGE_CACHE_PER_SHARD`, so a long-lived worker holds a
-        #: bounded number of ``(shard n, k)`` images per shard it serves.
-        #: GoodCenter's partition search hashes this image, and its
-        #: selection is re-derived from it; the rotated frame images only
-        #: the selected rows (kept with the selection, below).
+        #: Per-shard cached full-shard image: ``shard -> {view token:
+        #: image}``, the newest view's only, so a long-lived worker holds
+        #: one ``(shard n, k)`` image per shard it serves.  GoodCenter's
+        #: partition search hashes this image, and every ``good_center``
+        #: call searches under a fresh view, so an older one is never read
+        #: again; the rotated frame images only the selected rows (kept
+        #: with the selection, below).
         self._view_images = {}
         #: Per-shard memoised selection: ``shard -> (selection token,
         #: ascending shard-local rows, {view token: image of those rows})``.
@@ -136,14 +139,15 @@ class _ShardSet:
         #: reference a single selection, so each shard's membership is
         #: derived exactly once, and its rows are projected once per view
         #: (GoodCenter's steps-10-11 statistics read the rotated image its
-        #: step-9 histograms projected).  The images are bounded like
-        #: ``_view_images``.
+        #: step-9 histograms projected).  The oldest image is evicted
+        #: beyond :data:`VIEW_IMAGE_CACHE_PER_SHARD`.
         self._memberships = {}
         #: Per-shard cell tables of the latest ``heaviest_cell_counts``
         #: batch: ``shard -> (bytes, {(view token, width, shift bytes):
-        #: (cells, counts, first local rows)})``, one untruncated table per
-        #: attempt, so the step-7 ``cell_histogram`` of the accepted
-        #: partition reads its table instead of hashing the image again.
+        #: (cells, counts, first local rows, row cells)})``, one untruncated
+        #: table per attempt, so neither the step-7 ``cell_histogram`` of
+        #: the accepted partition nor the chosen box's selection hashes the
+        #: image again.
         #: A shard drops its tables before its next batch hashes, and the
         #: batch keeps its own only while every shard's tables together fit
         #: :data:`~repro.neighbors._distance.DEFAULT_MEMORY_BUDGET`; one
@@ -204,13 +208,14 @@ class _ShardSet:
                    rows: Optional[np.ndarray] = None) -> np.ndarray:
         """This shard's rows under a view's linear image.
 
-        The full-shard image of a non-identity view is cached per ``token``
-        so the matrix shipped with each task is applied at most once per
-        process.  ``rows`` (shard-local indices) restricts the image to a
+        The full-shard image of a non-identity view is cached under its
+        ``token``, the newest view's only, so the matrix shipped with each
+        task is applied once per process while tasks keep querying that
+        view.  ``rows`` (shard-local indices) restricts the image to a
         subset; it is cached only when ``rows`` *is* the shard's memoised
         selection (the array :meth:`_local_rows` returned), under that
-        selection's entry and the view's ``token``.  Either cache keeps the
-        newest :data:`VIEW_IMAGE_CACHE_PER_SHARD` views.  Projection goes
+        selection's entry and the view's ``token``, for the newest
+        :data:`VIEW_IMAGE_CACHE_PER_SHARD` views.  Projection goes
         through the row-decomposable
         :func:`repro.geometry.jl.project_rows`, so the shard-side image is
         bitwise identical to slicing a whole-dataset projection, cached or
@@ -225,16 +230,18 @@ class _ShardSet:
                                       matrix, offset)
         if rows is None:
             cached = self._view_images.setdefault(shard, {})
+            bound = 1
         else:
             selection = self._memberships.get(shard)
             if selection is None or rows is not selection[1]:
                 return apply_linear_image(base[rows], matrix, offset)
             cached = selection[2]
+            bound = self.VIEW_IMAGE_CACHE_PER_SHARD
         if token not in cached:
+            while len(cached) >= bound:
+                cached.pop(next(iter(cached)))
             cached[token] = apply_linear_image(
                 base if rows is None else base[rows], matrix, offset)
-            while len(cached) > self.VIEW_IMAGE_CACHE_PER_SHARD:
-                cached.pop(next(iter(cached)))
         return cached[token]
 
     def _local_rows(self, shard: int, spec: tuple) -> np.ndarray:
@@ -243,13 +250,13 @@ class _ShardSet:
         ``spec`` is the wire form of a selection: ``("rows", local_rows)``
         ships a pre-sliced shard-local index array, while ``("box",
         sel_token, view_token, sel_matrix, sel_offset, width, shifts,
-        label)`` ships the *label predicate* — the shard re-derives its own
-        membership from its (token-cached) image of the selecting view, so
-        the mask never exists as an array in the caller.  The derived rows
-        are memoised per shard under ``sel_token``: consecutive plans over
-        the same selection (GoodCenter issues several per call) hash the
-        image once, not once per plan, and find the images of those rows
-        that earlier plans projected (see :meth:`view_image`).
+        label)`` ships the *label predicate* — the shard derives its own
+        membership (:meth:`_box_rows`), so the mask never exists as an
+        array in the caller.  The derived rows are memoised per shard
+        under ``sel_token``: consecutive plans over the same selection
+        (GoodCenter issues several per call) derive them once, not once
+        per plan, and find the images of those rows that earlier plans
+        projected (see :meth:`view_image`).
         """
         if spec[0] == "rows":
             return np.asarray(spec[1], dtype=np.int64)
@@ -268,14 +275,20 @@ class _ShardSet:
                   matrix: Optional[np.ndarray], offset: Optional[np.ndarray],
                   width: float, shifts: np.ndarray,
                   label: np.ndarray) -> np.ndarray:
-        """Shard-local rows whose image falls in box ``label`` (one hash
-        pass over the shard's cached image)."""
-        image = self.view_image(shard, token, matrix, offset)
-        labels = box_labels(image, np.asarray(shifts, dtype=float), width)
-        return np.flatnonzero(
-            np.all(labels == np.asarray(label, dtype=np.int64)[None, :],
-                   axis=1)
-        )
+        """Shard-local rows whose image falls in box ``label``: the rows of
+        that cell in the partition's kept cell table (none when the shard
+        has no such cell), else one hash pass over the shard's cached
+        image."""
+        label = np.asarray(label, dtype=np.int64)
+        _, tables = self._cell_tables.get(shard, (0, {}))
+        table = tables.get(_cell_key(token, width, shifts))
+        if table is None:
+            image = self.view_image(shard, token, matrix, offset)
+            labels = box_labels(image, np.asarray(shifts, dtype=float), width)
+            return np.flatnonzero(np.all(labels == label[None, :], axis=1))
+        cells, _, _, inverse = table
+        cell = np.flatnonzero(np.all(cells == label[None, :], axis=1))
+        return np.flatnonzero(inverse == cell[0]) if cell.size else cell
 
     # ------------------------------------------------------------------ #
     # Plan execution (one task per shard for a whole QueryPlan)
@@ -313,7 +326,9 @@ class _ShardSet:
         method: the exact-recount round of the bounded heaviest-cell merge.
         ``heaviest_cell_counts`` keeps each attempt's full cell table, and
         ``cell_histogram`` over a partition the latest batch hashed returns
-        that table, which is exactly the table it would compute.
+        that table's cells, counts and first rows, which are exactly those
+        it would compute (a box selection's rows come from the same table,
+        in :meth:`_box_rows`).
         """
         if op == "count_within_many":
             centers, radii = args
@@ -332,11 +347,11 @@ class _ShardSet:
             # merge restore global first-occurrence cell order.
             width, shifts = args
             _, tables = self._cell_tables.get(shard, (0, {}))
-            table = tables.get(_cell_key(view, width, shifts))
+            table = tables.get(_cell_key(view[0], width, shifts))
             if table is None:
                 table = _cell_table(self.view_image(shard, *view), width,
                                     shifts)
-            return table
+            return table[:3]
         image = self.view_image(shard, *view, rows=rows)
         if op == "heaviest_cell_counts":
             # Per attempt: the shard's top_k heaviest labels with their
@@ -352,14 +367,14 @@ class _ShardSet:
             results = []
             tables, nbytes = {}, 0
             for shift in shifts:
-                unique, counts, first = _cell_table(image, width, shift)
+                table = _cell_table(image, width, shift)
                 if tables is not None:
-                    nbytes += unique.nbytes + counts.nbytes + first.nbytes
+                    nbytes += sum(array.nbytes for array in table)
                     if nbytes > room:
                         tables = None
                     else:
-                        tables[_cell_key(view, width, shift)] = (
-                            unique, counts, first)
+                        tables[_cell_key(view[0], width, shift)] = table
+                unique, counts = table[:2]
                 cap = 0
                 if top_k is not None and counts.shape[0] > top_k:
                     keep = np.argpartition(counts,
@@ -617,8 +632,9 @@ def _selection_specs(backend, selection) -> List[tuple]:
     A :class:`~repro.neighbors.base.BoxSelection` ships as its *label
     predicate* — ``(selection token, selecting view's cache token /
     matrix / offset, width, shifts, label)``, identical for every shard;
-    each shard re-derives its own membership from its cached image of the
-    selecting view (memoising the rows under the selection token), so no
+    each shard derives its own membership from its kept cell table of the
+    partition or its cached image of the selecting view (memoising the
+    rows under the selection token), so no
     ``O(n)`` mask or row list is ever built by the caller or crosses the
     wire.  Row/mask selections are normalised to ascending global rows and
     sliced so each shard receives only its own (shard-local) segment.

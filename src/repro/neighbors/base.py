@@ -306,9 +306,10 @@ class BoxSelection:
     GoodCenter's selected set ``D`` (Algorithm 2, step 7) is exactly such a
     predicate over the partition-search view.  Passing the *predicate* — not
     a membership mask or a row list — to the masked aggregate queries lets
-    the sharded backend ship it to the workers, each of which re-derives its
-    own shard's membership from its (cached) search image: the selection
-    never materialises as an ``O(n)`` array anywhere, parent included.
+    the sharded backend ship it to the workers, each of which derives its
+    own shard's membership from the search's kept cell table or its
+    (cached) search image: the selection never materialises as an
+    ``O(n)`` array anywhere, parent included.
 
     Build one with :meth:`ProjectedView.box_selection`; it stays valid for
     masked queries on *any* view of the same backend (GoodCenter evaluates it

@@ -1,12 +1,19 @@
 """Tests for Algorithm GoodCenter (Lemma 3.7)."""
 
+import sys
+
 import numpy as np
 import pytest
 
+import repro.neighbors as neighbors_module
 from repro.accounting.ledger import PrivacyLedger
 from repro.accounting.params import PrivacyParams
 from repro.core.config import GoodCenterConfig
 from repro.core.good_center import good_center
+from repro.neighbors import ChunkedBackend
+from repro.utils import validation
+
+good_center_module = sys.modules["repro.core.good_center"]
 
 
 class TestGoodCenterConfig:
@@ -147,6 +154,47 @@ class TestGoodCenter:
                         target=100, params=PrivacyParams(1.0, 1e-6), rng=0,
                         ledger=ledger)
         assert ledger.entries == []
+
+    def test_validates_the_points_once_after_the_scalars(
+            self, small_cluster_data, monkeypatch):
+        """Resolving the backend validates the caller's array, once per
+        call.  A bad scalar raises before any backend is built; bad points
+        raise the error they always did, before any backend is built or
+        the caller's generator is drawn from."""
+        checked = []
+
+        def spy(array, *args, **kwargs):
+            checked.append(array)
+            return validation.check_points(array, *args, **kwargs)
+
+        monkeypatch.setattr(neighbors_module, "check_points", spy)
+        monkeypatch.setattr(good_center_module, "check_points", spy,
+                            raising=False)
+        points = small_cluster_data.points
+        params = PrivacyParams(4.0, 1e-6)
+        good_center(points, radius=0.05, target=200, params=params, rng=0)
+        assert sum(array is points for array in checked) == 1
+
+        built = []
+
+        class Recording(ChunkedBackend):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        with pytest.raises(ValueError, match="radius must be positive"):
+            good_center(points, radius=-1.0, target=200, params=params,
+                        backend=Recording)
+        bad = points.copy()
+        bad[3, 0] = np.nan
+        generator = np.random.default_rng(5)
+        state = generator.bit_generator.state
+        with pytest.raises(ValueError,
+                           match="points must contain only finite values"):
+            good_center(bad, radius=0.05, target=200, params=params,
+                        rng=generator, backend=Recording)
+        assert built == []
+        assert generator.bit_generator.state == state
 
     def test_requires_positive_delta(self, small_cluster_data):
         with pytest.raises(ValueError):

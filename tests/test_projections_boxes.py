@@ -230,6 +230,54 @@ class TestUniqueRows:
         assert_unique_rows_matches_numpy(full)
         assert len(ranked) == 8 * 4      # key and column, per column
 
+    @pytest.mark.parametrize("sizes, radix", [
+        ((255, 257), True),
+        ((256, 256), True),          # the widest span a uint16 holds
+        ((65_537,), False),          # a prime: one column
+        ((3, 65_537), False),
+    ], ids=["span-65535", "span-65536", "span-65537", "span-196611"])
+    def test_sort_path_by_packed_span(self, monkeypatch, sizes, radix):
+        """Keys spanning at most 2**16 values sort as uint16 by the stable
+        (radix) sort, wider ones by the default comparison sort, and both
+        match np.unique; the columns hold negative labels and repeats."""
+        rng = np.random.default_rng(len(sizes))
+        lows = np.asarray([-(size // 2) for size in sizes])
+        highs = lows + np.asarray(sizes) - 1
+        labels = rng.integers(lows, highs + 1, size=(3_000, len(sizes)))
+        labels[0], labels[1] = lows, highs       # the span is exact
+        labels[2:1_000] = labels[1_000:1_998]
+        sorts = self.spy_sorts(monkeypatch)
+        assert_unique_rows_matches_numpy(labels)
+        expected = ((np.dtype(np.uint16), "stable") if radix
+                    else (np.dtype(np.int64), None))
+        assert sorts == [expected] * 8, sizes
+
+    def test_sort_path_of_small_and_reranked_inputs(self, monkeypatch):
+        """Zero rows, one row and a matrix whose key and column were
+        re-ranked all pack into a narrow span: the radix path."""
+        sorts = self.spy_sorts(monkeypatch)
+        for labels in (np.zeros((0, 3), dtype=np.int64),
+                       np.array([[-7, 0, 12]], dtype=np.int64),
+                       np.array([[INT64.min, -1], [INT64.max, 1],
+                                 [INT64.min, -1], [0, INT64.max]],
+                                dtype=np.int64)):
+            sorts.clear()
+            assert_unique_rows_matches_numpy(labels)
+            assert sorts == [(np.dtype(np.uint16), "stable")] * 8, labels
+
+    @staticmethod
+    def spy_sorts(monkeypatch):
+        """Record the key dtype and sort kind of every ``np.argsort``."""
+        sorts = []
+        original = np.argsort
+
+        def spy(keys, *args, **kwargs):
+            sorts.append((keys.dtype, kwargs.get("kind")))
+            return original(keys, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", spy)
+        return sorts
+
     def test_rejects_non_integer_rows(self):
         with pytest.raises(ValueError, match="signed-integer"):
             unique_rows(np.zeros((3, 2)))

@@ -387,6 +387,60 @@ class TestShardMemos:
         assert_matches("cell", got, first_occurrence_cells(
             box_labels(fx["points"], origin, fx["width"])))
 
+    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    def test_box_rows_read_the_search_tables(self, plan_fixture, name,
+                                             monkeypatch):
+        """A box selection over a partition the latest search batch hashed
+        takes each shard's rows from its kept cell table, with no grid
+        hash: the rows hashing again finds, none where the shard has no
+        such cell.  Every masked sum is the reference."""
+        fx = plan_fixture
+        hashes = []
+        original = engine_module.box_labels
+
+        def spy(*args):
+            hashes.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(engine_module, "box_labels", spy)
+        backend = make_backend(name, fx["points"])
+        search = backend.view(fx["matrix"])
+        frame = backend.view(fx["basis"])
+        search.heaviest_cell_counts(fx["width"], fx["shifts"][None, :])
+        labels = box_labels(project_rows(fx["points"], fx["matrix"]),
+                            fx["shifts"], fx["width"])
+        low, high = backend._bounds[-1]
+        last = {tuple(label) for label in labels[low:high]}
+        missing = [label for label in labels[:low]
+                   if tuple(label) not in last]
+        assert missing or name != "sharded"
+        shards = backend._shards
+        # The heavy box, a box other shards hold and the last lacks (none
+        # on one shard), and a box no row holds.
+        for label in (fx["chosen"], *missing[:1], labels.min(axis=0) - 1):
+            hashes.clear()
+            selection = search.box_selection(fx["width"], fx["shifts"],
+                                             label)
+            got = frame.masked_sum(selection)
+            assert hashes == [], (name, label)
+            assert np.array_equal(
+                got, self.selection_reference(fx, label, fx["basis"]))
+            kept = shards._cell_tables
+            for shard, (start, stop) in enumerate(backend._bounds):
+                rows = shards._box_rows(shard, search._token, fx["matrix"],
+                                        None, fx["width"], fx["shifts"],
+                                        label)
+                expected = np.flatnonzero(np.all(
+                    labels[start:stop] == label[None, :], axis=1))
+                assert np.array_equal(rows, expected), (name, shard)
+                shards._cell_tables = {}
+                hashed = shards._box_rows(shard, search._token,
+                                          fx["matrix"], None, fx["width"],
+                                          fx["shifts"], label)
+                shards._cell_tables = kept
+                assert rows.dtype == hashed.dtype
+                assert np.array_equal(rows, hashed), (name, shard)
+
     def test_cell_tables_respect_the_memory_budget(self, plan_fixture,
                                                    monkeypatch):
         """With the budget patched below one batch's tables, no shard keeps
@@ -786,6 +840,65 @@ class TestGoodCenterRoundTrips:
         assert np.array_equal(result.center, reference.center)
         assert result.radius_bound == reference.radius_bound
         assert result.captured_count == reference.captured_count
+
+    @pytest.mark.parametrize("miss", [None, "budget", "close"])
+    def test_jl_path_hashes_only_the_search(self, jl_points, monkeypatch,
+                                            miss):
+        """Every grid hash of a JL-path release is a partition the search
+        hashed: the step-7 histogram and the chosen box's rows both read
+        the search's cell tables.  Without the tables — none kept under a
+        zero budget, or dropped by ``close()`` after step 7 — each shard
+        hashes its image once more to find the box's rows (and once for
+        the histogram when none was kept).  Every release is chunked's."""
+        hashes = []
+        original = engine_module.box_labels
+
+        def spy(*args):
+            hashes.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(engine_module, "box_labels", spy)
+        kwargs = dict(radius=0.1, target=700, config=self.JL_CONFIG, rng=1)
+        with monkeypatch.context() as patch:
+            if miss == "budget":
+                patch.setattr(engine_module, "DEFAULT_MEMORY_BUDGET", 0)
+            elif miss == "close":
+                execute = ShardedBackend.execute
+
+                def execute_then_close(self, plan):
+                    results = execute(self, plan)
+                    if plan.queries[0].op == "cell_histogram":
+                        self.close()
+                    return results
+
+                patch.setattr(ShardedBackend, "execute", execute_then_close)
+            result, _, derivations, hashed = self.run_counted(
+                jl_points, monkeypatch, **kwargs)
+        assert result.found
+        assert result.projected_dimension < jl_points.shape[1]
+        assert sorted(derivations) == [0, 1, 2]
+        searched = sum(sum(sizes) for sizes in hashed.values())
+        again = {None: 0, "budget": 2, "close": 1}[miss]
+        assert len(hashes) == searched + 3 * again
+        reference = good_center(jl_points, params=self.PARAMS,
+                                backend="chunked", **kwargs)
+        assert np.array_equal(result.center, reference.center)
+        assert result.radius_bound == reference.radius_bound
+        assert result.captured_count == reference.captured_count
+
+    def test_one_search_image_per_shard(self, jl_points):
+        """Each call searches under a fresh view: a shard keeps the newest
+        search image only, beside its latest selection's rotated image."""
+        backend = ShardedBackend(jl_points, num_shards=2, num_workers=0)
+        for seed in range(3):
+            result = good_center(jl_points, params=self.PARAMS,
+                                 backend=backend, radius=0.1, target=700,
+                                 config=self.JL_CONFIG, rng=seed)
+            assert result.projected_dimension < jl_points.shape[1]
+        stats = backend._shards.cache_stats()
+        assert stats["cached_view_images"] == {0: 1, 1: 1}
+        assert all(len(tokens) == 1
+                   for tokens in stats["selection_images"].values())
 
     @pytest.mark.parametrize("name", BACKEND_NAMES)
     def test_pickled_executor_drops_the_memos(self, jl_points, name):
